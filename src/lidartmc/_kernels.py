@@ -1,110 +1,26 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The numba path is used automatically when numba imports cleanly. Set
-``LIDARTMC_DISABLE_NUMBA=1`` before import to force the numpy fallback
-(useful for debugging and for the benchmark baseline). Both paths are
-kept behind the same public functions; ``benchmarks/bench_kernels.py``
-times them against each other.
-"""
+"""The zone-containment kernel, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("LIDARTMC_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
+# Kept for the benchmark, which records it with every result.
 NUMBA_ENABLED = False
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
 
 
-def points_in_zones_numpy(pn, pe, zn, ze, zcos, zsin, zhl, zhw):
+def points_in_zones(pn, pe, zn, ze, zcos, zsin, zhl, zhw):
     """Boundary-inclusive containment matrix, shape (n_points, n_zones).
 
     Each point (pn, pe) is expressed in zone-local axes (u along the
     zone's length at angle ``yaw`` from north, v across) and tested
-    against the half extents.
+    against the half extents. One zone at a time, so the temporaries
+    stay the size of one column.
     """
-    dn = pn[:, None] - zn[None, :]
-    de = pe[:, None] - ze[None, :]
-    u = dn * zcos[None, :] + de * zsin[None, :]
-    v = -dn * zsin[None, :] + de * zcos[None, :]
-    return (np.abs(u) <= zhl[None, :]) & (np.abs(v) <= zhw[None, :])
-
-
-def apply_rigid_numpy(points, rotation, translation):
-    """Apply ``R @ p + t`` to an (n, 3) array of points."""
-    return points @ rotation.T + translation
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _points_in_zones_nb(pn, pe, zn, ze, zcos, zsin, zhl, zhw):
-        n = pn.shape[0]
-        z = zn.shape[0]
-        out = np.empty((n, z), dtype=np.bool_)
-        for i in range(n):
-            for j in range(z):
-                dn = pn[i] - zn[j]
-                de = pe[i] - ze[j]
-                u = dn * zcos[j] + de * zsin[j]
-                v = -dn * zsin[j] + de * zcos[j]
-                out[i, j] = abs(u) <= zhl[j] and abs(v) <= zhw[j]
-        return out
-
-    @njit(cache=True)
-    def _apply_rigid_nb(points, rotation, translation):
-        n = points.shape[0]
-        out = np.empty((n, 3), dtype=np.float64)
-        for i in range(n):
-            for r in range(3):
-                out[i, r] = (
-                    rotation[r, 0] * points[i, 0]
-                    + rotation[r, 1] * points[i, 1]
-                    + rotation[r, 2] * points[i, 2]
-                    + translation[r]
-                )
-        return out
-
-
-def points_in_zones(pn, pe, zn, ze, zcos, zsin, zhl, zhw):
-    """Dispatch to the numba kernel when available, else numpy."""
-    pn = np.ascontiguousarray(pn, dtype=np.float64)
-    pe = np.ascontiguousarray(pe, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _points_in_zones_nb(pn, pe, zn, ze, zcos, zsin, zhl, zhw)
-    return points_in_zones_numpy(pn, pe, zn, ze, zcos, zsin, zhl, zhw)
-
-
-def apply_rigid(points, rotation, translation):
-    """Dispatch to the numba kernel when available, else numpy."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _apply_rigid_nb(
-            points,
-            np.ascontiguousarray(rotation, dtype=np.float64),
-            np.ascontiguousarray(translation, dtype=np.float64),
-        )
-    return apply_rigid_numpy(points, rotation, translation)
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    pn = np.array([0.0, 1.0])
-    pe = np.array([0.0, 1.0])
-    z = np.array([0.0])
-    one = np.array([1.0])
-    points_in_zones(pn, pe, z, z, one, z, one, one)
-    apply_rigid(np.zeros((2, 3)), np.eye(3), np.zeros(3))
+    out = np.empty((len(pn), len(zn)), dtype=bool)
+    for j in range(len(zn)):
+        dn = pn - zn[j]
+        de = pe - ze[j]
+        u = dn * zcos[j] + de * zsin[j]
+        v = -dn * zsin[j] + de * zcos[j]
+        np.logical_and(np.abs(u) <= zhl[j], np.abs(v) <= zhw[j], out=out[:, j])
+    return out

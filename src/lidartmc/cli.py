@@ -124,13 +124,7 @@ def cmd_estimate(args) -> int:
     streams = []
     for path in args.logs:
         with open_detection_log(path) as fh:
-            streams.append(
-                list(
-                    parse_detection_log(
-                        fh, strict=args.strict, error_sink=errors
-                    )
-                )
-            )
+            streams.append(parse_detection_log(fh, strict=args.strict, error_sink=errors))
     merged = merge_streams(streams, reorder_window=args.reorder_window)
     ned = frames_to_ned(merged, registry)
     events, meta = count_session(ned, cfg, params)

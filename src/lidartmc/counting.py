@@ -35,13 +35,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
-from .ingest import FRAME_NED, MergedStream
+from .ingest import FRAME_NED, L, X, Y, MergedStream
 from .intersection import (
     APPROACH_INDEX,
     MOVEMENT_INDEX,
     Approach,
     IntersectionConfig,
     Movement,
+    PhaseSchedule,
     Zone,
     ZoneKind,
 )
@@ -89,12 +90,17 @@ class CountingParams:
         }
 
 
-@dataclass(frozen=True)
-class ZoneTrigger:
-    zone_id: str
-    t: float
-    detection_length: float
-    frame_id: str
+@dataclass(frozen=True, eq=False)
+class TriggerSeries:
+    """One zone's triggers in time order, as columns: frame time, box
+    length, and frame id of the sensor that saw the box."""
+
+    t: np.ndarray
+    length: np.ndarray
+    sensor: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -108,9 +114,27 @@ class MovementEvent:
     representative_length: float
 
 
+def _permission_table(zones: Sequence[Zone], schedule: PhaseSchedule) -> np.ndarray:
+    """(zones, intervals): does the interval permit a non-right binding
+    of the zone? One product of two binding-incidence tables."""
+    non_right = {b for z in zones for b in z.bindings if b[1] is not Movement.RIGHT}
+    col = {b: i for i, b in enumerate(non_right)}
+
+    def incidence(binding_sets) -> np.ndarray:
+        table = np.zeros((len(binding_sets), len(col)), dtype=np.int64)
+        cells = [(i, col[b]) for i, bs in enumerate(binding_sets) for b in bs if b in col]
+        if cells:
+            table[tuple(zip(*cells))] = 1
+        return table
+
+    zone_pairs = incidence([z.bindings for z in zones])
+    interval_pairs = incidence([iv.permitted for iv in schedule.intervals])
+    return (zone_pairs @ interval_pairs.T) > 0
+
+
 def extract_triggers(
     stream: MergedStream, cfg: IntersectionConfig
-) -> dict[str, list[ZoneTrigger]]:
+) -> dict[str, TriggerSeries]:
     """Per-zone, time-ordered trigger series from a NED stream.
 
     A (detection, zone) pair triggers when the centroid is inside the
@@ -121,92 +145,78 @@ def extract_triggers(
     if stream.coordinate_frame != FRAME_NED:
         raise ValueError("extract_triggers requires a NED stream")
     zones = cfg.zones
-    out: dict[str, list[ZoneTrigger]] = {z.id: [] for z in zones}
-    total = sum(len(f.detections) for f in stream.frames)
-    if total == 0 or not zones:
+    empty = TriggerSeries(np.empty(0), np.empty(0), np.empty(0, dtype=str))
+    out: dict[str, TriggerSeries] = {z.id: empty for z in zones}
+    boxes = stream.boxes
+    if len(boxes) == 0 or not zones:
         return out
 
-    pn = np.empty(total)
-    pe = np.empty(total)
-    ts = np.empty(total)
-    lengths = np.empty(total)
-    frame_ids: list[str] = []
-    i = 0
-    for frame in stream.frames:
-        for d in frame.detections:
-            pn[i] = d.x
-            pe[i] = d.y
-            ts[i] = frame.t
-            lengths[i] = d.length
-            frame_ids.append(frame.frame_id)
-            i += 1
-
-    zn = np.array([z.center.north for z in zones])
-    ze = np.array([z.center.east for z in zones])
-    zcos = np.cos(np.array([z.yaw for z in zones]))
-    zsin = np.sin(np.array([z.yaw for z in zones]))
-    zhl = np.array([z.half_length for z in zones])
-    zhw = np.array([z.half_width for z in zones])
-    hits = _kernels.points_in_zones(pn, pe, zn, ze, zcos, zsin, zhl, zhw)
+    yaw = np.array([z.yaw for z in zones])
+    hits = _kernels.points_in_zones(
+        boxes[:, X],
+        boxes[:, Y],
+        np.array([z.center.north for z in zones]),
+        np.array([z.center.east for z in zones]),
+        np.cos(yaw),
+        np.sin(yaw),
+        np.array([z.half_length for z in zones]),
+        np.array([z.half_width for z in zones]),
+    )
+    rows = np.flatnonzero(hits.any(axis=1))
+    hits = hits[rows]
+    frames = stream.frame_of(rows)
+    ts = stream.t[frames]
 
     schedule = cfg.schedule
     s0, s1 = schedule.session
-    contained_any = hits.any(axis=1)
-    bad = contained_any & ((ts < s0) | (ts >= s1))
-    if np.any(bad):
-        raise TimeOutsideScheduleError(float(ts[np.argmax(bad)]), schedule.session)
+    outside = (ts < s0) | (ts >= s1)
+    if np.any(outside):
+        raise TimeOutsideScheduleError(float(ts[np.argmax(outside)]), schedule.session)
 
     starts = np.array([iv.start for iv in schedule.intervals])
     ends = np.array([iv.end for iv in schedule.intervals])
-    idx = np.searchsorted(starts, ts, side="right") - 1
-    in_interval = (idx >= 0) & (ts < ends[np.clip(idx, 0, None)])
-    # Per (zone, interval): does the interval permit any non-right binding?
+    idx = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
+    in_interval = (starts[idx] <= ts) & (ts < ends[idx])
     zone_has_right = np.array(
         [any(m is Movement.RIGHT for _, m in z.bindings) for z in zones]
     )
-    interval_perm = np.zeros((len(zones), len(schedule.intervals)), dtype=bool)
-    for zi, z in enumerate(zones):
-        non_right = [b for b in z.bindings if b[1] is not Movement.RIGHT]
-        for ii, iv in enumerate(schedule.intervals):
-            interval_perm[zi, ii] = any(b in iv.permitted for b in non_right)
-
-    safe_idx = np.clip(idx, 0, None)
-    permitted = zone_has_right[None, :] | (
-        in_interval[:, None] & interval_perm[:, safe_idx].T
+    permitted = zone_has_right | (
+        in_interval[:, None] & _permission_table(zones, schedule).T[idx]
     )
     trig = hits & permitted
+    lengths = boxes[rows, L]
+    sensors = np.asarray(stream.sensors)[stream.sensor[frames]]
     for zi, z in enumerate(zones):
-        rows = np.nonzero(trig[:, zi])[0]
-        out[z.id] = [
-            ZoneTrigger(z.id, float(ts[r]), float(lengths[r]), frame_ids[r])
-            for r in rows
-        ]
+        r = np.flatnonzero(trig[:, zi])
+        out[z.id] = TriggerSeries(ts[r], lengths[r], sensors[r])
     return out
 
 
 def _cluster_zone(
-    triggers: Sequence[ZoneTrigger], min_headway: float, params: CountingParams
+    series: TriggerSeries, min_headway: float, params: CountingParams
 ) -> list[tuple[float, float]]:
     """Greedy scan of one zone's series -> (first_t, max_length) clusters."""
     clusters: list[tuple[float, float]] = []
     first_t = last_t = max_len = None
-    last_fid = None
-    for trig in triggers:
+    last_sensor = None
+    for t, length, sensor in zip(
+        series.t.tolist(), series.length.tolist(), series.sensor.tolist()
+    ):
         if first_t is None:
-            first_t, last_t, max_len, last_fid = trig.t, trig.t, trig.detection_length, trig.frame_id
+            first_t, last_t, max_len, last_sensor = t, t, length, sensor
             continue
-        gap = trig.t - last_t
+        gap = t - last_t
         joins = (
             gap < params.cluster_gap
             or (params.absorb and gap < min_headway)
-            or (trig.frame_id != last_fid and gap < params.dedup_window)
+            or (sensor != last_sensor and gap < params.dedup_window)
         )
         if not joins:
             clusters.append((first_t, max_len))
-            first_t, max_len = trig.t, trig.detection_length
+            first_t, max_len = t, length
         else:
-            max_len = max(max_len, trig.detection_length)
-        last_t, last_fid = trig.t, trig.frame_id
+            max_len = max(max_len, length)
+        last_t, last_sensor = t, sensor
     if first_t is not None:
         clusters.append((first_t, max_len))
     return clusters
@@ -215,7 +225,7 @@ def _cluster_zone(
 def _events_for_zone(
     zone: Zone,
     binding: tuple[Approach, Movement],
-    triggers: Sequence[ZoneTrigger],
+    triggers: TriggerSeries,
     cfg: IntersectionConfig,
     params: CountingParams,
 ) -> list[MovementEvent]:
@@ -241,7 +251,7 @@ def _sorted_events(tagged: list[tuple[float, str, MovementEvent]]) -> list[Movem
 
 
 def cluster_triggers(
-    series: Mapping[str, Sequence[ZoneTrigger]],
+    series: Mapping[str, TriggerSeries],
     cfg: IntersectionConfig,
     params: CountingParams | None = None,
 ) -> list[MovementEvent]:
@@ -258,7 +268,7 @@ def cluster_triggers(
 
 
 def count_rights_from_egress(
-    series: Mapping[str, Sequence[ZoneTrigger]],
+    series: Mapping[str, TriggerSeries],
     cfg: IntersectionConfig,
     params: CountingParams | None = None,
 ) -> list[MovementEvent]:

@@ -60,6 +60,20 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` over an array of finite angles, bit for bit.
+
+    Within one turn of the range a single exact step of 2*pi is the IEEE
+    remainder; the rare angles further out take the scalar path.
+    """
+    out = np.where(theta > math.pi, theta - TAU, theta)
+    out = np.where(out <= -math.pi, out + TAU, out)
+    far = np.flatnonzero(np.abs(theta) >= TAU)
+    if far.size:
+        out[far] = [wrap_angle(v) for v in theta[far].tolist()]
+    return out
+
+
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):

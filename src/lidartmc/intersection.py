@@ -13,7 +13,6 @@ at all times regardless of schedule content (right on red).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -24,7 +23,7 @@ from .classify import (
     class_table_from_obj,
     class_table_to_obj,
 )
-from .errors import ConfigInvariantError, SchemaError, TimeOutsideScheduleError
+from .errors import ConfigInvariantError, SchemaError
 from .geo import GeodeticPoint, NedPoint, atomic_write_text
 
 if TYPE_CHECKING:  # avoids a circular import; counting imports this module
@@ -100,16 +99,6 @@ class Zone:
         )
 
 
-def point_in_zone(p: NedPoint, z: Zone) -> bool:
-    """Boundary-inclusive containment in the zone's local axes."""
-    dn = p.north - z.center.north
-    de = p.east - z.center.east
-    c, s = math.cos(z.yaw), math.sin(z.yaw)
-    u = dn * c + de * s
-    v = -dn * s + de * c
-    return abs(u) <= z.half_length and abs(v) <= z.half_width
-
-
 @dataclass(frozen=True)
 class PhaseInterval:
     start: float
@@ -150,19 +139,6 @@ class PhaseSchedule:
         if not ivs:
             raise ConfigInvariantError("schedule must contain at least one interval")
         return cls(ivs, (ivs[0].start, ivs[-1].end))
-
-
-def permissible(a: Approach, m: Movement, t: float, s: PhaseSchedule) -> bool:
-    """Whether (a, m) may move at time t. Right turns always may."""
-    s0, s1 = s.session
-    if not (s0 <= t < s1):
-        raise TimeOutsideScheduleError(t, s.session)
-    if m is Movement.RIGHT:
-        return True
-    for iv in s.intervals:
-        if iv.start <= t < iv.end:
-            return (a, m) in iv.permitted
-    return False
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .geo import (
     ned_rotation,
     wrap_angle,
 )
-from .ingest import DetectionRecord, Frame
+from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, Frame
 from .intersection import (
     Approach,
     IntersectionConfig,
@@ -231,10 +231,9 @@ def simulate(
         from_ned_trans = -from_ned_rot @ to_ned.translation
         sensor_pos = np.array([sensor.north, sensor.east, -sensor.height])
 
-        emitted: list[tuple[int, int, DetectionRecord]] = []
-        for order, (v, zone, length, entry_pos, direction, t_start, t_end) in enumerate(
-            resolved
-        ):
+        ticks: list[np.ndarray] = []  # per vehicle: frame tick of each box
+        boxes: list[np.ndarray] = []
+        for v, zone, length, entry_pos, direction, t_start, t_end in resolved:
             lo = max(t_start, t0)
             hi = min(t_end, t1 - 1e-9)
             k_lo = int(math.ceil((lo - t0 - sensor.phase) / period - 1e-12))
@@ -268,39 +267,27 @@ def simulate(
             scores = rng.uniform(0.5, 1.0, len(ks))
             local = pos @ from_ned_rot.T + from_ned_trans
             heading_sensor = wrap_angle(zone.yaw - yaw_corr)
-            for i in range(len(ks)):
-                emitted.append(
-                    (
-                        int(ks[i]),
-                        order,
-                        DetectionRecord(
-                            x=float(local[i, 0]),
-                            y=float(local[i, 1]),
-                            z=float(local[i, 2]),
-                            length=float(lengths[i]),
-                            width=width,
-                            height=height,
-                            heading=heading_sensor,
-                            score=float(scores[i]),
-                        ),
-                    )
-                )
-        emitted.sort(key=lambda kv: (kv[0], kv[1]))
+            rows = np.empty((len(ks), len(BOX_COLUMNS)))
+            rows[:, X : Z + 1] = local
+            rows[:, L] = lengths
+            rows[:, W] = width
+            rows[:, H] = height
+            rows[:, YAW] = heading_sensor
+            rows[:, SCORE] = scores
+            ticks.append(ks)
+            boxes.append(rows)
         frames: list[Frame] = []
-        i = 0
-        while i < len(emitted):
-            k = emitted[i][0]
-            j = i
-            while j < len(emitted) and emitted[j][0] == k:
-                j += 1
-            frames.append(
-                Frame(
-                    sensor.frame_id,
-                    t0 + sensor.phase + k * period,
-                    tuple(rec for _, _, rec in emitted[i:j]),
-                )
-            )
-            i = j
+        if boxes:
+            # Frame by frame; within a frame in script order.
+            ks = np.concatenate(ticks)
+            order = np.argsort(ks, kind="stable")
+            ks = ks[order]
+            block = np.concatenate(boxes)[order]
+            bounds = np.flatnonzero(np.diff(ks)) + 1
+            starts = [0] + bounds.tolist()
+            ends = bounds.tolist() + [len(ks)]
+            for k, a, b in zip(ks[starts].tolist(), starts, ends):
+                frames.append(Frame(sensor.frame_id, t0 + sensor.phase + k * period, block[a:b]))
         frames_by_sensor[sensor.frame_id] = tuple(frames)
 
     return SyntheticSession(

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from lidartmc import _kernels
 from lidartmc.reference import build_reference_config
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Compile the numba kernels once so timed tests measure steady state.
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

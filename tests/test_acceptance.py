@@ -16,7 +16,6 @@ from lidartmc import cli
 from lidartmc.classify import classify_by_length
 from lidartmc.counting import (
     CountingParams,
-    ZoneTrigger,
     cluster_triggers,
     count_session,
     estimate_tmc,
@@ -32,6 +31,7 @@ from lidartmc.geo import (
 from lidartmc.ingest import frames_to_ned, merge_streams
 from lidartmc.report import aggregate, load_ground_truth
 from lidartmc.simgen import SimConfig, random_script, scenario_suite, simulate
+from oracle import trigger_series
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
@@ -73,21 +73,11 @@ def test_criterion_2_threshold_fixtures(reference_config):
     thru = reference_config.zone_by_id("NB_T1")
     right = reference_config.zone_by_id("EB_R")
     for gap, expected in ((0.5, 1), (1.1, 1), (1.2, 2), (1.5, 2)):
-        series = {
-            thru.id: [
-                ZoneTrigger(thru.id, 0.0, 4.5, "L1"),
-                ZoneTrigger(thru.id, gap, 4.5, "L1"),
-            ]
-        }
+        series = {thru.id: trigger_series([(0.0, 4.5, "L1"), (gap, 4.5, "L1")])}
         events = cluster_triggers(series, reference_config)
         assert len(events) == expected, f"thru gap {gap}"
     for gap, expected in ((1.8, 1), (2.0, 2), (2.5, 2)):
-        series = {
-            right.id: [
-                ZoneTrigger(right.id, 0.0, 4.5, "L1"),
-                ZoneTrigger(right.id, gap, 4.5, "L1"),
-            ]
-        }
+        series = {right.id: trigger_series([(0.0, 4.5, "L1"), (gap, 4.5, "L1")])}
         events = cluster_triggers(series, reference_config)
         assert len(events) == expected, f"right gap {gap}"
     ok("criterion 2: headway threshold fixtures (1.2 s thru, 2.0 s right)")

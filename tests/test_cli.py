@@ -302,6 +302,37 @@ class TestEstimate:
         )
         assert code == 2
 
+    def estimate_args(self, sim_out, log, out):
+        return ["estimate", str(log), str(sim_out / "log_L2.jsonl"),
+                "--registry", str(sim_out / "registry.json"), "--out-dir", str(out)]
+
+    def test_invalid_utf8_line_skipped_or_strict_exit_2(self, tmp_path):
+        sim_out = simulate_ideal(tmp_path)
+        log = sim_out / "log_L1.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines.insert(3, b'{"t": 1.0, "frame_id": "L1\xff", "detections": []}\n')
+        log.write_bytes(b"".join(lines))
+        est_out = tmp_path / "est"
+        assert cli.main(self.estimate_args(sim_out, log, est_out)) == 0
+        manifest = json.loads((est_out / "manifest.json").read_text())
+        assert manifest["warnings"]["skipped_lines"] == 1
+        assert load_tmc_csv(est_out / "tmc.csv") == load_tmc_csv(sim_out / "gt.csv")
+        assert cli.main(self.estimate_args(sim_out, log, tmp_path / "strict") + ["--strict"]) == 2
+
+    def test_truncated_gzip_keeps_decoded_lines(self, tmp_path):
+        import gzip
+
+        sim_out = simulate_ideal(tmp_path)
+        data = gzip.compress((sim_out / "log_L1.jsonl").read_bytes())
+        gz = tmp_path / "log_L1.jsonl.gz"
+        gz.write_bytes(data[: len(data) // 2])
+        est_out = tmp_path / "est"
+        assert cli.main(self.estimate_args(sim_out, gz, est_out)) == 0
+        manifest = json.loads((est_out / "manifest.json").read_text())
+        assert manifest["warnings"]["skipped_lines"] == 1
+        assert sum(manifest["counting"]["triggers_per_zone"].values()) > 0
+        assert cli.main(self.estimate_args(sim_out, gz, tmp_path / "strict") + ["--strict"]) == 2
+
     def test_params_flags_accepted(self, tmp_path):
         sim_out = simulate_ideal(tmp_path)
         code = cli.main(

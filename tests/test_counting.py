@@ -6,7 +6,6 @@ import pytest
 from lidartmc.counting import (
     CountingParams,
     MovementEvent,
-    ZoneTrigger,
     cluster_triggers,
     count_rights_from_egress,
     count_session,
@@ -20,7 +19,7 @@ from lidartmc.errors import (
     UserInputError,
 )
 from lidartmc.geo import GeodeticPoint, NedPoint
-from lidartmc.ingest import DetectionRecord, Frame, MergedStream, FRAME_NED
+from lidartmc.ingest import FRAME_NED, Frame, MergedStream
 from lidartmc.intersection import (
     Approach,
     IntersectionConfig,
@@ -30,6 +29,7 @@ from lidartmc.intersection import (
     Zone,
     ZoneKind,
 )
+from oracle import trigger_series
 
 NB, SB, EB, WB = Approach.NB, Approach.SB, Approach.EB, Approach.WB
 L, T, R, U = Movement.LEFT, Movement.THRU, Movement.RIGHT, Movement.UTURN
@@ -57,20 +57,25 @@ def small_config():
     )
 
 
-def trig(zone_id, t, length=4.5, frame_id="L1"):
-    return ZoneTrigger(zone_id, t, length, frame_id)
+def trig(t, length=4.5, frame_id="L1"):
+    return (t, length, frame_id)
+
+
+def cluster(series, cfg, params=None):
+    return cluster_triggers({z: trigger_series(ts) for z, ts in series.items()}, cfg, params)
+
+
+def egress(series, cfg):
+    return count_rights_from_egress({z: trigger_series(ts) for z, ts in series.items()}, cfg)
 
 
 def ned_frame(t, *dets, frame_id="L1"):
-    return Frame(
-        frame_id,
-        t,
-        tuple(DetectionRecord(n, e, -0.75, length, 1.9, 1.5, 0.0) for n, e, length in dets),
-    )
+    rows = [[n, e, -0.75, length, 1.9, 1.5, 0.0, math.nan] for n, e, length in dets]
+    return Frame(frame_id, t, np.array(rows).reshape(-1, 8))
 
 
 def ned_stream(*frames):
-    return MergedStream(tuple(frames), FRAME_NED)
+    return MergedStream.from_frames(frames, FRAME_NED)
 
 
 class TestCountingParams:
@@ -100,15 +105,15 @@ class TestExtractTriggers:
         stream = ned_stream(ned_frame(10.0, (-19.0, 5.25, 4.5)))
         out = extract_triggers(stream, cfg)
         assert len(out["THRU"]) == 1
-        tr = out["THRU"][0]
-        assert tr.t == 10.0 and tr.detection_length == 4.5 and tr.frame_id == "L1"
+        tr = out["THRU"]
+        assert (tr.t.tolist(), tr.length.tolist(), tr.sensor.tolist()) == ([10.0], [4.5], ["L1"])
 
     def test_gated_by_phase(self):
         cfg = small_config()
         # EB-only interval: the NB thru zone must not trigger.
         stream = ned_stream(ned_frame(70.0, (-19.0, 5.25, 4.5)))
         out = extract_triggers(stream, cfg)
-        assert out["THRU"] == []
+        assert len(out["THRU"]) == 0
 
     def test_right_zone_triggers_on_red(self):
         cfg = small_config()
@@ -138,7 +143,7 @@ class TestExtractTriggers:
     def test_requires_ned(self):
         cfg = small_config()
         with pytest.raises(ValueError):
-            extract_triggers(MergedStream(()), cfg)
+            extract_triggers(MergedStream.from_frames(()), cfg)
 
 
 class TestClusterThresholds:
@@ -150,21 +155,21 @@ class TestClusterThresholds:
     def test_thru_zone_pairs(self, gap, expected):
         # Pairs start at t=0 so the gap is the exact float threshold.
         cfg = small_config()
-        series = {"THRU": [trig("THRU", 0.0), trig("THRU", gap)]}
-        events = cluster_triggers(series, cfg)
+        series = {"THRU": [trig(0.0), trig(gap)]}
+        events = cluster(series, cfg)
         assert len(events) == expected
 
     @pytest.mark.parametrize("gap,expected", [(1.8, 1), (2.0, 2), (2.5, 2)])
     def test_right_zone_pairs(self, gap, expected):
         cfg = small_config()
-        series = {"RIGHT": [trig("RIGHT", 0.0), trig("RIGHT", gap)]}
-        events = cluster_triggers(series, cfg)
+        series = {"RIGHT": [trig(0.0), trig(gap)]}
+        events = cluster(series, cfg)
         assert len(events) == expected
 
     def test_dense_triggers_single_event(self):
         cfg = small_config()
-        series = {"THRU": [trig("THRU", t) for t in (0.0, 0.25, 0.5)]}
-        events = cluster_triggers(series, cfg)
+        series = {"THRU": [trig(t) for t in (0.0, 0.25, 0.5)]}
+        events = cluster(series, cfg)
         assert len(events) == 1
         assert events[0].t == 0.0  # first trigger of the cluster
 
@@ -173,38 +178,38 @@ class TestClusterThresholds:
         # extends the cluster, so a slow vehicle re-triggering for 3.6 s
         # still counts once.
         cfg = small_config()
-        series = {"THRU": [trig("THRU", i * 0.9) for i in range(5)]}
-        assert len(cluster_triggers(series, cfg)) == 1
+        series = {"THRU": [trig(i * 0.9) for i in range(5)]}
+        assert len(cluster(series, cfg)) == 1
 
     def test_absorb_off_counts_every_gap(self):
         cfg = small_config()
         params = CountingParams(cluster_gap=1e-6, absorb=False)
-        series = {"THRU": [trig("THRU", i * 0.9) for i in range(5)]}
-        assert len(cluster_triggers(series, cfg, params)) == 5
+        series = {"THRU": [trig(i * 0.9) for i in range(5)]}
+        assert len(cluster(series, cfg, params)) == 5
 
     def test_representative_length_is_cluster_max(self):
         cfg = small_config()
         series = {
             "THRU": [
-                trig("THRU", 0.0, 3.0),
-                trig("THRU", 0.3, 6.2),
-                trig("THRU", 0.5, 4.0),
+                trig(0.0, 3.0),
+                trig(0.3, 6.2),
+                trig(0.5, 4.0),
             ]
         }
-        events = cluster_triggers(series, cfg)
+        events = cluster(series, cfg)
         assert events[0].representative_length == 6.2
         assert events[0].vehicle_class == 4
 
     def test_cross_sensor_dedup(self):
         cfg = small_config()
         series = {
-            "THRU": [trig("THRU", 0.00, frame_id="L1"), trig("THRU", 0.10, frame_id="L2")]
+            "THRU": [trig(0.00, frame_id="L1"), trig(0.10, frame_id="L2")]
         }
-        assert len(cluster_triggers(series, cfg)) == 1
+        assert len(cluster(series, cfg)) == 1
 
     def test_event_labeling_uses_primary_binding(self):
         cfg = small_config()
-        events = cluster_triggers({"THRU": [trig("THRU", 5.0)]}, cfg)
+        events = cluster({"THRU": [trig(5.0)]}, cfg)
         assert events[0].approach is NB
         assert events[0].movement is T
 
@@ -212,21 +217,21 @@ class TestClusterThresholds:
 class TestThresholdSanity:
     def test_all_gaps_above_headway_one_event_each(self):
         cfg = small_config()
-        series = {"THRU": [trig("THRU", i * 1.3) for i in range(10)]}
-        assert len(cluster_triggers(series, cfg)) == 10
+        series = {"THRU": [trig(i * 1.3) for i in range(10)]}
+        assert len(cluster(series, cfg)) == 10
 
     def test_all_gaps_below_cluster_gap_one_event(self):
         cfg = small_config()
-        series = {"THRU": [trig("THRU", i * 0.2) for i in range(30)]}
-        assert len(cluster_triggers(series, cfg)) == 1
+        series = {"THRU": [trig(i * 0.2) for i in range(30)]}
+        assert len(cluster(series, cfg)) == 1
 
     def test_determinism(self):
         cfg = small_config()
         rng = np.random.default_rng(55)
         ts = np.cumsum(rng.uniform(0.1, 3.0, 50))
-        series = {"THRU": [trig("THRU", float(t)) for t in ts]}
-        a = cluster_triggers(series, cfg)
-        b = cluster_triggers(series, cfg)
+        series = {"THRU": [trig(float(t)) for t in ts]}
+        a = cluster(series, cfg)
+        b = cluster(series, cfg)
         assert a == b
 
     def test_prefix_stability(self):
@@ -235,10 +240,10 @@ class TestThresholdSanity:
         cfg = small_config()
         rng = np.random.default_rng(56)
         ts = np.cumsum(rng.uniform(0.1, 3.0, 60))
-        series = [trig("THRU", float(t)) for t in ts]
-        full = cluster_triggers({"THRU": series}, cfg)
+        series = [trig(float(t)) for t in ts]
+        full = cluster({"THRU": series}, cfg)
         for cut in (10, 25, 40):
-            part = cluster_triggers({"THRU": series[:cut]}, cfg)
+            part = cluster({"THRU": series[:cut]}, cfg)
             assert len(part) <= len(full)
             # all but the last (possibly still-open) cluster agree
             assert [e.t for e in part[:-1]] == [e.t for e in full[: len(part) - 1]]
@@ -247,27 +252,27 @@ class TestThresholdSanity:
         cfg = small_config()
         rng = np.random.default_rng(57)
         ts = np.cumsum(rng.uniform(0.1, 3.0, 40))
-        once = [trig("THRU", float(t), frame_id="L1") for t in ts]
-        twice = sorted(once + once, key=lambda tr: tr.t)
-        assert len(cluster_triggers({"THRU": once}, cfg)) == len(
-            cluster_triggers({"THRU": twice}, cfg)
+        once = [trig(float(t), frame_id="L1") for t in ts]
+        twice = sorted(once + once, key=lambda tr: tr[0])
+        assert len(cluster({"THRU": once}, cfg)) == len(
+            cluster({"THRU": twice}, cfg)
         )
 
 
 class TestEgressSurrogate:
     def test_counts_rights(self):
         cfg = small_config()
-        series = {"SURR": [trig("SURR", 10.0), trig("SURR", 10.3)]}
-        events = count_rights_from_egress(series, cfg)
+        series = {"SURR": [trig(10.0), trig(10.3)]}
+        events = egress(series, cfg)
         assert len(events) == 1
         assert events[0].approach is NB and events[0].movement is R
 
     def test_right_threshold_applies(self):
         cfg = small_config()
-        series = {"SURR": [trig("SURR", 0.0), trig("SURR", 2.5)]}
-        assert len(count_rights_from_egress(series, cfg)) == 2
-        series = {"SURR": [trig("SURR", 0.0), trig("SURR", 1.8)]}
-        assert len(count_rights_from_egress(series, cfg)) == 1
+        series = {"SURR": [trig(0.0), trig(2.5)]}
+        assert len(egress(series, cfg)) == 2
+        series = {"SURR": [trig(0.0), trig(1.8)]}
+        assert len(egress(series, cfg)) == 1
 
     def test_multi_binding_surrogate_rejected(self):
         # BAD binds (NB, Right) and (WB, Thru): thru traffic into the
@@ -291,12 +296,12 @@ class TestEgressSurrogate:
         )
         cfg = IntersectionConfig(GeodeticPoint(0.0, 0.0, 0.0), zones, schedule)
         with pytest.raises(MisconfiguredSurrogateError):
-            count_rights_from_egress({"BAD": [trig("BAD", 5.0)]}, cfg)
+            egress({"BAD": [trig(5.0)]}, cfg)
 
     def test_plain_ingress_zone_rejected_as_surrogate(self):
         cfg = small_config()
         with pytest.raises(MisconfiguredSurrogateError):
-            count_rights_from_egress({"THRU": []}, cfg)
+            egress({"THRU": []}, cfg)
 
 
 class TestCountSession:

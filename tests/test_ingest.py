@@ -26,7 +26,14 @@ from lidartmc.geo import (
 )
 from lidartmc.ingest import (
     FRAME_NED,
-    DetectionRecord,
+    SCORE,
+    YAW,
+    H,
+    L,
+    W,
+    X,
+    Y,
+    Z,
     Frame,
     MergedStream,
     frame_to_json_line,
@@ -48,11 +55,22 @@ FIXTURE_LINE = json.dumps(
 )
 
 
+def boxes(*rows):
+    """(k, 8) block; a row may leave out its score."""
+    return np.array([list(r) + [math.nan] * (8 - len(r)) for r in rows]).reshape(-1, 8)
+
+
 def make_frame(frame_id, t, *xy):
-    dets = tuple(
-        DetectionRecord(x, y, 0.5, 4.5, 1.9, 1.5, 0.0) for x, y in xy
-    )
-    return Frame(frame_id, t, dets)
+    return Frame(frame_id, t, boxes(*((x, y, 0.5, 4.5, 1.9, 1.5, 0.0) for x, y in xy)))
+
+
+def frame_rows(frames):
+    """Comparable form of frames: (frame_id, t, rows), absent scores as None."""
+    return [
+        (f.frame_id, f.t, [[None if math.isnan(v) else v for v in row]
+                           for row in f.detections.tolist()])
+        for f in frames
+    ]
 
 
 class TestParse:
@@ -67,10 +85,10 @@ class TestParse:
         assert f.t == 1710968460.25
         assert len(f.detections) == 1
         d = f.detections[0]
-        assert (d.x, d.y, d.z) == (3.1, -12.0, 0.8)
-        assert (d.length, d.width, d.height) == (4.6, 1.9, 1.5)
-        assert d.heading == 0.12
-        assert d.score is None
+        assert (d[X], d[Y], d[Z]) == (3.1, -12.0, 0.8)
+        assert (d[L], d[W], d[H]) == (4.6, 1.9, 1.5)
+        assert d[YAW] == 0.12
+        assert math.isnan(d[SCORE])
 
     def test_negative_dimension_is_invalid_field(self):
         line = FIXTURE_LINE.replace('"l": 4.6', '"l": -1')
@@ -107,7 +125,7 @@ class TestParse:
     def test_yaw_wrapped(self):
         line = FIXTURE_LINE.replace('"yaw": 0.12', f'"yaw": {2 * math.pi + 0.12}')
         frames = list(parse_detection_log(io.StringIO(line)))
-        assert frames[0].detections[0].heading == pytest.approx(0.12)
+        assert frames[0].detections[0, YAW] == pytest.approx(0.12)
 
     def test_score_validation(self):
         line = FIXTURE_LINE.replace('"yaw": 0.12', '"yaw": 0.12, "score": 1.5')
@@ -119,18 +137,18 @@ class TestParse:
             Frame(
                 "L1",
                 1710968460.25,
-                (
-                    DetectionRecord(3.1, -12.0, 0.8, 4.6, 1.9, 1.5, 0.12, 0.87),
-                    DetectionRecord(-1.0, 2.0, 0.3, 9.5, 2.5, 3.3, -3.0),
+                boxes(
+                    (3.1, -12.0, 0.8, 4.6, 1.9, 1.5, 0.12, 0.87),
+                    (-1.0, 2.0, 0.3, 9.5, 2.5, 3.3, -3.0),
                 ),
             ),
-            Frame("L1", 1710968460.5, ()),
+            Frame("L1", 1710968460.5, boxes()),
         ]
         buf = io.StringIO()
         write_detection_log(frames, buf)
         text = buf.getvalue()
         reparsed = list(parse_detection_log(io.StringIO(text)))
-        assert reparsed == frames
+        assert frame_rows(reparsed) == frame_rows(frames)
         buf2 = io.StringIO()
         write_detection_log(reparsed, buf2)
         assert buf2.getvalue() == text
@@ -146,11 +164,117 @@ class TestParse:
                 assert len(list(parse_detection_log(fh))) == 1
 
 
+GOOD_DET = {"x": 3.1, "y": -12.0, "z": 0.8, "l": 4.6, "w": 1.9, "h": 1.5, "yaw": 0.12}
+
+
+def frame_line(t, *dets, frame_id="L1"):
+    return json.dumps({"t": t, "frame_id": frame_id, "detections": list(dets)})
+
+
+def bad_det(**fields):
+    det = {**GOOD_DET, **fields}
+    return {k: v for k, v in det.items() if v is not None}
+
+
+# One line of every kind, each after a good box on the same line.
+BAD_LINES = [
+    ("bad JSON", frame_line(1.0, GOOD_DET)[:-5], "bad frame line: Expecting"),
+    ("missing key", frame_line(2.0, GOOD_DET, bad_det(y=None)),
+     "detection missing keys ['y']"),
+    ("non-numeric", frame_line(3.0, GOOD_DET, bad_det(w="n/a")),
+     "non-numeric detection field: could not convert string to float: 'n/a'"),
+    ("non-finite", frame_line(4.0, GOOD_DET, bad_det(z=math.nan)), "z must be finite, got nan"),
+    ("dimension", frame_line(5.0, GOOD_DET, bad_det(l=75.0)),
+     "length must be in (0, 50.0), got 75.0"),
+    ("score", frame_line(6.0, GOOD_DET, bad_det(score=1.5)), "score 1.5 outside [0, 1]"),
+    ("frame_id", frame_line(7.0, GOOD_DET, frame_id="L2"),
+     "frame_id 'L2' does not match expected 'L1'"),
+]
+
+
+class TestBadLines:
+    def test_every_kind_keeps_line_number_and_reason(self):
+        lines = [frame_line(0.0, GOOD_DET)]
+        for _, line, _ in BAD_LINES:
+            lines += [line, frame_line(len(lines) + 10.0, GOOD_DET)]
+        errors = []
+        frames = list(parse_detection_log(lines, error_sink=errors))
+        got = [(e.line_no, e.reason) for e in errors]
+        assert [n for n, _ in got] == [2 + 2 * i for i in range(len(BAD_LINES))]
+        for (kind, _, reason), (_, text) in zip(BAD_LINES, got):
+            assert text.startswith(reason), kind
+        # A bad box drops its whole line: only the good lines' boxes remain.
+        assert [f.t for f in frames] == [0.0] + [11.0 + 2 * i for i in range(len(BAD_LINES))]
+        assert all(len(f.detections) == 1 for f in frames)
+
+    def test_strict_raises_lowest_bad_line(self):
+        lines = [frame_line(0.0, GOOD_DET)] + [line for _, line, _ in BAD_LINES[::-1]]
+        with pytest.raises(MalformedLineError) as exc:
+            parse_detection_log(lines, strict=True)
+        assert exc.value.line_no == 2
+        assert exc.value.reason == "frame_id 'L2' does not match expected 'L1'"
+
+    def test_sensor_adopted_from_first_good_line(self):
+        lines = [
+            frame_line(0.0, bad_det(h=0.0), frame_id="L2"),
+            frame_line(1.0, GOOD_DET),
+            frame_line(2.0, GOOD_DET, frame_id="L2"),
+        ]
+        errors = []
+        frames = parse_detection_log(lines, error_sink=errors)
+        assert [(f.frame_id, f.t) for f in frames] == [("L1", 1.0)]
+        assert [e.reason for e in errors] == [
+            "height must be in (0, 50.0), got 0.0",
+            "frame_id 'L2' does not match expected 'L1'",
+        ]
+
+    def test_null_score_is_absent_but_nan_score_is_bad(self):
+        lines = [frame_line(0.0, {**GOOD_DET, "score": None}),
+                 frame_line(1.0, {**GOOD_DET, "score": math.nan})]
+        errors = []
+        frames = parse_detection_log(lines, error_sink=errors)
+        assert [f.t for f in frames] == [0.0]
+        assert math.isnan(frames[0].detections[0, SCORE])
+        assert [e.reason for e in errors] == ["score nan outside [0, 1]"]
+
+    def test_huge_integer_is_a_bad_line(self):
+        lines = [frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
+                 frame_line(2.0, GOOD_DET)]
+        errors = []
+        frames = parse_detection_log(lines, error_sink=errors)
+        assert [f.t for f in frames] == [2.0]
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (1, "bad frame line: int too large to convert to float"),
+            (2, "non-numeric detection field: int too large to convert to float"),
+        ]
+
+    def test_invalid_utf8_is_a_bad_line(self):
+        good = frame_line(0.0, GOOD_DET).encode()
+        errors = []
+        frames = parse_detection_log([good, b"\xff" + good, good], error_sink=errors)
+        assert len(frames) == 1 and len(frames[0].detections) == 2
+        assert errors[0].line_no == 2
+        assert errors[0].reason.startswith("bad frame line: 'utf-8' codec can't decode")
+
+    def test_truncated_gzip_keeps_lines_before_the_break(self, tmp_path):
+        text = "".join(frame_line(float(t), GOOD_DET) + "\n" for t in range(2000))
+        data = gzip.compress(text.encode())
+        path = tmp_path / "cut.jsonl.gz"
+        path.write_bytes(data[: len(data) // 2])
+        errors = []
+        with open_detection_log(path) as fh:
+            frames = parse_detection_log(fh, error_sink=errors)
+        assert 0 < len(frames) < 2000
+        assert [f.t for f in frames] == [float(t) for t in range(len(frames))]
+        assert len(errors) == 1
+        assert errors[0].reason.startswith("log ends in a broken block")
+
+
 class TestMerge:
     def test_single_stream_identity(self):
         frames = [make_frame("L1", t, (0.0, 0.0)) for t in (0.0, 0.25, 0.5)]
         merged = merge_streams([frames])
-        assert list(merged) == frames
+        assert frame_rows(merged) == frame_rows(frames)
 
     def test_strict_interleaving_at_offset(self):
         # Two 4 Hz streams offset by 0.125 s alternate exactly.
@@ -226,12 +350,12 @@ class TestFramesToNed:
     def test_ned_aligned_sensor_is_identity(self):
         registry = _ned_aligned_registry()
         frames = [make_frame("L1", 0.0, (3.0, -2.0), (10.0, 5.0))]
-        out = frames_to_ned(MergedStream(tuple(frames)), registry)
+        out = frames_to_ned(MergedStream.from_frames(frames), registry)
         assert out.coordinate_frame == FRAME_NED
         for orig, conv in zip(frames[0].detections, out.frames[0].detections):
-            assert conv.x == pytest.approx(orig.x, abs=1e-9)
-            assert conv.y == pytest.approx(orig.y, abs=1e-9)
-            assert conv.heading == pytest.approx(orig.heading, abs=1e-12)
+            assert conv[X] == pytest.approx(orig[X], abs=1e-9)
+            assert conv[Y] == pytest.approx(orig[Y], abs=1e-9)
+            assert conv[YAW] == pytest.approx(orig[YAW], abs=1e-12)
 
     def test_detection_at_ned_origin(self):
         # A sensor placed arbitrarily; the detection sits exactly at the
@@ -243,12 +367,10 @@ class TestFramesToNed:
         registry.register("L1", t)
         # sensor point p with t.apply(p) == origin_ecef:
         p = invert(t).apply(lla_to_ecef(origin).as_array())
-        frame = Frame(
-            "L1", 0.0, (DetectionRecord(p[0], p[1], p[2], 4.5, 1.9, 1.5, 0.0),)
-        )
-        out = frames_to_ned(MergedStream((frame,)), registry)
+        frame = Frame("L1", 0.0, boxes((p[0], p[1], p[2], 4.5, 1.9, 1.5, 0.0)))
+        out = frames_to_ned(MergedStream.from_frames([frame]), registry)
         d = out.frames[0].detections[0]
-        assert abs(d.x) < 1e-6 and abs(d.y) < 1e-6 and abs(d.z) < 1e-6
+        assert abs(d[X]) < 1e-6 and abs(d[Y]) < 1e-6 and abs(d[Z]) < 1e-6
 
     def test_preserves_count_grouping_and_distances(self):
         rng = np.random.default_rng(32)
@@ -262,7 +384,7 @@ class TestFramesToNed:
             make_frame("L1", float(i) * 0.25, *(tuple(rng.uniform(-30, 30, 2)) for _ in range(3)))
             for i in range(5)
         ]
-        out = frames_to_ned(MergedStream(tuple(frames)), registry)
+        out = frames_to_ned(MergedStream.from_frames(frames), registry)
         assert len(out.frames) == len(frames)
         for before, after in zip(frames, out.frames):
             assert len(after.detections) == len(before.detections)
@@ -271,46 +393,40 @@ class TestFramesToNed:
             # rigidity: pairwise distances preserved
             for i in range(3):
                 for j in range(i + 1, 3):
-                    db = math.dist(
-                        (before.detections[i].x, before.detections[i].y, before.detections[i].z),
-                        (before.detections[j].x, before.detections[j].y, before.detections[j].z),
-                    )
-                    da = math.dist(
-                        (after.detections[i].x, after.detections[i].y, after.detections[i].z),
-                        (after.detections[j].x, after.detections[j].y, after.detections[j].z),
-                    )
+                    db = math.dist(before.detections[i, :3], before.detections[j, :3])
+                    da = math.dist(after.detections[i, :3], after.detections[j, :3])
                     assert da == pytest.approx(db, abs=1e-9)
 
     def test_dimensions_and_scores_unchanged(self):
         registry = _ned_aligned_registry()
-        frame = Frame(
-            "L1", 0.0, (DetectionRecord(1.0, 2.0, 0.5, 4.6, 1.9, 1.5, 0.3, 0.75),)
-        )
-        out = frames_to_ned(MergedStream((frame,)), registry)
+        frame = Frame("L1", 0.0, boxes((1.0, 2.0, 0.5, 4.6, 1.9, 1.5, 0.3, 0.75)))
+        out = frames_to_ned(MergedStream.from_frames([frame]), registry)
         d = out.frames[0].detections[0]
-        assert (d.length, d.width, d.height, d.score) == (4.6, 1.9, 1.5, 0.75)
+        assert (d[L], d[W], d[H], d[SCORE]) == (4.6, 1.9, 1.5, 0.75)
 
     def test_unregistered_frame(self):
         registry = _ned_aligned_registry()
         with pytest.raises(UnregisteredFrameError):
-            frames_to_ned(MergedStream((make_frame("L9", 0.0, (0.0, 0.0)),)), registry)
+            frames_to_ned(MergedStream.from_frames([make_frame("L9", 0.0, (0.0, 0.0))]), registry)
 
     def test_rejects_already_converted(self):
         registry = _ned_aligned_registry()
-        stream = MergedStream((), FRAME_NED)
+        stream = MergedStream.from_frames((), FRAME_NED)
         with pytest.raises(ValueError):
             frames_to_ned(stream, registry)
 
 
-def test_detection_record_validation():
-    with pytest.raises(ValueError):
-        DetectionRecord(0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        DetectionRecord(0.0, 0.0, 0.0, 60.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        DetectionRecord(math.nan, 0.0, 0.0, 4.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        DetectionRecord(0.0, 0.0, 0.0, 4.0, 1.0, 1.0, 4.0)  # heading out of range
+def test_box_validation():
+    def parses(**box):
+        det = {"x": 0.0, "y": 0.0, "z": 0.0, "l": 4.0, "w": 1.0, "h": 1.0, "yaw": 0.0, **box}
+        line = json.dumps({"t": 0.0, "frame_id": "L1", "detections": [det]})
+        return bool(parse_detection_log([line]))
+
+    assert parses()
+    assert not parses(l=-1.0)
+    assert not parses(l=60.0)
+    assert not parses(x=math.nan)
+    assert parses(yaw=4.0)  # wrapped, not rejected
 
 
 def test_frame_json_line_is_compact_single_line():

@@ -18,11 +18,10 @@ from lidartmc.intersection import (
     config_from_obj,
     config_to_obj,
     load_intersection_config,
-    permissible,
-    point_in_zone,
     save_intersection_config,
 )
 from lidartmc.reference import reference_config_path
+from oracle import permissible, point_in_zone
 
 NB, SB, EB, WB = Approach.NB, Approach.SB, Approach.EB, Approach.WB
 L, T, R, U = Movement.LEFT, Movement.THRU, Movement.RIGHT, Movement.UTURN

@@ -1,10 +1,9 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from lidartmc import _kernels
+from lidartmc.geo import NedPoint
+from lidartmc.intersection import Approach, Movement, Zone, ZoneKind
+from oracle import point_in_zone
 
 
 def random_workload(rng, n=500, z=8):
@@ -15,17 +14,23 @@ def random_workload(rng, n=500, z=8):
     yaw = rng.uniform(-np.pi, np.pi, z)
     zhl = rng.uniform(2, 8, z)
     zhw = rng.uniform(1, 4, z)
-    return pn, pe, zn, ze, np.cos(yaw), np.sin(yaw), zhl, zhw
+    return pn, pe, zn, ze, yaw, zhl, zhw
 
 
 def test_containment_matches_numpy_reference():
+    # The kernel against the scalar oracle, point by point and zone by zone.
     rng = np.random.default_rng(21)
     for _ in range(5):
-        args = random_workload(rng)
-        got = _kernels.points_in_zones(*args)
-        ref = _kernels.points_in_zones_numpy(*args)
-        assert got.shape == ref.shape == (500, 8)
-        assert np.array_equal(got, ref)
+        pn, pe, zn, ze, yaw, zhl, zhw = random_workload(rng)
+        got = _kernels.points_in_zones(pn, pe, zn, ze, np.cos(yaw), np.sin(yaw), zhl, zhw)
+        assert got.shape == (500, 8)
+        zones = [
+            Zone(f"Z{j}", ZoneKind.INGRESS, NedPoint(zn[j], ze[j], 0.0), zhl[j], zhw[j],
+                 yaw[j], ((Approach.NB, Movement.THRU),))
+            for j in range(len(zn))
+        ]
+        ref = [[point_in_zone(NedPoint(n, e, 0.0), z) for z in zones] for n, e in zip(pn, pe)]
+        assert got.tolist() == ref
 
 
 def test_containment_boundary_inclusive():
@@ -37,32 +42,3 @@ def test_containment_boundary_inclusive():
     got = _kernels.points_in_zones(*args)
     assert got[:, 0].tolist() == [True, False, True]
 
-
-def test_apply_rigid_matches_numpy():
-    rng = np.random.default_rng(22)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    t = rng.uniform(-10, 10, 3)
-    pts = rng.uniform(-100, 100, (200, 3))
-    got = _kernels.apply_rigid(pts, q, t)
-    ref = _kernels.apply_rigid_numpy(pts, q, t)
-    assert np.allclose(got, ref, atol=1e-12)
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import os; os.environ['LIDARTMC_DISABLE_NUMBA'] = '1';"
-        "from lidartmc import _kernels;"
-        "assert not _kernels.NUMBA_ENABLED;"
-        "import numpy as np;"
-        "out = _kernels.points_in_zones(np.zeros(2), np.zeros(2), np.zeros(1),"
-        " np.zeros(1), np.ones(1), np.zeros(1), np.ones(1), np.ones(1));"
-        "assert out.all()"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba unavailable")
-def test_numba_is_active_by_default():
-    assert _kernels.points_in_zones is not _kernels.points_in_zones_numpy

@@ -7,8 +7,8 @@ import pytest
 
 from lidartmc.counting import count_session, estimate_tmc
 from lidartmc.errors import ScriptValidationError
-from lidartmc.ingest import frames_to_ned, merge_streams, write_detection_log
-from lidartmc.intersection import Approach, Movement, point_in_zone
+from lidartmc.ingest import X, Y, frames_to_ned, merge_streams, write_detection_log
+from lidartmc.intersection import Approach, Movement
 from lidartmc.geo import NedPoint
 from lidartmc.reference import build_long_range_config
 from lidartmc.simgen import (
@@ -25,6 +25,7 @@ from lidartmc.simgen import (
     simulate,
     tally_script,
 )
+from oracle import point_in_zone
 
 NB, EB = Approach.NB, Approach.EB
 T = Movement.THRU
@@ -115,8 +116,8 @@ class TestSimulateBasics:
         for frame in ned:
             for d in frame.detections:
                 # path: east fixed at the zone center, north varies
-                assert d.y == pytest.approx(zone.center.east, abs=1e-6)
-                u = d.x - zone.center.north
+                assert d[Y] == pytest.approx(zone.center.east, abs=1e-6)
+                u = d[X] - zone.center.north
                 expected_u = -zone.half_length + 10.0 * (frame.t - 20.03)
                 assert u == pytest.approx(expected_u, abs=1e-6)
 
