@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -19,7 +20,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .counting import CountingParams, count_session, estimate_tmc, events_to_csv
+from .counting import (
+    CountingParams,
+    count_session,
+    drop_outside_session,
+    estimate_tmc,
+    events_to_csv,
+)
 from .errors import UserInputError
 from .geo import (
     FrameRegistry,
@@ -39,7 +46,7 @@ from .ingest import (
 )
 from .intersection import load_intersection_config
 from .reference import reference_config_path
-from .report import compare, load_tmc_csv, render_report, save_tmc_csv
+from .report import DIMS, compare, load_tmc_csv, render_report, save_tmc_csv
 from .simgen import SimConfig, load_script, scenario_by_name, script_to_obj, simulate
 
 
@@ -120,19 +127,33 @@ def cmd_estimate(args) -> int:
         raise UserInputError("estimate requires --registry (sensor poses)")
     registry = load_registry(args.registry)
     params = _counting_params(args, cfg.params)
+    session = (
+        args.session_start if args.session_start is not None else cfg.schedule.session[0],
+        args.session_end if args.session_end is not None else cfg.schedule.session[1],
+    )
+    if session[1] < session[0]:
+        raise UserInputError(f"session end {session[1]} precedes start {session[0]}")
+    if args.reorder_window < 0:
+        raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
     streams = []
     for path in args.logs:
         with open_detection_log(path) as fh:
             streams.append(parse_detection_log(fh, strict=args.strict, error_sink=errors))
+    # Each stage's input is dropped as soon as the next stage holds its
+    # result, so at most two copies of the detection block are alive.
     merged = merge_streams(streams, reorder_window=args.reorder_window)
+    del streams
     ned = frames_to_ned(merged, registry)
+    del merged
+    outside = 0
+    if not args.strict:  # under --strict, extract_triggers raises on the first one
+        ned, outside = drop_outside_session(ned, cfg)
     events, meta = count_session(ned, cfg, params)
-    session = (
-        args.session_start if args.session_start is not None else cfg.schedule.session[0],
-        args.session_end if args.session_end is not None else cfg.schedule.session[1],
-    )
     table = estimate_tmc(events, args.bin_seconds, session, cfg.class_table.n_classes)
+    warnings = {"skipped_lines": len(errors)}
+    if outside:
+        warnings["outside_session_detections"] = outside
     out = _out_dir(args)
     save_tmc_csv(table, out / "tmc.csv")
     atomic_write_text(out / "events.csv", events_to_csv(events))
@@ -150,12 +171,15 @@ def cmd_estimate(args) -> int:
                 "params": (params or CountingParams()).to_obj(),
             },
             "outputs": ["tmc.csv", "events.csv"],
-            "warnings": {"skipped_lines": len(errors)},
+            "warnings": warnings,
             "counting": meta,
         },
     )
     if errors:
         print(f"warning: skipped {len(errors)} malformed line(s)", file=sys.stderr)
+    if outside:
+        print(f"warning: dropped {outside} zone-contained detection(s) outside the "
+              "schedule session", file=sys.stderr)
     print(f"estimated {len(events)} movement events -> {out / 'tmc.csv'}")
     return 0
 
@@ -164,6 +188,11 @@ def cmd_compare(args) -> int:
     est = load_tmc_csv(args.estimated, args.bin_seconds)
     gt = load_tmc_csv(args.ground_truth, args.bin_seconds)
     group_by = tuple(s.strip() for s in args.group_by.split(",") if s.strip())
+    unknown = [d for d in group_by if d not in DIMS]
+    if unknown or not group_by:
+        raise UserInputError(
+            f"--group-by needs a comma list from {','.join(DIMS)}, got {args.group_by!r}"
+        )
     report = compare(est, gt, group_by)
     print(render_report(report, "text"), end="")
     out = _out_dir(args)
@@ -240,6 +269,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number, so a bad flag value exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lidartmc",
@@ -263,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True, help="sensor pose registry JSON")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--strict", action="store_true", help="abort on malformed lines")
-    p.add_argument("--bin-seconds", type=float, default=300.0)
-    p.add_argument("--session-start", type=float)
-    p.add_argument("--session-end", type=float)
-    p.add_argument("--reorder-window", type=float, default=1.0)
-    p.add_argument("--min-headway-right", type=float)
-    p.add_argument("--min-headway-other", type=float)
-    p.add_argument("--cluster-gap", type=float)
-    p.add_argument("--dedup-window", type=float)
+    p.add_argument("--bin-seconds", type=_positive_float, default=300.0)
+    p.add_argument("--session-start", type=_finite_float)
+    p.add_argument("--session-end", type=_finite_float)
+    p.add_argument("--reorder-window", type=_finite_float, default=1.0)
+    p.add_argument("--min-headway-right", type=_finite_float)
+    p.add_argument("--min-headway-other", type=_finite_float)
+    p.add_argument("--cluster-gap", type=_finite_float)
+    p.add_argument("--dedup-window", type=_finite_float)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("compare", help="compare an estimate against ground truth")
@@ -278,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ground_truth")
     p.add_argument("--group-by", default="approach,movement",
                    help="comma list from: time,approach,movement,class")
-    p.add_argument("--bin-seconds", type=float, default=300.0)
+    p.add_argument("--bin-seconds", type=_positive_float, default=300.0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_compare)
 
@@ -288,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=reference_config_path())
     p.add_argument("--seed", type=int, required=True,
                    help="explicit RNG seed (required for reproducibility)")
-    p.add_argument("--frame-rate", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--frame-rate", type=_finite_float)
+    p.add_argument("--dropout", type=_finite_float)
+    p.add_argument("--noise-sigma", type=_finite_float)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -28,7 +28,7 @@ closest to the true length under partial occlusion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,6 +67,10 @@ class CountingParams:
     def __post_init__(self):
         if self.dedup_window is None:
             object.__setattr__(self, "dedup_window", self.cluster_gap)
+        thresholds = (self.min_headway_right, self.min_headway_other, self.cluster_gap,
+                      self.dedup_window)
+        if not all(math.isfinite(v) for v in thresholds):
+            raise UserInputError(f"counting thresholds must be finite, got {thresholds}")
         if min(self.min_headway_right, self.min_headway_other, self.cluster_gap) <= 0:
             raise UserInputError("counting thresholds must be positive")
         if self.dedup_window <= 0:
@@ -132,6 +136,48 @@ def _permission_table(zones: Sequence[Zone], schedule: PhaseSchedule) -> np.ndar
     return (zone_pairs @ interval_pairs.T) > 0
 
 
+def _zone_hits(boxes: np.ndarray, zones: Sequence[Zone]) -> np.ndarray:
+    """(rows, zones): is each box centroid inside each zone?"""
+    yaw = np.array([z.yaw for z in zones])
+    return _kernels.points_in_zones(
+        boxes[:, X],
+        boxes[:, Y],
+        np.array([z.center.north for z in zones]),
+        np.array([z.center.east for z in zones]),
+        np.cos(yaw),
+        np.sin(yaw),
+        np.array([z.half_length for z in zones]),
+        np.array([z.half_width for z in zones]),
+    )
+
+
+def drop_outside_session(
+    stream: MergedStream, cfg: IntersectionConfig
+) -> tuple[MergedStream, int]:
+    """``stream`` without the zone-contained detections that lie outside
+    the schedule's session, and how many there were.
+
+    Such a detection would make :func:`extract_triggers` raise; a
+    detection outside every zone never triggers, so it is kept. The
+    stream is returned unchanged when nothing is dropped.
+    """
+    s0, s1 = cfg.schedule.session
+    outside = np.repeat((stream.t < s0) | (stream.t >= s1), np.diff(stream.offsets))
+    rows = np.flatnonzero(outside)
+    if len(rows) == 0:
+        return stream, 0
+    drop = rows[_zone_hits(stream.boxes[rows], cfg.zones).any(axis=1)]
+    if len(drop) == 0:
+        return stream, 0
+    keep = np.ones(len(stream.boxes), dtype=bool)
+    keep[drop] = False
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return (
+        replace(stream, boxes=stream.boxes[keep], offsets=kept_before[stream.offsets]),
+        len(drop),
+    )
+
+
 def extract_triggers(
     stream: MergedStream, cfg: IntersectionConfig
 ) -> dict[str, TriggerSeries]:
@@ -151,17 +197,7 @@ def extract_triggers(
     if len(boxes) == 0 or not zones:
         return out
 
-    yaw = np.array([z.yaw for z in zones])
-    hits = _kernels.points_in_zones(
-        boxes[:, X],
-        boxes[:, Y],
-        np.array([z.center.north for z in zones]),
-        np.array([z.center.east for z in zones]),
-        np.cos(yaw),
-        np.sin(yaw),
-        np.array([z.half_length for z in zones]),
-        np.array([z.half_width for z in zones]),
-    )
+    hits = _zone_hits(boxes, zones)
     rows = np.flatnonzero(hits.any(axis=1))
     hits = hits[rows]
     frames = stream.frame_of(rows)

@@ -17,6 +17,12 @@ whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
 :class:`Frame` holds a row view of its file's block; a
 :class:`MergedStream` holds one block for all sensors plus per-frame
 time, sensor and row offset arrays.
+
+A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each chunk
+is converted, validated and cut down to its kept rows before the next
+one is read, and the chunk blocks are joined once at the end, so a parse
+holds about two copies of its block rather than every box as Python
+objects.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ log = logging.getLogger(__name__)
 
 MAX_DIMENSION_M = 50.0
 DEFAULT_REORDER_WINDOW_S = 1.0
+# Raw boxes read before they are converted to a block: bounds the memory
+# that the Python-object form of a log takes.
+CHUNK_ROWS = 8192
 
 FRAME_SENSOR = "sensor"
 FRAME_NED = "ned"
@@ -214,13 +223,50 @@ def parse_detection_log(
     the lowest bad line. A compressed log that breaks off keeps the lines
     before the break and counts one bad line. Every frame's detections
     are rows of one block for the whole log.
+
+    Lines are read in chunks of about :data:`CHUNK_ROWS` boxes; each
+    chunk is converted, checked and cut down to its kept rows before the
+    next one is read, so the raw box tuples never outlive their chunk.
     """
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
     errors: list[MalformedLineError] = []
-    lines: list[tuple] = []  # (line_no, frame_id, t, first row, end row)
+    blocks: list[np.ndarray] = []  # kept rows of each chunk
+    kept: list[tuple] = []  # (frame_id, t, rows) of every kept line
+    expected = frame_id
+    lines: list[tuple] = []  # (line_no, frame_id, t, first row, end row) of the chunk
     box_errors: dict[int, MalformedLineError] = {}  # by index into ``lines``
     rows: list[tuple] = []
+
+    def flush() -> None:
+        # The sensor check precedes the box checks of a line, and the
+        # sensor is adopted from the first good line.
+        nonlocal expected
+        block = _to_block(rows, lines, box_errors)
+        keep = np.zeros(len(lines), dtype=bool)
+        for i, (line_no, fid, t, a, b) in enumerate(lines):
+            err = box_errors.get(i)
+            if expected is not None and fid != expected:
+                err = MalformedLineError(
+                    line_no, f"frame_id {fid!r} does not match expected {expected!r}"
+                )
+            if err is not None:
+                errors.append(err)
+            else:
+                keep[i] = True
+                expected = fid
+                kept.append((fid, t, b - a))
+        # Chunks run in line order, so the first chunk with a bad line
+        # holds the lowest one.
+        if errors and strict:
+            raise min(errors, key=lambda e: e.line_no)
+        block = block[np.repeat(keep, [b - a for *_, a, b in lines])]
+        block[:, YAW] = wrap_angles(block[:, YAW])
+        blocks.append(block)
+        lines.clear()
+        box_errors.clear()
+        rows.clear()
+
     line_no = 0
     try:
         for line_no, raw in enumerate(source, start=1):
@@ -251,41 +297,24 @@ def parse_detection_log(
                 line_rows = []
             lines.append((line_no, fid, t, len(rows), len(rows) + len(line_rows)))
             rows.extend(line_rows)
+            if len(rows) >= CHUNK_ROWS:
+                flush()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         errors.append(MalformedLineError(line_no + 1, f"log ends in a broken block: {exc}"))
-    block = _to_block(rows, lines, box_errors)
-    del rows  # the raw tuples are no longer needed; free them before the copies below
+    flush()
 
-    # The sensor check precedes the box checks of a line, and the sensor
-    # is adopted from the first good line.
-    keep = np.zeros(len(lines), dtype=bool)
-    expected = frame_id
-    for i, (line_no, fid, *_) in enumerate(lines):
-        err = box_errors.get(i)
-        if expected is not None and fid != expected:
-            err = MalformedLineError(
-                line_no, f"frame_id {fid!r} does not match expected {expected!r}"
-            )
-        if err is not None:
-            errors.append(err)
-        else:
-            keep[i] = True
-            expected = fid
     errors.sort(key=lambda e: e.line_no)
-    if errors and strict:
-        raise errors[0]
     if error_sink is not None:
         error_sink.extend(errors)
     for err in errors:
         log.warning("skipping detection log %s", err)
 
-    block = block[np.repeat(keep, [b - a for *_, a, b in lines])]
-    block[:, YAW] = wrap_angles(block[:, YAW])
+    block = np.concatenate(blocks)
+    del blocks  # the chunk blocks are no longer needed once joined
     frames: list[Frame] = []
     n = 0
-    kept = (lines[i] for i in np.flatnonzero(keep).tolist())
-    for (fid, t), group in groupby(kept, key=lambda line: line[1:3]):
-        k = sum(b - a for *_, a, b in group)
+    for (fid, t), group in groupby(kept, key=lambda line: line[:2]):
+        k = sum(size for *_, size in group)
         frames.append(Frame(fid, t, block[n : n + k]))
         n += k
     return frames

@@ -256,12 +256,41 @@ def _volume_shares(table: TmcTable) -> tuple[float, ...] | None:
     return tuple(float(v) / grand * 100.0 for v in per_class)
 
 
+def _on_common_grid(a: TmcTable, b: TmcTable) -> tuple[TmcTable, TmcTable]:
+    """Both tables padded with zero bins onto one session that covers both,
+    or both unchanged when their bins do not line up."""
+    step = a.bin_seconds
+    shift = (b.session[0] - a.session[0]) / step
+    if abs(shift - round(shift)) > 1e-6:
+        return a, b
+    start = min(a.session[0], b.session[0])
+    bins = max(
+        round((t.session[0] - start) / step) + t.counts.shape[0] for t in (a, b)
+    )
+    session = (start, start + bins * step)
+
+    def pad(t: TmcTable) -> TmcTable:
+        lead = round((t.session[0] - start) / step)
+        width = [(lead, bins - lead - t.counts.shape[0])] + [(0, 0)] * 3
+        return TmcTable(step, session, np.pad(t.counts, width))
+
+    return pad(a), pad(b)
+
+
 def compare(
     est: TmcTable,
     gt: TmcTable,
     group_by: Sequence[str] = ("approach", "movement"),
 ) -> ErrorReport:
-    """Per-group estimated vs ground-truth errors plus class volume shares."""
+    """Per-group estimated vs ground-truth errors plus class volume shares.
+
+    A loaded table's session runs from its first to its last row, so a
+    sparse file that leaves out its leading all-zero bins starts late.
+    When the two sessions start a whole number of bins apart, both
+    tables are padded with zero bins onto the grid that covers both.
+    """
+    if est.bin_seconds == gt.bin_seconds and est.session[0] != gt.session[0]:
+        est, gt = _on_common_grid(est, gt)
     if (
         est.bin_seconds != gt.bin_seconds
         or est.session != gt.session

@@ -2,11 +2,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import random_rotation
 from lidartmc import cli
 from lidartmc.geo import GeodeticPoint, lla_to_ecef, load_registry
-from lidartmc.report import load_tmc_csv
+from lidartmc.report import TmcTable, load_tmc_csv, save_tmc_csv
 from lidartmc.simgen import SimConfig, random_script, script_to_obj
 from lidartmc.reference import reference_config_path
 
@@ -333,6 +334,29 @@ class TestEstimate:
         assert sum(manifest["counting"]["triggers_per_zone"].values()) > 0
         assert cli.main(self.estimate_args(sim_out, gz, tmp_path / "strict") + ["--strict"]) == 2
 
+    def test_out_of_session_detections_dropped_and_counted(self, tmp_path, capsys):
+        sim_out = simulate_ideal(tmp_path)
+        log = sim_out / "log_L1.jsonl"
+        clean = tmp_path / "clean"
+        assert cli.main(self.estimate_args(sim_out, log, clean)) == 0
+        # The same detections again, long after the schedule session ends.
+        lines = log.read_text().splitlines()
+        late = [json.dumps({**json.loads(line), "t": json.loads(line)["t"] + 1e4})
+                for line in lines]
+        log.write_text("\n".join(lines + late) + "\n")
+        capsys.readouterr()
+        est_out = tmp_path / "est"
+        assert cli.main(self.estimate_args(sim_out, log, est_out)) == 0
+        for name in ("tmc.csv", "events.csv"):
+            assert (est_out / name).read_bytes() == (clean / name).read_bytes()
+        manifest = json.loads((est_out / "manifest.json").read_text())
+        contained = sum(manifest["counting"]["triggers_per_zone"].values())
+        assert 0 < manifest["warnings"]["outside_session_detections"] <= contained
+        assert "outside the schedule session" in capsys.readouterr().err
+        strict = self.estimate_args(sim_out, log, tmp_path / "strict") + ["--strict"]
+        assert cli.main(strict) == 2
+        assert "outside schedule session" in capsys.readouterr().err
+
     def test_params_flags_accepted(self, tmp_path):
         sim_out = simulate_ideal(tmp_path)
         code = cli.main(
@@ -395,6 +419,25 @@ class TestCompare:
         )
         code = cli.main(["compare", str(GT_FIXTURE), str(other), "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_sparse_ground_truth_without_leading_zero_bins(self, tmp_path):
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 5, (6, 4, 4, 6))
+        counts[:2] = 0
+        full, sparse, est = tmp_path / "full.csv", tmp_path / "sparse.csv", tmp_path / "est.csv"
+        save_tmc_csv(TmcTable(300.0, (0.0, 1800.0), counts), full)
+        save_tmc_csv(TmcTable(300.0, (0.0, 1800.0), rng.integers(0, 5, (6, 4, 4, 6))), est)
+        rows = full.read_text().splitlines()
+        sparse.write_text("\n".join(r for r in rows if not r.startswith(("0.0,", "300.0,")))
+                          + "\n")
+        reports = []
+        for estimated, truth in ((est, full), (est, sparse), (full, est), (sparse, est)):
+            out = tmp_path / f"{estimated.stem}-{truth.stem}"
+            assert cli.main(["compare", str(estimated), str(truth), "--out-dir", str(out),
+                             "--group-by", "time,approach"]) == 0
+            reports.append((out / "report.csv").read_text())
+        assert reports[0] == reports[1]
+        assert reports[2] == reports[3]
 
     def test_bad_group_by_exit_1_or_2(self, tmp_path):
         code = cli.main(
@@ -490,6 +533,43 @@ class TestEndToEnd:
         )
         rows = (cmp_out / "report.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[3] == "0" for row in rows)
+
+
+@pytest.fixture(scope="module")
+def ideal_sim(tmp_path_factory):
+    return simulate_ideal(tmp_path_factory.mktemp("ideal"))
+
+
+BAD_FLAG_VALUES = [
+    ("estimate", ["--bin-seconds", "0"]),
+    ("estimate", ["--bin-seconds", "-5"]),
+    ("estimate", ["--bin-seconds", "nan"]),
+    ("estimate", ["--bin-seconds", "inf"]),
+    ("estimate", ["--session-start", "100", "--session-end", "50"]),
+    ("estimate", ["--session-start", "nan"]),
+    ("estimate", ["--reorder-window", "nan"]),
+    ("estimate", ["--reorder-window", "-1"]),
+    ("estimate", ["--dedup-window", "nan"]),
+    ("estimate", ["--min-headway-right", "inf"]),
+    ("compare", ["--bin-seconds", "0"]),
+    ("compare", ["--bin-seconds", "nan"]),
+    ("compare", ["--group-by", "foo"]),
+    ("simulate", ["--noise-sigma", "nan"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", BAD_FLAG_VALUES,
+                         ids=[" ".join([c, *f]) for c, f in BAD_FLAG_VALUES])
+def test_bad_numeric_flag_exits_2(ideal_sim, tmp_path, command, flags):
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = {
+        "estimate": ["estimate", str(ideal_sim / "log_L1.jsonl"),
+                     "--registry", str(ideal_sim / "registry.json")],
+        "compare": ["compare", str(GT_FIXTURE), str(GT_FIXTURE)],
+        "simulate": ["simulate", "--scenario", "ideal", "--seed", "1"],
+    }[command]
+    assert cli.main(argv + flags + out) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag(capsys):

@@ -9,6 +9,7 @@ from lidartmc.counting import (
     cluster_triggers,
     count_rights_from_egress,
     count_session,
+    drop_outside_session,
     estimate_tmc,
     events_to_csv,
     extract_triggers,
@@ -19,6 +20,7 @@ from lidartmc.errors import (
     UserInputError,
 )
 from lidartmc.geo import GeodeticPoint, NedPoint
+from lidartmc import ingest
 from lidartmc.ingest import FRAME_NED, Frame, MergedStream
 from lidartmc.intersection import (
     Approach,
@@ -98,6 +100,13 @@ class TestCountingParams:
         with pytest.raises(UserInputError):
             CountingParams(cluster_gap=-0.1)
 
+    def test_thresholds_must_be_finite(self):
+        for field in ("min_headway_right", "min_headway_other", "cluster_gap",
+                      "dedup_window"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(UserInputError):
+                    CountingParams(**{field: value})
+
 
 class TestExtractTriggers:
     def test_detection_in_zone_during_phase(self):
@@ -144,6 +153,27 @@ class TestExtractTriggers:
         cfg = small_config()
         with pytest.raises(ValueError):
             extract_triggers(MergedStream.from_frames(()), cfg)
+
+
+class TestDropOutsideSession:
+    def test_drops_only_contained_detections_outside_the_session(self):
+        cfg = small_config()
+        stream = ned_stream(
+            ned_frame(10.0, (-19.0, 5.25, 4.5)),
+            ned_frame(500.0, (0.0, 0.0, 4.5), (-19.0, 5.25, 7.0)),
+            ned_frame(501.0),
+        )
+        kept, dropped = drop_outside_session(stream, cfg)
+        assert dropped == 1
+        assert [(f.t, f.detections[:, ingest.L].tolist()) for f in kept] == [
+            (10.0, [4.5]), (500.0, [4.5]), (501.0, [])]
+        assert len(extract_triggers(kept, cfg)["THRU"]) == 1
+
+    def test_stream_unchanged_when_nothing_is_dropped(self):
+        cfg = small_config()
+        stream = ned_stream(ned_frame(10.0, (-19.0, 5.25, 4.5)),
+                            ned_frame(500.0, (0.0, 0.0, 4.5)))
+        assert drop_outside_session(stream, cfg) == (stream, 0)
 
 
 class TestClusterThresholds:

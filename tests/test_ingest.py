@@ -2,6 +2,8 @@ import gzip
 import io
 import json
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
+from lidartmc import ingest
 from lidartmc.errors import (
     InvalidFieldError,
     MalformedLineError,
@@ -25,6 +28,7 @@ from lidartmc.geo import (
     ned_rotation,
 )
 from lidartmc.ingest import (
+    BOX_COLUMNS,
     FRAME_NED,
     SCORE,
     YAW,
@@ -268,6 +272,175 @@ class TestBadLines:
         assert [f.t for f in frames] == [float(t) for t in range(len(frames))]
         assert len(errors) == 1
         assert errors[0].reason.startswith("log ends in a broken block")
+
+
+def parse_outcome(lines, **kwargs):
+    """Frames and skipped lines of a parse, or the error it raised."""
+    errors = []
+    try:
+        frames = parse_detection_log(lines, error_sink=errors, **kwargs)
+    except MalformedLineError as exc:
+        return "raised", exc.line_no, exc.reason
+    return frame_rows(frames), [(e.line_no, e.reason) for e in errors]
+
+
+def chunked_outcomes(monkeypatch, lines, chunks=(1, 2, 3, 7), **kwargs):
+    """``parse_outcome`` with each chunk size, and with one chunk."""
+    got = {}
+    for rows in (*chunks, 10**9):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", rows)
+        got[rows] = parse_outcome(lines, **kwargs)
+    return got.pop(10**9), got
+
+
+def every_bad_kind():
+    lines = [frame_line(0.0, GOOD_DET)]
+    for _, line, _ in BAD_LINES:
+        lines += [line, frame_line(len(lines) + 10.0, GOOD_DET)]
+    return lines
+
+
+# The inputs of TestBadLines, each with the strict flag it is parsed with.
+BAD_LINE_INPUTS = {
+    "every kind": (every_bad_kind(), False),
+    "every kind, strict": (every_bad_kind(), True),
+    "lowest first, strict": (
+        [frame_line(0.0, GOOD_DET)] + [line for _, line, _ in BAD_LINES[::-1]], True),
+    "sensor adopted": ([frame_line(0.0, bad_det(h=0.0), frame_id="L2"),
+                        frame_line(1.0, GOOD_DET),
+                        frame_line(2.0, GOOD_DET, frame_id="L2")], False),
+    "null and nan score": ([frame_line(0.0, {**GOOD_DET, "score": None}),
+                            frame_line(1.0, {**GOOD_DET, "score": math.nan})], False),
+    "huge integer": ([frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
+                      frame_line(2.0, GOOD_DET)], False),
+    "invalid utf-8": ([frame_line(0.0, GOOD_DET).encode(),
+                       b"\xff" + frame_line(0.0, GOOD_DET).encode(),
+                       frame_line(0.0, GOOD_DET).encode()], False),
+}
+
+
+class TestChunks:
+    """Parsing in chunks of CHUNK_ROWS boxes gives the result of one chunk."""
+
+    @pytest.mark.parametrize("name", BAD_LINE_INPUTS)
+    def test_bad_line_inputs(self, monkeypatch, name):
+        lines, strict = BAD_LINE_INPUTS[name]
+        whole, chunked = chunked_outcomes(monkeypatch, lines, strict=strict)
+        assert all(got == whole for got in chunked.values())
+
+    def test_frame_straddling_a_chunk_boundary_stays_one_frame(self, monkeypatch):
+        lines = [frame_line(1.0, GOOD_DET, GOOD_DET)] * 3 + [frame_line(2.0, GOOD_DET)]
+        whole, chunked = chunked_outcomes(monkeypatch, lines)
+        assert [(t, len(rows)) for _, t, rows in whole[0]] == [(1.0, 6), (2.0, 1)]
+        assert all(got == whole for got in chunked.values())
+
+    def test_bad_line_between_lines_of_one_frame(self, monkeypatch):
+        lines = [frame_line(1.0, GOOD_DET, GOOD_DET), frame_line(1.0, bad_det(l=75.0)),
+                 frame_line(1.0, GOOD_DET)]
+        whole, chunked = chunked_outcomes(monkeypatch, lines)
+        assert [(t, len(rows)) for _, t, rows in whole[0]] == [(1.0, 3)]
+        assert whole[1] == [(2, "length must be in (0, 50.0), got 75.0")]
+        assert all(got == whole for got in chunked.values())
+
+    def test_strict_raises_lowest_bad_line_of_a_later_chunk(self, monkeypatch):
+        # Line 6's bad box is found when its chunk is converted, after
+        # line 7's bad JSON was read; line 6 must still win.
+        lines = [frame_line(float(t), GOOD_DET) for t in range(5)]
+        lines += [frame_line(5.0, bad_det(w=0.0)), "{broken", frame_line(6.0, GOOD_DET)]
+        whole, chunked = chunked_outcomes(monkeypatch, lines, strict=True)
+        assert whole == ("raised", 6, "width must be in (0, 50.0), got 0.0")
+        assert all(got == whole for got in chunked.values())
+
+    def test_gzip_truncated_mid_chunk(self, monkeypatch, tmp_path):
+        text = "".join(frame_line(float(t), GOOD_DET, GOOD_DET) + "\n" for t in range(600))
+        data = gzip.compress(text.encode())
+        path = tmp_path / "cut.jsonl.gz"
+        path.write_bytes(data[: len(data) // 2])
+
+        wholes = []
+        for strict in (False, True):
+            got = {}
+            for rows in (1, 2, 3, 7, 10**9):
+                monkeypatch.setattr(ingest, "CHUNK_ROWS", rows)
+                with open_detection_log(path) as fh:
+                    got[rows] = parse_outcome(fh, strict=strict)
+            wholes.append(got.pop(10**9))
+            assert all(g == wholes[-1] for g in got.values())
+        (frames, errors), raised = wholes
+        assert 0 < len(frames) < 600
+        assert len(errors) == 1 and errors[0][1].startswith("log ends in a broken block")
+        assert raised == ("raised", *errors[0])
+
+    def test_sensor_adoption_carries_across_chunks(self, monkeypatch):
+        lines = [frame_line(0.0, bad_det(h=0.0), frame_id="L2"),
+                 frame_line(1.0, GOOD_DET), frame_line(2.0, GOOD_DET, frame_id="L2"),
+                 frame_line(3.0, GOOD_DET, GOOD_DET), frame_line(4.0, GOOD_DET, frame_id="L2")]
+        whole, chunked = chunked_outcomes(monkeypatch, lines)
+        assert {fid for fid, *_ in whole[0]} == {"L1"}
+        assert [n for n, _ in whole[1]] == [1, 3, 5]
+        assert all(got == whole for got in chunked.values())
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", 1)
+        frames = parse_detection_log(lines)
+        assert frames[0].detections.base is frames[-1].detections.base
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        chunk_rows=st.integers(1, 12),
+        kinds=st.lists(st.sampled_from(["good", "same t", "empty", "bad json", "not object",
+                                        "nan t", "bad box", "other sensor", "blank"]),
+                       max_size=25),
+    )
+    def test_any_chunk_size_matches_one_chunk(self, chunk_rows, kinds):
+        lines, t = [], 0.0
+        for i, kind in enumerate(kinds):
+            if kind != "same t":
+                t += 0.25
+            lines.append({
+                "good": frame_line(t, GOOD_DET, bad_det(x=float(i))),
+                "same t": frame_line(t, GOOD_DET),
+                "empty": frame_line(t),
+                "bad json": "{broken",
+                "not object": "[1]",
+                "nan t": frame_line(math.nan, GOOD_DET),
+                "bad box": frame_line(t, GOOD_DET, bad_det(score=2.0)),
+                "other sensor": frame_line(t, GOOD_DET, frame_id="L2"),
+                "blank": "",
+            }[kind])
+        with pytest.MonkeyPatch.context() as mp:
+            whole, chunked = chunked_outcomes(mp, lines, (chunk_rows,))
+            assert chunked[chunk_rows] == whole
+            whole_strict, chunked = chunked_outcomes(mp, lines, (chunk_rows,), strict=True)
+            assert chunked[chunk_rows] == whole_strict
+        # Strict mode raises the first line that non-strict mode skips.
+        errors = whole[1]
+        assert whole_strict == (("raised", *errors[0]) if errors else whole)
+
+
+def test_parse_peak_memory_stays_near_two_blocks():
+    """Peak traced memory of a parse of a log of more than 8 chunks.
+
+    The block is 64 bytes a box; the kept chunk blocks and their join
+    are two of those, and one chunk of raw tuples comes on top. Holding
+    the whole log as tuples, as a one-pass parse does, takes about 7.5.
+    """
+    rng = random.Random(5)
+    dets = json.dumps([
+        dict(zip(BOX_COLUMNS, (rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(0, 2),
+                             rng.uniform(1, 12), rng.uniform(1, 2.5), rng.uniform(1, 4),
+                             rng.uniform(-3, 3), rng.uniform(0, 1))))
+        for _ in range(30)
+    ])
+    lines = [f'{{"t": {i * 0.25}, "frame_id": "L1", "detections": {dets}}}'.encode()
+             for i in range(2400)]
+    tracemalloc.start()
+    try:
+        frames = parse_detection_log(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = frames[0].detections.base
+    assert peak < 3.5 * block.nbytes
+    assert len(block) == 72_000 >= 8 * ingest.CHUNK_ROWS
 
 
 class TestMerge:

@@ -163,6 +163,22 @@ class TestCompare:
         with pytest.raises(IncompatibleBinningError):
             compare(a, c)
 
+    def test_start_a_whole_number_of_bins_later_is_padded(self):
+        rng = np.random.default_rng(46)
+        full = random_table(rng, bins=4)
+        counts = np.array(full.counts)
+        counts[:2] = 0
+        gt = TmcTable(300.0, (0.0, 1200.0), counts)
+        late = TmcTable(300.0, (600.0, 1200.0), counts[2:])
+        for keep in (("time", "class"), ("approach", "movement")):
+            assert compare(full, late, keep) == compare(full, gt, keep)
+            assert compare(late, full, keep) == compare(gt, full, keep)
+
+    def test_start_off_the_bin_grid_still_incompatible(self):
+        a = empty_table(300.0, (0.0, 600.0))
+        with pytest.raises(IncompatibleBinningError):
+            compare(a, empty_table(300.0, (150.0, 750.0)))
+
 
 GOLDEN_REPORT_CSV = """\
 group,estimated,ground_truth,abs_error,pct_error
