@@ -40,8 +40,7 @@ from .geo import (
 from .ingest import (
     frames_to_ned,
     merge_streams,
-    open_detection_log,
-    parse_detection_log,
+    parse_logs,
     write_detection_log,
 )
 from .intersection import load_intersection_config
@@ -136,10 +135,7 @@ def cmd_estimate(args) -> int:
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
-    streams = []
-    for path in args.logs:
-        with open_detection_log(path) as fh:
-            streams.append(parse_detection_log(fh, strict=args.strict, error_sink=errors))
+    streams = parse_logs(args.logs, strict=args.strict, error_sink=errors)
     # Each stage's input is dropped as soon as the next stage holds its
     # result, so at most two copies of the detection block are alive.
     merged = merge_streams(streams, reorder_window=args.reorder_window)

@@ -3,6 +3,9 @@
 ``UserInputError`` and its subclasses mark problems with user-supplied
 files, flags, or configuration; the CLI maps them to exit code 2.
 Everything else that escapes is treated as an internal error (exit 1).
+
+Every error pickles to an equal one (type, message and attributes), so a
+forked parse can hand its error to the parent process.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ class MalformedLineError(UserInputError):
         self.line_no = line_no
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.line_no, self.reason)
+
 
 class InvalidFieldError(MalformedLineError):
     """A detection-log line parsed but carried an invalid field value."""
@@ -46,6 +52,10 @@ class OutOfOrderError(UserInputError):
         )
         self.frame_id = frame_id
         self.t = t
+        self.window = window
+
+    def __reduce__(self):
+        return type(self), (self.frame_id, self.t, self.window)
 
 
 class UnregisteredFrameError(UserInputError):
@@ -54,6 +64,9 @@ class UnregisteredFrameError(UserInputError):
     def __init__(self, frame_id: str):
         super().__init__(f"sensor frame {frame_id!r} is not registered")
         self.frame_id = frame_id
+
+    def __reduce__(self):
+        return type(self), (self.frame_id,)
 
 
 class OriginUnsetError(TmcError):
@@ -85,6 +98,9 @@ class TimeOutsideScheduleError(UserInputError):
         )
         self.t = t
         self.session = session
+
+    def __reduce__(self):
+        return type(self), (self.t, self.session)
 
 
 class ConfigInvariantError(UserInputError):

@@ -23,6 +23,12 @@ is converted, validated and cut down to its kept rows before the next
 one is read, and the chunk blocks are joined once at the end, so a parse
 holds about two copies of its block rather than every box as Python
 objects.
+
+:func:`parse_logs` parses several logs concurrently: the first in the
+calling process and each later one, up to one process per usable CPU,
+in a forked child that sends back its block and frame columns through a
+pipe. Results, skipped lines, warnings and errors are those of parsing
+the logs one after the other.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ import gzip
 import json
 import logging
 import math
+import os
+import pickle
+import signal
 import zlib
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -328,6 +337,128 @@ def open_detection_log(path) -> IO[bytes]:
     if magic == b"\x1f\x8b":
         return gzip.open(path, "rb")
     return open(path, "rb")
+
+
+def _parse_path(path, strict: bool, error_sink: list | None) -> list[Frame]:
+    with open_detection_log(path) as fh:
+        return parse_detection_log(fh, strict=strict, error_sink=error_sink)
+
+
+def _child_parse(path, strict: bool, fd: int) -> None:
+    """Body of a forked parse: writes one pickled header to ``fd`` and,
+    on success, the raw bytes of the block after it; never returns.
+
+    The header is ``(error, skipped lines, t, sensor, sensors, offsets,
+    block shape)``, with ``error`` None on success. The child does no
+    BLAS work (the parent's BLAS threads do not exist here), does not
+    log (the parent logs its skipped lines in log order) and ends with
+    ``os._exit``, so nothing of the parent's state is flushed or run.
+    """
+    status = 1
+    try:
+        logging.disable(logging.CRITICAL)
+        with open(fd, "wb") as pipe:
+            errors: list[MalformedLineError] = []
+            try:
+                stream = MergedStream.from_frames(_parse_path(path, strict, errors))
+            except Exception as exc:
+                try:
+                    header = pickle.dumps((exc,))
+                except Exception:  # an error that does not pickle
+                    header = pickle.dumps((RuntimeError(f"parsing {path}: {exc!r}"),))
+                pipe.write(header)
+            else:
+                pickle.dump((None, errors, stream.t, stream.sensor, stream.sensors,
+                             stream.offsets, stream.boxes.shape), pipe)
+                pipe.write(stream.boxes.reshape(-1).view(np.uint8))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_parse(path, strict: bool) -> tuple[int, IO[bytes]] | None:
+    """Start parsing ``path`` in a forked child: its pid and the read end
+    of its result pipe, or None when no process can be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        os.close(r)
+        _child_parse(path, strict, w)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pipe: IO[bytes], path, error_sink: list | None) -> list[Frame]:
+    """The frames of a forked parse of ``path``; raises its error."""
+    try:
+        error, *columns = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        columns = error = None
+    if error is not None:
+        raise error
+    if columns:
+        errors, t, sensor, sensors, offsets, shape = columns
+        boxes = np.empty(shape)
+        buf = boxes.reshape(-1).view(np.uint8)
+        if pipe.readinto(buf) == len(buf):
+            if error_sink is not None:
+                error_sink.extend(errors)
+            for err in errors:
+                log.warning("skipping detection log %s", err)
+            return list(MergedStream(boxes, t, sensor, sensors, offsets).frames)
+    raise RuntimeError(f"the process parsing {path} ended without a result")
+
+
+def parse_logs(
+    paths: Sequence,
+    *,
+    strict: bool = False,
+    error_sink: list[MalformedLineError] | None = None,
+) -> list[list[Frame]]:
+    """Parse each detection log at ``paths``, as :func:`parse_detection_log`
+    on each opened log in turn.
+
+    The logs are parsed concurrently: the calling process parses the
+    first, and each later log, up to one process per usable CPU, is
+    parsed by a forked child; the rest are parsed here after the first.
+    Results are taken in argument order, so the frames, the skipped
+    lines in ``error_sink`` and the logged warnings are in log order,
+    and the error raised is that of the first log that fails. No child
+    outlives the call: on an error each is killed and reaped.
+    """
+    paths = list(paths)
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(paths), len(os.sched_getaffinity(0)))
+    else:  # no fork, or no count of the usable CPUs: parse every log here
+        workers = 1
+    children: dict[int, tuple[int, IO[bytes]]] = {}
+    try:
+        for i in range(1, workers):
+            child = _fork_parse(paths[i], strict)
+            if child is None:  # the logs left are parsed here
+                break
+            children[i] = child
+        streams = []
+        for i, path in enumerate(paths):
+            if i not in children:
+                streams.append(_parse_path(path, strict, error_sink))
+                continue
+            pid, pipe = children[i]
+            streams.append(_receive(pipe, path, error_sink))
+            del children[i]
+            pipe.close()
+            os.waitpid(pid, 0)
+        return streams
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def frame_to_json_line(frame: Frame) -> str:

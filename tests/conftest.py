@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,3 +16,12 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def frame_rows(frames):
+    """Comparable form of frames: (frame_id, t, rows), absent scores as None."""
+    return [
+        (f.frame_id, f.t, [[None if math.isnan(v) else v for v in row]
+                           for row in f.detections.tolist()])
+        for f in frames
+    ]

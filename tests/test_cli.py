@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
 from lidartmc import cli
@@ -592,3 +596,106 @@ def test_internal_error_returns_1(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_compare", boom)
     assert cli.main(["compare", "a.csv", "b.csv"]) == 1
+
+
+@pytest.fixture(scope="module")
+def log_pair(ideal_sim):
+    """The two simulated sensor logs and their registry."""
+    return [ideal_sim / f"log_{s}.jsonl" for s in ("L1", "L2")], ideal_sim / "registry.json"
+
+
+def estimate_logs(logs, registry, *flags):
+    """Exit code, tmc.csv, events.csv and manifest of ``estimate`` on the
+    logs given as bytes, run with two usable CPUs so the second log is
+    parsed in a forked child."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        paths = []
+        for i, data in enumerate(logs):
+            paths.append(Path(tmp) / f"log{i}.jsonl")
+            paths[-1].write_bytes(data)
+        out = Path(tmp) / "est"
+        code = cli.main(["estimate", *map(str, paths), "--registry", str(registry),
+                         "--out-dir", str(out), *flags])
+        if code != 0:
+            return code, None, None, None
+        return (code, (out / "tmc.csv").read_text(), (out / "events.csv").read_text(),
+                json.loads((out / "manifest.json").read_text()))
+
+
+MUTATIONS = st.tuples(
+    st.sampled_from(["flip byte", "insert byte", "delete byte", "drop line",
+                     "duplicate line", "swap lines", "cut line"]),
+    st.integers(0, 1),  # which log
+    st.integers(0, 10**6),  # where
+    st.integers(0, 255),  # byte value, or how far away or how much
+)
+
+
+def mutate(data, op, pos, byte):
+    if op.endswith("byte"):
+        at = pos % (len(data) + 1)
+        keep = data[at + (op != "insert byte"):]
+        return data[:at] + (b"" if op == "delete byte" else bytes([byte])) + keep
+    lines = data.splitlines(keepends=True)
+    if not lines:
+        return data
+    i = pos % len(lines)
+    j = (i + 1 + byte) % len(lines)
+    if op == "drop line":
+        del lines[i]
+    elif op == "duplicate line":
+        lines.insert(j, lines[i])
+    elif op == "swap lines":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = lines[i][: byte % len(lines[i])]
+    return b"".join(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=6), st.booleans())
+def test_mutated_logs_exit_0_or_2(log_pair, mutations, strict):
+    paths, registry = log_pair
+    logs = [p.read_bytes() for p in paths]
+    for op, which, pos, byte in mutations:
+        logs[which] = mutate(logs[which], op, pos, byte)
+    assert estimate_logs(logs, registry, *["--strict"] * strict)[0] in (0, 2)
+
+
+def garbled_lines(n_lines):
+    """Line index -> how the line is garbled: cut to that fraction of its
+    length, or replaced by junk that starts with '#'. Neither is a JSON
+    object, so each is one skipped line."""
+    return st.dictionaries(
+        st.integers(0, n_lines - 1),
+        st.one_of(st.floats(0.0, 1.0),
+                  st.binary(max_size=20).map(lambda b: b"#" + b.replace(b"\n", b""))),
+        max_size=6,
+    )
+
+
+def garble(line, how):
+    if isinstance(how, bytes):
+        return how + b"\n"
+    text = line.rstrip()
+    return text[: min(len(text) - 1, max(1, int(how * len(text))))] + b"\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_garbled_lines_skipped_and_counted(log_pair, data):
+    paths, registry = log_pair
+    garbled, deleted, n_bad = [], [], 0
+    for path in paths:
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = data.draw(garbled_lines(len(lines)))
+        n_bad += len(bad)
+        garbled.append(b"".join(garble(line, bad[i]) if i in bad else line
+                                for i, line in enumerate(lines)))
+        deleted.append(b"".join(line for i, line in enumerate(lines) if i not in bad))
+    code, tmc, events, manifest = estimate_logs(garbled, registry)
+    assert code == 0
+    assert manifest["warnings"]["skipped_lines"] == n_bad
+    assert estimate_logs(deleted, registry)[1:3] == (tmc, events)
+    assert estimate_logs(garbled, registry, "--strict")[0] == (2 if n_bad else 0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import frame_rows, random_rotation
 from lidartmc import ingest
 from lidartmc.errors import (
     InvalidFieldError,
@@ -66,15 +66,6 @@ def boxes(*rows):
 
 def make_frame(frame_id, t, *xy):
     return Frame(frame_id, t, boxes(*((x, y, 0.5, 4.5, 1.9, 1.5, 0.0) for x, y in xy)))
-
-
-def frame_rows(frames):
-    """Comparable form of frames: (frame_id, t, rows), absent scores as None."""
-    return [
-        (f.frame_id, f.t, [[None if math.isnan(v) else v for v in row]
-                           for row in f.detections.tolist()])
-        for f in frames
-    ]
 
 
 class TestParse:

@@ -1,0 +1,247 @@
+"""``ingest.parse_logs``: forked parsing gives the results of a serial one.
+
+Each input runs with one usable CPU (every log parsed in this process)
+and with two (the second log parsed in a forked child); the frames, the
+skipped lines, the logged warnings, the raised error and the CLI's exit
+code, stderr and outputs must be equal, and no child may be left.
+"""
+
+import contextlib
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import frame_rows
+from lidartmc import cli, ingest
+from lidartmc.errors import MalformedLineError
+
+
+@pytest.fixture(scope="module")
+def sim(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim")
+    assert cli.main(["simulate", "--scenario", "ideal", "--seed", "7",
+                     "--out-dir", str(out)]) == 0
+    return out
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Turn a hang into an error after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def with_bad_lines(src, dst, bad):
+    """``src`` with the line ``bad[i]`` inserted before each line ``i``."""
+    lines = src.read_text().splitlines(keepends=True)
+    for i in sorted(bad, reverse=True):
+        lines.insert(i, bad[i] + "\n")
+    dst.write_text("".join(lines))
+    return dst
+
+
+def out_of_order(src, dst):
+    lines = src.read_text().splitlines(keepends=True)
+    lines[1], lines[-2] = lines[-2], lines[1]
+    dst.write_text("".join(lines))
+    return dst
+
+
+def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict):
+    """Everything a parse and an estimate run show of ``logs``, and the
+    number of processes they forked."""
+    use_cpus(monkeypatch, cpus)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    caplog.clear()
+    sink = []
+    try:
+        parsed = [frame_rows(frames) for frames in
+                  ingest.parse_logs(logs, strict=strict, error_sink=sink)]
+    except Exception as exc:
+        parsed = (type(exc), str(exc), getattr(exc, "line_no", None))
+    skipped = [(type(e), e.line_no, e.reason) for e in sink]
+    parse_warnings = list(caplog.messages)
+    assert_no_children()
+
+    caplog.clear()
+    out = tmp_path / "est"
+    code = cli.main(["estimate", *map(str, logs), "--registry", str(registry),
+                     "--out-dir", str(out)] + ["--strict"] * strict)
+    std = capsys.readouterr()
+    files = {}
+    if out.exists():
+        for f in sorted(out.iterdir()):
+            files[f.name] = f.read_text()
+            f.unlink()
+        manifest = json.loads(files.pop("manifest.json"))
+        del manifest["wall_clock_utc"]
+        files["manifest"] = manifest
+    assert_no_children()
+    return {"parsed": parsed, "skipped": skipped, "parse_warnings": parse_warnings,
+            "code": code, "stdout": std.out, "stderr": std.err,
+            "cli_warnings": list(caplog.messages), "files": files}, len(forks)
+
+
+BAD = {
+    "first": {3: "{broken json", 40: '{"t": 1.0, "frame_id": "L1"}'},
+    "second": {5: '{"t": "x", "frame_id": "L2", "detections": []}',
+               90: '{"t": 2.0, "frame_id": "L9", "detections": []}'},
+}
+
+
+def case_logs(sim, tmp_path, name):
+    l1, l2 = sim / "log_L1.jsonl", sim / "log_L2.jsonl"
+    bad1 = with_bad_lines(l1, tmp_path / "bad_L1.jsonl", BAD["first"])
+    bad2 = with_bad_lines(l2, tmp_path / "bad_L2.jsonl", BAD["second"])
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    return {
+        "bad lines in both logs": ([bad1, bad2], False),
+        "strict, bad lines in both logs": ([bad1, bad2], True),
+        "strict, bad lines in the second log only": ([l1, bad2], True),
+        "missing first log": ([tmp_path / "missing.jsonl", l2], False),
+        "missing second log": ([bad1, tmp_path / "missing.jsonl"], False),
+        "directory as second log": ([bad1, tmp_path], False),
+        "out-of-order second log": ([bad1, out_of_order(l2, tmp_path / "ooo.jsonl")], False),
+        "empty second log": ([bad1, empty], False),
+        "three logs on two CPUs": ([bad1, bad2, l1], False),
+        "three logs on two CPUs, strict": ([l1, l2, bad1], True),
+    }[name]
+
+
+CASES = [
+    "bad lines in both logs",
+    "strict, bad lines in both logs",
+    "strict, bad lines in the second log only",
+    "missing first log",
+    "missing second log",
+    "directory as second log",
+    "out-of-order second log",
+    "empty second log",
+    "three logs on two CPUs",
+    "three logs on two CPUs, strict",
+]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_forked_parse_equals_serial(monkeypatch, caplog, capsys, tmp_path, sim, name):
+    logs, strict = case_logs(sim, tmp_path, name)
+    (serial, no_forks), (forked, forks) = (
+        outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, sim / "registry.json",
+                strict)
+        for cpus in (1, 2))
+    assert forked == serial
+    assert (no_forks, forks) == (0, 2)  # one for the parse, one for the estimate
+    # Each case must show what it is named for.
+    if "missing" in name or "directory" in name or "order" in name:
+        assert serial["code"] == 2
+    elif strict:
+        assert serial["code"] == 2 and serial["parsed"][0] is MalformedLineError
+    else:
+        assert serial["code"] == 0 and serial["skipped"] and serial["cli_warnings"]
+
+
+# ``estimate`` in a fresh interpreter, where the skipped-line warnings
+# reach stderr through logging's default handler, with N usable CPUs.
+FRESH_ESTIMATE = """\
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from lidartmc import cli
+sys.exit(cli.main(["estimate", *sys.argv[2:]]))
+"""
+
+
+def test_fresh_process_stderr_equals_serial(sim, tmp_path):
+    bad1 = with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"])
+    bad2 = with_bad_lines(sim / "log_L2.jsonl", tmp_path / "bad_L2.jsonl", BAD["second"])
+    env = {**os.environ, "PYTHONPATH": str(Path(ingest.__file__).parents[1])}
+    runs = [subprocess.run(
+        [sys.executable, "-c", FRESH_ESTIMATE, str(cpus), str(bad1), str(bad2),
+         "--registry", str(sim / "registry.json"), "--out-dir", str(tmp_path / "est")],
+        env=env, capture_output=True, text=True) for cpus in (1, 2)]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[1].stderr == runs[0].stderr
+    assert runs[0].stderr.count("skipping detection log line") == 4
+
+
+def test_strict_raises_the_first_failing_log(monkeypatch, sim, tmp_path):
+    use_cpus(monkeypatch, 2)
+    bad1 = with_bad_lines(sim / "log_L1.jsonl", tmp_path / "a.jsonl", {50: "{"})
+    bad2 = with_bad_lines(sim / "log_L2.jsonl", tmp_path / "b.jsonl", {2: "{"})
+    with pytest.raises(MalformedLineError) as info:
+        ingest.parse_logs([bad1, bad2], strict=True)
+    assert info.value.line_no == 51
+    with pytest.raises(MalformedLineError) as info:
+        ingest.parse_logs([sim / "log_L1.jsonl", bad2, bad1], strict=True)
+    assert info.value.line_no == 3
+    assert_no_children()
+
+
+def test_one_log_or_one_cpu_never_forks(monkeypatch, sim):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
+    use_cpus(monkeypatch, 2)
+    assert len(ingest.parse_logs(logs[:1])) == 1
+    use_cpus(monkeypatch, 1)
+    assert len(ingest.parse_logs(logs)) == 2
+
+
+def test_failed_fork_parses_here(monkeypatch, sim):
+    logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
+    use_cpus(monkeypatch, 1)
+    serial = [frame_rows(f) for f in ingest.parse_logs(logs)]
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    use_cpus(monkeypatch, 2)
+    assert [frame_rows(f) for f in ingest.parse_logs(logs)] == serial
+
+
+def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
+    parent = os.getpid()
+    parse = ingest.parse_detection_log
+
+    def dies_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "parse_detection_log", dies_in_child)
+    use_cpus(monkeypatch, 2)
+    second = sim / "log_L2.jsonl"
+    with time_limit(20):
+        code = cli.main(["estimate", str(sim / "log_L1.jsonl"), str(second),
+                         "--registry", str(sim / "registry.json"),
+                         "--out-dir", str(tmp_path / "est")])
+    assert code == 1
+    assert f"the process parsing {second} ended without a result" in capsys.readouterr().err
+    assert_no_children()
