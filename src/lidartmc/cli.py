@@ -10,7 +10,6 @@ All files are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -31,6 +30,7 @@ from .errors import UserInputError
 from .geo import (
     FrameRegistry,
     GeodeticPoint,
+    atomic_text_writer,
     atomic_write_text,
     estimate_transform_from_gcps,
     load_gcp_csv,
@@ -231,9 +231,8 @@ def cmd_simulate(args) -> int:
     log_names = []
     for frame_id, frames in session.frames_by_sensor.items():
         name = f"log_{frame_id}.jsonl"
-        buf = io.StringIO()
-        write_detection_log(frames, buf)
-        atomic_write_text(out / name, buf.getvalue())
+        with atomic_text_writer(out / name) as fh:
+            write_detection_log(frames, fh)
         log_names.append(name)
     save_tmc_csv(session.ground_truth, out / "gt.csv")
     save_registry(session.registry, out / "registry.json")
@@ -273,6 +272,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as the RNG requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", help="script JSON")
     p.add_argument("--scenario", help="bundled scenario name")
     p.add_argument("--config", default=reference_config_path())
-    p.add_argument("--seed", type=int, required=True,
+    p.add_argument("--seed", type=_seed, required=True,
                    help="explicit RNG seed (required for reproducibility)")
     p.add_argument("--frame-rate", type=_finite_float)
     p.add_argument("--dropout", type=_finite_float)

@@ -21,10 +21,11 @@ import csv
 import json
 import math
 import os
-import tempfile
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -410,18 +411,34 @@ def load_gcp_csv(path) -> dict[str, list[tuple[SensorPoint, EcefPoint]]]:
     return out
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file + rename so partial writes never land."""
+@contextmanager
+def atomic_text_writer(path) -> Iterator[IO[str]]:
+    """A UTF-8 text file that replaces ``path`` when the block ends.
+
+    Writes go to a temp file in the same directory, renamed over ``path``
+    only if the block raises nothing, so partial writes never land. The
+    file ends with the mode a plain ``open(path, "w")`` would leave: that
+    of the file it replaces, else 0o666 less the umask.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            with suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_text_writer`."""
+    with atomic_text_writer(path) as fh:
+        fh.write(text)
 
 
 def registry_to_json(registry: FrameRegistry) -> str:

@@ -29,6 +29,10 @@ calling process and each later one, up to one process per usable CPU,
 in a forked child that sends back its block and frame columns through a
 pipe. Results, skipped lines, warnings and errors are those of parsing
 the logs one after the other.
+
+:func:`write_detection_log` writes frames from the same columns: each
+distinct value of a column is formatted once per chunk of rows, with
+``json.dumps``' spelling, and no per-box dict is built.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ DEFAULT_REORDER_WINDOW_S = 1.0
 # Raw boxes read before they are converted to a block: bounds the memory
 # that the Python-object form of a log takes.
 CHUNK_ROWS = 8192
+# Boxes formatted at a time when a log is written: bounds the text held.
+WRITE_CHUNK_ROWS = 1024
 
 FRAME_SENSOR = "sensor"
 FRAME_NED = "ned"
@@ -461,20 +467,63 @@ def parse_logs(
             os.waitpid(pid, 0)
 
 
-def frame_to_json_line(frame: Frame) -> str:
-    dets = []
-    for row in frame.detections.tolist():
-        obj = dict(zip(BOX_COLUMNS, row))
-        if math.isnan(row[SCORE]):
-            del obj["score"]
-        dets.append(obj)
-    return json.dumps({"t": frame.t, "frame_id": frame.frame_id, "detections": dets})
+def _json_floats(values: np.ndarray) -> tuple[list[str], list[int]]:
+    """``json.dumps``' spelling of each distinct float64 bit pattern in
+    ``values``, and the index of each value's spelling.
+
+    Bit patterns rather than values are deduplicated, so -0.0 keeps its
+    sign and every NaN is spelled ``NaN``.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), inverse.tolist()
+
+
+def _frame_lines(frames: Sequence[Frame]) -> str:
+    """The log lines of ``frames``, formatted column by column."""
+    block = np.concatenate([f.detections for f in frames])
+    cols = []
+    for c in range(SCORE):
+        text, index = _json_floats(block[:, c])
+        cols.append(map(text.__getitem__, index))
+    text, index = _json_floats(block[:, SCORE])
+    text = ["" if s == "NaN" else ', "score": ' + s for s in text]  # no score: omitted
+    cols.append(map(text.__getitem__, index))
+    boxes = [
+        f'{{"x": {x}, "y": {y}, "z": {z}, "l": {l}, "w": {w}, "h": {h}, "yaw": {yaw}{score}}}'
+        for x, y, z, l, w, h, yaw, score in zip(*cols)
+    ]
+    t_text, t_index = _json_floats(np.array([f.t for f in frames], dtype=np.float64))
+    frame_ids = {fid: json.dumps(fid) for fid in {f.frame_id for f in frames}}
+    lines = []
+    a = 0
+    for f, i in zip(frames, t_index):
+        b = a + len(f.detections)
+        lines.append(f'{{"t": {t_text[i]}, "frame_id": {frame_ids[f.frame_id]}, '
+                     f'"detections": [{", ".join(boxes[a:b])}]}}\n')
+        a = b
+    return "".join(lines)
 
 
 def write_detection_log(frames: Iterable[Frame], fh: IO[str]) -> None:
+    """Write ``frames`` to ``fh`` as JSON lines, one frame per line.
+
+    Each line is what ``json.dumps`` gives for the frame's ``t``,
+    ``frame_id`` and ``detections`` (a NaN score is omitted). A sensor's
+    detections are written as one block of columns, formatted in chunks
+    of whole frames that hold about :data:`WRITE_CHUNK_ROWS` boxes; within
+    a chunk each distinct value of a column is formatted once, and the
+    rows and frames are joined from string templates.
+    """
+    chunk: list[Frame] = []
+    rows = 0
     for frame in frames:
-        fh.write(frame_to_json_line(frame))
-        fh.write("\n")
+        chunk.append(frame)
+        rows += len(frame.detections)
+        if rows >= WRITE_CHUNK_ROWS:
+            fh.write(_frame_lines(chunk))
+            chunk, rows = [], 0
+    if chunk:
+        fh.write(_frame_lines(chunk))
 
 
 def merge_streams(

@@ -13,6 +13,13 @@ sensor's own coordinate frame, with the matching sensor-frame heading.
 Emitted logs use the ingest JSON-lines schema, so simulated and field
 data are interchangeable downstream.
 
+Each sensor's detections are built as one block of columns: the ticks,
+positions, visibility and sensor-frame boxes of all vehicles are
+computed at once, and only the random draws go vehicle by vehicle
+(dropout, noise, length, score), so the random stream is that of
+drawing each vehicle's boxes in turn. Frames are row views of the
+block.
+
 The ground-truth table is tallied directly from the script (by zone
 entry time), never from the emitted detections, which makes it an
 independent oracle for the counting pipeline. Everything is driven by
@@ -36,7 +43,7 @@ from .geo import (
     compose,
     lla_to_ecef,
     ned_rotation,
-    wrap_angle,
+    wrap_angles,
 )
 from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, Frame
 from .intersection import (
@@ -141,7 +148,10 @@ class SyntheticSession:
 def _governing_zone(v: ScriptedVehicle, cfg: IntersectionConfig) -> Zone:
     binding = (v.approach, v.movement)
     if v.zone_id is not None:
-        zone = cfg.zone_by_id(v.zone_id)
+        try:
+            zone = cfg.zone_by_id(v.zone_id)
+        except KeyError:
+            raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}") from None
         ok = (
             zone.primary_binding == binding
             if zone.kind is ZoneKind.INGRESS
@@ -188,7 +198,8 @@ def simulate(
             f"simulation session {sim.session}"
         )
 
-    resolved = []  # (vehicle, zone, length, entry_pos, direction, t_start, t_end)
+    # One row per vehicle: the constants its path and boxes are built from.
+    per_vehicle = []
     for v in script:
         if not 1 <= v.vehicle_class <= table.n_classes:
             raise ScriptValidationError(f"vehicle class {v.vehicle_class} unknown")
@@ -204,13 +215,25 @@ def simulate(
                 f"vehicle at entry_time {v.entry_time} does not clear its zone "
                 f"within session [{t0}, {t1})"
             )
-        direction = np.array([math.cos(zone.yaw), math.sin(zone.yaw), 0.0])
-        entry_pos = np.array(
-            [zone.center.north, zone.center.east, 0.0]
-        ) - direction * zone.half_length
-        t_start = v.entry_time - sim.path_lead / v.speed
-        t_end = v.entry_time + (2.0 * zone.half_length + sim.path_lead) / v.speed
-        resolved.append((v, zone, length, entry_pos, direction, t_start, t_end))
+        cos, sin = math.cos(zone.yaw), math.sin(zone.yaw)
+        per_vehicle.append((
+            v.entry_time,
+            v.speed,
+            length,
+            _CLASS_WIDTHS.get(v.vehicle_class, 2.0),
+            _CLASS_HEIGHTS.get(v.vehicle_class, 1.8),
+            zone.yaw,
+            cos,
+            sin,
+            # Where the center enters the zone.
+            zone.center.north - cos * zone.half_length,
+            zone.center.east - sin * zone.half_length,
+            # When the path starts and ends.
+            v.entry_time - sim.path_lead / v.speed,
+            v.entry_time + (2.0 * zone.half_length + sim.path_lead) / v.speed,
+        ))
+    (entry_time, speed, length, width, height, zone_yaw, cos, sin, north0, east0,
+     t_start, t_end) = np.array(per_vehicle, dtype=np.float64).reshape(-1, 12).T
 
     registry = FrameRegistry(cfg.ned_origin)
     ecef_from_ned = RigidTransform(
@@ -218,6 +241,8 @@ def simulate(
         lla_to_ecef(cfg.ned_origin).as_array(),
     )
     period = 1.0 / sim.frame_rate_hz
+    lo = np.maximum(t_start, t0)
+    hi = np.minimum(t_end, t1 - 1e-9)
     frames_by_sensor: dict[str, tuple[Frame, ...]] = {}
     for sensor in sim.sensors:
         to_ned = sensor.ned_transform()
@@ -231,64 +256,67 @@ def simulate(
         from_ned_trans = -from_ned_rot @ to_ned.translation
         sensor_pos = np.array([sensor.north, sensor.east, -sensor.height])
 
-        ticks: list[np.ndarray] = []  # per vehicle: frame tick of each box
-        boxes: list[np.ndarray] = []
-        for v, zone, length, entry_pos, direction, t_start, t_end in resolved:
-            lo = max(t_start, t0)
-            hi = min(t_end, t1 - 1e-9)
-            k_lo = int(math.ceil((lo - t0 - sensor.phase) / period - 1e-12))
-            k_hi = int(math.floor((hi - t0 - sensor.phase) / period + 1e-12))
-            k_lo = max(k_lo, 0)
-            if k_hi < k_lo:
+        # Every frame tick of every vehicle's path, vehicle by vehicle.
+        k_lo = np.maximum(np.ceil((lo - t0 - sensor.phase) / period - 1e-12), 0)
+        k_hi = np.floor((hi - t0 - sensor.phase) / period + 1e-12)
+        n_ticks = np.maximum(k_hi - k_lo + 1, 0).astype(np.intp)
+        veh = np.repeat(np.arange(len(n_ticks)), n_ticks)
+        first_row = np.cumsum(n_ticks) - n_ticks
+        ks = np.arange(len(veh)) + np.repeat(k_lo.astype(np.intp) - first_row, n_ticks)
+        ts = t0 + sensor.phase + ks * period
+        travel = speed[veh] * (ts - entry_time[veh])
+        pos = np.empty((len(veh), 3))
+        pos[:, 0] = north0[veh] + cos[veh] * travel
+        pos[:, 1] = east0[veh] + sin[veh] * travel
+        pos[:, 2] = -height[veh] / 2.0
+        visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= sensor.visibility_radius
+        veh, ks, pos = veh[visible], ks[visible], pos[visible]
+
+        # The random draws, vehicle by vehicle in script order, so the
+        # stream is that of drawing each vehicle's boxes in turn.
+        kept, noise, drawn_lengths, scores = [], [], [], []
+        for i, k in enumerate(np.bincount(veh, minlength=len(n_ticks)).tolist()):
+            if not k:
                 continue
-            ks = np.arange(k_lo, k_hi + 1)
-            ts = t0 + sensor.phase + ks * period
-            pos = entry_pos[None, :] + direction[None, :] * (
-                v.speed * (ts - v.entry_time)
-            )[:, None]
-            height = _CLASS_HEIGHTS.get(v.vehicle_class, 1.8)
-            width = _CLASS_WIDTHS.get(v.vehicle_class, 2.0)
-            pos[:, 2] = -height / 2.0
-            visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= sensor.visibility_radius
-            ks, ts, pos = ks[visible], ts[visible], pos[visible]
-            if len(ks) and sim.dropout > 0.0:
-                keep = rng.random(len(ks)) >= sim.dropout
-                ks, ts, pos = ks[keep], ts[keep], pos[keep]
-            if not len(ks):
-                continue
+            if sim.dropout > 0.0:
+                kept.append(rng.random(k) >= sim.dropout)
+                k = int(np.count_nonzero(kept[-1]))
+                if not k:
+                    continue
             if sim.noise_sigma > 0.0:
-                pos = pos + rng.normal(0.0, sim.noise_sigma, pos.shape)
+                noise.append(rng.normal(0.0, sim.noise_sigma, (k, 3)))
             if sim.length_sigma > 0.0:
-                lengths = np.clip(
-                    rng.normal(length, sim.length_sigma, len(ks)), 0.1, 49.9
-                )
-            else:
-                lengths = np.full(len(ks), length)
-            scores = rng.uniform(0.5, 1.0, len(ks))
-            local = pos @ from_ned_rot.T + from_ned_trans
-            heading_sensor = wrap_angle(zone.yaw - yaw_corr)
-            rows = np.empty((len(ks), len(BOX_COLUMNS)))
-            rows[:, X : Z + 1] = local
-            rows[:, L] = lengths
-            rows[:, W] = width
-            rows[:, H] = height
-            rows[:, YAW] = heading_sensor
-            rows[:, SCORE] = scores
-            ticks.append(ks)
-            boxes.append(rows)
-        frames: list[Frame] = []
-        if boxes:
-            # Frame by frame; within a frame in script order.
-            ks = np.concatenate(ticks)
-            order = np.argsort(ks, kind="stable")
-            ks = ks[order]
-            block = np.concatenate(boxes)[order]
-            bounds = np.flatnonzero(np.diff(ks)) + 1
-            starts = [0] + bounds.tolist()
-            ends = bounds.tolist() + [len(ks)]
-            for k, a, b in zip(ks[starts].tolist(), starts, ends):
-                frames.append(Frame(sensor.frame_id, t0 + sensor.phase + k * period, block[a:b]))
-        frames_by_sensor[sensor.frame_id] = tuple(frames)
+                drawn_lengths.append(rng.normal(length[i], sim.length_sigma, k))
+            scores.append(rng.uniform(0.5, 1.0, k))
+        if not scores:
+            frames_by_sensor[sensor.frame_id] = ()
+            continue
+        if kept:
+            keep = np.concatenate(kept)
+            veh, ks, pos = veh[keep], ks[keep], pos[keep]
+        if noise:
+            pos = pos + np.concatenate(noise)
+
+        block = np.empty((len(veh), len(BOX_COLUMNS)))
+        block[:, X : Z + 1] = pos @ from_ned_rot.T + from_ned_trans
+        block[:, L] = (
+            np.clip(np.concatenate(drawn_lengths), 0.1, 49.9) if drawn_lengths else length[veh]
+        )
+        block[:, W] = width[veh]
+        block[:, H] = height[veh]
+        block[:, YAW] = wrap_angles(zone_yaw - yaw_corr)[veh]
+        block[:, SCORE] = np.concatenate(scores)
+        # Frame by frame; within a frame in script order.
+        order = np.argsort(ks, kind="stable")
+        ks = ks[order]
+        block = block[order]
+        bounds = np.flatnonzero(np.diff(ks)) + 1
+        starts = [0] + bounds.tolist()
+        ends = bounds.tolist() + [len(ks)]
+        frames_by_sensor[sensor.frame_id] = tuple(
+            Frame(sensor.frame_id, t0 + sensor.phase + k * period, block[a:b])
+            for k, a, b in zip(ks[starts].tolist(), starts, ends)
+        )
 
     return SyntheticSession(
         frames_by_sensor=frames_by_sensor,

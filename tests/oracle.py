@@ -1,8 +1,8 @@
 """Scalar restatements of the counting rules, used as test oracles.
 
 The production pipeline works on columns; everything here goes one
-detection, one zone and one trigger at a time, so a test can check the
-two against each other.
+detection, one zone, one trigger, one simulated vehicle and one written
+box at a time, so a test can check the two against each other.
 """
 
 from __future__ import annotations
@@ -20,10 +20,24 @@ from lidartmc.counting import (
     events_to_csv,
 )
 from lidartmc.errors import TimeOutsideScheduleError
-from lidartmc.geo import NedPoint
-from lidartmc.ingest import open_detection_log
+from lidartmc.geo import (
+    FrameRegistry,
+    NedPoint,
+    RigidTransform,
+    compose,
+    lla_to_ecef,
+    ned_rotation,
+    wrap_angle,
+)
+from lidartmc.ingest import BOX_COLUMNS, SCORE, Frame, open_detection_log
 from lidartmc.intersection import Approach, Movement, PhaseSchedule, Zone, ZoneKind
 from lidartmc.report import render_tmc_csv
+from lidartmc.simgen import (
+    _CLASS_HEIGHTS,
+    _CLASS_WIDTHS,
+    _draw_length,
+    _governing_zone,
+)
 
 
 def point_in_zone(p: NedPoint, z: Zone) -> bool:
@@ -139,3 +153,97 @@ def trigger_series(triggers) -> TriggerSeries:
     t, length, sensor = zip(*triggers) if triggers else ((), (), ())
     return TriggerSeries(np.array(t, dtype=float), np.array(length, dtype=float),
                          np.array(sensor, dtype=str))
+
+
+def frame_to_json_line(frame: Frame) -> str:
+    """One log line: a dict per box and one ``json.dumps``; a NaN score
+    is left out."""
+    dets = []
+    for row in frame.detections.tolist():
+        obj = dict(zip(BOX_COLUMNS, row))
+        if math.isnan(row[SCORE]):
+            del obj["score"]
+        dets.append(obj)
+    return json.dumps({"t": frame.t, "frame_id": frame.frame_id, "detections": dets})
+
+
+def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
+    """``simgen.simulate``'s frames, built one vehicle at a time."""
+    rng = np.random.default_rng(sim.seed)
+    table = cfg.class_table
+    t0, t1 = sim.session
+    resolved = []  # (vehicle, zone, length, entry_pos, direction, t_start, t_end)
+    for v in script:
+        zone = _governing_zone(v, cfg)
+        length = _draw_length(v, table, rng)
+        direction = np.array([math.cos(zone.yaw), math.sin(zone.yaw), 0.0])
+        entry_pos = np.array(
+            [zone.center.north, zone.center.east, 0.0]
+        ) - direction * zone.half_length
+        t_start = v.entry_time - sim.path_lead / v.speed
+        t_end = v.entry_time + (2.0 * zone.half_length + sim.path_lead) / v.speed
+        resolved.append((v, zone, length, entry_pos, direction, t_start, t_end))
+
+    registry = FrameRegistry(cfg.ned_origin)
+    ecef_from_ned = RigidTransform(
+        ned_rotation(cfg.ned_origin).rotation.T,
+        lla_to_ecef(cfg.ned_origin).as_array(),
+    )
+    period = 1.0 / sim.frame_rate_hz
+    frames_by_sensor = {}
+    for sensor in sim.sensors:
+        to_ned = sensor.ned_transform()
+        registry.register(sensor.frame_id, compose(ecef_from_ned, to_ned))
+        rot_total = ned_rotation(cfg.ned_origin).rotation @ registry.transform_for(
+            sensor.frame_id
+        ).rotation
+        yaw_corr = math.atan2(rot_total[1, 0], rot_total[0, 0])
+        from_ned_rot = to_ned.rotation.T
+        from_ned_trans = -from_ned_rot @ to_ned.translation
+        sensor_pos = np.array([sensor.north, sensor.east, -sensor.height])
+
+        boxes_at = {}  # frame tick -> boxes, in script order
+        for v, zone, length, entry_pos, direction, t_start, t_end in resolved:
+            lo = max(t_start, t0)
+            hi = min(t_end, t1 - 1e-9)
+            k_lo = int(math.ceil((lo - t0 - sensor.phase) / period - 1e-12))
+            k_hi = int(math.floor((hi - t0 - sensor.phase) / period + 1e-12))
+            k_lo = max(k_lo, 0)
+            if k_hi < k_lo:
+                continue
+            ks = np.arange(k_lo, k_hi + 1)
+            ts = t0 + sensor.phase + ks * period
+            pos = entry_pos[None, :] + direction[None, :] * (
+                v.speed * (ts - v.entry_time)
+            )[:, None]
+            height = _CLASS_HEIGHTS.get(v.vehicle_class, 1.8)
+            width = _CLASS_WIDTHS.get(v.vehicle_class, 2.0)
+            pos[:, 2] = -height / 2.0
+            visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= sensor.visibility_radius
+            ks, ts, pos = ks[visible], ts[visible], pos[visible]
+            if len(ks) and sim.dropout > 0.0:
+                keep = rng.random(len(ks)) >= sim.dropout
+                ks, ts, pos = ks[keep], ts[keep], pos[keep]
+            if not len(ks):
+                continue
+            if sim.noise_sigma > 0.0:
+                pos = pos + rng.normal(0.0, sim.noise_sigma, pos.shape)
+            if sim.length_sigma > 0.0:
+                lengths = np.clip(
+                    rng.normal(length, sim.length_sigma, len(ks)), 0.1, 49.9
+                )
+            else:
+                lengths = np.full(len(ks), length)
+            scores = rng.uniform(0.5, 1.0, len(ks))
+            local = pos @ from_ned_rot.T + from_ned_trans
+            heading_sensor = wrap_angle(zone.yaw - yaw_corr)
+            for k, xyz, l, s in zip(ks.tolist(), local.tolist(), lengths.tolist(),
+                                    scores.tolist()):
+                boxes_at.setdefault(k, []).append([*xyz, l, width, height, heading_sensor, s])
+        frames_by_sensor[sensor.frame_id] = tuple(
+            Frame(sensor.frame_id, t0 + sensor.phase + k * period,
+                  np.array(boxes_at[k], dtype=np.float64))
+            for k in sorted(boxes_at)
+        )
+    return frames_by_sensor
+

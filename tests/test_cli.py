@@ -155,6 +155,18 @@ class TestSimulate:
         gt = load_tmc_csv(tmp_path / "out" / "gt.csv")
         assert int(gt.counts.sum()) == len(script)
 
+    def test_unknown_zone_id_exits_2(self, tmp_path, capsys):
+        spath = tmp_path / "script.json"
+        spath.write_text(json.dumps({"vehicles": [
+            {"class": 3, "approach": "NB", "movement": "Thru", "entry_time": 20.0,
+             "speed": 10.0, "zone_id": "NOPE"},
+        ]}))
+        code = cli.main(["simulate", "--script", str(spath), "--seed", "3",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "'NOPE'" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("log_*"))
+
     def test_script_and_scenario_conflict(self, tmp_path):
         code = cli.main(
             [
@@ -559,6 +571,7 @@ BAD_FLAG_VALUES = [
     ("compare", ["--bin-seconds", "nan"]),
     ("compare", ["--group-by", "foo"]),
     ("simulate", ["--noise-sigma", "nan"]),
+    ("simulate", ["--seed", "-1"]),
 ]
 
 

@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import dense_script
 from lidartmc import cli
 from lidartmc.counting import CountingParams
 from lidartmc.geo import load_registry
 from lidartmc.intersection import PhaseSchedule, save_intersection_config
 from lidartmc.reference import build_reference_config
-from lidartmc.simgen import ScriptedVehicle, scenario_suite, script_to_obj
+from lidartmc.simgen import scenario_suite, script_to_obj
 from oracle import estimate as oracle_estimate
 
 
@@ -40,24 +41,6 @@ def test_scenario_matches_oracle(tmp_path, scenario):
                      "--noise-sigma", "0.1", "--out-dir", str(sim_out)]) == 0
     counting = assert_estimate_matches_oracle(tmp_path, sim_out, scenario.cfg)
     assert counting["events"] > 0
-
-
-def dense_script(cfg, rng, session_end=300.0):
-    """Vehicles back to back in every countable zone, with entry gaps
-    around the headway thresholds and no regard for the phases, so that
-    gating, absorption and splits all happen."""
-    vehicles = []
-    for zone, (approach, movement) in cfg.countable_targets():
-        entry = float(rng.uniform(0.5, 3.0))
-        while True:
-            speed = float(rng.uniform(3.0, 20.0))
-            if entry + 2.0 * zone.half_length / speed >= session_end - 1.0:
-                break
-            vehicle_class = int(rng.integers(1, cfg.class_table.n_classes + 1))
-            vehicles.append(ScriptedVehicle(vehicle_class, approach, movement, entry, speed,
-                                            None, zone.id))
-            entry += float(rng.uniform(1.0, 5.0))
-    return sorted(vehicles, key=lambda v: v.entry_time)
 
 
 def test_dense_random_script_matches_oracle(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from lidartmc.geo import (
     NedPoint,
     RigidTransform,
     SensorPoint,
+    atomic_text_writer,
+    atomic_write_text,
     compose,
     ecef_to_lla,
     ecef_to_ned,
@@ -311,6 +315,55 @@ class TestRegistry:
         path.write_text('{"frames": {}}')
         with pytest.raises(SchemaError):
             load_registry(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "text", "a")
+            with atomic_text_writer(tmp_path / "stream") as fh:
+                fh.write("b")
+            with open(tmp_path / "plain", "w") as fh:
+                fh.write("c")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(("text", "stream", "plain"), 0o666 & ~umask)
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o664, 0o444], ids=oct)
+    def test_existing_file_keeps_its_mode(self, tmp_path, mode):
+        old = os.umask(0o022)
+        try:
+            for name in ("text", "stream", "plain"):
+                (tmp_path / name).write_text("old")
+                (tmp_path / name).chmod(mode)
+            atomic_write_text(tmp_path / "text", "a")
+            with atomic_text_writer(tmp_path / "stream") as fh:
+                fh.write("b")
+            if mode & 0o200:
+                with open(tmp_path / "plain", "w") as fh:
+                    fh.write("c")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(("text", "stream", "plain"), mode)
+        assert (tmp_path / "stream").read_text() == "b"
+
+    def test_replaces_only_when_the_block_succeeds(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_text_writer(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("writer failed")
+        assert path.read_text() == "old"
+        with atomic_text_writer(path) as fh:
+            fh.write("new ")
+            fh.write("text")
+        assert path.read_text() == "new text"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestGcpCsv:

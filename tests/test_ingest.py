@@ -40,13 +40,13 @@ from lidartmc.ingest import (
     Z,
     Frame,
     MergedStream,
-    frame_to_json_line,
     frames_to_ned,
     merge_streams,
     open_detection_log,
     parse_detection_log,
     write_detection_log,
 )
+from oracle import frame_to_json_line
 
 FIXTURE_LINE = json.dumps(
     {
@@ -595,6 +595,65 @@ def test_box_validation():
 
 def test_frame_json_line_is_compact_single_line():
     frame = make_frame("L1", 1.5, (0.0, 0.0))
-    line = frame_to_json_line(frame)
-    assert "\n" not in line
+    buf = io.StringIO()
+    write_detection_log([frame], buf)
+    line = buf.getvalue()
+    assert line.endswith("\n") and "\n" not in line[:-1]
     assert json.loads(line)["frame_id"] == "L1"
+
+
+# Float64 values a log may hold: signed zeros, subnormals, the extremes,
+# NaNs with other payloads and signs, and infinities.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.7976931348623157e308,
+                  1.0, -1.0, 0.1, math.nan, math.inf, -math.inf,
+                  *np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)
+                  .view(np.float64).tolist()]
+any_float = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def frame_lists(draw):
+    """Frames of 0-6 boxes whose values repeat within and across columns."""
+    pool = draw(st.lists(any_float, min_size=1, max_size=6)) + SPECIAL_FLOATS
+    value = st.one_of(any_float, st.sampled_from(pool))
+    frames = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 6))
+        values = draw(st.lists(value, min_size=8 * n, max_size=8 * n))
+        frame_id = draw(st.sampled_from(["L1", "L2", 'quo"te', "ünï"]))
+        block = np.array(values, dtype=np.float64).reshape(n, len(BOX_COLUMNS))
+        frames.append(Frame(frame_id, draw(st.one_of(any_float, st.sampled_from(pool))), block))
+    return frames
+
+
+class TestWriter:
+    """``write_detection_log`` against ``oracle.frame_to_json_line``, which
+    builds a dict per box and calls ``json.dumps`` per frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames=frame_lists(), chunk_rows=st.integers(1, 9))
+    def test_matches_json_dumps_per_frame(self, frames, chunk_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_CHUNK_ROWS", chunk_rows)
+            buf = io.StringIO()
+            write_detection_log(frames, buf)
+        assert buf.getvalue() == "".join(frame_to_json_line(f) + "\n" for f in frames)
+
+    def test_frames_across_chunk_boundaries(self, monkeypatch):
+        # Every value repeats in each chunk with both zero signs and a
+        # NaN score, and frames end before, on and after each boundary.
+        row = (0.0, -0.0, 5e-324, 1.5, 1.5, -0.0, math.inf, math.nan)
+        frames = [Frame("L1", 0.25 * i, boxes(*[row] * n, (-0.0, 0.0, 1.5, -math.inf)))
+                  for i, n in enumerate((0, 1, 2, 0, 3, 5, 1))]
+        want = "".join(frame_to_json_line(f) + "\n" for f in frames)
+        for chunk_rows in (1, 2, 3, 4, 7, 1024):
+            monkeypatch.setattr(ingest, "WRITE_CHUNK_ROWS", chunk_rows)
+            buf = io.StringIO()
+            write_detection_log(frames, buf)
+            assert buf.getvalue() == want, chunk_rows
+        assert '"z": 5e-324' in want and '"y": -0.0' in want and '"x": -0.0' in want
+
+    def test_no_frames(self):
+        buf = io.StringIO()
+        write_detection_log([], buf)
+        assert buf.getvalue() == ""

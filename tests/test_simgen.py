@@ -1,6 +1,7 @@
 import io
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lidartmc.ingest import X, Y, frames_to_ned, merge_streams, write_detection_
 from lidartmc.intersection import Approach, Movement
 from lidartmc.geo import NedPoint
 from lidartmc.reference import build_long_range_config
+from conftest import dense_script
 from lidartmc.simgen import (
     ScriptedVehicle,
     SensorSpec,
@@ -25,7 +27,7 @@ from lidartmc.simgen import (
     simulate,
     tally_script,
 )
-from oracle import point_in_zone
+from oracle import point_in_zone, simulate_frames
 
 NB, EB = Approach.NB, Approach.EB
 T = Movement.THRU
@@ -186,6 +188,14 @@ class TestScriptValidation:
                 SimConfig(seed=1),
             )
 
+    def test_unknown_zone_id_rejected(self, reference_config):
+        with pytest.raises(ScriptValidationError, match="'NOPE'"):
+            simulate(
+                [ScriptedVehicle(3, NB, T, 20.0, 10.0, 4.5, "NOPE")],
+                reference_config,
+                SimConfig(seed=1),
+            )
+
     def test_zone_binding_mismatch_rejected(self, reference_config):
         with pytest.raises(ScriptValidationError):
             simulate(
@@ -295,6 +305,50 @@ class TestScenarioSuite:
     def test_unknown_scenario(self):
         with pytest.raises(ScriptValidationError):
             scenario_by_name("nope")
+
+
+def assert_frames_identical(got, want):
+    """Same frames, bit for bit: frame_id, t and every box value."""
+    assert [f.frame_id for f in got] == [f.frame_id for f in want]
+    assert [f.t.hex() for f in got] == [f.t.hex() for f in want]
+    for g, w in zip(got, want):
+        assert g.detections.dtype == w.detections.dtype == np.float64
+        assert g.detections.shape == w.detections.shape
+        assert g.detections.tobytes() == w.detections.tobytes()
+
+
+NOISY = dict(dropout=0.2, noise_sigma=0.1, length_sigma=0.05)
+
+
+class TestAgainstPerVehicleOracle:
+    """The columnar simulate against ``oracle.simulate_frames``, which
+    builds each vehicle's boxes in turn."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
+    @pytest.mark.parametrize("scenario", scenario_suite(), ids=lambda sc: sc.name)
+    def test_scenarios(self, scenario, noisy):
+        sim = replace(scenario.sim, **NOISY) if noisy else scenario.sim
+        session = simulate(scenario.script, scenario.cfg, sim)
+        want = simulate_frames(scenario.script, scenario.cfg, sim)
+        assert list(session.frames_by_sensor) == list(want)
+        for fid, frames in want.items():
+            assert_frames_identical(session.frames_by_sensor[fid], frames)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
+    def test_dense_script(self, reference_config, noisy):
+        sim = SimConfig(seed=31, **(NOISY if noisy else {}))
+        script = dense_script(reference_config, np.random.default_rng(32))
+        assert len(script) > 500
+        session = simulate(script, reference_config, sim)
+        want = simulate_frames(script, reference_config, sim)
+        for fid, frames in want.items():
+            assert_frames_identical(session.frames_by_sensor[fid], frames)
+
+    def test_empty_script(self, reference_config):
+        sim = SimConfig(seed=5, **NOISY)
+        session = simulate([], reference_config, sim)
+        assert simulate_frames([], reference_config, sim) == session.frames_by_sensor
+        assert session.frames_by_sensor == {"L1": (), "L2": ()}
 
 
 class TestRandomScript:
