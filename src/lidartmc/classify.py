@@ -94,11 +94,6 @@ def classify_by_length(
     return table.classes[idx]
 
 
-def fhwa_classes(c: VehicleClass) -> frozenset[str]:
-    """The FHWA class labels grouped under this length class."""
-    return c.fhwa
-
-
 def class_table_from_obj(obj) -> ClassTable:
     """Build a class table from decoded JSON (``upper: null`` means inf)."""
     if not isinstance(obj, list):
@@ -116,7 +111,7 @@ def class_table_from_obj(obj) -> ClassTable:
                     fhwa=frozenset(str(v) for v in entry.get("fhwa", [])),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad class table entry {entry!r}: {exc}") from None
     return ClassTable(tuple(classes))
 

@@ -91,8 +91,7 @@ def cmd_georef(args) -> int:
         registry = load_registry(registry_path)
     else:
         if args.ned_origin is not None:
-            lat, lon, alt = (float(v) for v in args.ned_origin.split(","))
-            origin = GeodeticPoint(lat, lon, alt)
+            origin = args.ned_origin
         elif args.config is not None:
             origin = load_intersection_config(args.config).ned_origin
         else:
@@ -102,10 +101,11 @@ def cmd_georef(args) -> int:
         registry = FrameRegistry(origin)
     rmses = {}
     for frame_id in sorted(groups):
-        transform, rmse = estimate_transform_from_gcps(groups[frame_id])
+        src, dst = groups[frame_id]
+        transform, rmse = estimate_transform_from_gcps(src, dst)
         registry.register(frame_id, transform)
         rmses[frame_id] = rmse
-        print(f"{frame_id}: {len(groups[frame_id])} GCPs, rmse {rmse:.6g} m")
+        print(f"{frame_id}: {len(src)} GCPs, rmse {rmse:.6g} m")
     save_registry(registry, registry_path)
     _write_manifest(
         registry_path.parent,
@@ -275,6 +275,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _geodetic(text: str) -> GeodeticPoint:
+    """argparse type: ``lat,lon,alt``, three finite numbers that form a
+    valid geodetic point."""
+    try:
+        lat, lon, alt = map(_finite_float, text.split(","))
+        return GeodeticPoint(lat, lon, alt)
+    except ValueError as exc:  # not three values, or not a point
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _seed(text: str) -> int:
     """argparse type: a non-negative integer, as the RNG requires."""
     try:
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gcp_file", help="CSV: frame_id,sx,sy,sz,lat,lon,alt")
     p.add_argument("--frame-id", help="only solve this sensor (default: all in file)")
     p.add_argument("--registry", help="registry JSON to create or update")
-    p.add_argument("--ned-origin", help="lat,lon,alt for a new registry")
+    p.add_argument("--ned-origin", type=_geodetic, help="lat,lon,alt for a new registry")
     p.add_argument("--config", help="intersection config supplying the NED origin")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_georef)
@@ -357,10 +367,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UserInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # A UnicodeDecodeError comes from reading a text input that is not UTF-8.
+    except (UserInputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # internal error contract

@@ -77,10 +77,6 @@ class OriginAlreadySetError(TmcError):
     """The NED origin may be set only once per registry."""
 
 
-class DegenerateOriginError(TmcError):
-    """ECEF point too close to the Earth's center to invert."""
-
-
 class InsufficientPointsError(UserInputError):
     """Fewer correspondence pairs than the solver requires."""
 

@@ -11,6 +11,10 @@ A sensor's pose is a rigid transform sensor->ECEF estimated from surveyed
 ground-control-point pairs. Detections travel sensor -> ECEF -> NED; all
 intersection geometry lives in NED.
 
+Points are float64 arrays: one point is a (3,) array, many are (n, 3).
+The two exceptions are :class:`GeodeticPoint`, which validates geodetic
+user input, and :class:`NedPoint`, the centre of a zone.
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads/processes.
 """
@@ -25,13 +29,12 @@ import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator
 
 import numpy as np
 
 from .errors import (
     CollinearPointsError,
-    DegenerateOriginError,
     InsufficientPointsError,
     OriginAlreadySetError,
     OriginUnsetError,
@@ -42,7 +45,6 @@ from .errors import (
 # WGS84 ellipsoid
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
-WGS84_B = WGS84_A * (1.0 - WGS84_F)
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 
 TAU = 2.0 * math.pi
@@ -51,6 +53,9 @@ ORTHONORMALITY_TOL = 1e-9
 COLLINEARITY_RTOL = 1e-6
 
 GCP_CSV_HEADER = ("frame_id", "sx", "sy", "sz", "lat", "lon", "alt")
+# No surveyed GCP lies further from its sensor or from the ellipsoid; the
+# bound also keeps the pose solve clear of float overflow.
+MAX_GCP_COORDINATE_M = 1e7
 
 
 def wrap_angle(theta: float) -> float:
@@ -98,21 +103,6 @@ class GeodeticPoint:
 
 
 @dataclass(frozen=True)
-class EcefPoint:
-    """Earth-centered Earth-fixed Cartesian point, meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _require_finite("ECEF coordinate", self.x, self.y, self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
 class NedPoint:
     """North-east-down point relative to the declared NED origin, meters."""
 
@@ -122,25 +112,6 @@ class NedPoint:
 
     def __post_init__(self):
         _require_finite("NED coordinate", self.north, self.east, self.down)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.north, self.east, self.down])
-
-
-@dataclass(frozen=True)
-class SensorPoint:
-    """Point in a LiDAR sensor frame, tagged with the sensor's frame id."""
-
-    x: float
-    y: float
-    z: float
-    frame_id: str
-
-    def __post_init__(self):
-        _require_finite("sensor coordinate", self.x, self.y, self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 def _as_rotation(m) -> np.ndarray:
@@ -157,10 +128,7 @@ def _as_rotation(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation + translation; maps p -> R @ p + t.
-
-    The 4x4 homogeneous form is derived on demand via :meth:`matrix`.
-    """
+    """Rotation + translation; maps p -> R @ p + t."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -175,38 +143,14 @@ class RigidTransform:
         t.flags.writeable = False
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to one (3,) point or an (n, 3) batch."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
-
-    def matrix(self) -> np.ndarray:
-        """The 4x4 homogeneous matrix form."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    def yaw(self) -> float:
-        """Rotation of the horizontal plane about the third axis."""
-        return math.atan2(self.rotation[1, 0], self.rotation[0, 0])
-
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """compose(a, b).apply(p) == a.apply(b.apply(p))."""
+    """The transform that applies ``b`` first, then ``a``."""
     return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
-def invert(t: RigidTransform) -> RigidTransform:
-    return RigidTransform(t.rotation.T, -(t.rotation.T @ t.translation))
-
-
-def lla_to_ecef(p: GeodeticPoint) -> EcefPoint:
-    """Closed-form WGS84 geodetic -> ECEF conversion."""
+def lla_to_ecef(p: GeodeticPoint) -> np.ndarray:
+    """Closed-form WGS84 geodetic -> ECEF conversion, as a (3,) array."""
     lat = math.radians(p.lat)
     lon = math.radians(p.lon)
     sin_lat = math.sin(lat)
@@ -215,46 +159,7 @@ def lla_to_ecef(p: GeodeticPoint) -> EcefPoint:
     x = (n + p.alt) * cos_lat * math.cos(lon)
     y = (n + p.alt) * cos_lat * math.sin(lon)
     z = (n * (1.0 - WGS84_E2) + p.alt) * sin_lat
-    return EcefPoint(x, y, z)
-
-
-def ecef_to_lla(p: EcefPoint) -> GeodeticPoint:
-    """ECEF -> WGS84 geodetic, Bowring start + fixed-point refinement.
-
-    Accurate to well under 1e-6 m for any point near the Earth's surface.
-    Longitude at the poles is 0 by convention.
-    """
-    x, y, z = p.x, p.y, p.z
-    if math.sqrt(x * x + y * y + z * z) < 1e-3:
-        raise DegenerateOriginError("point is at the Earth's center")
-    rho = math.hypot(x, y)
-    if rho < 1e-9:
-        # On the polar axis; latitude sign follows z.
-        lat = math.copysign(90.0, z)
-        return GeodeticPoint(lat, 0.0, abs(z) - WGS84_B)
-    lon = math.atan2(y, x)
-    # Bowring's parametric-latitude initial guess.
-    ep2 = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B)
-    theta = math.atan2(z * WGS84_A, rho * WGS84_B)
-    st, ct = math.sin(theta), math.cos(theta)
-    lat = math.atan2(z + ep2 * WGS84_B * st**3, rho - WGS84_E2 * WGS84_A * ct**3)
-    alt = 0.0
-    for _ in range(8):
-        sin_lat = math.sin(lat)
-        n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
-        alt = rho / math.cos(lat) - n
-        new_lat = math.atan2(z, rho * (1.0 - WGS84_E2 * n / (n + alt)))
-        if abs(new_lat - lat) < 1e-14:
-            lat = new_lat
-            break
-        lat = new_lat
-    return GeodeticPoint(math.degrees(lat), math.degrees(lon), alt)
-
-
-def sensor_to_ecef(p: SensorPoint, t: RigidTransform) -> EcefPoint:
-    """Map a sensor-frame point into ECEF with the sensor's pose."""
-    out = t.apply(p.as_array())
-    return EcefPoint(out[0], out[1], out[2])
+    return np.array([x, y, z])
 
 
 def ned_rotation(origin: GeodeticPoint) -> RigidTransform:
@@ -304,7 +209,7 @@ class FrameRegistry:
         if self._ned_origin is not None:
             raise OriginAlreadySetError("NED origin is already set for this registry")
         self._ned_origin = origin
-        self._origin_ecef = lla_to_ecef(origin).as_array()
+        self._origin_ecef = lla_to_ecef(origin)
         self._ned_rot = ned_rotation(origin)
 
     def register(self, frame_id: str, transform: RigidTransform) -> None:
@@ -326,28 +231,12 @@ class FrameRegistry:
             raise OriginUnsetError("NED origin has not been set")
         return self._origin_ecef
 
-    def sensor_to_ecef(self, p: SensorPoint) -> EcefPoint:
-        return sensor_to_ecef(p, self.transform_for(p.frame_id))
-
-
-def ecef_to_ned(p: EcefPoint, registry: FrameRegistry) -> NedPoint:
-    """P_ned = R_ne @ (P_ecef - origin_ecef)."""
-    rot = registry.ned_rotation()
-    out = rot.rotation @ (p.as_array() - registry.origin_ecef())
-    return NedPoint(out[0], out[1], out[2])
-
-
-def ned_to_ecef(p: NedPoint, registry: FrameRegistry) -> EcefPoint:
-    """Inverse of :func:`ecef_to_ned`."""
-    rot = registry.ned_rotation()
-    out = rot.rotation.T @ p.as_array() + registry.origin_ecef()
-    return EcefPoint(out[0], out[1], out[2])
-
 
 def estimate_transform_from_gcps(
-    pairs: Sequence[tuple[SensorPoint, EcefPoint]],
+    src: np.ndarray, dst: np.ndarray
 ) -> tuple[RigidTransform, float]:
-    """Least-squares rigid registration of sensor points onto ECEF points.
+    """Least-squares rigid registration of (n, 3) sensor points ``src``
+    onto the (n, 3) ECEF points ``dst`` paired with them row by row.
 
     Centroid alignment plus SVD of the cross-covariance, with the usual
     sign correction so the result is a proper rotation (never a
@@ -358,12 +247,10 @@ def estimate_transform_from_gcps(
     the second singular value must clear ``COLLINEARITY_RTOL`` times the
     largest.
     """
-    if len(pairs) < 3:
+    if len(src) < 3:
         raise InsufficientPointsError(
-            f"need at least 3 GCP pairs, got {len(pairs)}"
+            f"need at least 3 GCP pairs, got {len(src)}"
         )
-    src = np.array([[s.x, s.y, s.z] for s, _ in pairs])
-    dst = np.array([[e.x, e.y, e.z] for _, e in pairs])
     c_src = src.mean(axis=0)
     c_dst = dst.mean(axis=0)
     src0 = src - c_src
@@ -381,13 +268,17 @@ def estimate_transform_from_gcps(
     return RigidTransform(rot, trans), rmse
 
 
-def load_gcp_csv(path) -> dict[str, list[tuple[SensorPoint, EcefPoint]]]:
+def load_gcp_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Load GCP correspondences grouped by sensor frame id.
 
-    Expected header: ``frame_id,sx,sy,sz,lat,lon,alt``. The geodetic side
-    is converted to ECEF on load.
+    Expected header: ``frame_id,sx,sy,sz,lat,lon,alt``. Each frame id maps
+    to its (n, 3) sensor points and the (n, 3) ECEF points of their
+    geodetic side, in file order. A row whose geodetic side is not a valid
+    :class:`GeodeticPoint`, or whose sensor coordinates or altitude are
+    not within :data:`MAX_GCP_COORDINATE_M` of zero, is a
+    :class:`SchemaError`.
     """
-    out: dict[str, list[tuple[SensorPoint, EcefPoint]]] = {}
+    out: dict[str, tuple[list, list]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -401,14 +292,17 @@ def load_gcp_csv(path) -> dict[str, list[tuple[SensorPoint, EcefPoint]]]:
             if len(row) != 7:
                 raise SchemaError(f"GCP file line {i}: expected 7 fields, got {len(row)}")
             try:
-                frame_id = row[0].strip()
-                sx, sy, sz, lat, lon, alt = (float(v) for v in row[1:])
+                sensor = [float(v) for v in row[1:4]]
+                geodetic = GeodeticPoint(*(float(v) for v in row[4:]))
+                if not all(abs(v) <= MAX_GCP_COORDINATE_M for v in (*sensor, geodetic.alt)):
+                    raise ValueError("sensor coordinates and alt must be finite and within "
+                                     f"{MAX_GCP_COORDINATE_M:g} m of zero")
             except ValueError as exc:
                 raise SchemaError(f"GCP file line {i}: {exc}") from None
-            sensor = SensorPoint(sx, sy, sz, frame_id)
-            ecef = lla_to_ecef(GeodeticPoint(lat, lon, alt))
-            out.setdefault(frame_id, []).append((sensor, ecef))
-    return out
+            src, dst = out.setdefault(row[0].strip(), ([], []))
+            src.append(sensor)
+            dst.append(lla_to_ecef(geodetic))
+    return {fid: (np.array(src), np.array(dst)) for fid, (src, dst) in out.items()}
 
 
 @contextmanager
@@ -465,11 +359,14 @@ def registry_from_json(text: str) -> FrameRegistry:
         registry = FrameRegistry(
             GeodeticPoint(origin["lat"], origin["lon"], origin["alt"])
         )
-        for fid, entry in doc["frames"].items():
+        frames = doc["frames"]
+        if not isinstance(frames, dict):
+            raise TypeError(f"frames must be an object, got {type(frames).__name__}")
+        for fid, entry in frames.items():
             rot = np.array(entry["rotation"], dtype=np.float64).reshape(3, 3)
             trans = np.array(entry["translation"], dtype=np.float64)
             registry.register(fid, RigidTransform(rot, trans))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad frame registry document: {exc}") from None
     return registry
 

@@ -222,17 +222,15 @@ def _to_block(rows: list[tuple], lines: list[tuple], box_errors: dict) -> np.nda
 
 def parse_detection_log(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
-    frame_id: str | None = None,
     *,
     strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
 ) -> list[Frame]:
     """Parse a JSON-lines detection log into frames.
 
-    ``frame_id``, when given, pins the sensor this log must belong to;
-    otherwise the first good line's id is adopted and enforced
-    thereafter. Consecutive good lines sharing (frame_id, t) are grouped
-    into one frame. A line with one bad box is dropped whole. In
+    The first good line's ``frame_id`` is adopted as the log's sensor and
+    enforced thereafter. Consecutive good lines sharing (frame_id, t) are
+    grouped into one frame. A line with one bad box is dropped whole. In
     non-strict mode bad lines are appended to ``error_sink`` (if
     provided) and logged, in line order; strict mode raises the error of
     the lowest bad line. A compressed log that breaks off keeps the lines
@@ -248,7 +246,7 @@ def parse_detection_log(
     errors: list[MalformedLineError] = []
     blocks: list[np.ndarray] = []  # kept rows of each chunk
     kept: list[tuple] = []  # (frame_id, t, rows) of every kept line
-    expected = frame_id
+    expected = None
     lines: list[tuple] = []  # (line_no, frame_id, t, first row, end row) of the chunk
     box_errors: dict[int, MalformedLineError] = {}  # by index into ``lines``
     rows: list[tuple] = []
@@ -529,7 +527,6 @@ def write_detection_log(frames: Iterable[Frame], fh: IO[str]) -> None:
 def merge_streams(
     streams: Sequence[Iterable[Frame]],
     reorder_window: float = DEFAULT_REORDER_WINDOW_S,
-    coordinate_frame: str = FRAME_SENSOR,
 ) -> MergedStream:
     """Merge per-sensor frame sequences into one nondecreasing stream.
 
@@ -550,11 +547,11 @@ def merge_streams(
             raise OutOfOrderError(f.frame_id, f.t, reorder_window)
         frames.extend(stream)
     if not frames:
-        return MergedStream.from_frames((), coordinate_frame)
+        return MergedStream.from_frames(())
     fid_rank = np.unique([f.frame_id for f in frames], return_inverse=True)[1]
     t = np.array([f.t for f in frames], dtype=np.float64)
     order = np.lexsort((np.arange(len(frames)), fid_rank, t))
-    return MergedStream.from_frames([frames[i] for i in order.tolist()], coordinate_frame)
+    return MergedStream.from_frames([frames[i] for i in order.tolist()])
 
 
 def frames_to_ned(stream: MergedStream, registry: FrameRegistry) -> MergedStream:

@@ -249,7 +249,7 @@ def config_from_obj(doc) -> IntersectionConfig:
             )
             for iobj in doc["schedule"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"bad intersection config: {exc}") from None
@@ -258,7 +258,7 @@ def config_from_obj(doc) -> IntersectionConfig:
     if "params" in doc:
         try:
             params = CountingParams(**doc["params"])
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise SchemaError(f"bad counting params: {exc}") from None
     class_table = DEFAULT_CLASS_TABLE
     if "class_table" in doc:

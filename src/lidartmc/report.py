@@ -37,6 +37,9 @@ GT_CSV_HEADER = ("bin_start", "approach", "class", "left", "thru", "right", "utu
 REPORT_CSV_HEADER = ("group", "estimated", "ground_truth", "abs_error", "pct_error")
 
 DEFAULT_BIN_SECONDS = 300.0
+# Bins of one table: 10**5 bins of 300 s is almost a year, and the int64
+# grid of six classes is then 77 MB.
+MAX_BINS = 10**5
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,14 @@ class TmcTable:
     def bin_start(self, index: int) -> float:
         return self.session[0] + index * self.bin_seconds
 
-    def same_shape(self, other: "TmcTable") -> bool:
-        return (
-            self.bin_seconds == other.bin_seconds
-            and self.session == other.session
-            and self.counts.shape == other.counts.shape
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TmcTable):
             return NotImplemented
-        return self.same_shape(other) and bool(np.array_equal(self.counts, other.counts))
-
-    def __add__(self, other: "TmcTable") -> "TmcTable":
-        if not self.same_shape(other):
-            raise IncompatibleBinningError("tables have different shape")
-        return TmcTable(self.bin_seconds, self.session, self.counts + other.counts)
+        return (
+            self.bin_seconds == other.bin_seconds
+            and self.session == other.session
+            and bool(np.array_equal(self.counts, other.counts))
+        )
 
 
 def n_bins(bin_seconds: float, session: tuple[float, float]) -> int:
@@ -92,6 +87,10 @@ def n_bins(bin_seconds: float, session: tuple[float, float]) -> int:
     span = session[1] - session[0]
     if span < 0:
         raise ValueError("session end precedes start")
+    if not span / bin_seconds <= MAX_BINS:  # also false for an infinite or NaN span
+        raise UserInputError(
+            f"session {list(session)} must span at most {MAX_BINS} bins of {bin_seconds} s"
+        )
     return max(int(math.ceil(span / bin_seconds - 1e-9)), 0)
 
 
@@ -111,9 +110,6 @@ class Marginal:
 
     dims: tuple[str, ...]
     counts: dict[tuple, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def aggregate(table: TmcTable, keep: Iterable[str]) -> Marginal:
@@ -166,7 +162,7 @@ def render_tmc_csv(table: TmcTable) -> str:
     return buf.getvalue()
 
 
-def load_ground_truth(
+def load_tmc_csv(
     path, bin_seconds: float = DEFAULT_BIN_SECONDS, classes: int = 6
 ) -> TmcTable:
     """Load a count table from CSV (ground truth or a prior estimate).
@@ -217,10 +213,6 @@ def load_ground_truth(
         for m, v in zip((Movement.LEFT, Movement.THRU, Movement.RIGHT, Movement.UTURN), counts):
             table[b, a_i, MOVEMENT_INDEX[m], class_id - 1] += v
     return TmcTable(bin_seconds, session, table)
-
-
-# load_tmc_csv is the neutral alias; the file schema is shared.
-load_tmc_csv = load_ground_truth
 
 
 @dataclass(frozen=True)

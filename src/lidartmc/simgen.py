@@ -238,7 +238,7 @@ def simulate(
     registry = FrameRegistry(cfg.ned_origin)
     ecef_from_ned = RigidTransform(
         ned_rotation(cfg.ned_origin).rotation.T,
-        lla_to_ecef(cfg.ned_origin).as_array(),
+        lla_to_ecef(cfg.ned_origin),
     )
     period = 1.0 / sim.frame_rate_hz
     lo = np.maximum(t_start, t0)
@@ -530,11 +530,18 @@ def script_to_obj(script: Sequence[ScriptedVehicle]) -> dict:
     }
 
 
+def _class_id(value) -> int:
+    """A vehicle class id: 3.7, NaN and infinity are not one."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"class must be an integer, got {value!r}")
+    return int(value)
+
+
 def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
     try:
         vehicles = tuple(
             ScriptedVehicle(
-                vehicle_class=int(v["class"]),
+                vehicle_class=_class_id(v["class"]),
                 approach=Approach(v["approach"]),
                 movement=Movement(v["movement"]),
                 entry_time=float(v["entry_time"]),
@@ -544,7 +551,7 @@ def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
             )
             for v in doc["vehicles"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad script document: {exc}") from None
     return vehicles
 

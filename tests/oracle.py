@@ -1,8 +1,9 @@
 """Scalar restatements of the counting rules, used as test oracles.
 
 The production pipeline works on columns; everything here goes one
-detection, one zone, one trigger, one simulated vehicle and one written
-box at a time, so a test can check the two against each other.
+point, one detection, one zone, one trigger, one simulated vehicle and
+one written box at a time, so a test can check the two against each
+other. The ECEF -> geodetic inverse lives here too: only tests need it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from lidartmc.counting import (
 )
 from lidartmc.errors import TimeOutsideScheduleError
 from lidartmc.geo import (
+    WGS84_A,
+    WGS84_E2,
+    WGS84_F,
     FrameRegistry,
+    GeodeticPoint,
     NedPoint,
     RigidTransform,
     compose,
@@ -38,6 +43,46 @@ from lidartmc.simgen import (
     _draw_length,
     _governing_zone,
 )
+
+
+WGS84_B = WGS84_A * (1.0 - WGS84_F)
+
+
+def ecef_to_lla(p) -> GeodeticPoint:
+    """(3,) ECEF point -> WGS84 geodetic, Bowring start + fixed-point
+    refinement.
+
+    Accurate to well under 1e-6 m for any point near the Earth's surface.
+    Longitude at the poles is 0 by convention.
+    """
+    x, y, z = (float(v) for v in p)
+    rho = math.hypot(x, y)
+    if rho < 1e-9:
+        # On the polar axis; latitude sign follows z.
+        return GeodeticPoint(math.copysign(90.0, z), 0.0, abs(z) - WGS84_B)
+    lon = math.atan2(y, x)
+    # Bowring's parametric-latitude initial guess.
+    ep2 = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B)
+    theta = math.atan2(z * WGS84_A, rho * WGS84_B)
+    st, ct = math.sin(theta), math.cos(theta)
+    lat = math.atan2(z + ep2 * WGS84_B * st**3, rho - WGS84_E2 * WGS84_A * ct**3)
+    alt = 0.0
+    for _ in range(8):
+        sin_lat = math.sin(lat)
+        n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sin_lat * sin_lat)
+        alt = rho / math.cos(lat) - n
+        new_lat = math.atan2(z, rho * (1.0 - WGS84_E2 * n / (n + alt)))
+        if abs(new_lat - lat) < 1e-14:
+            lat = new_lat
+            break
+        lat = new_lat
+    return GeodeticPoint(math.degrees(lat), math.degrees(lon), alt)
+
+
+def sensor_to_ned(p, pose: RigidTransform, registry: FrameRegistry) -> np.ndarray:
+    """One sensor-frame point in NED: R_ned @ (R_s @ p + t_s - origin_ecef)."""
+    ecef = pose.rotation @ np.asarray(p, dtype=np.float64) + pose.translation
+    return registry.ned_rotation().rotation @ (ecef - registry.origin_ecef())
 
 
 def point_in_zone(p: NedPoint, z: Zone) -> bool:
@@ -187,7 +232,7 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
     registry = FrameRegistry(cfg.ned_origin)
     ecef_from_ned = RigidTransform(
         ned_rotation(cfg.ned_origin).rotation.T,
-        lla_to_ecef(cfg.ned_origin).as_array(),
+        lla_to_ecef(cfg.ned_origin),
     )
     period = 1.0 / sim.frame_rate_hz
     frames_by_sensor = {}

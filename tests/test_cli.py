@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -29,7 +31,7 @@ def write_gcp_file(path, rng, n=5, frame_id="L1"):
         )
         for _ in range(n)
     ]
-    ecef = np.array([lla_to_ecef(g).as_array() for g in geos])
+    ecef = np.array([lla_to_ecef(g) for g in geos])
     rot = random_rotation(rng)
     trans = ecef.mean(axis=0) + rng.normal(0.0, 20.0, 3)
     sensor = (ecef - trans) @ rot
@@ -563,6 +565,8 @@ BAD_FLAG_VALUES = [
     ("estimate", ["--bin-seconds", "inf"]),
     ("estimate", ["--session-start", "100", "--session-end", "50"]),
     ("estimate", ["--session-start", "nan"]),
+    ("estimate", ["--session-end", "1e12"]),
+    ("estimate", ["--bin-seconds", "1e-9"]),
     ("estimate", ["--reorder-window", "nan"]),
     ("estimate", ["--reorder-window", "-1"]),
     ("estimate", ["--dedup-window", "nan"]),
@@ -712,3 +716,184 @@ def test_garbled_lines_skipped_and_counted(log_pair, data):
     assert manifest["warnings"]["skipped_lines"] == n_bad
     assert estimate_logs(deleted, registry)[1:3] == (tmc, events)
     assert estimate_logs(garbled, registry, "--strict")[0] == (2 if n_bad else 0)
+
+
+GCP_ROW = "L1,1.0,2.0,3.0,34.05,-117.4,350.0"
+
+
+@pytest.mark.parametrize("row,origin", [
+    ("L1,nan,2.0,3.0,34.05,-117.4,350.0", "34.05,-117.4,350.0"),
+    ("L1,1.0,2.0,3.0,95.0,-117.4,350.0", "34.05,-117.4,350.0"),
+    (GCP_ROW, "34,1"),
+    (GCP_ROW, "a,b,c"),
+    (GCP_ROW, "100,0,0"),
+    (GCP_ROW, "nan,0,0"),
+], ids=["nan sensor value", "lat 95", "two origin values", "non-numeric origin",
+        "origin lat 100", "nan origin"])
+def test_georef_bad_input_exits_2(tmp_path, capsys, row, origin):
+    gcp = tmp_path / "gcps.csv"
+    write_gcp_file(gcp, np.random.default_rng(66))
+    gcp.write_text(gcp.read_text() + row + "\n")
+    registry = tmp_path / "registry.json"
+    code = cli.main(["georef", str(gcp), "--registry", str(registry), "--ned-origin", origin])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not registry.exists()
+
+
+def test_georef_file_not_utf8_exits_2(tmp_path):
+    gcp = tmp_path / "gcps.csv"
+    gcp.write_bytes(b"frame_id,sx,sy,sz,lat,lon,alt\nL1,\xff,0,0,34,-117,0\n")
+    code = cli.main(["georef", str(gcp), "--registry", str(tmp_path / "registry.json"),
+                     "--ned-origin", "34.05,-117.4,350.0"])
+    assert code == 2
+
+
+def test_registry_frames_list_exits_2(ideal_sim, tmp_path):
+    registry = tmp_path / "registry.json"
+    doc = json.loads((ideal_sim / "registry.json").read_text())
+    registry.write_text(json.dumps({**doc, "frames": []}))
+    code = cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"), "--registry", str(registry),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+
+
+@pytest.mark.parametrize("vehicle_class", ["3.7", "Infinity", "NaN"])
+def test_script_class_must_be_an_integer(tmp_path, capsys, vehicle_class):
+    spath = tmp_path / "script.json"
+    spath.write_text('{"vehicles": [{"class": %s, "approach": "NB", "movement": "Thru", '
+                     '"entry_time": 20.0, "speed": 10.0}]}' % vehicle_class)
+    code = cli.main(["simulate", "--script", str(spath), "--seed", "3",
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "bad script document" in capsys.readouterr().err
+
+
+def test_unbounded_session_exits_2(ideal_sim, tmp_path):
+    doc = json.loads(Path(reference_config_path()).read_text())
+    doc["schedule"][-1]["end"] = math.inf
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"), "--config", str(config),
+                     "--registry", str(ideal_sim / "registry.json"),
+                     "--out-dir", str(tmp_path / "est")])
+    assert code == 2
+    table = tmp_path / "table.csv"
+    table.write_text(GT_FIXTURE.read_text() + "inf,NB,1,0,0,0,0\n")
+    assert cli.main(["compare", str(table), str(GT_FIXTURE),
+                     "--out-dir", str(tmp_path / "cmp")]) == 2
+
+
+# Values that replace one node of a JSON document: every JSON type, and
+# numbers at and past the float64 limits.
+ODD_VALUES = [None, True, False, 0, -1, 3.7, -0.0, 1e308, 10**400, math.nan, math.inf,
+              -math.inf, "", "x", "NB", [], [1.0], {}, {"x": 1}]
+DOC_MUTATIONS = st.tuples(
+    st.sampled_from(["replace", "delete", "wrap", "duplicate"]),
+    st.integers(0, 10**6),  # which node
+    st.sampled_from(ODD_VALUES),
+)
+
+
+def json_paths(doc, prefix=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def mutate_doc(doc, op, pos, value):
+    """``doc`` with one node replaced by ``value``, deleted, wrapped in a
+    list, or, in a list, repeated."""
+    doc = copy.deepcopy(doc)
+    paths = list(json_paths(doc))
+    *head, key = paths[pos % len(paths)] or [None]
+    if key is None:  # the root
+        return value if op == "replace" else [doc]
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if op == "replace":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = [parent[key]]
+    return doc
+
+
+def mutated_doc_exit_code(doc, mutations, tmp, argv):
+    """Exit code of ``argv`` with ``{doc}`` in it replaced by the path of
+    ``doc`` after ``mutations``."""
+    for mutation in mutations:
+        doc = mutate_doc(doc, *mutation)
+    path = Path(tmp) / "doc.json"
+    path.write_text(json.dumps(doc))
+    return cli.main([str(path) if a == "{doc}" else a for a in argv]
+                    + ["--out-dir", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(DOC_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_config_exits_0_or_2(ideal_sim, mutations):
+    doc = json.loads(Path(reference_config_path()).read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        code = mutated_doc_exit_code(doc, mutations, tmp, [
+            "estimate", str(ideal_sim / "log_L1.jsonl"), str(ideal_sim / "log_L2.jsonl"),
+            "--registry", str(ideal_sim / "registry.json"), "--config", "{doc}"])
+    assert code in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(DOC_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_registry_exits_0_or_2(ideal_sim, mutations):
+    doc = json.loads((ideal_sim / "registry.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        code = mutated_doc_exit_code(doc, mutations, tmp, [
+            "estimate", str(ideal_sim / "log_L1.jsonl"), str(ideal_sim / "log_L2.jsonl"),
+            "--registry", "{doc}"])
+    assert code in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(DOC_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_script_exits_0_or_2(reference_config, mutations):
+    script = random_script(reference_config, np.random.default_rng(67), 4, SimConfig(seed=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = mutated_doc_exit_code(script_to_obj(script), mutations, tmp, [
+            "simulate", "--script", "{doc}", "--seed", "3"])
+    assert code in (0, 2)
+
+
+GCP_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "0", "95",
+             "-181", "180", "L2", "1,2"]
+GCP_MUTATIONS = st.one_of(
+    MUTATIONS,
+    st.tuples(st.just("cell"), st.integers(0, 1), st.integers(0, 10**6),
+              st.sampled_from(GCP_CELLS)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GCP_MUTATIONS, min_size=1, max_size=4))
+def test_mutated_gcp_file_exits_0_or_2(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        gcp = Path(tmp) / "gcps.csv"
+        write_gcp_file(gcp, np.random.default_rng(68))
+        data = gcp.read_bytes()
+        for op, _, pos, what in mutations:
+            if op == "cell":
+                lines = data.split(b"\n")
+                row = lines[pos % len(lines)].split(b",")
+                row[pos // len(lines) % len(row)] = what.encode()
+                lines[pos % len(lines)] = b",".join(row)
+                data = b"\n".join(lines)
+            else:
+                data = mutate(data, op, pos, what)
+        gcp.write_bytes(data)
+        code = cli.main(["georef", str(gcp), "--registry", str(Path(tmp) / "registry.json"),
+                         "--ned-origin", "34.05,-117.4,350.0"])
+    assert code in (0, 2)

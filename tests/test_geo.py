@@ -8,7 +8,6 @@ import pytest
 from conftest import random_rotation
 from lidartmc.errors import (
     CollinearPointsError,
-    DegenerateOriginError,
     InsufficientPointsError,
     OriginAlreadySetError,
     OriginUnsetError,
@@ -17,52 +16,57 @@ from lidartmc.errors import (
 )
 from lidartmc.geo import (
     WGS84_A,
-    WGS84_B,
-    EcefPoint,
     FrameRegistry,
     GeodeticPoint,
-    NedPoint,
     RigidTransform,
-    SensorPoint,
     atomic_text_writer,
     atomic_write_text,
     compose,
-    ecef_to_lla,
-    ecef_to_ned,
     estimate_transform_from_gcps,
-    invert,
     lla_to_ecef,
     load_gcp_csv,
     load_registry,
     ned_rotation,
-    ned_to_ecef,
+    registry_from_json,
     save_registry,
-    sensor_to_ecef,
     wrap_angle,
 )
+from oracle import WGS84_B, ecef_to_lla, sensor_to_ned
+
+# The pose of a sensor whose frame is ECEF itself.
+ECEF_POSE = RigidTransform(np.eye(3), np.zeros(3))
 
 
 def random_transform(rng, translation_scale=100.0):
     return RigidTransform(random_rotation(rng), rng.uniform(-translation_scale, translation_scale, 3))
 
 
+def apply(t, p):
+    return t.rotation @ p + t.translation
+
+
+def inverse(t):
+    return RigidTransform(t.rotation.T, -(t.rotation.T @ t.translation))
+
+
 class TestLlaEcef:
     def test_equator_prime_meridian(self):
         p = lla_to_ecef(GeodeticPoint(0.0, 0.0, 0.0))
-        assert p.x == pytest.approx(WGS84_A, abs=1e-9)
-        assert abs(p.y) < 1e-9 and abs(p.z) < 1e-9
+        assert p.shape == (3,) and p.dtype == np.float64
+        assert p[0] == pytest.approx(WGS84_A, abs=1e-9)
+        assert abs(p[1]) < 1e-9 and abs(p[2]) < 1e-9
 
     def test_north_pole(self):
         p = lla_to_ecef(GeodeticPoint(90.0, 0.0, 0.0))
-        assert abs(p.x) < 1e-6 and abs(p.y) < 1e-6
-        assert p.z == pytest.approx(WGS84_B, abs=1e-9)
+        assert abs(p[0]) < 1e-6 and abs(p[1]) < 1e-6
+        assert p[2] == pytest.approx(WGS84_B, abs=1e-9)
 
     def test_inverse_at_equator(self):
-        g = ecef_to_lla(EcefPoint(WGS84_A, 0.0, 0.0))
+        g = ecef_to_lla([WGS84_A, 0.0, 0.0])
         assert abs(g.lat) < 1e-12 and abs(g.lon) < 1e-12 and abs(g.alt) < 1e-9
 
     def test_pole_longitude_convention(self):
-        g = ecef_to_lla(EcefPoint(0.0, 0.0, WGS84_B))
+        g = ecef_to_lla([0.0, 0.0, WGS84_B])
         assert g.lat == pytest.approx(90.0)
         assert g.lon == 0.0
         assert abs(g.alt) < 1e-9
@@ -78,15 +82,9 @@ class TestLlaEcef:
                 float(rng.uniform(-100.0, 4000.0)),
             )
             q = ecef_to_lla(lla_to_ecef(p))
-            err = np.linalg.norm(
-                lla_to_ecef(p).as_array() - lla_to_ecef(q).as_array()
-            )
+            err = np.linalg.norm(lla_to_ecef(p) - lla_to_ecef(q))
             worst = max(worst, float(err))
         assert worst < 1e-6
-
-    def test_degenerate_origin(self):
-        with pytest.raises(DegenerateOriginError):
-            ecef_to_lla(EcefPoint(0.0, 0.0, 0.0))
 
     def test_geodetic_validation(self):
         with pytest.raises(ValueError):
@@ -98,27 +96,11 @@ class TestLlaEcef:
 
 
 class TestRigidTransform:
-    def test_identity_passthrough(self):
-        t = RigidTransform.identity()
-        p = SensorPoint(3.0, -2.0, 1.0, "L1")
-        out = sensor_to_ecef(p, t)
-        assert out.as_array() == pytest.approx(p.as_array())
-
     def test_quarter_turn_about_z(self):
+        # A shift along x, then a quarter turn about z: the shift ends up along y.
         r = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        t = RigidTransform(r, np.zeros(3))
-        out = sensor_to_ecef(SensorPoint(1.0, 0.0, 0.0, "L1"), t)
-        assert out.as_array() == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
-
-    def test_matches_homogeneous_row_vector_form(self):
-        # Independent formulation: [p 1] @ T^T with T the 4x4 matrix.
-        rng = np.random.default_rng(3)
-        t = random_transform(rng)
-        m = t.matrix()
-        for _ in range(20):
-            p = rng.uniform(-50, 50, 3)
-            row = np.concatenate([p, [1.0]]) @ m.T
-            assert np.allclose(t.apply(p), row[:3], atol=1e-9)
+        t = compose(RigidTransform(r, np.zeros(3)), RigidTransform(np.eye(3), [1.0, 0.0, 0.0]))
+        assert t.translation == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
@@ -133,21 +115,16 @@ class TestRigidTransform:
         for _ in range(20):
             t = random_transform(rng)
             p = rng.uniform(-100, 100, 3)
-            assert np.allclose(compose(invert(t), t).apply(p), p, atol=1e-9)
-            assert np.allclose(compose(t, invert(t)).apply(p), p, atol=1e-9)
-
-    def test_invert_identity(self):
-        t = invert(RigidTransform.identity())
-        assert np.allclose(t.rotation, np.eye(3))
-        assert np.allclose(t.translation, 0.0)
+            assert np.allclose(apply(compose(inverse(t), t), p), p, atol=1e-9)
+            assert np.allclose(apply(compose(t, inverse(t)), p), p, atol=1e-9)
 
     def test_compose_associativity(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             a, b, c = (random_transform(rng) for _ in range(3))
             p = rng.uniform(-100, 100, 3)
-            left = compose(compose(a, b), c).apply(p)
-            right = compose(a, compose(b, c)).apply(p)
+            left = apply(compose(compose(a, b), c), p)
+            right = apply(compose(a, compose(b, c)), p)
             assert np.allclose(left, right, atol=1e-9)
 
 
@@ -170,39 +147,41 @@ class TestNed:
 
     def test_reference_point_maps_to_zero(self):
         reg = FrameRegistry(GeodeticPoint(34.05, -117.4, 350.0))
-        out = ecef_to_ned(lla_to_ecef(reg.ned_origin), reg)
-        assert np.linalg.norm(out.as_array()) < 1e-9
+        out = sensor_to_ned(lla_to_ecef(reg.ned_origin), ECEF_POSE, reg)
+        assert np.linalg.norm(out) < 1e-9
 
     def test_point_above_origin(self):
         origin = GeodeticPoint(34.05, -117.4, 350.0)
         reg = FrameRegistry(origin)
         above = lla_to_ecef(GeodeticPoint(origin.lat, origin.lon, origin.alt + 10.0))
-        out = ecef_to_ned(above, reg)
-        assert out.as_array() == pytest.approx([0.0, 0.0, -10.0], abs=1e-6)
+        out = sensor_to_ned(above, ECEF_POSE, reg)
+        assert out == pytest.approx([0.0, 0.0, -10.0], abs=1e-6)
 
     def test_isometry(self):
         rng = np.random.default_rng(7)
         reg = FrameRegistry(GeodeticPoint(34.05, -117.4, 350.0))
-        base = lla_to_ecef(reg.ned_origin).as_array()
+        base = lla_to_ecef(reg.ned_origin)
         for _ in range(50):
-            a = EcefPoint(*(base + rng.uniform(-100, 100, 3)))
-            b = EcefPoint(*(base + rng.uniform(-100, 100, 3)))
-            d_ecef = np.linalg.norm(a.as_array() - b.as_array())
+            a = base + rng.uniform(-100, 100, 3)
+            b = base + rng.uniform(-100, 100, 3)
             d_ned = np.linalg.norm(
-                ecef_to_ned(a, reg).as_array() - ecef_to_ned(b, reg).as_array()
+                sensor_to_ned(a, ECEF_POSE, reg) - sensor_to_ned(b, ECEF_POSE, reg)
             )
-            assert d_ned == pytest.approx(d_ecef, abs=1e-9)
+            assert d_ned == pytest.approx(np.linalg.norm(a - b), abs=1e-9)
 
     def test_ned_to_ecef_round_trip(self):
-        reg = FrameRegistry(GeodeticPoint(34.05, -117.4, 350.0))
-        p = NedPoint(12.0, -7.0, 3.0)
-        back = ecef_to_ned(ned_to_ecef(p, reg), reg)
-        assert back.as_array() == pytest.approx(p.as_array(), abs=1e-9)
+        # A sensor whose frame is NED has the pose NED -> ECEF; taking its
+        # points to ECEF and back to NED changes nothing.
+        origin = GeodeticPoint(34.05, -117.4, 350.0)
+        reg = FrameRegistry(origin)
+        ecef_from_ned = RigidTransform(ned_rotation(origin).rotation.T, lla_to_ecef(origin))
+        p = np.array([12.0, -7.0, 3.0])
+        assert sensor_to_ned(p, ecef_from_ned, reg) == pytest.approx(p, abs=1e-9)
 
     def test_origin_unset(self):
         reg = FrameRegistry()
         with pytest.raises(OriginUnsetError):
-            ecef_to_ned(EcefPoint(WGS84_A, 0, 0), reg)
+            sensor_to_ned(np.array([WGS84_A, 0.0, 0.0]), ECEF_POSE, reg)
 
     def test_origin_set_once(self):
         reg = FrameRegistry(GeodeticPoint(0.0, 0.0, 0.0))
@@ -218,26 +197,21 @@ class TestGcpRegistration:
         dst = src @ rot.T + trans
         if noise:
             dst = dst + rng.normal(0.0, noise, dst.shape)
-        pairs = [
-            (SensorPoint(*map(float, s), "L1"), EcefPoint(*map(float, d)))
-            for s, d in zip(src, dst)
-        ]
-        return pairs, rot, trans
+        return src, dst, rot, trans
 
     def test_exact_recovery(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
-            pairs, rot, trans = self.synth_pairs(rng)
-            est, rmse = estimate_transform_from_gcps(pairs)
+            src, dst, rot, trans = self.synth_pairs(rng)
+            est, rmse = estimate_transform_from_gcps(src, dst)
             # Frobenius distance ~ sqrt(2) * angle for small rotations.
             assert np.linalg.norm(est.rotation - rot) < 1.5e-9
             assert np.linalg.norm(est.translation - trans) < 1e-9
             assert rmse < 1e-9
 
     def test_identity_correspondences(self):
-        pts = [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0)]
-        pairs = [(SensorPoint(*p, "L1"), EcefPoint(*p)) for p in pts]
-        est, rmse = estimate_transform_from_gcps(pairs)
+        pts = np.array([(0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0)])
+        est, rmse = estimate_transform_from_gcps(pts, pts)
         assert np.allclose(est.rotation, np.eye(3), atol=1e-12)
         assert np.allclose(est.translation, 0.0, atol=1e-12)
         assert rmse == pytest.approx(0.0, abs=1e-12)
@@ -250,8 +224,8 @@ class TestGcpRegistration:
         rng = np.random.default_rng(9)
         squares = []
         for _ in range(100):
-            pairs, _, _ = self.synth_pairs(rng, noise=0.05)
-            _, rmse = estimate_transform_from_gcps(pairs)
+            src, dst, _, _ = self.synth_pairs(rng, noise=0.05)
+            _, rmse = estimate_transform_from_gcps(src, dst)
             assert rmse <= 0.15  # 3 sigma per-trial guard
             squares.append(rmse**2)
         pooled = math.sqrt(sum(squares) / len(squares))
@@ -266,29 +240,19 @@ class TestGcpRegistration:
             src = rng.uniform(-40, 40, (6, 3))
             src[:, 2] = 0.0  # exactly planar
             dst = src @ rot.T + trans
-            pairs = [
-                (SensorPoint(*map(float, s), "L1"), EcefPoint(*map(float, d)))
-                for s, d in zip(src, dst)
-            ]
-            est, rmse = estimate_transform_from_gcps(pairs)
+            est, rmse = estimate_transform_from_gcps(src, dst)
             assert np.linalg.det(est.rotation) == pytest.approx(1.0, abs=1e-9)
             assert rmse < 1e-9
 
     def test_insufficient_points(self):
-        pairs = [
-            (SensorPoint(0.0, 0.0, 0.0, "L1"), EcefPoint(0.0, 0.0, 0.0)),
-            (SensorPoint(1.0, 0.0, 0.0, "L1"), EcefPoint(1.0, 0.0, 0.0)),
-        ]
+        pts = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
         with pytest.raises(InsufficientPointsError):
-            estimate_transform_from_gcps(pairs)
+            estimate_transform_from_gcps(pts, pts)
 
     def test_collinear_points(self):
-        pairs = [
-            (SensorPoint(float(i), 0.0, 0.0, "L1"), EcefPoint(float(i), 0.0, 0.0))
-            for i in range(5)
-        ]
+        pts = np.array([(float(i), 0.0, 0.0) for i in range(5)])
         with pytest.raises(CollinearPointsError):
-            estimate_transform_from_gcps(pairs)
+            estimate_transform_from_gcps(pts, pts)
 
 
 class TestRegistry:
@@ -315,6 +279,14 @@ class TestRegistry:
         path.write_text('{"frames": {}}')
         with pytest.raises(SchemaError):
             load_registry(path)
+
+    @pytest.mark.parametrize("frames", ["[]", '"L1"', "null", '{"L1": []}',
+                                        '{"L1": {"rotation": [1e999], "translation": []}}',
+                                        '{"L1": {"rotation": [%d], "translation": []}}' % 10**400])
+    def test_bad_frames_are_schema_errors(self, frames):
+        origin = '{"lat": 34.05, "lon": -117.4, "alt": 350.0}'
+        with pytest.raises(SchemaError):
+            registry_from_json(f'{{"ned_origin": {origin}, "frames": {frames}}}')
 
 
 class TestAtomicWrite:
@@ -377,12 +349,11 @@ class TestGcpCsv:
         )
         groups = load_gcp_csv(path)
         assert sorted(groups) == ["L1", "L2"]
-        assert len(groups["L1"]) == 2
-        s, e = groups["L1"][0]
-        assert s.frame_id == "L1"
-        assert e.as_array() == pytest.approx(
-            lla_to_ecef(GeodeticPoint(34.05, -117.4, 350.0)).as_array()
-        )
+        src, ecef = groups["L1"]
+        assert src.shape == ecef.shape == (2, 3)
+        assert src.tolist() == [[1.0, 2.0, 0.5], [-3.0, 4.0, 0.2]]
+        assert ecef[0].tolist() == lla_to_ecef(GeodeticPoint(34.05, -117.4, 350.0)).tolist()
+        assert ecef[1].tolist() == lla_to_ecef(GeodeticPoint(34.0502, -117.4001, 350.4)).tolist()
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "gcps.csv"
@@ -394,6 +365,16 @@ class TestGcpCsv:
         path = tmp_path / "gcps.csv"
         path.write_text("frame_id,sx,sy,sz,lat,lon,alt\nL1,x,0,0,0,0,0\n")
         with pytest.raises(SchemaError):
+            load_gcp_csv(path)
+
+    @pytest.mark.parametrize("row", ["L1,nan,0,0,34,-117,0", "L1,0,inf,0,34,-117,0",
+                                     "L1,0,0,0,95,-117,0", "L1,0,0,0,34,-181,0",
+                                     "L1,0,0,0,34,-117,nan", "L1,1e308,0,0,34,-117,0",
+                                     "L1,0,0,0,34,-117,1e308"])
+    def test_rejects_bad_values_with_line_number(self, tmp_path, row):
+        path = tmp_path / "gcps.csv"
+        path.write_text(f"frame_id,sx,sy,sz,lat,lon,alt\nL1,1,2,3,34,-117,0\n{row}\n")
+        with pytest.raises(SchemaError, match="line 3"):
             load_gcp_csv(path)
 
 

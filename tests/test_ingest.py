@@ -22,8 +22,6 @@ from lidartmc.geo import (
     FrameRegistry,
     GeodeticPoint,
     RigidTransform,
-    compose,
-    invert,
     lla_to_ecef,
     ned_rotation,
 )
@@ -46,7 +44,7 @@ from lidartmc.ingest import (
     parse_detection_log,
     write_detection_log,
 )
-from oracle import frame_to_json_line
+from oracle import frame_to_json_line, sensor_to_ned
 
 FIXTURE_LINE = json.dumps(
     {
@@ -107,9 +105,10 @@ class TestParse:
         other = FIXTURE_LINE.replace('"L1"', '"L2"')
         source = io.StringIO(FIXTURE_LINE + "\n" + other + "\n")
         errors = []
-        frames = list(parse_detection_log(source, "L1", error_sink=errors))
+        frames = list(parse_detection_log(source, error_sink=errors))
         assert len(frames) == 1
         assert len(errors) == 1
+        assert "does not match expected 'L1'" in errors[0].reason
 
     def test_groups_consecutive_same_timestamp(self):
         lines = [FIXTURE_LINE, FIXTURE_LINE]
@@ -503,10 +502,7 @@ def _ned_aligned_registry():
     """Registry where the sensor frame coincides with the NED frame."""
     origin = GeodeticPoint(34.05, -117.4, 350.0)
     registry = FrameRegistry(origin)
-    sensor_to_ecef = RigidTransform(
-        ned_rotation(origin).rotation.T, lla_to_ecef(origin).as_array()
-    )
-    registry.register("L1", sensor_to_ecef)
+    registry.register("L1", RigidTransform(ned_rotation(origin).rotation.T, lla_to_ecef(origin)))
     return registry
 
 
@@ -527,10 +523,11 @@ class TestFramesToNed:
         rng = np.random.default_rng(31)
         origin = GeodeticPoint(34.05, -117.4, 350.0)
         registry = FrameRegistry(origin)
-        t = RigidTransform(random_rotation(rng), lla_to_ecef(origin).as_array())
+        t = RigidTransform(random_rotation(rng), lla_to_ecef(origin) + rng.uniform(-20, 20, 3))
         registry.register("L1", t)
-        # sensor point p with t.apply(p) == origin_ecef:
-        p = invert(t).apply(lla_to_ecef(origin).as_array())
+        # the sensor point that the pose takes to the origin's ECEF point:
+        p = t.rotation.T @ (lla_to_ecef(origin) - t.translation)
+        assert sensor_to_ned(p, t, registry) == pytest.approx(np.zeros(3), abs=1e-6)
         frame = Frame("L1", 0.0, boxes((p[0], p[1], p[2], 4.5, 1.9, 1.5, 0.0)))
         out = frames_to_ned(MergedStream.from_frames([frame]), registry)
         d = out.frames[0].detections[0]
@@ -540,7 +537,7 @@ class TestFramesToNed:
         rng = np.random.default_rng(32)
         origin = GeodeticPoint(34.05, -117.4, 350.0)
         registry = FrameRegistry(origin)
-        base = lla_to_ecef(origin).as_array()
+        base = lla_to_ecef(origin)
         registry.register(
             "L1", RigidTransform(random_rotation(rng), base + rng.uniform(-20, 20, 3))
         )
@@ -560,6 +557,23 @@ class TestFramesToNed:
                     db = math.dist(before.detections[i, :3], before.detections[j, :3])
                     da = math.dist(after.detections[i, :3], after.detections[j, :3])
                     assert da == pytest.approx(db, abs=1e-9)
+
+    def test_matches_per_point_oracle(self):
+        rng = np.random.default_rng(34)
+        origin = GeodeticPoint(34.05, -117.4, 350.0)
+        registry = FrameRegistry(origin)
+        for fid in ("L1", "L2"):
+            registry.register(fid, RigidTransform(
+                random_rotation(rng), lla_to_ecef(origin) + rng.uniform(-50, 50, 3)))
+        frames = [
+            make_frame(f"L{1 + i % 2}", i * 0.1, *(tuple(rng.uniform(-60, 60, 2)) for _ in range(4)))
+            for i in range(6)
+        ]
+        out = frames_to_ned(MergedStream.from_frames(frames), registry)
+        for before, after in zip(frames, out.frames):
+            pose = registry.transform_for(before.frame_id)
+            for src, dst in zip(before.detections, after.detections):
+                assert dst[:3] == pytest.approx(sensor_to_ned(src[:3], pose, registry), abs=1e-6)
 
     def test_dimensions_and_scores_unchanged(self):
         registry = _ned_aligned_registry()
