@@ -94,6 +94,13 @@ def classify_by_length(
     return table.classes[idx]
 
 
+def parse_class_id(value) -> int:
+    """A class id from a JSON document: 3.7, NaN and infinity are not one."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"class id must be an integer, got {value!r}")
+    return int(value)
+
+
 def class_table_from_obj(obj) -> ClassTable:
     """Build a class table from decoded JSON (``upper: null`` means inf)."""
     if not isinstance(obj, list):
@@ -104,7 +111,7 @@ def class_table_from_obj(obj) -> ClassTable:
             upper = entry["upper"]
             classes.append(
                 VehicleClass(
-                    id=int(entry["id"]),
+                    id=parse_class_id(entry["id"]),
                     label=str(entry["label"]),
                     lower=float(entry["lower"]),
                     upper=math.inf if upper is None else float(upper),

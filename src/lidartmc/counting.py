@@ -34,7 +34,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
+from .errors import (
+    MisconfiguredSurrogateError,
+    SchemaError,
+    TimeOutsideScheduleError,
+    UserInputError,
+)
 from .ingest import FRAME_NED, L, X, Y, MergedStream
 from .intersection import (
     APPROACH_INDEX,
@@ -67,6 +72,8 @@ class CountingParams:
     def __post_init__(self):
         if self.dedup_window is None:
             object.__setattr__(self, "dedup_window", self.cluster_gap)
+        if not isinstance(self.absorb, bool):
+            raise SchemaError(f"absorb must be true or false, got {self.absorb!r}")
         thresholds = (self.min_headway_right, self.min_headway_other, self.cluster_gap,
                       self.dedup_window)
         if not all(math.isfinite(v) for v in thresholds):

@@ -69,14 +69,6 @@ class UnregisteredFrameError(UserInputError):
         return type(self), (self.frame_id,)
 
 
-class OriginUnsetError(TmcError):
-    """The NED origin is required but has not been set."""
-
-
-class OriginAlreadySetError(TmcError):
-    """The NED origin may be set only once per registry."""
-
-
 class InsufficientPointsError(UserInputError):
     """Fewer correspondence pairs than the solver requires."""
 

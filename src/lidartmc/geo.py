@@ -36,8 +36,6 @@ import numpy as np
 from .errors import (
     CollinearPointsError,
     InsufficientPointsError,
-    OriginAlreadySetError,
-    OriginUnsetError,
     SchemaError,
     UnregisteredFrameError,
 )
@@ -184,33 +182,24 @@ def ned_rotation(origin: GeodeticPoint) -> RigidTransform:
 class FrameRegistry:
     """Registered sensor poses (sensor -> ECEF) plus the NED origin.
 
-    The origin may be set exactly once; transforms may be re-registered
-    (e.g. after a better calibration) but all must satisfy the rotation
-    invariants, which :class:`RigidTransform` enforces on construction.
+    Transforms may be re-registered (e.g. after a better calibration) but
+    all must satisfy the rotation invariants, which
+    :class:`RigidTransform` enforces on construction.
     """
 
-    def __init__(self, ned_origin: GeodeticPoint | None = None):
+    def __init__(self, ned_origin: GeodeticPoint):
         self._frames: dict[str, RigidTransform] = {}
-        self._ned_origin: GeodeticPoint | None = None
-        self._origin_ecef: np.ndarray | None = None
-        self._ned_rot: RigidTransform | None = None
-        if ned_origin is not None:
-            self.set_ned_origin(ned_origin)
+        self._ned_origin = ned_origin
+        self._origin_ecef = lla_to_ecef(ned_origin)
+        self._ned_rot = ned_rotation(ned_origin)
 
     @property
-    def ned_origin(self) -> GeodeticPoint | None:
+    def ned_origin(self) -> GeodeticPoint:
         return self._ned_origin
 
     @property
     def frame_ids(self) -> tuple[str, ...]:
         return tuple(self._frames)
-
-    def set_ned_origin(self, origin: GeodeticPoint) -> None:
-        if self._ned_origin is not None:
-            raise OriginAlreadySetError("NED origin is already set for this registry")
-        self._ned_origin = origin
-        self._origin_ecef = lla_to_ecef(origin)
-        self._ned_rot = ned_rotation(origin)
 
     def register(self, frame_id: str, transform: RigidTransform) -> None:
         self._frames[frame_id] = transform
@@ -222,14 +211,19 @@ class FrameRegistry:
             raise UnregisteredFrameError(frame_id) from None
 
     def ned_rotation(self) -> RigidTransform:
-        if self._ned_rot is None:
-            raise OriginUnsetError("NED origin has not been set")
         return self._ned_rot
 
     def origin_ecef(self) -> np.ndarray:
-        if self._origin_ecef is None:
-            raise OriginUnsetError("NED origin has not been set")
         return self._origin_ecef
+
+    def ned_pose(self, frame_id: str) -> tuple[np.ndarray, np.ndarray, float]:
+        """A sensor's composed sensor -> NED rotation and translation, and
+        the yaw correction (the rotation's yaw) its headings turn by."""
+        t = self.transform_for(frame_id)
+        ned_rot = self._ned_rot.rotation
+        rot = ned_rot @ t.rotation
+        trans = ned_rot @ (t.translation - self._origin_ecef)
+        return rot, trans, math.atan2(rot[1, 0], rot[0, 0])
 
 
 def estimate_transform_from_gcps(
@@ -336,8 +330,6 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def registry_to_json(registry: FrameRegistry) -> str:
-    if registry.ned_origin is None:
-        raise OriginUnsetError("cannot serialize a registry without a NED origin")
     origin = registry.ned_origin
     doc = {
         "ned_origin": {"lat": origin.lat, "lon": origin.lon, "alt": origin.alt},

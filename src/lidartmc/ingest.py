@@ -563,17 +563,12 @@ def frames_to_ned(stream: MergedStream, registry: FrameRegistry) -> MergedStream
     """
     if stream.coordinate_frame != FRAME_SENSOR:
         raise ValueError(f"stream is already in {stream.coordinate_frame!r} coordinates")
-    ned_rot = registry.ned_rotation().rotation
-    origin = registry.origin_ecef()
     src = stream.boxes
     boxes = src.copy()
     row_sensor = np.repeat(stream.sensor, np.diff(stream.offsets))
     # One composed sensor->NED transform per sensor, applied to all its rows.
     for code, fid in enumerate(stream.sensors):
-        t = registry.transform_for(fid)
-        rot = ned_rot @ t.rotation
-        trans = ned_rot @ (t.translation - origin)
-        yaw_corr = math.atan2(rot[1, 0], rot[0, 0])
+        rot, trans, yaw_corr = registry.ned_pose(fid)
         rows = row_sensor == code
         boxes[rows, :3] = src[rows, :3] @ rot.T + trans
         boxes[rows, YAW] = wrap_angles(src[rows, YAW] + yaw_corr)

@@ -13,6 +13,7 @@ at all times regardless of schedule content (right on red).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -74,8 +75,10 @@ class Zone:
     bindings: tuple[Binding, ...]
 
     def __post_init__(self):
-        if self.half_length <= 0 or self.half_width <= 0:
-            raise ConfigInvariantError(f"zone {self.id!r}: half extents must be > 0")
+        if not all(0 < v < math.inf for v in (self.half_length, self.half_width)):
+            raise ConfigInvariantError(f"zone {self.id!r}: half extents must be finite and > 0")
+        if not math.isfinite(self.yaw):
+            raise ConfigInvariantError(f"zone {self.id!r}: yaw must be finite")
         if not self.bindings:
             raise ConfigInvariantError(f"zone {self.id!r}: bindings must be non-empty")
         if len(set(self.bindings)) != len(self.bindings):

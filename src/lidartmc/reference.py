@@ -1,5 +1,8 @@
 """Bundled reference intersection: a four-leg signalized crossing.
 
+The packaged JSON (``data/reference_intersection.json``) is its one
+definition; this module loads it and derives the long-range variant.
+
 Geometry (NED origin at the crossing center, meters):
 
 * 12 ingress zones, 8 m long x 3.5 m wide, one per lane group, centered
@@ -15,137 +18,37 @@ Left-turn zones also carry the U-turn binding: both maneuvers start from
 the leftmost lane, so ingress triggers cannot tell them apart and events
 are labeled with the primary (Left) binding.
 
-The same document ships as packaged JSON (``data/reference_intersection
-.json``); a unit test keeps the builder and the file in sync.
-
-The schedule is a 100 s four-phase cycle repeated three times:
-protected NS lefts, NS thru, protected EW lefts, EW thru. Right turns
-are always permitted (right on red), so right zones need no schedule
-entry.
+The schedule is a 100 s four-phase cycle repeated three times over a
+(0, 300) s session: protected NS lefts, NS thru, protected EW lefts, EW
+thru. Right turns are always permitted (right on red), so right zones
+need no schedule entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from importlib import resources
 
-from .geo import GeodeticPoint, NedPoint
-from .intersection import (
-    Approach,
-    IntersectionConfig,
-    Movement,
-    PhaseInterval,
-    PhaseSchedule,
-    Zone,
-    ZoneKind,
-)
-
-HALF_LEN = 4.0
-HALF_WIDTH = 1.75
-INGRESS_SETBACK = 19.0
-SESSION = (0.0, 300.0)
-
-NED_ORIGIN = GeodeticPoint(34.05, -117.4, 350.0)
-
-_N = Approach.NB
-_S = Approach.SB
-_E = Approach.EB
-_W = Approach.WB
-_L = Movement.LEFT
-_T = Movement.THRU
-_R = Movement.RIGHT
-_U = Movement.UTURN
-
-NORTH = 0.0
-EAST = math.pi / 2.0
-SOUTH = math.pi
-WEST = -math.pi / 2.0
+from .geo import NedPoint
+from .intersection import IntersectionConfig, load_intersection_config
 
 
-def _zone(zid, kind, n, e, yaw, bindings, half_width=HALF_WIDTH):
-    return Zone(
-        id=zid,
-        kind=kind,
-        center=NedPoint(n, e, 0.0),
-        half_length=HALF_LEN,
-        half_width=half_width,
-        yaw=yaw,
-        bindings=bindings,
-    )
-
-
-def reference_zones() -> tuple[Zone, ...]:
-    ing = ZoneKind.INGRESS
-    egr = ZoneKind.EGRESS
-    return (
-        # Northbound enters on the south leg, east of the centerline.
-        _zone("NB_L", ing, -INGRESS_SETBACK, 1.75, NORTH, ((_N, _L), (_N, _U))),
-        _zone("NB_T1", ing, -INGRESS_SETBACK, 5.25, NORTH, ((_N, _T),)),
-        _zone("NB_T2", ing, -INGRESS_SETBACK, 8.75, NORTH, ((_N, _T),)),
-        # Southbound enters on the north leg, west of the centerline.
-        _zone("SB_L", ing, INGRESS_SETBACK, -1.75, SOUTH, ((_S, _L), (_S, _U))),
-        _zone("SB_T1", ing, INGRESS_SETBACK, -5.25, SOUTH, ((_S, _T),)),
-        _zone("SB_T2", ing, INGRESS_SETBACK, -8.75, SOUTH, ((_S, _T),)),
-        # Eastbound enters on the west leg, south of the centerline.
-        _zone("EB_L", ing, -1.75, -INGRESS_SETBACK, EAST, ((_E, _L), (_E, _U))),
-        _zone("EB_T", ing, -5.25, -INGRESS_SETBACK, EAST, ((_E, _T),)),
-        _zone("EB_R", ing, -8.75, -INGRESS_SETBACK, EAST, ((_E, _R),)),
-        # Westbound enters on the east leg, north of the centerline.
-        _zone("WB_L", ing, 1.75, INGRESS_SETBACK, WEST, ((_W, _L), (_W, _U))),
-        _zone("WB_T", ing, 5.25, INGRESS_SETBACK, WEST, ((_W, _T),)),
-        _zone("WB_R", ing, 8.75, INGRESS_SETBACK, WEST, ((_W, _R),)),
-        # Right-turn egress surrogates for the blind corners.
-        _zone("NB_R_EGRESS", egr, -5.25, INGRESS_SETBACK, EAST, ((_N, _R),)),
-        _zone("SB_R_EGRESS", egr, 5.25, -INGRESS_SETBACK, WEST, ((_S, _R),)),
-        # Observational egress zones spanning both thru lanes.
-        _zone("NB_T_EGRESS", egr, INGRESS_SETBACK, 7.0, NORTH, ((_N, _T),), 3.5),
-        _zone("SB_T_EGRESS", egr, -INGRESS_SETBACK, -7.0, SOUTH, ((_S, _T),), 3.5),
-    )
-
-
-def reference_schedule() -> PhaseSchedule:
-    intervals = []
-    for cycle in range(3):
-        base = 100.0 * cycle
-        intervals.append(
-            PhaseInterval(base, base + 15.0, frozenset({(_N, _L), (_S, _L), (_N, _U), (_S, _U)}))
-        )
-        intervals.append(
-            PhaseInterval(base + 15.0, base + 50.0, frozenset({(_N, _T), (_S, _T)}))
-        )
-        intervals.append(
-            PhaseInterval(base + 50.0, base + 65.0, frozenset({(_E, _L), (_W, _L), (_E, _U), (_W, _U)}))
-        )
-        intervals.append(
-            PhaseInterval(base + 65.0, base + 100.0, frozenset({(_E, _T), (_W, _T)}))
-        )
-    return PhaseSchedule(tuple(intervals), SESSION)
+def reference_config_path() -> str:
+    """Filesystem path of the packaged reference config JSON."""
+    return str(resources.files("lidartmc").joinpath("data/reference_intersection.json"))
 
 
 def build_reference_config() -> IntersectionConfig:
-    return IntersectionConfig(
-        ned_origin=NED_ORIGIN,
-        zones=reference_zones(),
-        schedule=reference_schedule(),
-    )
+    return load_intersection_config(reference_config_path())
 
 
 def build_long_range_config(setback: float = 55.0) -> IntersectionConfig:
     """Reference variant with the EB/WB thru ingress pushed ``setback``
     meters out, beyond the default sensors' 40 m detection radius."""
     cfg = build_reference_config()
-    zones = []
-    for z in cfg.zones:
-        if z.id == "EB_T":
-            zones.append(replace(z, center=NedPoint(z.center.north, -setback, 0.0)))
-        elif z.id == "WB_T":
-            zones.append(replace(z, center=NedPoint(z.center.north, setback, 0.0)))
-        else:
-            zones.append(z)
-    return replace(cfg, zones=tuple(zones))
-
-
-def reference_config_path() -> str:
-    """Filesystem path of the packaged reference config JSON."""
-    return str(resources.files("lidartmc").joinpath("data/reference_intersection.json"))
+    east = {"EB_T": -setback, "WB_T": setback}
+    zones = tuple(
+        replace(z, center=NedPoint(z.center.north, east[z.id], 0.0)) if z.id in east else z
+        for z in cfg.zones
+    )
+    return replace(cfg, zones=zones)

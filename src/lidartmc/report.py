@@ -40,6 +40,7 @@ DEFAULT_BIN_SECONDS = 300.0
 # Bins of one table: 10**5 bins of 300 s is almost a year, and the int64
 # grid of six classes is then 77 MB.
 MAX_BINS = 10**5
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,11 @@ def load_tmc_csv(
 
     Session bounds are inferred as [min bin_start, max bin_start +
     bin_seconds]; rows may appear in any order and missing rows are zero.
-    A header-only file yields an empty zero-bin table.
+    A header-only file yields an empty zero-bin table. The counts of the
+    whole file must sum within int64, so no cell or marginal can wrap.
     """
     rows: list[tuple[float, Approach, int, list[int]]] = []
+    total = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -196,6 +199,9 @@ def load_tmc_csv(
             for v in counts:
                 if v < 0:
                     raise UserInputError(f"line {i}: negative count {v}")
+            total += sum(counts)
+            if total > INT64_MAX:
+                raise SchemaError(f"line {i}: counts so far sum past the int64 limit {INT64_MAX}")
             rows.append((bin_start, approach, class_id, counts))
     if not rows:
         return empty_table(bin_seconds, (0.0, 0.0), classes)

@@ -35,16 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import ClassTable
+from .classify import ClassTable, parse_class_id
 from .errors import SchemaError, ScriptValidationError
-from .geo import (
-    FrameRegistry,
-    RigidTransform,
-    compose,
-    lla_to_ecef,
-    ned_rotation,
-    wrap_angles,
-)
+from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
 from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, Frame
 from .intersection import (
     Approach,
@@ -236,10 +229,7 @@ def simulate(
      t_start, t_end) = np.array(per_vehicle, dtype=np.float64).reshape(-1, 12).T
 
     registry = FrameRegistry(cfg.ned_origin)
-    ecef_from_ned = RigidTransform(
-        ned_rotation(cfg.ned_origin).rotation.T,
-        lla_to_ecef(cfg.ned_origin),
-    )
+    ecef_from_ned = RigidTransform(registry.ned_rotation().rotation.T, registry.origin_ecef())
     period = 1.0 / sim.frame_rate_hz
     lo = np.maximum(t_start, t0)
     hi = np.minimum(t_end, t1 - 1e-9)
@@ -247,11 +237,7 @@ def simulate(
     for sensor in sim.sensors:
         to_ned = sensor.ned_transform()
         registry.register(sensor.frame_id, compose(ecef_from_ned, to_ned))
-        # Same yaw correction the ingest pipeline will compute.
-        rot_total = ned_rotation(cfg.ned_origin).rotation @ registry.transform_for(
-            sensor.frame_id
-        ).rotation
-        yaw_corr = math.atan2(rot_total[1, 0], rot_total[0, 0])
+        _, _, yaw_corr = registry.ned_pose(sensor.frame_id)
         from_ned_rot = to_ned.rotation.T
         from_ned_trans = -from_ned_rot @ to_ned.translation
         sensor_pos = np.array([sensor.north, sensor.east, -sensor.height])
@@ -530,18 +516,11 @@ def script_to_obj(script: Sequence[ScriptedVehicle]) -> dict:
     }
 
 
-def _class_id(value) -> int:
-    """A vehicle class id: 3.7, NaN and infinity are not one."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"class must be an integer, got {value!r}")
-    return int(value)
-
-
 def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
     try:
         vehicles = tuple(
             ScriptedVehicle(
-                vehicle_class=_class_id(v["class"]),
+                vehicle_class=parse_class_id(v["class"]),
                 approach=Approach(v["approach"]),
                 movement=Movement(v["movement"]),
                 entry_time=float(v["entry_time"]),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_rotation
 from lidartmc import cli
+from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
 from lidartmc.geo import GeodeticPoint, lla_to_ecef, load_registry
 from lidartmc.report import TmcTable, load_tmc_csv, save_tmc_csv
 from lidartmc.simgen import SimConfig, random_script, script_to_obj
@@ -782,6 +783,43 @@ def test_unbounded_session_exits_2(ideal_sim, tmp_path):
     table.write_text(GT_FIXTURE.read_text() + "inf,NB,1,0,0,0,0\n")
     assert cli.main(["compare", str(table), str(GT_FIXTURE),
                      "--out-dir", str(tmp_path / "cmp")]) == 2
+
+
+BAD_CONFIG_NODES = {
+    "half_length NaN": (("zones", 0, "half_length"), math.nan),
+    "half_width NaN": (("zones", 0, "half_width"), math.nan),
+    "yaw Infinity": (("zones", 0, "yaw"), math.inf),
+    "class id 1.5": (("class_table",), [{**c, "id": 1.5} if c["id"] == 1 else c
+                                        for c in class_table_to_obj(DEFAULT_CLASS_TABLE)]),
+    "absorb string": (("params",), {"absorb": "x"}),
+}
+
+
+@pytest.mark.parametrize("path,value", BAD_CONFIG_NODES.values(), ids=BAD_CONFIG_NODES)
+def test_bad_config_value_exits_2(ideal_sim, tmp_path, path, value):
+    doc = json.loads(Path(reference_config_path()).read_text())
+    *head, key = path
+    node = doc
+    for k in head:
+        node = node[k]
+    node[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"), "--config", str(config),
+                     "--registry", str(ideal_sim / "registry.json"),
+                     "--out-dir", str(tmp_path / "est")]) == 2
+
+
+# Four rows of 2**62 in one cell would wrap int64 to a count of 0; the second
+# row already passes the limit.
+@pytest.mark.parametrize("rows,bad_line", [(["0.0,NB,1,99999999999999999999999,0,0,0"], 2),
+                                           (["0.0,NB,3,0,4611686018427387904,0,0"] * 4, 3)],
+                         ids=["one count", "cell total"])
+def test_count_past_int64_exits_2(tmp_path, capsys, rows, bad_line):
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(["bin_start,approach,class,left,thru,right,uturn", *rows]) + "\n")
+    assert cli.main(["compare", str(table), str(table), "--out-dir", str(tmp_path / "cmp")]) == 2
+    assert f"line {bad_line}: " in capsys.readouterr().err
 
 
 # Values that replace one node of a JSON document: every JSON type, and

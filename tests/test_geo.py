@@ -9,8 +9,6 @@ from conftest import random_rotation
 from lidartmc.errors import (
     CollinearPointsError,
     InsufficientPointsError,
-    OriginAlreadySetError,
-    OriginUnsetError,
     SchemaError,
     UnregisteredFrameError,
 )
@@ -177,16 +175,6 @@ class TestNed:
         ecef_from_ned = RigidTransform(ned_rotation(origin).rotation.T, lla_to_ecef(origin))
         p = np.array([12.0, -7.0, 3.0])
         assert sensor_to_ned(p, ecef_from_ned, reg) == pytest.approx(p, abs=1e-9)
-
-    def test_origin_unset(self):
-        reg = FrameRegistry()
-        with pytest.raises(OriginUnsetError):
-            sensor_to_ned(np.array([WGS84_A, 0.0, 0.0]), ECEF_POSE, reg)
-
-    def test_origin_set_once(self):
-        reg = FrameRegistry(GeodeticPoint(0.0, 0.0, 0.0))
-        with pytest.raises(OriginAlreadySetError):
-            reg.set_ned_origin(GeodeticPoint(1.0, 1.0, 0.0))
 
 
 class TestGcpRegistration:

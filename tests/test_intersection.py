@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from lidartmc.intersection import (
     load_intersection_config,
     save_intersection_config,
 )
-from lidartmc.reference import reference_config_path
+from lidartmc.reference import build_long_range_config, reference_config_path
 from oracle import permissible, point_in_zone
 
 NB, SB, EB, WB = Approach.NB, Approach.SB, Approach.EB, Approach.WB
@@ -188,15 +189,23 @@ class TestConfig:
         save_intersection_config(again, tmp_path / "cfg2.json")
         assert (tmp_path / "cfg2.json").read_bytes() == path.read_bytes()
 
-    def test_bundled_reference_loads(self, reference_config):
+    def test_bundled_reference_loads(self):
         cfg = load_intersection_config(reference_config_path())
-        assert cfg == reference_config
         assert len(cfg.ingress_zones) == 12
         assert len([z for z in cfg.zones if z.kind is ZoneKind.EGRESS]) == 4
         assert {z.id for z in cfg.right_surrogate_zones} == {
             "NB_R_EGRESS",
             "SB_R_EGRESS",
         }
+        assert len(cfg.schedule.intervals) == 12
+        assert cfg.schedule.session == (0.0, 300.0)
+        # The long-range variant moves the EB/WB thru ingress out and
+        # changes nothing else.
+        far = build_long_range_config(setback=60.0)
+        assert [z.id for z in far.zones] == [z.id for z in cfg.zones]
+        moved = {z.id: z.center for z, before in zip(far.zones, cfg.zones) if z != before}
+        assert moved == {"EB_T": NedPoint(-5.25, -60.0, 0.0), "WB_T": NedPoint(5.25, 60.0, 0.0)}
+        assert replace(far, zones=cfg.zones) == cfg
 
     def test_overlapping_schedule_rejected(self, tmp_path):
         obj = minimal_config_obj()
