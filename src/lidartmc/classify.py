@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import NonpositiveLengthError, SchemaError
+from .errors import NonpositiveLengthError, SchemaError, json_number
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,12 @@ def classify_by_length(
 
 
 def parse_class_id(value) -> int:
-    """A class id from a JSON document: 3.7, NaN and infinity are not one."""
-    if isinstance(value, float) and not value.is_integer():
+    """A class id from a JSON document: 3.7, NaN, infinity, "1" and true
+    are not one."""
+    number = json_number(value)
+    if not number.is_integer():
         raise ValueError(f"class id must be an integer, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 def class_table_from_obj(obj) -> ClassTable:
@@ -113,8 +115,8 @@ def class_table_from_obj(obj) -> ClassTable:
                 VehicleClass(
                     id=parse_class_id(entry["id"]),
                     label=str(entry["label"]),
-                    lower=float(entry["lower"]),
-                    upper=math.inf if upper is None else float(upper),
+                    lower=json_number(entry["lower"]),
+                    upper=math.inf if upper is None else json_number(upper),
                     fhwa=frozenset(str(v) for v in entry.get("fhwa", [])),
                 )
             )

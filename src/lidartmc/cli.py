@@ -5,11 +5,19 @@ command writes a ``manifest.json`` next to its outputs with the inputs,
 parameters, and seed needed to reproduce the run; apart from the
 wall-clock field, reruns with identical inputs are byte-identical.
 All files are written atomically (temp + rename).
+
+Import rule: module level imports only what argument parsing and the
+exit-code mapping need (``errors``, ``geo`` for ``--ned-origin`` and
+``reference`` for the default ``--config``). Each ``cmd_*`` imports the
+package modules its command runs inside its own body, so one call
+compiles and runs only the code of its command: ``estimate`` never
+loads ``simgen``, and ``compare`` never loads ``ingest`` or ``counting``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -19,37 +27,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .counting import (
-    CountingParams,
-    count_session,
-    drop_outside_session,
-    estimate_tmc,
-    events_to_csv,
-)
 from .errors import UserInputError
-from .geo import (
-    FrameRegistry,
-    GeodeticPoint,
-    atomic_text_writer,
-    atomic_write_text,
-    estimate_transform_from_gcps,
-    load_gcp_csv,
-    load_registry,
-    save_registry,
-)
-from .ingest import (
-    frames_to_ned,
-    merge_streams,
-    parse_logs,
-    write_detection_log,
-)
-from .intersection import load_intersection_config
+from .geo import GeodeticPoint
 from .reference import reference_config_path
-from .report import DIMS, compare, load_tmc_csv, render_report, save_tmc_csv
-from .simgen import SimConfig, load_script, scenario_by_name, script_to_obj, simulate
 
 
 def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
+    from .geo import atomic_write_text
+
     doc = {
         "tool": "lidartmc",
         "version": __version__,
@@ -66,8 +51,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _counting_params(args, base: CountingParams | None) -> CountingParams | None:
+def _counting_params(args, base):
     """Flag overrides applied on top of the config file's params."""
+    from .intersection import CountingParams
+
     overrides = {
         k: getattr(args, k)
         for k in ("min_headway_right", "min_headway_other", "cluster_gap", "dedup_window")
@@ -79,6 +66,14 @@ def _counting_params(args, base: CountingParams | None) -> CountingParams | None
 
 
 def cmd_georef(args) -> int:
+    from .geo import (
+        FrameRegistry,
+        estimate_transform_from_gcps,
+        load_gcp_csv,
+        load_registry,
+        save_registry,
+    )
+
     groups = load_gcp_csv(args.gcp_file)
     if args.frame_id is not None:
         if args.frame_id not in groups:
@@ -93,6 +88,8 @@ def cmd_georef(args) -> int:
         if args.ned_origin is not None:
             origin = args.ned_origin
         elif args.config is not None:
+            from .intersection import load_intersection_config
+
             origin = load_intersection_config(args.config).ned_origin
         else:
             raise UserInputError(
@@ -121,6 +118,12 @@ def cmd_georef(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .counting import count_session, drop_outside_session, estimate_tmc, events_to_csv
+    from .geo import atomic_write_text, load_registry
+    from .ingest import frames_to_ned, merge_streams, parse_logs
+    from .intersection import CountingParams, load_intersection_config
+    from .report import save_tmc_csv
+
     cfg = load_intersection_config(args.config)
     if args.registry is None:
         raise UserInputError("estimate requires --registry (sensor poses)")
@@ -181,6 +184,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .geo import atomic_write_text
+    from .report import DIMS, compare, load_tmc_csv, render_report
+
     est = load_tmc_csv(args.estimated, args.bin_seconds)
     gt = load_tmc_csv(args.ground_truth, args.bin_seconds)
     group_by = tuple(s.strip() for s in args.group_by.split(",") if s.strip())
@@ -209,6 +215,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .geo import atomic_text_writer, atomic_write_text, save_registry
+    from .ingest import write_detection_log
+    from .intersection import load_intersection_config
+    from .report import save_tmc_csv
+    from .simgen import SimConfig, load_script, scenario_by_name, script_to_obj, simulate
+
     if (args.script is None) == (args.scenario is None):
         raise UserInputError("simulate needs exactly one of --script or --scenario")
     if args.scenario is not None:
@@ -377,6 +389,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # Everything imported so far lives until exit: moving it to the
+    # permanent generation spares the collections of the run, of the
+    # interpreter's shutdown and of forked parse children (which then
+    # also leave those pages shared). main() itself does not freeze,
+    # because tests and the per-layer benchmark call it in-process.
+    gc.freeze()
     sys.exit(main())
 
 

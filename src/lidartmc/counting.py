@@ -34,17 +34,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    MisconfiguredSurrogateError,
-    SchemaError,
-    TimeOutsideScheduleError,
-    UserInputError,
-)
+from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
 from .ingest import FRAME_NED, L, X, Y, MergedStream
 from .intersection import (
     APPROACH_INDEX,
     MOVEMENT_INDEX,
     Approach,
+    CountingParams,
     IntersectionConfig,
     Movement,
     PhaseSchedule,
@@ -52,53 +48,6 @@ from .intersection import (
     ZoneKind,
 )
 from .report import TmcTable, empty_table
-
-DEFAULT_MIN_HEADWAY_RIGHT_S = 2.0
-DEFAULT_MIN_HEADWAY_OTHER_S = 1.2
-DEFAULT_CLUSTER_GAP_S = 0.6
-
-
-@dataclass(frozen=True)
-class CountingParams:
-    """Clustering thresholds; defaults derive from a 1.5 s minimum
-    observed headway between vehicles."""
-
-    min_headway_right: float = DEFAULT_MIN_HEADWAY_RIGHT_S
-    min_headway_other: float = DEFAULT_MIN_HEADWAY_OTHER_S
-    cluster_gap: float = DEFAULT_CLUSTER_GAP_S
-    dedup_window: float | None = None  # None -> cluster_gap
-    absorb: bool = True
-
-    def __post_init__(self):
-        if self.dedup_window is None:
-            object.__setattr__(self, "dedup_window", self.cluster_gap)
-        if not isinstance(self.absorb, bool):
-            raise SchemaError(f"absorb must be true or false, got {self.absorb!r}")
-        thresholds = (self.min_headway_right, self.min_headway_other, self.cluster_gap,
-                      self.dedup_window)
-        if not all(math.isfinite(v) for v in thresholds):
-            raise UserInputError(f"counting thresholds must be finite, got {thresholds}")
-        if min(self.min_headway_right, self.min_headway_other, self.cluster_gap) <= 0:
-            raise UserInputError("counting thresholds must be positive")
-        if self.dedup_window <= 0:
-            raise UserInputError("dedup_window must be positive")
-        if not self.cluster_gap < self.min_headway_other <= self.min_headway_right:
-            raise UserInputError(
-                "need cluster_gap < min_headway_other <= min_headway_right, got "
-                f"{self.cluster_gap}, {self.min_headway_other}, {self.min_headway_right}"
-            )
-
-    def min_headway_for(self, zone: Zone) -> float:
-        return self.min_headway_right if zone.right_only else self.min_headway_other
-
-    def to_obj(self) -> dict:
-        return {
-            "min_headway_right": self.min_headway_right,
-            "min_headway_other": self.min_headway_other,
-            "cluster_gap": self.cluster_gap,
-            "dedup_window": self.dedup_window,
-            "absorb": self.absorb,
-        }
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,9 @@ Everything else that escapes is treated as an internal error (exit 1).
 
 Every error pickles to an equal one (type, message and attributes), so a
 forked parse can hand its error to the parent process.
+
+``json_number`` is the one reader of a number from a decoded JSON
+document; each loader turns its ``TypeError`` into a ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -109,3 +112,15 @@ class NonpositiveLengthError(UserInputError):
 
 class ScriptValidationError(UserInputError):
     """A simulation script is inconsistent with the intersection config."""
+
+
+def json_number(value) -> float:
+    """A number from a decoded JSON document, as a float.
+
+    ``json`` decodes a number to an int or a float. A string or a boolean
+    (``bool`` is an ``int`` subclass) where a number belongs raises
+    ``TypeError`` instead of being coerced, and so does ``null``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)

@@ -38,6 +38,7 @@ from .errors import (
     InsufficientPointsError,
     SchemaError,
     UnregisteredFrameError,
+    json_number,
 )
 
 # WGS84 ellipsoid
@@ -98,6 +99,11 @@ class GeodeticPoint:
             raise ValueError(f"lat {self.lat} outside [-90, 90]")
         if not -180.0 < self.lon <= 180.0:
             raise ValueError(f"lon {self.lon} outside (-180, 180]")
+
+    @classmethod
+    def from_obj(cls, obj) -> "GeodeticPoint":
+        """The point of a decoded JSON ``{"lat", "lon", "alt"}`` object."""
+        return cls(json_number(obj["lat"]), json_number(obj["lon"]), json_number(obj["alt"]))
 
 
 @dataclass(frozen=True)
@@ -347,16 +353,13 @@ def registry_to_json(registry: FrameRegistry) -> str:
 def registry_from_json(text: str) -> FrameRegistry:
     try:
         doc = json.loads(text)
-        origin = doc["ned_origin"]
-        registry = FrameRegistry(
-            GeodeticPoint(origin["lat"], origin["lon"], origin["alt"])
-        )
+        registry = FrameRegistry(GeodeticPoint.from_obj(doc["ned_origin"]))
         frames = doc["frames"]
         if not isinstance(frames, dict):
             raise TypeError(f"frames must be an object, got {type(frames).__name__}")
         for fid, entry in frames.items():
-            rot = np.array(entry["rotation"], dtype=np.float64).reshape(3, 3)
-            trans = np.array(entry["translation"], dtype=np.float64)
+            rot = np.array([json_number(v) for v in entry["rotation"]]).reshape(3, 3)
+            trans = np.array([json_number(v) for v in entry["translation"]])
             registry.register(fid, RigidTransform(rot, trans))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad frame registry document: {exc}") from None

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .classify import (
     ClassTable,
@@ -24,11 +24,12 @@ from .classify import (
     class_table_from_obj,
     class_table_to_obj,
 )
-from .errors import ConfigInvariantError, SchemaError
+from .errors import ConfigInvariantError, SchemaError, UserInputError, json_number
 from .geo import GeodeticPoint, NedPoint, atomic_write_text
 
-if TYPE_CHECKING:  # avoids a circular import; counting imports this module
-    from .counting import CountingParams
+DEFAULT_MIN_HEADWAY_RIGHT_S = 2.0
+DEFAULT_MIN_HEADWAY_OTHER_S = 1.2
+DEFAULT_CLUSTER_GAP_S = 0.6
 
 
 class Approach(Enum):
@@ -103,6 +104,50 @@ class Zone:
 
 
 @dataclass(frozen=True)
+class CountingParams:
+    """Clustering thresholds; defaults derive from a 1.5 s minimum
+    observed headway between vehicles."""
+
+    min_headway_right: float = DEFAULT_MIN_HEADWAY_RIGHT_S
+    min_headway_other: float = DEFAULT_MIN_HEADWAY_OTHER_S
+    cluster_gap: float = DEFAULT_CLUSTER_GAP_S
+    dedup_window: float | None = None  # None -> cluster_gap
+    absorb: bool = True
+
+    def __post_init__(self):
+        if self.dedup_window is None:
+            object.__setattr__(self, "dedup_window", self.cluster_gap)
+        if not isinstance(self.absorb, bool):
+            raise SchemaError(f"absorb must be true or false, got {self.absorb!r}")
+        thresholds = tuple(json_number(v) for v in (
+            self.min_headway_right, self.min_headway_other, self.cluster_gap,
+            self.dedup_window))
+        if not all(math.isfinite(v) for v in thresholds):
+            raise UserInputError(f"counting thresholds must be finite, got {thresholds}")
+        if min(self.min_headway_right, self.min_headway_other, self.cluster_gap) <= 0:
+            raise UserInputError("counting thresholds must be positive")
+        if self.dedup_window <= 0:
+            raise UserInputError("dedup_window must be positive")
+        if not self.cluster_gap < self.min_headway_other <= self.min_headway_right:
+            raise UserInputError(
+                "need cluster_gap < min_headway_other <= min_headway_right, got "
+                f"{self.cluster_gap}, {self.min_headway_other}, {self.min_headway_right}"
+            )
+
+    def min_headway_for(self, zone: Zone) -> float:
+        return self.min_headway_right if zone.right_only else self.min_headway_other
+
+    def to_obj(self) -> dict:
+        return {
+            "min_headway_right": self.min_headway_right,
+            "min_headway_other": self.min_headway_other,
+            "cluster_gap": self.cluster_gap,
+            "dedup_window": self.dedup_window,
+            "absorb": self.absorb,
+        }
+
+
+@dataclass(frozen=True)
 class PhaseInterval:
     start: float
     end: float
@@ -149,7 +194,7 @@ class IntersectionConfig:
     ned_origin: GeodeticPoint
     zones: tuple[Zone, ...]
     schedule: PhaseSchedule
-    params: "CountingParams | None" = None  # None means defaults
+    params: CountingParams | None = None  # None means defaults
     class_table: ClassTable = DEFAULT_CLASS_TABLE
 
     def __post_init__(self):
@@ -225,11 +270,8 @@ def _sorted_bindings(bindings: Iterable[Binding]) -> list[Binding]:
 
 def config_from_obj(doc) -> IntersectionConfig:
     """Build a validated config from a decoded JSON document."""
-    from .counting import CountingParams
-
     try:
-        origin = doc["ned_origin"]
-        ned_origin = GeodeticPoint(origin["lat"], origin["lon"], origin["alt"])
+        ned_origin = GeodeticPoint.from_obj(doc["ned_origin"])
         zones = []
         for zobj in doc["zones"]:
             n, e = zobj["center"]
@@ -237,24 +279,22 @@ def config_from_obj(doc) -> IntersectionConfig:
                 Zone(
                     id=str(zobj["id"]),
                     kind=ZoneKind(zobj["kind"]),
-                    center=NedPoint(float(n), float(e), 0.0),
-                    half_length=float(zobj["half_length"]),
-                    half_width=float(zobj["half_width"]),
-                    yaw=float(zobj["yaw"]),
+                    center=NedPoint(json_number(n), json_number(e), 0.0),
+                    half_length=json_number(zobj["half_length"]),
+                    half_width=json_number(zobj["half_width"]),
+                    yaw=json_number(zobj["yaw"]),
                     bindings=tuple(_binding_from_obj(b) for b in zobj["bindings"]),
                 )
             )
         intervals = tuple(
             PhaseInterval(
-                start=float(iobj["start"]),
-                end=float(iobj["end"]),
+                start=json_number(iobj["start"]),
+                end=json_number(iobj["end"]),
                 permitted=frozenset(_binding_from_obj(b) for b in iobj["permitted"]),
             )
             for iobj in doc["schedule"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"bad intersection config: {exc}") from None
     schedule = PhaseSchedule.from_intervals(intervals)
     params = None

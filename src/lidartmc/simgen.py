@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import ClassTable, parse_class_id
-from .errors import SchemaError, ScriptValidationError
+from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
 from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, Frame
 from .intersection import (
@@ -523,9 +523,9 @@ def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
                 vehicle_class=parse_class_id(v["class"]),
                 approach=Approach(v["approach"]),
                 movement=Movement(v["movement"]),
-                entry_time=float(v["entry_time"]),
-                speed=float(v["speed"]),
-                length=None if v.get("length") is None else float(v["length"]),
+                entry_time=json_number(v["entry_time"]),
+                speed=json_number(v["speed"]),
+                length=None if v.get("length") is None else json_number(v["length"]),
                 zone_id=None if v.get("zone_id") is None else str(v["zone_id"]),
             )
             for v in doc["vehicles"]

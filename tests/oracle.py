@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from lidartmc.counting import (
-    CountingParams,
     MovementEvent,
     TriggerSeries,
     estimate_tmc,
@@ -35,7 +34,14 @@ from lidartmc.geo import (
     wrap_angle,
 )
 from lidartmc.ingest import BOX_COLUMNS, SCORE, Frame, open_detection_log
-from lidartmc.intersection import Approach, Movement, PhaseSchedule, Zone, ZoneKind
+from lidartmc.intersection import (
+    Approach,
+    CountingParams,
+    Movement,
+    PhaseSchedule,
+    Zone,
+    ZoneKind,
+)
 from lidartmc.report import render_tmc_csv
 from lidartmc.simgen import (
     _CLASS_HEIGHTS,

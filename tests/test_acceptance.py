@@ -14,14 +14,10 @@ import numpy as np
 from conftest import random_rotation
 from lidartmc import cli
 from lidartmc.classify import classify_by_length
-from lidartmc.counting import (
-    CountingParams,
-    cluster_triggers,
-    count_session,
-    estimate_tmc,
-)
+from lidartmc.counting import cluster_triggers, count_session, estimate_tmc
 from lidartmc.geo import GeodeticPoint, estimate_transform_from_gcps, lla_to_ecef
 from lidartmc.ingest import frames_to_ned, merge_streams
+from lidartmc.intersection import CountingParams
 from lidartmc.report import aggregate, load_tmc_csv
 from lidartmc.simgen import SimConfig, random_script, scenario_suite, simulate
 from oracle import ecef_to_lla, trigger_series

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from conftest import random_rotation
 from lidartmc import cli
 from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
+from lidartmc.errors import SchemaError
 from lidartmc.geo import GeodeticPoint, lla_to_ecef, load_registry
+from lidartmc.intersection import CountingParams, load_intersection_config
 from lidartmc.report import TmcTable, load_tmc_csv, save_tmc_csv
-from lidartmc.simgen import SimConfig, random_script, script_to_obj
+from lidartmc.simgen import SimConfig, load_script, random_script, script_to_obj
 from lidartmc.reference import reference_config_path
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
@@ -904,6 +906,76 @@ def test_mutated_script_exits_0_or_2(reference_config, mutations):
         code = mutated_doc_exit_code(script_to_obj(script), mutations, tmp, [
             "simulate", "--script", "{doc}", "--seed", "3"])
     assert code in (0, 2)
+
+
+def config_doc():
+    """The reference config with its optional params and class table
+    written out, so that their numbers are there to mutate too."""
+    doc = json.loads(Path(reference_config_path()).read_text())
+    return {**doc, "params": CountingParams().to_obj(),
+            "class_table": class_table_to_obj(DEFAULT_CLASS_TABLE)}
+
+
+SCRIPT_DOC = {"vehicles": [{"class": 3, "approach": "NB", "movement": "Thru",
+                            "entry_time": 20.0, "speed": 10.0, "length": 4.5}]}
+LOADERS = {"config": load_intersection_config, "registry": load_registry,
+           "script": load_script}
+
+
+def document_and_argv(kind, sim):
+    """A valid document of ``kind`` and the command that reads it as ``{doc}``."""
+    logs = [str(sim / "log_L1.jsonl"), str(sim / "log_L2.jsonl")]
+    if kind == "config":
+        return config_doc(), ["estimate", *logs, "--registry", str(sim / "registry.json"),
+                              "--config", "{doc}"]
+    if kind == "registry":
+        return (json.loads((sim / "registry.json").read_text()),
+                ["estimate", *logs, "--registry", "{doc}"])
+    return copy.deepcopy(SCRIPT_DOC), ["simulate", "--script", "{doc}", "--seed", "3"]
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# A string or a boolean where a JSON number belongs: (document, node, value).
+# Each loaded before, read as the number it spells (true is 1, false 0).
+SPOOFED_NUMBERS = {
+    "zone center strings": ("config", ("zones", 0, "center"), ["1", "2"]),
+    "params cluster_gap true": ("config", ("params", "cluster_gap"), True),
+    "schedule start false": ("config", ("schedule", 0, "start"), False),
+    "class id true": ("config", ("class_table", 0, "id"), True),
+    "class id string": ("config", ("class_table", 0, "id"), "1"),
+    "script entry_time string": ("script", ("vehicles", 0, "entry_time"), "10"),
+    "script speed true": ("script", ("vehicles", 0, "speed"), True),
+    "registry translation strings": ("registry", ("frames", "L1", "translation"),
+                                     ["1", "2", "3"]),
+}
+
+
+@pytest.mark.parametrize("kind,path,value", SPOOFED_NUMBERS.values(), ids=SPOOFED_NUMBERS)
+def test_spoofed_number_is_a_schema_error(ideal_sim, tmp_path, kind, path, value):
+    doc, argv = document_and_argv(kind, ideal_sim)
+    pos = list(json_paths(doc)).index(path)
+    assert mutated_doc_exit_code(doc, [("replace", pos, value)], tmp_path, argv) == 2
+    with pytest.raises(SchemaError):
+        LOADERS[kind](tmp_path / "doc.json")
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_number_replaced_by_string_or_bool_exits_2(ideal_sim, kind, data):
+    doc, argv = document_and_argv(kind, ideal_sim)
+    paths = list(json_paths(doc))
+    numbers = [i for i, path in enumerate(paths) if type(node_at(doc, path)) in (int, float)]
+    pos = data.draw(st.sampled_from(numbers), label="node")
+    value = data.draw(st.sampled_from([True, False, str(node_at(doc, paths[pos]))]),
+                      label="replacement")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert mutated_doc_exit_code(doc, [("replace", pos, value)], tmp, argv) == 2
 
 
 GCP_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "0", "95",

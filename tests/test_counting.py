@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lidartmc.counting import (
-    CountingParams,
     MovementEvent,
     cluster_triggers,
     count_rights_from_egress,
@@ -24,6 +23,7 @@ from lidartmc import ingest
 from lidartmc.ingest import FRAME_NED, Frame, MergedStream
 from lidartmc.intersection import (
     Approach,
+    CountingParams,
     IntersectionConfig,
     Movement,
     PhaseInterval,
@@ -105,6 +105,13 @@ class TestCountingParams:
                       "dedup_window"):
             for value in (math.nan, math.inf):
                 with pytest.raises(UserInputError):
+                    CountingParams(**{field: value})
+
+    def test_thresholds_must_be_numbers(self):
+        for field in ("min_headway_right", "min_headway_other", "cluster_gap",
+                      "dedup_window"):
+            for value in (True, "1.0"):
+                with pytest.raises(TypeError):
                     CountingParams(**{field: value})
 
 

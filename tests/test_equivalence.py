@@ -10,9 +10,8 @@ import pytest
 
 from conftest import dense_script
 from lidartmc import cli
-from lidartmc.counting import CountingParams
 from lidartmc.geo import load_registry
-from lidartmc.intersection import PhaseSchedule, save_intersection_config
+from lidartmc.intersection import CountingParams, PhaseSchedule, save_intersection_config
 from lidartmc.reference import build_reference_config
 from lidartmc.simgen import scenario_suite, script_to_obj
 from oracle import estimate as oracle_estimate
