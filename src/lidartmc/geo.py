@@ -361,7 +361,7 @@ def registry_from_json(text: str) -> FrameRegistry:
             rot = np.array([json_number(v) for v in entry["rotation"]]).reshape(3, 3)
             trans = np.array([json_number(v) for v in entry["translation"]])
             registry.register(fid, RigidTransform(rot, trans))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaError(f"bad frame registry document: {exc}") from None
     return registry
 

@@ -8,9 +8,22 @@ Wire format: JSON lines, one frame per line, plain or gzip-compressed:
                      "yaw": 0.12, "score": 0.87}, ...]}
 
 ``score`` is optional. Box dimensions are meters, ``yaw`` is radians and
-is wrapped into (-pi, pi] on parse. Malformed lines are skipped and
-collected by default (field loggers are routinely dirty); ``strict=True``
-raises the error of the lowest bad line instead.
+is wrapped into (-pi, pi] on parse. ``t``, the box fields and a present
+``score`` must be JSON numbers (a string or a boolean is not one, as in
+:func:`~lidartmc.errors.json_number`) and ``frame_id`` a string.
+Malformed lines are skipped and collected by default (field loggers are
+routinely dirty); ``strict=True`` raises the error of the lowest bad line
+instead.
+
+Each line is decoded by ``orjson.loads``. A line that orjson refuses (NaN
+or Infinity literals, a number past the float range, a lone surrogate
+escape, invalid UTF-8) goes to ``json.loads``, which decides whether it
+is kept and, if not, its reason; so does a line that may nest deeper than
+:data:`ORJSON_MAX_DEPTH`, which could overflow orjson's stack. Every line
+thus has the fate it has under ``json.loads`` alone, except that a line
+nested past ``json.loads``' reach (Python's recursion limit, about 1,000
+levels) but not past :data:`ORJSON_MAX_DEPTH` is decoded; a line nested
+too deeply for its decoder is skipped.
 
 In memory, detections are columns: one float64 block of shape (n, 8)
 whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
@@ -18,11 +31,12 @@ whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
 :class:`MergedStream` holds one block for all sensors plus per-frame
 time, sensor and row offset arrays.
 
-A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each chunk
-is converted, validated and cut down to its kept rows before the next
-one is read, and the chunk blocks are joined once at the end, so a parse
-holds about two copies of its block rather than every box as Python
-objects.
+A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each line's
+boxes are taken by one ``operator.itemgetter``, and each chunk gets one
+type check and one float64 conversion, is validated and is cut down to
+its kept rows before the next one is read. The chunk blocks are joined
+once at the end, so a parse holds about two copies of its block rather
+than every box as Python objects.
 
 :func:`parse_logs` parses several logs concurrently: the first in the
 calling process and each later one, up to one process per usable CPU,
@@ -41,17 +55,18 @@ import gzip
 import json
 import logging
 import math
+import operator
 import os
 import pickle
 import signal
 import zlib
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError
+from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
 from .geo import FrameRegistry, wrap_angle, wrap_angles
 
 log = logging.getLogger(__name__)
@@ -71,6 +86,17 @@ BOX_COLUMNS = ("x", "y", "z", "l", "w", "h", "yaw", "score")
 X, Y, Z, L, W, H, YAW, SCORE = range(len(BOX_COLUMNS))
 # Names of the columns in skipped-line reasons.
 _FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading")
+# A box's required values.
+_BOX = operator.itemgetter(*BOX_COLUMNS[:SCORE])
+# orjson decodes without a depth limit and overflows the C stack on a
+# deep enough document (about 50,000 levels of objects on an 8 MB stack,
+# 6,400 on a 1 MB one). It decodes a line only if the line cannot nest
+# deeper than this: it is at most twice as long, or holds at most this
+# many brackets. ``json.loads`` raises RecursionError instead.
+ORJSON_MAX_DEPTH = 4096
+# The exact types of a decoded JSON number; ``bool`` is not one of them.
+_NUMBER = frozenset((int, float))
+_SCORE_TYPES = _NUMBER | {type(None)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,15 +160,18 @@ class MergedStream:
         return np.searchsorted(self.offsets, rows, side="right") - 1
 
 
-def _row_error(row: tuple, line_no: int) -> InvalidFieldError | None:
-    """Why one raw ``BOX_COLUMNS`` tuple is not a valid box, or None.
+def _row_error(row: tuple, score, line_no: int) -> InvalidFieldError | None:
+    """Why one box's raw required values and score are not a valid box,
+    or None.
 
     Checks run in a fixed order, so a line's reason does not depend on
-    how it was detected as bad.
+    how it was detected as bad. A value that ``float`` converts passes
+    here even if it is not a JSON number: :func:`_box_error` checks that
+    last.
     """
     try:
-        vals = [float(v) for v in row[:SCORE]]
-        score = None if row[SCORE] is None else float(row[SCORE])
+        vals = [float(v) for v in row]
+        score = None if score is None else float(score)
     except (TypeError, ValueError, OverflowError) as exc:
         return InvalidFieldError(line_no, f"non-numeric detection field: {exc}")
     try:
@@ -162,8 +191,21 @@ def _row_error(row: tuple, line_no: int) -> InvalidFieldError | None:
     return None
 
 
-def _raw_row(d: dict) -> tuple:
-    return (d["x"], d["y"], d["z"], d["l"], d["w"], d["h"], d["yaw"], d.get("score"))
+def _box_error(rows: list[tuple], scores: list, line_no: int) -> InvalidFieldError | None:
+    """Why a line's boxes are not valid, or None: the first box that
+    :func:`_row_error` refuses, else the first value, box by box, that is
+    not a JSON number (a string or a boolean)."""
+    for row, score in zip(rows, scores):
+        err = _row_error(row, score, line_no)
+        if err is not None:
+            return err
+    for row, score in zip(rows, scores):
+        try:
+            for v in row if score is None else (*row, score):
+                json_number(v)
+        except TypeError as exc:
+            return InvalidFieldError(line_no, f"non-numeric detection field: {exc}")
+    return None
 
 
 def _detections_error(dets: list, line_no: int) -> MalformedLineError | None:
@@ -174,35 +216,49 @@ def _detections_error(dets: list, line_no: int) -> MalformedLineError | None:
         missing = [k for k in BOX_COLUMNS[:SCORE] if k not in d]
         if missing:
             return MalformedLineError(line_no, f"detection missing keys {missing}")
-        err = _row_error(_raw_row(d), line_no)
+        err = _row_error(_BOX(d), d.get("score"), line_no)
         if err is not None:
             return err
     return None
 
 
-def _fill(block: np.ndarray, rows: list[tuple], a: int, b: int) -> bool:
-    """Convert ``rows[a:b]`` into ``block[a:b]``; False if some value does not."""
-    try:
-        block[a:b] = np.array(rows[a:b], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+def _brackets(line: bytes | str) -> int:
+    """The number of '[' and '{' in a line: a bound on its nesting depth."""
+    if isinstance(line, str):
+        return line.count("[") + line.count("{")
+    return line.count(b"[") + line.count(b"{")
+
+
+def _fill(block: np.ndarray, rows: list[tuple], scores: list, a: int, b: int) -> bool:
+    """Convert boxes ``a:b`` into ``block[a:b]``; False, leaving them as
+    they are, if some value is not a JSON number or does not convert."""
+    if not (_NUMBER.issuperset(map(type, chain.from_iterable(rows[a:b])))
+            and _SCORE_TYPES.issuperset(map(type, scores[a:b]))):
         return False
+    try:
+        values = np.fromiter(chain.from_iterable(rows[a:b]), np.float64, (b - a) * SCORE)
+        score = np.array(scores[a:b], dtype=np.float64)  # None is NaN
+    except OverflowError:  # an integer past the float range
+        return False
+    block[a:b, :SCORE] = values.reshape(-1, SCORE)
+    block[a:b, SCORE] = score
     return True
 
 
-def _to_block(rows: list[tuple], lines: list[tuple], box_errors: dict) -> np.ndarray:
-    """The (n, 8) float64 block of raw box tuples. A line with a bad box
-    gets the reason of its first one in ``box_errors``: not finite, a
-    dimension outside (0, MAX_DIMENSION_M), or a score outside [0, 1]."""
+def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
+              box_errors: dict) -> np.ndarray:
+    """The (n, 8) float64 block of raw boxes. A line with a bad box gets
+    its reason in ``box_errors`` (see :func:`_box_error`)."""
     block = np.full((len(rows), len(BOX_COLUMNS)), np.nan)
-    if not _fill(block, rows, 0, len(rows)):
-        # Some value does not convert: retry by groups of lines, then line
+    if not _fill(block, rows, scores, 0, len(rows)):
+        # Some value is not a number: retry by groups of lines, then line
         # by line in a group that fails. A line that fails stays NaN and
         # so fails validation.
         for g in range(0, len(lines), 64):
             group = lines[g : g + 64]
-            if not _fill(block, rows, group[0][3], group[-1][4]):
-                for *_, a, b in group:
-                    _fill(block, rows, a, b)
+            if not _fill(block, rows, scores, group[0][3], group[-1][4]):
+                for _, _, _, a, b, _ in group:
+                    _fill(block, rows, scores, a, b)
     dims = block[:, L:YAW]
     score = block[:, SCORE]
     bad = ~(
@@ -212,11 +268,11 @@ def _to_block(rows: list[tuple], lines: list[tuple], box_errors: dict) -> np.nda
     )
     # A NaN score is an absent one only when the log said so.
     for i in np.flatnonzero(np.isnan(score) & ~bad).tolist():
-        bad[i] = rows[i][SCORE] is not None
-    ends = np.array([end for *_, end in lines], dtype=np.intp)
+        bad[i] = scores[i] is not None
+    ends = np.array([line[4] for line in lines], dtype=np.intp)
     for i in set(np.searchsorted(ends, np.flatnonzero(bad), side="right").tolist()):
-        line_no, _, _, a, b = lines[i]
-        box_errors[i] = next(e for e in (_row_error(r, line_no) for r in rows[a:b]) if e)
+        line_no, _, _, a, b, _ = lines[i]
+        box_errors[i] = _box_error(rows[a:b], scores[a:b], line_no)
     return block
 
 
@@ -237,32 +293,42 @@ def parse_detection_log(
     before the break and counts one bad line. Every frame's detections
     are rows of one block for the whole log.
 
+    A string or boolean where a number belongs and a non-string
+    ``frame_id`` are checked after every other check of their line, so
+    a line that another check refuses has that check's reason.
+
     Lines are read in chunks of about :data:`CHUNK_ROWS` boxes; each
     chunk is converted, checked and cut down to its kept rows before the
     next one is read, so the raw box tuples never outlive their chunk.
     """
+    import orjson  # here, not at module level: ``simulate`` imports ingest to write logs
+
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
     errors: list[MalformedLineError] = []
     blocks: list[np.ndarray] = []  # kept rows of each chunk
     kept: list[tuple] = []  # (frame_id, t, rows) of every kept line
     expected = None
-    lines: list[tuple] = []  # (line_no, frame_id, t, first row, end row) of the chunk
+    # (line_no, frame_id, t, first row, end row, error checked last) of the chunk
+    lines: list[tuple] = []
     box_errors: dict[int, MalformedLineError] = {}  # by index into ``lines``
-    rows: list[tuple] = []
+    rows: list[tuple] = []  # required values of each box of the chunk
+    scores: list = []  # score of each box of the chunk, None when absent
 
     def flush() -> None:
         # The sensor check precedes the box checks of a line, and the
         # sensor is adopted from the first good line.
         nonlocal expected
-        block = _to_block(rows, lines, box_errors)
+        block = _to_block(rows, scores, lines, box_errors)
         keep = np.zeros(len(lines), dtype=bool)
-        for i, (line_no, fid, t, a, b) in enumerate(lines):
+        for i, (line_no, fid, t, a, b, late) in enumerate(lines):
             err = box_errors.get(i)
             if expected is not None and fid != expected:
                 err = MalformedLineError(
                     line_no, f"frame_id {fid!r} does not match expected {expected!r}"
                 )
+            if err is None:
+                err = late
             if err is not None:
                 errors.append(err)
             else:
@@ -273,12 +339,13 @@ def parse_detection_log(
         # holds the lowest one.
         if errors and strict:
             raise min(errors, key=lambda e: e.line_no)
-        block = block[np.repeat(keep, [b - a for *_, a, b in lines])]
+        block = block[np.repeat(keep, [line[4] - line[3] for line in lines])]
         block[:, YAW] = wrap_angles(block[:, YAW])
         blocks.append(block)
         lines.clear()
         box_errors.clear()
         rows.clear()
+        scores.clear()
 
     line_no = 0
     try:
@@ -286,30 +353,51 @@ def parse_detection_log(
             line = raw.strip()
             if not line:
                 continue
+            a = len(rows)
             try:
-                obj = json.loads(line)
+                if len(line) > 2 * ORJSON_MAX_DEPTH and _brackets(line) > ORJSON_MAX_DEPTH:
+                    obj = json.loads(line)
+                else:
+                    try:
+                        obj = orjson.loads(line)
+                    except orjson.JSONDecodeError:
+                        obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise MalformedLineError(line_no, "frame line must be a JSON object")
                 t = float(obj["t"])
-                fid = str(obj["frame_id"])
+                fid = obj["frame_id"]
                 dets = obj["detections"]
                 if not math.isfinite(t):
                     raise InvalidFieldError(line_no, f"non-finite timestamp {t!r}")
                 if not isinstance(dets, list):
                     raise MalformedLineError(line_no, "detections must be a list")
+                late = None
+                if type(obj["t"]) not in _NUMBER:
+                    late = InvalidFieldError(line_no, f"non-numeric timestamp {obj['t']!r}")
+                # orjson reads an integer past 64 bits as a float: where a
+                # reason quotes a value that is not a number, it quotes
+                # json's, decoded again.
+                if type(fid) is not str:
+                    fid = json.loads(line)["frame_id"]
+                    late = late or InvalidFieldError(
+                        line_no, f"frame_id must be a string, got {fid!r}")
+                    fid = str(fid)
+                try:
+                    rows.extend(map(_BOX, dets))
+                except (KeyError, TypeError):
+                    del rows[a:]
+                    box_errors[len(lines)] = _detections_error(
+                        json.loads(line)["detections"], line_no)
+                else:
+                    scores.extend(map(dict.get, dets, repeat("score")))
             except MalformedLineError as err:
                 errors.append(err)
                 continue
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                del rows[a:]
                 errors.append(MalformedLineError(line_no, f"bad frame line: {exc}"))
                 continue
-            try:
-                line_rows = [_raw_row(d) for d in dets]
-            except (KeyError, TypeError):
-                box_errors[len(lines)] = _detections_error(dets, line_no)
-                line_rows = []
-            lines.append((line_no, fid, t, len(rows), len(rows) + len(line_rows)))
-            rows.extend(line_rows)
+            lines.append((line_no, fid, t, a, len(rows), late))
             if len(rows) >= CHUNK_ROWS:
                 flush()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
@@ -435,6 +523,9 @@ def parse_logs(
     and the error raised is that of the first log that fails. No child
     outlives the call: on an error each is killed and reaped.
     """
+    # Loaded before the forks, so no parse child loads it again.
+    import orjson  # noqa: F401
+
     paths = list(paths)
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(paths), len(os.sched_getaffinity(0)))

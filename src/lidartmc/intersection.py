@@ -353,10 +353,11 @@ def config_to_obj(cfg: IntersectionConfig) -> dict:
 def load_intersection_config(path) -> IntersectionConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return config_from_obj(json.load(fh))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
-    return config_from_obj(doc)
+        except RecursionError as exc:  # decoding, or quoting a value in a reason
+            raise SchemaError(f"config is nested too deeply: {exc}") from None
 
 
 def save_intersection_config(cfg: IntersectionConfig, path) -> None:

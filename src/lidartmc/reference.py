@@ -28,9 +28,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .geo import NedPoint
-from .intersection import IntersectionConfig, load_intersection_config
+
+if TYPE_CHECKING:
+    from .intersection import IntersectionConfig
 
 
 def reference_config_path() -> str:
@@ -38,7 +41,11 @@ def reference_config_path() -> str:
     return str(resources.files("lidartmc").joinpath("data/reference_intersection.json"))
 
 
+# ``cli`` imports this module for the default ``--config`` path, so the
+# builders import ``intersection`` themselves: ``georef`` never loads it.
 def build_reference_config() -> IntersectionConfig:
+    from .intersection import load_intersection_config
+
     return load_intersection_config(reference_config_path())
 
 

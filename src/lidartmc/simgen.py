@@ -538,7 +538,8 @@ def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
 def load_script(path) -> tuple[ScriptedVehicle, ...]:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return script_from_obj(json.load(fh))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"script is not valid JSON: {exc}") from None
-    return script_from_obj(doc)
+        except RecursionError as exc:  # decoding, or quoting a value in a reason
+            raise SchemaError(f"script is nested too deeply: {exc}") from None

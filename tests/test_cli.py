@@ -685,12 +685,14 @@ def test_mutated_logs_exit_0_or_2(log_pair, mutations, strict):
 
 def garbled_lines(n_lines):
     """Line index -> how the line is garbled: cut to that fraction of its
-    length, or replaced by junk that starts with '#'. Neither is a JSON
-    object, so each is one skipped line."""
+    length, replaced by junk that starts with '#' (neither is a JSON
+    object), or one of its numbers, picked by position, replaced by a
+    string or a boolean. Each is one skipped line."""
     return st.dictionaries(
         st.integers(0, n_lines - 1),
         st.one_of(st.floats(0.0, 1.0),
-                  st.binary(max_size=20).map(lambda b: b"#" + b.replace(b"\n", b""))),
+                  st.binary(max_size=20).map(lambda b: b"#" + b.replace(b"\n", b"")),
+                  st.tuples(st.integers(0, 10**6), st.sampled_from(["string", True, False]))),
         max_size=6,
     )
 
@@ -698,6 +700,14 @@ def garbled_lines(n_lines):
 def garble(line, how):
     if isinstance(how, bytes):
         return how + b"\n"
+    if isinstance(how, tuple):
+        pos, value = how
+        doc = json.loads(line)
+        numbers = [p for p in json_paths(doc) if type(node_at(doc, p)) in (int, float)]
+        *head, key = numbers[pos % len(numbers)]
+        parent = node_at(doc, head)
+        parent[key] = str(parent[key]) if value == "string" else value
+        return json.dumps(doc).encode() + b"\n"
     text = line.rstrip()
     return text[: min(len(text) - 1, max(1, int(how * len(text))))] + b"\n"
 
@@ -976,6 +986,31 @@ def test_number_replaced_by_string_or_bool_exits_2(ideal_sim, kind, data):
                       label="replacement")
     with tempfile.TemporaryDirectory() as tmp:
         assert mutated_doc_exit_code(doc, [("replace", pos, value)], tmp, argv) == 2
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind", ["log", *LOADERS])
+def test_deeply_nested_input_exits_0_or_2(ideal_sim, tmp_path, capsys, kind):
+    """A log line nested too deeply is a skipped line; a config, registry
+    or script nested too deeply is a schema error."""
+    if kind == "log":
+        logs = [(ideal_sim / f"log_{s}.jsonl").read_bytes() for s in ("L1", "L2")]
+        logs[0] += ('{"t": 1.0, "frame_id": "L1", "detections": [%s]}\n' % DEEP).encode()
+        code, _, _, manifest = estimate_logs(logs, ideal_sim / "registry.json")
+        assert code == 0
+        assert manifest["warnings"]["skipped_lines"] == 1
+        return
+    _, argv = document_and_argv(kind, ideal_sim)
+    doc = tmp_path / "doc.json"
+    doc.write_text(DEEP)
+    code = cli.main([str(doc) if a == "{doc}" else a for a in argv]
+                    + ["--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(SchemaError):
+        LOADERS[kind](doc)
 
 
 GCP_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "0", "95",

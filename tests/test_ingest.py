@@ -2,10 +2,16 @@ import gzip
 import io
 import json
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,13 +239,14 @@ class TestBadLines:
 
     def test_huge_integer_is_a_bad_line(self):
         lines = [frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
-                 frame_line(2.0, GOOD_DET)]
+                 frame_line(1.5, bad_det(score=10**400)), frame_line(2.0, GOOD_DET)]
         errors = []
         frames = parse_detection_log(lines, error_sink=errors)
         assert [f.t for f in frames] == [2.0]
         assert [(e.line_no, e.reason) for e in errors] == [
             (1, "bad frame line: int too large to convert to float"),
             (2, "non-numeric detection field: int too large to convert to float"),
+            (3, "non-numeric detection field: int too large to convert to float"),
         ]
 
     def test_invalid_utf8_is_a_bad_line(self):
@@ -262,6 +269,123 @@ class TestBadLines:
         assert [f.t for f in frames] == [float(t) for t in range(len(frames))]
         assert len(errors) == 1
         assert errors[0].reason.startswith("log ends in a broken block")
+
+
+# A string or boolean where a number belongs, or a frame_id that is not a
+# string: each line was kept before, read as the number or the sensor name
+# it spells. (line, reason)
+SPOOFED = {
+    "t string": (frame_line("12.5", GOOD_DET), "non-numeric timestamp '12.5'"),
+    "t true": (frame_line(True, GOOD_DET), "non-numeric timestamp True"),
+    "x string": (frame_line(1.0, GOOD_DET, bad_det(x="3.1")),
+                 "non-numeric detection field: expected a number, got '3.1'"),
+    "l true": (frame_line(1.0, bad_det(l=True)),
+               "non-numeric detection field: expected a number, got True"),
+    "score true": (frame_line(1.0, bad_det(score=True)),
+                   "non-numeric detection field: expected a number, got True"),
+    "frame_id 7": (frame_line(1.0, GOOD_DET, frame_id=7), "frame_id must be a string, got 7"),
+    "frame_id null": (frame_line(1.0, GOOD_DET, frame_id=None),
+                      "frame_id must be a string, got None"),
+}
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("name", SPOOFED)
+    def test_spoofed_value_is_a_skipped_line(self, name):
+        line, reason = SPOOFED[name]
+        errors = []
+        frames = parse_detection_log([line, frame_line(2.0, GOOD_DET)], error_sink=errors)
+        assert [(f.frame_id, f.t) for f in frames] == [("L1", 2.0)]
+        assert [(e.line_no, e.reason) for e in errors] == [(1, reason)]
+        with pytest.raises(InvalidFieldError) as exc:
+            parse_detection_log([line], strict=True)
+        assert exc.value.reason == reason
+
+    def test_integral_numbers_are_numbers(self):
+        frames = parse_detection_log([frame_line(3, {**GOOD_DET, "x": -2, "l": 4, "score": 1})])
+        assert frames[0].t == 3.0
+        assert frames[0].detections[0, [X, L, SCORE]].tolist() == [-2.0, 4.0, 1.0]
+
+    def test_other_reasons_come_first(self):
+        # Each line was skipped before for the reason given, which stays.
+        lines = [
+            frame_line(0.0, GOOD_DET),
+            frame_line("12.5", bad_det(l=75.0)),
+            frame_line(2.0, bad_det(x="3.1"), bad_det(w="n/a")),
+            frame_line(3.0, bad_det(x=True), bad_det(z=math.nan)),
+            frame_line(4.0, bad_det(score="0.5"), bad_det(y=None)),
+            frame_line(5.0, GOOD_DET, frame_id=7),
+            frame_line("6.0", GOOD_DET, frame_id="L2"),
+            frame_line(True, bad_det(x=[1.0])),
+        ]
+        errors = []
+        frames = parse_detection_log(lines, error_sink=errors)
+        assert [f.t for f in frames] == [0.0]
+        assert [e.reason for e in errors] == [
+            "length must be in (0, 50.0), got 75.0",
+            "non-numeric detection field: could not convert string to float: 'n/a'",
+            "z must be finite, got nan",
+            "detection missing keys ['y']",
+            "frame_id '7' does not match expected 'L1'",
+            "frame_id 'L2' does not match expected 'L1'",
+            "non-numeric detection field: float() argument must be a string or a real "
+            "number, not 'list'",
+        ]
+
+    def test_non_string_frame_id_is_not_adopted(self):
+        lines = [frame_line(0.0, GOOD_DET, frame_id=7), frame_line(1.0, GOOD_DET),
+                 frame_line(2.0, GOOD_DET, frame_id="7")]
+        errors = []
+        frames = parse_detection_log(lines, error_sink=errors)
+        assert [(f.frame_id, f.t) for f in frames] == [("L1", 1.0)]
+        assert [e.reason for e in errors] == ["frame_id must be a string, got 7",
+                                              "frame_id '7' does not match expected 'L1'"]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestNesting:
+    # orjson stops at 1,024 levels and json.loads near the recursion
+    # limit: the first depth is past json's only, the second past both.
+    @pytest.mark.parametrize("depth", [1_010, 100_000])
+    @pytest.mark.parametrize("where", ["frame_id", "detection", "box field", "line"])
+    def test_too_deep_a_line_is_a_skipped_line(self, depth, where):
+        deep = "[" * depth + "]" * depth
+        line = {
+            "frame_id": '{"t": 1.0, "frame_id": %s, "detections": []}' % deep,
+            "detection": '{"t": 1.0, "frame_id": "L1", "detections": [%s]}' % deep,
+            "box field": frame_line(1.0, bad_det(x=0.5)).replace("0.5", deep),
+            "line": deep,
+        }[where]
+        errors = []
+        frames = parse_detection_log([frame_line(0.0, GOOD_DET), line,
+                                      frame_line(2.0, GOOD_DET)], error_sink=errors)
+        assert [f.t for f in frames] == [0.0, 2.0]
+        assert [e.line_no for e in errors] == [2]
+        with pytest.raises(MalformedLineError):
+            parse_detection_log([line], strict=True)
+
+    def test_reason_of_a_line_past_both_decoders(self):
+        errors = []
+        parse_detection_log([DEEP], error_sink=errors)
+        assert errors[0].reason.startswith("bad frame line: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("line", [
+        "b'[' * 1_000_000 + b']' * 1_000_000",
+        "b'{\"t\": 1.0, \"frame_id\": ' + b'{\"a\": ' * 200_000 + b'1' + b'}' * 200_001",
+    ], ids=["array", "object"])
+    def test_nesting_past_orjsons_stack_is_a_skipped_line(self, line):
+        # A line this deep overflows orjson's stack (a crash, not an
+        # exception), so the parse runs in a child process.
+        code = ("import sys; from lidartmc.ingest import parse_detection_log; errors = []; "
+                f"frames = parse_detection_log([{line}], error_sink=errors); "
+                "print(len(frames), len(errors))")
+        env = {**os.environ, "PYTHONPATH": str(Path(ingest.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.split() == ["0", "1"]
 
 
 def parse_outcome(lines, **kwargs):
@@ -302,10 +426,14 @@ BAD_LINE_INPUTS = {
     "null and nan score": ([frame_line(0.0, {**GOOD_DET, "score": None}),
                             frame_line(1.0, {**GOOD_DET, "score": math.nan})], False),
     "huge integer": ([frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
-                      frame_line(2.0, GOOD_DET)], False),
+                      frame_line(1.5, bad_det(score=10**400)), frame_line(2.0, GOOD_DET)],
+                     False),
     "invalid utf-8": ([frame_line(0.0, GOOD_DET).encode(),
                        b"\xff" + frame_line(0.0, GOOD_DET).encode(),
                        frame_line(0.0, GOOD_DET).encode()], False),
+    "spoofed numbers": ([frame_line(0.0, GOOD_DET, frame_id=7)]
+                        + [frame_line(1.0 + i, GOOD_DET, GOOD_DET) for i in range(3)]
+                        + [line for line, _ in SPOOFED.values()], False),
 }
 
 
@@ -377,7 +505,8 @@ class TestChunks:
     @given(
         chunk_rows=st.integers(1, 12),
         kinds=st.lists(st.sampled_from(["good", "same t", "empty", "bad json", "not object",
-                                        "nan t", "bad box", "other sensor", "blank"]),
+                                        "nan t", "bad box", "other sensor", "blank",
+                                        "bool box", "string t"]),
                        max_size=25),
     )
     def test_any_chunk_size_matches_one_chunk(self, chunk_rows, kinds):
@@ -395,6 +524,8 @@ class TestChunks:
                 "bad box": frame_line(t, GOOD_DET, bad_det(score=2.0)),
                 "other sensor": frame_line(t, GOOD_DET, frame_id="L2"),
                 "blank": "",
+                "bool box": frame_line(t, GOOD_DET, bad_det(l=True)),
+                "string t": frame_line(str(t), GOOD_DET),
             }[kind])
         with pytest.MonkeyPatch.context() as mp:
             whole, chunked = chunked_outcomes(mp, lines, (chunk_rows,))
@@ -404,6 +535,92 @@ class TestChunks:
         # Strict mode raises the first line that non-strict mode skips.
         errors = whole[1]
         assert whole_strict == (("raised", *errors[0]) if errors else whole)
+
+
+# Values that orjson and json.loads may read differently, or that one of
+# them refuses: NaN and infinities (json.dumps writes NaN and Infinity),
+# integers past 64 bits (orjson reads them as floats) and past the float
+# range, a lone surrogate, and values that are not numbers.
+ODD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), "\ud800", "\udfff",
+                     "3.1", "n/a", True, False, None, [], {}, [2**64], -0.0, 0]),
+    st.integers(2**63 - 2, 2**64 + 2**12),
+    st.integers(-(2**64) - 2**12, -(2**63) + 2),
+    st.integers(2**64, 2**1100),
+)
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-(10**6), 10**6))
+VALUES = st.one_of(NUMBERS, NUMBERS, NUMBERS, ODD_VALUES)
+GOOD_BOXES = st.fixed_dictionaries(
+    {"x": NUMBERS, "y": NUMBERS, "z": NUMBERS, "l": st.floats(0.1, 49.9),
+     "w": st.floats(0.1, 49.9), "h": st.floats(0.1, 49.9), "yaw": st.floats(-10.0, 10.0)},
+    optional={"score": st.one_of(st.none(), st.floats(0.0, 1.0))},
+)
+BOXES = st.one_of(
+    GOOD_BOXES, GOOD_BOXES, GOOD_BOXES,
+    st.builds(lambda box, key, value: {**box, key: value}, GOOD_BOXES,
+              st.sampled_from([*BOX_COLUMNS, "extra"]), VALUES),
+    ODD_VALUES,  # a detection that is not an object
+)
+FRAMES = st.fixed_dictionaries({
+    "t": st.one_of(st.floats(0.0, 1e9), VALUES),
+    "frame_id": st.one_of(st.just("L1"), st.just("L1"), st.sampled_from(["L2", "L\u00e9"]),
+                          VALUES),
+    "detections": st.one_of(st.lists(BOXES, max_size=4), VALUES),
+})
+
+
+@st.composite
+def log_lines(draw):
+    """One JSON line of a log, as bytes: mostly a frame, sometimes with a
+    key repeated, a byte that is not UTF-8, or a value that is not an
+    object in its place."""
+    obj = draw(st.one_of(FRAMES, FRAMES, FRAMES, VALUES))
+    text = json.dumps(obj).encode()
+    how = draw(st.sampled_from(["as is", "as is", "duplicate key", "invalid utf-8"]))
+    if how == "duplicate key" and text.startswith(b"{"):
+        key = draw(st.sampled_from(["t", "frame_id", "detections"]))
+        text = b"{" + json.dumps(key).encode() + b": " + json.dumps(draw(VALUES)).encode() + (
+            b", " + text[1:] if len(text) > 2 else b"}")
+    elif how == "invalid utf-8":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + text[at:]
+    return text
+
+
+def exact_outcome(lines, **kwargs):
+    """``parse_outcome`` with every float as its bit pattern."""
+    errors = []
+    try:
+        frames = parse_detection_log(lines, error_sink=errors, **kwargs)
+    except MalformedLineError as exc:
+        return "raised", exc.line_no, exc.reason
+    return ([(f.frame_id, struct.pack("<d", f.t), f.detections.tobytes()) for f in frames],
+            [(e.line_no, e.reason) for e in errors])
+
+
+class TestDecoder:
+    """orjson with its json.loads fallback parses a log exactly as
+    json.loads alone does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(log_lines(), max_size=12), st.booleans())
+    def test_same_outcome_as_json_loads_alone(self, lines, strict):
+        got = exact_outcome(lines, strict=strict)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orjson, "loads", json.loads)
+            assert exact_outcome(lines, strict=strict) == got
+
+    def test_integer_past_64_bits_is_quoted_as_written(self):
+        big = 2**64 + 1
+        lines = [frame_line(0.0, GOOD_DET), frame_line(1.0, GOOD_DET, frame_id=big),
+                 frame_line(2.0, big)]
+        errors = []
+        parse_detection_log(lines, error_sink=errors)
+        assert [e.reason for e in errors] == [
+            f"frame_id '{big}' does not match expected 'L1'",
+            f"detection must be an object, got {big}",
+        ]
 
 
 def test_parse_peak_memory_stays_near_two_blocks():

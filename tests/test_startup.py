@@ -19,12 +19,14 @@ from lidartmc import cli
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
 # Runs one command through cli.main in a fresh interpreter, then prints
-# its exit code and the package modules it loaded.
+# its exit code, the package modules it loaded and whether it loaded the
+# log decoder (orjson).
 LOADED_MODULES = """
 import json, sys
 from lidartmc import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lidartmc."))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("lidartmc.") or m == "orjson")]))
 """
 
 ONE_VEHICLE = {"vehicles": [{"class": 3, "approach": "NB", "movement": "Thru",
@@ -70,10 +72,11 @@ def import_sets(tmp_path_factory):
 
 # command: (modules it must load, modules it must not load)
 IMPORT_RULES = {
-    "estimate": ({"ingest", "counting", "_kernels", "report"}, {"simgen"}),
-    "simulate": ({"simgen", "ingest", "report"}, {"counting", "_kernels"}),
-    "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen"}),
-    "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen"}),
+    "estimate": ({"ingest", "counting", "_kernels", "report", "orjson"}, {"simgen"}),
+    "simulate": ({"simgen", "ingest", "report"}, {"counting", "_kernels", "orjson"}),
+    "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson"}),
+    "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen", "orjson",
+                         "intersection", "classify"}),
 }
 
 
