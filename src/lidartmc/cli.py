@@ -120,7 +120,7 @@ def cmd_georef(args) -> int:
 def cmd_estimate(args) -> int:
     from .counting import count_session, drop_outside_session, estimate_tmc, events_to_csv
     from .geo import atomic_write_text, load_registry
-    from .ingest import frames_to_ned, merge_streams, parse_logs
+    from .ingest import merge_streams, parse_logs
     from .intersection import CountingParams, load_intersection_config
     from .report import save_tmc_csv
 
@@ -138,13 +138,13 @@ def cmd_estimate(args) -> int:
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
-    streams = parse_logs(args.logs, strict=args.strict, error_sink=errors)
-    # Each stage's input is dropped as soon as the next stage holds its
-    # result, so at most two copies of the detection block are alive.
-    merged = merge_streams(streams, reorder_window=args.reorder_window)
+    # Each log comes back as its zone rows in NED plus every frame time.
+    streams = parse_logs(args.logs, registry, cfg.zones, strict=args.strict,
+                         error_sink=errors)
+    ned = merge_streams(streams, reorder_window=args.reorder_window)
     del streams
-    ned = frames_to_ned(merged, registry)
-    del merged
+    for fid in ned.sensors:  # a log of an unregistered sensor fails after the order check
+        registry.transform_for(fid)
     outside = 0
     if not args.strict:  # under --strict, extract_triggers raises on the first one
         ned, outside = drop_outside_session(ned, cfg)

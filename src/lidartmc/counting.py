@@ -92,21 +92,6 @@ def _permission_table(zones: Sequence[Zone], schedule: PhaseSchedule) -> np.ndar
     return (zone_pairs @ interval_pairs.T) > 0
 
 
-def _zone_hits(boxes: np.ndarray, zones: Sequence[Zone]) -> np.ndarray:
-    """(rows, zones): is each box centroid inside each zone?"""
-    yaw = np.array([z.yaw for z in zones])
-    return _kernels.points_in_zones(
-        boxes[:, X],
-        boxes[:, Y],
-        np.array([z.center.north for z in zones]),
-        np.array([z.center.east for z in zones]),
-        np.cos(yaw),
-        np.sin(yaw),
-        np.array([z.half_length for z in zones]),
-        np.array([z.half_width for z in zones]),
-    )
-
-
 def drop_outside_session(
     stream: MergedStream, cfg: IntersectionConfig
 ) -> tuple[MergedStream, int]:
@@ -122,7 +107,8 @@ def drop_outside_session(
     rows = np.flatnonzero(outside)
     if len(rows) == 0:
         return stream, 0
-    drop = rows[_zone_hits(stream.boxes[rows], cfg.zones).any(axis=1)]
+    boxes = stream.boxes[rows]
+    drop = rows[_kernels.zone_hits(boxes[:, X], boxes[:, Y], cfg.zones).any(axis=1)]
     if len(drop) == 0:
         return stream, 0
     keep = np.ones(len(stream.boxes), dtype=bool)
@@ -153,7 +139,7 @@ def extract_triggers(
     if len(boxes) == 0 or not zones:
         return out
 
-    hits = _zone_hits(boxes, zones)
+    hits = _kernels.zone_hits(boxes[:, X], boxes[:, Y], zones)
     rows = np.flatnonzero(hits.any(axis=1))
     hits = hits[rows]
     frames = stream.frame_of(rows)

@@ -122,6 +122,10 @@ def _as_rotation(m) -> np.ndarray:
     r = np.asarray(m, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
+    # No entry of an orthonormal matrix exceeds 1 in magnitude; checked
+    # first, so the product below cannot overflow.
+    if not np.all(np.abs(r) <= 1.0 + ORTHONORMALITY_TOL):
+        raise ValueError("rotation entries must be finite and within [-1, 1]")
     if not np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMALITY_TOL, rtol=0.0):
         raise ValueError("rotation is not orthonormal within 1e-9")
     if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:

@@ -27,9 +27,9 @@ too deeply for its decoder is skipped.
 
 In memory, detections are columns: one float64 block of shape (n, 8)
 whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
-:class:`Frame` holds a row view of its file's block; a
-:class:`MergedStream` holds one block for all sensors plus per-frame
-time, sensor and row offset arrays.
+:class:`MergedStream` holds one block plus per-frame time, sensor and
+row offset arrays; a :class:`Frame` holds a row view of a block, for
+callers that work frame by frame.
 
 A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each line's
 boxes are taken by one ``operator.itemgetter``, and each chunk gets one
@@ -38,11 +38,17 @@ its kept rows before the next one is read. The chunk blocks are joined
 once at the end, so a parse holds about two copies of its block rather
 than every box as Python objects.
 
-:func:`parse_logs` parses several logs concurrently: the first in the
-calling process and each later one, up to one process per usable CPU,
-in a forked child that sends back its block and frame columns through a
-pipe. Results, skipped lines, warnings and errors are those of parsing
-the logs one after the other.
+:func:`parse_logs`, which ``estimate`` runs, cuts further: each chunk is
+mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
+to the rows whose centre lies in some counting zone before the next
+chunk is read. A log's result is then its zone rows, in NED, plus the
+time of every frame, kept even when none of its rows is, so the merge's
+order check sees every frame. The logs are parsed concurrently: the
+first in the calling process and each later one, up to one process per
+usable CPU, in a forked child that sends back one pickled header of its
+skipped lines and its zone-row stream through a pipe. Results, skipped
+lines, warnings and errors are those of parsing the logs one after the
+other.
 
 :func:`write_detection_log` writes frames from the same columns: each
 distinct value of a column is formatted once per chunk of rows, with
@@ -61,8 +67,8 @@ import pickle
 import signal
 import zlib
 from dataclasses import dataclass, replace
-from itertools import chain, groupby, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -276,30 +282,19 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
     return block
 
 
-def parse_detection_log(
+def _parse_columns(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
-    *,
-    strict: bool = False,
-    error_sink: list[MalformedLineError] | None = None,
-) -> list[Frame]:
-    """Parse a JSON-lines detection log into frames.
+    strict: bool,
+    error_sink: list[MalformedLineError] | None,
+    cut: Callable[[np.ndarray, str], tuple[np.ndarray, np.ndarray]] | None = None,
+) -> MergedStream:
+    """The stream of a detection log, as :func:`parse_detection_log`
+    parses it.
 
-    The first good line's ``frame_id`` is adopted as the log's sensor and
-    enforced thereafter. Consecutive good lines sharing (frame_id, t) are
-    grouped into one frame. A line with one bad box is dropped whole. In
-    non-strict mode bad lines are appended to ``error_sink`` (if
-    provided) and logged, in line order; strict mode raises the error of
-    the lowest bad line. A compressed log that breaks off keeps the lines
-    before the break and counts one bad line. Every frame's detections
-    are rows of one block for the whole log.
-
-    A string or boolean where a number belongs and a non-string
-    ``frame_id`` are checked after every other check of their line, so
-    a line that another check refuses has that check's reason.
-
-    Lines are read in chunks of about :data:`CHUNK_ROWS` boxes; each
-    chunk is converted, checked and cut down to its kept rows before the
-    next one is read, so the raw box tuples never outlive their chunk.
+    ``cut(block, sensor)``, if given, takes each chunk's kept rows and
+    the log's sensor and returns the rows to keep, in the stream's
+    coordinates, and a mask of the rows they are; the stream is then in
+    NED. A frame keeps its time when the cut keeps none of its rows.
     """
     import orjson  # here, not at module level: ``simulate`` imports ingest to write logs
 
@@ -307,7 +302,8 @@ def parse_detection_log(
         raise TypeError("source must be a file object or an iterable of lines")
     errors: list[MalformedLineError] = []
     blocks: list[np.ndarray] = []  # kept rows of each chunk
-    kept: list[tuple] = []  # (frame_id, t, rows) of every kept line
+    sizes: list[np.ndarray] = []  # rows of each kept line, by chunk
+    kept_t: list[float] = []  # t of every kept line
     expected = None
     # (line_no, frame_id, t, first row, end row, error checked last) of the chunk
     lines: list[tuple] = []
@@ -334,14 +330,22 @@ def parse_detection_log(
             else:
                 keep[i] = True
                 expected = fid
-                kept.append((fid, t, b - a))
+                kept_t.append(t)
         # Chunks run in line order, so the first chunk with a bad line
         # holds the lowest one.
         if errors and strict:
             raise min(errors, key=lambda e: e.line_no)
-        block = block[np.repeat(keep, [line[4] - line[3] for line in lines])]
+        n = np.array([line[4] - line[3] for line in lines], dtype=np.intp)
+        block = block[np.repeat(keep, n)]
         block[:, YAW] = wrap_angles(block[:, YAW])
+        n = n[keep]
+        if cut is not None and len(block):
+            block, inside = cut(block, expected)
+            inside_before = np.concatenate(([0], np.cumsum(inside)))
+            ends = np.cumsum(n)
+            n = inside_before[ends] - inside_before[ends - n]
         blocks.append(block)
+        sizes.append(n)
         lines.clear()
         box_errors.clear()
         rows.clear()
@@ -410,15 +414,50 @@ def parse_detection_log(
     for err in errors:
         log.warning("skipping detection log %s", err)
 
-    block = np.concatenate(blocks)
+    boxes = np.concatenate(blocks)
     del blocks  # the chunk blocks are no longer needed once joined
-    frames: list[Frame] = []
-    n = 0
-    for (fid, t), group in groupby(kept, key=lambda line: line[:2]):
-        k = sum(size for *_, size in group)
-        frames.append(Frame(fid, t, block[n : n + k]))
-        n += k
-    return frames
+    # Consecutive kept lines at one t are one frame (their sensor is one).
+    t = np.array(kept_t, dtype=np.float64)
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = t[1:] != t[:-1]
+    first = np.flatnonzero(first)
+    line_start = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return MergedStream(
+        boxes=boxes,
+        t=t[first],
+        sensor=np.zeros(len(first), dtype=np.intp),
+        sensors=(expected,) if len(first) else (),
+        offsets=line_start[np.append(first, len(t))],
+        coordinate_frame=FRAME_SENSOR if cut is None else FRAME_NED,
+    )
+
+
+def parse_detection_log(
+    source: IO[bytes] | IO[str] | Iterable[bytes | str],
+    *,
+    strict: bool = False,
+    error_sink: list[MalformedLineError] | None = None,
+) -> list[Frame]:
+    """Parse a JSON-lines detection log into frames.
+
+    The first good line's ``frame_id`` is adopted as the log's sensor and
+    enforced thereafter. Consecutive good lines sharing (frame_id, t) are
+    grouped into one frame. A line with one bad box is dropped whole. In
+    non-strict mode bad lines are appended to ``error_sink`` (if
+    provided) and logged, in line order; strict mode raises the error of
+    the lowest bad line. A compressed log that breaks off keeps the lines
+    before the break and counts one bad line. Every frame's detections
+    are rows of one block for the whole log.
+
+    A string or boolean where a number belongs and a non-string
+    ``frame_id`` are checked after every other check of their line, so
+    a line that another check refuses has that check's reason.
+
+    Lines are read in chunks of about :data:`CHUNK_ROWS` boxes; each
+    chunk is converted, checked and cut down to its kept rows before the
+    next one is read, so the raw box tuples never outlive their chunk.
+    """
+    return list(_parse_columns(source, strict, error_sink).frames)
 
 
 def open_detection_log(path) -> IO[bytes]:
@@ -431,18 +470,40 @@ def open_detection_log(path) -> IO[bytes]:
     return open(path, "rb")
 
 
-def _parse_path(path, strict: bool, error_sink: list | None) -> list[Frame]:
+def _zone_cut(registry: FrameRegistry, zones: Sequence) -> Callable:
+    """The chunk cut of :func:`parse_logs`: a chunk's rows mapped to NED
+    by its sensor's pose, then only those whose centre is in some zone.
+
+    Every registered pose is composed here, before any fork, so a parse
+    child does no BLAS work (the parent's BLAS threads do not exist
+    there). A sensor the registry lacks keeps no rows.
+    """
+    from . import _kernels  # ``simulate`` imports ingest but counts nothing
+
+    poses = {fid: registry.ned_pose(fid) for fid in registry.frame_ids}
+
+    def cut(block: np.ndarray, sensor: str) -> tuple[np.ndarray, np.ndarray]:
+        pose = poses.get(sensor)
+        if pose is None:
+            return block[:0], np.zeros(len(block), dtype=bool)
+        ned = ned_boxes(block, pose)
+        inside = _kernels.zone_hits(ned[:, X], ned[:, Y], zones).any(axis=1)
+        return ned[inside], inside
+
+    return cut
+
+
+def _parse_path(path, strict: bool, error_sink: list | None, cut: Callable) -> MergedStream:
     with open_detection_log(path) as fh:
-        return parse_detection_log(fh, strict=strict, error_sink=error_sink)
+        return _parse_columns(fh, strict, error_sink, cut)
 
 
-def _child_parse(path, strict: bool, fd: int) -> None:
-    """Body of a forked parse: writes one pickled header to ``fd`` and,
-    on success, the raw bytes of the block after it; never returns.
+def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
+    """Body of a forked parse: writes one pickled header to ``fd``;
+    never returns.
 
-    The header is ``(error, skipped lines, t, sensor, sensors, offsets,
-    block shape)``, with ``error`` None on success. The child does no
-    BLAS work (the parent's BLAS threads do not exist here), does not
+    The header is ``(error,)`` on failure and ``(None, skipped lines,
+    zone-row stream)`` on success. The child does no BLAS work, does not
     log (the parent logs its skipped lines in log order) and ends with
     ``os._exit``, so nothing of the parent's state is flushed or run.
     """
@@ -452,7 +513,7 @@ def _child_parse(path, strict: bool, fd: int) -> None:
         with open(fd, "wb") as pipe:
             errors: list[MalformedLineError] = []
             try:
-                stream = MergedStream.from_frames(_parse_path(path, strict, errors))
+                stream = _parse_path(path, strict, errors, cut)
             except Exception as exc:
                 try:
                     header = pickle.dumps((exc,))
@@ -460,15 +521,13 @@ def _child_parse(path, strict: bool, fd: int) -> None:
                     header = pickle.dumps((RuntimeError(f"parsing {path}: {exc!r}"),))
                 pipe.write(header)
             else:
-                pickle.dump((None, errors, stream.t, stream.sensor, stream.sensors,
-                             stream.offsets, stream.boxes.shape), pipe)
-                pipe.write(stream.boxes.reshape(-1).view(np.uint8))
+                pickle.dump((None, errors, stream), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _fork_parse(path, strict: bool) -> tuple[int, IO[bytes]] | None:
+def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | None:
     """Start parsing ``path`` in a forked child: its pid and the read end
     of its result pipe, or None when no process can be started."""
     r, w = os.pipe()
@@ -480,53 +539,64 @@ def _fork_parse(path, strict: bool) -> tuple[int, IO[bytes]] | None:
         return None
     if pid == 0:
         os.close(r)
-        _child_parse(path, strict, w)
+        _child_parse(path, strict, cut, w)
     os.close(w)
     return pid, open(r, "rb")
 
 
-def _receive(pipe: IO[bytes], path, error_sink: list | None) -> list[Frame]:
-    """The frames of a forked parse of ``path``; raises its error."""
+def _receive(pipe: IO[bytes], path, error_sink: list | None) -> MergedStream:
+    """The stream of a forked parse of ``path``; raises its error."""
     try:
-        error, *columns = pickle.load(pipe)
+        error, *result = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        columns = error = None
+        error = result = None
     if error is not None:
         raise error
-    if columns:
-        errors, t, sensor, sensors, offsets, shape = columns
-        boxes = np.empty(shape)
-        buf = boxes.reshape(-1).view(np.uint8)
-        if pipe.readinto(buf) == len(buf):
-            if error_sink is not None:
-                error_sink.extend(errors)
-            for err in errors:
-                log.warning("skipping detection log %s", err)
-            return list(MergedStream(boxes, t, sensor, sensors, offsets).frames)
+    if result:
+        errors, stream = result
+        if error_sink is not None:
+            error_sink.extend(errors)
+        for err in errors:
+            log.warning("skipping detection log %s", err)
+        return stream
     raise RuntimeError(f"the process parsing {path} ended without a result")
 
 
 def parse_logs(
     paths: Sequence,
+    registry: FrameRegistry,
+    zones: Sequence,
     *,
     strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
-) -> list[list[Frame]]:
-    """Parse each detection log at ``paths``, as :func:`parse_detection_log`
-    on each opened log in turn.
+) -> list[MergedStream]:
+    """The zone rows of each detection log at ``paths``, in NED.
+
+    Each log is parsed as by :func:`parse_detection_log`, and each chunk
+    of its kept rows is mapped sensor -> NED (:func:`ned_boxes`, with the
+    log's pose from ``registry``) and cut to the rows whose centre lies
+    in some of ``zones`` before the next chunk is read. A log's stream
+    holds those rows and the time of every frame, also of a frame left
+    with no rows, so :func:`merge_streams` checks the order of every
+    frame. A log whose sensor ``registry`` lacks keeps no rows: the
+    caller raises :class:`~lidartmc.errors.UnregisteredFrameError` for it
+    after the merge, where :func:`frames_to_ned` would.
 
     The logs are parsed concurrently: the calling process parses the
     first, and each later log, up to one process per usable CPU, is
-    parsed by a forked child; the rest are parsed here after the first.
-    Results are taken in argument order, so the frames, the skipped
-    lines in ``error_sink`` and the logged warnings are in log order,
-    and the error raised is that of the first log that fails. No child
-    outlives the call: on an error each is killed and reaped.
+    parsed by a forked child that sends back one pickled header holding
+    its skipped lines and its zone-row stream; the rest are parsed here
+    after the first. Results are taken in argument order, so the
+    streams, the skipped lines in ``error_sink`` and the logged warnings
+    are in log order, and the error raised is that of the first log that
+    fails. No child outlives the call: on an error each is killed and
+    reaped.
     """
     # Loaded before the forks, so no parse child loads it again.
     import orjson  # noqa: F401
 
     paths = list(paths)
+    cut = _zone_cut(registry, zones)
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(paths), len(os.sched_getaffinity(0)))
     else:  # no fork, or no count of the usable CPUs: parse every log here
@@ -534,14 +604,14 @@ def parse_logs(
     children: dict[int, tuple[int, IO[bytes]]] = {}
     try:
         for i in range(1, workers):
-            child = _fork_parse(paths[i], strict)
+            child = _fork_parse(paths[i], strict, cut)
             if child is None:  # the logs left are parsed here
                 break
             children[i] = child
         streams = []
         for i, path in enumerate(paths):
             if i not in children:
-                streams.append(_parse_path(path, strict, error_sink))
+                streams.append(_parse_path(path, strict, error_sink, cut))
                 continue
             pid, pipe = children[i]
             streams.append(_receive(pipe, path, error_sink))
@@ -616,51 +686,82 @@ def write_detection_log(frames: Iterable[Frame], fh: IO[str]) -> None:
 
 
 def merge_streams(
-    streams: Sequence[Iterable[Frame]],
+    streams: Sequence[MergedStream | Iterable[Frame]],
     reorder_window: float = DEFAULT_REORDER_WINDOW_S,
 ) -> MergedStream:
-    """Merge per-sensor frame sequences into one nondecreasing stream.
+    """Merge per-sensor streams into one nondecreasing stream.
 
-    Each input may be locally jittered by up to ``reorder_window``
-    seconds; a frame older than that relative to the newest already seen
-    in its own stream raises :class:`OutOfOrderError`. The order is by
-    time, then frame_id, then input stream, then position within the
-    stream, so the merge is fully deterministic.
+    Each input is a :class:`MergedStream`, as :func:`parse_logs` gives,
+    or a sequence of frames. Each may be locally jittered by up to
+    ``reorder_window`` seconds; a frame older than that relative to the
+    newest already seen in its own stream raises
+    :class:`OutOfOrderError`. The order is by time, then frame_id, then
+    input stream, then position within the stream, so the merge is fully
+    deterministic. The inputs must share one coordinate frame, which the
+    result keeps.
     """
-    frames: list[Frame] = []
-    for stream in streams:
-        stream = list(stream)
-        t = np.array([f.t for f in stream], dtype=np.float64)
-        newest = np.maximum.accumulate(np.concatenate(([-math.inf], t)))[:-1]
-        late = np.flatnonzero(t < newest - reorder_window)
+    streams = [s if isinstance(s, MergedStream) else MergedStream.from_frames(list(s))
+               for s in streams]
+    for s in streams:
+        newest = np.maximum.accumulate(np.concatenate(([-math.inf], s.t)))[:-1]
+        late = np.flatnonzero(s.t < newest - reorder_window)
         if late.size:
-            f = stream[late[0]]
-            raise OutOfOrderError(f.frame_id, f.t, reorder_window)
-        frames.extend(stream)
-    if not frames:
+            i = late[0]
+            raise OutOfOrderError(s.sensors[s.sensor[i]], float(s.t[i]), reorder_window)
+    if not streams:
         return MergedStream.from_frames(())
-    fid_rank = np.unique([f.frame_id for f in frames], return_inverse=True)[1]
-    t = np.array([f.t for f in frames], dtype=np.float64)
-    order = np.lexsort((np.arange(len(frames)), fid_rank, t))
-    return MergedStream.from_frames([frames[i] for i in order.tolist()])
+    coords = {s.coordinate_frame for s in streams}
+    if len(coords) > 1:
+        raise ValueError(f"cannot merge streams in {sorted(coords)} coordinates")
+    sensors = tuple(sorted({fid for s in streams for fid in s.sensors}))
+    code = {fid: i for i, fid in enumerate(sensors)}
+    t = np.concatenate([s.t for s in streams])
+    sensor = np.concatenate(
+        [np.array([code[fid] for fid in s.sensors], dtype=np.intp)[s.sensor] for s in streams])
+    # The rows of all inputs, and where each input frame's rows start in them.
+    boxes = np.concatenate([s.boxes for s in streams])
+    base = np.cumsum([0] + [len(s.boxes) for s in streams])
+    starts = np.concatenate([s.offsets[:-1] + b for s, b in zip(streams, base)])
+    sizes = np.concatenate([np.diff(s.offsets) for s in streams])
+    order = np.lexsort((sensor, t))  # stable: ties keep the input order
+    sizes = sizes[order]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    rows = np.repeat(starts[order] - offsets[:-1], sizes) + np.arange(offsets[-1])
+    return MergedStream(boxes[rows], t[order], sensor[order], sensors, offsets,
+                        coords.pop())
+
+
+def ned_boxes(boxes: np.ndarray, pose: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
+    """One sensor's boxes mapped sensor -> ECEF -> NED by its composed
+    ``pose``, as :meth:`~lidartmc.geo.FrameRegistry.ned_pose` gives it.
+
+    Centres turn by the rotation and move by the translation; headings
+    turn by the yaw correction; box dimensions and scores are unchanged.
+    Each NED coordinate is a multiply-add over the three centre columns
+    in a fixed order, so a row maps to the same bits in a block of any
+    size (a BLAS product does not promise that).
+    """
+    rot, trans, yaw_corr = pose
+    out = boxes.copy()
+    x, y, z = boxes[:, X], boxes[:, Y], boxes[:, Z]
+    for i in range(3):
+        out[:, i] = x * rot[i, 0] + y * rot[i, 1] + z * rot[i, 2] + trans[i]
+    out[:, YAW] = wrap_angles(boxes[:, YAW] + yaw_corr)
+    return out
 
 
 def frames_to_ned(stream: MergedStream, registry: FrameRegistry) -> MergedStream:
-    """Map every detection center sensor -> ECEF -> NED.
+    """Map every detection centre sensor -> ECEF -> NED by
+    :func:`ned_boxes`, with one composed pose per sensor.
 
-    Headings are rotated by the yaw component of the composed rotation;
-    box dimensions and scores are unchanged. Frame grouping, order, and
-    originating frame_id are preserved exactly.
+    Frame grouping, order, and originating frame_id are preserved
+    exactly.
     """
     if stream.coordinate_frame != FRAME_SENSOR:
         raise ValueError(f"stream is already in {stream.coordinate_frame!r} coordinates")
-    src = stream.boxes
-    boxes = src.copy()
+    boxes = np.empty_like(stream.boxes)
     row_sensor = np.repeat(stream.sensor, np.diff(stream.offsets))
-    # One composed sensor->NED transform per sensor, applied to all its rows.
     for code, fid in enumerate(stream.sensors):
-        rot, trans, yaw_corr = registry.ned_pose(fid)
         rows = row_sensor == code
-        boxes[rows, :3] = src[rows, :3] @ rot.T + trans
-        boxes[rows, YAW] = wrap_angles(src[rows, YAW] + yaw_corr)
+        boxes[rows] = ned_boxes(stream.boxes[rows], registry.ned_pose(fid))
     return replace(stream, boxes=boxes, coordinate_frame=FRAME_NED)

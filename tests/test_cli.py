@@ -355,6 +355,19 @@ class TestEstimate:
         assert sum(manifest["counting"]["triggers_per_zone"].values()) > 0
         assert cli.main(self.estimate_args(sim_out, gz, tmp_path / "strict") + ["--strict"]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_registry_with_huge_rotation_entries_exits_2(self, tmp_path, capsys):
+        # Under warnings as errors, an overflow warning would exit 1.
+        sim_out = simulate_ideal(tmp_path)
+        doc = json.loads((sim_out / "registry.json").read_text())
+        doc["frames"]["L1"]["rotation"] = [1e308] * 9
+        registry = tmp_path / "huge.json"
+        registry.write_text(json.dumps(doc))
+        code = cli.main(["estimate", str(sim_out / "log_L1.jsonl"), "--registry",
+                         str(registry), "--out-dir", str(tmp_path / "est")])
+        assert code == 2
+        assert "rotation entries must be finite" in capsys.readouterr().err
+
     def test_out_of_session_detections_dropped_and_counted(self, tmp_path, capsys):
         sim_out = simulate_ideal(tmp_path)
         log = sim_out / "log_L1.jsonl"

@@ -108,6 +108,21 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3) * 1.01, np.zeros(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e200, math.inf, math.nan, 1.0 + 1e-6])
+    def test_rejects_huge_entries_before_the_product(self, entry):
+        # r.T @ r on entries near 1e308 overflows; that must not warn.
+        r = np.eye(3)
+        r[0, 1] = entry
+        with pytest.raises(ValueError, match="within"):
+            RigidTransform(r, np.zeros(3))
+
+    def test_entries_just_past_one_still_load(self):
+        # An orthonormal matrix that is off by rounding may hold 1 + ulp.
+        r = np.eye(3)
+        r[0, 0] = np.nextafter(1.0, 2.0)
+        assert RigidTransform(r, np.zeros(3)).rotation[0, 0] > 1.0
+
     def test_compose_invert_round_trip(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

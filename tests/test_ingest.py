@@ -676,6 +676,17 @@ class TestMerge:
         merged = merge_streams([frames], reorder_window=1.0)
         assert [f.t for f in merged] == [0.0, 0.4, 0.5, 0.9]
 
+    def test_columns_merge_like_frames_and_keep_their_frame(self):
+        a = [make_frame("L2", t, (t, 1.0)) for t in (0.0, 0.5, 1.0)]
+        b = [make_frame("L1", t, (t, 2.0), (t, 3.0)) for t in (0.25, 0.5)] + [
+            Frame("L1", 0.75, boxes())]
+        merged = merge_streams([MergedStream.from_frames(a, FRAME_NED),
+                                MergedStream.from_frames(b, FRAME_NED)])
+        assert merged.coordinate_frame == FRAME_NED
+        assert frame_rows(merged) == frame_rows(merge_streams([a, b]))
+        with pytest.raises(ValueError):
+            merge_streams([MergedStream.from_frames(a, FRAME_NED), b])
+
     def test_tie_break_by_frame_id(self):
         a = [make_frame("L2", 1.0)]
         b = [make_frame("L1", 1.0)]
@@ -791,6 +802,21 @@ class TestFramesToNed:
             pose = registry.transform_for(before.frame_id)
             for src, dst in zip(before.detections, after.detections):
                 assert dst[:3] == pytest.approx(sensor_to_ned(src[:3], pose, registry), abs=1e-6)
+
+    def test_row_maps_to_the_same_bits_in_any_block(self):
+        rng = np.random.default_rng(35)
+        origin = GeodeticPoint(34.05, -117.4, 350.0)
+        registry = FrameRegistry(origin)
+        registry.register("L1", RigidTransform(
+            random_rotation(rng), lla_to_ecef(origin) + rng.uniform(-50, 50, 3)))
+        pose = registry.ned_pose("L1")
+        block = boxes(*((*rng.uniform(-80, 80, 3), 4.5, 1.9, 1.5, rng.uniform(-3, 3))
+                        for _ in range(2000)))
+        whole = ingest.ned_boxes(block, pose)
+        rows = np.concatenate([ingest.ned_boxes(block[i : i + 1], pose) for i in range(2000)])
+        assert whole.tobytes() == rows.tobytes()
+        stream = frames_to_ned(MergedStream.from_frames([Frame("L1", 0.0, block)]), registry)
+        assert stream.boxes.tobytes() == whole.tobytes()
 
     def test_dimensions_and_scores_unchanged(self):
         registry = _ned_aligned_registry()

@@ -1,4 +1,5 @@
-"""``ingest.parse_logs``: forked parsing gives the results of a serial one.
+"""``ingest.parse_logs``: forked parsing gives the results of a serial one,
+and each log comes back as its zone rows in NED.
 
 Each input runs with one usable CPU (every log parsed in this process)
 and with two (the second log parsed in a forked child); the frames, the
@@ -17,8 +18,12 @@ from pathlib import Path
 import pytest
 
 from conftest import frame_rows
-from lidartmc import cli, ingest
-from lidartmc.errors import MalformedLineError
+from lidartmc import _kernels, cli, ingest
+from lidartmc.errors import MalformedLineError, OutOfOrderError, UnregisteredFrameError
+from lidartmc.geo import load_registry
+from lidartmc.reference import build_reference_config
+
+ZONES = build_reference_config().zones
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +32,11 @@ def sim(tmp_path_factory):
     assert cli.main(["simulate", "--scenario", "ideal", "--seed", "7",
                      "--out-dir", str(out)]) == 0
     return out
+
+
+def parse(sim, logs, **kwargs):
+    """``parse_logs`` with the scenario's registry and the reference zones."""
+    return ingest.parse_logs(logs, load_registry(sim / "registry.json"), ZONES, **kwargs)
 
 
 def use_cpus(monkeypatch, n):
@@ -69,6 +79,33 @@ def out_of_order(src, dst):
     return dst
 
 
+def renamed(src, dst, sensor):
+    """``src`` with its sensor renamed to one the registry lacks."""
+    dst.write_text(src.read_text().replace('"frame_id": "L2"', f'"frame_id": "{sensor}"'))
+    return dst
+
+
+def late_far_frame(src, dst):
+    """``src`` plus, at its end, a frame at its first time whose one box
+    lies far outside every zone: out of order, with no zone row."""
+    lines = src.read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    box = {"x": 900.0, "y": 900.0, "z": 0.5, "l": 4.5, "w": 1.9, "h": 1.5, "yaw": 0.0}
+    lines.append(json.dumps({"t": first["t"], "frame_id": first["frame_id"],
+                             "detections": [box]}) + "\n")
+    dst.write_text("".join(lines))
+    return dst
+
+
+def after_session(src, dst):
+    """``src`` followed by its frames again, long after the session ends."""
+    lines = src.read_text().splitlines()
+    late = [json.dumps({**json.loads(line), "t": json.loads(line)["t"] + 1e4})
+            for line in lines]
+    dst.write_text("\n".join(lines + late) + "\n")
+    return dst
+
+
 def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict):
     """Everything a parse and an estimate run show of ``logs``, and the
     number of processes they forked."""
@@ -79,8 +116,8 @@ def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict)
     caplog.clear()
     sink = []
     try:
-        parsed = [frame_rows(frames) for frames in
-                  ingest.parse_logs(logs, strict=strict, error_sink=sink)]
+        parsed = [frame_rows(frames) for frames in ingest.parse_logs(
+            logs, load_registry(registry), ZONES, strict=strict, error_sink=sink)]
     except Exception as exc:
         parsed = (type(exc), str(exc), getattr(exc, "line_no", None))
     skipped = [(type(e), e.line_no, e.reason) for e in sink]
@@ -130,6 +167,17 @@ def case_logs(sim, tmp_path, name):
         "empty second log": ([bad1, empty], False),
         "three logs on two CPUs": ([bad1, bad2, l1], False),
         "three logs on two CPUs, strict": ([l1, l2, bad1], True),
+        "out-of-order frame outside every zone":
+            ([bad1, late_far_frame(l2, tmp_path / "far.jsonl")], False),
+        "unregistered second log": ([bad1, renamed(l2, tmp_path / "L7.jsonl", "L7")], False),
+        "strict, unregistered second log, bad lines in the first":
+            ([bad1, renamed(l2, tmp_path / "L7.jsonl", "L7")], True),
+        "strict, unregistered first log, bad lines in the second":
+            ([renamed(l2, tmp_path / "L7.jsonl", "L7"), bad2], True),
+        "zone detections after the session in the second log":
+            ([bad1, after_session(l2, tmp_path / "late.jsonl")], False),
+        "strict, zone detections after the session in the second log":
+            ([l1, after_session(l2, tmp_path / "late.jsonl")], True),
     }[name]
 
 
@@ -144,6 +192,12 @@ CASES = [
     "empty second log",
     "three logs on two CPUs",
     "three logs on two CPUs, strict",
+    "out-of-order frame outside every zone",
+    "unregistered second log",
+    "strict, unregistered second log, bad lines in the first",
+    "strict, unregistered first log, bad lines in the second",
+    "zone detections after the session in the second log",
+    "strict, zone detections after the session in the second log",
 ]
 
 
@@ -157,7 +211,19 @@ def test_forked_parse_equals_serial(monkeypatch, caplog, capsys, tmp_path, sim, 
     assert forked == serial
     assert (no_forks, forks) == (0, 2)  # one for the parse, one for the estimate
     # Each case must show what it is named for.
-    if "missing" in name or "directory" in name or "order" in name:
+    if name == "out-of-order frame outside every zone":
+        assert serial["code"] == 2 and "out of order" in serial["stderr"]
+        assert serial["parsed"][1][-1][2] == []  # its time is kept, with no row
+    elif name == "unregistered second log":
+        assert serial["code"] == 2
+        assert "error: sensor frame 'L7' is not registered" in serial["stderr"]
+    elif "after the session" in name:
+        if strict:
+            assert serial["code"] == 2 and "outside schedule session" in serial["stderr"]
+        else:
+            assert serial["code"] == 0
+            assert serial["files"]["manifest"]["warnings"]["outside_session_detections"] > 0
+    elif "missing" in name or "directory" in name or "order" in name:
         assert serial["code"] == 2
     elif strict:
         assert serial["code"] == 2 and serial["parsed"][0] is MalformedLineError
@@ -193,10 +259,10 @@ def test_strict_raises_the_first_failing_log(monkeypatch, sim, tmp_path):
     bad1 = with_bad_lines(sim / "log_L1.jsonl", tmp_path / "a.jsonl", {50: "{"})
     bad2 = with_bad_lines(sim / "log_L2.jsonl", tmp_path / "b.jsonl", {2: "{"})
     with pytest.raises(MalformedLineError) as info:
-        ingest.parse_logs([bad1, bad2], strict=True)
+        parse(sim, [bad1, bad2], strict=True)
     assert info.value.line_no == 51
     with pytest.raises(MalformedLineError) as info:
-        ingest.parse_logs([sim / "log_L1.jsonl", bad2, bad1], strict=True)
+        parse(sim, [sim / "log_L1.jsonl", bad2, bad1], strict=True)
     assert info.value.line_no == 3
     assert_no_children()
 
@@ -208,34 +274,34 @@ def test_one_log_or_one_cpu_never_forks(monkeypatch, sim):
     monkeypatch.setattr(os, "fork", no_fork)
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     use_cpus(monkeypatch, 2)
-    assert len(ingest.parse_logs(logs[:1])) == 1
+    assert len(parse(sim, logs[:1])) == 1
     use_cpus(monkeypatch, 1)
-    assert len(ingest.parse_logs(logs)) == 2
+    assert len(parse(sim, logs)) == 2
 
 
 def test_failed_fork_parses_here(monkeypatch, sim):
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     use_cpus(monkeypatch, 1)
-    serial = [frame_rows(f) for f in ingest.parse_logs(logs)]
+    serial = [frame_rows(f) for f in parse(sim, logs)]
 
     def no_process():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_process)
     use_cpus(monkeypatch, 2)
-    assert [frame_rows(f) for f in ingest.parse_logs(logs)] == serial
+    assert [frame_rows(f) for f in parse(sim, logs)] == serial
 
 
 def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
     parent = os.getpid()
-    parse = ingest.parse_detection_log
+    parse_columns = ingest._parse_columns
 
     def dies_in_child(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(1)
-        return parse(*args, **kwargs)
+        return parse_columns(*args, **kwargs)
 
-    monkeypatch.setattr(ingest, "parse_detection_log", dies_in_child)
+    monkeypatch.setattr(ingest, "_parse_columns", dies_in_child)
     use_cpus(monkeypatch, 2)
     second = sim / "log_L2.jsonl"
     with time_limit(20):
@@ -245,3 +311,67 @@ def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
     assert code == 1
     assert f"the process parsing {second} ended without a result" in capsys.readouterr().err
     assert_no_children()
+
+
+@pytest.mark.parametrize("chunk_rows", [7, ingest.CHUNK_ROWS])
+def test_rows_are_the_zone_contained_ones(monkeypatch, sim, tmp_path, chunk_rows):
+    logs = [with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"]),
+            after_session(sim / "log_L2.jsonl", tmp_path / "late.jsonl")]
+    registry = load_registry(sim / "registry.json")
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    for stream, path in zip(parse(sim, logs), logs):
+        with ingest.open_detection_log(path) as fh:
+            frames = ingest.parse_detection_log(fh)
+        ned = ingest.frames_to_ned(ingest.MergedStream.from_frames(frames), registry)
+        inside = _kernels.zone_hits(ned.boxes[:, ingest.X], ned.boxes[:, ingest.Y],
+                                    ZONES).any(axis=1)
+        off = ned.offsets
+        want = [ingest.Frame(f.frame_id, f.t, f.detections[inside[off[i]:off[i + 1]]])
+                for i, f in enumerate(ned.frames)]
+        assert stream.coordinate_frame == ingest.FRAME_NED
+        assert frame_rows(stream) == frame_rows(want)
+        assert 0 < len(stream.boxes) < len(ned.boxes)
+
+
+def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_path):
+    """Dual coverage, bad lines and zone detections after the session: the
+    outputs do not depend on where chunks end, down to one box a chunk."""
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", "dual_overlap", "--seed", "7",
+                     "--out-dir", str(sim)]) == 0
+    capsys.readouterr()
+    logs = [with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"]),
+            with_bad_lines(after_session(sim / "log_L2.jsonl", tmp_path / "late.jsonl"),
+                           tmp_path / "bad_L2.jsonl", BAD["second"])]
+    runs = []
+    for chunk_rows in (1, 7, ingest.CHUNK_ROWS):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        runs.append(outcome(monkeypatch, caplog, capsys, tmp_path, 2, logs,
+                            sim / "registry.json", False))
+    assert runs[0] == runs[1] == runs[2]
+    manifest = runs[0][0]["files"]["manifest"]
+    assert manifest["warnings"]["skipped_lines"] == 4
+    assert manifest["warnings"]["outside_session_detections"] > 0
+    assert manifest["counting"]["events"] == 5
+
+
+def test_estimate_builds_no_frame_and_merges_zone_rows(monkeypatch, tmp_path, sim):
+    def no_frame(*args):
+        raise AssertionError("a Frame was built")
+
+    merged_rows = []
+    merge = ingest.merge_streams
+
+    def counting_merge(streams, **kwargs):
+        merged_rows.append(sum(len(s.boxes) for s in streams))
+        return merge(streams, **kwargs)
+
+    monkeypatch.setattr(ingest, "Frame", no_frame)
+    monkeypatch.setattr(ingest, "merge_streams", counting_merge)
+    use_cpus(monkeypatch, 2)
+    logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
+    assert cli.main(["estimate", *map(str, logs), "--registry", str(sim / "registry.json"),
+                     "--out-dir", str(tmp_path / "est")]) == 0
+    boxes = sum(line.count('"x":') for log in logs for line in log.read_text().splitlines())
+    assert 0 < merged_rows[0] < boxes
