@@ -1,4 +1,4 @@
-"""The zone-containment kernel, in numpy.
+"""The zone-containment rule, :func:`zone_hits`, in numpy.
 
 ``ingest`` cuts each parse chunk to its zone rows with it and
 ``counting`` finds each zone's triggers with it; it lives here because
@@ -9,39 +9,28 @@ from __future__ import annotations
 
 import numpy as np
 
-# Kept for the benchmark, which records it with every result.
+# ``perfbench/run.py`` records it with every result, until ROADMAP item 1.
 NUMBA_ENABLED = False
-
-
-def points_in_zones(pn, pe, zn, ze, zcos, zsin, zhl, zhw):
-    """Boundary-inclusive containment matrix, shape (n_points, n_zones).
-
-    Each point (pn, pe) is expressed in zone-local axes (u along the
-    zone's length at angle ``yaw`` from north, v across) and tested
-    against the half extents. One zone at a time, so the temporaries
-    stay the size of one column.
-    """
-    out = np.empty((len(pn), len(zn)), dtype=bool)
-    for j in range(len(zn)):
-        dn = pn - zn[j]
-        de = pe - ze[j]
-        u = dn * zcos[j] + de * zsin[j]
-        v = -dn * zsin[j] + de * zcos[j]
-        np.logical_and(np.abs(u) <= zhl[j], np.abs(v) <= zhw[j], out=out[:, j])
-    return out
 
 
 def zone_hits(north: np.ndarray, east: np.ndarray, zones) -> np.ndarray:
     """(points, zones): is each NED point (north, east) inside each of
-    ``zones``?"""
+    ``zones``? Boundary-inclusive.
+
+    Each point is expressed in zone-local axes (u along the zone's length
+    at angle ``yaw`` from north, v across) and tested against the half
+    extents. One zone at a time, so the temporaries stay the size of one
+    column. The cosines and sines are taken over the array of yaws: a
+    scalar ``np.cos`` may differ from it in the last bit, which would
+    move boundary hits.
+    """
     yaw = np.array([z.yaw for z in zones])
-    return points_in_zones(
-        north,
-        east,
-        np.array([z.center.north for z in zones]),
-        np.array([z.center.east for z in zones]),
-        np.cos(yaw),
-        np.sin(yaw),
-        np.array([z.half_length for z in zones]),
-        np.array([z.half_width for z in zones]),
-    )
+    cos, sin = np.cos(yaw), np.sin(yaw)
+    out = np.empty((len(north), len(zones)), dtype=bool)
+    for j, z in enumerate(zones):
+        dn = north - z.center.north
+        de = east - z.center.east
+        u = dn * cos[j] + de * sin[j]
+        v = -dn * sin[j] + de * cos[j]
+        np.logical_and(np.abs(u) <= z.half_length, np.abs(v) <= z.half_width, out=out[:, j])
+    return out

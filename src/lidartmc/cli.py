@@ -53,16 +53,12 @@ def _out_dir(args) -> Path:
 
 def _counting_params(args, base):
     """Flag overrides applied on top of the config file's params."""
-    from .intersection import CountingParams
-
     overrides = {
         k: getattr(args, k)
         for k in ("min_headway_right", "min_headway_other", "cluster_gap", "dedup_window")
         if getattr(args, k) is not None
     }
-    if not overrides:
-        return base
-    return replace(base or CountingParams(), **overrides)
+    return replace(base, **overrides)
 
 
 def cmd_georef(args) -> int:
@@ -121,7 +117,7 @@ def cmd_estimate(args) -> int:
     from .counting import count_session, drop_outside_session, estimate_tmc, events_to_csv
     from .geo import atomic_write_text, load_registry
     from .ingest import merge_streams, parse_logs
-    from .intersection import CountingParams, load_intersection_config
+    from .intersection import load_intersection_config
     from .report import save_tmc_csv
 
     cfg = load_intersection_config(args.config)
@@ -167,7 +163,7 @@ def cmd_estimate(args) -> int:
                 "session": list(session),
                 "reorder_window": args.reorder_window,
                 "strict": args.strict,
-                "params": (params or CountingParams()).to_obj(),
+                "params": params.to_obj(),
             },
             "outputs": ["tmc.csv", "events.csv"],
             "warnings": warnings,

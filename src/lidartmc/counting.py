@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,47 +76,33 @@ class MovementEvent:
 
 def _permission_table(zones: Sequence[Zone], schedule: PhaseSchedule) -> np.ndarray:
     """(zones, intervals): does the interval permit a non-right binding
-    of the zone? One product of two binding-incidence tables."""
-    non_right = {b for z in zones for b in z.bindings if b[1] is not Movement.RIGHT}
-    col = {b: i for i, b in enumerate(non_right)}
-
-    def incidence(binding_sets) -> np.ndarray:
-        table = np.zeros((len(binding_sets), len(col)), dtype=np.int64)
-        cells = [(i, col[b]) for i, bs in enumerate(binding_sets) for b in bs if b in col]
-        if cells:
-            table[tuple(zip(*cells))] = 1
-        return table
-
-    zone_pairs = incidence([z.bindings for z in zones])
-    interval_pairs = incidence([iv.permitted for iv in schedule.intervals])
-    return (zone_pairs @ interval_pairs.T) > 0
+    of the zone?"""
+    return np.array([
+        [any(m is not Movement.RIGHT and (a, m) in iv.permitted for a, m in z.bindings)
+         for iv in schedule.intervals]
+        for z in zones
+    ], dtype=bool)
 
 
 def drop_outside_session(
     stream: MergedStream, cfg: IntersectionConfig
 ) -> tuple[MergedStream, int]:
-    """``stream`` without the zone-contained detections that lie outside
-    the schedule's session, and how many there were.
+    """The zone-row stream of :func:`~lidartmc.ingest.parse_logs`, merged,
+    without the rows of its frames outside the schedule's session, and
+    how many rows those were.
 
-    Such a detection would make :func:`extract_triggers` raise; a
-    detection outside every zone never triggers, so it is kept. The
+    Every row of such a stream lies in some zone, so each of them would
+    make :func:`extract_triggers` raise; the frames keep their times. The
     stream is returned unchanged when nothing is dropped.
     """
     s0, s1 = cfg.schedule.session
     outside = np.repeat((stream.t < s0) | (stream.t >= s1), np.diff(stream.offsets))
-    rows = np.flatnonzero(outside)
-    if len(rows) == 0:
+    if not outside.any():
         return stream, 0
-    boxes = stream.boxes[rows]
-    drop = rows[_kernels.zone_hits(boxes[:, X], boxes[:, Y], cfg.zones).any(axis=1)]
-    if len(drop) == 0:
-        return stream, 0
-    keep = np.ones(len(stream.boxes), dtype=bool)
-    keep[drop] = False
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    kept_before = np.concatenate(([0], np.cumsum(~outside)))
     return (
-        replace(stream, boxes=stream.boxes[keep], offsets=kept_before[stream.offsets]),
-        len(drop),
+        replace(stream, boxes=stream.boxes[~outside], offsets=kept_before[stream.offsets]),
+        int(np.count_nonzero(outside)),
     )
 
 
@@ -170,60 +156,45 @@ def extract_triggers(
     return out
 
 
-def _cluster_zone(
-    series: TriggerSeries, min_headway: float, params: CountingParams
-) -> list[tuple[float, float]]:
-    """Greedy scan of one zone's series -> (first_t, max_length) clusters."""
-    clusters: list[tuple[float, float]] = []
-    first_t = last_t = max_len = None
-    last_sensor = None
-    for t, length, sensor in zip(
-        series.t.tolist(), series.length.tolist(), series.sensor.tolist()
-    ):
-        if first_t is None:
-            first_t, last_t, max_len, last_sensor = t, t, length, sensor
-            continue
-        gap = t - last_t
-        joins = (
-            gap < params.cluster_gap
-            or (params.absorb and gap < min_headway)
-            or (sensor != last_sensor and gap < params.dedup_window)
-        )
-        if not joins:
-            clusters.append((first_t, max_len))
-            first_t, max_len = t, length
-        else:
-            max_len = max(max_len, length)
-        last_t, last_sensor = t, sensor
-    if first_t is not None:
-        clusters.append((first_t, max_len))
-    return clusters
-
-
-def _events_for_zone(
-    zone: Zone,
-    binding: tuple[Approach, Movement],
-    triggers: TriggerSeries,
+def _label_clusters(
+    series: Mapping[str, TriggerSeries],
     cfg: IntersectionConfig,
     params: CountingParams,
+    binding_of: Callable[[Zone], tuple[Approach, Movement]],
 ) -> list[MovementEvent]:
-    approach, movement = binding
-    table = cfg.class_table
-    events = []
-    for first_t, max_len in _cluster_zone(triggers, params.min_headway_for(zone), params):
-        events.append(
-            MovementEvent(
+    """One event per cluster of each zone's series, labelled with the
+    zone's ``binding_of``, merged by (timestamp, zone id) so ordering is
+    deterministic. Each series is scanned once, greedily, by the rules of
+    the module docstring."""
+    tagged: list[tuple[float, str, MovementEvent]] = []
+    for zone_id, triggers in series.items():
+        zone = cfg.zone_by_id(zone_id)
+        approach, movement = binding_of(zone)
+        min_headway = params.min_headway_for(zone)
+        clusters: list[list[float]] = []  # [first t, longest box] of each vehicle
+        last_t = last_sensor = None
+        for t, length, sensor in zip(
+            triggers.t.tolist(), triggers.length.tolist(), triggers.sensor.tolist()
+        ):
+            gap = t - last_t if clusters else math.inf
+            if (
+                gap < params.cluster_gap
+                or (params.absorb and gap < min_headway)
+                or (sensor != last_sensor and gap < params.dedup_window)
+            ):
+                clusters[-1][1] = max(clusters[-1][1], length)
+            else:
+                clusters.append([t, length])
+            last_t, last_sensor = t, sensor
+        for first_t, max_len in clusters:
+            event = MovementEvent(
                 approach=approach,
                 movement=movement,
                 t=first_t,
-                vehicle_class=table.classify(max_len).id,
+                vehicle_class=cfg.class_table.classify(max_len).id,
                 representative_length=max_len,
             )
-        )
-    return events
-
-
-def _sorted_events(tagged: list[tuple[float, str, MovementEvent]]) -> list[MovementEvent]:
+            tagged.append((first_t, zone_id, event))
     tagged.sort(key=lambda kv: (kv[0], kv[1]))
     return [e for _, _, e in tagged]
 
@@ -236,13 +207,16 @@ def cluster_triggers(
     """Cluster per-zone series into events labeled with each zone's
     primary binding. Zones are independent; the result is merged by
     (timestamp, zone id) so ordering is deterministic."""
-    params = params or cfg.params or CountingParams()
-    tagged: list[tuple[float, str, MovementEvent]] = []
-    for zone_id, triggers in series.items():
-        zone = cfg.zone_by_id(zone_id)
-        for ev in _events_for_zone(zone, zone.primary_binding, triggers, cfg, params):
-            tagged.append((ev.t, zone_id, ev))
-    return _sorted_events(tagged)
+    return _label_clusters(series, cfg, params or cfg.params, lambda z: z.primary_binding)
+
+
+def _surrogate_binding(zone: Zone) -> tuple[Approach, Movement]:
+    if not zone.is_right_surrogate:
+        raise MisconfiguredSurrogateError(
+            f"zone {zone.id!r} is not a single-binding right-turn egress "
+            f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})"
+        )
+    return zone.bindings[0]
 
 
 def count_rights_from_egress(
@@ -257,18 +231,7 @@ def count_rights_from_egress(
     ambiguous (thru traffic into the same egress would be counted) and
     raises :class:`MisconfiguredSurrogateError`.
     """
-    params = params or cfg.params or CountingParams()
-    tagged: list[tuple[float, str, MovementEvent]] = []
-    for zone_id, triggers in series.items():
-        zone = cfg.zone_by_id(zone_id)
-        if not zone.is_right_surrogate:
-            raise MisconfiguredSurrogateError(
-                f"zone {zone_id!r} is not a single-binding right-turn egress "
-                f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})"
-            )
-        for ev in _events_for_zone(zone, zone.bindings[0], triggers, cfg, params):
-            tagged.append((ev.t, zone_id, ev))
-    return _sorted_events(tagged)
+    return _label_clusters(series, cfg, params or cfg.params, _surrogate_binding)
 
 
 def count_session(
@@ -280,20 +243,17 @@ def count_session(
 
     Egress zones that are not right surrogates are observational only;
     their triggers are extracted but never counted. Returns the merged,
-    time-ordered event list and a metadata dict recording trigger counts
-    and any shared Left/UTurn zones (whose events are labeled with the
-    primary binding because ingress triggers cannot tell the two apart).
+    time-ordered event list (at one timestamp, ingress events first) and
+    a metadata dict recording trigger counts and any shared Left/UTurn
+    zones (whose events are labeled with the primary binding because
+    ingress triggers cannot tell the two apart).
     """
-    params = params or cfg.params or CountingParams()
     triggers = extract_triggers(stream, cfg)
     ingress = {z.id: triggers[z.id] for z in cfg.zones if z.kind is ZoneKind.INGRESS}
     surrogates = {z.id: triggers[z.id] for z in cfg.right_surrogate_zones}
-    tagged: list[tuple[float, str, MovementEvent]] = []
-    for ev in cluster_triggers(ingress, cfg, params):
-        tagged.append((ev.t, "", ev))
-    for ev in count_rights_from_egress(surrogates, cfg, params):
-        tagged.append((ev.t, "", ev))
-    events = _sorted_events(tagged)
+    events = cluster_triggers(ingress, cfg, params)
+    events += count_rights_from_egress(surrogates, cfg, params)
+    events.sort(key=lambda ev: ev.t)
     shared = [
         z.id
         for z in cfg.ingress_zones

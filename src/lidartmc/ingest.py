@@ -27,9 +27,9 @@ too deeply for its decoder is skipped.
 
 In memory, detections are columns: one float64 block of shape (n, 8)
 whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
-:class:`MergedStream` holds one block plus per-frame time, sensor and
-row offset arrays; a :class:`Frame` holds a row view of a block, for
-callers that work frame by frame.
+:class:`MergedStream`, the package's one stream form, holds one block
+plus per-frame time, sensor and row offset arrays. :class:`Frame` and
+the frame API built on it serve only the per-layer benchmark.
 
 A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each line's
 boxes are taken by one ``operator.itemgetter``, and each chunk gets one
@@ -50,7 +50,7 @@ skipped lines and its zone-row stream through a pipe. Results, skipped
 lines, warnings and errors are those of parsing the logs one after the
 other.
 
-:func:`write_detection_log` writes frames from the same columns: each
+:func:`write_detection_log` writes a stream from its columns: each
 distinct value of a column is formatted once per chunk of rows, with
 ``json.dumps``' spelling, and no per-box dict is built.
 """
@@ -637,9 +637,10 @@ def _json_floats(values: np.ndarray) -> tuple[list[str], list[int]]:
     return json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), inverse.tolist()
 
 
-def _frame_lines(frames: Sequence[Frame]) -> str:
-    """The log lines of ``frames``, formatted column by column."""
-    block = np.concatenate([f.detections for f in frames])
+def _frame_lines(stream: MergedStream, a: int, b: int) -> str:
+    """The log lines of frames ``a:b`` of ``stream``, column by column."""
+    off = stream.offsets[a : b + 1]
+    block = stream.boxes[off[0] : off[-1]]
     cols = []
     for c in range(SCORE):
         text, index = _json_floats(block[:, c])
@@ -651,38 +652,33 @@ def _frame_lines(frames: Sequence[Frame]) -> str:
         f'{{"x": {x}, "y": {y}, "z": {z}, "l": {l}, "w": {w}, "h": {h}, "yaw": {yaw}{score}}}'
         for x, y, z, l, w, h, yaw, score in zip(*cols)
     ]
-    t_text, t_index = _json_floats(np.array([f.t for f in frames], dtype=np.float64))
-    frame_ids = {fid: json.dumps(fid) for fid in {f.frame_id for f in frames}}
+    t_text, t_index = _json_floats(stream.t[a:b])
+    frame_ids = [json.dumps(fid) for fid in stream.sensors]
     lines = []
-    a = 0
-    for f, i in zip(frames, t_index):
-        b = a + len(f.detections)
-        lines.append(f'{{"t": {t_text[i]}, "frame_id": {frame_ids[f.frame_id]}, '
-                     f'"detections": [{", ".join(boxes[a:b])}]}}\n')
-        a = b
+    start = 0
+    for code, i, end in zip(stream.sensor[a:b].tolist(), t_index, (off[1:] - off[0]).tolist()):
+        lines.append(f'{{"t": {t_text[i]}, "frame_id": {frame_ids[code]}, '
+                     f'"detections": [{", ".join(boxes[start:end])}]}}\n')
+        start = end
     return "".join(lines)
 
 
-def write_detection_log(frames: Iterable[Frame], fh: IO[str]) -> None:
-    """Write ``frames`` to ``fh`` as JSON lines, one frame per line.
+def write_detection_log(stream: MergedStream, fh: IO[str]) -> None:
+    """Write ``stream`` to ``fh`` as JSON lines, one frame per line.
 
     Each line is what ``json.dumps`` gives for the frame's ``t``,
-    ``frame_id`` and ``detections`` (a NaN score is omitted). A sensor's
-    detections are written as one block of columns, formatted in chunks
-    of whole frames that hold about :data:`WRITE_CHUNK_ROWS` boxes; within
-    a chunk each distinct value of a column is formatted once, and the
-    rows and frames are joined from string templates.
+    ``frame_id`` and ``detections`` (a NaN score is omitted). The block is
+    formatted in chunks of whole frames that hold about
+    :data:`WRITE_CHUNK_ROWS` boxes; within a chunk each distinct value of
+    a column is formatted once, and the rows and frames are joined from
+    string templates.
     """
-    chunk: list[Frame] = []
-    rows = 0
-    for frame in frames:
-        chunk.append(frame)
-        rows += len(frame.detections)
-        if rows >= WRITE_CHUNK_ROWS:
-            fh.write(_frame_lines(chunk))
-            chunk, rows = [], 0
-    if chunk:
-        fh.write(_frame_lines(chunk))
+    off = stream.offsets
+    a = 0
+    while a < len(stream):
+        b = min(int(np.searchsorted(off, off[a] + WRITE_CHUNK_ROWS)), len(stream))
+        fh.write(_frame_lines(stream, a, b))
+        a = b
 
 
 def merge_streams(

@@ -194,7 +194,7 @@ class IntersectionConfig:
     ned_origin: GeodeticPoint
     zones: tuple[Zone, ...]
     schedule: PhaseSchedule
-    params: CountingParams | None = None  # None means defaults
+    params: CountingParams = CountingParams()
     class_table: ClassTable = DEFAULT_CLASS_TABLE
 
     def __post_init__(self):
@@ -297,7 +297,7 @@ def config_from_obj(doc) -> IntersectionConfig:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad intersection config: {exc}") from None
     schedule = PhaseSchedule.from_intervals(intervals)
-    params = None
+    params = CountingParams()
     if "params" in doc:
         try:
             params = CountingParams(**doc["params"])
@@ -343,7 +343,7 @@ def config_to_obj(cfg: IntersectionConfig) -> dict:
             for iv in cfg.schedule.intervals
         ],
     }
-    if cfg.params is not None:
+    if cfg.params != CountingParams():
         doc["params"] = cfg.params.to_obj()
     if cfg.class_table is not DEFAULT_CLASS_TABLE:
         doc["class_table"] = class_table_to_obj(cfg.class_table)

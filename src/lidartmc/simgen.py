@@ -17,8 +17,8 @@ Each sensor's detections are built as one block of columns: the ticks,
 positions, visibility and sensor-frame boxes of all vehicles are
 computed at once, and only the random draws go vehicle by vehicle
 (dropout, noise, length, score), so the random stream is that of
-drawing each vehicle's boxes in turn. Frames are row views of the
-block.
+drawing each vehicle's boxes in turn. A sensor's log is one
+:class:`~lidartmc.ingest.MergedStream` of that block, frame by frame.
 
 The ground-truth table is tallied directly from the script (by zone
 entry time), never from the emitted detections, which makes it an
@@ -38,7 +38,7 @@ import numpy as np
 from .classify import ClassTable, parse_class_id
 from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
-from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, Frame
+from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
 from .intersection import (
     Approach,
     IntersectionConfig,
@@ -132,7 +132,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SyntheticSession:
-    frames_by_sensor: dict[str, tuple[Frame, ...]]
+    # Each sensor's sensor-frame stream; the benchmark reads this name.
+    frames_by_sensor: dict[str, MergedStream]
     ground_truth: TmcTable
     script: tuple[ScriptedVehicle, ...]
     registry: FrameRegistry
@@ -233,7 +234,7 @@ def simulate(
     period = 1.0 / sim.frame_rate_hz
     lo = np.maximum(t_start, t0)
     hi = np.minimum(t_end, t1 - 1e-9)
-    frames_by_sensor: dict[str, tuple[Frame, ...]] = {}
+    frames_by_sensor: dict[str, MergedStream] = {}
     for sensor in sim.sensors:
         to_ned = sensor.ned_transform()
         registry.register(sensor.frame_id, compose(ecef_from_ned, to_ned))
@@ -274,9 +275,6 @@ def simulate(
             if sim.length_sigma > 0.0:
                 drawn_lengths.append(rng.normal(length[i], sim.length_sigma, k))
             scores.append(rng.uniform(0.5, 1.0, k))
-        if not scores:
-            frames_by_sensor[sensor.frame_id] = ()
-            continue
         if kept:
             keep = np.concatenate(kept)
             veh, ks, pos = veh[keep], ks[keep], pos[keep]
@@ -291,17 +289,17 @@ def simulate(
         block[:, W] = width[veh]
         block[:, H] = height[veh]
         block[:, YAW] = wrap_angles(zone_yaw - yaw_corr)[veh]
-        block[:, SCORE] = np.concatenate(scores)
+        block[:, SCORE] = np.concatenate(scores) if scores else []
         # Frame by frame; within a frame in script order.
         order = np.argsort(ks, kind="stable")
         ks = ks[order]
-        block = block[order]
-        bounds = np.flatnonzero(np.diff(ks)) + 1
-        starts = [0] + bounds.tolist()
-        ends = bounds.tolist() + [len(ks)]
-        frames_by_sensor[sensor.frame_id] = tuple(
-            Frame(sensor.frame_id, t0 + sensor.phase + k * period, block[a:b])
-            for k, a, b in zip(ks[starts].tolist(), starts, ends)
+        first = np.flatnonzero(np.diff(ks, prepend=-1))  # each frame's first row
+        frames_by_sensor[sensor.frame_id] = MergedStream(
+            boxes=block[order],
+            t=t0 + sensor.phase + ks[first] * period,
+            sensor=np.zeros(len(first), dtype=np.intp),
+            sensors=(sensor.frame_id,),
+            offsets=np.append(first, len(ks)),
         )
 
     return SyntheticSession(

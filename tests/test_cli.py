@@ -14,11 +14,13 @@ from conftest import random_rotation
 from lidartmc import cli
 from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
 from lidartmc.errors import SchemaError
-from lidartmc.geo import GeodeticPoint, lla_to_ecef, load_registry
+from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
+from lidartmc.ingest import MergedStream, frames_to_ned, parse_detection_log
 from lidartmc.intersection import CountingParams, load_intersection_config
 from lidartmc.report import TmcTable, load_tmc_csv, save_tmc_csv
 from lidartmc.simgen import SimConfig, load_script, random_script, script_to_obj
 from lidartmc.reference import reference_config_path
+from oracle import point_in_zone
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
@@ -373,20 +375,37 @@ class TestEstimate:
         log = sim_out / "log_L1.jsonl"
         clean = tmp_path / "clean"
         assert cli.main(self.estimate_args(sim_out, log, clean)) == 0
-        # The same detections again, long after the schedule session ends.
         lines = log.read_text().splitlines()
+        # The same detections again, long after the schedule session ends,
+        # then a frame whose detections lie outside every zone.
         late = [json.dumps({**json.loads(line), "t": json.loads(line)["t"] + 1e4})
                 for line in lines]
-        log.write_text("\n".join(lines + late) + "\n")
-        capsys.readouterr()
-        est_out = tmp_path / "est"
-        assert cli.main(self.estimate_args(sim_out, log, est_out)) == 0
-        for name in ("tmc.csv", "events.csv"):
-            assert (est_out / name).read_bytes() == (clean / name).read_bytes()
-        manifest = json.loads((est_out / "manifest.json").read_text())
-        contained = sum(manifest["counting"]["triggers_per_zone"].values())
-        assert 0 < manifest["warnings"]["outside_session_detections"] <= contained
-        assert "outside the schedule session" in capsys.readouterr().err
+        box = {"x": 900.0, "y": 900.0, "z": 0.0, "l": 4.0, "w": 2.0, "h": 1.5, "yaw": 0.0}
+        far = json.dumps({"t": 2e4, "frame_id": "L1", "detections": [box, box]})
+        cfg = load_intersection_config(reference_config_path())
+        ned = frames_to_ned(MergedStream.from_frames(parse_detection_log(late + [far])),
+                            load_registry(sim_out / "registry.json"))
+        in_zone = [any(point_in_zone(NedPoint(n, e, d), z) for z in cfg.zones)
+                   for n, e, d in ned.boxes[:, :3].tolist()]
+        assert not any(in_zone[-2:])
+        contained = sum(in_zone)
+        assert contained > 0
+        for extra, dropped in (([far], 0), (late + [far], contained)):
+            log.write_text("\n".join(lines + extra) + "\n")
+            capsys.readouterr()
+            est_out = tmp_path / f"est{dropped}"
+            assert cli.main(self.estimate_args(sim_out, log, est_out)) == 0
+            for name in ("tmc.csv", "events.csv"):
+                assert (est_out / name).read_bytes() == (clean / name).read_bytes()
+            warnings = json.loads((est_out / "manifest.json").read_text())["warnings"]
+            err = capsys.readouterr().err
+            if dropped:
+                assert warnings == {"skipped_lines": 0, "outside_session_detections": dropped}
+                assert err == (f"warning: dropped {dropped} zone-contained detection(s) "
+                               "outside the schedule session\n")
+            else:
+                assert warnings == {"skipped_lines": 0}
+                assert err == ""
         strict = self.estimate_args(sim_out, log, tmp_path / "strict") + ["--strict"]
         assert cli.main(strict) == 2
         assert "outside schedule session" in capsys.readouterr().err

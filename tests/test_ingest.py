@@ -145,12 +145,12 @@ class TestParse:
             Frame("L1", 1710968460.5, boxes()),
         ]
         buf = io.StringIO()
-        write_detection_log(frames, buf)
+        write_detection_log(MergedStream.from_frames(frames), buf)
         text = buf.getvalue()
         reparsed = list(parse_detection_log(io.StringIO(text)))
         assert frame_rows(reparsed) == frame_rows(frames)
         buf2 = io.StringIO()
-        write_detection_log(reparsed, buf2)
+        write_detection_log(MergedStream.from_frames(reparsed), buf2)
         assert buf2.getvalue() == text
 
     def test_gzip_transparent(self, tmp_path):
@@ -853,7 +853,7 @@ def test_box_validation():
 def test_frame_json_line_is_compact_single_line():
     frame = make_frame("L1", 1.5, (0.0, 0.0))
     buf = io.StringIO()
-    write_detection_log([frame], buf)
+    write_detection_log(MergedStream.from_frames([frame]), buf)
     line = buf.getvalue()
     assert line.endswith("\n") and "\n" not in line[:-1]
     assert json.loads(line)["frame_id"] == "L1"
@@ -893,7 +893,7 @@ class TestWriter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "WRITE_CHUNK_ROWS", chunk_rows)
             buf = io.StringIO()
-            write_detection_log(frames, buf)
+            write_detection_log(MergedStream.from_frames(frames), buf)
         assert buf.getvalue() == "".join(frame_to_json_line(f) + "\n" for f in frames)
 
     def test_frames_across_chunk_boundaries(self, monkeypatch):
@@ -906,11 +906,11 @@ class TestWriter:
         for chunk_rows in (1, 2, 3, 4, 7, 1024):
             monkeypatch.setattr(ingest, "WRITE_CHUNK_ROWS", chunk_rows)
             buf = io.StringIO()
-            write_detection_log(frames, buf)
+            write_detection_log(MergedStream.from_frames(frames), buf)
             assert buf.getvalue() == want, chunk_rows
         assert '"z": 5e-324' in want and '"y": -0.0' in want and '"x": -0.0' in want
 
     def test_no_frames(self):
         buf = io.StringIO()
-        write_detection_log([], buf)
+        write_detection_log(MergedStream.from_frames([]), buf)
         assert buf.getvalue() == ""

@@ -10,6 +10,7 @@ from lidartmc.errors import ConfigInvariantError, SchemaError, TimeOutsideSchedu
 from lidartmc.geo import NedPoint
 from lidartmc.intersection import (
     Approach,
+    CountingParams,
     IntersectionConfig,
     Movement,
     PhaseInterval,
@@ -180,6 +181,11 @@ class TestConfig:
         cfg = load_intersection_config(path)
         assert len(cfg.zones) == 1
         assert cfg.schedule.session == (0.0, 60.0)
+        assert cfg.params == CountingParams()
+        # Default params, absent or spelled out, are not written back.
+        assert "params" not in config_to_obj(cfg)
+        assert "params" not in config_to_obj(config_from_obj({**minimal_config_obj(),
+                                                              "params": {}}))
 
     def test_round_trip_exact(self, tmp_path, reference_config):
         path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ Tests do not count, so code kept alive only by its tests fails here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,7 +15,7 @@ PACKAGE = ROOT / "src" / "lidartmc"
 
 # Public names that no command calls but that stay on purpose.
 ALLOWED = {
-    "random_script": "the random script generator that ROADMAP item 1 replaces",
+    "random_script": "the random script generator that ROADMAP item 3 replaces",
     "save_intersection_config": "tests write their configs through it",
 }
 
@@ -82,3 +83,22 @@ def test_every_public_name_is_referenced():
 def test_allowed_names_exist_and_are_otherwise_unreferenced():
     # An entry that is gone, or that code now uses, is stale.
     assert sorted(name.split(".")[1] for name in unreferenced_names()) == sorted(ALLOWED)
+
+
+def test_perfbench_imports_exist():
+    # The benchmark runs the package from its checkout: every module and
+    # name it imports must exist, or its per-layer trace fails.
+    imported = []
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(a.name, None) for a in node.names if a.name.startswith("lidartmc")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lidartmc"):
+                imported += [(node.module, a.name) for a in node.names]
+    assert imported
+    for module_name, name in imported:
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")  # a submodule
+    kernels = importlib.import_module("lidartmc._kernels")
+    assert hasattr(kernels, "NUMBA_ENABLED")

@@ -8,7 +8,7 @@ import pytest
 
 from lidartmc.counting import count_session, estimate_tmc
 from lidartmc.errors import ScriptValidationError
-from lidartmc.ingest import X, Y, frames_to_ned, merge_streams, write_detection_log
+from lidartmc.ingest import BOX_COLUMNS, X, Y, frames_to_ned, merge_streams, write_detection_log
 from lidartmc.intersection import Approach, Movement
 from lidartmc.geo import NedPoint
 from lidartmc.reference import build_long_range_config
@@ -159,7 +159,7 @@ class TestSimulateBasics:
         )
         script = [ScriptedVehicle(3, NB, T, 20.03, 10.0, 4.5, "NB_T1")]
         session = simulate(script, reference_config, sim)
-        assert session.frames_by_sensor["L1"] == ()
+        assert_frames_identical(session.frames_by_sensor["L1"], ())
 
 
 class TestScriptValidation:
@@ -308,13 +308,15 @@ class TestScenarioSuite:
 
 
 def assert_frames_identical(got, want):
-    """Same frames, bit for bit: frame_id, t and every box value."""
-    assert [f.frame_id for f in got] == [f.frame_id for f in want]
-    assert [f.t.hex() for f in got] == [f.t.hex() for f in want]
-    for g, w in zip(got, want):
-        assert g.detections.dtype == w.detections.dtype == np.float64
-        assert g.detections.shape == w.detections.shape
-        assert g.detections.tobytes() == w.detections.tobytes()
+    """The stream ``got`` holds the frames ``want``, bit for bit: frame_id,
+    t and every box value."""
+    assert [got.sensors[s] for s in got.sensor.tolist()] == [f.frame_id for f in want]
+    assert [t.hex() for t in got.t.tolist()] == [f.t.hex() for f in want]
+    assert np.diff(got.offsets).tolist() == [len(f.detections) for f in want]
+    assert all(f.detections.dtype == np.float64 for f in want)
+    assert got.boxes.dtype == np.float64
+    assert got.boxes.shape == (got.offsets[-1], len(BOX_COLUMNS))
+    assert got.boxes.tobytes() == b"".join(f.detections.tobytes() for f in want)
 
 
 NOISY = dict(dropout=0.2, noise_sigma=0.1, length_sigma=0.05)
@@ -347,8 +349,11 @@ class TestAgainstPerVehicleOracle:
     def test_empty_script(self, reference_config):
         sim = SimConfig(seed=5, **NOISY)
         session = simulate([], reference_config, sim)
-        assert simulate_frames([], reference_config, sim) == session.frames_by_sensor
-        assert session.frames_by_sensor == {"L1": (), "L2": ()}
+        want = simulate_frames([], reference_config, sim)
+        assert want == {"L1": (), "L2": ()}
+        assert list(session.frames_by_sensor) == ["L1", "L2"]
+        for fid, stream in session.frames_by_sensor.items():
+            assert_frames_identical(stream, want[fid])
 
 
 class TestRandomScript:
