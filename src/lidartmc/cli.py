@@ -52,12 +52,16 @@ def _out_dir(args) -> Path:
 
 
 def _counting_params(args, base):
-    """Flag overrides applied on top of the config file's params."""
+    """Flag overrides applied on top of the config file's params. As in
+    the config, ``dedup_window`` follows the effective ``cluster_gap``
+    unless the config or ``--dedup-window`` sets it."""
     overrides = {
         k: getattr(args, k)
         for k in ("min_headway_right", "min_headway_other", "cluster_gap", "dedup_window")
         if getattr(args, k) is not None
     }
+    if base.dedup_follows_gap and args.dedup_window is None:
+        overrides["dedup_window"] = None
     return replace(base, **overrides)
 
 
@@ -215,7 +219,7 @@ def cmd_simulate(args) -> int:
     from .ingest import write_detection_log
     from .intersection import load_intersection_config
     from .report import save_tmc_csv
-    from .simgen import SimConfig, load_script, scenario_by_name, script_to_obj, simulate
+    from .simgen import SimConfig, load_script, scenario_by_name, script_json, simulate
 
     if (args.script is None) == (args.scenario is None):
         raise UserInputError("simulate needs exactly one of --script or --scenario")
@@ -244,9 +248,7 @@ def cmd_simulate(args) -> int:
         log_names.append(name)
     save_tmc_csv(session.ground_truth, out / "gt.csv")
     save_registry(session.registry, out / "registry.json")
-    atomic_write_text(
-        out / "script.json", json.dumps(script_to_obj(session.script), indent=2) + "\n"
-    )
+    atomic_write_text(out / "script.json", script_json(session.script))
     _write_manifest(
         out,
         "simulate",

@@ -50,32 +50,34 @@ skipped lines and its zone-row stream through a pipe. Results, skipped
 lines, warnings and errors are those of parsing the logs one after the
 other.
 
-:func:`write_detection_log` writes a stream from its columns: each
-distinct value of a column is formatted once per chunk of rows, with
-``json.dumps``' spelling, and no per-box dict is built.
+:func:`write_detection_log` writes a stream from its columns, and no
+per-box dict is built: ``orjson`` spells each column of a chunk of rows
+in one call. Its spelling is ``json.dumps``' for every finite value ``x``
+with ``1e-4 <= |x| < 1e16`` and for ±0.0; each other value (exponent
+form, NaN, infinities) is spelled by ``json.dumps`` itself, so every line
+is the one ``json.dumps`` gives.
+
+The stdlib modules that only a parse uses (``gzip``, ``logging``,
+``pickle``, ``signal``, ``zlib``) are imported in the functions that use
+them, so ``simulate``, which imports this module to write logs, does not
+load them.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
-import logging
 import math
 import operator
 import os
-import pickle
-import signal
-import zlib
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
 from .geo import FrameRegistry, wrap_angle, wrap_angles
-
-log = logging.getLogger(__name__)
 
 MAX_DIMENSION_M = 50.0
 DEFAULT_REORDER_WINDOW_S = 1.0
@@ -296,7 +298,8 @@ def _parse_columns(
     coordinates, and a mask of the rows they are; the stream is then in
     NED. A frame keeps its time when the cut keeps none of its rows.
     """
-    import orjson  # here, not at module level: ``simulate`` imports ingest to write logs
+    import gzip
+    import zlib
 
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
@@ -409,10 +412,7 @@ def _parse_columns(
     flush()
 
     errors.sort(key=lambda e: e.line_no)
-    if error_sink is not None:
-        error_sink.extend(errors)
-    for err in errors:
-        log.warning("skipping detection log %s", err)
+    _report_skipped(errors, error_sink)
 
     boxes = np.concatenate(blocks)
     del blocks  # the chunk blocks are no longer needed once joined
@@ -430,6 +430,17 @@ def _parse_columns(
         offsets=line_start[np.append(first, len(t))],
         coordinate_frame=FRAME_SENSOR if cut is None else FRAME_NED,
     )
+
+
+def _report_skipped(errors: list[MalformedLineError], error_sink: list | None) -> None:
+    """Add a log's skipped lines to ``error_sink`` and log each."""
+    import logging
+
+    if error_sink is not None:
+        error_sink.extend(errors)
+    log = logging.getLogger(__name__)
+    for err in errors:
+        log.warning("skipping detection log %s", err)
 
 
 def parse_detection_log(
@@ -463,6 +474,8 @@ def parse_detection_log(
 def open_detection_log(path) -> IO[bytes]:
     """Open a detection log for binary line reading, transparently
     handling gzip by magic bytes."""
+    import gzip
+
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic == b"\x1f\x8b":
@@ -507,6 +520,9 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
     log (the parent logs its skipped lines in log order) and ends with
     ``os._exit``, so nothing of the parent's state is flushed or run.
     """
+    import logging
+    import pickle
+
     status = 1
     try:
         logging.disable(logging.CRITICAL)
@@ -546,6 +562,8 @@ def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | No
 
 def _receive(pipe: IO[bytes], path, error_sink: list | None) -> MergedStream:
     """The stream of a forked parse of ``path``; raises its error."""
+    import pickle
+
     try:
         error, *result = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
@@ -554,10 +572,7 @@ def _receive(pipe: IO[bytes], path, error_sink: list | None) -> MergedStream:
         raise error
     if result:
         errors, stream = result
-        if error_sink is not None:
-            error_sink.extend(errors)
-        for err in errors:
-            log.warning("skipping detection log %s", err)
+        _report_skipped(errors, error_sink)
         return stream
     raise RuntimeError(f"the process parsing {path} ended without a result")
 
@@ -592,8 +607,8 @@ def parse_logs(
     fails. No child outlives the call: on an error each is killed and
     reaped.
     """
-    # Loaded before the forks, so no parse child loads it again.
-    import orjson  # noqa: F401
+    # Loaded before the forks, so no parse child loads them again.
+    import gzip, logging, pickle, signal, zlib  # noqa: E401, F401
 
     paths = list(paths)
     cut = _zone_cut(registry, zones)
@@ -626,38 +641,41 @@ def parse_logs(
             os.waitpid(pid, 0)
 
 
-def _json_floats(values: np.ndarray) -> tuple[list[str], list[int]]:
-    """``json.dumps``' spelling of each distinct float64 bit pattern in
-    ``values``, and the index of each value's spelling.
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``json.dumps``' spelling of each value of the float64 array ``values``.
 
-    Bit patterns rather than values are deduplicated, so -0.0 keeps its
-    sign and every NaN is spelled ``NaN``.
+    ``orjson`` spells every value in one call. For a finite ``x`` with
+    ``1e-4 <= |x| < 1e16``, and for ±0.0, that is ``repr(x)``, which is
+    ``json.dumps``' spelling; each other value (``5e-05``, ``1e+16``,
+    ``NaN``, ``Infinity``, which orjson spells ``5e-5``, ``1e16`` and
+    ``null``) is spelled by ``json.dumps``.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), inverse.tolist()
+    if not len(values):
+        return []
+    text = orjson.dumps(np.ascontiguousarray(values),
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(values)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (values != 0.0)).tolist():
+        text[i] = json.dumps(values[i].item())
+    return text
 
 
 def _frame_lines(stream: MergedStream, a: int, b: int) -> str:
     """The log lines of frames ``a:b`` of ``stream``, column by column."""
     off = stream.offsets[a : b + 1]
-    block = stream.boxes[off[0] : off[-1]]
-    cols = []
-    for c in range(SCORE):
-        text, index = _json_floats(block[:, c])
-        cols.append(map(text.__getitem__, index))
-    text, index = _json_floats(block[:, SCORE])
-    text = ["" if s == "NaN" else ', "score": ' + s for s in text]  # no score: omitted
-    cols.append(map(text.__getitem__, index))
+    cols = [_json_floats(col) for col in stream.boxes[off[0] : off[-1]].T]
+    # A NaN score is an absent one: omitted.
+    cols[SCORE] = ["" if s == "NaN" else ', "score": ' + s for s in cols[SCORE]]
     boxes = [
         f'{{"x": {x}, "y": {y}, "z": {z}, "l": {l}, "w": {w}, "h": {h}, "yaw": {yaw}{score}}}'
         for x, y, z, l, w, h, yaw, score in zip(*cols)
     ]
-    t_text, t_index = _json_floats(stream.t[a:b])
     frame_ids = [json.dumps(fid) for fid in stream.sensors]
     lines = []
     start = 0
-    for code, i, end in zip(stream.sensor[a:b].tolist(), t_index, (off[1:] - off[0]).tolist()):
-        lines.append(f'{{"t": {t_text[i]}, "frame_id": {frame_ids[code]}, '
+    for code, t, end in zip(stream.sensor[a:b].tolist(), _json_floats(stream.t[a:b]),
+                            (off[1:] - off[0]).tolist()):
+        lines.append(f'{{"t": {t}, "frame_id": {frame_ids[code]}, '
                      f'"detections": [{", ".join(boxes[start:end])}]}}\n')
         start = end
     return "".join(lines)
@@ -669,8 +687,8 @@ def write_detection_log(stream: MergedStream, fh: IO[str]) -> None:
     Each line is what ``json.dumps`` gives for the frame's ``t``,
     ``frame_id`` and ``detections`` (a NaN score is omitted). The block is
     formatted in chunks of whole frames that hold about
-    :data:`WRITE_CHUNK_ROWS` boxes; within a chunk each distinct value of
-    a column is formatted once, and the rows and frames are joined from
+    :data:`WRITE_CHUNK_ROWS` boxes; within a chunk each column is spelled
+    by :func:`_json_floats`, and the rows and frames are joined from
     string templates.
     """
     off = stream.offsets

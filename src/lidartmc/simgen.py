@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .classify import ClassTable, parse_class_id
 from .errors import SchemaError, ScriptValidationError, json_number
@@ -321,15 +322,16 @@ def tally_script(
     table = empty_table(sim.bin_seconds, sim.session, classes)
     counts = np.array(table.counts)
     t0, t1 = sim.session
+    approach_index = {a: i for i, a in enumerate(Approach)}
+    movement_index = {m: i for i, m in enumerate(Movement)}
     for v in script:
         if not t0 <= v.entry_time < t1:
             raise ScriptValidationError(
                 f"entry_time {v.entry_time} outside session [{t0}, {t1})"
             )
         b = int(math.floor((v.entry_time - t0) / sim.bin_seconds))
-        a_i = list(Approach).index(v.approach)
-        m_i = list(Movement).index(v.movement)
-        counts[b, a_i, m_i, v.vehicle_class - 1] += 1
+        counts[b, approach_index[v.approach], movement_index[v.movement],
+               v.vehicle_class - 1] += 1
     return TmcTable(sim.bin_seconds, sim.session, counts)
 
 
@@ -512,6 +514,25 @@ def script_to_obj(script: Sequence[ScriptedVehicle]) -> dict:
             for v in script
         ]
     }
+
+
+def script_json(script: Sequence[ScriptedVehicle]) -> str:
+    """The text of ``script.json``: :func:`script_to_obj` indented by two
+    spaces, then a newline. ``json.loads`` reads it back to
+    :func:`script_to_obj`'s values.
+
+    ``orjson`` writes it, which gives the bytes of ``json.dumps(...,
+    indent=2)`` for an ASCII script whose floats lie in ``1e-4 <= |x| <
+    1e16``; a non-ASCII character is written as UTF-8 instead of escaped,
+    and an exponent without a plus sign or zero padding (``1e-5`` for
+    ``1e-05``). A script that orjson refuses (a lone surrogate in a
+    ``zone_id``, an integer past 64 bits) is written by ``json.dumps``.
+    """
+    obj = script_to_obj(script)
+    try:
+        return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE).decode()
+    except orjson.JSONEncodeError:
+        return json.dumps(obj, indent=2) + "\n"
 
 
 def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:

@@ -432,6 +432,33 @@ class TestEstimate:
         manifest = json.loads((tmp_path / "est" / "manifest.json").read_text())
         assert manifest["arguments"]["params"]["min_headway_right"] == 2.5
 
+    @pytest.mark.parametrize("config_params,flags,cluster_gap,dedup_window", [
+        (None, ["--cluster-gap", "0.4"], 0.4, 0.4),
+        ({"cluster_gap": 0.4}, [], 0.4, 0.4),
+        ({"cluster_gap": 0.5}, ["--cluster-gap", "0.4"], 0.4, 0.4),
+        ({"dedup_window": 0.6}, ["--cluster-gap", "0.4"], 0.4, 0.6),
+        ({"cluster_gap": 0.4, "dedup_window": 0.4}, ["--cluster-gap", "0.5"], 0.5, 0.4),
+        (None, ["--cluster-gap", "0.4", "--dedup-window", "0.5"], 0.4, 0.5),
+        ({"dedup_window": 0.6}, ["--dedup-window", "0.3"], 0.6, 0.3),
+    ])
+    def test_dedup_window_follows_cluster_gap_unless_set(
+            self, ideal_sim, tmp_path, config_params, flags, cluster_gap, dedup_window):
+        """``--cluster-gap`` moves ``dedup_window`` with it, as the config's
+        ``cluster_gap`` does, unless the config or ``--dedup-window`` sets
+        ``dedup_window``."""
+        doc = json.loads(Path(reference_config_path()).read_text())
+        if config_params is not None:
+            doc["params"] = config_params
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
+                         str(ideal_sim / "log_L2.jsonl"), "--config", str(config),
+                         "--registry", str(ideal_sim / "registry.json"),
+                         "--out-dir", str(tmp_path / "est"), *flags]) == 0
+        params = json.loads((tmp_path / "est" / "manifest.json").read_text())[
+            "arguments"]["params"]
+        assert (params["cluster_gap"], params["dedup_window"]) == (cluster_gap, dedup_window)
+
 
 class TestCompare:
     def test_identical_files_zero_error(self, tmp_path, capsys):

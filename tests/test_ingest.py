@@ -860,9 +860,13 @@ def test_frame_json_line_is_compact_single_line():
 
 
 # Float64 values a log may hold: signed zeros, subnormals, the extremes,
-# NaNs with other payloads and signs, and infinities.
+# NaNs with other payloads and signs, infinities, and both sides of the
+# magnitudes 1e-4 and 1e16, where ``repr`` turns to exponent form (and
+# the writer from orjson's spelling to json's).
+SPELLING_SWITCHES = [1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), -1e-4,
+                     1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf)]
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.7976931348623157e308,
-                  1.0, -1.0, 0.1, math.nan, math.inf, -math.inf,
+                  1.0, -1.0, 0.1, math.nan, math.inf, -math.inf, *SPELLING_SWITCHES,
                   *np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)
                   .view(np.float64).tolist()]
 any_float = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -914,3 +918,14 @@ class TestWriter:
         buf = io.StringIO()
         write_detection_log(MergedStream.from_frames([]), buf)
         assert buf.getvalue() == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.one_of(any_float, st.sampled_from(SPECIAL_FLOATS)), max_size=40),
+           exponent=st.integers(-8, 20))
+    def test_float_spelling_is_json_dumps(self, values, exponent):
+        # Scaled draws cover the magnitudes around both switches densely.
+        values = np.array(values + [v * 10.0 ** exponent for v in values], dtype=np.float64)
+        assert ingest._json_floats(values) == [json.dumps(v) for v in values.tolist()]
+        assert ingest._json_floats(np.array(SPELLING_SWITCHES)) == [
+            "0.0001", "9.999999999999999e-05", "0.00010000000000000002", "-0.0001",
+            "1e+16", "9999999999999998.0", "1.0000000000000002e+16"]

@@ -1,10 +1,13 @@
 import io
+import json
 import math
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidartmc.counting import count_session, estimate_tmc
 from lidartmc.errors import ScriptValidationError
@@ -23,6 +26,7 @@ from lidartmc.simgen import (
     scenario_by_name,
     scenario_suite,
     script_from_obj,
+    script_json,
     script_to_obj,
     simulate,
     tally_script,
@@ -377,6 +381,41 @@ class TestRandomScript:
         rng = np.random.default_rng(82)
         script = random_script(reference_config, rng, 10, SimConfig(seed=12))
         assert script_from_obj(script_to_obj(script)) == tuple(script)
+
+
+# Floats that ``repr`` spells in exponent form, and so orjson differently.
+EXPONENT_FORM = [5e-05, -3e-07, 1e-300, 5e-324, 1e16, 2.5e22, 1.7976931348623157e308]
+script_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(EXPONENT_FORM))
+scripted_vehicles = st.builds(
+    ScriptedVehicle,
+    vehicle_class=st.integers(1, 6),
+    approach=st.sampled_from(list(Approach)),
+    movement=st.sampled_from(list(Movement)),
+    entry_time=script_float,
+    speed=script_float,
+    length=st.none() | script_float,
+    zone_id=st.none() | st.text(max_size=6) | st.sampled_from(["NB_T1", "zoné", "北口", "🚗"]),
+)
+
+
+class TestScriptJson:
+    @settings(max_examples=100, deadline=None)
+    @given(script=st.lists(scripted_vehicles, max_size=6))
+    def test_reads_back_to_script_values(self, script):
+        doc = json.loads(script_json(script))
+        assert doc == script_to_obj(script)
+        assert script_from_obj(doc) == tuple(script)
+
+    def test_bundled_scenarios_keep_json_dumps_bytes(self):
+        for sc in scenario_suite():
+            assert script_json(sc.script) == json.dumps(script_to_obj(sc.script), indent=2) + "\n"
+
+    def test_script_orjson_refuses_is_written_by_json(self):
+        script = [ScriptedVehicle(3, NB, T, 20.0, 10.0, None, "\ud800")]
+        text = script_json(script)
+        assert text == json.dumps(script_to_obj(script), indent=2) + "\n"
+        assert json.loads(text) == script_to_obj(script)
 
 
 def test_tally_script_respects_bins(reference_config):

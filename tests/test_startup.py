@@ -18,15 +18,20 @@ from lidartmc import cli
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
+# The stdlib modules that only a log parse uses, and with orjson, the
+# modules outside the package whose loading a command pays for.
+PARSE_ONLY = {"logging", "gzip", "signal"}
+WATCHED = {"orjson", *PARSE_ONLY}
+
 # Runs one command through cli.main in a fresh interpreter, then prints
-# its exit code, the package modules it loaded and whether it loaded the
-# log decoder (orjson).
-LOADED_MODULES = """
+# its exit code, the package modules it loaded and which of WATCHED it
+# loaded.
+LOADED_MODULES = f"""
 import json, sys
 from lidartmc import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("lidartmc.") or m == "orjson")]))
+                               if m.startswith("lidartmc.") or m in {sorted(WATCHED)})]))
 """
 
 ONE_VEHICLE = {"vehicles": [{"class": 3, "approach": "NB", "movement": "Thru",
@@ -70,10 +75,13 @@ def import_sets(tmp_path_factory):
     }
 
 
-# command: (modules it must load, modules it must not load)
+# command: (modules it must load, modules it must not load). ``simulate``
+# writes its logs and script with orjson, but parses no log.
 IMPORT_RULES = {
-    "estimate": ({"ingest", "counting", "_kernels", "report", "orjson"}, {"simgen"}),
-    "simulate": ({"simgen", "ingest", "report"}, {"counting", "_kernels", "orjson"}),
+    "estimate": ({"ingest", "counting", "_kernels", "report", "orjson", *PARSE_ONLY},
+                 {"simgen"}),
+    "simulate": ({"simgen", "ingest", "report", "orjson"},
+                 {"counting", "_kernels", *PARSE_ONLY}),
     "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson"}),
     "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen", "orjson",
                          "intersection", "classify"}),
