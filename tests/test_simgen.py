@@ -208,6 +208,32 @@ class TestScriptValidation:
                 SimConfig(seed=1),
             )
 
+    @pytest.mark.parametrize("zone_id, approach, movement", [
+        ("NB_L", NB, Movement.UTURN),  # a shared zone counts its primary binding only
+        ("NB_T1", NB, Movement.LEFT),
+        ("NB_T_EGRESS", NB, T),  # egress, not a right surrogate
+        ("NB_R_EGRESS", Approach.SB, Movement.RIGHT),  # a surrogate of another binding
+    ])
+    def test_zone_that_cannot_count_the_movement_rejected(
+        self, reference_config, zone_id, approach, movement
+    ):
+        message = f"zone '{zone_id}' cannot count {approach.value}/{movement.value}"
+        with pytest.raises(ScriptValidationError, match=f"^{message}$"):
+            simulate(
+                [ScriptedVehicle(3, approach, movement, 20.0, 8.0, 4.5, zone_id)],
+                reference_config,
+                SimConfig(seed=1),
+            )
+
+    def test_right_surrogate_zone_counts_its_binding(self, reference_config):
+        session = simulate(
+            [ScriptedVehicle(3, NB, Movement.RIGHT, 20.0, 8.0, 4.5, "NB_R_EGRESS")],
+            reference_config,
+            SimConfig(seed=1),
+        )
+        assert session.ground_truth.counts.sum() == 1
+        assert session.frames_by_sensor["L1"].boxes.size
+
     def test_length_class_mismatch_rejected(self, reference_config):
         with pytest.raises(ScriptValidationError):
             simulate(
