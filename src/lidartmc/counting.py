@@ -1,9 +1,10 @@
 """Zone triggers, temporal clustering, and count-table assembly.
 
 The pipeline: a merged NED detection stream is reduced to per-zone
-trigger series (a trigger = one detection centroid inside a zone at a
-time when some binding of the zone is permissible). Each zone's series
-is then clustered into vehicles:
+trigger series (a trigger = one detection centroid inside a zone, by
+:func:`~lidartmc.intersection.zone_hits`, at a time when some binding of
+the zone is permissible). Each zone's series is then clustered into
+vehicles by :func:`cluster_triggers`:
 
 * a trigger within ``cluster_gap`` of the cluster's last trigger is the
   same vehicle;
@@ -20,20 +21,20 @@ Setting ``absorb=False`` disables the third rule (every gap >=
 cluster_gap then opens a new cluster); that is the diagnostic "raw
 re-trigger" mode and is deliberately prone to overcounting.
 
-One event per cluster, timestamped at the cluster's first trigger; the
-representative length is the cluster maximum (the longest box seen is
-closest to the true length under partial occlusion).
+One event per cluster, labelled with the zone's primary binding (a
+right surrogate's one binding) and timestamped at the cluster's first
+trigger; the representative length is the cluster maximum (the longest
+box seen is closest to the true length under partial occlusion).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
 from .ingest import FRAME_NED, L, X, Y, MergedStream
 from .intersection import (
@@ -46,6 +47,7 @@ from .intersection import (
     PhaseSchedule,
     Zone,
     ZoneKind,
+    zone_hits,
 )
 from .report import TmcTable, empty_table
 
@@ -125,7 +127,7 @@ def extract_triggers(
     if len(boxes) == 0 or not zones:
         return out
 
-    hits = _kernels.zone_hits(boxes[:, X], boxes[:, Y], zones)
+    hits = zone_hits(boxes[:, X], boxes[:, Y], zones)
     rows = np.flatnonzero(hits.any(axis=1))
     hits = hits[rows]
     frames = stream.frame_of(rows)
@@ -156,20 +158,20 @@ def extract_triggers(
     return out
 
 
-def _label_clusters(
+def cluster_triggers(
     series: Mapping[str, TriggerSeries],
     cfg: IntersectionConfig,
-    params: CountingParams,
-    binding_of: Callable[[Zone], tuple[Approach, Movement]],
+    params: CountingParams | None = None,
 ) -> list[MovementEvent]:
     """One event per cluster of each zone's series, labelled with the
-    zone's ``binding_of``, merged by (timestamp, zone id) so ordering is
+    zone's primary binding, merged by (timestamp, zone id) so ordering is
     deterministic. Each series is scanned once, greedily, by the rules of
     the module docstring."""
+    params = params or cfg.params
     tagged: list[tuple[float, str, MovementEvent]] = []
     for zone_id, triggers in series.items():
         zone = cfg.zone_by_id(zone_id)
-        approach, movement = binding_of(zone)
+        approach, movement = zone.primary_binding
         min_headway = params.min_headway_for(zone)
         clusters: list[list[float]] = []  # [first t, longest box] of each vehicle
         last_t = last_sensor = None
@@ -199,26 +201,6 @@ def _label_clusters(
     return [e for _, _, e in tagged]
 
 
-def cluster_triggers(
-    series: Mapping[str, TriggerSeries],
-    cfg: IntersectionConfig,
-    params: CountingParams | None = None,
-) -> list[MovementEvent]:
-    """Cluster per-zone series into events labeled with each zone's
-    primary binding. Zones are independent; the result is merged by
-    (timestamp, zone id) so ordering is deterministic."""
-    return _label_clusters(series, cfg, params or cfg.params, lambda z: z.primary_binding)
-
-
-def _surrogate_binding(zone: Zone) -> tuple[Approach, Movement]:
-    if not zone.is_right_surrogate:
-        raise MisconfiguredSurrogateError(
-            f"zone {zone.id!r} is not a single-binding right-turn egress "
-            f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})"
-        )
-    return zone.bindings[0]
-
-
 def count_rights_from_egress(
     series: Mapping[str, TriggerSeries],
     cfg: IntersectionConfig,
@@ -231,7 +213,14 @@ def count_rights_from_egress(
     ambiguous (thru traffic into the same egress would be counted) and
     raises :class:`MisconfiguredSurrogateError`.
     """
-    return _label_clusters(series, cfg, params or cfg.params, _surrogate_binding)
+    for zone_id in series:
+        zone = cfg.zone_by_id(zone_id)
+        if not zone.is_right_surrogate:
+            raise MisconfiguredSurrogateError(
+                f"zone {zone.id!r} is not a single-binding right-turn egress "
+                f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})"
+            )
+    return cluster_triggers(series, cfg, params)
 
 
 def count_session(
@@ -249,7 +238,7 @@ def count_session(
     ingress triggers cannot tell the two apart).
     """
     triggers = extract_triggers(stream, cfg)
-    ingress = {z.id: triggers[z.id] for z in cfg.zones if z.kind is ZoneKind.INGRESS}
+    ingress = {z.id: triggers[z.id] for z in cfg.ingress_zones}
     surrogates = {z.id: triggers[z.id] for z in cfg.right_surrogate_zones}
     events = cluster_triggers(ingress, cfg, params)
     events += count_rights_from_egress(surrogates, cfg, params)

@@ -105,6 +105,10 @@ class GeodeticPoint:
         """The point of a decoded JSON ``{"lat", "lon", "alt"}`` object."""
         return cls(json_number(obj["lat"]), json_number(obj["lon"]), json_number(obj["alt"]))
 
+    def to_obj(self) -> dict:
+        """The JSON object that :meth:`from_obj` reads."""
+        return {"lat": self.lat, "lon": self.lon, "alt": self.alt}
+
 
 @dataclass(frozen=True)
 class NedPoint:
@@ -340,9 +344,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def registry_to_json(registry: FrameRegistry) -> str:
-    origin = registry.ned_origin
     doc = {
-        "ned_origin": {"lat": origin.lat, "lon": origin.lon, "alt": origin.alt},
+        "ned_origin": registry.ned_origin.to_obj(),
         "frames": {
             fid: {
                 "rotation": [float(v) for v in registry.transform_for(fid).rotation.ravel()],

@@ -58,9 +58,8 @@ form, NaN, infinities) is spelled by ``json.dumps`` itself, so every line
 is the one ``json.dumps`` gives.
 
 The stdlib modules that only a parse uses (``gzip``, ``logging``,
-``pickle``, ``signal``, ``zlib``) are imported in the functions that use
-them, so ``simulate``, which imports this module to write logs, does not
-load them.
+``signal``) are imported in the functions that use them, so ``simulate``,
+which imports this module to write logs, does not load them.
 """
 
 from __future__ import annotations
@@ -69,6 +68,8 @@ import json
 import math
 import operator
 import os
+import pickle
+import zlib
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -78,6 +79,7 @@ import orjson
 
 from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
 from .geo import FrameRegistry, wrap_angle, wrap_angles
+from .intersection import Zone, zone_hits
 
 MAX_DIMENSION_M = 50.0
 DEFAULT_REORDER_WINDOW_S = 1.0
@@ -174,8 +176,8 @@ def _row_error(row: tuple, score, line_no: int) -> InvalidFieldError | None:
 
     Checks run in a fixed order, so a line's reason does not depend on
     how it was detected as bad. A value that ``float`` converts passes
-    here even if it is not a JSON number: :func:`_box_error` checks that
-    last.
+    here even if it is not a JSON number: :func:`_detections_error`
+    checks that last.
     """
     try:
         vals = [float(v) for v in row]
@@ -199,25 +201,11 @@ def _row_error(row: tuple, score, line_no: int) -> InvalidFieldError | None:
     return None
 
 
-def _box_error(rows: list[tuple], scores: list, line_no: int) -> InvalidFieldError | None:
-    """Why a line's boxes are not valid, or None: the first box that
+def _detections_error(dets: list, line_no: int) -> MalformedLineError | None:
+    """Why a line's detections are not valid boxes, or None: the first
+    detection that is not an object, lacks a required key or that
     :func:`_row_error` refuses, else the first value, box by box, that is
     not a JSON number (a string or a boolean)."""
-    for row, score in zip(rows, scores):
-        err = _row_error(row, score, line_no)
-        if err is not None:
-            return err
-    for row, score in zip(rows, scores):
-        try:
-            for v in row if score is None else (*row, score):
-                json_number(v)
-        except TypeError as exc:
-            return InvalidFieldError(line_no, f"non-numeric detection field: {exc}")
-    return None
-
-
-def _detections_error(dets: list, line_no: int) -> MalformedLineError | None:
-    """The first bad detection of a line whose boxes could not be read."""
     for d in dets:
         if not isinstance(d, dict):
             return MalformedLineError(line_no, f"detection must be an object, got {d!r}")
@@ -227,6 +215,13 @@ def _detections_error(dets: list, line_no: int) -> MalformedLineError | None:
         err = _row_error(_BOX(d), d.get("score"), line_no)
         if err is not None:
             return err
+    for d in dets:
+        score = d.get("score")
+        try:
+            for v in _BOX(d) if score is None else (*_BOX(d), score):
+                json_number(v)
+        except TypeError as exc:
+            return InvalidFieldError(line_no, f"non-numeric detection field: {exc}")
     return None
 
 
@@ -256,7 +251,7 @@ def _fill(block: np.ndarray, rows: list[tuple], scores: list, a: int, b: int) ->
 def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
               box_errors: dict) -> np.ndarray:
     """The (n, 8) float64 block of raw boxes. A line with a bad box gets
-    its reason in ``box_errors`` (see :func:`_box_error`)."""
+    its reason in ``box_errors`` (see :func:`_detections_error`)."""
     block = np.full((len(rows), len(BOX_COLUMNS)), np.nan)
     if not _fill(block, rows, scores, 0, len(rows)):
         # Some value is not a number: retry by groups of lines, then line
@@ -280,7 +275,8 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
     ends = np.array([line[4] for line in lines], dtype=np.intp)
     for i in set(np.searchsorted(ends, np.flatnonzero(bad), side="right").tolist()):
         line_no, _, _, a, b, _ = lines[i]
-        box_errors[i] = _box_error(rows[a:b], scores[a:b], line_no)
+        dets = [dict(zip(BOX_COLUMNS, (*row, s))) for row, s in zip(rows[a:b], scores[a:b])]
+        box_errors[i] = _detections_error(dets, line_no)
     return block
 
 
@@ -299,7 +295,6 @@ def _parse_columns(
     NED. A frame keeps its time when the cut keeps none of its rows.
     """
     import gzip
-    import zlib
 
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
@@ -483,16 +478,15 @@ def open_detection_log(path) -> IO[bytes]:
     return open(path, "rb")
 
 
-def _zone_cut(registry: FrameRegistry, zones: Sequence) -> Callable:
+def _zone_cut(registry: FrameRegistry, zones: Sequence[Zone]) -> Callable:
     """The chunk cut of :func:`parse_logs`: a chunk's rows mapped to NED
-    by its sensor's pose, then only those whose centre is in some zone.
+    by its sensor's pose, then only those whose centre is in some zone by
+    :func:`~lidartmc.intersection.zone_hits`, as ``counting`` tests them.
 
     Every registered pose is composed here, before any fork, so a parse
     child does no BLAS work (the parent's BLAS threads do not exist
     there). A sensor the registry lacks keeps no rows.
     """
-    from . import _kernels  # ``simulate`` imports ingest but counts nothing
-
     poses = {fid: registry.ned_pose(fid) for fid in registry.frame_ids}
 
     def cut(block: np.ndarray, sensor: str) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +494,7 @@ def _zone_cut(registry: FrameRegistry, zones: Sequence) -> Callable:
         if pose is None:
             return block[:0], np.zeros(len(block), dtype=bool)
         ned = ned_boxes(block, pose)
-        inside = _kernels.zone_hits(ned[:, X], ned[:, Y], zones).any(axis=1)
+        inside = zone_hits(ned[:, X], ned[:, Y], zones).any(axis=1)
         return ned[inside], inside
 
     return cut
@@ -521,7 +515,6 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
     ``os._exit``, so nothing of the parent's state is flushed or run.
     """
     import logging
-    import pickle
 
     status = 1
     try:
@@ -562,8 +555,6 @@ def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | No
 
 def _receive(pipe: IO[bytes], path, error_sink: list | None) -> MergedStream:
     """The stream of a forked parse of ``path``; raises its error."""
-    import pickle
-
     try:
         error, *result = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
@@ -580,7 +571,7 @@ def _receive(pipe: IO[bytes], path, error_sink: list | None) -> MergedStream:
 def parse_logs(
     paths: Sequence,
     registry: FrameRegistry,
-    zones: Sequence,
+    zones: Sequence[Zone],
     *,
     strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
@@ -608,7 +599,7 @@ def parse_logs(
     reaped.
     """
     # Loaded before the forks, so no parse child loads them again.
-    import gzip, logging, pickle, signal, zlib  # noqa: E401, F401
+    import gzip, logging, signal  # noqa: E401, F401
 
     paths = list(paths)
     cut = _zone_cut(registry, zones)

@@ -4,6 +4,9 @@ Zones are oriented rectangles in the local NED plane (the down component
 is ignored; the intersection is treated as planar). Each zone is tagged
 ingress or egress and bound to one or more (approach, movement) pairs;
 the first listed binding is the zone's primary label for counting.
+:func:`zone_hits` is the one containment rule: ``ingest`` cuts each
+parse chunk to its zone rows with it and ``counting`` finds each zone's
+triggers with it.
 
 The phase schedule lists non-overlapping [start, end) intervals with the
 set of permitted (approach, movement) pairs. Right turns are permitted
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .classify import (
     ClassTable,
@@ -101,6 +106,29 @@ class Zone:
             and len(self.bindings) == 1
             and self.bindings[0][1] is Movement.RIGHT
         )
+
+
+def zone_hits(north: np.ndarray, east: np.ndarray, zones: Sequence[Zone]) -> np.ndarray:
+    """(points, zones): is each NED point (north, east) inside each of
+    ``zones``? Boundary-inclusive.
+
+    Each point is expressed in zone-local axes (u along the zone's length
+    at angle ``yaw`` from north, v across) and tested against the half
+    extents. One zone at a time, so the temporaries stay the size of one
+    column. The cosines and sines are taken over the array of yaws: a
+    scalar ``np.cos`` may differ from it in the last bit, which would
+    move boundary hits.
+    """
+    yaw = np.array([z.yaw for z in zones])
+    cos, sin = np.cos(yaw), np.sin(yaw)
+    out = np.empty((len(north), len(zones)), dtype=bool)
+    for j, z in enumerate(zones):
+        dn = north - z.center.north
+        de = east - z.center.east
+        u = dn * cos[j] + de * sin[j]
+        v = -dn * sin[j] + de * cos[j]
+        np.logical_and(np.abs(u) <= z.half_length, np.abs(v) <= z.half_width, out=out[:, j])
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,14 +246,12 @@ class IntersectionConfig:
         return tuple(z for z in self.zones if z.is_right_surrogate)
 
     def countable_targets(self) -> tuple[tuple[Zone, Binding], ...]:
-        """(zone, binding) pairs the counting pipeline can attribute.
-
-        Ingress zones count as their primary binding; right-surrogate
-        egress zones count as their single binding.
+        """(zone, binding) pairs the counting pipeline can attribute:
+        ingress zones, then right-surrogate egress zones, each counted as
+        its primary binding (a surrogate's only one).
         """
-        out = [(z, z.primary_binding) for z in self.ingress_zones]
-        out.extend((z, z.bindings[0]) for z in self.right_surrogate_zones)
-        return tuple(out)
+        zones = self.ingress_zones + self.right_surrogate_zones
+        return tuple((z, z.primary_binding) for z in zones)
 
 
 def validate_config_structure(zones: Sequence[Zone]) -> None:
@@ -320,11 +346,7 @@ def config_from_obj(doc) -> IntersectionConfig:
 
 def config_to_obj(cfg: IntersectionConfig) -> dict:
     doc = {
-        "ned_origin": {
-            "lat": cfg.ned_origin.lat,
-            "lon": cfg.ned_origin.lon,
-            "alt": cfg.ned_origin.alt,
-        },
+        "ned_origin": cfg.ned_origin.to_obj(),
         "zones": [
             {
                 "id": z.id,

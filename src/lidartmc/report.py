@@ -23,22 +23,17 @@ import numpy as np
 
 from .errors import IncompatibleBinningError, SchemaError, UserInputError
 from .geo import atomic_write_text
-from .intersection import (
-    APPROACH_INDEX,
-    APPROACHES,
-    MOVEMENT_INDEX,
-    MOVEMENTS,
-    Approach,
-    Movement,
-)
+from .intersection import APPROACH_INDEX, APPROACHES, MOVEMENTS, Approach
 
 DIMS = ("time", "approach", "movement", "class")
-GT_CSV_HEADER = ("bin_start", "approach", "class", "left", "thru", "right", "uturn")
+# One count column per movement, in the order of the table's movement axis.
+GT_CSV_HEADER = ("bin_start", "approach", "class", *(m.value.lower() for m in MOVEMENTS))
 REPORT_CSV_HEADER = ("group", "estimated", "ground_truth", "abs_error", "pct_error")
 
 DEFAULT_BIN_SECONDS = 300.0
 # Bins of one table: 10**5 bins of 300 s is almost a year, and the int64
-# grid of six classes is then 77 MB.
+# grid of six classes is then 77 MB. A loaded table holds at most as many
+# bins times classes.
 MAX_BINS = 10**5
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -148,30 +143,22 @@ def render_tmc_csv(table: TmcTable) -> str:
     for b in range(table.counts.shape[0]):
         for a_i, a in enumerate(APPROACHES):
             for c in range(table.n_classes):
-                row = table.counts[b, a_i, :, c]
                 writer.writerow(
-                    [
-                        repr(table.bin_start(b)),
-                        a.value,
-                        c + 1,
-                        int(row[MOVEMENT_INDEX[Movement.LEFT]]),
-                        int(row[MOVEMENT_INDEX[Movement.THRU]]),
-                        int(row[MOVEMENT_INDEX[Movement.RIGHT]]),
-                        int(row[MOVEMENT_INDEX[Movement.UTURN]]),
-                    ]
+                    [repr(table.bin_start(b)), a.value, c + 1,
+                     *table.counts[b, a_i, :, c].tolist()]
                 )
     return buf.getvalue()
 
 
-def load_tmc_csv(
-    path, bin_seconds: float = DEFAULT_BIN_SECONDS, classes: int = 6
-) -> TmcTable:
+def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     """Load a count table from CSV (ground truth or a prior estimate).
 
     Session bounds are inferred as [min bin_start, max bin_start +
     bin_seconds]; rows may appear in any order and missing rows are zero.
-    A header-only file yields an empty zero-bin table. The counts of the
-    whole file must sum within int64, so no cell or marginal can wrap.
+    The class axis holds six classes, or up to the highest class id in
+    the file if that is more. A header-only file yields an empty zero-bin
+    table. The counts of the whole file must sum within int64, so no
+    cell or marginal can wrap.
     """
     rows: list[tuple[float, Approach, int, list[int]]] = []
     total = 0
@@ -185,8 +172,8 @@ def load_tmc_csv(
         for i, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != 7:
-                raise SchemaError(f"line {i}: expected 7 fields, got {len(row)}")
+            if len(row) != len(GT_CSV_HEADER):
+                raise SchemaError(f"line {i}: expected {len(GT_CSV_HEADER)} fields, got {len(row)}")
             try:
                 bin_start = float(row[0])
                 approach = Approach(row[1].strip())
@@ -194,8 +181,8 @@ def load_tmc_csv(
                 counts = [int(v) for v in row[3:]]
             except ValueError as exc:
                 raise SchemaError(f"line {i}: {exc}") from None
-            if not 1 <= class_id <= classes:
-                raise SchemaError(f"line {i}: class {class_id} outside 1..{classes}")
+            if class_id < 1:
+                raise SchemaError(f"line {i}: class {class_id} must be at least 1")
             for v in counts:
                 if v < 0:
                     raise UserInputError(f"line {i}: negative count {v}")
@@ -204,10 +191,17 @@ def load_tmc_csv(
                 raise SchemaError(f"line {i}: counts so far sum past the int64 limit {INT64_MAX}")
             rows.append((bin_start, approach, class_id, counts))
     if not rows:
-        return empty_table(bin_seconds, (0.0, 0.0), classes)
+        return empty_table(bin_seconds, (0.0, 0.0))
     starts = sorted({r[0] for r in rows})
     session = (starts[0], starts[-1] + bin_seconds)
-    table = np.zeros((n_bins(bin_seconds, session), 4, 4, classes), dtype=np.int64)
+    bins = n_bins(bin_seconds, session)
+    classes = max(6, max(r[2] for r in rows))
+    if bins * classes > MAX_BINS * 6:
+        raise UserInputError(
+            f"a table of {bins} bins of {classes} classes is larger than "
+            f"{MAX_BINS} bins of 6 classes"
+        )
+    table = np.zeros((bins, len(APPROACHES), len(MOVEMENTS), classes), dtype=np.int64)
     for bin_start, approach, class_id, counts in rows:
         b = (bin_start - session[0]) / bin_seconds
         if abs(b - round(b)) > 1e-6:
@@ -215,9 +209,7 @@ def load_tmc_csv(
                 f"bin_start {bin_start} is not on the {bin_seconds}s bin grid"
             )
         b = int(round(b))
-        a_i = APPROACH_INDEX[approach]
-        for m, v in zip((Movement.LEFT, Movement.THRU, Movement.RIGHT, Movement.UTURN), counts):
-            table[b, a_i, MOVEMENT_INDEX[m], class_id - 1] += v
+        table[b, APPROACH_INDEX[approach], :, class_id - 1] += counts
     return TmcTable(bin_seconds, session, table)
 
 

@@ -40,13 +40,7 @@ from .classify import ClassTable, parse_class_id
 from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
 from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
-from .intersection import (
-    Approach,
-    IntersectionConfig,
-    Movement,
-    Zone,
-    ZoneKind,
-)
+from .intersection import Approach, IntersectionConfig, Movement, Zone
 from .report import TmcTable, empty_table
 from .reference import build_long_range_config, build_reference_config
 
@@ -140,24 +134,20 @@ class SyntheticSession:
     registry: FrameRegistry
 
 
-def _governing_zone(v: ScriptedVehicle, cfg: IntersectionConfig) -> Zone:
+def _governing_zone(v: ScriptedVehicle, cfg: IntersectionConfig, targets) -> Zone:
+    """The zone that counts ``v``; ``targets`` is ``cfg.countable_targets()``."""
     binding = (v.approach, v.movement)
     if v.zone_id is not None:
         try:
             zone = cfg.zone_by_id(v.zone_id)
         except KeyError:
             raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}") from None
-        ok = (
-            zone.primary_binding == binding
-            if zone.kind is ZoneKind.INGRESS
-            else zone.is_right_surrogate and zone.bindings[0] == binding
-        )
-        if not ok:
+        if (zone, binding) not in targets:
             raise ScriptValidationError(
                 f"zone {v.zone_id!r} cannot count {v.approach.value}/{v.movement.value}"
             )
         return zone
-    for zone, b in cfg.countable_targets():
+    for zone, b in targets:
         if b == binding:
             return zone
     raise ScriptValidationError(
@@ -193,6 +183,7 @@ def simulate(
             f"simulation session {sim.session}"
         )
 
+    targets = cfg.countable_targets()
     # One row per vehicle: the constants its path and boxes are built from.
     per_vehicle = []
     for v in script:
@@ -202,7 +193,7 @@ def simulate(
             raise ScriptValidationError(
                 f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]"
             )
-        zone = _governing_zone(v, cfg)
+        zone = _governing_zone(v, cfg, targets)
         length = _draw_length(v, table, rng)
         residence = 2.0 * zone.half_length / v.speed
         if not (t0 <= v.entry_time and v.entry_time + residence < t1):

@@ -224,8 +224,9 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
     table = cfg.class_table
     t0, t1 = sim.session
     resolved = []  # (vehicle, zone, length, entry_pos, direction, t_start, t_end)
+    targets = cfg.countable_targets()
     for v in script:
-        zone = _governing_zone(v, cfg)
+        zone = _governing_zone(v, cfg, targets)
         length = _draw_length(v, table, rng)
         direction = np.array([math.cos(zone.yaw), math.sin(zone.yaw), 0.0])
         entry_pos = np.array(

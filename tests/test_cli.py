@@ -519,6 +519,33 @@ class TestCompare:
         assert reports[0] == reports[1]
         assert reports[2] == reports[3]
 
+    def test_seven_class_estimate_compares_with_itself(self, ideal_sim, tmp_path):
+        doc = json.loads(Path(reference_config_path()).read_text())
+        classes = class_table_to_obj(DEFAULT_CLASS_TABLE)
+        classes[-1]["upper"] = 20.0
+        doc["class_table"] = classes + [{"id": 7, "label": "Long combinations",
+                                         "lower": 20.0, "upper": None, "fhwa": []}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        est = tmp_path / "est"
+        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
+                         str(ideal_sim / "log_L2.jsonl"), "--config", str(config),
+                         "--registry", str(ideal_sim / "registry.json"),
+                         "--out-dir", str(est)]) == 0
+        assert load_tmc_csv(est / "tmc.csv").n_classes == 7
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", str(est / "tmc.csv"), str(est / "tmc.csv"),
+                         "--out-dir", str(out)]) == 0
+        for line in (out / "report.csv").read_text().splitlines()[1:]:
+            assert line.endswith(",0,0.0") or line.endswith(",0,n/a")
+
+    def test_huge_class_id_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(GT_FIXTURE.read_text() + f"0.0,NB,{10**12},1,0,0,0\n")
+        assert cli.main(["compare", str(table), str(GT_FIXTURE),
+                         "--out-dir", str(tmp_path / "cmp")]) == 2
+        assert "classes is larger than" in capsys.readouterr().err
+
     def test_bad_group_by_exit_1_or_2(self, tmp_path):
         code = cli.main(
             ["compare", str(GT_FIXTURE), str(GT_FIXTURE), "--group-by", "bogus",

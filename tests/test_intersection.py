@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from lidartmc.intersection import (
     config_to_obj,
     load_intersection_config,
     save_intersection_config,
+    zone_hits,
 )
 from lidartmc.reference import build_long_range_config, reference_config_path
 from oracle import permissible, point_in_zone
@@ -94,6 +96,29 @@ class TestPointInZone:
             make_zone(bindings=())
         with pytest.raises(ConfigInvariantError):
             make_zone(bindings=((NB, T), (NB, T)))
+
+
+class TestZoneHits:
+    def test_containment_matches_numpy_reference(self):
+        # The rule against the scalar oracle, point by point and zone by zone.
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            pn, pe = rng.uniform(-60, 60, (2, 500))
+            zn, ze = rng.uniform(-30, 30, (2, 8))
+            yaw, hl, hw = rng.uniform(-np.pi, np.pi, 8), rng.uniform(2, 8, 8), rng.uniform(1, 4, 8)
+            zones = [make_zone(id=f"Z{j}", center=NedPoint(zn[j], ze[j], 0.0), yaw=yaw[j],
+                               half_length=hl[j], half_width=hw[j]) for j in range(8)]
+            got = zone_hits(pn, pe, zones)
+            assert got.shape == (500, 8)
+            ref = [[point_in_zone(NedPoint(n, e, 0.0), z) for z in zones] for n, e in zip(pn, pe)]
+            assert got.tolist() == ref
+
+    def test_containment_boundary_inclusive(self):
+        # Axis-aligned zone, point exactly on the length and width boundaries.
+        pn = np.array([4.0, 4.0000001, 0.0, 0.0])
+        pe = np.array([0.0, 0.0, 1.75, 1.7500001])
+        got = zone_hits(pn, pe, [make_zone()])
+        assert got[:, 0].tolist() == [True, False, True, False]
 
 
 def simple_schedule():

@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 
 from conftest import frame_rows
-from lidartmc import _kernels, cli, ingest
+from lidartmc import cli, ingest
 from lidartmc.errors import MalformedLineError, OutOfOrderError, UnregisteredFrameError
 from lidartmc.geo import load_registry
+from lidartmc.intersection import zone_hits
 from lidartmc.reference import build_reference_config
 
 ZONES = build_reference_config().zones
@@ -324,8 +325,7 @@ def test_rows_are_the_zone_contained_ones(monkeypatch, sim, tmp_path, chunk_rows
         with ingest.open_detection_log(path) as fh:
             frames = ingest.parse_detection_log(fh)
         ned = ingest.frames_to_ned(ingest.MergedStream.from_frames(frames), registry)
-        inside = _kernels.zone_hits(ned.boxes[:, ingest.X], ned.boxes[:, ingest.Y],
-                                    ZONES).any(axis=1)
+        inside = zone_hits(ned.boxes[:, ingest.X], ned.boxes[:, ingest.Y], ZONES).any(axis=1)
         off = ned.offsets
         want = [ingest.Frame(f.frame_id, f.t, f.detections[inside[off[i]:off[i + 1]]])
                 for i, f in enumerate(ned.frames)]

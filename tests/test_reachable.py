@@ -102,3 +102,18 @@ def test_perfbench_imports_exist():
             importlib.import_module(f"{module_name}.{name}")  # a submodule
     kernels = importlib.import_module("lidartmc._kernels")
     assert hasattr(kernels, "NUMBA_ENABLED")
+
+
+def test_kernels_is_only_the_benchmark_flag():
+    # ``_kernels`` stays only because the benchmark records NUMBA_ENABLED:
+    # it defines nothing else and no package module imports it, so it can
+    # go together with the benchmark's read of the flag.
+    tree = ast.parse((PACKAGE / "_kernels.py").read_text(encoding="utf-8"))
+    defined = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    others = [node for node in tree.body if not isinstance(node, ast.Assign)
+              and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert defined == ["NUMBA_ENABLED"] and others == []
+    importers = [path.name for path, tree in _sources().items() if path.parent == PACKAGE
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "_kernels" in ast.unparse(node)]
+    assert importers == []
