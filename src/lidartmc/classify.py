@@ -56,7 +56,11 @@ class ClassTable:
         return len(self.classes)
 
     def classify(self, length: float) -> VehicleClass:
-        return classify_by_length(length, self)
+        """Map a bounding-box length to its vehicle class."""
+        length = float(length)
+        if not math.isfinite(length) or length <= 0:
+            raise NonpositiveLengthError(f"length must be positive and finite, got {length!r}")
+        return self.classes[bisect_right(self._bounds, length) - 1]
 
     def by_id(self, class_id: int) -> VehicleClass:
         return self.classes[class_id - 1]
@@ -81,17 +85,6 @@ _DEFAULT_CLASSES = (
 )
 
 DEFAULT_CLASS_TABLE = ClassTable(_DEFAULT_CLASSES)
-
-
-def classify_by_length(
-    length: float, table: ClassTable = DEFAULT_CLASS_TABLE
-) -> VehicleClass:
-    """Map a bounding-box length to its vehicle class."""
-    length = float(length)
-    if not math.isfinite(length) or length <= 0:
-        raise NonpositiveLengthError(f"length must be positive and finite, got {length!r}")
-    idx = bisect_right(table._bounds, length) - 1
-    return table.classes[idx]
 
 
 def parse_class_id(value) -> int:

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import UserInputError
+from .errors import TimeOutsideScheduleError, UserInputError
 from .geo import GeodeticPoint
 from .reference import reference_config_path
 
@@ -118,7 +118,7 @@ def cmd_georef(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from .counting import count_session, drop_outside_session, estimate_tmc, events_to_csv
+    from .counting import count_session, estimate_tmc, events_to_csv
     from .geo import atomic_write_text, load_registry
     from .ingest import merge_streams, parse_logs
     from .intersection import load_intersection_config
@@ -138,16 +138,17 @@ def cmd_estimate(args) -> int:
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
-    # Each log comes back as its zone rows in NED plus every frame time.
-    streams = parse_logs(args.logs, registry, cfg.zones, strict=args.strict,
-                         error_sink=errors)
+    # Each log comes back as its in-session zone rows in NED and every frame
+    # time; the zone rows outside the session come back as their times.
+    streams, dropped = parse_logs(args.logs, registry, cfg, strict=args.strict,
+                                  error_sink=errors)
     ned = merge_streams(streams, reorder_window=args.reorder_window)
     del streams
     for fid in ned.sensors:  # a log of an unregistered sensor fails after the order check
         registry.transform_for(fid)
-    outside = 0
-    if not args.strict:  # under --strict, extract_triggers raises on the first one
-        ned, outside = drop_outside_session(ned, cfg)
+    outside = len(dropped)
+    if outside and args.strict:  # the earliest one, after the order and registry checks
+        raise TimeOutsideScheduleError(float(dropped.min()), cfg.schedule.session)
     events, meta = count_session(ned, cfg, params)
     table = estimate_tmc(events, args.bin_seconds, session, cfg.class_table.n_classes)
     warnings = {"skipped_lines": len(errors)}

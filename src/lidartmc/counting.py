@@ -30,7 +30,7 @@ box seen is closest to the true length under partial occlusion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .intersection import (
     PhaseSchedule,
     Zone,
     ZoneKind,
+    outside_session,
     zone_hits,
 )
 from .report import TmcTable, empty_table
@@ -86,28 +87,6 @@ def _permission_table(zones: Sequence[Zone], schedule: PhaseSchedule) -> np.ndar
     ], dtype=bool)
 
 
-def drop_outside_session(
-    stream: MergedStream, cfg: IntersectionConfig
-) -> tuple[MergedStream, int]:
-    """The zone-row stream of :func:`~lidartmc.ingest.parse_logs`, merged,
-    without the rows of its frames outside the schedule's session, and
-    how many rows those were.
-
-    Every row of such a stream lies in some zone, so each of them would
-    make :func:`extract_triggers` raise; the frames keep their times. The
-    stream is returned unchanged when nothing is dropped.
-    """
-    s0, s1 = cfg.schedule.session
-    outside = np.repeat((stream.t < s0) | (stream.t >= s1), np.diff(stream.offsets))
-    if not outside.any():
-        return stream, 0
-    kept_before = np.concatenate(([0], np.cumsum(~outside)))
-    return (
-        replace(stream, boxes=stream.boxes[~outside], offsets=kept_before[stream.offsets]),
-        int(np.count_nonzero(outside)),
-    )
-
-
 def extract_triggers(
     stream: MergedStream, cfg: IntersectionConfig
 ) -> dict[str, TriggerSeries]:
@@ -134,8 +113,7 @@ def extract_triggers(
     ts = stream.t[frames]
 
     schedule = cfg.schedule
-    s0, s1 = schedule.session
-    outside = (ts < s0) | (ts >= s1)
+    outside = outside_session(ts, schedule.session)
     if np.any(outside):
         raise TimeOutsideScheduleError(float(ts[np.argmax(outside)]), schedule.session)
 
@@ -273,7 +251,7 @@ def estimate_tmc(
     counts = np.array(table.counts)
     t0, t1 = session
     for ev in events:
-        if not t0 <= ev.t < t1:
+        if outside_session(ev.t, session):
             raise UserInputError(f"event at t={ev.t} outside session [{t0}, {t1})")
         if not 1 <= ev.vehicle_class <= classes:
             raise UserInputError(f"event class {ev.vehicle_class} outside 1..{classes}")

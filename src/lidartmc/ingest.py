@@ -40,15 +40,16 @@ than every box as Python objects.
 
 :func:`parse_logs`, which ``estimate`` runs, cuts further: each chunk is
 mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
-to the rows whose centre lies in some counting zone before the next
-chunk is read. A log's result is then its zone rows, in NED, plus the
-time of every frame, kept even when none of its rows is, so the merge's
-order check sees every frame. The logs are parsed concurrently: the
-first in the calling process and each later one, up to one process per
-usable CPU, in a forked child that sends back one pickled header of its
-skipped lines and its zone-row stream through a pipe. Results, skipped
-lines, warnings and errors are those of parsing the logs one after the
-other.
+to the rows whose centre lies in some counting zone and whose frame time
+lies in the session before the next chunk is read. A log's result is
+its zone rows, in NED, plus the time of every frame, kept even when none
+of its rows is, so the merge's order check sees every frame, and the
+frame times of the zone rows dropped as outside the session. The logs
+are parsed concurrently: the first in the calling process and each
+later one, up to one process per usable CPU, in a forked child that
+sends back one pickled header of its results through a pipe. Results,
+skipped lines, warnings and errors are those of parsing the logs one
+after the other.
 
 :func:`write_detection_log` writes a stream from its columns, and no
 per-box dict is built: ``orjson`` spells each column of a chunk of rows
@@ -79,7 +80,7 @@ import orjson
 
 from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
 from .geo import FrameRegistry, wrap_angle, wrap_angles
-from .intersection import Zone, zone_hits
+from .intersection import IntersectionConfig, outside_session, zone_hits
 
 MAX_DIMENSION_M = 50.0
 DEFAULT_REORDER_WINDOW_S = 1.0
@@ -254,14 +255,10 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
     its reason in ``box_errors`` (see :func:`_detections_error`)."""
     block = np.full((len(rows), len(BOX_COLUMNS)), np.nan)
     if not _fill(block, rows, scores, 0, len(rows)):
-        # Some value is not a number: retry by groups of lines, then line
-        # by line in a group that fails. A line that fails stays NaN and
-        # so fails validation.
-        for g in range(0, len(lines), 64):
-            group = lines[g : g + 64]
-            if not _fill(block, rows, scores, group[0][3], group[-1][4]):
-                for _, _, _, a, b, _ in group:
-                    _fill(block, rows, scores, a, b)
+        # Some value is not a number: fill line by line. A line that fails
+        # stays NaN and so fails validation.
+        for _, _, _, a, b, _ in lines:
+            _fill(block, rows, scores, a, b)
     dims = block[:, L:YAW]
     score = block[:, SCORE]
     bad = ~(
@@ -284,15 +281,16 @@ def _parse_columns(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
     strict: bool,
     error_sink: list[MalformedLineError] | None,
-    cut: Callable[[np.ndarray, str], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> MergedStream:
+    cut: Callable | None = None,
+) -> tuple[MergedStream, np.ndarray]:
     """The stream of a detection log, as :func:`parse_detection_log`
-    parses it.
+    parses it, and the times that the cut drops (none without a cut).
 
-    ``cut(block, sensor)``, if given, takes each chunk's kept rows and
-    the log's sensor and returns the rows to keep, in the stream's
-    coordinates, and a mask of the rows they are; the stream is then in
-    NED. A frame keeps its time when the cut keeps none of its rows.
+    ``cut(block, sensor, t)``, if given, takes each chunk's kept rows,
+    the log's sensor and each row's frame time, and returns the rows to
+    keep, in NED, a mask of the rows they are, and the frame times of
+    the zone rows it drops as outside the session. A frame keeps its
+    time when the cut keeps none of its rows.
     """
     import gzip
 
@@ -302,6 +300,7 @@ def _parse_columns(
     blocks: list[np.ndarray] = []  # kept rows of each chunk
     sizes: list[np.ndarray] = []  # rows of each kept line, by chunk
     kept_t: list[float] = []  # t of every kept line
+    dropped: list[np.ndarray] = [np.empty(0)]  # times of the rows the cut drops
     expected = None
     # (line_no, frame_id, t, first row, end row, error checked last) of the chunk
     lines: list[tuple] = []
@@ -338,7 +337,9 @@ def _parse_columns(
         block[:, YAW] = wrap_angles(block[:, YAW])
         n = n[keep]
         if cut is not None and len(block):
-            block, inside = cut(block, expected)
+            row_t = np.repeat(np.array([line[2] for line in lines])[keep], n)
+            block, inside, outside_t = cut(block, expected, row_t)
+            dropped.append(outside_t)
             inside_before = np.concatenate(([0], np.cumsum(inside)))
             ends = np.cumsum(n)
             n = inside_before[ends] - inside_before[ends - n]
@@ -424,7 +425,7 @@ def _parse_columns(
         sensors=(expected,) if len(first) else (),
         offsets=line_start[np.append(first, len(t))],
         coordinate_frame=FRAME_SENSOR if cut is None else FRAME_NED,
-    )
+    ), np.concatenate(dropped)
 
 
 def _report_skipped(errors: list[MalformedLineError], error_sink: list | None) -> None:
@@ -463,7 +464,7 @@ def parse_detection_log(
     chunk is converted, checked and cut down to its kept rows before the
     next one is read, so the raw box tuples never outlive their chunk.
     """
-    return list(_parse_columns(source, strict, error_sink).frames)
+    return list(_parse_columns(source, strict, error_sink)[0].frames)
 
 
 def open_detection_log(path) -> IO[bytes]:
@@ -478,29 +479,34 @@ def open_detection_log(path) -> IO[bytes]:
     return open(path, "rb")
 
 
-def _zone_cut(registry: FrameRegistry, zones: Sequence[Zone]) -> Callable:
+def _zone_cut(registry: FrameRegistry, cfg: IntersectionConfig) -> Callable:
     """The chunk cut of :func:`parse_logs`: a chunk's rows mapped to NED
     by its sensor's pose, then only those whose centre is in some zone by
-    :func:`~lidartmc.intersection.zone_hits`, as ``counting`` tests them.
+    :func:`~lidartmc.intersection.zone_hits`, as ``counting`` tests them,
+    and whose frame time is in the schedule's session; the times of the
+    zone rows outside it come back too.
 
     Every registered pose is composed here, before any fork, so a parse
     child does no BLAS work (the parent's BLAS threads do not exist
-    there). A sensor the registry lacks keeps no rows.
+    there). A sensor the registry lacks keeps and drops no rows.
     """
     poses = {fid: registry.ned_pose(fid) for fid in registry.frame_ids}
+    zones, session = cfg.zones, cfg.schedule.session
 
-    def cut(block: np.ndarray, sensor: str) -> tuple[np.ndarray, np.ndarray]:
+    def cut(block: np.ndarray, sensor: str, t: np.ndarray) -> tuple:
         pose = poses.get(sensor)
         if pose is None:
-            return block[:0], np.zeros(len(block), dtype=bool)
+            return block[:0], np.zeros(len(block), dtype=bool), t[:0]
         ned = ned_boxes(block, pose)
         inside = zone_hits(ned[:, X], ned[:, Y], zones).any(axis=1)
-        return ned[inside], inside
+        outside = outside_session(t, session)
+        keep = inside & ~outside
+        return ned[keep], keep, t[inside & outside]
 
     return cut
 
 
-def _parse_path(path, strict: bool, error_sink: list | None, cut: Callable) -> MergedStream:
+def _parse_path(path, strict: bool, error_sink: list | None, cut: Callable) -> tuple:
     with open_detection_log(path) as fh:
         return _parse_columns(fh, strict, error_sink, cut)
 
@@ -510,9 +516,10 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
     never returns.
 
     The header is ``(error,)`` on failure and ``(None, skipped lines,
-    zone-row stream)`` on success. The child does no BLAS work, does not
-    log (the parent logs its skipped lines in log order) and ends with
-    ``os._exit``, so nothing of the parent's state is flushed or run.
+    zone-row stream, dropped times)`` on success. The child does no BLAS
+    work, does not log (the parent logs its skipped lines in log order)
+    and ends with ``os._exit``, so nothing of the parent's state is
+    flushed or run.
     """
     import logging
 
@@ -522,7 +529,7 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
         with open(fd, "wb") as pipe:
             errors: list[MalformedLineError] = []
             try:
-                stream = _parse_path(path, strict, errors, cut)
+                parsed = _parse_path(path, strict, errors, cut)
             except Exception as exc:
                 try:
                     header = pickle.dumps((exc,))
@@ -530,7 +537,7 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
                     header = pickle.dumps((RuntimeError(f"parsing {path}: {exc!r}"),))
                 pipe.write(header)
             else:
-                pickle.dump((None, errors, stream), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((None, errors, *parsed), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -553,56 +560,56 @@ def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | No
     return pid, open(r, "rb")
 
 
-def _receive(pipe: IO[bytes], path, error_sink: list | None) -> MergedStream:
-    """The stream of a forked parse of ``path``; raises its error."""
+def _receive(pipe: IO[bytes], path, error_sink: list | None) -> tuple:
+    """The stream and dropped times of a forked parse; raises its error."""
     try:
         error, *result = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        error = result = None
+        raise RuntimeError(f"the process parsing {path} ended without a result") from None
     if error is not None:
         raise error
-    if result:
-        errors, stream = result
-        _report_skipped(errors, error_sink)
-        return stream
-    raise RuntimeError(f"the process parsing {path} ended without a result")
+    errors, stream, dropped = result
+    _report_skipped(errors, error_sink)
+    return stream, dropped
 
 
 def parse_logs(
     paths: Sequence,
     registry: FrameRegistry,
-    zones: Sequence[Zone],
+    cfg: IntersectionConfig,
     *,
     strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
-) -> list[MergedStream]:
-    """The zone rows of each detection log at ``paths``, in NED.
+) -> tuple[list[MergedStream], np.ndarray]:
+    """The zone rows of each detection log at ``paths``, in NED, and the
+    frame times of the zone rows dropped as outside the session.
 
     Each log is parsed as by :func:`parse_detection_log`, and each chunk
     of its kept rows is mapped sensor -> NED (:func:`ned_boxes`, with the
     log's pose from ``registry``) and cut to the rows whose centre lies
-    in some of ``zones`` before the next chunk is read. A log's stream
-    holds those rows and the time of every frame, also of a frame left
-    with no rows, so :func:`merge_streams` checks the order of every
-    frame. A log whose sensor ``registry`` lacks keeps no rows: the
-    caller raises :class:`~lidartmc.errors.UnregisteredFrameError` for it
-    after the merge, where :func:`frames_to_ned` would.
+    in some of ``cfg.zones`` and whose frame time lies in
+    ``cfg.schedule.session`` before the next chunk is read. A log's
+    stream holds those rows and the time of every frame, also of a frame
+    left with no rows, so :func:`merge_streams` checks the order of every
+    frame. A log whose sensor ``registry`` lacks keeps and drops no rows:
+    the caller raises :class:`~lidartmc.errors.UnregisteredFrameError`
+    for it after the merge, where :func:`frames_to_ned` would.
 
     The logs are parsed concurrently: the calling process parses the
     first, and each later log, up to one process per usable CPU, is
     parsed by a forked child that sends back one pickled header holding
-    its skipped lines and its zone-row stream; the rest are parsed here
-    after the first. Results are taken in argument order, so the
-    streams, the skipped lines in ``error_sink`` and the logged warnings
-    are in log order, and the error raised is that of the first log that
-    fails. No child outlives the call: on an error each is killed and
-    reaped.
+    its skipped lines, its zone-row stream and its dropped times; the
+    rest are parsed here after the first. Results are taken in argument
+    order, so the streams, the dropped times, the skipped lines in
+    ``error_sink`` and the logged warnings are in log order, and the
+    error raised is that of the first log that fails. No child outlives
+    the call: on an error each is killed and reaped.
     """
     # Loaded before the forks, so no parse child loads them again.
     import gzip, logging, signal  # noqa: E401, F401
 
     paths = list(paths)
-    cut = _zone_cut(registry, zones)
+    cut = _zone_cut(registry, cfg)
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(paths), len(os.sched_getaffinity(0)))
     else:  # no fork, or no count of the usable CPUs: parse every log here
@@ -614,17 +621,17 @@ def parse_logs(
             if child is None:  # the logs left are parsed here
                 break
             children[i] = child
-        streams = []
+        parsed = []
         for i, path in enumerate(paths):
             if i not in children:
-                streams.append(_parse_path(path, strict, error_sink, cut))
+                parsed.append(_parse_path(path, strict, error_sink, cut))
                 continue
             pid, pipe = children[i]
-            streams.append(_receive(pipe, path, error_sink))
+            parsed.append(_receive(pipe, path, error_sink))
             del children[i]
             pipe.close()
             os.waitpid(pid, 0)
-        return streams
+        return [s for s, _ in parsed], np.concatenate([np.empty(0)] + [d for _, d in parsed])
     finally:
         for pid, pipe in children.values():
             pipe.close()

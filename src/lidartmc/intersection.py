@@ -11,6 +11,8 @@ triggers with it.
 The phase schedule lists non-overlapping [start, end) intervals with the
 set of permitted (approach, movement) pairs. Right turns are permitted
 at all times regardless of schedule content (right on red).
+:func:`outside_session` is the one session rule, for ``ingest``,
+``counting`` and ``simgen`` alike.
 """
 
 from __future__ import annotations
@@ -129,6 +131,12 @@ def zone_hits(north: np.ndarray, east: np.ndarray, zones: Sequence[Zone]) -> np.
         v = -dn * sin[j] + de * cos[j]
         np.logical_and(np.abs(u) <= z.half_length, np.abs(v) <= z.half_width, out=out[:, j])
     return out
+
+
+def outside_session(t, session: tuple[float, float]):
+    """Whether each time ``t`` (a number or an array) is outside the
+    half-open ``session`` [s0, s1); a NaN time is."""
+    return np.logical_not((session[0] <= t) & (t < session[1]))
 
 
 @dataclass(frozen=True)

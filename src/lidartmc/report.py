@@ -281,13 +281,13 @@ def compare(
     """
     if est.bin_seconds == gt.bin_seconds and est.session[0] != gt.session[0]:
         est, gt = _on_common_grid(est, gt)
-    if (
-        est.bin_seconds != gt.bin_seconds
-        or est.session != gt.session
-        or est.n_classes != gt.n_classes
-    ):
+    if est.bin_seconds != gt.bin_seconds or est.session != gt.session:
         raise IncompatibleBinningError(
             "estimate and ground truth have different bin duration or session"
+        )
+    if est.n_classes != gt.n_classes:
+        raise IncompatibleBinningError(
+            f"estimate has {est.n_classes} vehicle classes, ground truth {gt.n_classes}"
         )
     est_m = aggregate(est, group_by)
     gt_m = aggregate(gt, group_by)

@@ -3,13 +3,14 @@
 Each scripted vehicle drives a straight segment through its governing
 zone at constant speed: the ingress zone whose primary binding matches
 the vehicle's (approach, movement), or the egress surrogate for rights
-counted on the exit side. The segment runs from ``path_lead`` meters
-before the zone to ``path_lead`` meters after it, along the zone's yaw.
+counted on the exit side. The segment runs from :data:`PATH_LEAD_M`
+meters before the zone to as far after it, along the zone's yaw.
 
-At every sensor frame tick, each active vehicle within the sensor's
-visibility radius (and surviving i.i.d. dropout) emits one detection:
-the true position plus isotropic Gaussian noise, expressed in that
-sensor's own coordinate frame, with the matching sensor-frame heading.
+At every sensor frame tick, each active vehicle within
+:data:`VISIBILITY_M` of the sensor (and surviving i.i.d. dropout) emits
+one detection: the true position plus isotropic Gaussian noise,
+expressed in that sensor's own coordinate frame, with the matching
+sensor-frame heading.
 Emitted logs use the ingest JSON-lines schema, so simulated and field
 data are interchangeable downstream.
 
@@ -40,13 +41,14 @@ from .classify import ClassTable, parse_class_id
 from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
 from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
-from .intersection import Approach, IntersectionConfig, Movement, Zone
+from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
 from .report import TmcTable, empty_table
 from .reference import build_long_range_config, build_reference_config
 
 MAX_SPEED_MPS = 20.0
-DEFAULT_VISIBILITY_M = 40.0
-DEFAULT_PATH_LEAD_M = 10.0
+VISIBILITY_M = 40.0  # how far a sensor sees
+SENSOR_HEIGHT_M = 4.7  # how high above the road a sensor is mounted
+PATH_LEAD_M = 10.0  # how far before and after its zone a path runs
 
 # Plausible box width/height per default class id; only lengths matter
 # downstream, but the logs should look like real detector output.
@@ -59,21 +61,19 @@ _FLIP_X = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """A simulated LiDAR: NED pose plus detection limits."""
+    """A simulated LiDAR: NED position, heading and tick phase."""
 
     frame_id: str
     north: float
     east: float
-    height: float = 4.7
     yaw: float = 0.0
-    visibility_radius: float = DEFAULT_VISIBILITY_M
     phase: float = 0.0  # tick offset in seconds
 
     def ned_transform(self) -> RigidTransform:
         """sensor -> NED rigid transform (sensor z points up)."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         yaw_rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return RigidTransform(yaw_rot @ _FLIP_X, np.array([self.north, self.east, -self.height]))
+        return RigidTransform(yaw_rot @ _FLIP_X, np.array([self.north, self.east, -SENSOR_HEIGHT_M]))
 
 
 def default_sensors() -> tuple[SensorSpec, ...]:
@@ -105,7 +105,6 @@ class SimConfig:
     session: tuple[float, float] = (0.0, 300.0)
     bin_seconds: float = 300.0
     sensors: tuple[SensorSpec, ...] = ()
-    path_lead: float = DEFAULT_PATH_LEAD_M
 
     def __post_init__(self):
         if self.sensors == ():
@@ -196,7 +195,8 @@ def simulate(
         zone = _governing_zone(v, cfg, targets)
         length = _draw_length(v, table, rng)
         residence = 2.0 * zone.half_length / v.speed
-        if not (t0 <= v.entry_time and v.entry_time + residence < t1):
+        if (outside_session(v.entry_time, sim.session)
+                or outside_session(v.entry_time + residence, sim.session)):
             raise ScriptValidationError(
                 f"vehicle at entry_time {v.entry_time} does not clear its zone "
                 f"within session [{t0}, {t1})"
@@ -215,8 +215,8 @@ def simulate(
             zone.center.north - cos * zone.half_length,
             zone.center.east - sin * zone.half_length,
             # When the path starts and ends.
-            v.entry_time - sim.path_lead / v.speed,
-            v.entry_time + (2.0 * zone.half_length + sim.path_lead) / v.speed,
+            v.entry_time - PATH_LEAD_M / v.speed,
+            v.entry_time + (2.0 * zone.half_length + PATH_LEAD_M) / v.speed,
         ))
     (entry_time, speed, length, width, height, zone_yaw, cos, sin, north0, east0,
      t_start, t_end) = np.array(per_vehicle, dtype=np.float64).reshape(-1, 12).T
@@ -233,7 +233,7 @@ def simulate(
         _, _, yaw_corr = registry.ned_pose(sensor.frame_id)
         from_ned_rot = to_ned.rotation.T
         from_ned_trans = -from_ned_rot @ to_ned.translation
-        sensor_pos = np.array([sensor.north, sensor.east, -sensor.height])
+        sensor_pos = np.array([sensor.north, sensor.east, -SENSOR_HEIGHT_M])
 
         # Every frame tick of every vehicle's path, vehicle by vehicle.
         k_lo = np.maximum(np.ceil((lo - t0 - sensor.phase) / period - 1e-12), 0)
@@ -248,7 +248,7 @@ def simulate(
         pos[:, 0] = north0[veh] + cos[veh] * travel
         pos[:, 1] = east0[veh] + sin[veh] * travel
         pos[:, 2] = -height[veh] / 2.0
-        visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= sensor.visibility_radius
+        visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= VISIBILITY_M
         veh, ks, pos = veh[visible], ks[visible], pos[visible]
 
         # The random draws, vehicle by vehicle in script order, so the
@@ -309,14 +309,15 @@ def tally_script(
 ) -> TmcTable:
     """Ground truth straight from the script: one count per vehicle,
     binned by zone entry time. Deliberately shares no code with the
-    counting pipeline so it can serve as an independent oracle."""
+    counting pipeline but the session rule, so it can serve as an
+    independent oracle."""
     table = empty_table(sim.bin_seconds, sim.session, classes)
     counts = np.array(table.counts)
     t0, t1 = sim.session
     approach_index = {a: i for i, a in enumerate(Approach)}
     movement_index = {m: i for i, m in enumerate(Movement)}
     for v in script:
-        if not t0 <= v.entry_time < t1:
+        if outside_session(v.entry_time, sim.session):
             raise ScriptValidationError(
                 f"entry_time {v.entry_time} outside session [{t0}, {t1})"
             )

@@ -44,6 +44,9 @@ from lidartmc.intersection import (
 )
 from lidartmc.report import render_tmc_csv
 from lidartmc.simgen import (
+    PATH_LEAD_M,
+    SENSOR_HEIGHT_M,
+    VISIBILITY_M,
     _CLASS_HEIGHTS,
     _CLASS_WIDTHS,
     _draw_length,
@@ -123,6 +126,19 @@ def read_frames(path) -> list[tuple[float, str, list[dict]]]:
         ]
 
 
+def ned_points(dets, fid, registry) -> list[NedPoint]:
+    """The NED centre of each of one sensor's detections."""
+    ned_rot = registry.ned_rotation().rotation
+    pose = registry.transform_for(fid)
+    rot = ned_rot @ pose.rotation
+    trans = ned_rot @ (pose.translation - registry.origin_ecef())
+    points = []
+    for d in dets:
+        p = rot @ np.array([d["x"], d["y"], d["z"]]) + trans
+        points.append(NedPoint(float(p[0]), float(p[1]), float(p[2])))
+    return points
+
+
 def zone_triggers(logs, cfg, registry) -> dict[str, list[tuple[float, float, str]]]:
     """Per-zone (t, length, frame_id) triggers, one detection at a time."""
     frames = []
@@ -130,21 +146,30 @@ def zone_triggers(logs, cfg, registry) -> dict[str, list[tuple[float, float, str
         for pos, (t, fid, dets) in enumerate(read_frames(path)):
             frames.append(((t, fid, stream, pos), dets))
     frames.sort(key=lambda kv: kv[0])
-    ned_rot = registry.ned_rotation().rotation
-    origin = registry.origin_ecef()
     out = {z.id: [] for z in cfg.zones}
     for (t, fid, _, _), dets in frames:
-        pose = registry.transform_for(fid)
-        rot = ned_rot @ pose.rotation
-        trans = ned_rot @ (pose.translation - origin)
-        for d in dets:
-            p = rot @ np.array([d["x"], d["y"], d["z"]]) + trans
-            point = NedPoint(float(p[0]), float(p[1]), float(p[2]))
+        for d, point in zip(dets, ned_points(dets, fid, registry)):
             for z in cfg.zones:
                 if point_in_zone(point, z) and any(
                     permissible(a, m, t, cfg.schedule) for a, m in z.bindings
                 ):
                     out[z.id].append((t, float(d["l"]), fid))
+    return out
+
+
+def outside_session_times(logs, cfg, registry) -> list[float]:
+    """The frame time of each detection that lies in some zone at a time
+    outside the schedule's session, log by log, one detection at a time.
+    A sensor the registry lacks has none."""
+    s0, s1 = cfg.schedule.session
+    out = []
+    for path in logs:
+        for t, fid, dets in read_frames(path):
+            if s0 <= t < s1 or fid not in registry.frame_ids:
+                continue
+            for point in ned_points(dets, fid, registry):
+                if any(point_in_zone(point, z) for z in cfg.zones):
+                    out.append(t)
     return out
 
 
@@ -232,8 +257,8 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
         entry_pos = np.array(
             [zone.center.north, zone.center.east, 0.0]
         ) - direction * zone.half_length
-        t_start = v.entry_time - sim.path_lead / v.speed
-        t_end = v.entry_time + (2.0 * zone.half_length + sim.path_lead) / v.speed
+        t_start = v.entry_time - PATH_LEAD_M / v.speed
+        t_end = v.entry_time + (2.0 * zone.half_length + PATH_LEAD_M) / v.speed
         resolved.append((v, zone, length, entry_pos, direction, t_start, t_end))
 
     registry = FrameRegistry(cfg.ned_origin)
@@ -252,7 +277,7 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
         yaw_corr = math.atan2(rot_total[1, 0], rot_total[0, 0])
         from_ned_rot = to_ned.rotation.T
         from_ned_trans = -from_ned_rot @ to_ned.translation
-        sensor_pos = np.array([sensor.north, sensor.east, -sensor.height])
+        sensor_pos = np.array([sensor.north, sensor.east, -SENSOR_HEIGHT_M])
 
         boxes_at = {}  # frame tick -> boxes, in script order
         for v, zone, length, entry_pos, direction, t_start, t_end in resolved:
@@ -271,7 +296,7 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
             height = _CLASS_HEIGHTS.get(v.vehicle_class, 1.8)
             width = _CLASS_WIDTHS.get(v.vehicle_class, 2.0)
             pos[:, 2] = -height / 2.0
-            visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= sensor.visibility_radius
+            visible = np.linalg.norm(pos - sensor_pos[None, :], axis=1) <= VISIBILITY_M
             ks, ts, pos = ks[visible], ts[visible], pos[visible]
             if len(ks) and sim.dropout > 0.0:
                 keep = rng.random(len(ks)) >= sim.dropout

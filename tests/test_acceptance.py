@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import random_rotation
 from lidartmc import cli
-from lidartmc.classify import classify_by_length
+from lidartmc.classify import DEFAULT_CLASS_TABLE
 from lidartmc.counting import cluster_triggers, count_session, estimate_tmc
 from lidartmc.geo import GeodeticPoint, estimate_transform_from_gcps, lla_to_ecef
 from lidartmc.ingest import frames_to_ned, merge_streams
@@ -77,13 +77,13 @@ def test_criterion_3_classification_sweep():
     prev = 0
     for i in range(1, 6001):
         length = i / 100.0
-        cls = classify_by_length(length)
+        cls = DEFAULT_CLASS_TABLE.classify(length)
         assert cls.lower <= length < cls.upper  # exactly one interval
         assert cls.id >= prev
         prev = cls.id
     fixtures = {0.5: 1, 1.5: 2, 3.0: 3, 6.0: 4, 9.0: 5, 15.0: 6}
     for length, expected in fixtures.items():
-        assert classify_by_length(length).id == expected
+        assert DEFAULT_CLASS_TABLE.classify(length).id == expected
     ok("criterion 3: classification sweep 0.01-60 m plus fixture lengths")
 
 

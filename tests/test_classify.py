@@ -6,7 +6,6 @@ from lidartmc.classify import (
     DEFAULT_CLASS_TABLE,
     class_table_from_obj,
     class_table_to_obj,
-    classify_by_length,
 )
 from lidartmc.errors import NonpositiveLengthError, SchemaError
 
@@ -16,7 +15,7 @@ from lidartmc.errors import NonpositiveLengthError, SchemaError
     [(0.5, 1), (1.5, 2), (3.0, 3), (6.0, 4), (9.0, 5), (15.0, 6)],
 )
 def test_fixture_lengths(length, expected):
-    assert classify_by_length(length).id == expected
+    assert DEFAULT_CLASS_TABLE.classify(length).id == expected
 
 
 @pytest.mark.parametrize(
@@ -32,7 +31,7 @@ def test_fixture_lengths(length, expected):
     ],
 )
 def test_boundaries_half_open(length, expected):
-    assert classify_by_length(length).id == expected
+    assert DEFAULT_CLASS_TABLE.classify(length).id == expected
 
 
 def test_sweep_totality_and_monotonicity():
@@ -40,7 +39,7 @@ def test_sweep_totality_and_monotonicity():
     prev = 0
     for i in range(1, 6001):
         length = i / 100.0
-        cls = classify_by_length(length)
+        cls = DEFAULT_CLASS_TABLE.classify(length)
         assert cls.lower <= length < cls.upper
         assert cls.id >= prev
         prev = cls.id
@@ -50,7 +49,7 @@ def test_sweep_totality_and_monotonicity():
 def test_nonpositive_length():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(NonpositiveLengthError):
-            classify_by_length(bad)
+            DEFAULT_CLASS_TABLE.classify(bad)
 
 
 def test_fhwa_mapping():
@@ -74,8 +73,8 @@ def test_custom_table():
             {"id": 2, "label": "large", "lower": 6.0, "upper": None, "fhwa": ["9"]},
         ]
     )
-    assert classify_by_length(5.9, table).id == 1
-    assert classify_by_length(6.0, table).id == 2
+    assert table.classify(5.9).id == 1
+    assert table.classify(6.0).id == 2
 
 
 @pytest.mark.parametrize(

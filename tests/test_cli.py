@@ -519,7 +519,10 @@ class TestCompare:
         assert reports[0] == reports[1]
         assert reports[2] == reports[3]
 
-    def test_seven_class_estimate_compares_with_itself(self, ideal_sim, tmp_path):
+    @staticmethod
+    def seven_class_estimate(ideal_sim, tmp_path):
+        """The estimate directory of the ``ideal`` logs counted with a
+        seven-class table."""
         doc = json.loads(Path(reference_config_path()).read_text())
         classes = class_table_to_obj(DEFAULT_CLASS_TABLE)
         classes[-1]["upper"] = 20.0
@@ -533,11 +536,23 @@ class TestCompare:
                          "--registry", str(ideal_sim / "registry.json"),
                          "--out-dir", str(est)]) == 0
         assert load_tmc_csv(est / "tmc.csv").n_classes == 7
+        return est
+
+    def test_seven_class_estimate_compares_with_itself(self, ideal_sim, tmp_path):
+        est = self.seven_class_estimate(ideal_sim, tmp_path)
         out = tmp_path / "cmp"
         assert cli.main(["compare", str(est / "tmc.csv"), str(est / "tmc.csv"),
                          "--out-dir", str(out)]) == 0
         for line in (out / "report.csv").read_text().splitlines()[1:]:
             assert line.endswith(",0,0.0") or line.endswith(",0,n/a")
+
+    def test_different_class_counts_exit_2(self, ideal_sim, tmp_path, capsys):
+        est = self.seven_class_estimate(ideal_sim, tmp_path)
+        capsys.readouterr()
+        assert cli.main(["compare", str(est / "tmc.csv"), str(ideal_sim / "gt.csv"),
+                         "--out-dir", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == (
+            "error: estimate has 7 vehicle classes, ground truth 6\n")
 
     def test_huge_class_id_exit_2(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

@@ -8,7 +8,6 @@ from lidartmc.counting import (
     cluster_triggers,
     count_rights_from_egress,
     count_session,
-    drop_outside_session,
     estimate_tmc,
     events_to_csv,
     extract_triggers,
@@ -19,7 +18,6 @@ from lidartmc.errors import (
     UserInputError,
 )
 from lidartmc.geo import GeodeticPoint, NedPoint
-from lidartmc import ingest
 from lidartmc.ingest import FRAME_NED, Frame, MergedStream
 from lidartmc.intersection import (
     Approach,
@@ -160,30 +158,6 @@ class TestExtractTriggers:
         cfg = small_config()
         with pytest.raises(ValueError):
             extract_triggers(MergedStream.from_frames(()), cfg)
-
-
-class TestDropOutsideSession:
-    """On a merged zone-row stream, as ``parse_logs`` gives: every row
-    lies in some zone."""
-
-    def test_drops_only_contained_detections_outside_the_session(self):
-        cfg = small_config()
-        stream = ned_stream(
-            ned_frame(10.0, (-19.0, 5.25, 4.5)),
-            ned_frame(120.0, (-19.0, 5.25, 6.0)),  # the session is [0, 120)
-            ned_frame(500.0, (-8.75, -19.0, 4.5), (-19.0, 5.25, 7.0)),
-            ned_frame(501.0),
-        )
-        kept, dropped = drop_outside_session(stream, cfg)
-        assert dropped == 3
-        assert [(f.t, f.detections[:, ingest.L].tolist()) for f in kept] == [
-            (10.0, [4.5]), (120.0, []), (500.0, []), (501.0, [])]
-        assert len(extract_triggers(kept, cfg)["THRU"]) == 1
-
-    def test_stream_unchanged_when_nothing_is_dropped(self):
-        cfg = small_config()
-        stream = ned_stream(ned_frame(10.0, (-19.0, 5.25, 4.5)), ned_frame(500.0))
-        assert drop_outside_session(stream, cfg) == (stream, 0)
 
 
 class TestClusterThresholds:

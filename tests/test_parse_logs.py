@@ -1,10 +1,12 @@
 """``ingest.parse_logs``: forked parsing gives the results of a serial one,
-and each log comes back as its zone rows in NED.
+and each log comes back as its in-session zone rows in NED and the frame
+times of the zone rows outside the session.
 
 Each input runs with one usable CPU (every log parsed in this process)
 and with two (the second log parsed in a forked child); the frames, the
-skipped lines, the logged warnings, the raised error and the CLI's exit
-code, stderr and outputs must be equal, and no child may be left.
+dropped times, the skipped lines, the logged warnings, the raised error
+and the CLI's exit code, stderr and outputs must be equal, and no child
+may be left.
 """
 
 import contextlib
@@ -15,16 +17,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import frame_rows
 from lidartmc import cli, ingest
+from lidartmc.counting import extract_triggers
 from lidartmc.errors import MalformedLineError, OutOfOrderError, UnregisteredFrameError
-from lidartmc.geo import load_registry
+from lidartmc.geo import FrameRegistry, RigidTransform, load_registry
 from lidartmc.intersection import zone_hits
 from lidartmc.reference import build_reference_config
+from oracle import outside_session_times
 
-ZONES = build_reference_config().zones
+CFG = build_reference_config()
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +41,8 @@ def sim(tmp_path_factory):
 
 
 def parse(sim, logs, **kwargs):
-    """``parse_logs`` with the scenario's registry and the reference zones."""
-    return ingest.parse_logs(logs, load_registry(sim / "registry.json"), ZONES, **kwargs)
+    """``parse_logs`` with the scenario's registry and the reference config."""
+    return ingest.parse_logs(logs, load_registry(sim / "registry.json"), CFG, **kwargs)
 
 
 def use_cpus(monkeypatch, n):
@@ -98,12 +103,14 @@ def late_far_frame(src, dst):
     return dst
 
 
-def after_session(src, dst):
-    """``src`` followed by its frames again, long after the session ends."""
+def shifted_copy(src, dst, shift):
+    """``src`` with its frames copied ``shift`` seconds away, far outside
+    the session: the copy goes before the frames when ``shift`` is
+    negative and after them otherwise, so the log stays in order."""
     lines = src.read_text().splitlines()
-    late = [json.dumps({**json.loads(line), "t": json.loads(line)["t"] + 1e4})
+    copy = [json.dumps({**json.loads(line), "t": json.loads(line)["t"] + shift})
             for line in lines]
-    dst.write_text("\n".join(lines + late) + "\n")
+    dst.write_text("\n".join(copy + lines if shift < 0 else lines + copy) + "\n")
     return dst
 
 
@@ -117,8 +124,9 @@ def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict)
     caplog.clear()
     sink = []
     try:
-        parsed = [frame_rows(frames) for frames in ingest.parse_logs(
-            logs, load_registry(registry), ZONES, strict=strict, error_sink=sink)]
+        streams, dropped = ingest.parse_logs(
+            logs, load_registry(registry), CFG, strict=strict, error_sink=sink)
+        parsed = ([frame_rows(s) for s in streams], dropped.tolist())
     except Exception as exc:
         parsed = (type(exc), str(exc), getattr(exc, "line_no", None))
     skipped = [(type(e), e.line_no, e.reason) for e in sink]
@@ -176,9 +184,9 @@ def case_logs(sim, tmp_path, name):
         "strict, unregistered first log, bad lines in the second":
             ([renamed(l2, tmp_path / "L7.jsonl", "L7"), bad2], True),
         "zone detections after the session in the second log":
-            ([bad1, after_session(l2, tmp_path / "late.jsonl")], False),
+            ([bad1, shifted_copy(l2, tmp_path / "late.jsonl", 1e4)], False),
         "strict, zone detections after the session in the second log":
-            ([l1, after_session(l2, tmp_path / "late.jsonl")], True),
+            ([l1, shifted_copy(l2, tmp_path / "late.jsonl", 1e4)], True),
     }[name]
 
 
@@ -214,7 +222,7 @@ def test_forked_parse_equals_serial(monkeypatch, caplog, capsys, tmp_path, sim, 
     # Each case must show what it is named for.
     if name == "out-of-order frame outside every zone":
         assert serial["code"] == 2 and "out of order" in serial["stderr"]
-        assert serial["parsed"][1][-1][2] == []  # its time is kept, with no row
+        assert serial["parsed"][0][1][-1][2] == []  # its time is kept, with no row
     elif name == "unregistered second log":
         assert serial["code"] == 2
         assert "error: sensor frame 'L7' is not registered" in serial["stderr"]
@@ -275,22 +283,22 @@ def test_one_log_or_one_cpu_never_forks(monkeypatch, sim):
     monkeypatch.setattr(os, "fork", no_fork)
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     use_cpus(monkeypatch, 2)
-    assert len(parse(sim, logs[:1])) == 1
+    assert len(parse(sim, logs[:1])[0]) == 1
     use_cpus(monkeypatch, 1)
-    assert len(parse(sim, logs)) == 2
+    assert len(parse(sim, logs)[0]) == 2
 
 
 def test_failed_fork_parses_here(monkeypatch, sim):
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     use_cpus(monkeypatch, 1)
-    serial = [frame_rows(f) for f in parse(sim, logs)]
+    serial = [frame_rows(f) for f in parse(sim, logs)[0]]
 
     def no_process():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_process)
     use_cpus(monkeypatch, 2)
-    assert [frame_rows(f) for f in parse(sim, logs)] == serial
+    assert [frame_rows(f) for f in parse(sim, logs)[0]] == serial
 
 
 def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
@@ -317,21 +325,30 @@ def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
 @pytest.mark.parametrize("chunk_rows", [7, ingest.CHUNK_ROWS])
 def test_rows_are_the_zone_contained_ones(monkeypatch, sim, tmp_path, chunk_rows):
     logs = [with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"]),
-            after_session(sim / "log_L2.jsonl", tmp_path / "late.jsonl")]
+            shifted_copy(sim / "log_L2.jsonl", tmp_path / "late.jsonl", 1e4)]
     registry = load_registry(sim / "registry.json")
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-    for stream, path in zip(parse(sim, logs), logs):
+    streams, dropped = parse(sim, logs)
+    s0, s1 = CFG.schedule.session
+    want_dropped = []
+    for stream, path in zip(streams, logs):
         with ingest.open_detection_log(path) as fh:
             frames = ingest.parse_detection_log(fh)
         ned = ingest.frames_to_ned(ingest.MergedStream.from_frames(frames), registry)
-        inside = zone_hits(ned.boxes[:, ingest.X], ned.boxes[:, ingest.Y], ZONES).any(axis=1)
+        inside = zone_hits(ned.boxes[:, ingest.X], ned.boxes[:, ingest.Y], CFG.zones).any(axis=1)
+        row_t = np.repeat(ned.t, np.diff(ned.offsets))
+        outside = (row_t < s0) | (row_t >= s1)
+        want_dropped += row_t[inside & outside].tolist()
+        keep = inside & ~outside
         off = ned.offsets
-        want = [ingest.Frame(f.frame_id, f.t, f.detections[inside[off[i]:off[i + 1]]])
+        want = [ingest.Frame(f.frame_id, f.t, f.detections[keep[off[i]:off[i + 1]]])
                 for i, f in enumerate(ned.frames)]
         assert stream.coordinate_frame == ingest.FRAME_NED
         assert frame_rows(stream) == frame_rows(want)
         assert 0 < len(stream.boxes) < len(ned.boxes)
+    assert want_dropped
+    assert dropped.tolist() == want_dropped == outside_session_times(logs[1:], CFG, registry)
 
 
 def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_path):
@@ -342,7 +359,7 @@ def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_pa
                      "--out-dir", str(sim)]) == 0
     capsys.readouterr()
     logs = [with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"]),
-            with_bad_lines(after_session(sim / "log_L2.jsonl", tmp_path / "late.jsonl"),
+            with_bad_lines(shifted_copy(sim / "log_L2.jsonl", tmp_path / "late.jsonl", 1e4),
                            tmp_path / "bad_L2.jsonl", BAD["second"])]
     runs = []
     for chunk_rows in (1, 7, ingest.CHUNK_ROWS):
@@ -375,3 +392,140 @@ def test_estimate_builds_no_frame_and_merges_zone_rows(monkeypatch, tmp_path, si
                      "--out-dir", str(tmp_path / "est")]) == 0
     boxes = sum(line.count('"x":') for log in logs for line in log.read_text().splitlines())
     assert 0 < merged_rows[0] < boxes
+
+
+def ned_log(tmp_path, frames):
+    """A log of sensor L1 whose frames are (t, [(north, east, length), ...])
+    and a registry whose pose for L1 is the NED frame itself."""
+    registry = FrameRegistry(CFG.ned_origin)
+    registry.register("L1", RigidTransform(registry.ned_rotation().rotation.T,
+                                           registry.origin_ecef()))
+    log = tmp_path / "ned.jsonl"
+    log.write_text("".join(
+        json.dumps({"t": t, "frame_id": "L1", "detections": [
+            {"x": n, "y": e, "z": 0.5, "l": length, "w": 1.9, "h": 1.5, "yaw": 0.0}
+            for n, e, length in boxes]}) + "\n"
+        for t, boxes in frames))
+    return log, registry
+
+
+def test_drops_only_contained_detections_outside_the_session(tmp_path):
+    nb_t1, eb_r = (-19.0, 5.25), (-8.75, -19.0)
+    log, registry = ned_log(tmp_path, [
+        (20.0, [(*nb_t1, 4.5)]),
+        (300.0, [(*nb_t1, 6.0)]),  # the session is [0, 300)
+        (500.0, [(*eb_r, 4.5), (*nb_t1, 7.0), (900.0, 900.0, 4.5)]),
+        (501.0, []),
+    ])
+    streams, dropped = ingest.parse_logs([log], registry, CFG)
+    assert dropped.tolist() == [300.0, 500.0, 500.0]
+    stream = ingest.merge_streams(streams)
+    assert stream.t.tolist() == [20.0, 300.0, 500.0, 501.0]
+    assert np.diff(stream.offsets).tolist() == [1, 0, 0, 0]
+    assert stream.boxes[:, ingest.L].tolist() == [4.5]
+    assert len(extract_triggers(stream, CFG)["NB_T1"]) == 1
+
+
+def test_nothing_is_dropped_inside_the_session(tmp_path):
+    log, registry = ned_log(tmp_path, [(20.0, [(-19.0, 5.25, 4.5)]), (500.0, [])])
+    [stream], dropped = ingest.parse_logs([log], registry, CFG)
+    assert dropped.tolist() == []
+    assert stream.t.tolist() == [20.0, 500.0]
+    assert stream.boxes[:, ingest.L].tolist() == [4.5]
+
+
+def session_case_logs(sim, tmp_path, name):
+    """The logs of one case of zone rows outside the session: the ideal
+    logs with all their frames copied 1e4 s before or after them."""
+    l1, l2 = sim / "log_L1.jsonl", sim / "log_L2.jsonl"
+    early1 = shifted_copy(l1, tmp_path / "early_L1.jsonl", -1e4)
+    late1 = shifted_copy(l1, tmp_path / "late_L1.jsonl", 1e4)
+    early2 = shifted_copy(l2, tmp_path / "early_L2.jsonl", -1e4)
+    late2 = shifted_copy(l2, tmp_path / "late_L2.jsonl", 1e4)
+    return {
+        "before the session in the first log": [early1, l2],
+        "after the session in the first log": [late1, l2],
+        "before the session in the second log": [l1, early2],
+        "after the session in the second log": [l1, late2],
+        # The earliest dropped time is not the first one in log order.
+        "after the session in the first log, before it in the second": [late1, early2],
+        "before the session in the first log, bad line in the second":
+            [early1, with_bad_lines(l2, tmp_path / "bad_L2.jsonl", {90: "{"})],
+        "before the session in the first log, unregistered late second log":
+            [early1, renamed(late2, tmp_path / "L7.jsonl", "L7")],
+    }[name]
+
+
+# Each case's exit code and stderr of ``estimate`` and, when it counts,
+# the manifest's warnings.
+SESSION_CASES = {
+    ("before the session in the first log", False): (0, (
+        "warning: dropped 51 zone-contained detection(s) outside the schedule session\n"),
+        {"skipped_lines": 0, "outside_session_detections": 51}),
+    ("before the session in the first log", True):
+        (2, "error: t=-9994.75 outside schedule session [0.0, 300.0)\n", None),
+    ("after the session in the first log", False): (0, (
+        "warning: dropped 51 zone-contained detection(s) outside the schedule session\n"),
+        {"skipped_lines": 0, "outside_session_detections": 51}),
+    ("after the session in the first log", True):
+        (2, "error: t=10005.25 outside schedule session [0.0, 300.0)\n", None),
+    ("before the session in the second log", False): (0, (
+        "warning: dropped 53 zone-contained detection(s) outside the schedule session\n"),
+        {"skipped_lines": 0, "outside_session_detections": 53}),
+    ("before the session in the second log", True):
+        (2, "error: t=-9994.875 outside schedule session [0.0, 300.0)\n", None),
+    ("after the session in the second log", False): (0, (
+        "warning: dropped 53 zone-contained detection(s) outside the schedule session\n"),
+        {"skipped_lines": 0, "outside_session_detections": 53}),
+    ("after the session in the second log", True):
+        (2, "error: t=10005.125 outside schedule session [0.0, 300.0)\n", None),
+    ("after the session in the first log, before it in the second", False): (0, (
+        "warning: dropped 104 zone-contained detection(s) outside the schedule session\n"),
+        {"skipped_lines": 0, "outside_session_detections": 104}),
+    ("after the session in the first log, before it in the second", True):
+        (2, "error: t=-9994.875 outside schedule session [0.0, 300.0)\n", None),
+    ("before the session in the first log, bad line in the second", True): (2, (
+        "error: line 91: bad frame line: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)\n"), None),
+    ("before the session in the first log, unregistered late second log", True):
+        (2, "error: sensor frame 'L7' is not registered\n", None),
+}
+
+
+@pytest.mark.parametrize("name,strict", SESSION_CASES)
+def test_zone_rows_outside_the_session(monkeypatch, caplog, capsys, tmp_path, sim, name,
+                                       strict):
+    """On one and two CPUs, in whole and in 7-box chunks: the dropped
+    times are the scalar oracle's, ``--strict`` refuses the earliest one
+    unless a bad line or an unregistered sensor fails first, and counting
+    sees only the in-session rows."""
+    logs = session_case_logs(sim, tmp_path, name)
+    registry = sim / "registry.json"
+    runs = []
+    default_chunk = ingest.CHUNK_ROWS
+    for cpus, chunk_rows in ((1, default_chunk), (2, default_chunk), (1, 7), (2, 7)):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        runs.append(outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry,
+                            strict)[0])
+    assert all(run == runs[0] for run in runs[1:])
+    run = runs[0]
+    code, stderr, warnings = SESSION_CASES[name, strict]
+    assert (run["code"], run["stderr"]) == (code, stderr)
+    if "bad line" in name:
+        assert run["parsed"][0] is MalformedLineError
+    else:
+        times = outside_session_times(logs, CFG, load_registry(registry))
+        assert times and run["parsed"][1] == times
+    if code:
+        assert run["files"] == {}
+        return
+    # Counting sees only the in-session rows: all but the warnings is
+    # what the logs without their copies give.
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", default_chunk)
+    clean = outcome(monkeypatch, caplog, capsys, tmp_path, 1,
+                    [sim / "log_L1.jsonl", sim / "log_L2.jsonl"], registry, False)[0]["files"]
+    for files in (run["files"], clean):
+        del files["manifest"]["inputs"]
+    assert run["files"]["manifest"].pop("warnings") == warnings
+    clean["manifest"].pop("warnings")
+    assert run["files"] == clean

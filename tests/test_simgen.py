@@ -17,6 +17,8 @@ from lidartmc.geo import NedPoint
 from lidartmc.reference import build_long_range_config
 from conftest import dense_script
 from lidartmc.simgen import (
+    SENSOR_HEIGHT_M,
+    VISIBILITY_M,
     ScriptedVehicle,
     SensorSpec,
     SimConfig,
@@ -298,8 +300,8 @@ class TestPathGeometry:
             ]
             covered = any(
                 all(
-                    math.dist((c[0], c[1], -0.75), (s.north, s.east, -s.height))
-                    <= s.visibility_radius
+                    math.dist((c[0], c[1], -0.75), (s.north, s.east, -SENSOR_HEIGHT_M))
+                    <= VISIBILITY_M
                     for c in corners
                 )
                 for s in sensors
