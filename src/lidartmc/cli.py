@@ -6,6 +6,10 @@ parameters, and seed needed to reproduce the run; apart from the
 wall-clock field, reruns with identical inputs are byte-identical.
 All files are written atomically (temp + rename).
 
+A run's session is its config's schedule session. ``simulate`` covers
+it; ``estimate`` counts on it, and ``--session-start``/``--session-end``
+only select the window inside it whose events are tabulated.
+
 Import rule: module level imports only what argument parsing and the
 exit-code mapping need (``errors``, ``geo`` for ``--ned-origin`` and
 ``reference`` for the default ``--config``). Each ``cmd_*`` imports the
@@ -121,7 +125,7 @@ def cmd_estimate(args) -> int:
     from .counting import count_session, estimate_tmc, events_to_csv
     from .geo import atomic_write_text, load_registry
     from .ingest import merge_streams, parse_logs
-    from .intersection import load_intersection_config
+    from .intersection import load_intersection_config, outside_session
     from .report import save_tmc_csv
 
     cfg = load_intersection_config(args.config)
@@ -129,12 +133,14 @@ def cmd_estimate(args) -> int:
         raise UserInputError("estimate requires --registry (sensor poses)")
     registry = load_registry(args.registry)
     params = _counting_params(args, cfg.params)
-    session = (
-        args.session_start if args.session_start is not None else cfg.schedule.session[0],
-        args.session_end if args.session_end is not None else cfg.schedule.session[1],
+    s0, s1 = cfg.schedule.session
+    window = (
+        s0 if args.session_start is None else args.session_start,
+        s1 if args.session_end is None else args.session_end,
     )
-    if session[1] < session[0]:
-        raise UserInputError(f"session end {session[1]} precedes start {session[0]}")
+    if not s0 <= window[0] <= window[1] <= s1:
+        raise UserInputError(f"session window [{window[0]}, {window[1]}) must lie inside "
+                             f"the schedule session [{s0}, {s1})")
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
@@ -150,10 +156,13 @@ def cmd_estimate(args) -> int:
     if outside and args.strict:  # the earliest one, after the order and registry checks
         raise TimeOutsideScheduleError(float(dropped.min()), cfg.schedule.session)
     events, meta = count_session(ned, cfg, params)
-    table = estimate_tmc(events, args.bin_seconds, session, cfg.class_table.n_classes)
+    events = [ev for ev in events if not outside_session(ev.t, window)]
+    table = estimate_tmc(events, args.bin_seconds, window, cfg.class_table.n_classes)
     warnings = {"skipped_lines": len(errors)}
     if outside:
         warnings["outside_session_detections"] = outside
+    if meta["events"] > len(events):
+        warnings["events_outside_window"] = meta["events"] - len(events)
     out = _out_dir(args)
     save_tmc_csv(table, out / "tmc.csv")
     atomic_write_text(out / "events.csv", events_to_csv(events))
@@ -165,7 +174,7 @@ def cmd_estimate(args) -> int:
                        "registry": str(args.registry)},
             "arguments": {
                 "bin_seconds": args.bin_seconds,
-                "session": list(session),
+                "session": list(window),
                 "reorder_window": args.reorder_window,
                 "strict": args.strict,
                 "params": params.to_obj(),
@@ -263,8 +272,8 @@ def cmd_simulate(args) -> int:
                 "frame_rate_hz": sim.frame_rate_hz,
                 "dropout": sim.dropout,
                 "noise_sigma": sim.noise_sigma,
-                "session": list(sim.session),
-                "bin_seconds": sim.bin_seconds,
+                "session": list(session.ground_truth.session),
+                "bin_seconds": session.ground_truth.bin_seconds,
             },
             "seed": sim.seed,
             "outputs": sorted(log_names) + ["gt.csv", "registry.json", "script.json"],

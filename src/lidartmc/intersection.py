@@ -10,9 +10,11 @@ triggers with it.
 
 The phase schedule lists non-overlapping [start, end) intervals with the
 set of permitted (approach, movement) pairs. Right turns are permitted
-at all times regardless of schedule content (right on red).
+at all times regardless of schedule content (right on red). The
+schedule's session, from its first start to its last end, is the one
+session of a run: ``simulate`` covers it, ``estimate`` counts on it.
 :func:`outside_session` is the one session rule, for ``ingest``,
-``counting`` and ``simgen`` alike.
+``counting``, ``simgen`` and ``cli`` alike.
 """
 
 from __future__ import annotations
@@ -201,31 +203,23 @@ class PhaseInterval:
 
 @dataclass(frozen=True)
 class PhaseSchedule:
-    """Time-sorted, non-overlapping phase intervals plus session bounds."""
+    """Non-overlapping phase intervals, stored sorted by start. They are
+    the run's one session: from the first start to the last end."""
 
     intervals: tuple[PhaseInterval, ...]
-    session: tuple[float, float]
 
     def __post_init__(self):
-        if not self.intervals:
-            raise ConfigInvariantError("schedule must contain at least one interval")
-        prev_end = None
-        for iv in self.intervals:
-            if prev_end is not None and iv.start < prev_end:
-                raise ConfigInvariantError(
-                    f"phase intervals overlap at t={iv.start}"
-                )
-            prev_end = iv.end
-        s0, s1 = self.session
-        if not (s0 <= self.intervals[0].start and self.intervals[-1].end <= s1):
-            raise ConfigInvariantError("schedule intervals fall outside session bounds")
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[PhaseInterval]) -> "PhaseSchedule":
-        ivs = tuple(sorted(intervals, key=lambda iv: iv.start))
+        ivs = tuple(sorted(self.intervals, key=lambda iv: iv.start))
         if not ivs:
             raise ConfigInvariantError("schedule must contain at least one interval")
-        return cls(ivs, (ivs[0].start, ivs[-1].end))
+        for prev, iv in zip(ivs, ivs[1:]):
+            if iv.start < prev.end:
+                raise ConfigInvariantError(f"phase intervals overlap at t={iv.start}")
+        object.__setattr__(self, "intervals", ivs)
+
+    @property
+    def session(self) -> tuple[float, float]:
+        return (self.intervals[0].start, self.intervals[-1].end)
 
 
 @dataclass(frozen=True)
@@ -333,7 +327,7 @@ def config_from_obj(doc) -> IntersectionConfig:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad intersection config: {exc}") from None
-    schedule = PhaseSchedule.from_intervals(intervals)
+    schedule = PhaseSchedule(intervals)
     params = CountingParams()
     if "params" in doc:
         try:

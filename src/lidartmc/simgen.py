@@ -17,14 +17,16 @@ data are interchangeable downstream.
 Each sensor's detections are built as one block of columns: the ticks,
 positions, visibility and sensor-frame boxes of all vehicles are
 computed at once, and only the random draws go vehicle by vehicle
-(dropout, noise, length, score), so the random stream is that of
+(dropout, noise, score), so the random stream is that of
 drawing each vehicle's boxes in turn. A sensor's log is one
 :class:`~lidartmc.ingest.MergedStream` of that block, frame by frame.
 
-The ground-truth table is tallied directly from the script (by zone
-entry time), never from the emitted detections, which makes it an
-independent oracle for the counting pipeline. Everything is driven by
-one seeded generator, so identical inputs produce byte-identical logs.
+A simulation covers the config's schedule session. The ground-truth
+table is tallied directly from the script (by zone entry time, in bins
+of ``estimate``'s default width), never from the emitted detections,
+which makes it an independent oracle for the counting pipeline.
+Everything is driven by one seeded generator, so identical inputs
+produce byte-identical logs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
 from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
 from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
-from .report import TmcTable, empty_table
+from .report import DEFAULT_BIN_SECONDS, TmcTable, empty_table, n_bins
 from .reference import build_long_range_config, build_reference_config
 
 MAX_SPEED_MPS = 20.0
@@ -101,9 +103,6 @@ class SimConfig:
     frame_rate_hz: float = 4.0
     dropout: float = 0.0
     noise_sigma: float = 0.0
-    length_sigma: float = 0.0
-    session: tuple[float, float] = (0.0, 300.0)
-    bin_seconds: float = 300.0
     sensors: tuple[SensorSpec, ...] = ()
 
     def __post_init__(self):
@@ -115,10 +114,8 @@ class SimConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ScriptValidationError(f"dropout {self.dropout} outside [0, 1)")
-        if self.noise_sigma < 0 or self.length_sigma < 0:
-            raise ScriptValidationError("noise sigmas must be >= 0")
-        if not self.session[1] > self.session[0]:
-            raise ScriptValidationError("session end must follow start")
+        if self.noise_sigma < 0:
+            raise ScriptValidationError("noise sigma must be >= 0")
         ids = [s.frame_id for s in self.sensors]
         if not ids or len(set(ids)) != len(ids):
             raise ScriptValidationError("sensors must be non-empty with unique ids")
@@ -175,12 +172,9 @@ def simulate(
     """Generate per-sensor logs plus the exact scripted ground truth."""
     rng = np.random.default_rng(sim.seed)
     table = cfg.class_table
-    t0, t1 = sim.session
-    if not (cfg.schedule.session[0] <= t0 and t1 <= cfg.schedule.session[1]):
-        raise ScriptValidationError(
-            f"schedule session {cfg.schedule.session} does not cover "
-            f"simulation session {sim.session}"
-        )
+    session = cfg.schedule.session
+    t0, t1 = session
+    n_bins(DEFAULT_BIN_SECONDS, session)  # an unbounded session exits 2 before any work
 
     targets = cfg.countable_targets()
     # One row per vehicle: the constants its path and boxes are built from.
@@ -195,8 +189,8 @@ def simulate(
         zone = _governing_zone(v, cfg, targets)
         length = _draw_length(v, table, rng)
         residence = 2.0 * zone.half_length / v.speed
-        if (outside_session(v.entry_time, sim.session)
-                or outside_session(v.entry_time + residence, sim.session)):
+        if (outside_session(v.entry_time, session)
+                or outside_session(v.entry_time + residence, session)):
             raise ScriptValidationError(
                 f"vehicle at entry_time {v.entry_time} does not clear its zone "
                 f"within session [{t0}, {t1})"
@@ -253,8 +247,8 @@ def simulate(
 
         # The random draws, vehicle by vehicle in script order, so the
         # stream is that of drawing each vehicle's boxes in turn.
-        kept, noise, drawn_lengths, scores = [], [], [], []
-        for i, k in enumerate(np.bincount(veh, minlength=len(n_ticks)).tolist()):
+        kept, noise, scores = [], [], []
+        for k in np.bincount(veh, minlength=len(n_ticks)).tolist():
             if not k:
                 continue
             if sim.dropout > 0.0:
@@ -264,8 +258,6 @@ def simulate(
                     continue
             if sim.noise_sigma > 0.0:
                 noise.append(rng.normal(0.0, sim.noise_sigma, (k, 3)))
-            if sim.length_sigma > 0.0:
-                drawn_lengths.append(rng.normal(length[i], sim.length_sigma, k))
             scores.append(rng.uniform(0.5, 1.0, k))
         if kept:
             keep = np.concatenate(kept)
@@ -275,9 +267,7 @@ def simulate(
 
         block = np.empty((len(veh), len(BOX_COLUMNS)))
         block[:, X : Z + 1] = pos @ from_ned_rot.T + from_ned_trans
-        block[:, L] = (
-            np.clip(np.concatenate(drawn_lengths), 0.1, 49.9) if drawn_lengths else length[veh]
-        )
+        block[:, L] = length[veh]
         block[:, W] = width[veh]
         block[:, H] = height[veh]
         block[:, YAW] = wrap_angles(zone_yaw - yaw_corr)[veh]
@@ -296,35 +286,32 @@ def simulate(
 
     return SyntheticSession(
         frames_by_sensor=frames_by_sensor,
-        ground_truth=tally_script(script, sim, classes=table.n_classes),
+        ground_truth=tally_script(script, session, table.n_classes),
         script=tuple(script),
         registry=registry,
     )
 
 
-def tally_script(
-    script: Sequence[ScriptedVehicle],
-    sim: SimConfig,
-    classes: int = 6,
-) -> TmcTable:
+def tally_script(script: Sequence[ScriptedVehicle], session: tuple[float, float], classes: int,
+                 bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     """Ground truth straight from the script: one count per vehicle,
     binned by zone entry time. Deliberately shares no code with the
     counting pipeline but the session rule, so it can serve as an
     independent oracle."""
-    table = empty_table(sim.bin_seconds, sim.session, classes)
+    table = empty_table(bin_seconds, session, classes)
     counts = np.array(table.counts)
-    t0, t1 = sim.session
+    t0, t1 = session
     approach_index = {a: i for i, a in enumerate(Approach)}
     movement_index = {m: i for i, m in enumerate(Movement)}
     for v in script:
-        if outside_session(v.entry_time, sim.session):
+        if outside_session(v.entry_time, session):
             raise ScriptValidationError(
                 f"entry_time {v.entry_time} outside session [{t0}, {t1})"
             )
-        b = int(math.floor((v.entry_time - t0) / sim.bin_seconds))
+        b = int(math.floor((v.entry_time - t0) / bin_seconds))
         counts[b, approach_index[v.approach], movement_index[v.movement],
                v.vehicle_class - 1] += 1
-    return TmcTable(sim.bin_seconds, sim.session, counts)
+    return TmcTable(bin_seconds, session, counts)
 
 
 @dataclass(frozen=True)
@@ -439,20 +426,17 @@ def random_script(
     cfg: IntersectionConfig,
     rng: np.random.Generator,
     n_vehicles: int,
-    sim: SimConfig,
 ) -> list[ScriptedVehicle]:
-    """Random script whose per-zone exit-to-entry headways stay >= 2.0 s,
-    whose vehicles cross only during phases permitting their movement,
-    and whose entries keep clear of bin boundaries. Under those
-    constraints the counting pipeline must reproduce the ground truth
-    exactly; the generator may return fewer vehicles if zones saturate.
+    """Random script over the schedule's session whose per-zone
+    exit-to-entry headways stay >= 2.0 s, whose vehicles cross only during
+    phases permitting their movement, and whose entries keep clear of the
+    boundaries of :data:`~lidartmc.report.DEFAULT_BIN_SECONDS` bins. Under
+    those constraints the counting pipeline must reproduce the ground
+    truth exactly; the generator may return fewer vehicles if zones saturate.
     """
     targets = cfg.countable_targets()
-    t0, t1 = sim.session
-    boundaries = [
-        t0 + k * sim.bin_seconds
-        for k in range(1, int(math.ceil((t1 - t0) / sim.bin_seconds)))
-    ]
+    t0, t1 = cfg.schedule.session
+    boundaries = np.arange(t0 + DEFAULT_BIN_SECONDS, t1, DEFAULT_BIN_SECONDS).tolist()
     last_exit: dict[str, float] = {}
     vehicles: list[ScriptedVehicle] = []
     classes = cfg.class_table.n_classes

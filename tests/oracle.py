@@ -247,7 +247,7 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
     """``simgen.simulate``'s frames, built one vehicle at a time."""
     rng = np.random.default_rng(sim.seed)
     table = cfg.class_table
-    t0, t1 = sim.session
+    t0, t1 = cfg.schedule.session
     resolved = []  # (vehicle, zone, length, entry_pos, direction, t_start, t_end)
     targets = cfg.countable_targets()
     for v in script:
@@ -305,12 +305,7 @@ def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
                 continue
             if sim.noise_sigma > 0.0:
                 pos = pos + rng.normal(0.0, sim.noise_sigma, pos.shape)
-            if sim.length_sigma > 0.0:
-                lengths = np.clip(
-                    rng.normal(length, sim.length_sigma, len(ks)), 0.1, 49.9
-                )
-            else:
-                lengths = np.full(len(ks), length)
+            lengths = np.full(len(ks), length)
             scores = rng.uniform(0.5, 1.0, len(ks))
             local = pos @ from_ned_rot.T + from_ned_trans
             heading_sensor = wrap_angle(zone.yaw - yaw_corr)

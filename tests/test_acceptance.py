@@ -47,7 +47,7 @@ def test_criterion_1_oracle_equivalence_ideal(reference_config):
             seed=2000 + seed, frame_rate_hz=float(rng.uniform(3.0, 5.0))
         )
         n = int(rng.integers(5, 51))
-        script = random_script(reference_config, rng, n, sim)
+        script = random_script(reference_config, rng, n)
         assert len(script) >= 5
         session = simulate(script, reference_config, sim)
         est = run_counting(session, reference_config)

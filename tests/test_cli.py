@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,14 @@ from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
 from lidartmc.errors import SchemaError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
 from lidartmc.ingest import MergedStream, frames_to_ned, parse_detection_log
-from lidartmc.intersection import CountingParams, load_intersection_config
+from lidartmc.intersection import (
+    CountingParams,
+    PhaseSchedule,
+    load_intersection_config,
+    save_intersection_config,
+)
 from lidartmc.report import TmcTable, load_tmc_csv, save_tmc_csv
-from lidartmc.simgen import SimConfig, load_script, random_script, script_to_obj
+from lidartmc.simgen import load_script, random_script, scenario_suite, script_to_obj
 from lidartmc.reference import reference_config_path
 from oracle import point_in_zone
 
@@ -144,7 +150,7 @@ class TestSimulate:
 
     def test_script_mode(self, tmp_path, reference_config):
         rng = np.random.default_rng(65)
-        script = random_script(reference_config, rng, 8, SimConfig(seed=1))
+        script = random_script(reference_config, rng, 8)
         spath = tmp_path / "script.json"
         spath.write_text(json.dumps(script_to_obj(script)))
         code = cli.main(
@@ -627,6 +633,35 @@ class TestEndToEnd:
             jb.pop("wall_clock_utc")
             assert ja == jb, rel
 
+    def test_long_schedule_round_trip(self, tmp_path, reference_config):
+        """simulate, estimate and compare all take their session from a
+        schedule of twelve 100 s cycles (1,200 s, four 300 s bins)."""
+        cycle = [iv for iv in reference_config.schedule.intervals if iv.end <= 100.0]
+        schedule = PhaseSchedule(tuple(
+            replace(iv, start=iv.start + 100.0 * c, end=iv.end + 100.0 * c)
+            for c in range(12) for iv in cycle
+        ))
+        cfg = replace(reference_config, schedule=schedule)
+        config, script = tmp_path / "config.json", tmp_path / "script.json"
+        save_intersection_config(cfg, config)
+        script.write_text(json.dumps(script_to_obj(
+            random_script(cfg, np.random.default_rng(12), 80))))
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert cli.main(["simulate", "--script", str(script), "--config", str(config),
+                         "--seed", "5", "--out-dir", str(sim)]) == 0
+        assert cli.main(["estimate", str(sim / "log_L1.jsonl"), str(sim / "log_L2.jsonl"),
+                         "--config", str(config), "--registry", str(sim / "registry.json"),
+                         "--out-dir", str(est)]) == 0
+        assert cli.main(["compare", str(est / "tmc.csv"), str(sim / "gt.csv"),
+                         "--out-dir", str(tmp_path / "cmp")]) == 0
+        gt = load_tmc_csv(sim / "gt.csv")
+        assert gt.counts.shape[0] == 4
+        assert gt.counts[1:].sum() > 0
+        assert (est / "tmc.csv").read_bytes() == (sim / "gt.csv").read_bytes()
+        manifest = json.loads((sim / "manifest.json").read_text())
+        assert manifest["arguments"]["session"] == [0.0, 1200.0]
+        assert manifest["arguments"]["bin_seconds"] == 300.0
+
     def test_estimated_tmc_comparable_zero_error(self, tmp_path):
         base = tmp_path
         sim_out = base / "sim"
@@ -670,6 +705,7 @@ BAD_FLAG_VALUES = [
     ("estimate", ["--session-start", "100", "--session-end", "50"]),
     ("estimate", ["--session-start", "nan"]),
     ("estimate", ["--session-end", "1e12"]),
+    ("estimate", ["--session-start", "-1"]),
     ("estimate", ["--bin-seconds", "1e-9"]),
     ("estimate", ["--reorder-window", "nan"]),
     ("estimate", ["--reorder-window", "-1"]),
@@ -742,6 +778,78 @@ def estimate_logs(logs, registry, *flags):
             return code, None, None, None
         return (code, (out / "tmc.csv").read_text(), (out / "events.csv").read_text(),
                 json.loads((out / "manifest.json").read_text()))
+
+
+def test_session_window_inside_the_schedule(ideal_sim, tmp_path, capsys):
+    """The session flags select a window inside the schedule session and
+    tabulate its events; a window reaching past it exits 2."""
+    logs = [str(ideal_sim / f"log_{s}.jsonl") for s in ("L1", "L2")]
+    argv = ["estimate", *logs, "--registry", str(ideal_sim / "registry.json")]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "events.csv").read_text().splitlines()
+    for flags, lo, hi in ((["--session-start", "100", "--session-end", "200"], 100.0, 200.0),
+                          (["--session-end", "200"], 0.0, 200.0)):
+        out = tmp_path / "_".join(flags)
+        assert cli.main(argv + flags + ["--out-dir", str(out)]) == 0
+        events = (out / "events.csv").read_text().splitlines()
+        assert events == full[:1] + [e for e in full[1:] if lo <= float(e.split(",")[0]) < hi]
+        assert 1 < len(events) < len(full)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["arguments"]["session"] == [lo, hi]
+        assert manifest["counting"]["events"] == len(full) - 1
+        assert manifest["warnings"]["events_outside_window"] == len(full) - len(events)
+        assert load_tmc_csv(out / "tmc.csv").counts.sum() == len(events) - 1
+    capsys.readouterr()
+    assert cli.main(argv + ["--session-end", "900", "--out-dir", str(tmp_path / "wide")]) == 2
+    assert "schedule session [0.0, 300.0)" in capsys.readouterr().err
+    assert not (tmp_path / "wide").exists()
+
+
+WINDOW_BINS = (50, 60, 100)
+
+
+@pytest.fixture(scope="module")
+def full_runs(tmp_path_factory):
+    """Each bundled scenario's seed-7 logs, its registry and config flags,
+    and the tmc.csv and events.csv of ``estimate`` on the whole session
+    at each of :data:`WINDOW_BINS`."""
+    runs = {}
+    for sc in scenario_suite():
+        out = tmp_path_factory.mktemp(sc.name)
+        assert cli.main(["simulate", "--scenario", sc.name, "--seed", "7",
+                         "--out-dir", str(out)]) == 0
+        save_intersection_config(sc.cfg, out / "config.json")
+        logs = [(out / f"log_{s}.jsonl").read_bytes() for s in ("L1", "L2")]
+        for b in WINDOW_BINS:
+            flags = ["--config", str(out / "config.json"), "--bin-seconds", str(b)]
+            code, tmc, events, _ = estimate_logs(logs, out / "registry.json", *flags)
+            assert code == 0
+            runs[sc.name, b] = (logs, out / "registry.json", flags, tmc, events)
+    return runs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_window_tabulates_the_full_runs_bins(full_runs, data):
+    """A window [k*b, m*b) on the bin grid gives the full run's rows of
+    bins k..m-1 and its events in the window; the rest are counted."""
+    name = data.draw(st.sampled_from([sc.name for sc in scenario_suite()]))
+    b = data.draw(st.sampled_from(WINDOW_BINS))
+    k = data.draw(st.integers(0, 300 // b))
+    m = data.draw(st.integers(k, 300 // b))
+    logs, registry, flags, full_tmc, full_events = full_runs[name, b]
+    code, tmc, events, manifest = estimate_logs(
+        logs, registry, *flags, "--session-start", str(k * b), "--session-end", str(m * b))
+    assert code == 0
+    rows = full_tmc.splitlines()
+    per_bin = (len(rows) - 1) // (300 // b)
+    assert tmc.splitlines() == rows[:1] + rows[1 + k * per_bin:1 + m * per_bin]
+    want = [e for e in full_events.splitlines()[1:] if k * b <= float(e.split(",")[0]) < m * b]
+    assert events.splitlines()[1:] == want
+    outside = manifest["warnings"].get("events_outside_window", 0)
+    assert outside > 0 or "events_outside_window" not in manifest["warnings"]
+    assert manifest["counting"]["events"] == len(want) + outside
+    assert manifest["counting"]["events"] == len(full_events.splitlines()) - 1
 
 
 MUTATIONS = st.tuples(
@@ -896,6 +1004,17 @@ def test_unbounded_session_exits_2(ideal_sim, tmp_path):
     table.write_text(GT_FIXTURE.read_text() + "inf,NB,1,0,0,0,0\n")
     assert cli.main(["compare", str(table), str(GT_FIXTURE),
                      "--out-dir", str(tmp_path / "cmp")]) == 2
+    # simulate covers the schedule session, so it refuses an unbounded one
+    # at either end before it builds any detection.
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT_DOC))
+    doc["schedule"][0]["start"] = -math.inf
+    for end in (math.inf, 300.0):
+        doc["schedule"][-1]["end"] = end
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--script", str(script), "--config", str(config),
+                         "--seed", "1", "--out-dir", str(tmp_path / "sim")]) == 2
+        assert not (tmp_path / "sim").exists()
 
 
 BAD_CONFIG_NODES = {
@@ -1012,7 +1131,7 @@ def test_mutated_registry_exits_0_or_2(ideal_sim, mutations):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(DOC_MUTATIONS, min_size=1, max_size=3))
 def test_mutated_script_exits_0_or_2(reference_config, mutations):
-    script = random_script(reference_config, np.random.default_rng(67), 4, SimConfig(seed=1))
+    script = random_script(reference_config, np.random.default_rng(67), 4)
     with tempfile.TemporaryDirectory() as tmp:
         code = mutated_doc_exit_code(script_to_obj(script), mutations, tmp, [
             "simulate", "--script", "{doc}", "--seed", "3"])

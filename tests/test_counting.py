@@ -47,8 +47,7 @@ def small_config():
         (
             PhaseInterval(0.0, 60.0, frozenset({(NB, T), (SB, T)})),
             PhaseInterval(60.0, 120.0, frozenset({(EB, T), (WB, T)})),
-        ),
-        (0.0, 120.0),
+        )
     )
     return IntersectionConfig(
         ned_origin=GeodeticPoint(34.05, -117.4, 350.0),
@@ -305,9 +304,7 @@ class TestEgressSurrogate:
                 ((NB, R), (WB, T)),
             ),
         )
-        schedule = PhaseSchedule(
-            (PhaseInterval(0.0, 60.0, frozenset({(WB, T)})),), (0.0, 60.0)
-        )
+        schedule = PhaseSchedule((PhaseInterval(0.0, 60.0, frozenset({(WB, T)})),))
         cfg = IntersectionConfig(GeodeticPoint(0.0, 0.0, 0.0), zones, schedule)
         with pytest.raises(MisconfiguredSurrogateError):
             egress({"BAD": [trig(5.0)]}, cfg)

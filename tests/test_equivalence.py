@@ -47,9 +47,7 @@ def test_dense_random_script_matches_oracle(tmp_path):
     # thru headway, so that every rule has a case of its own.
     ref = build_reference_config()
     *phases, last = ref.schedule.intervals
-    schedule = PhaseSchedule(
-        tuple(replace(iv, end=iv.end - 2.0) for iv in phases) + (last,), ref.schedule.session
-    )
+    schedule = PhaseSchedule(tuple(replace(iv, end=iv.end - 2.0) for iv in phases) + (last,))
     cfg = replace(ref, schedule=schedule, params=CountingParams(dedup_window=1.5))
     script = dense_script(cfg, np.random.default_rng(91))
     assert len(script) > 500

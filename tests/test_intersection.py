@@ -122,7 +122,7 @@ class TestZoneHits:
 
 
 def simple_schedule():
-    return PhaseSchedule.from_intervals(
+    return PhaseSchedule(
         [
             PhaseInterval(0.0, 30.0, frozenset({(NB, T), (SB, T)})),
             PhaseInterval(30.0, 60.0, frozenset({(EB, T), (WB, T)})),
@@ -162,8 +162,7 @@ class TestPermissible:
             (
                 PhaseInterval(0.0, 10.0, frozenset({(NB, T)})),
                 PhaseInterval(20.0, 30.0, frozenset({(NB, T)})),
-            ),
-            (0.0, 30.0),
+            )
         )
         assert permissible(NB, T, 5.0, s)
         assert not permissible(NB, T, 15.0, s)  # all-red gap
@@ -171,12 +170,21 @@ class TestPermissible:
 
     def test_overlapping_intervals_rejected(self):
         with pytest.raises(ConfigInvariantError):
-            PhaseSchedule.from_intervals(
+            PhaseSchedule(
                 [
                     PhaseInterval(0.0, 20.0, frozenset({(NB, T)})),
                     PhaseInterval(10.0, 30.0, frozenset({(SB, T)})),
                 ]
             )
+
+    def test_intervals_stored_sorted_and_give_the_session(self):
+        early = PhaseInterval(0.0, 30.0, frozenset({(NB, T)}))
+        late = PhaseInterval(40.0, 60.0, frozenset({(EB, T)}))
+        s = PhaseSchedule([late, early])
+        assert s.intervals == (early, late)
+        assert s.session == (0.0, 60.0)
+        with pytest.raises(ConfigInvariantError, match="at least one interval"):
+            PhaseSchedule(())
 
 
 def minimal_config_obj():

@@ -15,7 +15,7 @@ PACKAGE = ROOT / "src" / "lidartmc"
 
 # Public names that no command calls but that stay on purpose.
 ALLOWED = {
-    "random_script": "the random script generator that ROADMAP item 3 replaces",
+    "random_script": "the random script generator that ROADMAP item 5 replaces",
     "save_intersection_config": "tests write their configs through it",
 }
 

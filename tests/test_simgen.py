@@ -133,7 +133,7 @@ class TestSimulateBasics:
         # Independent tally: count script rows per cell with a Counter.
         rng = np.random.default_rng(71)
         sim = SimConfig(seed=8)
-        script = random_script(reference_config, rng, 30, sim)
+        script = random_script(reference_config, rng, 30)
         session = simulate(script, reference_config, sim)
         expected = Counter(
             (v.approach, v.movement, v.vehicle_class) for v in script
@@ -351,7 +351,7 @@ def assert_frames_identical(got, want):
     assert got.boxes.tobytes() == b"".join(f.detections.tobytes() for f in want)
 
 
-NOISY = dict(dropout=0.2, noise_sigma=0.1, length_sigma=0.05)
+NOISY = dict(dropout=0.2, noise_sigma=0.1)
 
 
 class TestAgainstPerVehicleOracle:
@@ -391,8 +391,7 @@ class TestAgainstPerVehicleOracle:
 class TestRandomScript:
     def test_constraints_hold(self, reference_config):
         rng = np.random.default_rng(81)
-        sim = SimConfig(seed=11)
-        script = random_script(reference_config, rng, 40, sim)
+        script = random_script(reference_config, rng, 40)
         assert 5 <= len(script) <= 40
         per_zone = {}
         for v in script:
@@ -407,7 +406,7 @@ class TestRandomScript:
 
     def test_script_json_round_trip(self, reference_config):
         rng = np.random.default_rng(82)
-        script = random_script(reference_config, rng, 10, SimConfig(seed=12))
+        script = random_script(reference_config, rng, 10)
         assert script_from_obj(script_to_obj(script)) == tuple(script)
 
 
@@ -447,13 +446,12 @@ class TestScriptJson:
 
 
 def test_tally_script_respects_bins(reference_config):
-    sim = SimConfig(seed=13, session=(0.0, 300.0), bin_seconds=100.0)
     script = [
         ScriptedVehicle(3, NB, T, 20.0, 10.0, 4.5, "NB_T1"),
         ScriptedVehicle(3, NB, T, 120.0, 10.0, 4.5, "NB_T1"),
         ScriptedVehicle(4, EB, T, 220.0, 10.0, 6.0, "EB_T"),
     ]
-    gt = tally_script(script, sim)
+    gt = tally_script(script, (0.0, 300.0), 6, bin_seconds=100.0)
     assert gt.counts.shape[0] == 3
     assert gt.counts[0].sum() == 1
     assert gt.counts[1].sum() == 1
@@ -462,7 +460,7 @@ def test_tally_script_respects_bins(reference_config):
 
 def test_load_script_file(tmp_path, reference_config):
     rng = np.random.default_rng(83)
-    script = random_script(reference_config, rng, 8, SimConfig(seed=14))
+    script = random_script(reference_config, rng, 8)
     path = tmp_path / "script.json"
     import json
 
