@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 internal error, 2 user/input error. Every
 command writes a ``manifest.json`` next to its outputs with the inputs,
 parameters, and seed needed to reproduce the run; apart from the
 wall-clock field, reruns with identical inputs are byte-identical.
-All files are written atomically (temp + rename).
+All files are written atomically (temp + rename) and closed before
+``main`` returns; ``entrypoint`` then flushes stdout and stderr and ends
+the process without the interpreter's teardown, unless a flush fails.
 
 A run's session is its config's schedule session. ``simulate`` covers
 it; ``estimate`` counts on it, and ``--session-start``/``--session-end``
@@ -24,6 +26,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -126,7 +129,7 @@ def cmd_estimate(args) -> int:
     from .geo import atomic_write_text, load_registry
     from .ingest import merge_streams, parse_logs
     from .intersection import load_intersection_config, outside_session
-    from .report import save_tmc_csv
+    from .report import n_bins, save_tmc_csv
 
     cfg = load_intersection_config(args.config)
     if args.registry is None:
@@ -141,6 +144,7 @@ def cmd_estimate(args) -> int:
     if not s0 <= window[0] <= window[1] <= s1:
         raise UserInputError(f"session window [{window[0]}, {window[1]}) must lie inside "
                              f"the schedule session [{s0}, {s1})")
+    n_bins(args.bin_seconds, window)  # an unbounded window fails before the parse
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
@@ -156,7 +160,7 @@ def cmd_estimate(args) -> int:
     if outside and args.strict:  # the earliest one, after the order and registry checks
         raise TimeOutsideScheduleError(float(dropped.min()), cfg.schedule.session)
     events, meta = count_session(ned, cfg, params)
-    events = [ev for ev in events if not outside_session(ev.t, window)]
+    events = events.take(~outside_session(events.t, window))
     table = estimate_tmc(events, args.bin_seconds, window, cfg.class_table.n_classes)
     warnings = {"skipped_lines": len(errors)}
     if outside:
@@ -398,12 +402,18 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     # Everything imported so far lives until exit: moving it to the
-    # permanent generation spares the collections of the run, of the
-    # interpreter's shutdown and of forked parse children (which then
-    # also leave those pages shared). main() itself does not freeze,
-    # because tests and the per-layer benchmark call it in-process.
+    # permanent generation spares the collections of the run and of
+    # forked parse children (which then also leave those pages shared).
+    # main() neither freezes nor ends the process, because tests and the
+    # per-layer benchmark call it in-process (exit path: module docstring).
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a failed write, or a closed stream
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

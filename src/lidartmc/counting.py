@@ -1,51 +1,48 @@
 """Zone triggers, temporal clustering, and count-table assembly.
 
-The pipeline: a merged NED detection stream is reduced to per-zone
-trigger series (a trigger = one detection centroid inside a zone, by
+A merged NED detection stream is reduced to per-zone trigger series (a
+trigger = one detection centroid inside a zone, by
 :func:`~lidartmc.intersection.zone_hits`, at a time when some binding of
-the zone is permissible). Each zone's series is then clustered into
-vehicles by :func:`cluster_triggers`:
+the zone is permissible). Each zone's series is clustered into vehicles
+by one pairwise rule: a trigger joins its predecessor's vehicle when the
+gap between the two is
 
-* a trigger within ``cluster_gap`` of the cluster's last trigger is the
-  same vehicle;
-* a gap of at least the zone's minimum headway (2.0 s for right-turn
-  zones, 1.2 s otherwise) starts a new vehicle;
-* anything in between is absorbed into the current cluster — it extends
-  the cluster without being counted, which is what stops slow, long
-  vehicles from being counted once per re-trigger;
-* a trigger from a *different sensor* within ``dedup_window`` always
-  joins the current cluster, so dual coverage of one zone never double
-  counts.
+* below ``cluster_gap``: the same vehicle;
+* below the zone's minimum headway (2.0 s for right-turn zones, 1.2 s
+  otherwise) and ``absorb`` is set: a re-trigger, absorbed uncounted, so
+  slow, long vehicles are not counted once per re-trigger;
+* below ``dedup_window`` and the sensor changed: dual coverage of one
+  zone never double counts.
 
-Setting ``absorb=False`` disables the third rule (every gap >=
-cluster_gap then opens a new cluster); that is the diagnostic "raw
-re-trigger" mode and is deliberately prone to overcounting.
-
-One event per cluster, labelled with the zone's primary binding (a
-right surrogate's one binding) and timestamped at the cluster's first
-trigger; the representative length is the cluster maximum (the longest
-box seen is closest to the true length under partial occlusion).
+Every other trigger starts a vehicle (``absorb=False`` is the diagnostic,
+overcounting "raw re-trigger" mode). One event per vehicle, labelled with
+the zone's primary binding and timed at its first trigger; its length is
+its longest box (closest to the true length under partial occlusion).
+Events are columns (:class:`Events`), so the rule, the binning and the
+CSV text each run once over all zones; the list form
+(:class:`MovementEvent`) is a conversion for the per-layer benchmark and
+the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
-from .ingest import FRAME_NED, L, X, Y, MergedStream
+from .ingest import FRAME_NED, L, X, Y, MergedStream, _json_floats
 from .intersection import (
     APPROACH_INDEX,
+    APPROACHES,
     MOVEMENT_INDEX,
+    MOVEMENTS,
     Approach,
     CountingParams,
     IntersectionConfig,
     Movement,
-    PhaseSchedule,
-    Zone,
     ZoneKind,
     outside_session,
     zone_hits,
@@ -77,19 +74,51 @@ class MovementEvent:
     representative_length: float
 
 
-def _permission_table(zones: Sequence[Zone], schedule: PhaseSchedule) -> np.ndarray:
-    """(zones, intervals): does the interval permit a non-right binding
-    of the zone?"""
-    return np.array([
-        [any(m is not Movement.RIGHT and (a, m) in iv.permitted for a, m in z.bindings)
-         for iv in schedule.intervals]
-        for z in zones
-    ], dtype=bool)
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Counted vehicles as columns, ordered by time, then ingress before
+    surrogate, then zone id: first trigger time, index into the config's
+    zones (-1 when built from the list form), indices into ``APPROACHES``
+    and ``MOVEMENTS``, class id and representative length."""
+
+    t: np.ndarray
+    zone: np.ndarray
+    approach: np.ndarray
+    movement: np.ndarray
+    vehicle_class: np.ndarray
+    length: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, index) -> Events:
+        return Events(*(column[index] for column in vars(self).values()))
+
+    @classmethod
+    def from_list(cls, events: Sequence[MovementEvent]) -> Events:
+        fields = attrgetter("t", "approach", "movement", "vehicle_class", "representative_length")
+        t, a, m, c, length = list(zip(*map(fields, events))) or [()] * 5
+        return cls(np.array(t, dtype=np.float64), np.full(len(t), -1, dtype=np.intp),
+                   np.array(list(map(APPROACHES.index, a)), dtype=np.intp),
+                   np.array(list(map(MOVEMENTS.index, m)), dtype=np.intp),
+                   np.array(c, dtype=np.int64), np.array(length, dtype=np.float64))
+
+    def to_list(self) -> list[MovementEvent]:
+        columns = (self.approach, self.movement, self.t, self.vehicle_class, self.length)
+        return [MovementEvent(APPROACHES[a], MOVEMENTS[m], t, c, length)
+                for a, m, t, c, length in zip(*(col.tolist() for col in columns))]
 
 
-def extract_triggers(
-    stream: MergedStream, cfg: IntersectionConfig
-) -> dict[str, TriggerSeries]:
+def _binding_mask(binding_sets) -> np.ndarray:
+    """(sets, approaches * movements): the (approach, movement) pairs each set holds."""
+    out = np.zeros((len(binding_sets), len(APPROACHES) * len(MOVEMENTS)), dtype=bool)
+    for i, bindings in enumerate(binding_sets):
+        for a, m in bindings:
+            out[i, APPROACH_INDEX[a] * len(MOVEMENTS) + MOVEMENT_INDEX[m]] = True
+    return out
+
+
+def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
     """Per-zone, time-ordered trigger series from a NED stream.
 
     A (detection, zone) pair triggers when the centroid is inside the
@@ -99,20 +128,11 @@ def extract_triggers(
     """
     if stream.coordinate_frame != FRAME_NED:
         raise ValueError("extract_triggers requires a NED stream")
-    zones = cfg.zones
-    empty = TriggerSeries(np.empty(0), np.empty(0), np.empty(0, dtype=str))
-    out: dict[str, TriggerSeries] = {z.id: empty for z in zones}
-    boxes = stream.boxes
-    if len(boxes) == 0 or not zones:
-        return out
-
+    zones, boxes, schedule = cfg.zones, stream.boxes, cfg.schedule
     hits = zone_hits(boxes[:, X], boxes[:, Y], zones)
     rows = np.flatnonzero(hits.any(axis=1))
-    hits = hits[rows]
     frames = stream.frame_of(rows)
     ts = stream.t[frames]
-
-    schedule = cfg.schedule
     outside = outside_session(ts, schedule.session)
     if np.any(outside):
         raise TimeOutsideScheduleError(float(ts[np.argmax(outside)]), schedule.session)
@@ -121,19 +141,54 @@ def extract_triggers(
     ends = np.array([iv.end for iv in schedule.intervals])
     idx = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
     in_interval = (starts[idx] <= ts) & (ts < ends[idx])
-    zone_has_right = np.array(
-        [any(m is Movement.RIGHT for _, m in z.bindings) for z in zones]
-    )
-    permitted = zone_has_right | (
-        in_interval[:, None] & _permission_table(zones, schedule).T[idx]
-    )
-    trig = hits & permitted
+    # A right binding is always permissible, another one when its interval permits it.
+    bound = _binding_mask([z.bindings for z in zones])
+    right = np.arange(bound.shape[1]) % len(MOVEMENTS) == MOVEMENT_INDEX[Movement.RIGHT]
+    permits = _binding_mask([iv.permitted for iv in schedule.intervals]) @ (bound & ~right).T
+    trig = hits[rows] & ((bound & right).any(axis=1) | (in_interval[:, None] & permits[idx]))
     lengths = boxes[rows, L]
-    sensors = np.asarray(stream.sensors)[stream.sensor[frames]]
+    sensors = np.asarray(stream.sensors, dtype=str)[stream.sensor[frames]]
+    out = {}
     for zi, z in enumerate(zones):
         r = np.flatnonzero(trig[:, zi])
         out[z.id] = TriggerSeries(ts[r], lengths[r], sensors[r])
     return out
+
+
+def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
+            params: CountingParams) -> Events:
+    """The events of each zone's series by the rule of the module
+    docstring, over the series joined zone after zone."""
+    zones, series = cfg.zones, list(series.items())
+    index = {z.id: i for i, z in enumerate(zones)}
+    zone = np.repeat(np.array([index[zid] for zid, _ in series], dtype=np.intp),
+                     [len(s) for _, s in series])
+    t, length, sensor = (
+        np.concatenate([np.empty(0, dtype), *(getattr(s, name) for _, s in series)])
+        for name, dtype in (("t", float), ("length", float), ("sensor", str)))
+    headway = np.array([params.min_headway_for(z) for z in zones])
+    gap = np.diff(t)
+    join = (
+        (gap < params.cluster_gap)
+        | (params.absorb & (gap < headway[zone[1:]]))
+        | ((sensor[1:] != sensor[:-1]) & (gap < params.dedup_window))
+    )
+    # A zone's first trigger and each trigger that does not join start a vehicle.
+    first = np.flatnonzero(np.r_[len(t) > 0, ~join | (zone[1:] != zone[:-1])])
+    longest = np.maximum.reduceat(length, first) if len(first) else length
+    valid = np.isfinite(longest) & (longest > 0)
+    if not valid.all():
+        cfg.class_table.classify(longest[~valid][0])  # raises NonpositiveLengthError
+    classes = np.searchsorted([c.lower for c in cfg.class_table.classes], longest, side="right")
+
+    rank = np.argsort(sorted(range(len(zones)), key=lambda i: zones[i].id))  # of zone ids
+    surrogate = np.array([z.kind is ZoneKind.EGRESS for z in zones], dtype=bool)
+    order = np.lexsort((rank[zone[first]], surrogate[zone[first]], t[first]))
+    z = zone[first[order]]
+    binding = np.array([(APPROACH_INDEX[a], MOVEMENT_INDEX[m])
+                        for a, m in (zn.primary_binding for zn in zones)], dtype=np.intp)
+    return Events(t[first[order]], z, binding[z, 0], binding[z, 1], classes[order],
+                  longest[order])
 
 
 def cluster_triggers(
@@ -141,42 +196,9 @@ def cluster_triggers(
     cfg: IntersectionConfig,
     params: CountingParams | None = None,
 ) -> list[MovementEvent]:
-    """One event per cluster of each zone's series, labelled with the
-    zone's primary binding, merged by (timestamp, zone id) so ordering is
-    deterministic. Each series is scanned once, greedily, by the rules of
-    the module docstring."""
-    params = params or cfg.params
-    tagged: list[tuple[float, str, MovementEvent]] = []
-    for zone_id, triggers in series.items():
-        zone = cfg.zone_by_id(zone_id)
-        approach, movement = zone.primary_binding
-        min_headway = params.min_headway_for(zone)
-        clusters: list[list[float]] = []  # [first t, longest box] of each vehicle
-        last_t = last_sensor = None
-        for t, length, sensor in zip(
-            triggers.t.tolist(), triggers.length.tolist(), triggers.sensor.tolist()
-        ):
-            gap = t - last_t if clusters else math.inf
-            if (
-                gap < params.cluster_gap
-                or (params.absorb and gap < min_headway)
-                or (sensor != last_sensor and gap < params.dedup_window)
-            ):
-                clusters[-1][1] = max(clusters[-1][1], length)
-            else:
-                clusters.append([t, length])
-            last_t, last_sensor = t, sensor
-        for first_t, max_len in clusters:
-            event = MovementEvent(
-                approach=approach,
-                movement=movement,
-                t=first_t,
-                vehicle_class=cfg.class_table.classify(max_len).id,
-                representative_length=max_len,
-            )
-            tagged.append((first_t, zone_id, event))
-    tagged.sort(key=lambda kv: (kv[0], kv[1]))
-    return [e for _, _, e in tagged]
+    """One event per vehicle of each zone's series, labelled with the
+    zone's primary binding, in the order of :class:`Events`."""
+    return _events(series, cfg, params or cfg.params).to_list()
 
 
 def count_rights_from_egress(
@@ -196,8 +218,7 @@ def count_rights_from_egress(
         if not zone.is_right_surrogate:
             raise MisconfiguredSurrogateError(
                 f"zone {zone.id!r} is not a single-binding right-turn egress "
-                f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})"
-            )
+                f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})")
     return cluster_triggers(series, cfg, params)
 
 
@@ -205,34 +226,24 @@ def count_session(
     stream: MergedStream,
     cfg: IntersectionConfig,
     params: CountingParams | None = None,
-) -> tuple[list[MovementEvent], dict]:
+) -> tuple[Events, dict]:
     """Full counting pass: triggers -> ingress events + surrogate events.
 
     Egress zones that are not right surrogates are observational only;
-    their triggers are extracted but never counted. Returns the merged,
-    time-ordered event list (at one timestamp, ingress events first) and
-    a metadata dict recording trigger counts and any shared Left/UTurn
-    zones (whose events are labeled with the primary binding because
-    ingress triggers cannot tell the two apart).
+    their triggers are extracted but never counted. Returns the events
+    and a metadata dict recording trigger counts and any shared
+    Left/UTurn zones (whose events are labeled with the primary binding
+    because ingress triggers cannot tell the two apart).
     """
     triggers = extract_triggers(stream, cfg)
-    ingress = {z.id: triggers[z.id] for z in cfg.ingress_zones}
-    surrogates = {z.id: triggers[z.id] for z in cfg.right_surrogate_zones}
-    events = cluster_triggers(ingress, cfg, params)
-    events += count_rights_from_egress(surrogates, cfg, params)
-    events.sort(key=lambda ev: ev.t)
-    shared = [
-        z.id
-        for z in cfg.ingress_zones
-        if {m for _, m in z.bindings} >= {Movement.LEFT, Movement.UTURN}
-    ]
+    counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
+    events = _events(counted, cfg, params or cfg.params)
+    shared = [z.id for z in cfg.ingress_zones
+              if {m for _, m in z.bindings} >= {Movement.LEFT, Movement.UTURN}]
     meta = {
         "triggers_per_zone": {zid: len(trigs) for zid, trigs in sorted(triggers.items())},
-        "ignored_egress_zones": sorted(
-            z.id
-            for z in cfg.zones
-            if z.kind is ZoneKind.EGRESS and not z.is_right_surrogate
-        ),
+        "ignored_egress_zones": sorted(z.id for z in cfg.zones
+                                       if z.kind is ZoneKind.EGRESS and not z.is_right_surrogate),
         "shared_left_uturn_zones": sorted(shared),
         "events": len(events),
     }
@@ -240,33 +251,36 @@ def count_session(
 
 
 def estimate_tmc(
-    events: Sequence[MovementEvent],
+    events: Events | Sequence[MovementEvent],
     bin_seconds: float = 300.0,
     session: tuple[float, float] = (0.0, 0.0),
     classes: int = 6,
 ) -> TmcTable:
     """Bin events into a count table. Bins are [start, start + bin);
     an event exactly on a boundary belongs to the later bin."""
-    table = empty_table(bin_seconds, session, classes)
-    counts = np.array(table.counts)
+    if not isinstance(events, Events):
+        events = Events.from_list(events)
+    counts = np.array(empty_table(bin_seconds, session, classes).counts)
     t0, t1 = session
-    for ev in events:
-        if outside_session(ev.t, session):
-            raise UserInputError(f"event at t={ev.t} outside session [{t0}, {t1})")
-        if not 1 <= ev.vehicle_class <= classes:
-            raise UserInputError(f"event class {ev.vehicle_class} outside 1..{classes}")
-        b = int(math.floor((ev.t - t0) / bin_seconds))
-        b = min(b, counts.shape[0] - 1)  # guard the t1-epsilon float edge
-        counts[b, APPROACH_INDEX[ev.approach], MOVEMENT_INDEX[ev.movement], ev.vehicle_class - 1] += 1
+    outside = outside_session(events.t, session)
+    if outside.any():
+        raise UserInputError(f"event at t={events.t[outside][0]} outside session [{t0}, {t1})")
+    bad = (events.vehicle_class < 1) | (events.vehicle_class > classes)
+    if bad.any():
+        raise UserInputError(f"event class {events.vehicle_class[bad][0]} outside 1..{classes}")
+    # The minimum guards the t1-epsilon float edge.
+    b = np.minimum(np.floor((events.t - t0) / bin_seconds), len(counts) - 1).astype(np.intp)
+    np.add.at(counts, (b, events.approach, events.movement, events.vehicle_class - 1), 1)
     return TmcTable(bin_seconds, session, counts)
 
 
-def events_to_csv(events: Sequence[MovementEvent]) -> str:
-    """Event list export: ``t,approach,movement,class,length``."""
-    lines = ["t,approach,movement,class,length"]
-    for ev in events:
-        lines.append(
-            f"{ev.t!r},{ev.approach.value},{ev.movement.value},"
-            f"{ev.vehicle_class},{ev.representative_length!r}"
-        )
-    return "\n".join(lines) + "\n"
+def events_to_csv(events: Events | Sequence[MovementEvent]) -> str:
+    """Event export: ``t,approach,movement,class,length``, floats spelled by ``repr``."""
+    if not isinstance(events, Events):
+        events = Events.from_list(events)
+    t, length = (_json_floats(c) if np.isfinite(c).all() else list(map(repr, c.tolist()))
+                 for c in (events.t, events.length))  # json.dumps spells a finite float by repr
+    approach = np.array([a.value for a in APPROACHES])[events.approach].tolist()
+    movement = np.array([m.value for m in MOVEMENTS])[events.movement].tolist()
+    rows = zip(t, approach, movement, map(str, events.vehicle_class.tolist()), length)
+    return "\n".join(["t,approach,movement,class,length", *map(",".join, rows)]) + "\n"

@@ -58,9 +58,10 @@ with ``1e-4 <= |x| < 1e16`` and for ±0.0; each other value (exponent
 form, NaN, infinities) is spelled by ``json.dumps`` itself, so every line
 is the one ``json.dumps`` gives.
 
-The stdlib modules that only a parse uses (``gzip``, ``logging``,
-``signal``) are imported in the functions that use them, so ``simulate``,
-which imports this module to write logs, does not load them.
+The stdlib modules that only a parse uses (``gzip``, ``signal``) are
+imported in the functions that use them, so ``simulate``, which imports
+this module to write logs, does not load them. A parse does not log: its
+caller logs the skipped lines it returns, so only one loads ``logging``.
 """
 
 from __future__ import annotations
@@ -280,11 +281,10 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
 def _parse_columns(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
     strict: bool,
-    error_sink: list[MalformedLineError] | None,
     cut: Callable | None = None,
-) -> tuple[MergedStream, np.ndarray]:
-    """The stream of a detection log, as :func:`parse_detection_log`
-    parses it, and the times that the cut drops (none without a cut).
+) -> tuple[MergedStream, np.ndarray, list[MalformedLineError]]:
+    """The stream of a detection log as :func:`parse_detection_log` parses
+    it, the times the cut drops (none without a cut) and the skipped lines.
 
     ``cut(block, sensor, t)``, if given, takes each chunk's kept rows,
     the log's sensor and each row's frame time, and returns the rows to
@@ -408,8 +408,6 @@ def _parse_columns(
     flush()
 
     errors.sort(key=lambda e: e.line_no)
-    _report_skipped(errors, error_sink)
-
     boxes = np.concatenate(blocks)
     del blocks  # the chunk blocks are no longer needed once joined
     # Consecutive kept lines at one t are one frame (their sensor is one).
@@ -425,18 +423,19 @@ def _parse_columns(
         sensors=(expected,) if len(first) else (),
         offsets=line_start[np.append(first, len(t))],
         coordinate_frame=FRAME_SENSOR if cut is None else FRAME_NED,
-    ), np.concatenate(dropped)
+    ), np.concatenate(dropped), errors
 
 
 def _report_skipped(errors: list[MalformedLineError], error_sink: list | None) -> None:
     """Add a log's skipped lines to ``error_sink`` and log each."""
-    import logging
-
     if error_sink is not None:
         error_sink.extend(errors)
-    log = logging.getLogger(__name__)
-    for err in errors:
-        log.warning("skipping detection log %s", err)
+    if errors:  # only a skipped line loads logging
+        import logging
+
+        log = logging.getLogger(__name__)
+        for err in errors:
+            log.warning("skipping detection log %s", err)
 
 
 def parse_detection_log(
@@ -464,7 +463,9 @@ def parse_detection_log(
     chunk is converted, checked and cut down to its kept rows before the
     next one is read, so the raw box tuples never outlive their chunk.
     """
-    return list(_parse_columns(source, strict, error_sink)[0].frames)
+    stream, _, errors = _parse_columns(source, strict)
+    _report_skipped(errors, error_sink)
+    return list(stream.frames)
 
 
 def open_detection_log(path) -> IO[bytes]:
@@ -506,30 +507,26 @@ def _zone_cut(registry: FrameRegistry, cfg: IntersectionConfig) -> Callable:
     return cut
 
 
-def _parse_path(path, strict: bool, error_sink: list | None, cut: Callable) -> tuple:
+def _parse_path(path, strict: bool, cut: Callable) -> tuple:
     with open_detection_log(path) as fh:
-        return _parse_columns(fh, strict, error_sink, cut)
+        return _parse_columns(fh, strict, cut)
 
 
 def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
     """Body of a forked parse: writes one pickled header to ``fd``;
     never returns.
 
-    The header is ``(error,)`` on failure and ``(None, skipped lines,
-    zone-row stream, dropped times)`` on success. The child does no BLAS
-    work, does not log (the parent logs its skipped lines in log order)
-    and ends with ``os._exit``, so nothing of the parent's state is
-    flushed or run.
+    The header is ``(error,)`` on failure and ``(None, zone-row stream,
+    dropped times, skipped lines)`` on success. The child does no BLAS
+    work, does not log (a parse does not; the parent logs the skipped
+    lines in log order) and ends with ``os._exit``, so nothing of the
+    parent's state is flushed or run.
     """
-    import logging
-
     status = 1
     try:
-        logging.disable(logging.CRITICAL)
         with open(fd, "wb") as pipe:
-            errors: list[MalformedLineError] = []
             try:
-                parsed = _parse_path(path, strict, errors, cut)
+                parsed = _parse_path(path, strict, cut)
             except Exception as exc:
                 try:
                     header = pickle.dumps((exc,))
@@ -537,7 +534,7 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
                     header = pickle.dumps((RuntimeError(f"parsing {path}: {exc!r}"),))
                 pipe.write(header)
             else:
-                pickle.dump((None, errors, *parsed), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((None, *parsed), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -560,17 +557,15 @@ def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | No
     return pid, open(r, "rb")
 
 
-def _receive(pipe: IO[bytes], path, error_sink: list | None) -> tuple:
-    """The stream and dropped times of a forked parse; raises its error."""
+def _receive(pipe: IO[bytes], path) -> tuple:
+    """The stream, dropped times and skipped lines of a forked parse; raises its error."""
     try:
         error, *result = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         raise RuntimeError(f"the process parsing {path} ended without a result") from None
     if error is not None:
         raise error
-    errors, stream, dropped = result
-    _report_skipped(errors, error_sink)
-    return stream, dropped
+    return result
 
 
 def parse_logs(
@@ -606,7 +601,7 @@ def parse_logs(
     the call: on an error each is killed and reaped.
     """
     # Loaded before the forks, so no parse child loads them again.
-    import gzip, logging, signal  # noqa: E401, F401
+    import gzip, signal  # noqa: E401, F401
 
     paths = list(paths)
     cut = _zone_cut(registry, cfg)
@@ -623,15 +618,16 @@ def parse_logs(
             children[i] = child
         parsed = []
         for i, path in enumerate(paths):
-            if i not in children:
-                parsed.append(_parse_path(path, strict, error_sink, cut))
-                continue
-            pid, pipe = children[i]
-            parsed.append(_receive(pipe, path, error_sink))
-            del children[i]
-            pipe.close()
-            os.waitpid(pid, 0)
-        return [s for s, _ in parsed], np.concatenate([np.empty(0)] + [d for _, d in parsed])
+            if i in children:
+                pid, pipe = children[i]
+                parsed.append(_receive(pipe, path))
+                del children[i]
+                pipe.close()
+                os.waitpid(pid, 0)
+            else:
+                parsed.append(_parse_path(path, strict, cut))
+            _report_skipped(parsed[-1][2], error_sink)
+        return [s for s, _, _ in parsed], np.concatenate([np.empty(0)] + [d for _, d, _ in parsed])
     finally:
         for pid, pipe in children.values():
             pipe.close()

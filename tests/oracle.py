@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-from lidartmc.counting import (
-    MovementEvent,
-    TriggerSeries,
-    estimate_tmc,
-    events_to_csv,
-)
+from lidartmc.counting import MovementEvent, TriggerSeries
 from lidartmc.errors import TimeOutsideScheduleError
 from lidartmc.geo import (
     WGS84_A,
@@ -35,6 +30,8 @@ from lidartmc.geo import (
 )
 from lidartmc.ingest import BOX_COLUMNS, SCORE, Frame, open_detection_log
 from lidartmc.intersection import (
+    APPROACH_INDEX,
+    MOVEMENT_INDEX,
     Approach,
     CountingParams,
     Movement,
@@ -42,7 +39,7 @@ from lidartmc.intersection import (
     Zone,
     ZoneKind,
 )
-from lidartmc.report import render_tmc_csv
+from lidartmc.report import TmcTable, empty_table, render_tmc_csv
 from lidartmc.simgen import (
     PATH_LEAD_M,
     SENSOR_HEIGHT_M,
@@ -191,16 +188,15 @@ def cluster(triggers, min_headway: float, params: CountingParams) -> list[tuple[
     return [(first_t, max_len) for first_t, max_len, _, _ in clusters]
 
 
-def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
-    """What ``lidartmc estimate`` writes for clean logs: the tmc.csv and
-    events.csv texts and the manifest's ``counting`` block."""
-    params = cfg.params or CountingParams()
-    triggers = zone_triggers(logs, cfg, registry)
+def count_events(triggers, cfg, params: CountingParams) -> list[MovementEvent]:
+    """The events of per-zone (t, length, frame_id) triggers of the
+    ingress and right-surrogate zones, one vehicle at a time, ordered by
+    time, then ingress before surrogate, then zone id."""
     groups = (
         [(z, z.primary_binding) for z in cfg.ingress_zones],
         [(z, z.bindings[0]) for z in cfg.right_surrogate_zones],
     )
-    tagged = []  # ingress events before surrogate events at one time
+    tagged = []
     for group, targets in enumerate(groups):
         for z, (approach, movement) in targets:
             for first_t, max_len in cluster(triggers[z.id], params.min_headway_for(z), params):
@@ -208,8 +204,33 @@ def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
                 event = MovementEvent(approach, movement, first_t, cls, max_len)
                 tagged.append((first_t, group, z.id, event))
     tagged.sort(key=lambda kv: kv[:3])
-    events = [kv[3] for kv in tagged]
-    table = estimate_tmc(events, bin_seconds, cfg.schedule.session, cfg.class_table.n_classes)
+    return [kv[3] for kv in tagged]
+
+
+def bin_events(events, bin_seconds: float, session, classes: int = 6) -> TmcTable:
+    """The count table of in-session events, one event at a time."""
+    counts = np.array(empty_table(bin_seconds, session, classes).counts)
+    for ev in events:
+        b = min(math.floor((ev.t - session[0]) / bin_seconds), len(counts) - 1)
+        counts[b, APPROACH_INDEX[ev.approach], MOVEMENT_INDEX[ev.movement],
+               ev.vehicle_class - 1] += 1
+    return TmcTable(bin_seconds, session, counts)
+
+
+def events_csv(events) -> str:
+    """The events.csv text, one event at a time."""
+    return "".join(["t,approach,movement,class,length\n", *(
+        f"{ev.t!r},{ev.approach.value},{ev.movement.value},{ev.vehicle_class},"
+        f"{ev.representative_length!r}\n" for ev in events)])
+
+
+def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
+    """What ``lidartmc estimate`` writes for clean logs: the tmc.csv and
+    events.csv texts and the manifest's ``counting`` block."""
+    params = cfg.params or CountingParams()
+    triggers = zone_triggers(logs, cfg, registry)
+    events = count_events(triggers, cfg, params)
+    table = bin_events(events, bin_seconds, cfg.schedule.session, cfg.class_table.n_classes)
     meta = {
         "triggers_per_zone": {zid: len(trigs) for zid, trigs in sorted(triggers.items())},
         "ignored_egress_zones": sorted(
@@ -221,7 +242,7 @@ def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
         ),
         "events": len(events),
     }
-    return render_tmc_csv(table), events_to_csv(events), meta
+    return render_tmc_csv(table), events_csv(events), meta
 
 
 def trigger_series(triggers) -> TriggerSeries:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
-from lidartmc import cli
+from lidartmc import cli, ingest
 from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
 from lidartmc.errors import SchemaError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
@@ -1015,6 +1015,25 @@ def test_unbounded_session_exits_2(ideal_sim, tmp_path):
         assert cli.main(["simulate", "--script", str(script), "--config", str(config),
                          "--seed", "1", "--out-dir", str(tmp_path / "sim")]) == 2
         assert not (tmp_path / "sim").exists()
+
+
+def test_unbounded_session_exits_2_before_the_parse(ideal_sim, tmp_path, capsys,
+                                                    monkeypatch):
+    doc = json.loads(Path(reference_config_path()).read_text())
+    doc["schedule"][-1]["end"] = math.inf
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parse_logs called")
+
+    monkeypatch.setattr(ingest, "parse_logs", no_parse)
+    code = cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"), "--config", str(config),
+                     "--registry", str(ideal_sim / "registry.json"),
+                     "--out-dir", str(tmp_path / "est")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: session [0.0, inf] must span at most 100000 bins of 300.0 s\n")
 
 
 BAD_CONFIG_NODES = {

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidartmc import counting
 from lidartmc.counting import (
     MovementEvent,
     cluster_triggers,
@@ -29,7 +32,8 @@ from lidartmc.intersection import (
     Zone,
     ZoneKind,
 )
-from oracle import trigger_series
+from oracle import bin_events, count_events, events_csv, trigger_series
+from oracle import cluster as oracle_cluster
 
 NB, SB, EB, WB = Approach.NB, Approach.SB, Approach.EB, Approach.WB
 L, T, R, U = Movement.LEFT, Movement.THRU, Movement.RIGHT, Movement.UTURN
@@ -321,7 +325,7 @@ class TestCountSession:
         # Detection inside the OUT egress zone (not a surrogate).
         stream = ned_stream(ned_frame(10.0, (19.0, 7.0, 4.5)))
         events, meta = count_session(stream, cfg)
-        assert events == []
+        assert events.to_list() == []
         assert meta["ignored_egress_zones"] == ["OUT"]
         assert meta["triggers_per_zone"]["OUT"] == 1
 
@@ -333,7 +337,7 @@ class TestCountSession:
             ned_frame(70.0, (-8.75, -19.0, 9.0)),  # EB right ingress
         )
         events, meta = count_session(stream, cfg)
-        assert [(e.approach, e.movement) for e in events] == [
+        assert [(e.approach, e.movement) for e in events.to_list()] == [
             (NB, T),
             (NB, R),
             (EB, R),
@@ -377,3 +381,58 @@ def test_events_csv_schema():
     lines = text.strip().splitlines()
     assert lines[0] == "t,approach,movement,class,length"
     assert lines[1] == "12.5,NB,Thru,3,4.5"
+
+
+@pytest.mark.parametrize("t,length", [(5e-05, 1e16), (-0.0, 123456.789), (0.1, math.inf),
+                                      (math.nan, 4.5)])
+def test_events_csv_spells_floats_by_repr(t, length):
+    events = [MovementEvent(NB, T, 12.5, 3, 4.5), MovementEvent(SB, L, t, 2, length)]
+    assert events_to_csv(events) == events_csv(events)
+
+
+# Gaps on and next to each threshold of the default params and of a
+# 1.5 s dedup window: cluster_gap 0.6, thru headway 1.2, right headway 2.0.
+GAPS = [0.0, 0.3, 0.5999, 0.6, 0.6001, 1.1999, 1.2, 1.2001, 1.4999, 1.5, 1.5001,
+        1.9999, 2.0, 2.0001, 3.0]
+# Class boundaries and values between them.
+LENGTHS = [0.5, 1.0, 2.2, 4.5, 5.0, 6.9, 7.0, 12.0, 15.0]
+
+
+@st.composite
+def zone_triggers(draw):
+    """(t, length, frame_id) triggers of each zone of ``small_config``,
+    time-ordered, at times taken from one grid so zones share times."""
+    grid = np.cumsum(draw(st.lists(st.sampled_from(GAPS), min_size=1, max_size=30))).tolist()
+    out = {}
+    for zone_id in ("THRU", "RIGHT", "SURR", "OUT"):
+        picks = sorted(draw(st.lists(st.integers(0, len(grid) - 1), max_size=15)))
+        out[zone_id] = [(grid[i], draw(st.sampled_from(LENGTHS)),
+                         draw(st.sampled_from(["L1", "L2"]))) for i in picks]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(zone_triggers(), st.booleans(), st.sampled_from([None, 1.5]),
+       st.sampled_from([0.1, 1.0, 7.0, 300.0]))
+def test_array_clustering_equals_the_oracle(triggers, absorb, dedup_window, bin_seconds):
+    """The columns give the oracle's clusters in the oracle's event
+    order, and the list form bins and spells them as the columns do."""
+    cfg = small_config()
+    params = CountingParams(absorb=absorb, dedup_window=dedup_window)
+    series = {zone_id: trigger_series(ts) for zone_id, ts in triggers.items()}
+    for zone_id in ("THRU", "RIGHT"):
+        got = cluster_triggers({zone_id: series[zone_id]}, cfg, params)
+        min_headway = params.min_headway_for(cfg.zone_by_id(zone_id))
+        assert [(e.t, e.representative_length) for e in got] == oracle_cluster(
+            triggers[zone_id], min_headway, params)
+    counted = {z.id: series[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
+    events = counting._events(counted, cfg, params)
+    expected = count_events(triggers, cfg, params)
+    assert events.to_list() == expected
+    assert [cfg.zones[i].primary_binding for i in events.zone.tolist()] == [
+        (e.approach, e.movement) for e in expected]
+    session = (0.0, float(math.floor(max([0.0, *events.t.tolist()]))) + 1.0)
+    table = estimate_tmc(events, bin_seconds, session)
+    assert table == estimate_tmc(expected, bin_seconds, session)
+    assert table == bin_events(expected, bin_seconds, session)
+    assert events_to_csv(events) == events_to_csv(expected) == events_csv(expected)

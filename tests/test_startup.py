@@ -2,7 +2,8 @@
 
 Each command imports only its own modules (``cli``'s import rule), and
 ``entrypoint`` freezes the import-time heap before running ``main``,
-which itself never freezes.
+which itself never freezes, and ends the process once ``main`` has
+returned and stdout and stderr are flushed.
 """
 
 import gc
@@ -10,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,11 @@ from lidartmc import cli
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
-# The stdlib modules that only a log parse uses, and with orjson, the
-# modules outside the package whose loading a command pays for.
-PARSE_ONLY = {"logging", "gzip", "signal"}
-WATCHED = {"orjson", *PARSE_ONLY}
+# The stdlib modules that only a log parse uses, and with orjson and
+# logging (which only a skipped line loads), the modules outside the
+# package whose loading a command pays for.
+PARSE_ONLY = {"gzip", "signal"}
+WATCHED = {"orjson", "logging", *PARSE_ONLY}
 
 # Runs one command through cli.main in a fresh interpreter, then prints
 # its exit code, the package modules it loaded and which of WATCHED it
@@ -47,42 +50,54 @@ L1,0.0,0.0,5.0,34.05,-117.4,355.0
 """
 
 
+def pythonpath_env():
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
 def loaded_modules(*argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    """The modules a command loads, and its stderr."""
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, argv)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=pythonpath_env(), capture_output=True, text=True, check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return {m.removeprefix("lidartmc.") for m in modules}
+    return {m.removeprefix("lidartmc.") for m in modules}, proc.stderr
 
 
 @pytest.fixture(scope="module")
-def import_sets(tmp_path_factory):
+def runs(tmp_path_factory):
+    """(modules loaded, stderr) of one call of each command, and of an
+    ``estimate`` whose first log has one bad line."""
     tmp = tmp_path_factory.mktemp("startup")
     script, gcps = tmp / "script.json", tmp / "gcps.csv"
     script.write_text(json.dumps(ONE_VEHICLE))
     gcps.write_text(GCP_CSV)
     sim, est = tmp / "sim", tmp / "est"
-    return {
-        "simulate": loaded_modules("simulate", "--script", script, "--seed", 1,
-                                   "--out-dir", sim),
-        "estimate": loaded_modules("estimate", sim / "log_L1.jsonl", sim / "log_L2.jsonl",
-                                   "--registry", sim / "registry.json", "--out-dir", est),
-        "compare": loaded_modules("compare", est / "tmc.csv", sim / "gt.csv",
-                                  "--out-dir", tmp / "cmp"),
-        "georef": loaded_modules("georef", gcps, "--ned-origin", "34.05,-117.4,350.0",
-                                 "--out-dir", tmp / "geo"),
-    }
+    out = {"simulate": loaded_modules("simulate", "--script", script, "--seed", 1,
+                                      "--out-dir", sim)}
+    logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
+    bad = tmp / "bad_L1.jsonl"
+    bad.write_bytes(logs[0].read_bytes() + b"not a frame\n")
+    for name, first in (("estimate", logs[0]), ("estimate, a bad line", bad)):
+        out[name] = loaded_modules("estimate", first, logs[1], "--registry",
+                                   sim / "registry.json", "--out-dir", est)
+    out["compare"] = loaded_modules("compare", est / "tmc.csv", sim / "gt.csv",
+                                    "--out-dir", tmp / "cmp")
+    out["georef"] = loaded_modules("georef", gcps, "--ned-origin", "34.05,-117.4,350.0",
+                                   "--out-dir", tmp / "geo")
+    return out
 
 
 # command: (modules it must load, modules it must not load). ``simulate``
-# writes its logs and script with orjson, but parses no log. No command
-# loads ``_kernels``, which only the benchmark reads.
+# writes its logs and script with orjson, but parses no log. Only a
+# skipped line loads ``logging``, to log it. No command loads
+# ``_kernels``, which only the benchmark reads.
 IMPORT_RULES = {
     "estimate": ({"ingest", "counting", "report", "orjson", *PARSE_ONLY},
-                 {"simgen", "_kernels"}),
+                 {"simgen", "_kernels", "logging"}),
+    "estimate, a bad line": ({"ingest", "counting", "report", "orjson", "logging",
+                              *PARSE_ONLY}, {"simgen", "_kernels"}),
     "simulate": ({"simgen", "ingest", "report", "orjson"},
-                 {"counting", "_kernels", *PARSE_ONLY}),
+                 {"counting", "_kernels", "logging", *PARSE_ONLY}),
     "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson"}),
     "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen", "orjson",
                          "intersection", "classify"}),
@@ -90,20 +105,121 @@ IMPORT_RULES = {
 
 
 @pytest.mark.parametrize("command", IMPORT_RULES)
-def test_command_loads_only_its_modules(import_sets, command):
-    runs, skips = IMPORT_RULES[command]
-    assert runs <= import_sets[command]
-    assert not skips & import_sets[command]
+def test_command_loads_only_its_modules(runs, command):
+    loads, skips = IMPORT_RULES[command]
+    assert loads <= runs[command][0]
+    assert not skips & runs[command][0]
 
 
-def test_entrypoint_freezes_before_main(monkeypatch):
+def test_a_bad_line_is_logged_after_the_parse(runs):
+    assert runs["estimate"][1] == ""
+    logged, summary = runs["estimate, a bad line"][1].splitlines()
+    assert logged.startswith("skipping detection log line ")
+    assert summary == "warning: skipped 1 malformed line(s)"
+
+
+class Stream:
+    """A stand-in for stdout or stderr that records its flushes."""
+
+    def __init__(self, name, calls, error=None):
+        self.name, self.calls, self.error = name, calls, error
+
+    def flush(self):
+        self.calls.append(f"flush {self.name}")
+        if self.error is not None:
+            raise self.error
+
+
+def patch_exit_path(monkeypatch, stdout_error=None):
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", calls, stdout_error))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr", calls))
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
+    return calls
+
+
+def test_entrypoint_freezes_before_main(monkeypatch):
+    calls = patch_exit_path(monkeypatch)
+    cli.entrypoint()
+    assert calls == ["freeze", "main", "flush stdout", "flush stderr", ("_exit", 3)]
+
+
+def test_failed_flush_leaves_the_exit_to_the_interpreter(monkeypatch):
+    calls = patch_exit_path(monkeypatch, BrokenPipeError(32, "Broken pipe"))
     with pytest.raises(SystemExit) as exc:
         cli.entrypoint()
     assert exc.value.code == 3
-    assert calls == ["freeze", "main"]
+    assert calls == ["freeze", "main", "flush stdout"]
+
+
+def run_cli(*argv, stdout=subprocess.PIPE, buffered=True, program=("-m", "lidartmc.cli")):
+    """``python -m lidartmc.cli`` in a fresh process, stdout block-buffered
+    unless ``buffered`` is false."""
+    env = pythonpath_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *program, *map(str, argv)], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_console_exit_0_keeps_stdout(tmp_path, capsys):
+    proc = run_cli("compare", GT_FIXTURE, GT_FIXTURE, "--out-dir", tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.main(["compare", str(GT_FIXTURE), str(GT_FIXTURE),
+                     "--out-dir", str(tmp_path / "here")]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.startswith("group ")
+
+
+def test_console_user_error_exits_2(tmp_path):
+    proc = run_cli("compare", tmp_path / "missing.csv", GT_FIXTURE, "--out-dir", tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
+# The parent's exit path: main() and then the interpreter's own shutdown.
+SYS_EXIT_MAIN = ("-c", "import sys; from lidartmc import cli; sys.exit(cli.main())")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_as_before(tmp_path, buffered):
+    outcomes = []
+    for program in (("-m", "lidartmc.cli"), SYS_EXIT_MAIN):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = run_cli("compare", GT_FIXTURE, GT_FIXTURE, "--out-dir", tmp_path,
+                           stdout=w, buffered=buffered, program=program)
+        finally:
+            os.close(w)
+        outcomes.append((proc.returncode, proc.stderr))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] != 0 and "Broken pipe" in outcomes[0][1]
+
+
+def test_main_closes_every_file(tmp_path):
+    """Each command closes what it opens before main returns: the process
+    ends without teardown, which would lose an unclosed file's buffer."""
+    gcps = tmp_path / "gcps.csv"
+    gcps.write_text(GCP_CSV)
+    sim = tmp_path / "sim"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli.main(["simulate", "--scenario", "ideal", "--seed", "7",
+                         "--out-dir", str(sim)]) == 0
+        assert cli.main(["estimate", str(sim / "log_L1.jsonl"), str(sim / "log_L2.jsonl"),
+                         "--registry", str(sim / "registry.json"),
+                         "--out-dir", str(tmp_path / "est")]) == 0
+        assert cli.main(["compare", str(tmp_path / "est" / "tmc.csv"), str(sim / "gt.csv"),
+                         "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert cli.main(["georef", str(gcps), "--ned-origin", "34.05,-117.4,350.0",
+                         "--out-dir", str(tmp_path / "geo")]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_main_does_not_freeze(tmp_path):
