@@ -9,8 +9,9 @@ covers (empty for pedestrians).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonpositiveLengthError, SchemaError, json_number
 
@@ -55,12 +56,16 @@ class ClassTable:
     def n_classes(self) -> int:
         return len(self.classes)
 
+    def class_ids(self, lengths: np.ndarray) -> np.ndarray:
+        """Map bounding-box lengths to their class ids."""
+        bad = lengths[~(np.isfinite(lengths) & (lengths > 0))]
+        if len(bad):
+            raise NonpositiveLengthError(f"length must be positive and finite, got {float(bad[0])!r}")
+        return np.searchsorted(self._bounds, lengths, side="right")
+
     def classify(self, length: float) -> VehicleClass:
         """Map a bounding-box length to its vehicle class."""
-        length = float(length)
-        if not math.isfinite(length) or length <= 0:
-            raise NonpositiveLengthError(f"length must be positive and finite, got {length!r}")
-        return self.classes[bisect_right(self._bounds, length) - 1]
+        return self.by_id(int(self.class_ids(np.array([float(length)]))[0]))
 
     def by_id(self, class_id: int) -> VehicleClass:
         return self.classes[class_id - 1]

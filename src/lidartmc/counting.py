@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
-from .ingest import FRAME_NED, L, X, Y, MergedStream, _json_floats
+from .ingest import FRAME_NED, L, X, Y, MergedStream
 from .intersection import (
     APPROACH_INDEX,
     APPROACHES,
@@ -176,10 +176,7 @@ def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
     # A zone's first trigger and each trigger that does not join start a vehicle.
     first = np.flatnonzero(np.r_[len(t) > 0, ~join | (zone[1:] != zone[:-1])])
     longest = np.maximum.reduceat(length, first) if len(first) else length
-    valid = np.isfinite(longest) & (longest > 0)
-    if not valid.all():
-        cfg.class_table.classify(longest[~valid][0])  # raises NonpositiveLengthError
-    classes = np.searchsorted([c.lower for c in cfg.class_table.classes], longest, side="right")
+    classes = cfg.class_table.class_ids(longest)
 
     rank = np.argsort(sorted(range(len(zones)), key=lambda i: zones[i].id))  # of zone ids
     surrogate = np.array([z.kind is ZoneKind.EGRESS for z in zones], dtype=bool)
@@ -187,8 +184,7 @@ def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
     z = zone[first[order]]
     binding = np.array([(APPROACH_INDEX[a], MOVEMENT_INDEX[m])
                         for a, m in (zn.primary_binding for zn in zones)], dtype=np.intp)
-    return Events(t[first[order]], z, binding[z, 0], binding[z, 1], classes[order],
-                  longest[order])
+    return Events(t[first[order]], z, binding[z, 0], binding[z, 1], classes[order], longest[order])
 
 
 def cluster_triggers(
@@ -278,8 +274,7 @@ def events_to_csv(events: Events | Sequence[MovementEvent]) -> str:
     """Event export: ``t,approach,movement,class,length``, floats spelled by ``repr``."""
     if not isinstance(events, Events):
         events = Events.from_list(events)
-    t, length = (_json_floats(c) if np.isfinite(c).all() else list(map(repr, c.tolist()))
-                 for c in (events.t, events.length))  # json.dumps spells a finite float by repr
+    t, length = (list(map(repr, c.tolist())) for c in (events.t, events.length))
     approach = np.array([a.value for a in APPROACHES])[events.approach].tolist()
     movement = np.array([m.value for m in MOVEMENTS])[events.movement].tolist()
     rows = zip(t, approach, movement, map(str, events.vehicle_class.tolist()), length)

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from lidartmc.classify import (
@@ -35,21 +37,27 @@ def test_boundaries_half_open(length, expected):
 
 
 def test_sweep_totality_and_monotonicity():
-    # 0.01 m steps from 0.01 to 60 m: exactly one class, ids nondecreasing.
-    prev = 0
-    for i in range(1, 6001):
-        length = i / 100.0
+    # 0.01 m steps from 0.01 to 60 m: exactly one class, ids nondecreasing,
+    # and class_ids gives the same ids for the whole array.
+    lengths = [i / 100.0 for i in range(1, 6001)]
+    ids = []
+    for length in lengths:
         cls = DEFAULT_CLASS_TABLE.classify(length)
         assert cls.lower <= length < cls.upper
-        assert cls.id >= prev
-        prev = cls.id
-    assert prev == 6
+        assert cls.id >= (ids[-1] if ids else 0)
+        ids.append(cls.id)
+    assert ids[-1] == 6
+    assert DEFAULT_CLASS_TABLE.class_ids(np.array(lengths)).tolist() == ids
 
 
 def test_nonpositive_length():
     for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(NonpositiveLengthError):
+        message = f"^{re.escape(f'length must be positive and finite, got {bad!r}')}$"
+        with pytest.raises(NonpositiveLengthError, match=message):
             DEFAULT_CLASS_TABLE.classify(bad)
+        for lengths in ([bad], [3.0, bad, -5.0]):  # the first bad length is named
+            with pytest.raises(NonpositiveLengthError, match=message):
+                DEFAULT_CLASS_TABLE.class_ids(np.array(lengths))
 
 
 def test_fhwa_mapping():

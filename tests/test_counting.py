@@ -17,6 +17,7 @@ from lidartmc.counting import (
 )
 from lidartmc.errors import (
     MisconfiguredSurrogateError,
+    NonpositiveLengthError,
     TimeOutsideScheduleError,
     UserInputError,
 )
@@ -216,6 +217,15 @@ class TestClusterThresholds:
         events = cluster(series, cfg)
         assert events[0].representative_length == 6.2
         assert events[0].vehicle_class == 4
+
+    def test_vehicle_without_a_positive_length_raises(self):
+        # Only a vehicle's longest box is classified: a bad box inside a
+        # vehicle with a good one counts, a vehicle of bad boxes raises.
+        cfg = small_config()
+        assert len(cluster({"THRU": [trig(0.0, 0.0), trig(0.3, 4.5)]}, cfg)) == 1
+        series = {"THRU": [trig(0.0, 4.5), trig(5.0, -2.0), trig(5.3, -1.0)]}
+        with pytest.raises(NonpositiveLengthError, match="got -1.0$"):
+            cluster(series, cfg)
 
     def test_cross_sensor_dedup(self):
         cfg = small_config()
