@@ -13,11 +13,23 @@ it; ``estimate`` counts on it, and ``--session-start``/``--session-end``
 only select the window inside it whose events are tabulated.
 
 Import rule: module level imports only what argument parsing and the
-exit-code mapping need (``errors``, ``geo`` for ``--ned-origin`` and
-``reference`` for the default ``--config``). Each ``cmd_*`` imports the
-package modules its command runs inside its own body, so one call
-compiles and runs only the code of its command: ``estimate`` never
-loads ``simgen``, and ``compare`` never loads ``ingest`` or ``counting``.
+exit-code mapping need (``errors``, and ``reference`` for the default
+``--config``), and nothing that loads numpy. Each ``cmd_*`` and each
+argparse type imports the package modules it runs inside its own body,
+so one call compiles and runs only the code of its command: ``estimate``
+never loads ``simgen`` or ``report``; ``simulate --script`` loads
+``stream``, ``tables`` and ``simgen`` but not ``ingest``, ``report``,
+``counting`` or ``scenarios`` (only ``--scenario`` loads that one); and
+``compare`` never loads ``ingest`` or ``counting``.
+
+The collector: ``entrypoint`` turns it off before ``main``, so the
+command's imports and its run make no collector passes, nor do the
+forked parse children, which inherit the setting. Nothing is lost by
+that: a run builds no cyclic garbage that it needs freed (the parse
+keeps its chunk data in arrays and lists that reference counting frees,
+and the skipped-line errors it stores, whose tracebacks are cycles, stay
+reachable until the process ends anyway). ``main`` itself leaves the
+collector as it found it, so in-process callers keep theirs.
 """
 
 from __future__ import annotations
@@ -35,7 +47,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import TimeOutsideScheduleError, UserInputError
-from .geo import GeodeticPoint
 from .reference import reference_config_path
 
 
@@ -129,7 +140,7 @@ def cmd_estimate(args) -> int:
     from .geo import atomic_write_text, load_registry
     from .ingest import merge_streams, parse_logs
     from .intersection import load_intersection_config, outside_session
-    from .report import n_bins, save_tmc_csv
+    from .tables import n_bins, save_tmc_csv
 
     cfg = load_intersection_config(args.config)
     if args.registry is None:
@@ -230,14 +241,16 @@ def cmd_compare(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .geo import atomic_text_writer, atomic_write_text, save_registry
-    from .ingest import write_detection_log
     from .intersection import load_intersection_config
-    from .report import save_tmc_csv
-    from .simgen import SimConfig, load_script, scenario_by_name, script_json, simulate
+    from .simgen import SimConfig, load_script, script_json, simulate
+    from .stream import write_detection_log
+    from .tables import save_tmc_csv
 
     if (args.script is None) == (args.scenario is None):
         raise UserInputError("simulate needs exactly one of --script or --scenario")
     if args.scenario is not None:
+        from .scenarios import scenario_by_name
+
         sc = scenario_by_name(args.scenario)
         script, cfg, sim = sc.script, sc.cfg, sc.sim
     else:
@@ -299,9 +312,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _geodetic(text: str) -> GeodeticPoint:
+def _geodetic(text: str):
     """argparse type: ``lat,lon,alt``, three finite numbers that form a
-    valid geodetic point."""
+    valid :class:`~lidartmc.geo.GeodeticPoint`."""
+    from .geo import GeodeticPoint
+
     try:
         lat, lon, alt = map(_finite_float, text.split(","))
         return GeodeticPoint(lat, lon, alt)
@@ -401,12 +416,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    # Everything imported so far lives until exit: moving it to the
-    # permanent generation spares the collections of the run and of
-    # forked parse children (which then also leave those pages shared).
-    # main() neither freezes nor ends the process, because tests and the
-    # per-layer benchmark call it in-process (exit path: module docstring).
-    gc.freeze()
+    # No collector passes in a CLI process (why: module docstring). main()
+    # neither touches the collector nor ends the process, because tests
+    # and the per-layer benchmark call it in-process.
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

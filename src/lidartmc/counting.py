@@ -33,7 +33,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
-from .ingest import FRAME_NED, L, X, Y, MergedStream
 from .intersection import (
     APPROACH_INDEX,
     APPROACHES,
@@ -47,7 +46,8 @@ from .intersection import (
     outside_session,
     zone_hits,
 )
-from .report import TmcTable, empty_table
+from .stream import FRAME_NED, L, X, Y, MergedStream
+from .tables import TmcTable, empty_table
 
 
 @dataclass(frozen=True, eq=False)

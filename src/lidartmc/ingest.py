@@ -25,11 +25,11 @@ nested past ``json.loads``' reach (Python's recursion limit, about 1,000
 levels) but not past :data:`ORJSON_MAX_DEPTH` is decoded; a line nested
 too deeply for its decoder is skipped.
 
-In memory, detections are columns: one float64 block of shape (n, 8)
-whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
-:class:`MergedStream`, the package's one stream form, holds one block
-plus per-frame time, sensor and row offset arrays. :class:`Frame` and
-the frame API built on it serve only the per-layer benchmark.
+Detections are parsed into the column form of :mod:`lidartmc.stream`:
+one float64 block of :data:`~lidartmc.stream.BOX_COLUMNS` per
+:class:`~lidartmc.stream.MergedStream`. That module also holds the log
+writer, so ``simulate``, which writes logs and parses none, never loads
+this one.
 
 A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each line's
 boxes are taken by one ``operator.itemgetter``, and each chunk gets one
@@ -51,30 +51,23 @@ sends back one pickled header of its results through a pipe. Results,
 skipped lines, warnings and errors are those of parsing the logs one
 after the other.
 
-:func:`write_detection_log` writes a stream from its columns, and no
-per-box dict is built: ``orjson`` spells each column of a chunk of rows
-in one call. Its spelling is ``json.dumps``' for every finite value ``x``
-with ``1e-4 <= |x| < 1e16`` and for ±0.0; each other value (exponent
-form, NaN, infinities) is spelled by ``json.dumps`` itself, so every line
-is the one ``json.dumps`` gives.
-
-The stdlib modules that only a parse uses (``gzip``, ``signal``) are
-imported in the functions that use them, so ``simulate``, which imports
-this module to write logs, does not load them. A parse does not log: its
-caller logs the skipped lines it returns, so only one loads ``logging``.
+A parse does not log: its caller logs the skipped lines it returns, so
+only one loads ``logging``.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 import operator
 import os
 import pickle
+import signal
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -82,20 +75,19 @@ import orjson
 from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
 from .geo import FrameRegistry, wrap_angle, wrap_angles
 from .intersection import IntersectionConfig, outside_session, zone_hits
+from .stream import (
+    BOX_COLUMNS, FRAME_NED, FRAME_SENSOR, L, SCORE, X, Y, YAW, Z, Frame, MergedStream,
+)
+# Not used here: the per-layer benchmark imports the writer from this
+# module until it runs the CLI's own stages (ROADMAP item 2).
+from .stream import write_detection_log  # noqa: F401
 
 MAX_DIMENSION_M = 50.0
 DEFAULT_REORDER_WINDOW_S = 1.0
 # Raw boxes read before they are converted to a block: bounds the memory
 # that the Python-object form of a log takes.
 CHUNK_ROWS = 8192
-# Boxes formatted at a time when a log is written: bounds the text held.
-WRITE_CHUNK_ROWS = 1024
 
-FRAME_SENSOR = "sensor"
-FRAME_NED = "ned"
-
-BOX_COLUMNS = ("x", "y", "z", "l", "w", "h", "yaw", "score")
-X, Y, Z, L, W, H, YAW, SCORE = range(len(BOX_COLUMNS))
 # Names of the columns in skipped-line reasons.
 _FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading")
 # A box's required values.
@@ -109,67 +101,6 @@ ORJSON_MAX_DEPTH = 4096
 # The exact types of a decoded JSON number; ``bool`` is not one of them.
 _NUMBER = frozenset((int, float))
 _SCORE_TYPES = _NUMBER | {type(None)}
-
-
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """All detections from one sensor at one timestamp, as (k, 8) rows."""
-
-    frame_id: str
-    t: float
-    detections: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class MergedStream:
-    """Time-ordered frames, possibly interleaving several sensors.
-
-    Frame ``i`` was taken at ``t[i]`` by sensor ``sensors[sensor[i]]`` and
-    owns rows ``offsets[i]:offsets[i + 1]`` of ``boxes``.
-    """
-
-    boxes: np.ndarray
-    t: np.ndarray
-    sensor: np.ndarray
-    sensors: tuple[str, ...]
-    offsets: np.ndarray
-    coordinate_frame: str = FRAME_SENSOR
-
-    @classmethod
-    def from_frames(
-        cls, frames: Sequence[Frame], coordinate_frame: str = FRAME_SENSOR
-    ) -> "MergedStream":
-        """The columns of ``frames``, kept in the given order."""
-        fids = [f.frame_id for f in frames]
-        sensors = tuple(sorted(set(fids)))
-        code = {fid: i for i, fid in enumerate(sensors)}
-        blocks = [f.detections for f in frames]
-        return cls(
-            boxes=np.concatenate(blocks) if blocks else np.empty((0, len(BOX_COLUMNS))),
-            t=np.array([f.t for f in frames], dtype=np.float64),
-            sensor=np.array([code[fid] for fid in fids], dtype=np.intp),
-            sensors=sensors,
-            offsets=np.cumsum([0] + [len(b) for b in blocks]),
-            coordinate_frame=coordinate_frame,
-        )
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self.frames)
-
-    @property
-    def frames(self) -> tuple[Frame, ...]:
-        off = self.offsets.tolist()
-        return tuple(
-            Frame(self.sensors[s], t, self.boxes[off[i] : off[i + 1]])
-            for i, (t, s) in enumerate(zip(self.t.tolist(), self.sensor.tolist()))
-        )
-
-    def frame_of(self, rows: np.ndarray) -> np.ndarray:
-        """Index of the frame that owns each of ``rows``."""
-        return np.searchsorted(self.offsets, rows, side="right") - 1
 
 
 def _row_error(row: tuple, score, line_no: int) -> InvalidFieldError | None:
@@ -292,8 +223,6 @@ def _parse_columns(
     the zone rows it drops as outside the session. A frame keeps its
     time when the cut keeps none of its rows.
     """
-    import gzip
-
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
     errors: list[MalformedLineError] = []
@@ -471,8 +400,6 @@ def parse_detection_log(
 def open_detection_log(path) -> IO[bytes]:
     """Open a detection log for binary line reading, transparently
     handling gzip by magic bytes."""
-    import gzip
-
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic == b"\x1f\x8b":
@@ -600,9 +527,6 @@ def parse_logs(
     error raised is that of the first log that fails. No child outlives
     the call: on an error each is killed and reaped.
     """
-    # Loaded before the forks, so no parse child loads them again.
-    import gzip, signal  # noqa: E401, F401
-
     paths = list(paths)
     cut = _zone_cut(registry, cfg)
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -633,64 +557,6 @@ def parse_logs(
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """``json.dumps``' spelling of each value of the float64 array ``values``.
-
-    ``orjson`` spells every value in one call. For a finite ``x`` with
-    ``1e-4 <= |x| < 1e16``, and for ±0.0, that is ``repr(x)``, which is
-    ``json.dumps``' spelling; each other value (``5e-05``, ``1e+16``,
-    ``NaN``, ``Infinity``, which orjson spells ``5e-5``, ``1e16`` and
-    ``null``) is spelled by ``json.dumps``.
-    """
-    if not len(values):
-        return []
-    text = orjson.dumps(np.ascontiguousarray(values),
-                        option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    mag = np.abs(values)
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (values != 0.0)).tolist():
-        text[i] = json.dumps(values[i].item())
-    return text
-
-
-def _frame_lines(stream: MergedStream, a: int, b: int) -> str:
-    """The log lines of frames ``a:b`` of ``stream``, column by column."""
-    off = stream.offsets[a : b + 1]
-    cols = [_json_floats(col) for col in stream.boxes[off[0] : off[-1]].T]
-    # A NaN score is an absent one: omitted.
-    cols[SCORE] = ["" if s == "NaN" else ', "score": ' + s for s in cols[SCORE]]
-    boxes = [
-        f'{{"x": {x}, "y": {y}, "z": {z}, "l": {l}, "w": {w}, "h": {h}, "yaw": {yaw}{score}}}'
-        for x, y, z, l, w, h, yaw, score in zip(*cols)
-    ]
-    frame_ids = [json.dumps(fid) for fid in stream.sensors]
-    lines = []
-    start = 0
-    for code, t, end in zip(stream.sensor[a:b].tolist(), _json_floats(stream.t[a:b]),
-                            (off[1:] - off[0]).tolist()):
-        lines.append(f'{{"t": {t}, "frame_id": {frame_ids[code]}, '
-                     f'"detections": [{", ".join(boxes[start:end])}]}}\n')
-        start = end
-    return "".join(lines)
-
-
-def write_detection_log(stream: MergedStream, fh: IO[str]) -> None:
-    """Write ``stream`` to ``fh`` as JSON lines, one frame per line.
-
-    Each line is what ``json.dumps`` gives for the frame's ``t``,
-    ``frame_id`` and ``detections`` (a NaN score is omitted). The block is
-    formatted in chunks of whole frames that hold about
-    :data:`WRITE_CHUNK_ROWS` boxes; within a chunk each column is spelled
-    by :func:`_json_floats`, and the rows and frames are joined from
-    string templates.
-    """
-    off = stream.offsets
-    a = 0
-    while a < len(stream):
-        b = min(int(np.searchsorted(off, off[a] + WRITE_CHUNK_ROWS)), len(stream))
-        fh.write(_frame_lines(stream, a, b))
-        a = b
 
 
 def merge_streams(

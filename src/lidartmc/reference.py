@@ -27,10 +27,8 @@ need no schedule entry.
 from __future__ import annotations
 
 from dataclasses import replace
-from importlib import resources
+from pathlib import Path
 from typing import TYPE_CHECKING
-
-from .geo import NedPoint
 
 if TYPE_CHECKING:
     from .intersection import IntersectionConfig
@@ -38,11 +36,12 @@ if TYPE_CHECKING:
 
 def reference_config_path() -> str:
     """Filesystem path of the packaged reference config JSON."""
-    return str(resources.files("lidartmc").joinpath("data/reference_intersection.json"))
+    return str(Path(__file__).parent / "data" / "reference_intersection.json")
 
 
-# ``cli`` imports this module for the default ``--config`` path, so the
-# builders import ``intersection`` themselves: ``georef`` never loads it.
+# ``cli`` imports this module for the default ``--config`` path, so it
+# loads no numpy: the builders import ``geo`` and ``intersection``
+# themselves, and ``georef`` never loads ``intersection``.
 def build_reference_config() -> IntersectionConfig:
     from .intersection import load_intersection_config
 
@@ -52,6 +51,8 @@ def build_reference_config() -> IntersectionConfig:
 def build_long_range_config(setback: float = 55.0) -> IntersectionConfig:
     """Reference variant with the EB/WB thru ingress pushed ``setback``
     meters out, beyond the default sensors' 40 m detection radius."""
+    from .geo import NedPoint
+
     cfg = build_reference_config()
     east = {"EB_T": -setback, "WB_T": setback}
     zones = tuple(

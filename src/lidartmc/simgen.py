@@ -19,7 +19,7 @@ positions, visibility and sensor-frame boxes of all vehicles are
 computed at once, and only the random draws go vehicle by vehicle
 (dropout, noise, score), so the random stream is that of
 drawing each vehicle's boxes in turn. A sensor's log is one
-:class:`~lidartmc.ingest.MergedStream` of that block, frame by frame.
+:class:`~lidartmc.stream.MergedStream` of that block, frame by frame.
 
 A simulation covers the config's schedule session. The ground-truth
 table is tallied directly from the script (by zone entry time, in bins
@@ -27,6 +27,11 @@ of ``estimate``'s default width), never from the emitted detections,
 which makes it an independent oracle for the counting pipeline.
 Everything is driven by one seeded generator, so identical inputs
 produce byte-identical logs.
+
+A script is checked before any work, once per distinct zone binding and
+with one class lookup for all scripted lengths (:func:`_check_script`).
+The bundled scenarios and the random script generator live in
+:mod:`lidartmc.scenarios`, which ``simulate --script`` never loads.
 """
 
 from __future__ import annotations
@@ -39,13 +44,12 @@ from typing import Sequence
 import numpy as np
 import orjson
 
-from .classify import ClassTable, parse_class_id
+from .classify import parse_class_id
 from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
-from .ingest import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
 from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
-from .report import DEFAULT_BIN_SECONDS, TmcTable, empty_table, n_bins
-from .reference import build_long_range_config, build_reference_config
+from .stream import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
+from .tables import DEFAULT_BIN_SECONDS, TmcTable, empty_table, n_bins
 
 MAX_SPEED_MPS = 20.0
 VISIBILITY_M = 40.0  # how far a sensor sees
@@ -152,16 +156,57 @@ def _governing_zone(v: ScriptedVehicle, cfg: IntersectionConfig, targets) -> Zon
     )
 
 
-def _draw_length(v: ScriptedVehicle, table: ClassTable, rng: np.random.Generator) -> float:
-    cls = table.by_id(v.vehicle_class)
-    if v.length is not None:
-        if table.classify(v.length).id != v.vehicle_class:
+def _check_script(
+    script: Sequence[ScriptedVehicle], cfg: IntersectionConfig
+) -> tuple[list[Zone], np.ndarray]:
+    """Each vehicle's governing zone and scripted length (NaN where the
+    script leaves it out), once the script passes its checks.
+
+    Vehicles are checked in script order, and each vehicle's checks run
+    in this order: its class, its speed, its governing zone, its scripted
+    length, and that it clears its zone within the schedule's session.
+    The first check that fails raises. The governing zone is resolved
+    once per distinct (zone_id, approach, movement), and every scripted
+    length is classed by one :meth:`~lidartmc.classify.ClassTable.class_ids`
+    call; a non-positive or non-finite one raises from
+    :meth:`~lidartmc.classify.ClassTable.classify`.
+    """
+    table = cfg.class_table
+    session = cfg.schedule.session
+    t0, t1 = session
+    targets = cfg.countable_targets()
+    lengths = np.array([math.nan if v.length is None else v.length for v in script],
+                       dtype=np.float64)
+    valid = np.isfinite(lengths) & (lengths > 0)
+    length_class = np.zeros(len(script), dtype=np.intp)
+    length_class[valid] = table.class_ids(lengths[valid])
+    governing: dict[tuple, Zone] = {}
+    zones = []
+    for v, cls in zip(script, length_class.tolist()):
+        if not 1 <= v.vehicle_class <= table.n_classes:
+            raise ScriptValidationError(f"vehicle class {v.vehicle_class} unknown")
+        if not 0.0 < v.speed <= MAX_SPEED_MPS:
+            raise ScriptValidationError(
+                f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]"
+            )
+        key = (v.zone_id, v.approach, v.movement)
+        if key not in governing:
+            governing[key] = _governing_zone(v, cfg, targets)
+        zone = governing[key]
+        if v.length is not None and cls != v.vehicle_class:
+            table.classify(v.length)  # raises for a non-positive or non-finite length
             raise ScriptValidationError(
                 f"length {v.length} is not a class-{v.vehicle_class} length"
             )
-        return v.length
-    upper = cls.upper if math.isfinite(cls.upper) else cls.lower + 10.0
-    return float(rng.uniform(cls.lower + 0.02, upper - 0.02))
+        residence = 2.0 * zone.half_length / v.speed
+        if (outside_session(v.entry_time, session)
+                or outside_session(v.entry_time + residence, session)):
+            raise ScriptValidationError(
+                f"vehicle at entry_time {v.entry_time} does not clear its zone "
+                f"within session [{t0}, {t1})"
+            )
+        zones.append(zone)
+    return zones, lengths
 
 
 def simulate(
@@ -176,25 +221,17 @@ def simulate(
     t0, t1 = session
     n_bins(DEFAULT_BIN_SECONDS, session)  # an unbounded session exits 2 before any work
 
-    targets = cfg.countable_targets()
+    zones, lengths = _check_script(script, cfg)
+    # A length the script leaves out is drawn from inside its class's
+    # band (10 m long for the open-ended last class), in script order.
+    bands = [table.by_id(v.vehicle_class) for v in script if v.length is None]
+    lower = np.array([c.lower for c in bands], dtype=np.float64)
+    upper = np.array([c.upper if math.isfinite(c.upper) else c.lower + 10.0 for c in bands],
+                     dtype=np.float64)
+    lengths[[v.length is None for v in script]] = rng.uniform(lower + 0.02, upper - 0.02)
     # One row per vehicle: the constants its path and boxes are built from.
     per_vehicle = []
-    for v in script:
-        if not 1 <= v.vehicle_class <= table.n_classes:
-            raise ScriptValidationError(f"vehicle class {v.vehicle_class} unknown")
-        if not 0.0 < v.speed <= MAX_SPEED_MPS:
-            raise ScriptValidationError(
-                f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]"
-            )
-        zone = _governing_zone(v, cfg, targets)
-        length = _draw_length(v, table, rng)
-        residence = 2.0 * zone.half_length / v.speed
-        if (outside_session(v.entry_time, session)
-                or outside_session(v.entry_time + residence, session)):
-            raise ScriptValidationError(
-                f"vehicle at entry_time {v.entry_time} does not clear its zone "
-                f"within session [{t0}, {t1})"
-            )
+    for v, zone, length in zip(script, zones, lengths.tolist()):
         cos, sin = math.cos(zone.yaw), math.sin(zone.yaw)
         per_vehicle.append((
             v.entry_time,
@@ -312,167 +349,6 @@ def tally_script(script: Sequence[ScriptedVehicle], session: tuple[float, float]
         counts[b, approach_index[v.approach], movement_index[v.movement],
                v.vehicle_class - 1] += 1
     return TmcTable(bin_seconds, session, counts)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    script: tuple[ScriptedVehicle, ...]
-    sim: SimConfig
-    cfg: IntersectionConfig
-    expects_exact: bool  # counting should reproduce ground truth exactly
-
-
-def _v(cls, a, m, entry, speed, length=None, zone_id=None):
-    return ScriptedVehicle(cls, a, m, entry, speed, length, zone_id)
-
-
-def scenario_suite() -> tuple[Scenario, ...]:
-    """Bundled stress scenarios for the counting engine."""
-    ref = build_reference_config()
-    nb, sb, eb, wb = Approach.NB, Approach.SB, Approach.EB, Approach.WB
-    left, thru, right = Movement.LEFT, Movement.THRU, Movement.RIGHT
-
-    ideal_script = (
-        _v(3, nb, left, 5.02, 8.0, 4.5),
-        _v(3, nb, thru, 20.03, 12.0, 4.4, "NB_T1"),
-        _v(4, nb, thru, 24.11, 12.0, 6.0, "NB_T2"),
-        _v(3, nb, thru, 28.19, 12.0, 4.7, "NB_T1"),
-        _v(5, eb, right, 55.5, 7.0, 9.5),
-        _v(3, eb, thru, 70.04, 9.0, 4.2),
-        _v(3, eb, thru, 74.2, 9.0, 4.9),
-        _v(3, nb, right, 90.1, 6.0, 4.6),
-        _v(4, nb, right, 95.3, 6.0, 5.5),
-        _v(3, sb, thru, 120.07, 10.0, 4.3),
-        _v(3, sb, thru, 125.13, 10.0, 4.8),
-        _v(3, wb, left, 152.2, 8.0, 4.1),
-        _v(6, wb, thru, 171.2, 9.0, 14.0),
-        _v(3, sb, right, 200.4, 8.0, 4.5),
-    )
-
-    slow_heavy_script = (
-        _v(5, nb, thru, 16.05, 3.0, 9.5, "NB_T1"),
-        _v(5, nb, thru, 21.07, 3.0, 10.5, "NB_T1"),
-        _v(5, nb, thru, 26.09, 3.0, 11.0, "NB_T1"),
-        _v(5, nb, thru, 31.11, 3.0, 9.8, "NB_T1"),
-        _v(6, sb, thru, 116.03, 3.0, 14.0, "SB_T1"),
-        _v(6, sb, thru, 121.05, 3.0, 16.0, "SB_T1"),
-        _v(6, sb, thru, 126.07, 3.0, 15.0, "SB_T1"),
-        _v(3, nb, thru, 40.013, 15.0, 4.5, "NB_T2"),
-    )
-
-    long_range_script = (
-        _v(3, eb, thru, 67.1, 10.0, 4.5),
-        _v(3, eb, thru, 71.3, 10.0, 4.6),
-        _v(4, eb, thru, 75.5, 10.0, 6.2),
-        _v(3, wb, thru, 167.2, 10.0, 4.4),
-        _v(3, wb, thru, 171.4, 10.0, 4.7),
-        _v(3, nb, thru, 20.1, 10.0, 4.5, "NB_T1"),
-        _v(3, nb, thru, 24.3, 10.0, 4.8, "NB_T1"),
-    )
-
-    # Entry gaps sit just above residence + threshold, so the trigger
-    # series lands barely on the "two vehicles" side of each split.
-    burst_script = (
-        _v(3, nb, thru, 20.03, 10.0, 4.5, "NB_T1"),
-        _v(3, nb, thru, 22.08, 10.0, 4.6, "NB_T1"),
-        _v(3, nb, thru, 24.13, 10.0, 4.4, "NB_T1"),
-        _v(3, nb, thru, 26.18, 10.0, 4.7, "NB_T1"),
-        _v(3, eb, right, 40.05, 8.0, 4.5),
-        _v(3, eb, right, 43.25, 8.0, 4.6),
-        _v(3, eb, right, 46.45, 8.0, 4.4),
-    )
-
-    dual_overlap_script = (
-        _v(3, nb, thru, 18.07, 11.0, 4.5, "NB_T1"),
-        _v(3, nb, thru, 23.11, 11.0, 4.6, "NB_T1"),
-        _v(4, nb, thru, 28.15, 11.0, 6.1, "NB_T1"),
-        _v(3, wb, thru, 70.09, 9.0, 4.4),
-        _v(3, wb, thru, 75.17, 9.0, 4.8),
-    )
-
-    return (
-        Scenario("ideal", ideal_script, SimConfig(seed=101), ref, True),
-        Scenario("slow_heavy", slow_heavy_script, SimConfig(seed=202), ref, True),
-        Scenario(
-            "eb_wb_long_range",
-            long_range_script,
-            SimConfig(seed=303),
-            build_long_range_config(),
-            False,
-        ),
-        Scenario("burst", burst_script, SimConfig(seed=404), ref, True),
-        Scenario(
-            "dual_overlap",
-            dual_overlap_script,
-            SimConfig(seed=505, noise_sigma=0.05),
-            ref,
-            True,
-        ),
-    )
-
-
-def scenario_by_name(name: str) -> Scenario:
-    for sc in scenario_suite():
-        if sc.name == name:
-            return sc
-    raise ScriptValidationError(
-        f"unknown scenario {name!r}; available: "
-        + ", ".join(sc.name for sc in scenario_suite())
-    )
-
-
-def random_script(
-    cfg: IntersectionConfig,
-    rng: np.random.Generator,
-    n_vehicles: int,
-) -> list[ScriptedVehicle]:
-    """Random script over the schedule's session whose per-zone
-    exit-to-entry headways stay >= 2.0 s, whose vehicles cross only during
-    phases permitting their movement, and whose entries keep clear of the
-    boundaries of :data:`~lidartmc.report.DEFAULT_BIN_SECONDS` bins. Under
-    those constraints the counting pipeline must reproduce the ground
-    truth exactly; the generator may return fewer vehicles if zones saturate.
-    """
-    targets = cfg.countable_targets()
-    t0, t1 = cfg.schedule.session
-    boundaries = np.arange(t0 + DEFAULT_BIN_SECONDS, t1, DEFAULT_BIN_SECONDS).tolist()
-    last_exit: dict[str, float] = {}
-    vehicles: list[ScriptedVehicle] = []
-    classes = cfg.class_table.n_classes
-    for _ in range(n_vehicles):
-        for _attempt in range(200):
-            zone, (approach, movement) = targets[int(rng.integers(len(targets)))]
-            speed = float(rng.uniform(3.0, 20.0))
-            residence = 2.0 * zone.half_length / speed
-            if movement is Movement.RIGHT:
-                windows = [(t0, t1)]
-            else:
-                windows = [
-                    (iv.start, iv.end)
-                    for iv in cfg.schedule.intervals
-                    if (approach, movement) in iv.permitted
-                ]
-                if not windows:
-                    continue
-            w0, w1 = windows[int(rng.integers(len(windows)))]
-            lo = max(w0 + 0.05, t0 + 0.5, last_exit.get(zone.id, -math.inf) + 2.1)
-            hi = min(w1, t1 - 0.5) - residence - 0.4
-            if hi <= lo:
-                continue
-            entry = float(rng.uniform(lo, hi))
-            # GT bins by entry; the first trigger may lag one frame, so
-            # keep the whole residence away from bin boundaries.
-            if any(b - 0.5 < entry <= b or entry < b < entry + residence + 0.5 for b in boundaries):
-                continue
-            vclass = int(rng.integers(1, classes + 1))
-            vehicles.append(
-                ScriptedVehicle(vclass, approach, movement, entry, speed, None, zone.id)
-            )
-            last_exit[zone.id] = entry + residence
-            break
-    vehicles.sort(key=lambda v: v.entry_time)
-    return vehicles
 
 
 def script_to_obj(script: Sequence[ScriptedVehicle]) -> dict:

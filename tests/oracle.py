@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from lidartmc.counting import MovementEvent, TriggerSeries
-from lidartmc.errors import TimeOutsideScheduleError
+from lidartmc.errors import ScriptValidationError, TimeOutsideScheduleError
 from lidartmc.geo import (
     WGS84_A,
     WGS84_E2,
@@ -28,7 +28,7 @@ from lidartmc.geo import (
     ned_rotation,
     wrap_angle,
 )
-from lidartmc.ingest import BOX_COLUMNS, SCORE, Frame, open_detection_log
+from lidartmc.ingest import open_detection_log
 from lidartmc.intersection import (
     APPROACH_INDEX,
     MOVEMENT_INDEX,
@@ -39,16 +39,16 @@ from lidartmc.intersection import (
     Zone,
     ZoneKind,
 )
-from lidartmc.report import TmcTable, empty_table, render_tmc_csv
 from lidartmc.simgen import (
+    MAX_SPEED_MPS,
     PATH_LEAD_M,
     SENSOR_HEIGHT_M,
     VISIBILITY_M,
     _CLASS_HEIGHTS,
     _CLASS_WIDTHS,
-    _draw_length,
-    _governing_zone,
 )
+from lidartmc.stream import BOX_COLUMNS, SCORE, Frame
+from lidartmc.tables import TmcTable, empty_table, render_tmc_csv
 
 
 WGS84_B = WGS84_A * (1.0 - WGS84_F)
@@ -264,16 +264,65 @@ def frame_to_json_line(frame: Frame) -> str:
     return json.dumps({"t": frame.t, "frame_id": frame.frame_id, "detections": dets})
 
 
+def governing_zone(v, cfg) -> Zone:
+    """The zone that counts a scripted vehicle: its named zone, which must
+    count its binding, else the first countable zone with that binding."""
+    targets = cfg.countable_targets()
+    binding = (v.approach, v.movement)
+    movement = f"{v.approach.value}/{v.movement.value}"
+    if v.zone_id is not None:
+        named = [z for z in cfg.zones if z.id == v.zone_id]
+        if not named:
+            raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}")
+        if (named[0], binding) not in targets:
+            raise ScriptValidationError(f"zone {v.zone_id!r} cannot count {movement}")
+        return named[0]
+    for zone, b in targets:
+        if b == binding:
+            return zone
+    raise ScriptValidationError(f"no countable zone for {movement}; "
+                                "the movement would be miscounted or missed")
+
+
+def resolve_script(script, cfg, rng) -> list[tuple]:
+    """(vehicle, zone, length) of each scripted vehicle, checked and drawn
+    one vehicle at a time in script order: class, speed, governing zone,
+    length (drawn from inside the class band, 10 m long for the last
+    class, when the script leaves it out), then whether the vehicle
+    clears its zone within the session. The first failure raises."""
+    table = cfg.class_table
+    t0, t1 = cfg.schedule.session
+    resolved = []
+    for v in script:
+        if not 1 <= v.vehicle_class <= table.n_classes:
+            raise ScriptValidationError(f"vehicle class {v.vehicle_class} unknown")
+        if not 0.0 < v.speed <= MAX_SPEED_MPS:
+            raise ScriptValidationError(f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]")
+        zone = governing_zone(v, cfg)
+        band = table.by_id(v.vehicle_class)
+        if v.length is None:
+            upper = band.upper if math.isfinite(band.upper) else band.lower + 10.0
+            length = float(rng.uniform(band.lower + 0.02, upper - 0.02))
+        elif table.classify(v.length).id != v.vehicle_class:
+            raise ScriptValidationError(
+                f"length {v.length} is not a class-{v.vehicle_class} length")
+        else:
+            length = v.length
+        exit_time = v.entry_time + 2.0 * zone.half_length / v.speed
+        if not (t0 <= v.entry_time < t1 and t0 <= exit_time < t1):
+            raise ScriptValidationError(
+                f"vehicle at entry_time {v.entry_time} does not clear its zone "
+                f"within session [{t0}, {t1})")
+        resolved.append((v, zone, length))
+    return resolved
+
+
 def simulate_frames(script, cfg, sim) -> dict[str, tuple[Frame, ...]]:
     """``simgen.simulate``'s frames, built one vehicle at a time."""
     rng = np.random.default_rng(sim.seed)
-    table = cfg.class_table
     t0, t1 = cfg.schedule.session
     resolved = []  # (vehicle, zone, length, entry_pos, direction, t_start, t_end)
-    targets = cfg.countable_targets()
-    for v in script:
-        zone = _governing_zone(v, cfg, targets)
-        length = _draw_length(v, table, rng)
+    for v, zone, length in resolve_script(script, cfg, rng):
         direction = np.array([math.cos(zone.yaw), math.sin(zone.yaw), 0.0])
         entry_pos = np.array(
             [zone.center.north, zone.center.east, 0.0]

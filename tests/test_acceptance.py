@@ -19,7 +19,8 @@ from lidartmc.geo import GeodeticPoint, estimate_transform_from_gcps, lla_to_ece
 from lidartmc.ingest import frames_to_ned, merge_streams
 from lidartmc.intersection import CountingParams
 from lidartmc.report import aggregate, load_tmc_csv
-from lidartmc.simgen import SimConfig, random_script, scenario_suite, simulate
+from lidartmc.scenarios import random_script, scenario_suite
+from lidartmc.simgen import SimConfig, simulate
 from oracle import ecef_to_lla, trigger_series
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"

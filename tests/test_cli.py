@@ -16,16 +16,19 @@ from lidartmc import cli, ingest
 from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
 from lidartmc.errors import SchemaError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
-from lidartmc.ingest import MergedStream, frames_to_ned, parse_detection_log
+from lidartmc.ingest import frames_to_ned, parse_detection_log
 from lidartmc.intersection import (
     CountingParams,
     PhaseSchedule,
     load_intersection_config,
     save_intersection_config,
 )
-from lidartmc.report import TmcTable, load_tmc_csv, save_tmc_csv
-from lidartmc.simgen import load_script, random_script, scenario_suite, script_to_obj
 from lidartmc.reference import reference_config_path
+from lidartmc.report import load_tmc_csv
+from lidartmc.scenarios import random_script, scenario_suite
+from lidartmc.simgen import load_script, script_to_obj
+from lidartmc.stream import MergedStream
+from lidartmc.tables import TmcTable, save_tmc_csv
 from oracle import point_in_zone
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"

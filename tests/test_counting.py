@@ -22,7 +22,7 @@ from lidartmc.errors import (
     UserInputError,
 )
 from lidartmc.geo import GeodeticPoint, NedPoint
-from lidartmc.ingest import FRAME_NED, Frame, MergedStream
+from lidartmc.stream import FRAME_NED, Frame, MergedStream
 from lidartmc.intersection import (
     Approach,
     CountingParams,

@@ -13,7 +13,8 @@ from lidartmc import cli
 from lidartmc.geo import load_registry
 from lidartmc.intersection import CountingParams, PhaseSchedule, save_intersection_config
 from lidartmc.reference import build_reference_config
-from lidartmc.simgen import scenario_suite, script_to_obj
+from lidartmc.scenarios import scenario_suite
+from lidartmc.simgen import script_to_obj
 from oracle import estimate as oracle_estimate
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from lidartmc import cli
 from lidartmc.intersection import config_to_obj
-from lidartmc.simgen import scenario_by_name, scenario_suite
+from lidartmc.scenarios import scenario_by_name, scenario_suite
 
 SEED = 7
 

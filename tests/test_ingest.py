@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_rows, random_rotation
-from lidartmc import ingest
+from lidartmc import ingest, stream
 from lidartmc.errors import (
     InvalidFieldError,
     MalformedLineError,
@@ -31,7 +31,8 @@ from lidartmc.geo import (
     lla_to_ecef,
     ned_rotation,
 )
-from lidartmc.ingest import (
+from lidartmc.ingest import frames_to_ned, merge_streams, open_detection_log, parse_detection_log
+from lidartmc.stream import (
     BOX_COLUMNS,
     FRAME_NED,
     SCORE,
@@ -44,10 +45,6 @@ from lidartmc.ingest import (
     Z,
     Frame,
     MergedStream,
-    frames_to_ned,
-    merge_streams,
-    open_detection_log,
-    parse_detection_log,
     write_detection_log,
 )
 from oracle import frame_to_json_line, sensor_to_ned
@@ -895,7 +892,7 @@ class TestWriter:
     @given(frames=frame_lists(), chunk_rows=st.integers(1, 9))
     def test_matches_json_dumps_per_frame(self, frames, chunk_rows):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "WRITE_CHUNK_ROWS", chunk_rows)
+            mp.setattr(stream, "WRITE_CHUNK_ROWS", chunk_rows)
             buf = io.StringIO()
             write_detection_log(MergedStream.from_frames(frames), buf)
         assert buf.getvalue() == "".join(frame_to_json_line(f) + "\n" for f in frames)
@@ -908,7 +905,7 @@ class TestWriter:
                   for i, n in enumerate((0, 1, 2, 0, 3, 5, 1))]
         want = "".join(frame_to_json_line(f) + "\n" for f in frames)
         for chunk_rows in (1, 2, 3, 4, 7, 1024):
-            monkeypatch.setattr(ingest, "WRITE_CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr(stream, "WRITE_CHUNK_ROWS", chunk_rows)
             buf = io.StringIO()
             write_detection_log(MergedStream.from_frames(frames), buf)
             assert buf.getvalue() == want, chunk_rows
@@ -925,7 +922,7 @@ class TestWriter:
     def test_float_spelling_is_json_dumps(self, values, exponent):
         # Scaled draws cover the magnitudes around both switches densely.
         values = np.array(values + [v * 10.0 ** exponent for v in values], dtype=np.float64)
-        assert ingest._json_floats(values) == [json.dumps(v) for v in values.tolist()]
-        assert ingest._json_floats(np.array(SPELLING_SWITCHES)) == [
+        assert stream._json_floats(values) == [json.dumps(v) for v in values.tolist()]
+        assert stream._json_floats(np.array(SPELLING_SWITCHES)) == [
             "0.0001", "9.999999999999999e-05", "0.00010000000000000002", "-0.0001",
             "1e+16", "9999999999999998.0", "1.0000000000000002e+16"]

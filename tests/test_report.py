@@ -5,17 +5,8 @@ import pytest
 
 from lidartmc.errors import IncompatibleBinningError, SchemaError, UserInputError
 from lidartmc.intersection import Approach, Movement
-from lidartmc.report import (
-    DIMS,
-    TmcTable,
-    aggregate,
-    compare,
-    empty_table,
-    load_tmc_csv,
-    render_report,
-    render_tmc_csv,
-    save_tmc_csv,
-)
+from lidartmc.report import DIMS, aggregate, compare, load_tmc_csv, render_report
+from lidartmc.tables import TmcTable, empty_table, render_tmc_csv, save_tmc_csv
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lidartmc.counting import count_session, estimate_tmc
 from lidartmc.errors import ScriptValidationError
-from lidartmc.ingest import BOX_COLUMNS, X, Y, frames_to_ned, merge_streams, write_detection_log
+from lidartmc.ingest import frames_to_ned, merge_streams
 from lidartmc.intersection import Approach, Movement
 from lidartmc.geo import NedPoint
 from lidartmc.reference import build_long_range_config
@@ -24,15 +24,15 @@ from lidartmc.simgen import (
     SimConfig,
     default_sensors,
     load_script,
-    random_script,
-    scenario_by_name,
-    scenario_suite,
     script_from_obj,
     script_json,
     script_to_obj,
     simulate,
     tally_script,
 )
+from lidartmc.scenarios import random_script, scenario_by_name, scenario_suite
+from lidartmc.stream import BOX_COLUMNS, X, Y, write_detection_log
+import oracle
 from oracle import point_in_zone, simulate_frames
 
 NB, EB = Approach.NB, Approach.EB
@@ -249,6 +249,70 @@ class TestScriptValidation:
             SimConfig(seed=1, frame_rate_hz=2.0)
         with pytest.raises(ScriptValidationError):
             SimConfig(seed=1, frame_rate_hz=6.0)
+
+
+# A length inside each default class, and the ways a scripted vehicle
+# can fail its checks.
+CLASS_LENGTHS = {1: 0.5, 2: 1.5, 3: 4.5, 4: 6.0, 5: 9.0, 6: 15.0}
+SCRIPT_FAULTS = ("class", "speed", "unknown zone", "zone cannot count", "no countable zone",
+                 "length of another class", "bad length", "does not clear its zone")
+
+
+@st.composite
+def checked_vehicles(draw, cfg):
+    """A scripted vehicle with none, one or several of ``SCRIPT_FAULTS``."""
+    zone, (approach, movement) = draw(st.sampled_from(cfg.countable_targets()))
+    vehicle_class = draw(st.integers(1, 6))
+    zone_id = draw(st.sampled_from([zone.id, None]))
+    entry = draw(st.floats(0.5, 290.0))
+    speed = draw(st.floats(3.0, 20.0))
+    length = draw(st.sampled_from([None, CLASS_LENGTHS[vehicle_class]]))
+    for fault in draw(st.lists(st.sampled_from(SCRIPT_FAULTS), max_size=3, unique=True)):
+        if fault == "class":
+            vehicle_class = draw(st.sampled_from([-1, 0, 7]))
+        elif fault == "speed":
+            speed = draw(st.sampled_from([0.0, -3.0, 20.5, math.nan, math.inf]))
+        elif fault == "unknown zone":
+            zone_id = "NOPE"
+        elif fault == "zone cannot count":
+            zone_id = draw(st.sampled_from([z.id for z in cfg.zones
+                                            if (z, (approach, movement))
+                                            not in cfg.countable_targets()]))
+        elif fault == "no countable zone":
+            zone_id, movement = None, Movement.UTURN
+        elif fault == "length of another class":
+            length = CLASS_LENGTHS[draw(st.sampled_from(
+                [c for c in CLASS_LENGTHS if c != vehicle_class]))]
+        elif fault == "bad length":
+            length = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+        else:
+            entry = draw(st.sampled_from([-1.0, 299.9, 300.0, math.nan, 1e9]))
+    return ScriptedVehicle(vehicle_class, approach, movement, entry, speed, length, zone_id)
+
+
+def outcome(run):
+    """None, or the type and message of the error that ``run()`` raised."""
+    try:
+        run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestScriptChecksAgainstPerVehicleOracle:
+    """``simulate`` resolves each zone binding once and classes every
+    scripted length at once; a bad script still fails as the per-vehicle
+    loop of ``oracle.resolve_script`` fails: on the first failing vehicle,
+    with the first of its checks that fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_error_as_the_per_vehicle_loop(self, reference_config, data):
+        script = data.draw(st.lists(checked_vehicles(reference_config), max_size=6))
+        want = outcome(lambda: oracle.resolve_script(script, reference_config,
+                                                     np.random.default_rng(1)))
+        got = outcome(lambda: simulate(script, reference_config, SimConfig(seed=1)))
+        assert got == want
 
 
 class TestPathGeometry:

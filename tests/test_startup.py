@@ -1,9 +1,9 @@
 """What a CLI call pays before and after its work.
 
 Each command imports only its own modules (``cli``'s import rule), and
-``entrypoint`` freezes the import-time heap before running ``main``,
-which itself never freezes, and ends the process once ``main`` has
-returned and stdout and stderr are flushed.
+``entrypoint`` turns the collector off before running ``main``, which
+itself leaves the collector as it found it, and ends the process once
+``main`` has returned and stdout and stderr are flushed.
 """
 
 import gc
@@ -73,7 +73,9 @@ def runs(tmp_path_factory):
     gcps.write_text(GCP_CSV)
     sim, est = tmp / "sim", tmp / "est"
     out = {"simulate": loaded_modules("simulate", "--script", script, "--seed", 1,
-                                      "--out-dir", sim)}
+                                      "--out-dir", sim),
+           "simulate --scenario": loaded_modules("simulate", "--scenario", "ideal", "--seed",
+                                                 1, "--out-dir", tmp / "scenario")}
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     bad = tmp / "bad_L1.jsonl"
     bad.write_bytes(logs[0].read_bytes() + b"not a frame\n")
@@ -88,16 +90,20 @@ def runs(tmp_path_factory):
 
 
 # command: (modules it must load, modules it must not load). ``simulate``
-# writes its logs and script with orjson, but parses no log. Only a
-# skipped line loads ``logging``, to log it. No command loads
-# ``_kernels``, which only the benchmark reads.
+# (with ``--script`` unless named) writes its logs and script with
+# orjson, but parses, counts and compares nothing; only ``--scenario``
+# loads the bundled scenarios. Only a skipped line loads ``logging``, to
+# log it. No command loads ``_kernels``, which only the benchmark reads.
 IMPORT_RULES = {
-    "estimate": ({"ingest", "counting", "report", "orjson", *PARSE_ONLY},
-                 {"simgen", "_kernels", "logging"}),
-    "estimate, a bad line": ({"ingest", "counting", "report", "orjson", "logging",
-                              *PARSE_ONLY}, {"simgen", "_kernels"}),
-    "simulate": ({"simgen", "ingest", "report", "orjson"},
-                 {"counting", "_kernels", "logging", *PARSE_ONLY}),
+    "estimate": ({"ingest", "counting", "stream", "tables", "orjson", *PARSE_ONLY},
+                 {"simgen", "report", "scenarios", "_kernels", "logging"}),
+    "estimate, a bad line": ({"ingest", "counting", "tables", "orjson", "logging",
+                              *PARSE_ONLY}, {"simgen", "report", "_kernels"}),
+    "simulate": ({"stream", "tables", "simgen", "orjson"},
+                 {"ingest", "report", "counting", "scenarios", "_kernels", "logging",
+                  *PARSE_ONLY}),
+    "simulate --scenario": ({"stream", "tables", "simgen", "scenarios"},
+                            {"ingest", "report", "counting", "_kernels", *PARSE_ONLY}),
     "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson"}),
     "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen", "orjson",
                          "intersection", "classify"}),
@@ -132,7 +138,7 @@ class Stream:
 
 def patch_exit_path(monkeypatch, stdout_error=None):
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
     monkeypatch.setattr(sys, "stdout", Stream("stdout", calls, stdout_error))
     monkeypatch.setattr(sys, "stderr", Stream("stderr", calls))
@@ -140,10 +146,10 @@ def patch_exit_path(monkeypatch, stdout_error=None):
     return calls
 
 
-def test_entrypoint_freezes_before_main(monkeypatch):
+def test_entrypoint_disables_the_collector_before_main(monkeypatch):
     calls = patch_exit_path(monkeypatch)
     cli.entrypoint()
-    assert calls == ["freeze", "main", "flush stdout", "flush stderr", ("_exit", 3)]
+    assert calls == ["disable", "main", "flush stdout", "flush stderr", ("_exit", 3)]
 
 
 def test_failed_flush_leaves_the_exit_to_the_interpreter(monkeypatch):
@@ -151,7 +157,7 @@ def test_failed_flush_leaves_the_exit_to_the_interpreter(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.entrypoint()
     assert exc.value.code == 3
-    assert calls == ["freeze", "main", "flush stdout"]
+    assert calls == ["disable", "main", "flush stdout"]
 
 
 def run_cli(*argv, stdout=subprocess.PIPE, buffered=True, program=("-m", "lidartmc.cli")):
@@ -229,3 +235,24 @@ def test_main_does_not_freeze(tmp_path):
     assert cli.main(["simulate", "--scenario", "ideal", "--seed", "1",
                      "--out-dir", str(tmp_path / "sim")]) == 0
     assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert cli.main(["simulate", "--scenario", "ideal", "--seed", "1",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # The whole import of a command then runs with the collector off.
+    code = ("import sys; import lidartmc.cli; "
+            "print(sorted(m for m in ('numpy', 'orjson') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=pythonpath_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
