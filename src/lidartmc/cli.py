@@ -143,8 +143,6 @@ def cmd_estimate(args) -> int:
     from .tables import n_bins, save_tmc_csv
 
     cfg = load_intersection_config(args.config)
-    if args.registry is None:
-        raise UserInputError("estimate requires --registry (sensor poses)")
     registry = load_registry(args.registry)
     params = _counting_params(args, cfg.params)
     s0, s1 = cfg.schedule.session

@@ -32,11 +32,17 @@ writer, so ``simulate``, which writes logs and parses none, never loads
 this one.
 
 A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each line's
-boxes are taken by one ``operator.itemgetter``, and each chunk gets one
-type check and one float64 conversion, is validated and is cut down to
-its kept rows before the next one is read. The chunk blocks are joined
-once at the end, so a parse holds about two copies of its block rather
-than every box as Python objects.
+boxes are taken by one ``operator.itemgetter``, and each chunk is
+converted, checked and cut down to its kept rows before the next one is
+read. The chunk blocks are joined once at the end, so a parse holds
+about two copies of its block rather than every box as Python objects.
+
+A chunk of JSON numbers takes one type check and one float64
+conversion; in another, only the boxes with some other value go through
+``float`` one at a time. The box rule is one ordered table,
+:data:`_CHECKS`: one array pass over a chunk tells which boxes fail and
+why, and a heading is wrapped only once it is finite. ``box_reason`` in
+``tests/oracle.py`` restates the rule one value at a time for the tests.
 
 :func:`parse_logs`, which ``estimate`` runs, cuts further: each chunk is
 mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
@@ -73,23 +79,23 @@ import numpy as np
 import orjson
 
 from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
-from .geo import FrameRegistry, wrap_angle, wrap_angles
+from .geo import FrameRegistry, wrap_angles
 from .intersection import IntersectionConfig, outside_session, zone_hits
 from .stream import (
-    BOX_COLUMNS, FRAME_NED, FRAME_SENSOR, L, SCORE, X, Y, YAW, Z, Frame, MergedStream,
+    BOX_COLUMNS, FRAME_NED, FRAME_SENSOR, MAX_DIMENSION_M, L, SCORE, X, Y, YAW, Z, Frame,
+    MergedStream,
 )
 # Not used here: the per-layer benchmark imports the writer from this
 # module until it runs the CLI's own stages (ROADMAP item 2).
 from .stream import write_detection_log  # noqa: F401
 
-MAX_DIMENSION_M = 50.0
 DEFAULT_REORDER_WINDOW_S = 1.0
 # Raw boxes read before they are converted to a block: bounds the memory
 # that the Python-object form of a log takes.
 CHUNK_ROWS = 8192
 
 # Names of the columns in skipped-line reasons.
-_FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading")
+_FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading", "score")
 # A box's required values.
 _BOX = operator.itemgetter(*BOX_COLUMNS[:SCORE])
 # orjson decodes without a depth limit and overflows the C stack on a
@@ -101,61 +107,27 @@ ORJSON_MAX_DEPTH = 4096
 # The exact types of a decoded JSON number; ``bool`` is not one of them.
 _NUMBER = frozenset((int, float))
 _SCORE_TYPES = _NUMBER | {type(None)}
+# Stands in for a box that is converted one value at a time.
+_NAN_BOX = (math.nan,) * SCORE
+# The box checks in order: the columns each tests, its test and the
+# reason of a value that fails it. A box's reason is that of its first
+# failed check; a score the log leaves out passes.
+_CHECKS = (
+    (slice(X, SCORE), np.isfinite, "{name} must be finite, got {value!r}"),
+    (slice(L, YAW), lambda v: (v > 0.0) & (v < MAX_DIMENSION_M),
+     f"{{name}} must be in (0, {MAX_DIMENSION_M}), got {{value}}"),
+    (slice(SCORE, None), lambda v: (v >= 0.0) & (v <= 1.0), "{name} {value} outside [0, 1]"),
+)
+# The column and reason of each single check, in the same order.
+_CHECK_REASONS = [(c, reason) for cols, _, reason in _CHECKS for c in range(SCORE + 1)[cols]]
 
 
-def _row_error(row: tuple, score, line_no: int) -> InvalidFieldError | None:
-    """Why one box's raw required values and score are not a valid box,
-    or None.
-
-    Checks run in a fixed order, so a line's reason does not depend on
-    how it was detected as bad. A value that ``float`` converts passes
-    here even if it is not a JSON number: :func:`_detections_error`
-    checks that last.
-    """
-    try:
-        vals = [float(v) for v in row]
-        score = None if score is None else float(score)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return InvalidFieldError(line_no, f"non-numeric detection field: {exc}")
-    try:
-        vals[YAW] = wrap_angle(vals[YAW])
-    except ValueError as exc:  # infinite yaw
-        return InvalidFieldError(line_no, str(exc))
-    for name, v in zip(_FIELD_NAMES, vals):
-        if not math.isfinite(v):
-            return InvalidFieldError(line_no, f"{name} must be finite, got {v!r}")
-    for name, v in zip(_FIELD_NAMES[L:YAW], vals[L:YAW]):
-        if not 0.0 < v < MAX_DIMENSION_M:
-            return InvalidFieldError(
-                line_no, f"{name} must be in (0, {MAX_DIMENSION_M}), got {v}"
-            )
-    if score is not None and not 0.0 <= score <= 1.0:
-        return InvalidFieldError(line_no, f"score {score} outside [0, 1]")
-    return None
-
-
-def _detections_error(dets: list, line_no: int) -> MalformedLineError | None:
-    """Why a line's detections are not valid boxes, or None: the first
-    detection that is not an object, lacks a required key or that
-    :func:`_row_error` refuses, else the first value, box by box, that is
-    not a JSON number (a string or a boolean)."""
-    for d in dets:
-        if not isinstance(d, dict):
-            return MalformedLineError(line_no, f"detection must be an object, got {d!r}")
-        missing = [k for k in BOX_COLUMNS[:SCORE] if k not in d]
-        if missing:
-            return MalformedLineError(line_no, f"detection missing keys {missing}")
-        err = _row_error(_BOX(d), d.get("score"), line_no)
-        if err is not None:
-            return err
-    for d in dets:
-        score = d.get("score")
-        try:
-            for v in _BOX(d) if score is None else (*_BOX(d), score):
-                json_number(v)
-        except TypeError as exc:
-            return InvalidFieldError(line_no, f"non-numeric detection field: {exc}")
-    return None
+def _detection_fault(d, line_no: int) -> MalformedLineError:
+    """Why a detection is not a box: it is not an object, or it lacks a required key."""
+    if not isinstance(d, dict):
+        return MalformedLineError(line_no, f"detection must be an object, got {d!r}")
+    missing = [c for c in BOX_COLUMNS[:SCORE] if c not in d]
+    return MalformedLineError(line_no, f"detection missing keys {missing}")
 
 
 def _brackets(line: bytes | str) -> int:
@@ -165,48 +137,61 @@ def _brackets(line: bytes | str) -> int:
     return line.count(b"[") + line.count(b"{")
 
 
-def _fill(block: np.ndarray, rows: list[tuple], scores: list, a: int, b: int) -> bool:
-    """Convert boxes ``a:b`` into ``block[a:b]``; False, leaving them as
-    they are, if some value is not a JSON number or does not convert."""
-    if not (_NUMBER.issuperset(map(type, chain.from_iterable(rows[a:b])))
-            and _SCORE_TYPES.issuperset(map(type, scores[a:b]))):
-        return False
-    try:
-        values = np.fromiter(chain.from_iterable(rows[a:b]), np.float64, (b - a) * SCORE)
-        score = np.array(scores[a:b], dtype=np.float64)  # None is NaN
-    except OverflowError:  # an integer past the float range
-        return False
-    block[a:b, :SCORE] = values.reshape(-1, SCORE)
-    block[a:b, SCORE] = score
-    return True
-
-
 def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
-              box_errors: dict) -> np.ndarray:
-    """The (n, 8) float64 block of raw boxes. A line with a bad box gets
-    its reason in ``box_errors`` (see :func:`_detections_error`)."""
-    block = np.full((len(rows), len(BOX_COLUMNS)), np.nan)
-    if not _fill(block, rows, scores, 0, len(rows)):
-        # Some value is not a number: fill line by line. A line that fails
-        # stays NaN and so fails validation.
-        for _, _, _, a, b, _ in lines:
-            _fill(block, rows, scores, a, b)
-    dims = block[:, L:YAW]
-    score = block[:, SCORE]
-    bad = ~(
-        np.isfinite(block[:, :SCORE]).all(axis=1)
-        & ((dims > 0.0) & (dims < MAX_DIMENSION_M)).all(axis=1)
-        & (((score >= 0.0) & (score <= 1.0)) | np.isnan(score))
-    )
+              faults: dict) -> tuple[np.ndarray, dict]:
+    """The (n, 8) float64 block of a chunk's raw boxes, and the reason of
+    each line with a bad box, by index into ``lines``: that of its first
+    box that ``float`` refuses or that fails :data:`_CHECKS`, else its
+    fault in ``faults``, else its first value that is not a JSON number.
+    Boxes of JSON numbers are converted at once, the others one by one.
+    """
+    n = len(rows)
+    block = np.full((n, len(BOX_COLUMNS)), np.nan)
+    values, score, odd = rows, scores, []
+    if not (_NUMBER.issuperset(map(type, chain.from_iterable(rows)))
+            and _SCORE_TYPES.issuperset(map(type, scores))):
+        odd = [i for i, (row, s) in enumerate(zip(rows, scores))
+               if not (_NUMBER.issuperset(map(type, row)) and type(s) in _SCORE_TYPES)]
+        values, score = rows.copy(), scores.copy()
+        for i in odd:
+            values[i], score[i] = _NAN_BOX, None
+    try:
+        block[:, :SCORE] = np.fromiter(chain.from_iterable(values), np.float64,
+                                       n * SCORE).reshape(n, SCORE)
+        block[:, SCORE] = np.array(score, dtype=np.float64)  # None is NaN
+    except OverflowError:  # an integer past the float range
+        odd = range(n)
+    refused = {}
+    for i in odd:
+        try:
+            block[i] = (*map(float, rows[i]), math.nan if scores[i] is None else float(scores[i]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            block[i] = math.nan
+            refused[i] = f"non-numeric detection field: {exc}"
+
+    ok = np.hstack([test(block[:, cols]) for cols, test, _ in _CHECKS])
     # A NaN score is an absent one only when the log said so.
-    for i in np.flatnonzero(np.isnan(score) & ~bad).tolist():
-        bad[i] = scores[i] is not None
+    nan = np.flatnonzero(np.isnan(block[:, SCORE]))
+    ok[nan, -1] = [scores[i] is None for i in nan.tolist()]
+    bad = np.flatnonzero(~ok.all(axis=1))
     ends = np.array([line[4] for line in lines], dtype=np.intp)
-    for i in set(np.searchsorted(ends, np.flatnonzero(bad), side="right").tolist()):
-        line_no, _, _, a, b, _ = lines[i]
-        dets = [dict(zip(BOX_COLUMNS, (*row, s))) for row, s in zip(rows[a:b], scores[a:b])]
-        box_errors[i] = _detections_error(dets, line_no)
-    return block
+    reasons: dict[int, MalformedLineError] = {}
+    for r, check, i in zip(bad.tolist(), ok[bad].argmin(axis=1).tolist(),
+                           np.searchsorted(ends, bad, side="right").tolist()):
+        if i not in reasons:
+            col, reason = _CHECK_REASONS[check]
+            reasons[i] = InvalidFieldError(lines[i][0], refused.get(r) or reason.format(
+                name=_FIELD_NAMES[col], value=block[r, col].item()))
+    for i, fault in faults.items():
+        reasons.setdefault(i, fault)
+    for r, i in zip(odd, np.searchsorted(ends, odd, side="right").tolist()):
+        if i not in reasons:
+            try:
+                for v in rows[r] if scores[r] is None else (*rows[r], scores[r]):
+                    json_number(v)
+            except TypeError as exc:
+                reasons[i] = InvalidFieldError(lines[i][0], f"non-numeric detection field: {exc}")
+    return block, reasons
 
 
 def _parse_columns(
@@ -233,7 +218,8 @@ def _parse_columns(
     expected = None
     # (line_no, frame_id, t, first row, end row, error checked last) of the chunk
     lines: list[tuple] = []
-    box_errors: dict[int, MalformedLineError] = {}  # by index into ``lines``
+    # Why a line's detection is not a box, by index into ``lines``
+    faults: dict[int, MalformedLineError] = {}
     rows: list[tuple] = []  # required values of each box of the chunk
     scores: list = []  # score of each box of the chunk, None when absent
 
@@ -241,7 +227,7 @@ def _parse_columns(
         # The sensor check precedes the box checks of a line, and the
         # sensor is adopted from the first good line.
         nonlocal expected
-        block = _to_block(rows, scores, lines, box_errors)
+        block, box_errors = _to_block(rows, scores, lines, faults)
         keep = np.zeros(len(lines), dtype=bool)
         for i, (line_no, fid, t, a, b, late) in enumerate(lines):
             err = box_errors.get(i)
@@ -275,7 +261,7 @@ def _parse_columns(
         blocks.append(block)
         sizes.append(n)
         lines.clear()
-        box_errors.clear()
+        faults.clear()
         rows.clear()
         scores.clear()
 
@@ -317,11 +303,12 @@ def _parse_columns(
                 try:
                     rows.extend(map(_BOX, dets))
                 except (KeyError, TypeError):
-                    del rows[a:]
-                    box_errors[len(lines)] = _detections_error(
-                        json.loads(line)["detections"], line_no)
-                else:
-                    scores.extend(map(dict.get, dets, repeat("score")))
+                    # The boxes before the first detection that is not one
+                    # stay (extend keeps them); its fault quotes json's value.
+                    dets = dets[:len(rows) - a]
+                    faults[len(lines)] = _detection_fault(
+                        json.loads(line)["detections"][len(dets)], line_no)
+                scores.extend(map(dict.get, dets, repeat("score")))
             except MalformedLineError as err:
                 errors.append(err)
                 continue

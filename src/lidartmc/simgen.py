@@ -28,10 +28,13 @@ which makes it an independent oracle for the counting pipeline.
 Everything is driven by one seeded generator, so identical inputs
 produce byte-identical logs.
 
-A script is checked before any work, once per distinct zone binding and
-with one class lookup for all scripted lengths (:func:`_check_script`).
-The bundled scenarios and the random script generator live in
-:mod:`lidartmc.scenarios`, which ``simulate --script`` never loads.
+A script is checked before any work (:func:`_check_script`), with
+binding lookups built once and one class lookup for all scripted
+lengths. Every box written passes the parse's checks: lengths lie below
+:data:`~lidartmc.stream.MAX_DIMENSION_M`, and the noise sigma is at
+most :data:`VISIBILITY_M`. The bundled scenarios and the random script
+generator live in :mod:`lidartmc.scenarios`, which ``simulate
+--script`` never loads.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .classify import parse_class_id
 from .errors import SchemaError, ScriptValidationError, json_number
 from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
 from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
-from .stream import BOX_COLUMNS, H, L, SCORE, W, X, YAW, Z, MergedStream
+from .stream import BOX_COLUMNS, MAX_DIMENSION_M, H, L, SCORE, W, X, YAW, Z, MergedStream
 from .tables import DEFAULT_BIN_SECONDS, TmcTable, empty_table, n_bins
 
 MAX_SPEED_MPS = 20.0
@@ -63,6 +66,13 @@ _CLASS_HEIGHTS = {1: 1.7, 2: 1.6, 3: 1.5, 4: 1.9, 5: 3.3, 6: 3.9}
 
 # Proper rotation turning a z-up sensor frame into z-down handedness.
 _FLIP_X = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def _draw_range(band) -> tuple[float, float]:
+    """Where a length the script leaves out is drawn: inside its class
+    band, taken as 10 m long when it is open-ended."""
+    upper = band.upper if math.isfinite(band.upper) else band.lower + 10.0
+    return band.lower + 0.02, upper - 0.02
 
 
 @dataclass(frozen=True)
@@ -118,8 +128,10 @@ class SimConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ScriptValidationError(f"dropout {self.dropout} outside [0, 1)")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN too
             raise ScriptValidationError("noise sigma must be >= 0")
+        if self.noise_sigma > VISIBILITY_M:
+            raise ScriptValidationError(f"noise sigma must be <= {VISIBILITY_M}, the sensor range")
         ids = [s.frame_id for s in self.sensors]
         if not ids or len(set(ids)) != len(ids):
             raise ScriptValidationError("sensors must be non-empty with unique ids")
@@ -134,28 +146,6 @@ class SyntheticSession:
     registry: FrameRegistry
 
 
-def _governing_zone(v: ScriptedVehicle, cfg: IntersectionConfig, targets) -> Zone:
-    """The zone that counts ``v``; ``targets`` is ``cfg.countable_targets()``."""
-    binding = (v.approach, v.movement)
-    if v.zone_id is not None:
-        try:
-            zone = cfg.zone_by_id(v.zone_id)
-        except KeyError:
-            raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}") from None
-        if (zone, binding) not in targets:
-            raise ScriptValidationError(
-                f"zone {v.zone_id!r} cannot count {v.approach.value}/{v.movement.value}"
-            )
-        return zone
-    for zone, b in targets:
-        if b == binding:
-            return zone
-    raise ScriptValidationError(
-        f"no countable zone for {v.approach.value}/{v.movement.value}; "
-        "the movement would be miscounted or missed"
-    )
-
-
 def _check_script(
     script: Sequence[ScriptedVehicle], cfg: IntersectionConfig
 ) -> tuple[list[Zone], np.ndarray]:
@@ -163,24 +153,29 @@ def _check_script(
     script leaves it out), once the script passes its checks.
 
     Vehicles are checked in script order, and each vehicle's checks run
-    in this order: its class, its speed, its governing zone, its scripted
-    length, and that it clears its zone within the schedule's session.
-    The first check that fails raises. The governing zone is resolved
-    once per distinct (zone_id, approach, movement), and every scripted
-    length is classed by one :meth:`~lidartmc.classify.ClassTable.class_ids`
-    call; a non-positive or non-finite one raises from
+    in this order: its class, its speed, its governing zone, its length
+    (of its class, then below :data:`~lidartmc.stream.MAX_DIMENSION_M`,
+    or for a length left out, a band that draws only below it), and that
+    it clears its zone within the schedule's session. The first check
+    that fails raises. Governing zones are looked up in two tables built
+    once from ``cfg.countable_targets()``, and every scripted length is
+    classed by one :meth:`~lidartmc.classify.ClassTable.class_ids` call;
+    a non-positive or non-finite one raises from
     :meth:`~lidartmc.classify.ClassTable.classify`.
     """
     table = cfg.class_table
     session = cfg.schedule.session
     t0, t1 = session
+    zone_ids = {z.id for z in cfg.zones}
     targets = cfg.countable_targets()
+    named = {(z.id, b): z for z, b in targets}  # the zone a zone_id names, by binding
+    first = {b: z for z, b in reversed(targets)}  # the first countable zone of a binding
+    too_long = {c.id for c in table.classes if _draw_range(c)[1] >= MAX_DIMENSION_M}
     lengths = np.array([math.nan if v.length is None else v.length for v in script],
                        dtype=np.float64)
     valid = np.isfinite(lengths) & (lengths > 0)
     length_class = np.zeros(len(script), dtype=np.intp)
     length_class[valid] = table.class_ids(lengths[valid])
-    governing: dict[tuple, Zone] = {}
     zones = []
     for v, cls in zip(script, length_class.tolist()):
         if not 1 <= v.vehicle_class <= table.n_classes:
@@ -189,15 +184,28 @@ def _check_script(
             raise ScriptValidationError(
                 f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]"
             )
-        key = (v.zone_id, v.approach, v.movement)
-        if key not in governing:
-            governing[key] = _governing_zone(v, cfg, targets)
-        zone = governing[key]
-        if v.length is not None and cls != v.vehicle_class:
+        binding = (v.approach, v.movement)
+        zone = first.get(binding) if v.zone_id is None else named.get((v.zone_id, binding))
+        if zone is None:
+            movement = f"{v.approach.value}/{v.movement.value}"
+            if v.zone_id is None:
+                raise ScriptValidationError(f"no countable zone for {movement}; "
+                                            "the movement would be miscounted or missed")
+            if v.zone_id not in zone_ids:
+                raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}")
+            raise ScriptValidationError(f"zone {v.zone_id!r} cannot count {movement}")
+        if v.length is None:
+            if v.vehicle_class in too_long:
+                raise ScriptValidationError(f"class-{v.vehicle_class} lengths are drawn up to "
+                                            f"the box limit {MAX_DIMENSION_M} m")
+        elif cls != v.vehicle_class:
             table.classify(v.length)  # raises for a non-positive or non-finite length
             raise ScriptValidationError(
                 f"length {v.length} is not a class-{v.vehicle_class} length"
             )
+        elif v.length >= MAX_DIMENSION_M:
+            raise ScriptValidationError(f"length {v.length} is not below the box limit "
+                                        f"{MAX_DIMENSION_M} m")
         residence = 2.0 * zone.half_length / v.speed
         if (outside_session(v.entry_time, session)
                 or outside_session(v.entry_time + residence, session)):
@@ -222,13 +230,10 @@ def simulate(
     n_bins(DEFAULT_BIN_SECONDS, session)  # an unbounded session exits 2 before any work
 
     zones, lengths = _check_script(script, cfg)
-    # A length the script leaves out is drawn from inside its class's
-    # band (10 m long for the open-ended last class), in script order.
-    bands = [table.by_id(v.vehicle_class) for v in script if v.length is None]
-    lower = np.array([c.lower for c in bands], dtype=np.float64)
-    upper = np.array([c.upper if math.isfinite(c.upper) else c.lower + 10.0 for c in bands],
-                     dtype=np.float64)
-    lengths[[v.length is None for v in script]] = rng.uniform(lower + 0.02, upper - 0.02)
+    # The lengths the script leaves out, drawn in script order.
+    low, high = np.array([_draw_range(table.by_id(v.vehicle_class))
+                          for v in script if v.length is None]).reshape(-1, 2).T
+    lengths[[v.length is None for v in script]] = rng.uniform(low, high)
     # One row per vehicle: the constants its path and boxes are built from.
     per_vehicle = []
     for v, zone, length in zip(script, zones, lengths.tolist()):

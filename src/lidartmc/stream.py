@@ -5,6 +5,7 @@ whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
 :class:`MergedStream`, the package's one stream form, holds one block
 plus per-frame time, sensor and row offset arrays. :class:`Frame` and
 the frame API built on it serve only the per-layer benchmark.
+:data:`MAX_DIMENSION_M` bounds a box for the parse and the simulator.
 
 :func:`write_detection_log` writes a stream in the wire format that
 ``ingest`` parses, from its columns, and no per-box dict is built:
@@ -35,6 +36,8 @@ FRAME_NED = "ned"
 
 BOX_COLUMNS = ("x", "y", "z", "l", "w", "h", "yaw", "score")
 X, Y, Z, L, W, H, YAW, SCORE = range(len(BOX_COLUMNS))
+# A box's length, width and height lie in (0, MAX_DIMENSION_M).
+MAX_DIMENSION_M = 50.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from lidartmc.counting import MovementEvent, TriggerSeries
-from lidartmc.errors import ScriptValidationError, TimeOutsideScheduleError
+from lidartmc.errors import ScriptValidationError, TimeOutsideScheduleError, json_number
 from lidartmc.geo import (
     WGS84_A,
     WGS84_E2,
@@ -47,7 +47,7 @@ from lidartmc.simgen import (
     _CLASS_HEIGHTS,
     _CLASS_WIDTHS,
 )
-from lidartmc.stream import BOX_COLUMNS, SCORE, Frame
+from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, SCORE, Frame
 from lidartmc.tables import TmcTable, empty_table, render_tmc_csv
 
 
@@ -112,6 +112,57 @@ def permissible(a: Approach, m: Movement, t: float, s: PhaseSchedule) -> bool:
         if iv.start <= t < iv.end:
             return (a, m) in iv.permitted
     return False
+
+
+BOX_FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading")
+
+
+def box_reason(dets: list) -> str | None:
+    """Why a log line's detections are not valid boxes, or None, one
+    detection and one value at a time.
+
+    Detection by detection: one that is not an object or lacks a required
+    key is the reason; else a value that ``float`` refuses, then the
+    first value that is not finite, the first of length, width and
+    height outside (0, MAX_DIMENSION_M), and a given score outside [0, 1].
+    When no detection fails, the reason is the first value, box by box,
+    that is not a JSON number (a string or a boolean).
+    """
+    for d in dets:
+        if not isinstance(d, dict):
+            return f"detection must be an object, got {d!r}"
+        missing = [k for k in BOX_COLUMNS[:SCORE] if k not in d]
+        if missing:
+            return f"detection missing keys {missing}"
+        score = d.get("score")
+        try:
+            vals = [float(d[k]) for k in BOX_COLUMNS[:SCORE]]
+            score = None if score is None else float(score)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return f"non-numeric detection field: {exc}"
+        for name, v in zip(BOX_FIELD_NAMES, vals):
+            if not math.isfinite(v):
+                return f"{name} must be finite, got {v!r}"
+        for name, v in zip(BOX_FIELD_NAMES[3:6], vals[3:6]):
+            if not 0.0 < v < MAX_DIMENSION_M:
+                return f"{name} must be in (0, {MAX_DIMENSION_M}), got {v}"
+        if score is not None and not 0.0 <= score <= 1.0:
+            return f"score {score} outside [0, 1]"
+    for d in dets:
+        score = d.get("score")
+        try:
+            for v in [d[k] for k in BOX_COLUMNS[:SCORE]] + ([] if score is None else [score]):
+                json_number(v)
+        except TypeError as exc:
+            return f"non-numeric detection field: {exc}"
+    return None
+
+
+def box_rows(dets: list) -> list[list[float]]:
+    """The rows of a line's valid boxes: the heading wrapped, an absent
+    score NaN."""
+    return [[*(float(d[k]) for k in BOX_COLUMNS[:6]), wrap_angle(float(d["yaw"])),
+             math.nan if d.get("score") is None else float(d["score"])] for d in dets]
 
 
 def read_frames(path) -> list[tuple[float, str, list[dict]]]:
@@ -287,9 +338,11 @@ def governing_zone(v, cfg) -> Zone:
 def resolve_script(script, cfg, rng) -> list[tuple]:
     """(vehicle, zone, length) of each scripted vehicle, checked and drawn
     one vehicle at a time in script order: class, speed, governing zone,
-    length (drawn from inside the class band, 10 m long for the last
-    class, when the script leaves it out), then whether the vehicle
-    clears its zone within the session. The first failure raises."""
+    length (of the class and below the box limit; drawn from inside the
+    class band, 10 m long for the last class, when the script leaves it
+    out, and then the band must draw only below the limit), then whether
+    the vehicle clears its zone within the session. The first failure
+    raises."""
     table = cfg.class_table
     t0, t1 = cfg.schedule.session
     resolved = []
@@ -302,10 +355,16 @@ def resolve_script(script, cfg, rng) -> list[tuple]:
         band = table.by_id(v.vehicle_class)
         if v.length is None:
             upper = band.upper if math.isfinite(band.upper) else band.lower + 10.0
+            if upper - 0.02 >= MAX_DIMENSION_M:
+                raise ScriptValidationError(f"class-{v.vehicle_class} lengths are drawn up to "
+                                            f"the box limit {MAX_DIMENSION_M} m")
             length = float(rng.uniform(band.lower + 0.02, upper - 0.02))
         elif table.classify(v.length).id != v.vehicle_class:
             raise ScriptValidationError(
                 f"length {v.length} is not a class-{v.vehicle_class} length")
+        elif v.length >= MAX_DIMENSION_M:
+            raise ScriptValidationError(
+                f"length {v.length} is not below the box limit {MAX_DIMENSION_M} m")
         else:
             length = v.length
         exit_time = v.entry_time + 2.0 * zone.half_length / v.speed

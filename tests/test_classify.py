@@ -99,6 +99,15 @@ def test_custom_table():
         [{"id": 1, "label": "a", "lower": 0.0, "upper": 9.0, "fhwa": []}],
         # wrong id numbering
         [{"id": 2, "label": "a", "lower": 0.0, "upper": None, "fhwa": []}],
+        # no classes
+        [],
+        # an empty interval
+        [
+            {"id": 1, "label": "a", "lower": 0.0, "upper": 0.0, "fhwa": []},
+            {"id": 2, "label": "b", "lower": 0.0, "upper": None, "fhwa": []},
+        ],
+        # not a list
+        {"id": 1, "label": "a", "lower": 0.0, "upper": None, "fhwa": []},
     ],
 )
 def test_invalid_tables_rejected(rows):

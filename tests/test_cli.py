@@ -123,6 +123,35 @@ class TestGeoref:
         code = cli.main(["georef", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("frame_id,code", [("L2", 0), ("L3", 2)])
+    def test_frame_id_picks_one_frame(self, tmp_path, capsys, frame_id, code):
+        gcp = tmp_path / "gcps.csv"
+        write_gcp_file(gcp, np.random.default_rng(66), frame_id="L1")
+        other = tmp_path / "l2.csv"
+        write_gcp_file(other, np.random.default_rng(67), frame_id="L2")
+        with open(gcp, "a") as fh:
+            fh.writelines(other.read_text().splitlines(keepends=True)[1:])
+        registry = tmp_path / "registry.json"
+        assert cli.main(["georef", str(gcp), "--frame-id", frame_id, "--registry",
+                         str(registry), "--ned-origin", "34.05,-117.4,350.0"]) == code
+        if code == 0:
+            assert load_registry(registry).frame_ids == ("L2",)
+        else:
+            assert "no GCP rows for frame 'L3'" in capsys.readouterr().err
+            assert not registry.exists()
+
+    def test_updates_an_existing_registry(self, tmp_path):
+        registry = tmp_path / "registry.json"
+        for frame_id, seed in (("L1", 68), ("L2", 69)):
+            gcp = tmp_path / f"{frame_id}.csv"
+            write_gcp_file(gcp, np.random.default_rng(seed), frame_id=frame_id)
+            # The origin is needed only to create the registry.
+            origin = ["--ned-origin", "34.05,-117.4,350.0"] if frame_id == "L1" else []
+            assert cli.main(["georef", str(gcp), "--registry", str(registry), *origin]) == 0
+        reg = load_registry(registry)
+        assert reg.frame_ids == ("L1", "L2")
+        assert reg.ned_origin == GeodeticPoint(34.05, -117.4, 350.0)
+
 
 class TestSimulate:
     def test_seed_required(self, tmp_path):
@@ -170,6 +199,18 @@ class TestSimulate:
         assert code == 0
         gt = load_tmc_csv(tmp_path / "out" / "gt.csv")
         assert int(gt.counts.sum()) == len(script)
+
+    def test_truck_past_the_box_limit_exits_2(self, tmp_path, capsys):
+        sim = simulate_ideal(tmp_path)
+        doc = json.loads((sim / "script.json").read_text())
+        truck = next(v for v in doc["vehicles"] if v["class"] == 6)
+        truck["length"] = 60.0
+        spath = tmp_path / "script.json"
+        spath.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--script", str(spath), "--seed", "7",
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert "length 60.0 is not below the box limit 50.0 m" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_zone_id_exits_2(self, tmp_path, capsys):
         spath = tmp_path / "script.json"
@@ -718,7 +759,9 @@ BAD_FLAG_VALUES = [
     ("compare", ["--bin-seconds", "nan"]),
     ("compare", ["--group-by", "foo"]),
     ("simulate", ["--noise-sigma", "nan"]),
+    ("simulate", ["--noise-sigma", "1e308"]),
     ("simulate", ["--seed", "-1"]),
+    ("simulate", ["--seed", "1.5"]),
 ]
 
 
@@ -1046,6 +1089,8 @@ BAD_CONFIG_NODES = {
     "class id 1.5": (("class_table",), [{**c, "id": 1.5} if c["id"] == 1 else c
                                         for c in class_table_to_obj(DEFAULT_CLASS_TABLE)]),
     "absorb string": (("params",), {"absorb": "x"}),
+    "dedup_window 0": (("params",), {"dedup_window": 0.0}),
+    "empty phase interval": (("schedule", 0, "end"), 0.0),
 }
 
 
@@ -1065,10 +1110,14 @@ def test_bad_config_value_exits_2(ideal_sim, tmp_path, path, value):
 
 
 # Four rows of 2**62 in one cell would wrap int64 to a count of 0; the second
-# row already passes the limit.
+# row already passes the limit. The other rows are bad in other ways.
 @pytest.mark.parametrize("rows,bad_line", [(["0.0,NB,1,99999999999999999999999,0,0,0"], 2),
-                                           (["0.0,NB,3,0,4611686018427387904,0,0"] * 4, 3)],
-                         ids=["one count", "cell total"])
+                                           (["0.0,NB,3,0,4611686018427387904,0,0"] * 4, 3),
+                                           (["0.0,NB,3,1,0,0"], 2),
+                                           (["0.0,NB,3,1,x,0,0"], 2),
+                                           (["0.0,NB,0,1,0,0,0"], 2)],
+                         ids=["one count", "cell total", "field count", "non-numeric",
+                              "class 0"])
 def test_count_past_int64_exits_2(tmp_path, capsys, rows, bad_line):
     table = tmp_path / "table.csv"
     table.write_text("\n".join(["bin_start,approach,class,left,thru,right,uturn", *rows]) + "\n")
@@ -1231,6 +1280,18 @@ def test_number_replaced_by_string_or_bool_exits_2(ideal_sim, kind, data):
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_invalid_json_exits_2(ideal_sim, tmp_path, capsys, kind):
+    _, argv = document_and_argv(kind, ideal_sim)
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"vehicles": [')
+    assert cli.main([str(doc) if a == "{doc}" else a for a in argv]
+                    + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "Expecting value" in capsys.readouterr().err
+    with pytest.raises(SchemaError):
+        LOADERS[kind](doc)
 
 
 @pytest.mark.parametrize("kind", ["log", *LOADERS])

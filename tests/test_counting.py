@@ -372,6 +372,12 @@ class TestEstimateTmc:
         with pytest.raises(UserInputError):
             estimate_tmc([ev], 300.0, (0.0, 600.0))
 
+    @pytest.mark.parametrize("vehicle_class", [0, 7])
+    def test_event_class_out_of_range_rejected(self, vehicle_class):
+        ev = MovementEvent(NB, T, 10.0, vehicle_class, 4.5)
+        with pytest.raises(UserInputError, match="outside 1..6"):
+            estimate_tmc([ev], 300.0, (0.0, 600.0))
+
     def test_movement_split_row(self):
         # 49 NB class-3 events in bin 0 split 3/38/6/2 over L/T/R/U.
         events = []

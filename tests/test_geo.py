@@ -108,6 +108,16 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3) * 1.01, np.zeros(3))
 
+    @pytest.mark.parametrize("rotation,translation,reason", [
+        (np.eye(2), np.zeros(3), "rotation must be 3x3"),
+        ([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.zeros(3), "not orthonormal"),
+        (np.eye(3), np.zeros(2), "translation must be a 3-vector"),
+        (np.eye(3), [0.0, math.nan, 0.0], "translation must be finite"),
+    ], ids=["rotation shape", "not orthonormal", "translation shape", "translation NaN"])
+    def test_rejects_bad_transform(self, rotation, translation, reason):
+        with pytest.raises(ValueError, match=reason):
+            RigidTransform(rotation, translation)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [1e308, -1e308, 1e200, math.inf, math.nan, 1.0 + 1e-6])
     def test_rejects_huge_entries_before_the_product(self, entry):

@@ -5,6 +5,10 @@ For each scenario, ``simulate --scenario <s> --seed 7`` writes the logs,
 ``gt.csv``, ``registry.json``, ``script.json`` and the manifest (pinned
 with its ``wall_clock_utc`` line taken out), and ``estimate`` on those
 logs, with the scenario's config, writes ``tmc.csv`` and ``events.csv``.
+A dirty log pins the skipped-line reasons: ``estimate``'s stderr,
+``tmc.csv``, ``events.csv`` and manifest on the ``ideal`` logs with a
+line of every bad kind put into the first.
+
 A speed or refactoring change must leave every digest as it is. A change
 that alters output bytes on purpose updates the digests here and says
 which files changed, and why, in ``CHANGES.md``.
@@ -12,13 +16,19 @@ which files changed, and why, in ``CHANGES.md``.
 
 import hashlib
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lidartmc import cli
 from lidartmc.intersection import config_to_obj
 from lidartmc.scenarios import scenario_by_name, scenario_suite
+from test_ingest import BAD_LINES, GOOD_DET, SPOOFED, bad_det, frame_line
 
 SEED = 7
 
@@ -162,3 +172,48 @@ def test_output_bytes_unchanged(tmp_path, name):
 def test_every_scenario_is_pinned():
     assert sorted(SIMULATE_DIGESTS) == sorted(ESTIMATE_DIGESTS) == sorted(
         sc.name for sc in scenario_suite())
+
+
+# A line of every bad kind, each skipped: the kinds of the parse tests, an
+# infinite heading, a detection that is not a box after a bad box, and a
+# NaN score next to a null one.
+DIRTY_LINES = [
+    *(line for _, line, _ in BAD_LINES),
+    *(line for line, _ in SPOOFED.values()),
+    frame_line(1.0, bad_det(yaw=math.inf)),
+    frame_line(1.0, GOOD_DET, bad_det(l=0.0), bad_det(x=None)),
+    frame_line(1.0, GOOD_DET, bad_det(x="3.1"), [1.0], bad_det(w=-1.0)),
+    frame_line(1.0, {**GOOD_DET, "score": None}, {**GOOD_DET, "score": math.nan}),
+]
+
+DIRTY_DIGESTS = {
+    "stderr": "936aeee37bbc19147452fc992b207eaa057fbdfecd6614eb96a7b768b3ecec15",
+    "tmc.csv": "5b7c08036a14ff33662db3993bd857eba188a8d818ebf93aacaaa9d1c189816d",
+    "events.csv": "30f76c3c7c6cf402026cb23aca46552e26840b4d543894d86b66a14b7e1b7f29",
+    "manifest.json": "8867fc5445afd56dd9496396eca3e85cf758bdae3175a438431140ac3b8f19b0",
+}
+
+
+def test_dirty_log_outputs_unchanged(tmp_path):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", "ideal", "--seed", str(SEED),
+                     "--out-dir", str(sim)]) == 0
+    (tmp_path / "config.json").write_text(json.dumps(config_to_obj(scenario_by_name("ideal").cfg)))
+    lines = (sim / "log_L1.jsonl").read_text().splitlines(keepends=True)
+    # Never before line 2, so the log's sensor is adopted from a clean line.
+    for i, line in enumerate(DIRTY_LINES):
+        lines.insert(1 + 3 * i, line + "\n")
+    (tmp_path / "dirty_L1.jsonl").write_text("".join(lines))
+    # A fresh process with relative paths: stderr holds the skipped-line
+    # warnings, and the manifest names no temporary directory.
+    proc = subprocess.run(
+        [sys.executable, "-m", "lidartmc.cli", "estimate", "dirty_L1.jsonl", "sim/log_L2.jsonl",
+         "--config", "config.json", "--registry", "sim/registry.json", "--out-dir", "est"],
+        cwd=tmp_path, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count(b"skipping detection log line") == len(DIRTY_LINES)
+    got = {"stderr": hashlib.sha256(proc.stderr).hexdigest()}
+    got.update({name: digest(tmp_path / "est" / name)
+                for name in ("tmc.csv", "events.csv", "manifest.json")})
+    assert got == DIRTY_DIGESTS, proc.stderr.decode()

@@ -47,7 +47,7 @@ from lidartmc.stream import (
     MergedStream,
     write_detection_log,
 )
-from oracle import frame_to_json_line, sensor_to_ned
+from oracle import box_reason, box_rows, frame_to_json_line, sensor_to_ned
 
 FIXTURE_LINE = json.dumps(
     {
@@ -184,6 +184,8 @@ BAD_LINES = [
     ("dimension", frame_line(5.0, GOOD_DET, bad_det(l=75.0)),
      "length must be in (0, 50.0), got 75.0"),
     ("score", frame_line(6.0, GOOD_DET, bad_det(score=1.5)), "score 1.5 outside [0, 1]"),
+    ("infinite heading", frame_line(6.5, GOOD_DET, bad_det(yaw=-math.inf)),
+     "heading must be finite, got -inf"),
     ("frame_id", frame_line(7.0, GOOD_DET, frame_id="L2"),
      "frame_id 'L2' does not match expected 'L1'"),
 ]
@@ -618,6 +620,50 @@ class TestDecoder:
             f"frame_id '{big}' does not match expected 'L1'",
             f"detection must be an object, got {big}",
         ]
+
+
+# Boxes as BOXES draws them, and also with a key left out, several values
+# replaced at once, an odd score, or an infinite heading.
+ORACLE_BOXES = st.one_of(
+    BOXES,
+    st.builds(lambda box, score: {**box, "score": score}, GOOD_BOXES,
+              st.sampled_from([None, math.nan, math.inf, -0.0, 1.5, "0.5", True])),
+    st.builds(lambda box, key: {k: v for k, v in box.items() if k != key}, GOOD_BOXES,
+              st.sampled_from(BOX_COLUMNS)),
+    st.builds(lambda box, values: {**box, **values}, GOOD_BOXES,
+              st.dictionaries(st.sampled_from(BOX_COLUMNS), VALUES, max_size=3)),
+    st.builds(lambda box, yaw, values: {**box, **values, "yaw": yaw}, GOOD_BOXES,
+              st.sampled_from([math.inf, -math.inf]),
+              st.dictionaries(st.sampled_from(BOX_COLUMNS[:YAW]), VALUES, max_size=2)),
+)
+
+
+class TestBoxRuleAgainstOracle:
+    """The array checks give each line the reason, and keep the rows, that
+    ``oracle.box_reason`` gives one value at a time, in any chunk size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(ORACLE_BOXES, max_size=4), min_size=1, max_size=8))
+    def test_same_reasons_and_rows_as_the_oracle(self, dets_of_lines):
+        lines = [json.dumps({"t": float(i), "frame_id": "L1", "detections": dets})
+                 for i, dets in enumerate(dets_of_lines)]
+        want_errors, want_rows = [], []
+        for line_no, line in enumerate(lines, start=1):
+            dets = json.loads(line)["detections"]
+            reason = box_reason(dets)
+            if reason is None:
+                want_rows += box_rows(dets)
+            else:
+                want_errors.append((line_no, reason))
+        want = np.array(want_rows, dtype=np.float64).reshape(-1, len(BOX_COLUMNS))
+        for chunk_rows in (1, 7, ingest.CHUNK_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+                got, _, errors = ingest._parse_columns(lines, False)
+            assert [(e.line_no, e.reason) for e in errors] == want_errors
+            # Bit for bit, every NaN taken as one.
+            assert (np.where(np.isnan(got.boxes), np.nan, got.boxes).tobytes()
+                    == np.where(np.isnan(want), np.nan, want).tobytes())
 
 
 def test_parse_peak_memory_stays_near_two_blocks():

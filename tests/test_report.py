@@ -56,6 +56,14 @@ class TestTableFixture:
         with pytest.raises(UserInputError):
             load_tmc_csv(path)
 
+    @pytest.mark.parametrize("shape,fill,reason", [
+        ((1, 4, 4), 0, "wrong shape"), ((1, 4, 3, 6), 0, "wrong shape"),
+        ((1, 4, 4, 6), -1, "nonnegative"), ((2, 4, 4, 6), 0, "session implies 1"),
+    ])
+    def test_bad_counts_rejected(self, shape, fill, reason):
+        with pytest.raises(ValueError, match=reason):
+            TmcTable(300.0, (0.0, 300.0), np.full(shape, fill))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidartmc.classify import class_table_from_obj
 from lidartmc.counting import count_session, estimate_tmc
 from lidartmc.errors import ScriptValidationError
 from lidartmc.ingest import frames_to_ned, merge_streams
@@ -31,7 +32,7 @@ from lidartmc.simgen import (
     tally_script,
 )
 from lidartmc.scenarios import random_script, scenario_by_name, scenario_suite
-from lidartmc.stream import BOX_COLUMNS, X, Y, write_detection_log
+from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, X, Y, write_detection_log
 import oracle
 from oracle import point_in_zone, simulate_frames
 
@@ -250,12 +251,45 @@ class TestScriptValidation:
         with pytest.raises(ScriptValidationError):
             SimConfig(seed=1, frame_rate_hz=6.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dropout", -0.1), ("dropout", 1.0), ("noise_sigma", -1.0), ("noise_sigma", math.nan),
+        ("noise_sigma", math.nextafter(VISIBILITY_M, math.inf)), ("noise_sigma", 1e308),
+        ("sensors", (SensorSpec("L1", 0.0, 0.0), SensorSpec("L1", 5.0, 5.0))),
+    ])
+    def test_sim_config_bounds(self, field, value):
+        with pytest.raises(ScriptValidationError):
+            SimConfig(seed=1, **{field: value})
+
+    def test_noise_up_to_the_sensor_range_is_accepted(self):
+        assert SimConfig(seed=1, noise_sigma=VISIBILITY_M).noise_sigma == VISIBILITY_M
+
+    @pytest.mark.parametrize("upper,refused", [(None, True), (50.02, True), (50.01, False)])
+    def test_class_band_that_can_draw_past_the_box_limit_rejected(
+            self, reference_config, upper, refused):
+        table = class_table_from_obj([
+            {"id": 1, "label": "short", "lower": 0.0, "upper": 45.0, "fhwa": []},
+            {"id": 2, "label": "long", "lower": 45.0, "upper": upper, "fhwa": []},
+            *([] if upper is None else
+              [{"id": 3, "label": "longer", "lower": upper, "upper": None, "fhwa": []}]),
+        ])
+        cfg = replace(reference_config, class_table=table)
+        # A scripted length of the class passes; one left to the band may not.
+        simulate([ScriptedVehicle(2, NB, T, 20.0, 10.0, 46.0)], cfg, SimConfig(seed=1))
+        script = [ScriptedVehicle(1, NB, T, 20.0, 10.0), ScriptedVehicle(2, NB, T, 30.0, 10.0)]
+        want = outcome(lambda: oracle.resolve_script(script, cfg, np.random.default_rng(1)))
+        got = outcome(lambda: simulate(script, cfg, SimConfig(seed=1)))
+        assert got == want
+        assert (got is not None) == refused
+        if not refused:
+            boxes = simulate(script, cfg, SimConfig(seed=1)).frames_by_sensor["L1"].boxes
+            assert boxes[:, BOX_COLUMNS.index("l")].max() < MAX_DIMENSION_M
+
 
 # A length inside each default class, and the ways a scripted vehicle
 # can fail its checks.
 CLASS_LENGTHS = {1: 0.5, 2: 1.5, 3: 4.5, 4: 6.0, 5: 9.0, 6: 15.0}
 SCRIPT_FAULTS = ("class", "speed", "unknown zone", "zone cannot count", "no countable zone",
-                 "length of another class", "bad length", "does not clear its zone")
+                 "length of another class", "bad length", "too long", "does not clear its zone")
 
 
 @st.composite
@@ -285,6 +319,9 @@ def checked_vehicles(draw, cfg):
                 [c for c in CLASS_LENGTHS if c != vehicle_class]))]
         elif fault == "bad length":
             length = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+        elif fault == "too long":  # of class 6, or also of another class
+            vehicle_class = draw(st.sampled_from([6, vehicle_class]))
+            length = draw(st.sampled_from([MAX_DIMENSION_M, 60.0, 1e300]))
         else:
             entry = draw(st.sampled_from([-1.0, 299.9, 300.0, math.nan, 1e9]))
     return ScriptedVehicle(vehicle_class, approach, movement, entry, speed, length, zone_id)
