@@ -69,20 +69,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _counting_params(args, base):
-    """Flag overrides applied on top of the config file's params. As in
-    the config, ``dedup_window`` follows the effective ``cluster_gap``
-    unless the config or ``--dedup-window`` sets it."""
-    overrides = {
-        k: getattr(args, k)
-        for k in ("min_headway_right", "min_headway_other", "cluster_gap", "dedup_window")
-        if getattr(args, k) is not None
-    }
-    if base.dedup_follows_gap and args.dedup_window is None:
-        overrides["dedup_window"] = None
-    return replace(base, **overrides)
-
-
 def cmd_georef(args) -> int:
     from .geo import (
         FrameRegistry,
@@ -144,7 +130,9 @@ def cmd_estimate(args) -> int:
 
     cfg = load_intersection_config(args.config)
     registry = load_registry(args.registry)
-    params = _counting_params(args, cfg.params)
+    if registry.ned_origin != cfg.ned_origin:  # the zones lie in the config's NED frame
+        raise UserInputError(f"registry NED origin {registry.ned_origin} is not the "
+                             f"config's {cfg.ned_origin}")
     s0, s1 = cfg.schedule.session
     window = (
         s0 if args.session_start is None else args.session_start,
@@ -168,7 +156,7 @@ def cmd_estimate(args) -> int:
     outside = len(dropped)
     if outside and args.strict:  # the earliest one, after the order and registry checks
         raise TimeOutsideScheduleError(float(dropped.min()), cfg.schedule.session)
-    events, meta = count_session(ned, cfg, params)
+    events, meta = count_session(ned, cfg)
     events = events.take(~outside_session(events.t, window))
     table = estimate_tmc(events, args.bin_seconds, window, cfg.class_table.n_classes)
     warnings = {"skipped_lines": len(errors)}
@@ -190,7 +178,7 @@ def cmd_estimate(args) -> int:
                 "session": list(window),
                 "reorder_window": args.reorder_window,
                 "strict": args.strict,
-                "params": params.to_obj(),
+                "params": cfg.params.to_obj(),
             },
             "outputs": ["tmc.csv", "events.csv"],
             "warnings": warnings,
@@ -246,14 +234,18 @@ def cmd_simulate(args) -> int:
 
     if (args.script is None) == (args.scenario is None):
         raise UserInputError("simulate needs exactly one of --script or --scenario")
+    config = None
     if args.scenario is not None:
+        if args.config is not None:
+            raise UserInputError("--scenario brings its own config, so it takes no --config")
         from .scenarios import scenario_by_name
 
         sc = scenario_by_name(args.scenario)
         script, cfg, sim = sc.script, sc.cfg, sc.sim
     else:
+        config = reference_config_path() if args.config is None else args.config
         script = load_script(args.script)
-        cfg = load_intersection_config(args.config)
+        cfg = load_intersection_config(config)
         sim = SimConfig(seed=args.seed)
     overrides = {"seed": args.seed}
     if args.frame_rate is not None:
@@ -262,7 +254,7 @@ def cmd_simulate(args) -> int:
         overrides["dropout"] = args.dropout
     if args.noise_sigma is not None:
         overrides["noise_sigma"] = args.noise_sigma
-    sim = SimConfig(**{**sim.__dict__, **overrides})
+    sim = replace(sim, **overrides)
     session = simulate(script, cfg, sim)
     out = _out_dir(args)
     log_names = []
@@ -281,7 +273,7 @@ def cmd_simulate(args) -> int:
             "inputs": {
                 "script": str(args.script) if args.script else None,
                 "scenario": args.scenario,
-                "config": str(args.config) if args.scenario is None else None,
+                "config": config,
             },
             "arguments": {
                 "frame_rate_hz": sim.frame_rate_hz,
@@ -367,10 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session-start", type=_finite_float)
     p.add_argument("--session-end", type=_finite_float)
     p.add_argument("--reorder-window", type=_finite_float, default=1.0)
-    p.add_argument("--min-headway-right", type=_finite_float)
-    p.add_argument("--min-headway-other", type=_finite_float)
-    p.add_argument("--cluster-gap", type=_finite_float)
-    p.add_argument("--dedup-window", type=_finite_float)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("compare", help="compare an estimate against ground truth")
@@ -385,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic logs + ground truth")
     p.add_argument("--script", help="script JSON")
     p.add_argument("--scenario", help="bundled scenario name")
-    p.add_argument("--config", default=reference_config_path())
+    p.add_argument("--config", help="config for --script (default: the reference one)")
     p.add_argument("--seed", type=_seed, required=True,
                    help="explicit RNG seed (required for reproducibility)")
     p.add_argument("--frame-rate", type=_finite_float)

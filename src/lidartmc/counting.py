@@ -218,12 +218,9 @@ def count_rights_from_egress(
     return cluster_triggers(series, cfg, params)
 
 
-def count_session(
-    stream: MergedStream,
-    cfg: IntersectionConfig,
-    params: CountingParams | None = None,
-) -> tuple[Events, dict]:
-    """Full counting pass: triggers -> ingress events + surrogate events.
+def count_session(stream: MergedStream, cfg: IntersectionConfig) -> tuple[Events, dict]:
+    """Full counting pass: triggers -> ingress events + surrogate events,
+    with the thresholds of ``cfg.params``.
 
     Egress zones that are not right surrogates are observational only;
     their triggers are extracted but never counted. Returns the events
@@ -233,7 +230,7 @@ def count_session(
     """
     triggers = extract_triggers(stream, cfg)
     counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
-    events = _events(counted, cfg, params or cfg.params)
+    events = _events(counted, cfg, cfg.params)
     shared = [z.id for z in cfg.ingress_zones
               if {m for _, m in z.bindings} >= {Movement.LEFT, Movement.UTURN}]
     meta = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -151,11 +151,8 @@ class CountingParams:
     cluster_gap: float = DEFAULT_CLUSTER_GAP_S
     dedup_window: float | None = None  # None -> cluster_gap
     absorb: bool = True
-    # Whether dedup_window was left to follow cluster_gap.
-    dedup_follows_gap: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dedup_follows_gap", self.dedup_window is None)
         if self.dedup_window is None:
             object.__setattr__(self, "dedup_window", self.cluster_gap)
         if not isinstance(self.absorb, bool):

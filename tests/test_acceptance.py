@@ -7,6 +7,7 @@ import io
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,11 @@ def ok(criterion: str) -> None:
     print(f"[PASS] {criterion}")
 
 
-def run_counting(session, cfg, params=None, extra_streams=()):
+def run_counting(session, cfg, extra_streams=()):
     streams = list(session.frames_by_sensor.values()) + list(extra_streams)
     merged = merge_streams(streams)
     ned = frames_to_ned(merged, session.registry)
-    events, _ = count_session(ned, cfg, params)
+    events, _ = count_session(ned, cfg)
     gt = session.ground_truth
     return estimate_tmc(events, gt.bin_seconds, gt.session, cfg.class_table.n_classes)
 
@@ -161,10 +162,7 @@ def test_criterion_7a_slow_heavy_overcount():
     exact = run_counting(session, sc.cfg)
     assert exact == gt
     raw = run_counting(
-        session,
-        sc.cfg,
-        params=CountingParams(cluster_gap=1e-6, absorb=False),
-    )
+        session, replace(sc.cfg, params=CountingParams(cluster_gap=1e-6, absorb=False)))
     assert int(raw.counts.sum()) > int(gt.counts.sum())
     ratio = raw.counts.sum() / gt.counts.sum()
     ok(

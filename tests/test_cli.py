@@ -199,6 +199,8 @@ class TestSimulate:
         assert code == 0
         gt = load_tmc_csv(tmp_path / "out" / "gt.csv")
         assert int(gt.counts.sum()) == len(script)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"]["config"] == reference_config_path()
 
     def test_truck_past_the_box_limit_exits_2(self, tmp_path, capsys):
         sim = simulate_ideal(tmp_path)
@@ -223,6 +225,15 @@ class TestSimulate:
         assert code == 2
         assert "'NOPE'" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("log_*"))
+
+    def test_scenario_refuses_a_config(self, tmp_path, capsys):
+        """A scenario brings its own config, so an explicit one is an error
+        rather than a file that is silently not read."""
+        assert cli.main(["simulate", "--scenario", "ideal", "--config",
+                         str(tmp_path / "missing.json"), "--seed", "7",
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert "--scenario brings its own config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_script_and_scenario_conflict(self, tmp_path):
         code = cli.main(
@@ -460,54 +471,49 @@ class TestEstimate:
         assert cli.main(strict) == 2
         assert "outside schedule session" in capsys.readouterr().err
 
-    def test_params_flags_accepted(self, tmp_path):
-        sim_out = simulate_ideal(tmp_path)
-        code = cli.main(
-            [
-                "estimate",
-                str(sim_out / "log_L1.jsonl"),
-                "--registry",
-                str(sim_out / "registry.json"),
-                "--out-dir",
-                str(tmp_path / "est"),
-                "--min-headway-right",
-                "2.5",
-                "--min-headway-other",
-                "1.5",
-                "--cluster-gap",
-                "0.5",
-            ]
-        )
-        assert code == 0
-        manifest = json.loads((tmp_path / "est" / "manifest.json").read_text())
-        assert manifest["arguments"]["params"]["min_headway_right"] == 2.5
+    @pytest.mark.parametrize("flag", ["--min-headway-right", "--min-headway-other",
+                                      "--cluster-gap", "--dedup-window"])
+    def test_threshold_flags_are_refused(self, ideal_sim, tmp_path, capsys, flag):
+        """The counting thresholds are set in the config's ``params`` only."""
+        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
+                         "--registry", str(ideal_sim / "registry.json"),
+                         "--out-dir", str(tmp_path / "est"), flag, "0.5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
-    @pytest.mark.parametrize("config_params,flags,cluster_gap,dedup_window", [
-        (None, ["--cluster-gap", "0.4"], 0.4, 0.4),
-        ({"cluster_gap": 0.4}, [], 0.4, 0.4),
-        ({"cluster_gap": 0.5}, ["--cluster-gap", "0.4"], 0.4, 0.4),
-        ({"dedup_window": 0.6}, ["--cluster-gap", "0.4"], 0.4, 0.6),
-        ({"cluster_gap": 0.4, "dedup_window": 0.4}, ["--cluster-gap", "0.5"], 0.5, 0.4),
-        (None, ["--cluster-gap", "0.4", "--dedup-window", "0.5"], 0.4, 0.5),
-        ({"dedup_window": 0.6}, ["--dedup-window", "0.3"], 0.6, 0.3),
-    ])
+    @pytest.mark.parametrize("config_params,cluster_gap,dedup_window", [
+        ({"cluster_gap": 0.4}, 0.4, 0.4),
+        ({"cluster_gap": 0.4, "dedup_window": 0.5}, 0.4, 0.5),
+    ], ids=["gap", "gap and window"])
     def test_dedup_window_follows_cluster_gap_unless_set(
-            self, ideal_sim, tmp_path, config_params, flags, cluster_gap, dedup_window):
-        """``--cluster-gap`` moves ``dedup_window`` with it, as the config's
-        ``cluster_gap`` does, unless the config or ``--dedup-window`` sets
-        ``dedup_window``."""
+            self, ideal_sim, tmp_path, config_params, cluster_gap, dedup_window):
+        """The config's ``dedup_window`` follows its ``cluster_gap`` unless
+        the config sets it too; the manifest records the values used."""
         doc = json.loads(Path(reference_config_path()).read_text())
-        if config_params is not None:
-            doc["params"] = config_params
+        doc["params"] = config_params
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
                          str(ideal_sim / "log_L2.jsonl"), "--config", str(config),
                          "--registry", str(ideal_sim / "registry.json"),
-                         "--out-dir", str(tmp_path / "est"), *flags]) == 0
+                         "--out-dir", str(tmp_path / "est")]) == 0
         params = json.loads((tmp_path / "est" / "manifest.json").read_text())[
             "arguments"]["params"]
         assert (params["cluster_gap"], params["dedup_window"]) == (cluster_gap, dedup_window)
+
+    def test_registry_origin_not_the_configs_exits_2(self, ideal_sim, tmp_path, capsys):
+        """Detections are mapped into the registry's NED frame and the zones
+        lie in the config's, so the two origins must be the same point."""
+        doc = json.loads((ideal_sim / "registry.json").read_text())
+        doc["ned_origin"]["lat"] += 0.001  # about 111 m north
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(doc))
+        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
+                         "--registry", str(registry), "--out-dir", str(tmp_path / "est")]) == 2
+        err = capsys.readouterr().err
+        assert str(GeodeticPoint.from_obj(doc["ned_origin"])) in err
+        assert str(load_intersection_config(reference_config_path()).ned_origin) in err
+        assert not (tmp_path / "est").exists()
 
 
 class TestCompare:
@@ -753,8 +759,6 @@ BAD_FLAG_VALUES = [
     ("estimate", ["--bin-seconds", "1e-9"]),
     ("estimate", ["--reorder-window", "nan"]),
     ("estimate", ["--reorder-window", "-1"]),
-    ("estimate", ["--dedup-window", "nan"]),
-    ("estimate", ["--min-headway-right", "inf"]),
     ("compare", ["--bin-seconds", "0"]),
     ("compare", ["--bin-seconds", "nan"]),
     ("compare", ["--group-by", "foo"]),

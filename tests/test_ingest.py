@@ -306,7 +306,9 @@ class TestStrictNumbers:
         assert frames[0].detections[0, [X, L, SCORE]].tolist() == [-2.0, 4.0, 1.0]
 
     def test_other_reasons_come_first(self):
-        # Each line was skipped before for the reason given, which stays.
+        # A string or boolean number and a non-string frame_id are checked
+        # after every other check of their line, and a non-string
+        # frame_id is never a sensor mismatch.
         lines = [
             frame_line(0.0, GOOD_DET),
             frame_line("12.5", bad_det(l=75.0)),
@@ -325,20 +327,25 @@ class TestStrictNumbers:
             "non-numeric detection field: could not convert string to float: 'n/a'",
             "z must be finite, got nan",
             "detection missing keys ['y']",
-            "frame_id '7' does not match expected 'L1'",
+            "frame_id must be a string, got 7",
             "frame_id 'L2' does not match expected 'L1'",
             "non-numeric detection field: float() argument must be a string or a real "
             "number, not 'list'",
         ]
 
     def test_non_string_frame_id_is_not_adopted(self):
+        # Before and after L1 is adopted, a non-string frame_id reads the
+        # same; only a string one is checked against the adopted sensor.
         lines = [frame_line(0.0, GOOD_DET, frame_id=7), frame_line(1.0, GOOD_DET),
-                 frame_line(2.0, GOOD_DET, frame_id="7")]
+                 frame_line(2.0, GOOD_DET, frame_id="7"), frame_line(3.0, GOOD_DET, frame_id=3),
+                 frame_line(4.0, GOOD_DET, frame_id=None)]
         errors = []
         frames = parse_detection_log(lines, error_sink=errors)
         assert [(f.frame_id, f.t) for f in frames] == [("L1", 1.0)]
         assert [e.reason for e in errors] == ["frame_id must be a string, got 7",
-                                              "frame_id '7' does not match expected 'L1'"]
+                                              "frame_id '7' does not match expected 'L1'",
+                                              "frame_id must be a string, got 3",
+                                              "frame_id must be a string, got None"]
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -617,7 +624,7 @@ class TestDecoder:
         errors = []
         parse_detection_log(lines, error_sink=errors)
         assert [e.reason for e in errors] == [
-            f"frame_id '{big}' does not match expected 'L1'",
+            f"frame_id must be a string, got {big}",
             f"detection must be an object, got {big}",
         ]
 
