@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveLengthError, SchemaError, json_number
+from .errors import UserInputError, json_number
 
 
 @dataclass(frozen=True)
@@ -35,21 +35,21 @@ class ClassTable:
 
     def __post_init__(self):
         if not self.classes:
-            raise SchemaError("class table must not be empty")
+            raise UserInputError("class table must not be empty")
         prev_upper = 0.0
         for i, c in enumerate(self.classes):
             if c.id != i + 1:
-                raise SchemaError(f"class ids must be 1..n consecutive, got {c.id}")
+                raise UserInputError(f"class ids must be 1..n consecutive, got {c.id}")
             if c.lower != prev_upper:
-                raise SchemaError(
+                raise UserInputError(
                     f"class {c.id} lower bound {c.lower} leaves a gap/overlap "
                     f"after {prev_upper}"
                 )
             if not c.upper > c.lower:
-                raise SchemaError(f"class {c.id} has empty interval")
+                raise UserInputError(f"class {c.id} has empty interval")
             prev_upper = c.upper
         if not math.isinf(prev_upper):
-            raise SchemaError("last class must extend to infinity")
+            raise UserInputError("last class must extend to infinity")
         object.__setattr__(self, "_bounds", tuple(c.lower for c in self.classes))
 
     @property
@@ -60,7 +60,7 @@ class ClassTable:
         """Map bounding-box lengths to their class ids."""
         bad = lengths[~(np.isfinite(lengths) & (lengths > 0))]
         if len(bad):
-            raise NonpositiveLengthError(f"length must be positive and finite, got {float(bad[0])!r}")
+            raise UserInputError(f"length must be positive and finite, got {float(bad[0])!r}")
         return np.searchsorted(self._bounds, lengths, side="right")
 
     def classify(self, length: float) -> VehicleClass:
@@ -104,7 +104,7 @@ def parse_class_id(value) -> int:
 def class_table_from_obj(obj) -> ClassTable:
     """Build a class table from decoded JSON (``upper: null`` means inf)."""
     if not isinstance(obj, list):
-        raise SchemaError("class table must be a list of class objects")
+        raise UserInputError("class table must be a list of class objects")
     classes = []
     for entry in obj:
         try:
@@ -119,7 +119,7 @@ def class_table_from_obj(obj) -> ClassTable:
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad class table entry {entry!r}: {exc}") from None
+            raise UserInputError(f"bad class table entry {entry!r}: {exc}") from None
     return ClassTable(tuple(classes))
 
 

@@ -46,7 +46,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import TimeOutsideScheduleError, UserInputError
+from .errors import UserInputError
 from .reference import reference_config_path
 
 
@@ -86,20 +86,21 @@ def cmd_georef(args) -> int:
             )
         groups = {args.frame_id: groups[args.frame_id]}
     registry_path = Path(args.registry) if args.registry else _out_dir(args) / "registry.json"
-    if registry_path.exists():
-        registry = load_registry(registry_path)
-    else:
-        if args.ned_origin is not None:
-            origin = args.ned_origin
-        elif args.config is not None:
-            from .intersection import load_intersection_config
+    registry = load_registry(registry_path) if registry_path.exists() else None
+    origin = args.ned_origin
+    if origin is None and args.config is not None:
+        from .intersection import load_intersection_config
 
-            origin = load_intersection_config(args.config).ned_origin
-        else:
+        origin = load_intersection_config(args.config).ned_origin
+    if registry is None:
+        if origin is None:
             raise UserInputError(
                 "creating a new registry needs --ned-origin lat,lon,alt or --config"
             )
         registry = FrameRegistry(origin)
+    elif origin is not None and origin != registry.ned_origin:
+        raise UserInputError(f"registry NED origin {registry.ned_origin} is not the "
+                             f"given {origin}")
     rmses = {}
     for frame_id in sorted(groups):
         src, dst = groups[frame_id]
@@ -125,7 +126,7 @@ def cmd_estimate(args) -> int:
     from .counting import count_session, estimate_tmc, events_to_csv
     from .geo import atomic_write_text, load_registry
     from .ingest import merge_streams, parse_logs
-    from .intersection import load_intersection_config, outside_session
+    from .intersection import load_intersection_config, outside_session, outside_session_error
     from .tables import n_bins, save_tmc_csv
 
     cfg = load_intersection_config(args.config)
@@ -155,7 +156,7 @@ def cmd_estimate(args) -> int:
         registry.transform_for(fid)
     outside = len(dropped)
     if outside and args.strict:  # the earliest one, after the order and registry checks
-        raise TimeOutsideScheduleError(float(dropped.min()), cfg.schedule.session)
+        raise outside_session_error(float(dropped.min()), cfg.schedule.session)
     events, meta = count_session(ned, cfg)
     events = events.take(~outside_session(events.t, window))
     table = estimate_tmc(events, args.bin_seconds, window, cfg.class_table.n_classes)

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import MisconfiguredSurrogateError, TimeOutsideScheduleError, UserInputError
+from .errors import UserInputError
 from .intersection import (
     APPROACH_INDEX,
     APPROACHES,
@@ -44,6 +44,7 @@ from .intersection import (
     Movement,
     ZoneKind,
     outside_session,
+    outside_session_error,
     zone_hits,
 )
 from .stream import FRAME_NED, L, X, Y, MergedStream
@@ -124,7 +125,7 @@ def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str,
     A (detection, zone) pair triggers when the centroid is inside the
     zone and at least one of the zone's bindings is permissible at the
     frame time. A contained detection with a timestamp outside the
-    schedule's session raises :class:`TimeOutsideScheduleError`.
+    schedule's session raises a :class:`~lidartmc.errors.UserInputError`.
     """
     if stream.coordinate_frame != FRAME_NED:
         raise ValueError("extract_triggers requires a NED stream")
@@ -135,7 +136,7 @@ def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str,
     ts = stream.t[frames]
     outside = outside_session(ts, schedule.session)
     if np.any(outside):
-        raise TimeOutsideScheduleError(float(ts[np.argmax(outside)]), schedule.session)
+        raise outside_session_error(float(ts[np.argmax(outside)]), schedule.session)
 
     starts = np.array([iv.start for iv in schedule.intervals])
     ends = np.array([iv.end for iv in schedule.intervals])
@@ -207,12 +208,12 @@ def count_rights_from_egress(
     Used where the ingress corner is outside sensor coverage. Each zone
     must carry exactly one (approach, Right) binding; anything else is
     ambiguous (thru traffic into the same egress would be counted) and
-    raises :class:`MisconfiguredSurrogateError`.
+    raises a :class:`~lidartmc.errors.UserInputError`.
     """
     for zone_id in series:
         zone = cfg.zone_by_id(zone_id)
         if not zone.is_right_surrogate:
-            raise MisconfiguredSurrogateError(
+            raise UserInputError(
                 f"zone {zone.id!r} is not a single-binding right-turn egress "
                 f"surrogate (kind={zone.kind.value}, bindings={len(zone.bindings)})")
     return cluster_triggers(series, cfg, params)

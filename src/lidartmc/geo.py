@@ -33,13 +33,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import (
-    CollinearPointsError,
-    InsufficientPointsError,
-    SchemaError,
-    UnregisteredFrameError,
-    json_number,
-)
+from .errors import UserInputError, json_number
 
 # WGS84 ellipsoid
 WGS84_A = 6378137.0
@@ -222,7 +216,7 @@ class FrameRegistry:
         try:
             return self._frames[frame_id]
         except KeyError:
-            raise UnregisteredFrameError(frame_id) from None
+            raise UserInputError(f"sensor frame {frame_id!r} is not registered") from None
 
     def ned_rotation(self) -> RigidTransform:
         return self._ned_rot
@@ -253,10 +247,10 @@ def estimate_transform_from_gcps(
     Needs at least 3 pairs whose sensor-side points are not collinear:
     with the centroid removed the sensor points must span a plane, i.e.
     the second singular value must clear ``COLLINEARITY_RTOL`` times the
-    largest.
+    largest, which coincident points (both values 0) do not.
     """
     if len(src) < 3:
-        raise InsufficientPointsError(
+        raise UserInputError(
             f"need at least 3 GCP pairs, got {len(src)}"
         )
     c_src = src.mean(axis=0)
@@ -264,8 +258,8 @@ def estimate_transform_from_gcps(
     src0 = src - c_src
     dst0 = dst - c_dst
     sv = np.linalg.svd(src0, compute_uv=False)
-    if sv[1] < COLLINEARITY_RTOL * sv[0]:
-        raise CollinearPointsError("sensor-side GCPs are collinear within tolerance")
+    if not sv[1] > COLLINEARITY_RTOL * sv[0]:
+        raise UserInputError("sensor-side GCPs are collinear within tolerance")
     h = src0.T @ dst0
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
@@ -284,21 +278,13 @@ def load_gcp_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     geodetic side, in file order. A row whose geodetic side is not a valid
     :class:`GeodeticPoint`, or whose sensor coordinates or altitude are
     not within :data:`MAX_GCP_COORDINATE_M` of zero, is a
-    :class:`SchemaError`.
+    :class:`~lidartmc.errors.UserInputError`.
     """
     out: dict[str, tuple[list, list]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != GCP_CSV_HEADER:
-            raise SchemaError(
-                f"GCP file must start with header {','.join(GCP_CSV_HEADER)}"
-            )
-        for i, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for i, row in csv_rows(fh, GCP_CSV_HEADER, "GCP file"):
             if len(row) != 7:
-                raise SchemaError(f"GCP file line {i}: expected 7 fields, got {len(row)}")
+                raise UserInputError(f"GCP file line {i}: expected 7 fields, got {len(row)}")
             try:
                 sensor = [float(v) for v in row[1:4]]
                 geodetic = GeodeticPoint(*(float(v) for v in row[4:]))
@@ -306,11 +292,43 @@ def load_gcp_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
                     raise ValueError("sensor coordinates and alt must be finite and within "
                                      f"{MAX_GCP_COORDINATE_M:g} m of zero")
             except ValueError as exc:
-                raise SchemaError(f"GCP file line {i}: {exc}") from None
+                raise UserInputError(f"GCP file line {i}: {exc}") from None
             src, dst = out.setdefault(row[0].strip(), ([], []))
             src.append(sensor)
             dst.append(lla_to_ecef(geodetic))
     return {fid: (np.array(src), np.array(dst)) for fid, (src, dst) in out.items()}
+
+
+def csv_rows(fh, header: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and fields of each non-blank row of the open CSV file
+    ``fh`` after its ``header`` line. Another first line, or a field past the
+    ``csv`` module's size limit, is a ``UserInputError`` naming ``what``."""
+    reader = csv.reader(fh)
+    try:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise UserInputError(f"{what} must start with header {','.join(header)}")
+        for i, row in enumerate(reader, start=2):
+            if row and (len(row) > 1 or row[0].strip()):
+                yield i, row
+    except csv.Error as exc:
+        raise UserInputError(f"{what} line {reader.line_num}: {exc}") from None
+
+
+def load_json_document(path, what: str, from_obj):
+    """``from_obj`` of the JSON document in the file at ``path``. Text that is
+    not JSON, or a document nested too deeply to decode or to quote in a
+    reason, is a ``UserInputError`` naming ``what``."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # not JSON, or an integer past the decoder's digit limit
+            raise UserInputError(f"{what} is not valid JSON: {exc}") from None
+        return from_obj(doc)
+    except RecursionError as exc:
+        raise UserInputError(f"{what} is nested too deeply: {exc}") from None
 
 
 @contextmanager
@@ -369,7 +387,7 @@ def registry_from_json(text: str) -> FrameRegistry:
             trans = np.array([json_number(v) for v in entry["translation"]])
             registry.register(fid, RigidTransform(rot, trans))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise SchemaError(f"bad frame registry document: {exc}") from None
+        raise UserInputError(f"bad frame registry document: {exc}") from None
     return registry
 
 

@@ -78,7 +78,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 import orjson
 
-from .errors import InvalidFieldError, MalformedLineError, OutOfOrderError, json_number
+from .errors import MalformedLineError, UserInputError, json_number
 from .geo import FrameRegistry, wrap_angles
 from .intersection import IntersectionConfig, outside_session, zone_hits
 from .stream import (
@@ -180,7 +180,7 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
                            np.searchsorted(ends, bad, side="right").tolist()):
         if i not in reasons:
             col, reason = _CHECK_REASONS[check]
-            reasons[i] = InvalidFieldError(lines[i][0], refused.get(r) or reason.format(
+            reasons[i] = MalformedLineError(lines[i][0], refused.get(r) or reason.format(
                 name=_FIELD_NAMES[col], value=block[r, col].item()))
     for i, fault in faults.items():
         reasons.setdefault(i, fault)
@@ -190,7 +190,7 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
                 for v in rows[r] if scores[r] is None else (*rows[r], scores[r]):
                     json_number(v)
             except TypeError as exc:
-                reasons[i] = InvalidFieldError(lines[i][0], f"non-numeric detection field: {exc}")
+                reasons[i] = MalformedLineError(lines[i][0], f"non-numeric detection field: {exc}")
     return block, reasons
 
 
@@ -286,18 +286,18 @@ def _parse_columns(
                 fid = obj["frame_id"]
                 dets = obj["detections"]
                 if not math.isfinite(t):
-                    raise InvalidFieldError(line_no, f"non-finite timestamp {t!r}")
+                    raise MalformedLineError(line_no, f"non-finite timestamp {t!r}")
                 if not isinstance(dets, list):
                     raise MalformedLineError(line_no, "detections must be a list")
                 late = None
                 if type(obj["t"]) not in _NUMBER:
-                    late = InvalidFieldError(line_no, f"non-numeric timestamp {obj['t']!r}")
+                    late = MalformedLineError(line_no, f"non-numeric timestamp {obj['t']!r}")
                 # orjson reads an integer past 64 bits as a float: where a
                 # reason quotes a value that is not a number, it quotes
                 # json's, decoded again.
                 if type(fid) is not str:
                     fid = json.loads(line)["frame_id"]
-                    late = late or InvalidFieldError(
+                    late = late or MalformedLineError(
                         line_no, f"frame_id must be a string, got {fid!r}")
                 try:
                     rows.extend(map(_BOX, dets))
@@ -500,8 +500,8 @@ def parse_logs(
     stream holds those rows and the time of every frame, also of a frame
     left with no rows, so :func:`merge_streams` checks the order of every
     frame. A log whose sensor ``registry`` lacks keeps and drops no rows:
-    the caller raises :class:`~lidartmc.errors.UnregisteredFrameError`
-    for it after the merge, where :func:`frames_to_ned` would.
+    the caller raises :class:`~lidartmc.errors.UserInputError` for it
+    after the merge, where :func:`frames_to_ned` would.
 
     The logs are parsed concurrently: the calling process parses the
     first, and each later log, up to one process per usable CPU, is
@@ -554,11 +554,11 @@ def merge_streams(
     Each input is a :class:`MergedStream`, as :func:`parse_logs` gives,
     or a sequence of frames. Each may be locally jittered by up to
     ``reorder_window`` seconds; a frame older than that relative to the
-    newest already seen in its own stream raises
-    :class:`OutOfOrderError`. The order is by time, then frame_id, then
-    input stream, then position within the stream, so the merge is fully
-    deterministic. The inputs must share one coordinate frame, which the
-    result keeps.
+    newest already seen in its own stream raises a
+    :class:`~lidartmc.errors.UserInputError`. The order is by time, then
+    frame_id, then input stream, then position within the stream, so the
+    merge is fully deterministic. The inputs must share one coordinate
+    frame, which the result keeps.
     """
     streams = [s if isinstance(s, MergedStream) else MergedStream.from_frames(list(s))
                for s in streams]
@@ -567,7 +567,9 @@ def merge_streams(
         late = np.flatnonzero(s.t < newest - reorder_window)
         if late.size:
             i = late[0]
-            raise OutOfOrderError(s.sensors[s.sensor[i]], float(s.t[i]), reorder_window)
+            sensor, t = s.sensors[s.sensor[i]], float(s.t[i])
+            raise UserInputError(f"frame from sensor {sensor!r} at t={t} is more than "
+                                 f"{reorder_window}s out of order")
     if not streams:
         return MergedStream.from_frames(())
     coords = {s.coordinate_frame for s in streams}

@@ -33,8 +33,8 @@ from .classify import (
     class_table_from_obj,
     class_table_to_obj,
 )
-from .errors import ConfigInvariantError, SchemaError, UserInputError, json_number
-from .geo import GeodeticPoint, NedPoint, atomic_write_text
+from .errors import UserInputError, json_number
+from .geo import GeodeticPoint, NedPoint, atomic_write_text, load_json_document
 
 DEFAULT_MIN_HEADWAY_RIGHT_S = 2.0
 DEFAULT_MIN_HEADWAY_OTHER_S = 1.2
@@ -86,13 +86,13 @@ class Zone:
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.half_length, self.half_width)):
-            raise ConfigInvariantError(f"zone {self.id!r}: half extents must be finite and > 0")
+            raise UserInputError(f"zone {self.id!r}: half extents must be finite and > 0")
         if not math.isfinite(self.yaw):
-            raise ConfigInvariantError(f"zone {self.id!r}: yaw must be finite")
+            raise UserInputError(f"zone {self.id!r}: yaw must be finite")
         if not self.bindings:
-            raise ConfigInvariantError(f"zone {self.id!r}: bindings must be non-empty")
+            raise UserInputError(f"zone {self.id!r}: bindings must be non-empty")
         if len(set(self.bindings)) != len(self.bindings):
-            raise ConfigInvariantError(f"zone {self.id!r}: duplicate bindings")
+            raise UserInputError(f"zone {self.id!r}: duplicate bindings")
 
     @property
     def primary_binding(self) -> Binding:
@@ -141,6 +141,11 @@ def outside_session(t, session: tuple[float, float]):
     return np.logical_not((session[0] <= t) & (t < session[1]))
 
 
+def outside_session_error(t: float, session: tuple[float, float]) -> UserInputError:
+    """The error for a zone-contained detection at ``t`` outside ``session``."""
+    return UserInputError(f"t={t} outside schedule session [{session[0]}, {session[1]})")
+
+
 @dataclass(frozen=True)
 class CountingParams:
     """Clustering thresholds; defaults derive from a 1.5 s minimum
@@ -156,7 +161,7 @@ class CountingParams:
         if self.dedup_window is None:
             object.__setattr__(self, "dedup_window", self.cluster_gap)
         if not isinstance(self.absorb, bool):
-            raise SchemaError(f"absorb must be true or false, got {self.absorb!r}")
+            raise UserInputError(f"absorb must be true or false, got {self.absorb!r}")
         thresholds = tuple(json_number(v) for v in (
             self.min_headway_right, self.min_headway_other, self.cluster_gap,
             self.dedup_window))
@@ -193,7 +198,7 @@ class PhaseInterval:
 
     def __post_init__(self):
         if not self.end > self.start:
-            raise ConfigInvariantError(
+            raise UserInputError(
                 f"phase interval [{self.start}, {self.end}) is empty"
             )
 
@@ -208,10 +213,10 @@ class PhaseSchedule:
     def __post_init__(self):
         ivs = tuple(sorted(self.intervals, key=lambda iv: iv.start))
         if not ivs:
-            raise ConfigInvariantError("schedule must contain at least one interval")
+            raise UserInputError("schedule must contain at least one interval")
         for prev, iv in zip(ivs, ivs[1:]):
             if iv.start < prev.end:
-                raise ConfigInvariantError(f"phase intervals overlap at t={iv.start}")
+                raise UserInputError(f"phase intervals overlap at t={iv.start}")
         object.__setattr__(self, "intervals", ivs)
 
     @property
@@ -257,7 +262,7 @@ def validate_config_structure(zones: Sequence[Zone]) -> None:
     ids = [z.id for z in zones]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ConfigInvariantError(f"duplicate zone ids: {dupes}")
+        raise UserInputError(f"duplicate zone ids: {dupes}")
     ingress_bindings = {b for z in zones if z.kind is ZoneKind.INGRESS for b in z.bindings}
     surrogate_bindings = {
         z.bindings[0]: z.id for z in zones if z.is_right_surrogate
@@ -269,12 +274,12 @@ def validate_config_structure(zones: Sequence[Zone]) -> None:
             covered_by_ingress = b in ingress_bindings
             covered_by_surrogate = b in surrogate_bindings
             if covered_by_ingress and covered_by_surrogate:
-                raise ConfigInvariantError(
+                raise UserInputError(
                     f"movement {b[0].value}/{b[1].value} has both an ingress "
                     f"zone and egress surrogate {surrogate_bindings[b]!r}"
                 )
             if not covered_by_ingress and not covered_by_surrogate:
-                raise ConfigInvariantError(
+                raise UserInputError(
                     f"zone {z.id!r} binds {b[0].value}/{b[1].value} which has "
                     "no ingress zone and no egress surrogate"
                 )
@@ -285,7 +290,7 @@ def _binding_from_obj(obj) -> Binding:
         a, m = obj
         return (Approach(a), Movement(m))
     except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad (approach, movement) pair {obj!r}: {exc}") from None
+        raise UserInputError(f"bad (approach, movement) pair {obj!r}: {exc}") from None
 
 
 def _binding_to_obj(b: Binding) -> list[str]:
@@ -323,14 +328,14 @@ def config_from_obj(doc) -> IntersectionConfig:
             for iobj in doc["schedule"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad intersection config: {exc}") from None
+        raise UserInputError(f"bad intersection config: {exc}") from None
     schedule = PhaseSchedule(intervals)
     params = CountingParams()
     if "params" in doc:
         try:
             params = CountingParams(**doc["params"])
         except (TypeError, OverflowError) as exc:
-            raise SchemaError(f"bad counting params: {exc}") from None
+            raise UserInputError(f"bad counting params: {exc}") from None
     class_table = DEFAULT_CLASS_TABLE
     if "class_table" in doc:
         class_table = class_table_from_obj(doc["class_table"])
@@ -375,13 +380,7 @@ def config_to_obj(cfg: IntersectionConfig) -> dict:
 
 
 def load_intersection_config(path) -> IntersectionConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return config_from_obj(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config is not valid JSON: {exc}") from None
-        except RecursionError as exc:  # decoding, or quoting a value in a reason
-            raise SchemaError(f"config is nested too deeply: {exc}") from None
+    return load_json_document(path, "config", config_from_obj)
 
 
 def save_intersection_config(cfg: IntersectionConfig, path) -> None:

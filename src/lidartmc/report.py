@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleBinningError, SchemaError, UserInputError
+from .errors import UserInputError
+from .geo import csv_rows
 from .intersection import APPROACH_INDEX, APPROACHES, MOVEMENTS, Approach
 from .tables import (
     DEFAULT_BIN_SECONDS, GT_CSV_HEADER, MAX_BINS, TmcTable, empty_table, n_bins,
@@ -77,32 +78,26 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     rows: list[tuple[float, Approach, int, list[int]]] = []
     total = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != GT_CSV_HEADER:
-            raise SchemaError(
-                f"count table must start with header {','.join(GT_CSV_HEADER)}"
-            )
-        for i, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for i, row in csv_rows(fh, GT_CSV_HEADER, "count table"):
             if len(row) != len(GT_CSV_HEADER):
-                raise SchemaError(f"line {i}: expected {len(GT_CSV_HEADER)} fields, got {len(row)}")
+                raise UserInputError(
+                    f"line {i}: expected {len(GT_CSV_HEADER)} fields, got {len(row)}")
             try:
                 bin_start = float(row[0])
                 approach = Approach(row[1].strip())
                 class_id = int(row[2])
                 counts = [int(v) for v in row[3:]]
             except ValueError as exc:
-                raise SchemaError(f"line {i}: {exc}") from None
+                raise UserInputError(f"line {i}: {exc}") from None
             if class_id < 1:
-                raise SchemaError(f"line {i}: class {class_id} must be at least 1")
+                raise UserInputError(f"line {i}: class {class_id} must be at least 1")
             for v in counts:
                 if v < 0:
                     raise UserInputError(f"line {i}: negative count {v}")
             total += sum(counts)
             if total > INT64_MAX:
-                raise SchemaError(f"line {i}: counts so far sum past the int64 limit {INT64_MAX}")
+                raise UserInputError(
+                    f"line {i}: counts so far sum past the int64 limit {INT64_MAX}")
             rows.append((bin_start, approach, class_id, counts))
     if not rows:
         return empty_table(bin_seconds, (0.0, 0.0))
@@ -119,7 +114,7 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     for bin_start, approach, class_id, counts in rows:
         b = (bin_start - session[0]) / bin_seconds
         if abs(b - round(b)) > 1e-6:
-            raise SchemaError(
+            raise UserInputError(
                 f"bin_start {bin_start} is not on the {bin_seconds}s bin grid"
             )
         b = int(round(b))
@@ -196,11 +191,11 @@ def compare(
     if est.bin_seconds == gt.bin_seconds and est.session[0] != gt.session[0]:
         est, gt = _on_common_grid(est, gt)
     if est.bin_seconds != gt.bin_seconds or est.session != gt.session:
-        raise IncompatibleBinningError(
+        raise UserInputError(
             "estimate and ground truth have different bin duration or session"
         )
     if est.n_classes != gt.n_classes:
-        raise IncompatibleBinningError(
+        raise UserInputError(
             f"estimate has {est.n_classes} vehicle classes, ground truth {gt.n_classes}"
         )
     est_m = aggregate(est, group_by)

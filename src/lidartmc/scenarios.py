@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScriptValidationError
+from .errors import UserInputError
 from .intersection import Approach, IntersectionConfig, Movement
 from .reference import build_long_range_config, build_reference_config
 from .simgen import ScriptedVehicle, SimConfig
@@ -121,7 +121,7 @@ def scenario_by_name(name: str) -> Scenario:
     for sc in scenario_suite():
         if sc.name == name:
             return sc
-    raise ScriptValidationError(
+    raise UserInputError(
         f"unknown scenario {name!r}; available: "
         + ", ".join(sc.name for sc in scenario_suite())
     )

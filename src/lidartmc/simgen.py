@@ -48,8 +48,8 @@ import numpy as np
 import orjson
 
 from .classify import parse_class_id
-from .errors import SchemaError, ScriptValidationError, json_number
-from .geo import FrameRegistry, RigidTransform, compose, wrap_angles
+from .errors import UserInputError, json_number
+from .geo import FrameRegistry, RigidTransform, compose, load_json_document, wrap_angles
 from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
 from .stream import BOX_COLUMNS, MAX_DIMENSION_M, H, L, SCORE, W, X, YAW, Z, MergedStream
 from .tables import DEFAULT_BIN_SECONDS, TmcTable, empty_table, n_bins
@@ -123,18 +123,18 @@ class SimConfig:
         if self.sensors == ():
             object.__setattr__(self, "sensors", default_sensors())
         if not 3.0 <= self.frame_rate_hz <= 5.0:
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"frame_rate_hz {self.frame_rate_hz} outside [3, 5]"
             )
         if not 0.0 <= self.dropout < 1.0:
-            raise ScriptValidationError(f"dropout {self.dropout} outside [0, 1)")
+            raise UserInputError(f"dropout {self.dropout} outside [0, 1)")
         if not self.noise_sigma >= 0:  # NaN too
-            raise ScriptValidationError("noise sigma must be >= 0")
+            raise UserInputError("noise sigma must be >= 0")
         if self.noise_sigma > VISIBILITY_M:
-            raise ScriptValidationError(f"noise sigma must be <= {VISIBILITY_M}, the sensor range")
+            raise UserInputError(f"noise sigma must be <= {VISIBILITY_M}, the sensor range")
         ids = [s.frame_id for s in self.sensors]
         if not ids or len(set(ids)) != len(ids):
-            raise ScriptValidationError("sensors must be non-empty with unique ids")
+            raise UserInputError("sensors must be non-empty with unique ids")
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,9 @@ def _check_script(
     zones = []
     for v, cls in zip(script, length_class.tolist()):
         if not 1 <= v.vehicle_class <= table.n_classes:
-            raise ScriptValidationError(f"vehicle class {v.vehicle_class} unknown")
+            raise UserInputError(f"vehicle class {v.vehicle_class} unknown")
         if not 0.0 < v.speed <= MAX_SPEED_MPS:
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]"
             )
         binding = (v.approach, v.movement)
@@ -189,27 +189,27 @@ def _check_script(
         if zone is None:
             movement = f"{v.approach.value}/{v.movement.value}"
             if v.zone_id is None:
-                raise ScriptValidationError(f"no countable zone for {movement}; "
-                                            "the movement would be miscounted or missed")
+                raise UserInputError(f"no countable zone for {movement}; "
+                                     "the movement would be miscounted or missed")
             if v.zone_id not in zone_ids:
-                raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}")
-            raise ScriptValidationError(f"zone {v.zone_id!r} cannot count {movement}")
+                raise UserInputError(f"unknown zone_id {v.zone_id!r}")
+            raise UserInputError(f"zone {v.zone_id!r} cannot count {movement}")
         if v.length is None:
             if v.vehicle_class in too_long:
-                raise ScriptValidationError(f"class-{v.vehicle_class} lengths are drawn up to "
-                                            f"the box limit {MAX_DIMENSION_M} m")
+                raise UserInputError(f"class-{v.vehicle_class} lengths are drawn up to "
+                                     f"the box limit {MAX_DIMENSION_M} m")
         elif cls != v.vehicle_class:
             table.classify(v.length)  # raises for a non-positive or non-finite length
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"length {v.length} is not a class-{v.vehicle_class} length"
             )
         elif v.length >= MAX_DIMENSION_M:
-            raise ScriptValidationError(f"length {v.length} is not below the box limit "
-                                        f"{MAX_DIMENSION_M} m")
+            raise UserInputError(f"length {v.length} is not below the box limit "
+                                 f"{MAX_DIMENSION_M} m")
         residence = 2.0 * zone.half_length / v.speed
         if (outside_session(v.entry_time, session)
                 or outside_session(v.entry_time + residence, session)):
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"vehicle at entry_time {v.entry_time} does not clear its zone "
                 f"within session [{t0}, {t1})"
             )
@@ -347,7 +347,7 @@ def tally_script(script: Sequence[ScriptedVehicle], session: tuple[float, float]
     movement_index = {m: i for i, m in enumerate(Movement)}
     for v in script:
         if outside_session(v.entry_time, session):
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"entry_time {v.entry_time} outside session [{t0}, {t1})"
             )
         b = int(math.floor((v.entry_time - t0) / bin_seconds))
@@ -407,15 +407,9 @@ def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
             for v in doc["vehicles"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad script document: {exc}") from None
+        raise UserInputError(f"bad script document: {exc}") from None
     return vehicles
 
 
 def load_script(path) -> tuple[ScriptedVehicle, ...]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return script_from_obj(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"script is not valid JSON: {exc}") from None
-        except RecursionError as exc:  # decoding, or quoting a value in a reason
-            raise SchemaError(f"script is nested too deeply: {exc}") from None
+    return load_json_document(path, "script", script_from_obj)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from lidartmc.counting import MovementEvent, TriggerSeries
-from lidartmc.errors import ScriptValidationError, TimeOutsideScheduleError, json_number
+from lidartmc.errors import UserInputError, json_number
 from lidartmc.geo import (
     WGS84_A,
     WGS84_E2,
@@ -105,7 +105,7 @@ def permissible(a: Approach, m: Movement, t: float, s: PhaseSchedule) -> bool:
     """Whether (a, m) may move at time t. Right turns always may."""
     s0, s1 = s.session
     if not (s0 <= t < s1):
-        raise TimeOutsideScheduleError(t, s.session)
+        raise UserInputError(f"t={t} outside schedule session [{s0}, {s1})")
     if m is Movement.RIGHT:
         return True
     for iv in s.intervals:
@@ -324,15 +324,15 @@ def governing_zone(v, cfg) -> Zone:
     if v.zone_id is not None:
         named = [z for z in cfg.zones if z.id == v.zone_id]
         if not named:
-            raise ScriptValidationError(f"unknown zone_id {v.zone_id!r}")
+            raise UserInputError(f"unknown zone_id {v.zone_id!r}")
         if (named[0], binding) not in targets:
-            raise ScriptValidationError(f"zone {v.zone_id!r} cannot count {movement}")
+            raise UserInputError(f"zone {v.zone_id!r} cannot count {movement}")
         return named[0]
     for zone, b in targets:
         if b == binding:
             return zone
-    raise ScriptValidationError(f"no countable zone for {movement}; "
-                                "the movement would be miscounted or missed")
+    raise UserInputError(f"no countable zone for {movement}; "
+                         "the movement would be miscounted or missed")
 
 
 def resolve_script(script, cfg, rng) -> list[tuple]:
@@ -348,28 +348,28 @@ def resolve_script(script, cfg, rng) -> list[tuple]:
     resolved = []
     for v in script:
         if not 1 <= v.vehicle_class <= table.n_classes:
-            raise ScriptValidationError(f"vehicle class {v.vehicle_class} unknown")
+            raise UserInputError(f"vehicle class {v.vehicle_class} unknown")
         if not 0.0 < v.speed <= MAX_SPEED_MPS:
-            raise ScriptValidationError(f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]")
+            raise UserInputError(f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]")
         zone = governing_zone(v, cfg)
         band = table.by_id(v.vehicle_class)
         if v.length is None:
             upper = band.upper if math.isfinite(band.upper) else band.lower + 10.0
             if upper - 0.02 >= MAX_DIMENSION_M:
-                raise ScriptValidationError(f"class-{v.vehicle_class} lengths are drawn up to "
-                                            f"the box limit {MAX_DIMENSION_M} m")
+                raise UserInputError(f"class-{v.vehicle_class} lengths are drawn up to "
+                                     f"the box limit {MAX_DIMENSION_M} m")
             length = float(rng.uniform(band.lower + 0.02, upper - 0.02))
         elif table.classify(v.length).id != v.vehicle_class:
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"length {v.length} is not a class-{v.vehicle_class} length")
         elif v.length >= MAX_DIMENSION_M:
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"length {v.length} is not below the box limit {MAX_DIMENSION_M} m")
         else:
             length = v.length
         exit_time = v.entry_time + 2.0 * zone.half_length / v.speed
         if not (t0 <= v.entry_time < t1 and t0 <= exit_time < t1):
-            raise ScriptValidationError(
+            raise UserInputError(
                 f"vehicle at entry_time {v.entry_time} does not clear its zone "
                 f"within session [{t0}, {t1})")
         resolved.append((v, zone, length))

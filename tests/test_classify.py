@@ -9,7 +9,7 @@ from lidartmc.classify import (
     class_table_from_obj,
     class_table_to_obj,
 )
-from lidartmc.errors import NonpositiveLengthError, SchemaError
+from lidartmc.errors import UserInputError
 
 
 @pytest.mark.parametrize(
@@ -53,10 +53,10 @@ def test_sweep_totality_and_monotonicity():
 def test_nonpositive_length():
     for bad in (0.0, -1.0, math.nan, math.inf):
         message = f"^{re.escape(f'length must be positive and finite, got {bad!r}')}$"
-        with pytest.raises(NonpositiveLengthError, match=message):
+        with pytest.raises(UserInputError, match=message):
             DEFAULT_CLASS_TABLE.classify(bad)
         for lengths in ([bad], [3.0, bad, -5.0]):  # the first bad length is named
-            with pytest.raises(NonpositiveLengthError, match=message):
+            with pytest.raises(UserInputError, match=message):
                 DEFAULT_CLASS_TABLE.class_ids(np.array(lengths))
 
 
@@ -111,5 +111,5 @@ def test_custom_table():
     ],
 )
 def test_invalid_tables_rejected(rows):
-    with pytest.raises(SchemaError):
+    with pytest.raises(UserInputError, match="^(last )?class"):
         class_table_from_obj(rows)

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_rotation
 from lidartmc import cli, ingest
 from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
-from lidartmc.errors import SchemaError
+from lidartmc.errors import UserInputError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
 from lidartmc.ingest import frames_to_ned, parse_detection_log
 from lidartmc.intersection import (
@@ -140,7 +141,7 @@ class TestGeoref:
             assert "no GCP rows for frame 'L3'" in capsys.readouterr().err
             assert not registry.exists()
 
-    def test_updates_an_existing_registry(self, tmp_path):
+    def test_updates_an_existing_registry(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
         for frame_id, seed in (("L1", 68), ("L2", 69)):
             gcp = tmp_path / f"{frame_id}.csv"
@@ -151,6 +152,17 @@ class TestGeoref:
         reg = load_registry(registry)
         assert reg.frame_ids == ("L1", "L2")
         assert reg.ned_origin == GeodeticPoint(34.05, -117.4, 350.0)
+        # An update may name the registry's own origin, and no other.
+        update = ["georef", str(gcp), "--registry", str(registry)]
+        saved = registry.read_bytes()
+        capsys.readouterr()
+        assert cli.main(update + ["--ned-origin", "10,10,0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: registry NED origin GeodeticPoint(lat=34.05, lon=-117.4, alt=350.0) "
+            "is not the given GeodeticPoint(lat=10.0, lon=10.0, alt=0.0)\n")
+        assert cli.main(update + ["--config", str(tmp_path / "missing.json")]) == 2
+        assert registry.read_bytes() == saved
+        assert cli.main(update + ["--config", reference_config_path()]) == 0
 
 
 class TestSimulate:
@@ -1000,8 +1012,9 @@ GCP_ROW = "L1,1.0,2.0,3.0,34.05,-117.4,350.0"
     (GCP_ROW, "a,b,c"),
     (GCP_ROW, "100,0,0"),
     (GCP_ROW, "nan,0,0"),
+    ("L1," + "1" * 140_000 + ",2.0,3.0,34.05,-117.4,350.0", "34.05,-117.4,350.0"),
 ], ids=["nan sensor value", "lat 95", "two origin values", "non-numeric origin",
-        "origin lat 100", "nan origin"])
+        "origin lat 100", "nan origin", "field past the csv limit"])
 def test_georef_bad_input_exits_2(tmp_path, capsys, row, origin):
     gcp = tmp_path / "gcps.csv"
     write_gcp_file(gcp, np.random.default_rng(66))
@@ -1119,9 +1132,10 @@ def test_bad_config_value_exits_2(ideal_sim, tmp_path, path, value):
                                            (["0.0,NB,3,0,4611686018427387904,0,0"] * 4, 3),
                                            (["0.0,NB,3,1,0,0"], 2),
                                            (["0.0,NB,3,1,x,0,0"], 2),
-                                           (["0.0,NB,0,1,0,0,0"], 2)],
+                                           (["0.0,NB,0,1,0,0,0"], 2),
+                                           (["0.0,NB,3,1,0,0,0", "0.0,NB,3," + "1" * 140_000], 3)],
                          ids=["one count", "cell total", "field count", "non-numeric",
-                              "class 0"])
+                              "class 0", "field past the csv limit"])
 def test_count_past_int64_exits_2(tmp_path, capsys, rows, bad_line):
     table = tmp_path / "table.csv"
     table.write_text("\n".join(["bin_start,approach,class,left,thru,right,uturn", *rows]) + "\n")
@@ -1265,7 +1279,7 @@ def test_spoofed_number_is_a_schema_error(ideal_sim, tmp_path, kind, path, value
     doc, argv = document_and_argv(kind, ideal_sim)
     pos = list(json_paths(doc)).index(path)
     assert mutated_doc_exit_code(doc, [("replace", pos, value)], tmp_path, argv) == 2
-    with pytest.raises(SchemaError):
+    with pytest.raises(UserInputError, match="expected a number, got "):
         LOADERS[kind](tmp_path / "doc.json")
 
 
@@ -1286,16 +1300,23 @@ def test_number_replaced_by_string_or_bool_exits_2(ideal_sim, kind, data):
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+# JSON text that is not a document: (text, what the message names). An
+# integer of more than 4,300 digits is refused by the decoder itself.
+INVALID_JSON = [('{"vehicles": [', "Expecting value"),
+                ('{"vehicles": [%s]}' % ("9" * 5000), "Exceeds the limit (4300 digits)")]
+
+
 @pytest.mark.parametrize("kind", LOADERS)
 def test_invalid_json_exits_2(ideal_sim, tmp_path, capsys, kind):
     _, argv = document_and_argv(kind, ideal_sim)
     doc = tmp_path / "doc.json"
-    doc.write_text('{"vehicles": [')
-    assert cli.main([str(doc) if a == "{doc}" else a for a in argv]
-                    + ["--out-dir", str(tmp_path / "out")]) == 2
-    assert "Expecting value" in capsys.readouterr().err
-    with pytest.raises(SchemaError):
-        LOADERS[kind](doc)
+    for text, reason in INVALID_JSON:
+        doc.write_text(text)
+        assert cli.main([str(doc) if a == "{doc}" else a for a in argv]
+                        + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert reason in capsys.readouterr().err
+        with pytest.raises(UserInputError, match=re.escape(reason)):
+            LOADERS[kind](doc)
 
 
 @pytest.mark.parametrize("kind", ["log", *LOADERS])
@@ -1316,7 +1337,7 @@ def test_deeply_nested_input_exits_0_or_2(ideal_sim, tmp_path, capsys, kind):
                     + ["--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
-    with pytest.raises(SchemaError):
+    with pytest.raises(UserInputError, match="maximum recursion depth"):
         LOADERS[kind](doc)
 
 
@@ -1349,3 +1370,68 @@ def test_mutated_gcp_file_exits_0_or_2(mutations):
         code = cli.main(["georef", str(gcp), "--registry", str(Path(tmp) / "registry.json"),
                          "--ned-origin", "34.05,-117.4,350.0"])
     assert code in (0, 2)
+
+
+def config_text(path, value):
+    """The reference config as JSON text, with the node at ``path`` replaced."""
+    doc = json.loads(Path(reference_config_path()).read_text())
+    *head, key = path
+    node_at(doc, head)[key] = value
+    return json.dumps(doc)
+
+
+def script_text(**fields):
+    return json.dumps({"vehicles": [{**SCRIPT_DOC["vehicles"][0], **fields}]})
+
+
+FRAME_LINE = '{{"t": {}, "frame_id": "L1", "detections": []}}\n'
+GCP_HEADER = "frame_id,sx,sy,sz,lat,lon,alt\n"
+GCP_ROWS = ["L1,0,0,0,34.05,-117.4,350", "L1,1,0,0,34.0501,-117.4,350",
+            "L1,2,0,0,34.0502,-117.4,350"]
+ESTIMATE = ["estimate", "{sim}/log_L1.jsonl", "--registry", "{sim}/registry.json"]
+GEOREF = ["georef", "{doc}", "--ned-origin", "34.05,-117.4,350.0"]
+SIMULATE = ["simulate", "--script", "{doc}", "--seed", "3"]
+
+# The exact stderr of user errors through main: (command, the text of the
+# file "{doc}", stderr). An unregistered sensor, a --strict out-of-session
+# detection (both in test_parse_logs) and tables of different class counts
+# (TestCompare) are pinned where they are tested.
+USER_ERRORS = {
+    "out-of-order log": (
+        ["estimate", "{doc}", "--registry", "{sim}/registry.json"],
+        FRAME_LINE.format(10.0) + FRAME_LINE.format(5.0),
+        "error: frame from sensor 'L1' at t=5.0 is more than 1.0s out of order\n"),
+    "duplicate zone ids": (
+        [*ESTIMATE, "--config", "{doc}"], config_text(("zones", 1, "id"), "NB_L"),
+        "error: duplicate zone ids: ['NB_L']\n"),
+    "string zone centre": (
+        [*ESTIMATE, "--config", "{doc}"], config_text(("zones", 0, "center", 0), "-19.0"),
+        "error: bad intersection config: expected a number, got '-19.0'\n"),
+    "collinear GCPs": (
+        GEOREF, GCP_HEADER + "\n".join(GCP_ROWS) + "\n",
+        "error: sensor-side GCPs are collinear within tolerance\n"),
+    "two GCPs": (
+        GEOREF, GCP_HEADER + "\n".join(GCP_ROWS[:2]) + "\n",
+        "error: need at least 3 GCP pairs, got 2\n"),
+    "script speed 99": (
+        SIMULATE, script_text(speed=99), "error: speed 99.0 outside (0, 20.0]\n"),
+    "off-class script length": (
+        SIMULATE, script_text(length=12.0), "error: length 12.0 is not a class-3 length\n"),
+    "non-positive script length": (
+        SIMULATE, script_text(length=-1.0),
+        "error: length must be positive and finite, got -1.0\n"),
+    "tables of different sessions": (
+        ["compare", str(GT_FIXTURE), "{doc}"],
+        "bin_start,approach,class,left,thru,right,uturn\n0.0,NB,3,1,2,3,4\n",
+        "error: estimate and ground truth have different bin duration or session\n"),
+}
+
+
+@pytest.mark.parametrize("argv,doc,stderr", USER_ERRORS.values(), ids=USER_ERRORS)
+def test_user_error_message(ideal_sim, tmp_path, capsys, argv, doc, stderr):
+    path = tmp_path / "doc"
+    path.write_text(doc)
+    capsys.readouterr()
+    argv = [a.format(sim=ideal_sim, doc=path) for a in argv]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == stderr

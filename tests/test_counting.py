@@ -15,12 +15,7 @@ from lidartmc.counting import (
     events_to_csv,
     extract_triggers,
 )
-from lidartmc.errors import (
-    MisconfiguredSurrogateError,
-    NonpositiveLengthError,
-    TimeOutsideScheduleError,
-    UserInputError,
-)
+from lidartmc.errors import UserInputError
 from lidartmc.geo import GeodeticPoint, NedPoint
 from lidartmc.stream import FRAME_NED, Frame, MergedStream
 from lidartmc.intersection import (
@@ -149,7 +144,8 @@ class TestExtractTriggers:
     def test_contained_detection_outside_session_raises(self):
         cfg = small_config()
         stream = ned_stream(ned_frame(500.0, (-19.0, 5.25, 4.5)))
-        with pytest.raises(TimeOutsideScheduleError):
+        with pytest.raises(UserInputError,
+                           match=r"^t=500.0 outside schedule session \[0.0, 120.0\)$"):
             extract_triggers(stream, cfg)
 
     def test_uncontained_detection_outside_session_ok(self):
@@ -224,7 +220,7 @@ class TestClusterThresholds:
         cfg = small_config()
         assert len(cluster({"THRU": [trig(0.0, 0.0), trig(0.3, 4.5)]}, cfg)) == 1
         series = {"THRU": [trig(0.0, 4.5), trig(5.0, -2.0), trig(5.3, -1.0)]}
-        with pytest.raises(NonpositiveLengthError, match="got -1.0$"):
+        with pytest.raises(UserInputError, match="^length must be positive and finite, got -1.0$"):
             cluster(series, cfg)
 
     def test_cross_sensor_dedup(self):
@@ -320,12 +316,12 @@ class TestEgressSurrogate:
         )
         schedule = PhaseSchedule((PhaseInterval(0.0, 60.0, frozenset({(WB, T)})),))
         cfg = IntersectionConfig(GeodeticPoint(0.0, 0.0, 0.0), zones, schedule)
-        with pytest.raises(MisconfiguredSurrogateError):
+        with pytest.raises(UserInputError, match="^zone 'BAD' is not a single-binding right-turn"):
             egress({"BAD": [trig(5.0)]}, cfg)
 
     def test_plain_ingress_zone_rejected_as_surrogate(self):
         cfg = small_config()
-        with pytest.raises(MisconfiguredSurrogateError):
+        with pytest.raises(UserInputError, match="^zone 'THRU' is not a single-binding right-turn"):
             egress({"THRU": []}, cfg)
 
 

@@ -8,10 +8,6 @@ from lidartmc import errors
 # Constructor arguments of the errors that take more than a message.
 ARGS = {
     errors.MalformedLineError: (7, "bad frame line: boom"),
-    errors.InvalidFieldError: (8, "z must be finite, got nan"),
-    errors.OutOfOrderError: ("L1", 12.5, 1.0),
-    errors.UnregisteredFrameError: ("L9",),
-    errors.TimeOutsideScheduleError: (301.0, (0.0, 300.0)),
 }
 
 ERROR_CLASSES = [

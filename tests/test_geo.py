@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from lidartmc.errors import (
-    CollinearPointsError,
-    InsufficientPointsError,
-    SchemaError,
-    UnregisteredFrameError,
-)
+from lidartmc.errors import UserInputError
 from lidartmc.geo import (
     WGS84_A,
     FrameRegistry,
@@ -259,19 +254,21 @@ class TestGcpRegistration:
 
     def test_insufficient_points(self):
         pts = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
-        with pytest.raises(InsufficientPointsError):
+        with pytest.raises(UserInputError, match="^need at least 3 GCP pairs, got 2$"):
             estimate_transform_from_gcps(pts, pts)
 
     def test_collinear_points(self):
         pts = np.array([(float(i), 0.0, 0.0) for i in range(5)])
-        with pytest.raises(CollinearPointsError):
-            estimate_transform_from_gcps(pts, pts)
+        same = np.zeros((3, 3))  # coincident: both singular values are 0
+        for src, dst in ((pts, pts), (same, pts[:3])):
+            with pytest.raises(UserInputError, match="^sensor-side GCPs are collinear"):
+                estimate_transform_from_gcps(src, dst)
 
 
 class TestRegistry:
     def test_unregistered_frame(self):
         reg = FrameRegistry(GeodeticPoint(0.0, 0.0, 0.0))
-        with pytest.raises(UnregisteredFrameError):
+        with pytest.raises(UserInputError, match="^sensor frame 'L9' is not registered$"):
             reg.transform_for("L9")
 
     def test_json_round_trip(self, tmp_path):
@@ -290,7 +287,7 @@ class TestRegistry:
     def test_bad_registry_json(self, tmp_path):
         path = tmp_path / "registry.json"
         path.write_text('{"frames": {}}')
-        with pytest.raises(SchemaError):
+        with pytest.raises(UserInputError, match="^bad frame registry document: 'ned_origin'$"):
             load_registry(path)
 
     @pytest.mark.parametrize("frames", ["[]", '"L1"', "null", '{"L1": []}',
@@ -298,7 +295,7 @@ class TestRegistry:
                                         '{"L1": {"rotation": [%d], "translation": []}}' % 10**400])
     def test_bad_frames_are_schema_errors(self, frames):
         origin = '{"lat": 34.05, "lon": -117.4, "alt": 350.0}'
-        with pytest.raises(SchemaError):
+        with pytest.raises(UserInputError, match="^bad frame registry document: "):
             registry_from_json(f'{{"ned_origin": {origin}, "frames": {frames}}}')
 
 
@@ -371,13 +368,13 @@ class TestGcpCsv:
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "gcps.csv"
         path.write_text("a,b,c\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(UserInputError, match="^GCP file must start with header frame_id,"):
             load_gcp_csv(path)
 
     def test_rejects_bad_row(self, tmp_path):
         path = tmp_path / "gcps.csv"
         path.write_text("frame_id,sx,sy,sz,lat,lon,alt\nL1,x,0,0,0,0,0\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(UserInputError, match="^GCP file line 2: could not convert"):
             load_gcp_csv(path)
 
     @pytest.mark.parametrize("row", ["L1,nan,0,0,34,-117,0", "L1,0,inf,0,34,-117,0",
@@ -387,7 +384,7 @@ class TestGcpCsv:
     def test_rejects_bad_values_with_line_number(self, tmp_path, row):
         path = tmp_path / "gcps.csv"
         path.write_text(f"frame_id,sx,sy,sz,lat,lon,alt\nL1,1,2,3,34,-117,0\n{row}\n")
-        with pytest.raises(SchemaError, match="line 3"):
+        with pytest.raises(UserInputError, match="^GCP file line 3: "):
             load_gcp_csv(path)
 
 

@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import frame_rows, random_rotation
 from lidartmc import ingest, stream
-from lidartmc.errors import (
-    InvalidFieldError,
-    MalformedLineError,
-    OutOfOrderError,
-    UnregisteredFrameError,
-)
+from lidartmc.errors import MalformedLineError, UserInputError
 from lidartmc.geo import (
     FrameRegistry,
     GeodeticPoint,
@@ -88,7 +83,7 @@ class TestParse:
 
     def test_negative_dimension_is_invalid_field(self):
         line = FIXTURE_LINE.replace('"l": 4.6', '"l": -1')
-        with pytest.raises(InvalidFieldError):
+        with pytest.raises(MalformedLineError, match=r"length must be in \(0, 50.0\), got -1.0$"):
             list(parse_detection_log(io.StringIO(line), strict=True))
 
     def test_strict_raises_on_garbage(self):
@@ -126,7 +121,7 @@ class TestParse:
 
     def test_score_validation(self):
         line = FIXTURE_LINE.replace('"yaw": 0.12', '"yaw": 0.12, "score": 1.5')
-        with pytest.raises(InvalidFieldError):
+        with pytest.raises(MalformedLineError, match=r"score 1.5 outside \[0, 1\]$"):
             list(parse_detection_log(io.StringIO(line), strict=True))
 
     def test_round_trip_fixed_point(self):
@@ -296,7 +291,7 @@ class TestStrictNumbers:
         frames = parse_detection_log([line, frame_line(2.0, GOOD_DET)], error_sink=errors)
         assert [(f.frame_id, f.t) for f in frames] == [("L1", 2.0)]
         assert [(e.line_no, e.reason) for e in errors] == [(1, reason)]
-        with pytest.raises(InvalidFieldError) as exc:
+        with pytest.raises(MalformedLineError) as exc:
             parse_detection_log([line], strict=True)
         assert exc.value.reason == reason
 
@@ -716,10 +711,9 @@ class TestMerge:
 
     def test_far_out_of_order_rejected(self):
         frames = [make_frame("L1", 10.0), make_frame("L1", 5.0)]
-        with pytest.raises(OutOfOrderError) as exc:
+        with pytest.raises(UserInputError) as exc:
             merge_streams([frames], reorder_window=1.0)
-        assert exc.value.frame_id == "L1"
-        assert exc.value.t == 5.0
+        assert str(exc.value) == "frame from sensor 'L1' at t=5.0 is more than 1.0s out of order"
 
     def test_jitter_within_window_sorted(self):
         frames = [make_frame("L1", t) for t in (0.0, 0.5, 0.4, 0.9)]
@@ -877,7 +871,7 @@ class TestFramesToNed:
 
     def test_unregistered_frame(self):
         registry = _ned_aligned_registry()
-        with pytest.raises(UnregisteredFrameError):
+        with pytest.raises(UserInputError, match="^sensor frame 'L9' is not registered$"):
             frames_to_ned(MergedStream.from_frames([make_frame("L9", 0.0, (0.0, 0.0))]), registry)
 
     def test_rejects_already_converted(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidartmc.errors import ConfigInvariantError, SchemaError, TimeOutsideScheduleError
+from lidartmc.errors import UserInputError
 from lidartmc.geo import NedPoint
 from lidartmc.intersection import (
     Approach,
@@ -90,11 +90,11 @@ class TestPointInZone:
         assert point_in_zone(p, z) == point_in_zone(moved_p, moved_zone)
 
     def test_zone_validation(self):
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(UserInputError, match="^zone 'Z': half extents must be finite"):
             make_zone(half_length=0.0)
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(UserInputError, match="^zone 'Z': bindings must be non-empty$"):
             make_zone(bindings=())
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(UserInputError, match="^zone 'Z': duplicate bindings$"):
             make_zone(bindings=((NB, T), (NB, T)))
 
 
@@ -152,9 +152,9 @@ class TestPermissible:
 
     def test_outside_session_raises(self):
         s = simple_schedule()
-        with pytest.raises(TimeOutsideScheduleError):
+        with pytest.raises(UserInputError, match=r"^t=60.0 outside schedule session \[0.0, 60"):
             permissible(NB, T, 60.0, s)
-        with pytest.raises(TimeOutsideScheduleError):
+        with pytest.raises(UserInputError, match=r"^t=-1.0 outside schedule session \[0.0, 60"):
             permissible(NB, R, -1.0, s)
 
     def test_gap_between_intervals_not_permissible(self):
@@ -169,7 +169,7 @@ class TestPermissible:
         assert permissible(NB, R, 15.0, s)
 
     def test_overlapping_intervals_rejected(self):
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(UserInputError, match="^phase intervals overlap at t=10.0$"):
             PhaseSchedule(
                 [
                     PhaseInterval(0.0, 20.0, frozenset({(NB, T)})),
@@ -183,7 +183,7 @@ class TestPermissible:
         s = PhaseSchedule([late, early])
         assert s.intervals == (early, late)
         assert s.session == (0.0, 60.0)
-        with pytest.raises(ConfigInvariantError, match="at least one interval"):
+        with pytest.raises(UserInputError, match="at least one interval"):
             PhaseSchedule(())
 
 
@@ -254,13 +254,13 @@ class TestConfig:
         ]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(UserInputError, match="^phase intervals overlap at t=30.0$"):
             load_intersection_config(path)
 
     def test_duplicate_zone_ids_rejected(self):
         obj = minimal_config_obj()
         obj["zones"].append(dict(obj["zones"][0]))
-        with pytest.raises(ConfigInvariantError, match="duplicate zone ids"):
+        with pytest.raises(UserInputError, match="duplicate zone ids"):
             config_from_obj(obj)
 
     def test_uncovered_movement_rejected(self):
@@ -277,7 +277,7 @@ class TestConfig:
                 "bindings": [["SB", "Thru"]],
             }
         )
-        with pytest.raises(ConfigInvariantError, match="no ingress zone"):
+        with pytest.raises(UserInputError, match="no ingress zone"):
             config_from_obj(obj)
 
     def test_double_coverage_rejected(self):
@@ -295,16 +295,16 @@ class TestConfig:
                 "bindings": [["NB", "Right"]],
             }
         )
-        with pytest.raises(ConfigInvariantError, match="both an ingress"):
+        with pytest.raises(UserInputError, match="both an ingress"):
             config_from_obj(obj)
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
-        with pytest.raises(SchemaError):
+        with pytest.raises(UserInputError, match="^config is not valid JSON: Expecting property"):
             load_intersection_config(path)
         path.write_text(json.dumps({"zones": []}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(UserInputError, match="^bad intersection config: 'ned_origin'$"):
             load_intersection_config(path)
 
     def test_config_obj_round_trip(self, reference_config):

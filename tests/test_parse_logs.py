@@ -23,7 +23,7 @@ import pytest
 from conftest import frame_rows
 from lidartmc import cli, ingest
 from lidartmc.counting import extract_triggers
-from lidartmc.errors import MalformedLineError, OutOfOrderError, UnregisteredFrameError
+from lidartmc.errors import MalformedLineError
 from lidartmc.geo import FrameRegistry, RigidTransform, load_registry
 from lidartmc.intersection import zone_hits
 from lidartmc.reference import build_reference_config

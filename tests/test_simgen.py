@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lidartmc.classify import class_table_from_obj
 from lidartmc.counting import count_session, estimate_tmc
-from lidartmc.errors import ScriptValidationError
+from lidartmc.errors import UserInputError
 from lidartmc.ingest import frames_to_ned, merge_streams
 from lidartmc.intersection import Approach, Movement
 from lidartmc.geo import NedPoint
@@ -171,7 +171,7 @@ class TestSimulateBasics:
 
 class TestScriptValidation:
     def test_speed_bounds(self, reference_config):
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match=r"^speed 25.0 outside \(0, 20.0\]$"):
             simulate(
                 [ScriptedVehicle(3, NB, T, 20.0, 25.0, 4.5)],
                 reference_config,
@@ -179,7 +179,7 @@ class TestScriptValidation:
             )
 
     def test_entry_outside_session(self, reference_config):
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match="^vehicle at entry_time 299.9 does not clear"):
             simulate(
                 [ScriptedVehicle(3, NB, T, 299.9, 10.0, 4.5)],
                 reference_config,
@@ -188,7 +188,7 @@ class TestScriptValidation:
 
     def test_uncountable_movement_rejected(self, reference_config):
         # NB UTurn shares the left zone: it cannot be counted as itself.
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match="^no countable zone for NB/UTurn;"):
             simulate(
                 [ScriptedVehicle(3, NB, Movement.UTURN, 5.0, 8.0, 4.5)],
                 reference_config,
@@ -196,7 +196,7 @@ class TestScriptValidation:
             )
 
     def test_unknown_zone_id_rejected(self, reference_config):
-        with pytest.raises(ScriptValidationError, match="'NOPE'"):
+        with pytest.raises(UserInputError, match="^unknown zone_id 'NOPE'$"):
             simulate(
                 [ScriptedVehicle(3, NB, T, 20.0, 10.0, 4.5, "NOPE")],
                 reference_config,
@@ -204,7 +204,7 @@ class TestScriptValidation:
             )
 
     def test_zone_binding_mismatch_rejected(self, reference_config):
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match="^zone 'EB_T' cannot count NB/Thru$"):
             simulate(
                 [ScriptedVehicle(3, NB, T, 20.0, 10.0, 4.5, "EB_T")],
                 reference_config,
@@ -221,7 +221,7 @@ class TestScriptValidation:
         self, reference_config, zone_id, approach, movement
     ):
         message = f"zone '{zone_id}' cannot count {approach.value}/{movement.value}"
-        with pytest.raises(ScriptValidationError, match=f"^{message}$"):
+        with pytest.raises(UserInputError, match=f"^{message}$"):
             simulate(
                 [ScriptedVehicle(3, approach, movement, 20.0, 8.0, 4.5, zone_id)],
                 reference_config,
@@ -238,7 +238,7 @@ class TestScriptValidation:
         assert session.frames_by_sensor["L1"].boxes.size
 
     def test_length_class_mismatch_rejected(self, reference_config):
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match="^length 9.5 is not a class-3 length$"):
             simulate(
                 [ScriptedVehicle(3, NB, T, 20.0, 10.0, 9.5)],
                 reference_config,
@@ -246,9 +246,9 @@ class TestScriptValidation:
             )
 
     def test_frame_rate_bounds(self):
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match=r"^frame_rate_hz 2.0 outside \[3, 5\]$"):
             SimConfig(seed=1, frame_rate_hz=2.0)
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match=r"^frame_rate_hz 6.0 outside \[3, 5\]$"):
             SimConfig(seed=1, frame_rate_hz=6.0)
 
     @pytest.mark.parametrize("field,value", [
@@ -257,7 +257,8 @@ class TestScriptValidation:
         ("sensors", (SensorSpec("L1", 0.0, 0.0), SensorSpec("L1", 5.0, 5.0))),
     ])
     def test_sim_config_bounds(self, field, value):
-        with pytest.raises(ScriptValidationError):
+        # Each message starts with the field's name: dropout, noise sigma, sensors.
+        with pytest.raises(UserInputError, match=f"^{field.replace('_', ' ')} "):
             SimConfig(seed=1, **{field: value})
 
     def test_noise_up_to_the_sensor_range_is_accepted(self):
@@ -436,7 +437,7 @@ class TestScenarioSuite:
         assert int(est.counts.sum()) < int(session.ground_truth.counts.sum())
 
     def test_unknown_scenario(self):
-        with pytest.raises(ScriptValidationError):
+        with pytest.raises(UserInputError, match="^unknown scenario 'nope'; available: ideal,"):
             scenario_by_name("nope")
 
 
