@@ -122,15 +122,3 @@ def class_table_from_obj(obj) -> ClassTable:
             raise UserInputError(f"bad class table entry {entry!r}: {exc}") from None
     return ClassTable(tuple(classes))
 
-
-def class_table_to_obj(table: ClassTable) -> list[dict]:
-    return [
-        {
-            "id": c.id,
-            "label": c.label,
-            "lower": c.lower,
-            "upper": None if math.isinf(c.upper) else c.upper,
-            "fhwa": sorted(c.fhwa),
-        }
-        for c in table.classes
-    ]

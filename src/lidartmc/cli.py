@@ -41,7 +41,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -87,8 +87,8 @@ def cmd_georef(args) -> int:
         groups = {args.frame_id: groups[args.frame_id]}
     registry_path = Path(args.registry) if args.registry else _out_dir(args) / "registry.json"
     registry = load_registry(registry_path) if registry_path.exists() else None
-    origin = args.ned_origin
-    if origin is None and args.config is not None:
+    origin = args.ned_origin  # argparse allows at most one of the two flags
+    if args.config is not None:
         from .intersection import load_intersection_config
 
         origin = load_intersection_config(args.config).ned_origin
@@ -179,7 +179,7 @@ def cmd_estimate(args) -> int:
                 "session": list(window),
                 "reorder_window": args.reorder_window,
                 "strict": args.strict,
-                "params": cfg.params.to_obj(),
+                "params": asdict(cfg.params),
             },
             "outputs": ["tmc.csv", "events.csv"],
             "warnings": warnings,
@@ -345,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gcp_file", help="CSV: frame_id,sx,sy,sz,lat,lon,alt")
     p.add_argument("--frame-id", help="only solve this sensor (default: all in file)")
     p.add_argument("--registry", help="registry JSON to create or update")
-    p.add_argument("--ned-origin", type=_geodetic, help="lat,lon,alt for a new registry")
-    p.add_argument("--config", help="intersection config supplying the NED origin")
+    origin = p.add_mutually_exclusive_group()
+    origin.add_argument("--ned-origin", type=_geodetic, help="lat,lon,alt for a new registry")
+    origin.add_argument("--config", help="intersection config supplying the NED origin")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_georef)
 

@@ -15,8 +15,11 @@ Points are float64 arrays: one point is a (3,) array, many are (n, 3).
 The two exceptions are :class:`GeodeticPoint`, which validates geodetic
 user input, and :class:`NedPoint`, the centre of a zone.
 
-All types are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads/processes.
+The point and transform types are immutable after construction.
+:class:`FrameRegistry` is not: ``register`` adds or replaces a sensor's
+pose, which is how ``georef`` updates a loaded registry in place. Apart
+from the file readers and the atomic writers, the functions here are
+pure.
 """
 
 from __future__ import annotations

@@ -19,22 +19,16 @@ session of a run: ``simulate`` covers it, ``estimate`` counts on it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .classify import (
-    ClassTable,
-    DEFAULT_CLASS_TABLE,
-    class_table_from_obj,
-    class_table_to_obj,
-)
+from .classify import ClassTable, DEFAULT_CLASS_TABLE, class_table_from_obj
 from .errors import UserInputError, json_number
-from .geo import GeodeticPoint, NedPoint, atomic_write_text, load_json_document
+from .geo import GeodeticPoint, NedPoint, load_json_document
 
 DEFAULT_MIN_HEADWAY_RIGHT_S = 2.0
 DEFAULT_MIN_HEADWAY_OTHER_S = 1.2
@@ -180,15 +174,6 @@ class CountingParams:
     def min_headway_for(self, zone: Zone) -> float:
         return self.min_headway_right if zone.right_only else self.min_headway_other
 
-    def to_obj(self) -> dict:
-        return {
-            "min_headway_right": self.min_headway_right,
-            "min_headway_other": self.min_headway_other,
-            "cluster_gap": self.cluster_gap,
-            "dedup_window": self.dedup_window,
-            "absorb": self.absorb,
-        }
-
 
 @dataclass(frozen=True)
 class PhaseInterval:
@@ -293,14 +278,6 @@ def _binding_from_obj(obj) -> Binding:
         raise UserInputError(f"bad (approach, movement) pair {obj!r}: {exc}") from None
 
 
-def _binding_to_obj(b: Binding) -> list[str]:
-    return [b[0].value, b[1].value]
-
-
-def _sorted_bindings(bindings: Iterable[Binding]) -> list[Binding]:
-    return sorted(bindings, key=lambda b: (APPROACH_INDEX[b[0]], MOVEMENT_INDEX[b[1]]))
-
-
 def config_from_obj(doc) -> IntersectionConfig:
     """Build a validated config from a decoded JSON document."""
     try:
@@ -348,40 +325,6 @@ def config_from_obj(doc) -> IntersectionConfig:
     )
 
 
-def config_to_obj(cfg: IntersectionConfig) -> dict:
-    doc = {
-        "ned_origin": cfg.ned_origin.to_obj(),
-        "zones": [
-            {
-                "id": z.id,
-                "kind": z.kind.value,
-                "center": [z.center.north, z.center.east],
-                "half_length": z.half_length,
-                "half_width": z.half_width,
-                "yaw": z.yaw,
-                "bindings": [_binding_to_obj(b) for b in z.bindings],
-            }
-            for z in cfg.zones
-        ],
-        "schedule": [
-            {
-                "start": iv.start,
-                "end": iv.end,
-                "permitted": [_binding_to_obj(b) for b in _sorted_bindings(iv.permitted)],
-            }
-            for iv in cfg.schedule.intervals
-        ],
-    }
-    if cfg.params != CountingParams():
-        doc["params"] = cfg.params.to_obj()
-    if cfg.class_table is not DEFAULT_CLASS_TABLE:
-        doc["class_table"] = class_table_to_obj(cfg.class_table)
-    return doc
-
-
 def load_intersection_config(path) -> IntersectionConfig:
     return load_json_document(path, "config", config_from_obj)
 
-
-def save_intersection_config(cfg: IntersectionConfig, path) -> None:
-    atomic_write_text(path, json.dumps(config_to_obj(cfg), indent=2) + "\n")

@@ -1,7 +1,8 @@
 """Bundled reference intersection: a four-leg signalized crossing.
 
 The packaged JSON (``data/reference_intersection.json``) is its one
-definition; this module loads it and derives the long-range variant.
+definition; this module loads it and derives the long-range variant as
+an edit of that document.
 
 Geometry (NED origin at the crossing center, meters):
 
@@ -26,7 +27,7 @@ need no schedule entry.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,23 +41,22 @@ def reference_config_path() -> str:
 
 
 # ``cli`` imports this module for the default ``--config`` path, so it
-# loads no numpy: the builders import ``geo`` and ``intersection``
-# themselves, and ``georef`` never loads ``intersection``.
+# loads no numpy: the builder imports ``intersection`` itself, and
+# ``georef`` never loads ``intersection``.
 def build_reference_config() -> IntersectionConfig:
     from .intersection import load_intersection_config
 
     return load_intersection_config(reference_config_path())
 
 
-def build_long_range_config(setback: float = 55.0) -> IntersectionConfig:
-    """Reference variant with the EB/WB thru ingress pushed ``setback``
-    meters out, beyond the default sensors' 40 m detection radius."""
-    from .geo import NedPoint
-
-    cfg = build_reference_config()
+def long_range_document(setback: float = 55.0) -> dict:
+    """The packaged document with the EB/WB thru ingress pushed
+    ``setback`` meters out, beyond the default sensors' 40 m detection
+    radius."""
+    with open(reference_config_path(), encoding="utf-8") as fh:
+        doc = json.load(fh)
     east = {"EB_T": -setback, "WB_T": setback}
-    zones = tuple(
-        replace(z, center=NedPoint(z.center.north, east[z.id], 0.0)) if z.id in east else z
-        for z in cfg.zones
-    )
-    return replace(cfg, zones=zones)
+    for zone in doc["zones"]:
+        if zone["id"] in east:
+            zone["center"][1] = east[zone["id"]]
+    return doc

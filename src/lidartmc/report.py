@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,6 +90,8 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
                 counts = [int(v) for v in row[3:]]
             except ValueError as exc:
                 raise UserInputError(f"line {i}: {exc}") from None
+            if not math.isfinite(bin_start):
+                raise UserInputError(f"line {i}: bin_start must be finite, got {row[0]!r}")
             if class_id < 1:
                 raise UserInputError(f"line {i}: class {class_id} must be at least 1")
             for v in counts:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UserInputError
-from .intersection import Approach, IntersectionConfig, Movement
-from .reference import build_long_range_config, build_reference_config
+from .intersection import Approach, IntersectionConfig, Movement, config_from_obj
+from .reference import build_reference_config, long_range_document
 from .simgen import ScriptedVehicle, SimConfig
 from .tables import DEFAULT_BIN_SECONDS
 
@@ -103,7 +103,7 @@ def scenario_suite() -> tuple[Scenario, ...]:
             "eb_wb_long_range",
             long_range_script,
             SimConfig(seed=303),
-            build_long_range_config(),
+            config_from_obj(long_range_document()),
             False,
         ),
         Scenario("burst", burst_script, SimConfig(seed=404), ref, True),

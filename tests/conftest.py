@@ -1,15 +1,46 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from lidartmc.reference import build_reference_config
+from lidartmc.intersection import load_intersection_config
+from lidartmc.reference import build_reference_config, long_range_document, reference_config_path
 from lidartmc.simgen import ScriptedVehicle
+
+# The default class table as a config's ``class_table`` document, for
+# tests that edit it (test_classify checks that it reads back as
+# DEFAULT_CLASS_TABLE).
+DEFAULT_CLASS_TABLE_DOC = [
+    {"id": 1, "label": "Pedestrians", "lower": 0.0, "upper": 1.0, "fhwa": []},
+    {"id": 2, "label": "Bicycles, scooters, motorbikes", "lower": 1.0, "upper": 2.2,
+     "fhwa": ["1"]},
+    {"id": 3, "label": "Hatchbacks, sedans, small-medium SUVs", "lower": 2.2, "upper": 5.0,
+     "fhwa": ["2 (No Trailer)"]},
+    {"id": 4, "label": "Large SUVs, vans, pickup trucks", "lower": 5.0, "upper": 7.0,
+     "fhwa": ["2 (Trailer)", "3"]},
+    {"id": 5, "label": "Trucks, buses", "lower": 7.0, "upper": 12.0,
+     "fhwa": ["4", "5", "6", "7"]},
+    {"id": 6, "label": "Trailers, combination trucks", "lower": 12.0, "upper": None,
+     "fhwa": ["8", "9", "10"]},
+]
 
 
 @pytest.fixture(scope="session")
 def reference_config():
     return build_reference_config()
+
+
+def scenario_config_path(scenario, directory) -> str:
+    """A config file of a bundled scenario, for ``estimate --config``:
+    the packaged reference file, or the long-range document written into
+    ``directory``."""
+    path = reference_config_path()
+    if scenario.name == "eb_wb_long_range":
+        path = directory / "config.json"
+        path.write_text(json.dumps(long_range_document()))
+    assert load_intersection_config(path) == scenario.cfg
+    return str(path)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -4,11 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from lidartmc.classify import (
-    DEFAULT_CLASS_TABLE,
-    class_table_from_obj,
-    class_table_to_obj,
-)
+from conftest import DEFAULT_CLASS_TABLE_DOC
+from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_from_obj
 from lidartmc.errors import UserInputError
 
 
@@ -69,9 +66,8 @@ def test_fhwa_mapping():
     assert table.by_id(6).fhwa == {"8", "9", "10"}
 
 
-def test_table_round_trip():
-    obj = class_table_to_obj(DEFAULT_CLASS_TABLE)
-    assert class_table_from_obj(obj) == DEFAULT_CLASS_TABLE
+def test_default_class_table_document():
+    assert class_table_from_obj(DEFAULT_CLASS_TABLE_DOC) == DEFAULT_CLASS_TABLE
 
 
 def test_custom_table():

@@ -4,7 +4,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import DEFAULT_CLASS_TABLE_DOC, random_rotation, scenario_config_path
 from lidartmc import cli, ingest
-from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_to_obj
 from lidartmc.errors import UserInputError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
 from lidartmc.ingest import frames_to_ned, parse_detection_log
-from lidartmc.intersection import (
-    CountingParams,
-    PhaseSchedule,
-    load_intersection_config,
-    save_intersection_config,
-)
+from lidartmc.intersection import CountingParams, config_from_obj, load_intersection_config
 from lidartmc.reference import reference_config_path
 from lidartmc.report import load_tmc_csv
 from lidartmc.scenarios import random_script, scenario_suite
@@ -164,6 +158,24 @@ class TestGeoref:
         assert registry.read_bytes() == saved
         assert cli.main(update + ["--config", reference_config_path()]) == 0
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new registry", "update"])
+    def test_origin_and_config_together_exit_2(self, tmp_path, capsys, existing):
+        """Each of the two flags gives the origin, so both are refused
+        rather than one of them left unread."""
+        gcp = tmp_path / "gcps.csv"
+        write_gcp_file(gcp, np.random.default_rng(70))
+        registry = tmp_path / "registry.json"
+        origin = ["--ned-origin", "34.05,-117.4,350.0"]
+        if existing:
+            assert cli.main(["georef", str(gcp), "--registry", str(registry), *origin]) == 0
+        before = registry.read_bytes() if existing else None
+        capsys.readouterr()
+        assert cli.main(["georef", str(gcp), "--registry", str(registry), *origin,
+                         "--config", reference_config_path()]) == 2
+        assert "argument --config: not allowed with argument --ned-origin" in (
+            capsys.readouterr().err)
+        assert (registry.read_bytes() if registry.exists() else None) == before
+
 
 class TestSimulate:
     def test_seed_required(self, tmp_path):
@@ -191,6 +203,15 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["command"] == "simulate"
+        assert manifest["arguments"]["frame_rate_hz"] == 4.0
+        assert len((tmp_path / "log_L1.jsonl").read_text().splitlines()) == 153
+
+    def test_frame_rate(self, tmp_path):
+        assert cli.main(["simulate", "--scenario", "ideal", "--seed", "7",
+                         "--frame-rate", "5", "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["arguments"]["frame_rate_hz"] == 5.0
+        assert len((tmp_path / "log_L1.jsonl").read_text().splitlines()) == 192
 
     def test_script_mode(self, tmp_path, reference_config):
         rng = np.random.default_rng(65)
@@ -592,10 +613,10 @@ class TestCompare:
         """The estimate directory of the ``ideal`` logs counted with a
         seven-class table."""
         doc = json.loads(Path(reference_config_path()).read_text())
-        classes = class_table_to_obj(DEFAULT_CLASS_TABLE)
-        classes[-1]["upper"] = 20.0
-        doc["class_table"] = classes + [{"id": 7, "label": "Long combinations",
-                                         "lower": 20.0, "upper": None, "fhwa": []}]
+        doc["class_table"] = [*DEFAULT_CLASS_TABLE_DOC[:-1],
+                              {**DEFAULT_CLASS_TABLE_DOC[-1], "upper": 20.0},
+                              {"id": 7, "label": "Long combinations", "lower": 20.0,
+                               "upper": None, "fhwa": []}]
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         est = tmp_path / "est"
@@ -695,19 +716,16 @@ class TestEndToEnd:
             jb.pop("wall_clock_utc")
             assert ja == jb, rel
 
-    def test_long_schedule_round_trip(self, tmp_path, reference_config):
+    def test_long_schedule_round_trip(self, tmp_path):
         """simulate, estimate and compare all take their session from a
         schedule of twelve 100 s cycles (1,200 s, four 300 s bins)."""
-        cycle = [iv for iv in reference_config.schedule.intervals if iv.end <= 100.0]
-        schedule = PhaseSchedule(tuple(
-            replace(iv, start=iv.start + 100.0 * c, end=iv.end + 100.0 * c)
-            for c in range(12) for iv in cycle
-        ))
-        cfg = replace(reference_config, schedule=schedule)
+        doc = json.loads(Path(reference_config_path()).read_text())
+        doc["schedule"] = [{**iv, "start": iv["start"] + 100.0 * c, "end": iv["end"] + 100.0 * c}
+                           for c in range(12) for iv in doc["schedule"] if iv["end"] <= 100.0]
         config, script = tmp_path / "config.json", tmp_path / "script.json"
-        save_intersection_config(cfg, config)
+        config.write_text(json.dumps(doc))
         script.write_text(json.dumps(script_to_obj(
-            random_script(cfg, np.random.default_rng(12), 80))))
+            random_script(config_from_obj(doc), np.random.default_rng(12), 80))))
         sim, est = tmp_path / "sim", tmp_path / "est"
         assert cli.main(["simulate", "--script", str(script), "--config", str(config),
                          "--seed", "5", "--out-dir", str(sim)]) == 0
@@ -774,6 +792,8 @@ BAD_FLAG_VALUES = [
     ("compare", ["--bin-seconds", "0"]),
     ("compare", ["--bin-seconds", "nan"]),
     ("compare", ["--group-by", "foo"]),
+    ("simulate", ["--frame-rate", "6"]),
+    ("simulate", ["--frame-rate", "nan"]),
     ("simulate", ["--noise-sigma", "nan"]),
     ("simulate", ["--noise-sigma", "1e308"]),
     ("simulate", ["--seed", "-1"]),
@@ -880,10 +900,10 @@ def full_runs(tmp_path_factory):
         out = tmp_path_factory.mktemp(sc.name)
         assert cli.main(["simulate", "--scenario", sc.name, "--seed", "7",
                          "--out-dir", str(out)]) == 0
-        save_intersection_config(sc.cfg, out / "config.json")
+        config = scenario_config_path(sc, out)
         logs = [(out / f"log_{s}.jsonl").read_bytes() for s in ("L1", "L2")]
         for b in WINDOW_BINS:
-            flags = ["--config", str(out / "config.json"), "--bin-seconds", str(b)]
+            flags = ["--config", config, "--bin-seconds", str(b)]
             code, tmc, events, _ = estimate_logs(logs, out / "registry.json", *flags)
             assert code == 0
             runs[sc.name, b] = (logs, out / "registry.json", flags, tmc, events)
@@ -1103,8 +1123,8 @@ BAD_CONFIG_NODES = {
     "half_length NaN": (("zones", 0, "half_length"), math.nan),
     "half_width NaN": (("zones", 0, "half_width"), math.nan),
     "yaw Infinity": (("zones", 0, "yaw"), math.inf),
-    "class id 1.5": (("class_table",), [{**c, "id": 1.5} if c["id"] == 1 else c
-                                        for c in class_table_to_obj(DEFAULT_CLASS_TABLE)]),
+    "class id 1.5": (("class_table",), [{**DEFAULT_CLASS_TABLE_DOC[0], "id": 1.5},
+                                        *DEFAULT_CLASS_TABLE_DOC[1:]]),
     "absorb string": (("params",), {"absorb": "x"}),
     "dedup_window 0": (("params",), {"dedup_window": 0.0}),
     "empty phase interval": (("schedule", 0, "end"), 0.0),
@@ -1133,9 +1153,12 @@ def test_bad_config_value_exits_2(ideal_sim, tmp_path, path, value):
                                            (["0.0,NB,3,1,0,0"], 2),
                                            (["0.0,NB,3,1,x,0,0"], 2),
                                            (["0.0,NB,0,1,0,0,0"], 2),
-                                           (["0.0,NB,3,1,0,0,0", "0.0,NB,3," + "1" * 140_000], 3)],
+                                           (["0.0,NB,3,1,0,0,0", "0.0,NB,3," + "1" * 140_000], 3),
+                                           *((["0.0,NB,3,1,0,0,0", f"{v},NB,3,1,0,0,0"], 3)
+                                             for v in ("nan", "inf", "-inf", "1e400"))],
                          ids=["one count", "cell total", "field count", "non-numeric",
-                              "class 0", "field past the csv limit"])
+                              "class 0", "field past the csv limit", "bin_start nan",
+                              "bin_start inf", "bin_start -inf", "bin_start 1e400"])
 def test_count_past_int64_exits_2(tmp_path, capsys, rows, bad_line):
     table = tmp_path / "table.csv"
     table.write_text("\n".join(["bin_start,approach,class,left,thru,right,uturn", *rows]) + "\n")
@@ -1231,8 +1254,8 @@ def config_doc():
     """The reference config with its optional params and class table
     written out, so that their numbers are there to mutate too."""
     doc = json.loads(Path(reference_config_path()).read_text())
-    return {**doc, "params": CountingParams().to_obj(),
-            "class_table": class_table_to_obj(DEFAULT_CLASS_TABLE)}
+    return {**doc, "params": asdict(CountingParams()),
+            "class_table": DEFAULT_CLASS_TABLE_DOC}
 
 
 SCRIPT_DOC = {"vehicles": [{"class": 3, "approach": "NB", "movement": "Thru",

@@ -15,18 +15,19 @@ which files changed, and why, in ``CHANGES.md``.
 """
 
 import hashlib
-import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import scenario_config_path
 from lidartmc import cli
-from lidartmc.intersection import config_to_obj
+from lidartmc.reference import reference_config_path
 from lidartmc.scenarios import scenario_by_name, scenario_suite
 from test_ingest import BAD_LINES, GOOD_DET, SPOOFED, bad_det, frame_line
 
@@ -153,10 +154,9 @@ def run_scenario(tmp_path, name):
     sim, est = tmp_path / "sim", tmp_path / "est"
     assert cli.main(["simulate", "--scenario", name, "--seed", str(SEED),
                      "--out-dir", str(sim)]) == 0
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(config_to_obj(scenario_by_name(name).cfg)))
+    config = scenario_config_path(scenario_by_name(name), tmp_path)
     logs = sorted(str(p) for p in sim.glob("log_*.jsonl"))
-    assert cli.main(["estimate", *logs, "--config", str(config),
+    assert cli.main(["estimate", *logs, "--config", config,
                      "--registry", str(sim / "registry.json"), "--out-dir", str(est)]) == 0
     return ({p.name: digest(p) for p in sorted(sim.iterdir())},
             {name: digest(est / name) for name in ("tmc.csv", "events.csv")})
@@ -198,7 +198,7 @@ def test_dirty_log_outputs_unchanged(tmp_path):
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "--scenario", "ideal", "--seed", str(SEED),
                      "--out-dir", str(sim)]) == 0
-    (tmp_path / "config.json").write_text(json.dumps(config_to_obj(scenario_by_name("ideal").cfg)))
+    shutil.copy(reference_config_path(), tmp_path / "config.json")
     lines = (sim / "log_L1.jsonl").read_text().splitlines(keepends=True)
     # Never before line 2, so the log's sensor is adopted from a clean line.
     for i, line in enumerate(DIRTY_LINES):

@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "lidartmc"
 # Public names that no command calls but that stay on purpose.
 ALLOWED = {
     "random_script": "the random script generator that ROADMAP item 5 replaces",
-    "save_intersection_config": "tests write their configs through it",
 }
 
 

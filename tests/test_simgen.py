@@ -13,9 +13,9 @@ from lidartmc.classify import class_table_from_obj
 from lidartmc.counting import count_session, estimate_tmc
 from lidartmc.errors import UserInputError
 from lidartmc.ingest import frames_to_ned, merge_streams
-from lidartmc.intersection import Approach, Movement
+from lidartmc.intersection import Approach, Movement, config_from_obj
 from lidartmc.geo import NedPoint
-from lidartmc.reference import build_long_range_config
+from lidartmc.reference import long_range_document
 from conftest import dense_script
 from lidartmc.simgen import (
     SENSOR_HEIGHT_M,
@@ -357,7 +357,7 @@ class TestPathGeometry:
     def test_paths_touch_only_their_governing_zone(self, reference_config):
         """No scripted path may clip a second counted zone; that would
         silently break the ground-truth oracle."""
-        for cfg in (reference_config, build_long_range_config()):
+        for cfg in (reference_config, config_from_obj(long_range_document())):
             counted = {z.id for z in cfg.ingress_zones}
             counted |= {z.id for z in cfg.right_surrogate_zones}
             for zone, _binding in cfg.countable_targets():
