@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UserInputError, json_number
+from .errors import UserInputError, json_number, json_string
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,16 @@ def class_table_from_obj(obj) -> ClassTable:
     for entry in obj:
         try:
             upper = entry["upper"]
+            fhwa = entry.get("fhwa", [])
+            if not isinstance(fhwa, list):
+                raise TypeError(f"fhwa must be a list of strings, got {fhwa!r}")
             classes.append(
                 VehicleClass(
                     id=parse_class_id(entry["id"]),
-                    label=str(entry["label"]),
+                    label=json_string(entry["label"], "label"),
                     lower=json_number(entry["lower"]),
                     upper=math.inf if upper is None else json_number(upper),
-                    fhwa=frozenset(str(v) for v in entry.get("fhwa", [])),
+                    fhwa=frozenset(json_string(v, "fhwa entry") for v in fhwa),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

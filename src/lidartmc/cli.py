@@ -12,6 +12,13 @@ A run's session is its config's schedule session. ``simulate`` covers
 it; ``estimate`` counts on it, and ``--session-start``/``--session-end``
 only select the window inside it whose events are tabulated.
 
+``estimate`` holds one copy of its zone rows: each log is parsed to its
+in-session zone rows in NED (``ingest.parse_logs``), the frame order of
+each log and the registry are checked, each sensor's stream is counted
+on its own, and the zones' trigger columns, not the boxes, are merged
+(``counting.count_session``). The streams are freed once their triggers
+are taken.
+
 Import rule: module level imports only what argument parsing and the
 exit-code mapping need (``errors``, and ``reference`` for the default
 ``--config``), and nothing that loads numpy. Each ``cmd_*`` and each
@@ -125,7 +132,7 @@ def cmd_georef(args) -> int:
 def cmd_estimate(args) -> int:
     from .counting import count_session, estimate_tmc, events_to_csv
     from .geo import atomic_write_text, load_registry
-    from .ingest import merge_streams, parse_logs
+    from .ingest import check_order, parse_logs
     from .intersection import load_intersection_config, outside_session, outside_session_error
     from .tables import n_bins, save_tmc_csv
 
@@ -150,14 +157,15 @@ def cmd_estimate(args) -> int:
     # time; the zone rows outside the session come back as their times.
     streams, dropped = parse_logs(args.logs, registry, cfg, strict=args.strict,
                                   error_sink=errors)
-    ned = merge_streams(streams, reorder_window=args.reorder_window)
-    del streams
-    for fid in ned.sensors:  # a log of an unregistered sensor fails after the order check
+    check_order(streams, args.reorder_window)
+    # A log of an unregistered sensor fails after the order check.
+    for fid in sorted({fid for s in streams for fid in s.sensors}):
         registry.transform_for(fid)
     outside = len(dropped)
     if outside and args.strict:  # the earliest one, after the order and registry checks
         raise outside_session_error(float(dropped.min()), cfg.schedule.session)
-    events, meta = count_session(ned, cfg)
+    events, meta = count_session(streams, cfg)
+    del streams
     events = events.take(~outside_session(events.t, window))
     table = estimate_tmc(events, args.bin_seconds, window, cfg.class_table.n_classes)
     warnings = {"skipped_lines": len(errors)}

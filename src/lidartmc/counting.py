@@ -1,11 +1,14 @@
 """Zone triggers, temporal clustering, and count-table assembly.
 
-A merged NED detection stream is reduced to per-zone trigger series (a
-trigger = one detection centroid inside a zone, by
+Each sensor's NED detection stream is reduced to per-zone trigger series
+(a trigger = one detection centroid inside a zone, by
 :func:`~lidartmc.intersection.zone_hits`, at a time when some binding of
-the zone is permissible). Each zone's series is clustered into vehicles
-by one pairwise rule: a trigger joins its predecessor's vehicle when the
-gap between the two is
+the zone is permissible). A zone's series of all streams are merged as
+columns (time, length, sensor) in :func:`~lidartmc.stream.merge_order`,
+the order in which ``ingest.merge_streams`` merges frames, so counting
+never holds a merged copy of the boxes. Each zone's series is clustered
+into vehicles by one pairwise rule: a trigger joins its predecessor's
+vehicle when the gap between the two is
 
 * below ``cluster_gap``: the same vehicle;
 * below the zone's minimum headway (2.0 s for right-turn zones, 1.2 s
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .intersection import (
     outside_session_error,
     zone_hits,
 )
-from .stream import FRAME_NED, L, X, Y, MergedStream
+from .stream import FRAME_NED, L, X, Y, MergedStream, merge_order
 from .tables import TmcTable, empty_table
 
 
@@ -62,6 +65,16 @@ class TriggerSeries:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def take(self, index) -> TriggerSeries:
+        return TriggerSeries(self.t[index], self.length[index], self.sensor[index])
+
+    @classmethod
+    def join(cls, series: Iterable[TriggerSeries]) -> TriggerSeries:
+        """The triggers of ``series``, one series after another."""
+        series = list(series)
+        return cls(*(np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in series)])
+                     for name, dtype in (("t", float), ("length", float), ("sensor", str))))
 
 
 @dataclass(frozen=True)
@@ -119,25 +132,17 @@ def _binding_mask(binding_sets) -> np.ndarray:
     return out
 
 
-def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
-    """Per-zone, time-ordered trigger series from a NED stream.
-
-    A (detection, zone) pair triggers when the centroid is inside the
-    zone and at least one of the zone's bindings is permissible at the
-    frame time. A contained detection with a timestamp outside the
-    schedule's session raises a :class:`~lidartmc.errors.UserInputError`.
-    """
+def _stream_triggers(stream: MergedStream,
+                     cfg: IntersectionConfig) -> tuple[dict[str, TriggerSeries], np.ndarray]:
+    """Per-zone trigger series of one NED stream, in its own order, and
+    the frame times of its zone-contained rows outside the session."""
     if stream.coordinate_frame != FRAME_NED:
-        raise ValueError("extract_triggers requires a NED stream")
+        raise ValueError("counting requires NED streams")
     zones, boxes, schedule = cfg.zones, stream.boxes, cfg.schedule
     hits = zone_hits(boxes[:, X], boxes[:, Y], zones)
     rows = np.flatnonzero(hits.any(axis=1))
     frames = stream.frame_of(rows)
     ts = stream.t[frames]
-    outside = outside_session(ts, schedule.session)
-    if np.any(outside):
-        raise outside_session_error(float(ts[np.argmax(outside)]), schedule.session)
-
     starts = np.array([iv.start for iv in schedule.intervals])
     ends = np.array([iv.end for iv in schedule.intervals])
     idx = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
@@ -153,7 +158,36 @@ def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str,
     for zi, z in enumerate(zones):
         r = np.flatnonzero(trig[:, zi])
         out[z.id] = TriggerSeries(ts[r], lengths[r], sensors[r])
+    return out, ts[outside_session(ts, schedule.session)]
+
+
+def merge_triggers(streams: Sequence[MergedStream],
+                   cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
+    """Per-zone, time-ordered trigger series of NED streams, one zone's
+    triggers of all streams merged in :func:`~lidartmc.stream.merge_order`.
+
+    A (detection, zone) pair triggers when the centre is inside the zone
+    and at least one of the zone's bindings is permissible at the frame
+    time. Each series is the one that the frames merged by
+    :func:`~lidartmc.ingest.merge_streams` would give, without merging
+    their boxes. A contained detection with a timestamp outside the
+    schedule's session raises a :class:`~lidartmc.errors.UserInputError`
+    that names the earliest such time.
+    """
+    taken = [_stream_triggers(s, cfg) for s in streams]
+    outside = np.concatenate([np.empty(0), *(times for _, times in taken)])
+    if len(outside):
+        raise outside_session_error(float(outside.min()), cfg.schedule.session)
+    out = {}
+    for z in cfg.zones:
+        joined = TriggerSeries.join(series[z.id] for series, _ in taken)
+        out[z.id] = joined.take(merge_order(joined.t, joined.sensor))
     return out
+
+
+def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
+    """:func:`merge_triggers` of one stream."""
+    return merge_triggers([stream], cfg)
 
 
 def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
@@ -164,9 +198,8 @@ def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
     index = {z.id: i for i, z in enumerate(zones)}
     zone = np.repeat(np.array([index[zid] for zid, _ in series], dtype=np.intp),
                      [len(s) for _, s in series])
-    t, length, sensor = (
-        np.concatenate([np.empty(0, dtype), *(getattr(s, name) for _, s in series)])
-        for name, dtype in (("t", float), ("length", float), ("sensor", str)))
+    joined = TriggerSeries.join(s for _, s in series)
+    t, length, sensor = joined.t, joined.length, joined.sensor
     headway = np.array([params.min_headway_for(z) for z in zones])
     gap = np.diff(t)
     join = (
@@ -219,9 +252,12 @@ def count_rights_from_egress(
     return cluster_triggers(series, cfg, params)
 
 
-def count_session(stream: MergedStream, cfg: IntersectionConfig) -> tuple[Events, dict]:
-    """Full counting pass: triggers -> ingress events + surrogate events,
-    with the thresholds of ``cfg.params``.
+def count_session(streams: Sequence[MergedStream],
+                  cfg: IntersectionConfig) -> tuple[Events, dict]:
+    """Full counting pass over per-sensor NED streams, as
+    :func:`~lidartmc.ingest.parse_logs` gives them: merged triggers
+    (:func:`merge_triggers`) -> ingress events + surrogate events, with
+    the thresholds of ``cfg.params``.
 
     Egress zones that are not right surrogates are observational only;
     their triggers are extracted but never counted. Returns the events
@@ -229,7 +265,7 @@ def count_session(stream: MergedStream, cfg: IntersectionConfig) -> tuple[Events
     Left/UTurn zones (whose events are labeled with the primary binding
     because ingress triggers cannot tell the two apart).
     """
-    triggers = extract_triggers(stream, cfg)
+    triggers = merge_triggers(streams, cfg)
     counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
     events = _events(counted, cfg, cfg.params)
     shared = [z.id for z in cfg.ingress_zones

@@ -8,7 +8,8 @@ detection-log line that non-strict parsing skips and counts. Both pickle
 to an equal error, so a forked parse can hand its error to the parent.
 
 ``json_number`` is the one reader of a number from a decoded JSON
-document; each loader turns its ``TypeError`` into a ``UserInputError``.
+document and ``json_string`` that of a string; each loader turns their
+``TypeError`` into a ``UserInputError``.
 """
 
 from __future__ import annotations
@@ -41,3 +42,12 @@ def json_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def json_string(value, name: str) -> str:
+    """A string from a decoded JSON document. Anything else, a number or
+    a list included, raises ``TypeError`` naming the field ``name``
+    instead of being coerced by ``str``."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value

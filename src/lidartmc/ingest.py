@@ -31,11 +31,12 @@ one float64 block of :data:`~lidartmc.stream.BOX_COLUMNS` per
 writer, so ``simulate``, which writes logs and parses none, never loads
 this one.
 
-A log is parsed in chunks of about :data:`CHUNK_ROWS` boxes: each line's
-boxes are taken by one ``operator.itemgetter``, and each chunk is
-converted, checked and cut down to its kept rows before the next one is
-read. The chunk blocks are joined once at the end, so a parse holds
-about two copies of its block rather than every box as Python objects.
+A log is parsed in chunks of about :data:`CHUNK_ROWS` (2,048) boxes:
+each line's boxes are taken by one ``operator.itemgetter``, and each
+chunk is converted, checked and cut down to its kept rows before the
+next one is read. The chunk blocks are joined once at the end, so a
+parse holds about two copies of its block rather than every box as
+Python objects, and the Python objects of one chunk at a time.
 
 A chunk of JSON numbers takes one type check and one float64
 conversion; in another, only the boxes with some other value go through
@@ -49,10 +50,13 @@ mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
 to the rows whose centre lies in some counting zone and whose frame time
 lies in the session before the next chunk is read. A log's result is
 its zone rows, in NED, plus the time of every frame, kept even when none
-of its rows is, so the merge's order check sees every frame, and the
-frame times of the zone rows dropped as outside the session. The logs
-are parsed concurrently: the first in the calling process and each
-later one, up to one process per usable CPU, in a forked child that
+of its rows is, so the order check (:func:`check_order`) sees every
+frame, and the frame times of the zone rows dropped as outside the
+session. These zone rows are the only copy of the boxes that
+``estimate`` holds: it counts each log's stream on its own and merges
+trigger columns, not boxes (:func:`~lidartmc.counting.count_session`).
+The logs are parsed concurrently: the first in the calling process and
+each later one, up to one process per usable CPU, in a forked child that
 sends back one pickled header of its results through a pipe. Results,
 skipped lines, warnings and errors are those of parsing the logs one
 after the other.
@@ -83,7 +87,7 @@ from .geo import FrameRegistry, wrap_angles
 from .intersection import IntersectionConfig, outside_session, zone_hits
 from .stream import (
     BOX_COLUMNS, FRAME_NED, FRAME_SENSOR, MAX_DIMENSION_M, L, SCORE, X, Y, YAW, Z, Frame,
-    MergedStream,
+    MergedStream, merge_order,
 )
 # Not used here: the per-layer benchmark imports the writer from this
 # module until it runs the CLI's own stages (ROADMAP item 2).
@@ -91,8 +95,8 @@ from .stream import write_detection_log  # noqa: F401
 
 DEFAULT_REORDER_WINDOW_S = 1.0
 # Raw boxes read before they are converted to a block: bounds the memory
-# that the Python-object form of a log takes.
-CHUNK_ROWS = 8192
+# that the Python-object form of a log takes (about 0.3 KB a box).
+CHUNK_ROWS = 2048
 
 # Names of the columns in skipped-line reasons.
 _FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading", "score")
@@ -498,10 +502,10 @@ def parse_logs(
     in some of ``cfg.zones`` and whose frame time lies in
     ``cfg.schedule.session`` before the next chunk is read. A log's
     stream holds those rows and the time of every frame, also of a frame
-    left with no rows, so :func:`merge_streams` checks the order of every
+    left with no rows, so :func:`check_order` checks the order of every
     frame. A log whose sensor ``registry`` lacks keeps and drops no rows:
     the caller raises :class:`~lidartmc.errors.UserInputError` for it
-    after the merge, where :func:`frames_to_ned` would.
+    after the order check, where :func:`frames_to_ned` would.
 
     The logs are parsed concurrently: the calling process parses the
     first, and each later log, up to one process per usable CPU, is
@@ -545,23 +549,10 @@ def parse_logs(
             os.waitpid(pid, 0)
 
 
-def merge_streams(
-    streams: Sequence[MergedStream | Iterable[Frame]],
-    reorder_window: float = DEFAULT_REORDER_WINDOW_S,
-) -> MergedStream:
-    """Merge per-sensor streams into one nondecreasing stream.
-
-    Each input is a :class:`MergedStream`, as :func:`parse_logs` gives,
-    or a sequence of frames. Each may be locally jittered by up to
-    ``reorder_window`` seconds; a frame older than that relative to the
-    newest already seen in its own stream raises a
-    :class:`~lidartmc.errors.UserInputError`. The order is by time, then
-    frame_id, then input stream, then position within the stream, so the
-    merge is fully deterministic. The inputs must share one coordinate
-    frame, which the result keeps.
-    """
-    streams = [s if isinstance(s, MergedStream) else MergedStream.from_frames(list(s))
-               for s in streams]
+def check_order(streams: Sequence[MergedStream], reorder_window: float) -> None:
+    """Raise a :class:`~lidartmc.errors.UserInputError` for the first frame,
+    stream by stream, that is more than ``reorder_window`` seconds older
+    than the newest frame before it in its own stream."""
     for s in streams:
         newest = np.maximum.accumulate(np.concatenate(([-math.inf], s.t)))[:-1]
         late = np.flatnonzero(s.t < newest - reorder_window)
@@ -570,6 +561,27 @@ def merge_streams(
             sensor, t = s.sensors[s.sensor[i]], float(s.t[i])
             raise UserInputError(f"frame from sensor {sensor!r} at t={t} is more than "
                                  f"{reorder_window}s out of order")
+
+
+def merge_streams(
+    streams: Sequence[MergedStream | Iterable[Frame]],
+    reorder_window: float = DEFAULT_REORDER_WINDOW_S,
+) -> MergedStream:
+    """Merge per-sensor streams into one nondecreasing stream.
+
+    Each input is a :class:`MergedStream`, as :func:`parse_logs` gives,
+    or a sequence of frames. Each may be locally jittered by up to
+    ``reorder_window`` seconds (:func:`check_order`). The order is
+    :func:`~lidartmc.stream.merge_order`'s: by time, then frame_id, then
+    input stream, then position within the stream, so the merge is fully
+    deterministic. The inputs must share one coordinate frame, which the
+    result keeps. ``estimate`` merges trigger columns instead
+    (:func:`~lidartmc.counting.count_session`); this box merge serves the
+    per-layer benchmark and the tests.
+    """
+    streams = [s if isinstance(s, MergedStream) else MergedStream.from_frames(list(s))
+               for s in streams]
+    check_order(streams, reorder_window)
     if not streams:
         return MergedStream.from_frames(())
     coords = {s.coordinate_frame for s in streams}
@@ -585,7 +597,7 @@ def merge_streams(
     base = np.cumsum([0] + [len(s.boxes) for s in streams])
     starts = np.concatenate([s.offsets[:-1] + b for s, b in zip(streams, base)])
     sizes = np.concatenate([np.diff(s.offsets) for s in streams])
-    order = np.lexsort((sensor, t))  # stable: ties keep the input order
+    order = merge_order(t, sensor)
     sizes = sizes[order]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     rows = np.repeat(starts[order] - offsets[:-1], sizes) + np.arange(offsets[-1])

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .classify import ClassTable, DEFAULT_CLASS_TABLE, class_table_from_obj
-from .errors import UserInputError, json_number
+from .errors import UserInputError, json_number, json_string
 from .geo import GeodeticPoint, NedPoint, load_json_document
 
 DEFAULT_MIN_HEADWAY_RIGHT_S = 2.0
@@ -283,11 +283,11 @@ def config_from_obj(doc) -> IntersectionConfig:
     try:
         ned_origin = GeodeticPoint.from_obj(doc["ned_origin"])
         zones = []
-        for zobj in doc["zones"]:
+        for i, zobj in enumerate(doc["zones"]):
             n, e = zobj["center"]
             zones.append(
                 Zone(
-                    id=str(zobj["id"]),
+                    id=json_string(zobj["id"], f"zones[{i}].id"),
                     kind=ZoneKind(zobj["kind"]),
                     center=NedPoint(json_number(n), json_number(e), 0.0),
                     half_length=json_number(zobj["half_length"]),

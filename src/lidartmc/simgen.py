@@ -48,7 +48,7 @@ import numpy as np
 import orjson
 
 from .classify import parse_class_id
-from .errors import UserInputError, json_number
+from .errors import UserInputError, json_number, json_string
 from .geo import FrameRegistry, RigidTransform, compose, load_json_document, wrap_angles
 from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
 from .stream import BOX_COLUMNS, MAX_DIMENSION_M, H, L, SCORE, W, X, YAW, Z, MergedStream
@@ -402,9 +402,10 @@ def script_from_obj(doc) -> tuple[ScriptedVehicle, ...]:
                 entry_time=json_number(v["entry_time"]),
                 speed=json_number(v["speed"]),
                 length=None if v.get("length") is None else json_number(v["length"]),
-                zone_id=None if v.get("zone_id") is None else str(v["zone_id"]),
+                zone_id=(None if v.get("zone_id") is None
+                         else json_string(v["zone_id"], f"vehicles[{i}].zone_id")),
             )
-            for v in doc["vehicles"]
+            for i, v in enumerate(doc["vehicles"])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"bad script document: {exc}") from None

@@ -3,8 +3,10 @@
 In memory, detections are columns: one float64 block of shape (n, 8)
 whose columns are :data:`BOX_COLUMNS` (a missing score is NaN). A
 :class:`MergedStream`, the package's one stream form, holds one block
-plus per-frame time, sensor and row offset arrays. :class:`Frame` and
-the frame API built on it serve only the per-layer benchmark.
+plus per-frame time, sensor and row offset arrays. :func:`merge_order`
+is the one order in which several sensors' frames, or the triggers taken
+from them, are merged. :class:`Frame` and the frame API built on it
+serve only the per-layer benchmark.
 :data:`MAX_DIMENSION_M` bounds a box for the parse and the simulator.
 
 :func:`write_detection_log` writes a stream in the wire format that
@@ -99,6 +101,14 @@ class MergedStream:
     def frame_of(self, rows: np.ndarray) -> np.ndarray:
         """Index of the frame that owns each of ``rows``."""
         return np.searchsorted(self.offsets, rows, side="right") - 1
+
+
+def merge_order(t: np.ndarray, sensor: np.ndarray) -> np.ndarray:
+    """The merge order of rows of several streams joined one stream after
+    another: by time ``t``, then ``sensor`` (frame ids, or their codes in
+    sorted order), then input stream, then position within the stream.
+    The sort is stable, so the last two are the order of the join."""
+    return np.lexsort((sensor, t))
 
 
 def _json_floats(values: np.ndarray) -> list[str]:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from lidartmc.counting import MovementEvent, TriggerSeries
+from lidartmc.counting import Events, MovementEvent, TriggerSeries, _events, extract_triggers
 from lidartmc.errors import UserInputError, json_number
 from lidartmc.geo import (
     WGS84_A,
@@ -28,7 +28,7 @@ from lidartmc.geo import (
     ned_rotation,
     wrap_angle,
 )
-from lidartmc.ingest import open_detection_log
+from lidartmc.ingest import merge_streams, open_detection_log
 from lidartmc.intersection import (
     APPROACH_INDEX,
     MOVEMENT_INDEX,
@@ -275,14 +275,9 @@ def events_csv(events) -> str:
         f"{ev.representative_length!r}\n" for ev in events)])
 
 
-def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
-    """What ``lidartmc estimate`` writes for clean logs: the tmc.csv and
-    events.csv texts and the manifest's ``counting`` block."""
-    params = cfg.params or CountingParams()
-    triggers = zone_triggers(logs, cfg, registry)
-    events = count_events(triggers, cfg, params)
-    table = bin_events(events, bin_seconds, cfg.schedule.session, cfg.class_table.n_classes)
-    meta = {
+def counting_meta(triggers, events, cfg) -> dict:
+    """The manifest's ``counting`` block of per-zone triggers and events."""
+    return {
         "triggers_per_zone": {zid: len(trigs) for zid, trigs in sorted(triggers.items())},
         "ignored_egress_zones": sorted(
             z.id for z in cfg.zones if z.kind is ZoneKind.EGRESS and not z.is_right_surrogate
@@ -293,7 +288,32 @@ def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
         ),
         "events": len(events),
     }
-    return render_tmc_csv(table), events_csv(events), meta
+
+
+def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
+    """What ``lidartmc estimate`` writes for clean logs: the tmc.csv and
+    events.csv texts and the manifest's ``counting`` block."""
+    params = cfg.params or CountingParams()
+    triggers = zone_triggers(logs, cfg, registry)
+    events = count_events(triggers, cfg, params)
+    table = bin_events(events, bin_seconds, cfg.schedule.session, cfg.class_table.n_classes)
+    return render_tmc_csv(table), events_csv(events), counting_meta(triggers, events, cfg)
+
+
+def merged_triggers(streams, cfg) -> dict[str, TriggerSeries]:
+    """The trigger series of NED streams merged by ``merge_streams``."""
+    return extract_triggers(merge_streams(streams), cfg)
+
+
+def count_merged(streams, cfg) -> tuple[Events, dict]:
+    """What ``count_session`` gives for per-sensor NED streams, by the
+    path that merges boxes: the triggers of the merged stream
+    (:func:`merged_triggers`), then the events of the ingress and
+    right-surrogate zones."""
+    triggers = merged_triggers(streams, cfg)
+    counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
+    events = _events(counted, cfg, cfg.params)
+    return events, counting_meta(triggers, events, cfg)
 
 
 def trigger_series(triggers) -> TriggerSeries:

@@ -35,7 +35,7 @@ def run_counting(session, cfg, extra_streams=()):
     streams = list(session.frames_by_sensor.values()) + list(extra_streams)
     merged = merge_streams(streams)
     ned = frames_to_ned(merged, session.registry)
-    events, _ = count_session(ned, cfg)
+    events, _ = count_session([ned], cfg)
     gt = session.ground_truth
     return estimate_tmc(events, gt.bin_seconds, gt.session, cfg.class_table.n_classes)
 

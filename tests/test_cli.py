@@ -1403,6 +1403,18 @@ def config_text(path, value):
     return json.dumps(doc)
 
 
+def class_entry(i, **fields):
+    """Entry ``i`` of the default class table document, with ``fields`` replaced."""
+    return {**DEFAULT_CLASS_TABLE_DOC[i], **fields}
+
+
+def class_table_text(i, **fields):
+    """The reference config whose class table has entry ``i`` edited."""
+    table = [class_entry(j, **fields) if j == i else entry
+             for j, entry in enumerate(DEFAULT_CLASS_TABLE_DOC)]
+    return config_text(("class_table",), table)
+
+
 def script_text(**fields):
     return json.dumps({"vehicles": [{**SCRIPT_DOC["vehicles"][0], **fields}]})
 
@@ -1430,6 +1442,25 @@ USER_ERRORS = {
     "string zone centre": (
         [*ESTIMATE, "--config", "{doc}"], config_text(("zones", 0, "center", 0), "-19.0"),
         "error: bad intersection config: expected a number, got '-19.0'\n"),
+    # String fields are JSON strings, not coerced by str().
+    "number zone id": (
+        [*ESTIMATE, "--config", "{doc}"], config_text(("zones", 0, "id"), 5),
+        "error: bad intersection config: zones[0].id must be a string, got 5\n"),
+    "number class label": (
+        [*ESTIMATE, "--config", "{doc}"], class_table_text(0, label=7),
+        f"error: bad class table entry {class_entry(0, label=7)!r}: label must be a string, "
+        "got 7\n"),
+    "string fhwa list": (
+        [*ESTIMATE, "--config", "{doc}"], class_table_text(1, fhwa="abc"),
+        f"error: bad class table entry {class_entry(1, fhwa='abc')!r}: fhwa must be a list "
+        "of strings, got 'abc'\n"),
+    "number fhwa entry": (
+        [*ESTIMATE, "--config", "{doc}"], class_table_text(1, fhwa=[1]),
+        f"error: bad class table entry {class_entry(1, fhwa=[1])!r}: fhwa entry must be a "
+        "string, got 1\n"),
+    "number script zone_id": (
+        SIMULATE, script_text(zone_id=5),
+        "error: bad script document: vehicles[0].zone_id must be a string, got 5\n"),
     "collinear GCPs": (
         GEOREF, GCP_HEADER + "\n".join(GCP_ROWS) + "\n",
         "error: sensor-side GCPs are collinear within tolerance\n"),

@@ -330,7 +330,7 @@ class TestCountSession:
         cfg = small_config()
         # Detection inside the OUT egress zone (not a surrogate).
         stream = ned_stream(ned_frame(10.0, (19.0, 7.0, 4.5)))
-        events, meta = count_session(stream, cfg)
+        events, meta = count_session([stream], cfg)
         assert events.to_list() == []
         assert meta["ignored_egress_zones"] == ["OUT"]
         assert meta["triggers_per_zone"]["OUT"] == 1
@@ -342,7 +342,7 @@ class TestCountSession:
             ned_frame(20.0, (-5.25, 19.0, 4.5)),  # NB right via surrogate
             ned_frame(70.0, (-8.75, -19.0, 9.0)),  # EB right ingress
         )
-        events, meta = count_session(stream, cfg)
+        events, meta = count_session([stream], cfg)
         assert [(e.approach, e.movement) for e in events.to_list()] == [
             (NB, T),
             (NB, R),

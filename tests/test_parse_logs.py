@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 from conftest import frame_rows
 from lidartmc import cli, ingest
-from lidartmc.counting import extract_triggers
+from lidartmc.counting import count_session, extract_triggers
 from lidartmc.errors import MalformedLineError
 from lidartmc.geo import FrameRegistry, RigidTransform, load_registry
 from lidartmc.intersection import zone_hits
@@ -373,36 +374,30 @@ def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_pa
     assert manifest["counting"]["events"] == 5
 
 
-def test_estimate_builds_no_frame_and_merges_zone_rows(monkeypatch, tmp_path, sim):
-    def no_frame(*args):
-        raise AssertionError("a Frame was built")
+def test_estimate_builds_no_frame_and_merges_no_boxes(monkeypatch, tmp_path, sim):
+    def fail(what):
+        def raises(*args, **kwargs):
+            raise AssertionError(what)
+        return raises
 
-    merged_rows = []
-    merge = ingest.merge_streams
-
-    def counting_merge(streams, **kwargs):
-        merged_rows.append(sum(len(s.boxes) for s in streams))
-        return merge(streams, **kwargs)
-
-    monkeypatch.setattr(ingest, "Frame", no_frame)
-    monkeypatch.setattr(ingest, "merge_streams", counting_merge)
+    monkeypatch.setattr(ingest, "Frame", fail("a Frame was built"))
+    monkeypatch.setattr(ingest, "merge_streams", fail("the boxes were merged"))
     use_cpus(monkeypatch, 2)
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     assert cli.main(["estimate", *map(str, logs), "--registry", str(sim / "registry.json"),
                      "--out-dir", str(tmp_path / "est")]) == 0
-    boxes = sum(line.count('"x":') for log in logs for line in log.read_text().splitlines())
-    assert 0 < merged_rows[0] < boxes
 
 
-def ned_log(tmp_path, frames):
-    """A log of sensor L1 whose frames are (t, [(north, east, length), ...])
-    and a registry whose pose for L1 is the NED frame itself."""
-    registry = FrameRegistry(CFG.ned_origin)
-    registry.register("L1", RigidTransform(registry.ned_rotation().rotation.T,
-                                           registry.origin_ecef()))
-    log = tmp_path / "ned.jsonl"
+def ned_log(tmp_path, frames, sensor="L1", registry=None):
+    """A log of ``sensor`` whose frames are (t, [(north, east, length), ...])
+    and a registry (``registry``, or a new one) whose pose for ``sensor``
+    is the NED frame itself."""
+    registry = registry or FrameRegistry(CFG.ned_origin)
+    registry.register(sensor, RigidTransform(registry.ned_rotation().rotation.T,
+                                             registry.origin_ecef()))
+    log = tmp_path / f"ned_{sensor}.jsonl"
     log.write_text("".join(
-        json.dumps({"t": t, "frame_id": "L1", "detections": [
+        json.dumps({"t": t, "frame_id": sensor, "detections": [
             {"x": n, "y": e, "z": 0.5, "l": length, "w": 1.9, "h": 1.5, "yaw": 0.0}
             for n, e, length in boxes]}) + "\n"
         for t, boxes in frames))
@@ -432,6 +427,28 @@ def test_nothing_is_dropped_inside_the_session(tmp_path):
     assert dropped.tolist() == []
     assert stream.t.tolist() == [20.0, 500.0]
     assert stream.boxes[:, ingest.L].tolist() == [4.5]
+
+
+def test_counting_holds_no_second_copy_of_the_zone_rows(tmp_path):
+    """The traced peak of counting two parsed streams stays under 1.5
+    times the bytes of their zone rows: no merged copy of the boxes."""
+    boxes = [(z.center.north, z.center.east, 4.5) for z in CFG.zones[::3]]
+    registry, logs = None, []
+    for sensor, phase in (("L1", 0.0), ("L2", 0.05)):
+        log, registry = ned_log(tmp_path, [(k * 0.1 + phase, boxes) for k in range(2500)],
+                                sensor, registry)
+        logs.append(log)
+    streams, _ = ingest.parse_logs(logs, registry, CFG)
+    zone_rows = sum(s.boxes.nbytes for s in streams)
+    assert zone_rows == 2 * 2500 * len(boxes) * 8 * 8
+    tracemalloc.start()
+    try:
+        events, _ = count_session(streams, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 0
+    assert peak < 1.5 * zone_rows
 
 
 def session_case_logs(sim, tmp_path, name):

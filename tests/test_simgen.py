@@ -43,7 +43,7 @@ T = Movement.THRU
 def run_counting(session, cfg):
     merged = merge_streams(list(session.frames_by_sensor.values()))
     ned = frames_to_ned(merged, session.registry)
-    events, meta = count_session(ned, cfg)
+    events, meta = count_session([ned], cfg)
     sim_bin = session.ground_truth.bin_seconds
     est = estimate_tmc(
         events, sim_bin, session.ground_truth.session, cfg.class_table.n_classes
