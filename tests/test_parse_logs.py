@@ -323,7 +323,7 @@ def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
     assert_no_children()
 
 
-@pytest.mark.parametrize("chunk_rows", [7, ingest.CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [7, ingest.CHUNK_ROWS, 8192])
 def test_rows_are_the_zone_contained_ones(monkeypatch, sim, tmp_path, chunk_rows):
     logs = [with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"]),
             shifted_copy(sim / "log_L2.jsonl", tmp_path / "late.jsonl", 1e4)]
