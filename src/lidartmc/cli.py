@@ -12,16 +12,15 @@ A run's session is its config's schedule session. ``simulate`` covers
 it; ``estimate`` counts on it, and ``--session-start``/``--session-end``
 only select the window inside it whose events are tabulated.
 
-``estimate`` holds one copy of its zone rows: each log is parsed to its
-in-session zone rows in NED (``ingest.parse_logs``), the frame order of
-each log and the registry are checked, each sensor's stream is counted
-on its own, and the zones' trigger columns, not the boxes, are merged
-(``counting.count_session``). The streams are freed once their triggers
-are taken.
+``estimate`` keeps no box past its parse chunk: each chunk is cut to its
+trigger rows (``ingest.parse_logs``), the frame order of each log and
+the registry are checked, and each zone's trigger columns of all logs
+are merged and counted (``counting.count_session``).
 
 Import rule: module level imports only what argument parsing and the
 exit-code mapping need (``errors``, and ``reference`` for the default
-``--config``), and nothing that loads numpy. Each ``cmd_*`` and each
+``--config``), and nothing that loads numpy; ``traceback`` is imported
+only on the exit-1 path. Each ``cmd_*`` and each
 argparse type imports the package modules it runs inside its own body,
 so one call compiles and runs only the code of its command: ``estimate``
 never loads ``simgen`` or ``report``; ``simulate --script`` loads
@@ -29,14 +28,17 @@ never loads ``simgen`` or ``report``; ``simulate --script`` loads
 ``counting`` or ``scenarios`` (only ``--scenario`` loads that one); and
 ``compare`` never loads ``ingest`` or ``counting``.
 
-The collector: ``entrypoint`` turns it off before ``main``, so the
-command's imports and its run make no collector passes, nor do the
-forked parse children, which inherit the setting. Nothing is lost by
-that: a run builds no cyclic garbage that it needs freed (the parse
-keeps its chunk data in arrays and lists that reference counting frees,
-and the skipped-line errors it stores, whose tracebacks are cycles, stay
-reachable until the process ends anyway). ``main`` itself leaves the
-collector as it found it, so in-process callers keep theirs.
+The collector and BLAS: ``entrypoint`` turns the collector off and sets
+``OPENBLAS_NUM_THREADS=1`` before ``main``, while numpy is not loaded,
+so neither the command's imports, its run nor its forked parse children
+make collector passes or start a BLAS thread pool. The only BLAS
+products are 3x3 poses and ``simulate``'s (n, 3) @ (3, 3); the parse
+maps to NED without BLAS (``ingest.ned_boxes``). Nothing is lost without
+the collector: a run builds no cyclic garbage that it needs freed (chunk
+data sits in arrays and lists that reference counting frees, and the
+stored skipped-line errors, whose tracebacks are cycles, stay reachable
+until the process ends). ``main`` touches neither setting, so in-process
+callers keep theirs.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -153,19 +154,19 @@ def cmd_estimate(args) -> int:
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
-    # Each log comes back as its in-session zone rows in NED and every frame
-    # time; the zone rows outside the session come back as their times.
-    streams, dropped = parse_logs(args.logs, registry, cfg, strict=args.strict,
-                                  error_sink=errors)
-    check_order(streams, args.reorder_window)
+    # Each log comes back as its trigger columns and every frame time; its
+    # zone rows outside the session come back as their times.
+    logs = parse_logs(args.logs, registry, cfg, strict=args.strict, error_sink=errors)
+    check_order(logs, args.reorder_window)
     # A log of an unregistered sensor fails after the order check.
-    for fid in sorted({fid for s in streams for fid in s.sensors}):
+    for fid in sorted({log.sensor for log in logs} - {None}):
         registry.transform_for(fid)
-    outside = len(dropped)
+    outside = sum(len(log.dropped) for log in logs)
     if outside and args.strict:  # the earliest one, after the order and registry checks
-        raise outside_session_error(float(dropped.min()), cfg.schedule.session)
-    events, meta = count_session(streams, cfg)
-    del streams
+        earliest = min(float(log.dropped.min()) for log in logs if len(log.dropped))
+        raise outside_session_error(earliest, cfg.schedule.session)
+    events, meta = count_session(logs, cfg)
+    del logs
     events = events.take(~outside_session(events.t, window))
     table = estimate_tmc(events, args.bin_seconds, window, cfg.class_table.n_classes)
     warnings = {"skipped_lines": len(errors)}
@@ -407,15 +408,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # internal error contract
+        import traceback
+
         traceback.print_exc()
         return 1
 
 
 def entrypoint() -> None:
-    # No collector passes in a CLI process (why: module docstring). main()
-    # neither touches the collector nor ends the process, because tests
-    # and the per-layer benchmark call it in-process.
+    # No collector passes and no BLAS thread pool in a CLI process (why:
+    # module docstring). main() touches neither and does not end the
+    # process, because tests and the per-layer benchmark call it in-process.
     gc.disable()
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     try:
         sys.stdout.flush()

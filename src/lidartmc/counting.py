@@ -1,14 +1,15 @@
 """Zone triggers, temporal clustering, and count-table assembly.
 
-Each sensor's NED detection stream is reduced to per-zone trigger series
-(a trigger = one detection centroid inside a zone, by
-:func:`~lidartmc.intersection.zone_hits`, at a time when some binding of
-the zone is permissible). A zone's series of all streams are merged as
-columns (time, length, sensor) in :func:`~lidartmc.stream.merge_order`,
-the order in which ``ingest.merge_streams`` merges frames, so counting
-never holds a merged copy of the boxes. Each zone's series is clustered
-into vehicles by one pairwise rule: a trigger joins its predecessor's
-vehicle when the gap between the two is
+A trigger is one detection centroid inside a zone
+(:func:`~lidartmc.intersection.zone_hits`) at a time in the session when
+some binding of the zone is permissible. :func:`zone_triggers` is that
+rule; the parse cut runs it on each chunk, so each log reaches counting
+as trigger columns (:class:`LogTriggers`), not boxes. A zone's triggers
+of all logs are merged in :func:`~lidartmc.stream.merge_order`, the
+order in which ``ingest.merge_streams`` merges frames, with each sensor
+as an integer code. Each zone's series is clustered into vehicles by one
+pairwise rule: a trigger joins its predecessor's vehicle when the gap
+between the two is
 
 * below ``cluster_gap``: the same vehicle;
 * below the zone's minimum headway (2.0 s for right-turn zones, 1.2 s
@@ -57,7 +58,8 @@ from .tables import TmcTable, empty_table
 @dataclass(frozen=True, eq=False)
 class TriggerSeries:
     """One zone's triggers in time order, as columns: frame time, box
-    length, and frame id of the sensor that saw the box."""
+    length, and the code of the sensor that saw the box (its index in the
+    sorted frame ids)."""
 
     t: np.ndarray
     length: np.ndarray
@@ -66,15 +68,26 @@ class TriggerSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def take(self, index) -> TriggerSeries:
-        return TriggerSeries(self.t[index], self.length[index], self.sensor[index])
 
-    @classmethod
-    def join(cls, series: Iterable[TriggerSeries]) -> TriggerSeries:
-        """The triggers of ``series``, one series after another."""
-        series = list(series)
-        return cls(*(np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in series)])
-                     for name, dtype in (("t", float), ("length", float), ("sensor", str))))
+def _join(items: Sequence, columns: Iterable[tuple[str, type]]) -> list[np.ndarray]:
+    """Each ``(name, dtype)`` column of ``items``, joined one item after another."""
+    return [np.concatenate([np.empty(0, dtype), *(getattr(item, name) for item in items)])
+            for name, dtype in columns]
+
+
+@dataclass(frozen=True, eq=False)
+class LogTriggers:
+    """One detection log as ``ingest.parse_logs`` cuts it: its sensor (None
+    if it keeps no line), the time of every frame, the zone, frame time
+    and box length of each trigger in row order (:func:`zone_triggers`),
+    and the frame times of its zone rows outside the session."""
+
+    sensor: str | None
+    frame_t: np.ndarray
+    zone: np.ndarray
+    t: np.ndarray
+    length: np.ndarray
+    dropped: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,62 +145,71 @@ def _binding_mask(binding_sets) -> np.ndarray:
     return out
 
 
-def _stream_triggers(stream: MergedStream,
-                     cfg: IntersectionConfig) -> tuple[dict[str, TriggerSeries], np.ndarray]:
-    """Per-zone trigger series of one NED stream, in its own order, and
-    the frame times of its zone-contained rows outside the session."""
-    if stream.coordinate_frame != FRAME_NED:
-        raise ValueError("counting requires NED streams")
-    zones, boxes, schedule = cfg.zones, stream.boxes, cfg.schedule
-    hits = zone_hits(boxes[:, X], boxes[:, Y], zones)
-    rows = np.flatnonzero(hits.any(axis=1))
-    frames = stream.frame_of(rows)
-    ts = stream.t[frames]
-    starts = np.array([iv.start for iv in schedule.intervals])
-    ends = np.array([iv.end for iv in schedule.intervals])
+def zone_triggers(north: np.ndarray, east: np.ndarray, t: np.ndarray,
+                  cfg: IntersectionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triggers of NED points ``(north, east)`` seen at frame times
+    ``t``: the row and zone index of each (point, zone) pair that
+    triggers, in row order, and the times of the zone-contained points
+    outside the schedule's session. A pair triggers when the zone contains
+    the point, its time is in the session and a binding of the zone is
+    permissible then: a right binding always, another one when the
+    interval holding the time permits it. A point in two zones is two
+    triggers."""
+    zones, schedule = cfg.zones, cfg.schedule
+    hits = zone_hits(north, east, zones)
+    inside = hits.any(axis=1)
+    outside = outside_session(t, schedule.session)
+    rows = np.flatnonzero(inside & ~outside)
+    ts = t[rows]
+    starts, ends = np.array([(iv.start, iv.end) for iv in schedule.intervals]).T
     idx = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
     in_interval = (starts[idx] <= ts) & (ts < ends[idx])
-    # A right binding is always permissible, another one when its interval permits it.
+    used, idx = np.unique(idx, return_inverse=True)  # the intervals that hold a time
     bound = _binding_mask([z.bindings for z in zones])
     right = np.arange(bound.shape[1]) % len(MOVEMENTS) == MOVEMENT_INDEX[Movement.RIGHT]
-    permits = _binding_mask([iv.permitted for iv in schedule.intervals]) @ (bound & ~right).T
+    permitted = _binding_mask([schedule.intervals[i].permitted for i in used.tolist()])
+    permits = permitted @ (bound & ~right).T
     trig = hits[rows] & ((bound & right).any(axis=1) | (in_interval[:, None] & permits[idx]))
-    lengths = boxes[rows, L]
-    sensors = np.asarray(stream.sensors, dtype=str)[stream.sensor[frames]]
-    out = {}
-    for zi, z in enumerate(zones):
-        r = np.flatnonzero(trig[:, zi])
-        out[z.id] = TriggerSeries(ts[r], lengths[r], sensors[r])
-    return out, ts[outside_session(ts, schedule.session)]
+    row, zone = np.nonzero(trig)
+    return rows[row], zone, t[inside & outside]
 
 
-def merge_triggers(streams: Sequence[MergedStream],
+def merge_triggers(logs: Sequence[LogTriggers],
                    cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
-    """Per-zone, time-ordered trigger series of NED streams, one zone's
-    triggers of all streams merged in :func:`~lidartmc.stream.merge_order`.
-
-    A (detection, zone) pair triggers when the centre is inside the zone
-    and at least one of the zone's bindings is permissible at the frame
-    time. Each series is the one that the frames merged by
-    :func:`~lidartmc.ingest.merge_streams` would give, without merging
-    their boxes. A contained detection with a timestamp outside the
-    schedule's session raises a :class:`~lidartmc.errors.UserInputError`
-    that names the earliest such time.
-    """
-    taken = [_stream_triggers(s, cfg) for s in streams]
-    outside = np.concatenate([np.empty(0), *(times for _, times in taken)])
-    if len(outside):
-        raise outside_session_error(float(outside.min()), cfg.schedule.session)
+    """Per-zone, time-ordered trigger series of per-sensor logs: one
+    zone's triggers of all logs, joined log after log, in
+    :func:`~lidartmc.stream.merge_order`, each sensor coded by its index
+    in the sorted frame ids: the series of the frames merged by
+    :func:`~lidartmc.ingest.merge_streams`, without merging boxes."""
+    code = {fid: i for i, fid in enumerate(sorted({log.sensor for log in logs} - {None}))}
+    logs = [log for log in logs if len(log.zone)]  # a log with no kept line has no code
+    zone, t, length = _join(logs, (("zone", np.intp), ("t", float), ("length", float)))
+    sensor = np.repeat(np.array([code[log.sensor] for log in logs], dtype=np.intp),
+                       [len(log.zone) for log in logs])
+    order = merge_order(t, sensor)
     out = {}
-    for z in cfg.zones:
-        joined = TriggerSeries.join(series[z.id] for series, _ in taken)
-        out[z.id] = joined.take(merge_order(joined.t, joined.sensor))
+    for zi, z in enumerate(cfg.zones):
+        r = order[zone[order] == zi]
+        out[z.id] = TriggerSeries(t[r], length[r], sensor[r])
     return out
 
 
 def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
-    """:func:`merge_triggers` of one stream."""
-    return merge_triggers([stream], cfg)
+    """:func:`merge_triggers` of one NED stream, one :class:`LogTriggers` a
+    sensor, from one :func:`zone_triggers` over all its rows. A contained
+    detection outside the schedule's session raises a
+    :class:`~lidartmc.errors.UserInputError` naming the earliest time."""
+    if stream.coordinate_frame != FRAME_NED:
+        raise ValueError("counting requires NED streams")
+    sizes = np.diff(stream.offsets)
+    row_t = np.repeat(stream.t, sizes)
+    rows, zone, outside = zone_triggers(stream.boxes[:, X], stream.boxes[:, Y], row_t, cfg)
+    if len(outside):
+        raise outside_session_error(float(outside.min()), cfg.schedule.session)
+    sensor, t, length = np.repeat(stream.sensor, sizes)[rows], row_t[rows], stream.boxes[rows, L]
+    return merge_triggers([LogTriggers(fid, stream.t[stream.sensor == c], zone[sensor == c],
+                                       t[sensor == c], length[sensor == c], outside)
+                           for c, fid in enumerate(stream.sensors)], cfg)
 
 
 def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
@@ -198,8 +220,8 @@ def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
     index = {z.id: i for i, z in enumerate(zones)}
     zone = np.repeat(np.array([index[zid] for zid, _ in series], dtype=np.intp),
                      [len(s) for _, s in series])
-    joined = TriggerSeries.join(s for _, s in series)
-    t, length, sensor = joined.t, joined.length, joined.sensor
+    t, length, sensor = _join([s for _, s in series],
+                              (("t", float), ("length", float), ("sensor", np.intp)))
     headway = np.array([params.min_headway_for(z) for z in zones])
     gap = np.diff(t)
     join = (
@@ -252,20 +274,19 @@ def count_rights_from_egress(
     return cluster_triggers(series, cfg, params)
 
 
-def count_session(streams: Sequence[MergedStream],
+def count_session(logs: Sequence[LogTriggers],
                   cfg: IntersectionConfig) -> tuple[Events, dict]:
-    """Full counting pass over per-sensor NED streams, as
-    :func:`~lidartmc.ingest.parse_logs` gives them: merged triggers
+    """Full counting pass over the per-sensor trigger columns that
+    :func:`~lidartmc.ingest.parse_logs` gives: merged triggers
     (:func:`merge_triggers`) -> ingress events + surrogate events, with
-    the thresholds of ``cfg.params``.
-
-    Egress zones that are not right surrogates are observational only;
-    their triggers are extracted but never counted. Returns the events
-    and a metadata dict recording trigger counts and any shared
-    Left/UTurn zones (whose events are labeled with the primary binding
-    because ingress triggers cannot tell the two apart).
+    the thresholds of ``cfg.params``. Egress zones that are not right
+    surrogates are observational only: their triggers are counted in the
+    metadata, never as events. Returns the events and a metadata dict
+    recording trigger counts and any shared Left/UTurn zones (whose
+    events are labeled with the primary binding because ingress triggers
+    cannot tell the two apart).
     """
-    triggers = merge_triggers(streams, cfg)
+    triggers = merge_triggers(logs, cfg)
     counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
     events = _events(counted, cfg, cfg.params)
     shared = [z.id for z in cfg.ingress_zones

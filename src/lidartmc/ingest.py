@@ -47,19 +47,12 @@ why, and a heading is wrapped only once it is finite. ``box_reason`` in
 
 :func:`parse_logs`, which ``estimate`` runs, cuts further: each chunk is
 mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
-to the rows whose centre lies in some counting zone and whose frame time
-lies in the session before the next chunk is read. A log's result is
-its zone rows, in NED, plus the time of every frame, kept even when none
-of its rows is, so the order check (:func:`check_order`) sees every
-frame, and the frame times of the zone rows dropped as outside the
-session. These zone rows are the only copy of the boxes that
-``estimate`` holds: it counts each log's stream on its own and merges
-trigger columns, not boxes (:func:`~lidartmc.counting.count_session`).
-The logs are parsed concurrently: the first in the calling process and
-each later one, up to one process per usable CPU, in a forked child that
-sends back one pickled header of its results through a pipe. Results,
-skipped lines, warnings and errors are those of parsing the logs one
-after the other.
+to its trigger rows (:func:`~lidartmc.counting.zone_triggers`) before
+the next chunk is read, so no box outlives its chunk. A log comes back
+as trigger columns (:class:`~lidartmc.counting.LogTriggers`) and the
+time of every frame. The logs are parsed concurrently, each after the
+first in a forked child, with the results, skipped lines, warnings and
+errors of parsing them one after the other.
 
 A parse does not log: its caller logs the skipped lines it returns, so
 only one loads ``logging``.
@@ -77,14 +70,15 @@ import signal
 import zlib
 from dataclasses import replace
 from itertools import chain, repeat
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
 
+from .counting import LogTriggers, zone_triggers
 from .errors import MalformedLineError, UserInputError, json_number
 from .geo import FrameRegistry, wrap_angles
-from .intersection import IntersectionConfig, outside_session, zone_hits
+from .intersection import IntersectionConfig
 from .stream import (
     BOX_COLUMNS, FRAME_NED, FRAME_SENSOR, MAX_DIMENSION_M, L, SCORE, X, Y, YAW, Z, Frame,
     MergedStream, merge_order,
@@ -93,7 +87,6 @@ from .stream import (
 # module until it runs the CLI's own stages (ROADMAP item 2).
 from .stream import write_detection_log  # noqa: F401
 
-DEFAULT_REORDER_WINDOW_S = 1.0
 # Raw boxes read before they are converted to a block: bounds the memory
 # that the Python-object form of a log takes (about 0.3 KB a box).
 CHUNK_ROWS = 2048
@@ -198,27 +191,17 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
     return block, reasons
 
 
-def _parse_columns(
+def _chunks(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
     strict: bool,
-    cut: Callable | None = None,
-) -> tuple[MergedStream, np.ndarray, list[MalformedLineError]]:
-    """The stream of a detection log as :func:`parse_detection_log` parses
-    it, the times the cut drops (none without a cut) and the skipped lines.
-
-    ``cut(block, sensor, t)``, if given, takes each chunk's kept rows,
-    the log's sensor and each row's frame time, and returns the rows to
-    keep, in NED, a mask of the rows they are, and the frame times of
-    the zone rows it drops as outside the session. A frame keeps its
-    time when the cut keeps none of its rows.
-    """
+    errors: list[MalformedLineError],
+) -> Iterator[tuple[str | None, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each chunk of a detection log as :func:`parse_detection_log` parses
+    it: the log's sensor (None until a line is kept), the block of its kept
+    rows, and each kept line's frame time and rows. The skipped lines go
+    to ``errors``, in line order once the log is read."""
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
-    errors: list[MalformedLineError] = []
-    blocks: list[np.ndarray] = []  # kept rows of each chunk
-    sizes: list[np.ndarray] = []  # rows of each kept line, by chunk
-    kept_t: list[float] = []  # t of every kept line
-    dropped: list[np.ndarray] = [np.empty(0)]  # times of the rows the cut drops
     expected = None
     # (line_no, frame_id, t, first row, end row, error checked last) of the chunk
     lines: list[tuple] = []
@@ -227,7 +210,7 @@ def _parse_columns(
     rows: list[tuple] = []  # required values of each box of the chunk
     scores: list = []  # score of each box of the chunk, None when absent
 
-    def flush() -> None:
+    def flush() -> tuple[str | None, np.ndarray, np.ndarray, np.ndarray]:
         # The sensor check of a string frame_id precedes the box checks of
         # a line, and the sensor is adopted from the first good line.
         nonlocal expected
@@ -246,7 +229,6 @@ def _parse_columns(
             else:
                 keep[i] = True
                 expected = fid
-                kept_t.append(t)
         # Chunks run in line order, so the first chunk with a bad line
         # holds the lowest one.
         if errors and strict:
@@ -254,20 +236,10 @@ def _parse_columns(
         n = np.array([line[4] - line[3] for line in lines], dtype=np.intp)
         block = block[np.repeat(keep, n)]
         block[:, YAW] = wrap_angles(block[:, YAW])
-        n = n[keep]
-        if cut is not None and len(block):
-            row_t = np.repeat(np.array([line[2] for line in lines])[keep], n)
-            block, inside, outside_t = cut(block, expected, row_t)
-            dropped.append(outside_t)
-            inside_before = np.concatenate(([0], np.cumsum(inside)))
-            ends = np.cumsum(n)
-            n = inside_before[ends] - inside_before[ends - n]
-        blocks.append(block)
-        sizes.append(n)
-        lines.clear()
-        faults.clear()
-        rows.clear()
-        scores.clear()
+        t = np.array([line[2] for line in lines], dtype=np.float64)[keep]
+        for pending in (lines, faults, rows, scores):
+            pending.clear()
+        return expected, block, t, n[keep]
 
     line_no = 0
     try:
@@ -321,28 +293,33 @@ def _parse_columns(
                 continue
             lines.append((line_no, fid, t, a, len(rows), late))
             if len(rows) >= CHUNK_ROWS:
-                flush()
+                yield flush()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         errors.append(MalformedLineError(line_no + 1, f"log ends in a broken block: {exc}"))
-    flush()
-
+    yield flush()
     errors.sort(key=lambda e: e.line_no)
+
+
+def _frame_starts(t: np.ndarray) -> np.ndarray:
+    """The first of each run of equal (finite) kept-line times: one frame."""
+    return np.flatnonzero(np.diff(t, prepend=np.nan) != 0)
+
+
+def _parse_columns(
+    source: IO[bytes] | IO[str] | Iterable[bytes | str],
+    strict: bool,
+) -> tuple[MergedStream, list[MalformedLineError]]:
+    """A detection log as :func:`parse_detection_log` parses it, and its skipped lines."""
+    errors: list[MalformedLineError] = []
+    chunks = list(_chunks(source, strict, errors))
+    sensors, blocks, times, sizes = zip(*chunks)  # the last sensor is the log's
     boxes = np.concatenate(blocks)
-    del blocks  # the chunk blocks are no longer needed once joined
-    # Consecutive kept lines at one t are one frame (their sensor is one).
-    t = np.array(kept_t, dtype=np.float64)
-    first = np.ones(len(t), dtype=bool)
-    first[1:] = t[1:] != t[:-1]
-    first = np.flatnonzero(first)
-    line_start = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
-    return MergedStream(
-        boxes=boxes,
-        t=t[first],
-        sensor=np.zeros(len(first), dtype=np.intp),
-        sensors=(expected,) if len(first) else (),
-        offsets=line_start[np.append(first, len(t))],
-        coordinate_frame=FRAME_SENSOR if cut is None else FRAME_NED,
-    ), np.concatenate(dropped), errors
+    del chunks, blocks  # the chunk blocks are no longer needed once joined
+    t = np.concatenate(times)
+    first = _frame_starts(t)
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))[np.append(first, len(t))]
+    return MergedStream(boxes, t[first], np.zeros(len(first), dtype=np.intp),
+                        sensors[-1:] if len(first) else (), offsets), errors
 
 
 def _report_skipped(errors: list[MalformedLineError], error_sink: list | None) -> None:
@@ -377,12 +354,8 @@ def parse_detection_log(
     A string or boolean where a number belongs and a non-string
     ``frame_id`` are checked after every other check of their line, so
     a line that another check refuses has that check's reason.
-
-    Lines are read in chunks of about :data:`CHUNK_ROWS` boxes; each
-    chunk is converted, checked and cut down to its kept rows before the
-    next one is read, so the raw box tuples never outlive their chunk.
     """
-    stream, _, errors = _parse_columns(source, strict)
+    stream, errors = _parse_columns(source, strict)
     _report_skipped(errors, error_sink)
     return list(stream.frames)
 
@@ -398,46 +371,48 @@ def open_detection_log(path) -> IO[bytes]:
 
 
 def _zone_cut(registry: FrameRegistry, cfg: IntersectionConfig) -> Callable:
-    """The chunk cut of :func:`parse_logs`: a chunk's rows mapped to NED
-    by its sensor's pose, then only those whose centre is in some zone by
-    :func:`~lidartmc.intersection.zone_hits`, as ``counting`` tests them,
-    and whose frame time is in the schedule's session; the times of the
-    zone rows outside it come back too.
-
-    Every registered pose is composed here, before any fork, so a parse
-    child does no BLAS work (the parent's BLAS threads do not exist
-    there). A sensor the registry lacks keeps and drops no rows.
-    """
+    """The chunk cut of :func:`parse_logs`: the zone, frame time and box
+    length of each trigger (:func:`~lidartmc.counting.zone_triggers`) of a
+    chunk's rows mapped to NED by its sensor's pose, and the frame times of
+    its zone rows outside the session. The poses are composed here, before
+    any fork: once, and with no BLAS product in a parse child, whatever
+    BLAS threads its parent has. A sensor the registry lacks gives no
+    triggers and drops no rows."""
     poses = {fid: registry.ned_pose(fid) for fid in registry.frame_ids}
-    zones, session = cfg.zones, cfg.schedule.session
+    none = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))
 
-    def cut(block: np.ndarray, sensor: str, t: np.ndarray) -> tuple:
+    def cut(block: np.ndarray, sensor: str | None, t: np.ndarray) -> tuple:
         pose = poses.get(sensor)
         if pose is None:
-            return block[:0], np.zeros(len(block), dtype=bool), t[:0]
+            return none
         ned = ned_boxes(block, pose)
-        inside = zone_hits(ned[:, X], ned[:, Y], zones).any(axis=1)
-        outside = outside_session(t, session)
-        keep = inside & ~outside
-        return ned[keep], keep, t[inside & outside]
+        rows, zone, outside = zone_triggers(ned[:, X], ned[:, Y], t, cfg)
+        return zone, t[rows], ned[rows, L], outside
 
     return cut
 
 
 def _parse_path(path, strict: bool, cut: Callable) -> tuple:
+    """The :class:`~lidartmc.counting.LogTriggers` of the detection log at
+    ``path``, each chunk cut by ``cut`` as it is read, and its skipped lines."""
+    errors: list[MalformedLineError] = []
     with open_detection_log(path) as fh:
-        return _parse_columns(fh, strict, cut)
+        cuts = [(sensor, t, *cut(block, sensor, np.repeat(t, n)))
+                for sensor, block, t, n in _chunks(fh, strict, errors)]
+    sensors, times, *columns = zip(*cuts)  # the last sensor is the log's
+    t = np.concatenate(times)
+    return LogTriggers(sensors[-1], t[_frame_starts(t)], *map(np.concatenate, columns)), errors
 
 
 def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
     """Body of a forked parse: writes one pickled header to ``fd``;
     never returns.
 
-    The header is ``(error,)`` on failure and ``(None, zone-row stream,
-    dropped times, skipped lines)`` on success. The child does no BLAS
-    work, does not log (a parse does not; the parent logs the skipped
-    lines in log order) and ends with ``os._exit``, so nothing of the
-    parent's state is flushed or run.
+    The header is ``(error,)`` on failure and ``(None, log triggers,
+    skipped lines)`` on success. The child runs no BLAS product (the
+    poses were composed before the fork), does not log (a parse does
+    not; the parent logs the skipped lines in log order) and ends with
+    ``os._exit``, so nothing of the parent's state is flushed or run.
     """
     status = 1
     try:
@@ -475,7 +450,7 @@ def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | No
 
 
 def _receive(pipe: IO[bytes], path) -> tuple:
-    """The stream, dropped times and skipped lines of a forked parse; raises its error."""
+    """The log triggers and skipped lines of a forked parse; raises its error."""
     try:
         error, *result = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
@@ -492,30 +467,28 @@ def parse_logs(
     *,
     strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
-) -> tuple[list[MergedStream], np.ndarray]:
-    """The zone rows of each detection log at ``paths``, in NED, and the
-    frame times of the zone rows dropped as outside the session.
+) -> list[LogTriggers]:
+    """The :class:`~lidartmc.counting.LogTriggers` of each detection log
+    at ``paths``.
 
     Each log is parsed as by :func:`parse_detection_log`, and each chunk
     of its kept rows is mapped sensor -> NED (:func:`ned_boxes`, with the
-    log's pose from ``registry``) and cut to the rows whose centre lies
-    in some of ``cfg.zones`` and whose frame time lies in
-    ``cfg.schedule.session`` before the next chunk is read. A log's
-    stream holds those rows and the time of every frame, also of a frame
-    left with no rows, so :func:`check_order` checks the order of every
-    frame. A log whose sensor ``registry`` lacks keeps and drops no rows:
-    the caller raises :class:`~lidartmc.errors.UserInputError` for it
-    after the order check, where :func:`frames_to_ned` would.
+    log's pose from ``registry``) and cut to its triggers by
+    :func:`~lidartmc.counting.zone_triggers` before the next chunk is
+    read. A log keeps the time of every frame, also of one with no
+    trigger, for :func:`check_order`. A log whose sensor ``registry``
+    lacks has no triggers and drops no rows: the caller raises
+    :class:`~lidartmc.errors.UserInputError` for it after the order
+    check, where :func:`frames_to_ned` would.
 
-    The logs are parsed concurrently: the calling process parses the
-    first, and each later log, up to one process per usable CPU, is
-    parsed by a forked child that sends back one pickled header holding
-    its skipped lines, its zone-row stream and its dropped times; the
-    rest are parsed here after the first. Results are taken in argument
-    order, so the streams, the dropped times, the skipped lines in
-    ``error_sink`` and the logged warnings are in log order, and the
-    error raised is that of the first log that fails. No child outlives
-    the call: on an error each is killed and reaped.
+    The calling process parses the first log, and each later one, up to
+    one process per usable CPU, is parsed by a forked child that sends
+    back one pickled header of its result and skipped lines; the rest
+    are parsed here after the first. Results are taken in argument
+    order, so the results, the skipped lines in ``error_sink`` and the
+    logged warnings are in log order, and the error raised is that of
+    the first log that fails. No child outlives the call: on an error
+    each is killed and reaped.
     """
     paths = list(paths)
     cut = _zone_cut(registry, cfg)
@@ -530,18 +503,19 @@ def parse_logs(
             if child is None:  # the logs left are parsed here
                 break
             children[i] = child
-        parsed = []
+        logs = []
         for i, path in enumerate(paths):
             if i in children:
                 pid, pipe = children[i]
-                parsed.append(_receive(pipe, path))
+                log, errors = _receive(pipe, path)
                 del children[i]
                 pipe.close()
                 os.waitpid(pid, 0)
             else:
-                parsed.append(_parse_path(path, strict, cut))
-            _report_skipped(parsed[-1][2], error_sink)
-        return [s for s, _, _ in parsed], np.concatenate([np.empty(0)] + [d for _, d, _ in parsed])
+                log, errors = _parse_path(path, strict, cut)
+            _report_skipped(errors, error_sink)
+            logs.append(log)
+        return logs
     finally:
         for pid, pipe in children.values():
             pipe.close()
@@ -549,29 +523,33 @@ def parse_logs(
             os.waitpid(pid, 0)
 
 
-def check_order(streams: Sequence[MergedStream], reorder_window: float) -> None:
-    """Raise a :class:`~lidartmc.errors.UserInputError` for the first frame,
-    stream by stream, that is more than ``reorder_window`` seconds older
-    than the newest frame before it in its own stream."""
-    for s in streams:
-        newest = np.maximum.accumulate(np.concatenate(([-math.inf], s.t)))[:-1]
-        late = np.flatnonzero(s.t < newest - reorder_window)
-        if late.size:
-            i = late[0]
-            sensor, t = s.sensors[s.sensor[i]], float(s.t[i])
-            raise UserInputError(f"frame from sensor {sensor!r} at t={t} is more than "
-                                 f"{reorder_window}s out of order")
+def _check_order(t: np.ndarray, sensor_of: Callable, reorder_window: float) -> None:
+    """Raise a :class:`~lidartmc.errors.UserInputError` for the first time
+    of ``t`` more than ``reorder_window`` seconds older than the newest
+    one before it, naming the sensor ``sensor_of`` gives for its index."""
+    newest = np.maximum.accumulate(np.concatenate(([-math.inf], t)))[:-1]
+    late = np.flatnonzero(t < newest - reorder_window)
+    if late.size:
+        i = late[0]
+        raise UserInputError(f"frame from sensor {sensor_of(i)!r} at t={float(t[i])} is more "
+                             f"than {reorder_window}s out of order")
+
+
+def check_order(logs: Sequence[LogTriggers], reorder_window: float) -> None:
+    """:func:`_check_order` of each log's frame times, log by log."""
+    for log in logs:
+        _check_order(log.frame_t, lambda i: log.sensor, reorder_window)
 
 
 def merge_streams(
     streams: Sequence[MergedStream | Iterable[Frame]],
-    reorder_window: float = DEFAULT_REORDER_WINDOW_S,
+    reorder_window: float = 1.0,
 ) -> MergedStream:
     """Merge per-sensor streams into one nondecreasing stream.
 
-    Each input is a :class:`MergedStream`, as :func:`parse_logs` gives,
-    or a sequence of frames. Each may be locally jittered by up to
-    ``reorder_window`` seconds (:func:`check_order`). The order is
+    Each input is a :class:`MergedStream` or a sequence of frames, as
+    :func:`parse_detection_log` gives. Each may be locally jittered by up
+    to ``reorder_window`` seconds, as :func:`check_order` allows. The order is
     :func:`~lidartmc.stream.merge_order`'s: by time, then frame_id, then
     input stream, then position within the stream, so the merge is fully
     deterministic. The inputs must share one coordinate frame, which the
@@ -581,7 +559,8 @@ def merge_streams(
     """
     streams = [s if isinstance(s, MergedStream) else MergedStream.from_frames(list(s))
                for s in streams]
-    check_order(streams, reorder_window)
+    for s in streams:
+        _check_order(s.t, lambda i: s.sensors[s.sensor[i]], reorder_window)
     if not streams:
         return MergedStream.from_frames(())
     coords = {s.coordinate_frame for s in streams}

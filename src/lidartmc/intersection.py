@@ -4,17 +4,16 @@ Zones are oriented rectangles in the local NED plane (the down component
 is ignored; the intersection is treated as planar). Each zone is tagged
 ingress or egress and bound to one or more (approach, movement) pairs;
 the first listed binding is the zone's primary label for counting.
-:func:`zone_hits` is the one containment rule: ``ingest`` cuts each
-parse chunk to its zone rows with it and ``counting`` finds each zone's
-triggers with it.
+:func:`zone_hits` is the one containment rule, which
+``counting.zone_triggers`` runs on each parse chunk.
 
 The phase schedule lists non-overlapping [start, end) intervals with the
 set of permitted (approach, movement) pairs. Right turns are permitted
 at all times regardless of schedule content (right on red). The
 schedule's session, from its first start to its last end, is the one
 session of a run: ``simulate`` covers it, ``estimate`` counts on it.
-:func:`outside_session` is the one session rule, for ``ingest``,
-``counting``, ``simgen`` and ``cli`` alike.
+:func:`outside_session` is the one session rule, for the parse cut
+(``counting.zone_triggers``), ``counting``, ``simgen`` and ``cli`` alike.
 """
 
 from __future__ import annotations

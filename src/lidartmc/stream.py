@@ -98,10 +98,6 @@ class MergedStream:
             for i, (t, s) in enumerate(zip(self.t.tolist(), self.sensor.tolist()))
         )
 
-    def frame_of(self, rows: np.ndarray) -> np.ndarray:
-        """Index of the frame that owns each of ``rows``."""
-        return np.searchsorted(self.offsets, rows, side="right") - 1
-
 
 def merge_order(t: np.ndarray, sensor: np.ndarray) -> np.ndarray:
     """The merge order of rows of several streams joined one stream after

@@ -13,7 +13,15 @@ import math
 
 import numpy as np
 
-from lidartmc.counting import Events, MovementEvent, TriggerSeries, _events, extract_triggers
+from lidartmc import counting
+from lidartmc.counting import (
+    Events,
+    LogTriggers,
+    MovementEvent,
+    TriggerSeries,
+    _events,
+    extract_triggers,
+)
 from lidartmc.errors import UserInputError, json_number
 from lidartmc.geo import (
     WGS84_A,
@@ -47,7 +55,7 @@ from lidartmc.simgen import (
     _CLASS_HEIGHTS,
     _CLASS_WIDTHS,
 )
-from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, SCORE, Frame
+from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, SCORE, L, X, Y, Frame
 from lidartmc.tables import TmcTable, empty_table, render_tmc_csv
 
 
@@ -306,8 +314,8 @@ def merged_triggers(streams, cfg) -> dict[str, TriggerSeries]:
 
 
 def count_merged(streams, cfg) -> tuple[Events, dict]:
-    """What ``count_session`` gives for per-sensor NED streams, by the
-    path that merges boxes: the triggers of the merged stream
+    """What ``count_session`` gives for the :func:`sensor_logs` of NED
+    streams, by the path that merges boxes: the triggers of the merged stream
     (:func:`merged_triggers`), then the events of the ingress and
     right-surrogate zones."""
     triggers = merged_triggers(streams, cfg)
@@ -316,11 +324,29 @@ def count_merged(streams, cfg) -> tuple[Events, dict]:
     return events, counting_meta(triggers, events, cfg)
 
 
+def sensor_logs(streams, cfg) -> list[LogTriggers]:
+    """What the parse cut gives for NED streams: the triggers of each
+    sensor of each stream by ``counting.zone_triggers`` over its rows,
+    one ``LogTriggers`` a sensor, stream after stream."""
+    logs = []
+    for stream in streams:
+        row_t = np.repeat(stream.t, np.diff(stream.offsets))
+        row_sensor = np.repeat(stream.sensor, np.diff(stream.offsets))
+        for code, fid in enumerate(stream.sensors):
+            boxes, t = stream.boxes[row_sensor == code], row_t[row_sensor == code]
+            rows, zone, dropped = counting.zone_triggers(boxes[:, X], boxes[:, Y], t, cfg)
+            logs.append(LogTriggers(fid, stream.t[stream.sensor == code], zone, t[rows],
+                                    boxes[rows, L], dropped))
+    return logs
+
+
 def trigger_series(triggers) -> TriggerSeries:
-    """Columns of (t, length, frame_id) triggers."""
+    """Columns of (t, length, frame_id) triggers, each frame id coded by
+    its index in the sorted ids."""
     t, length, sensor = zip(*triggers) if triggers else ((), (), ())
+    code = {fid: i for i, fid in enumerate(sorted(set(sensor)))}
     return TriggerSeries(np.array(t, dtype=float), np.array(length, dtype=float),
-                         np.array(sensor, dtype=str))
+                         np.array([code[fid] for fid in sensor], dtype=np.intp))
 
 
 def frame_to_json_line(frame: Frame) -> str:

@@ -22,7 +22,7 @@ from lidartmc.intersection import CountingParams
 from lidartmc.report import aggregate, load_tmc_csv
 from lidartmc.scenarios import random_script, scenario_suite
 from lidartmc.simgen import SimConfig, simulate
-from oracle import ecef_to_lla, trigger_series
+from oracle import ecef_to_lla, sensor_logs, trigger_series
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
@@ -35,7 +35,7 @@ def run_counting(session, cfg, extra_streams=()):
     streams = list(session.frames_by_sensor.values()) + list(extra_streams)
     merged = merge_streams(streams)
     ned = frames_to_ned(merged, session.registry)
-    events, _ = count_session([ned], cfg)
+    events, _ = count_session(sensor_logs([ned], cfg), cfg)
     gt = session.ground_truth
     return estimate_tmc(events, gt.bin_seconds, gt.session, cfg.class_table.n_classes)
 

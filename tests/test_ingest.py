@@ -661,7 +661,7 @@ class TestBoxRuleAgainstOracle:
         for chunk_rows in (1, 7, ingest.CHUNK_ROWS):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-                got, _, errors = ingest._parse_columns(lines, False)
+                got, errors = ingest._parse_columns(lines, False)
             assert [(e.line_no, e.reason) for e in errors] == want_errors
             # Bit for bit, every NaN taken as one.
             assert (np.where(np.isnan(got.boxes), np.nan, got.boxes).tobytes()

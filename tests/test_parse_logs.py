@@ -1,6 +1,6 @@
 """``ingest.parse_logs``: forked parsing gives the results of a serial one,
-and each log comes back as its in-session zone rows in NED and the frame
-times of the zone rows outside the session.
+and each log comes back as its trigger columns, the time of every frame
+and the frame times of the zone rows outside the session.
 
 Each input runs with one usable CPU (every log parsed in this process)
 and with two (the second log parsed in a forked child); the frames, the
@@ -16,12 +16,12 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import frame_rows
 from lidartmc import cli, ingest
 from lidartmc.counting import count_session, extract_triggers
 from lidartmc.errors import MalformedLineError
@@ -44,6 +44,11 @@ def sim(tmp_path_factory):
 def parse(sim, logs, **kwargs):
     """``parse_logs`` with the scenario's registry and the reference config."""
     return ingest.parse_logs(logs, load_registry(sim / "registry.json"), CFG, **kwargs)
+
+
+def columns(log):
+    """Comparable form of a log's ``LogTriggers``."""
+    return {name: getattr(value, "tolist", lambda: value)() for name, value in vars(log).items()}
 
 
 def use_cpus(monkeypatch, n):
@@ -125,9 +130,8 @@ def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict)
     caplog.clear()
     sink = []
     try:
-        streams, dropped = ingest.parse_logs(
-            logs, load_registry(registry), CFG, strict=strict, error_sink=sink)
-        parsed = ([frame_rows(s) for s in streams], dropped.tolist())
+        parsed = [columns(log) for log in ingest.parse_logs(
+            logs, load_registry(registry), CFG, strict=strict, error_sink=sink)]
     except Exception as exc:
         parsed = (type(exc), str(exc), getattr(exc, "line_no", None))
     skipped = [(type(e), e.line_no, e.reason) for e in sink]
@@ -223,7 +227,8 @@ def test_forked_parse_equals_serial(monkeypatch, caplog, capsys, tmp_path, sim, 
     # Each case must show what it is named for.
     if name == "out-of-order frame outside every zone":
         assert serial["code"] == 2 and "out of order" in serial["stderr"]
-        assert serial["parsed"][0][1][-1][2] == []  # its time is kept, with no row
+        frame_t = serial["parsed"][1]["frame_t"]
+        assert frame_t[-1] == frame_t[0] and len(frame_t) == len(logs[1].read_text().splitlines())
     elif name == "unregistered second log":
         assert serial["code"] == 2
         assert "error: sensor frame 'L7' is not registered" in serial["stderr"]
@@ -284,34 +289,34 @@ def test_one_log_or_one_cpu_never_forks(monkeypatch, sim):
     monkeypatch.setattr(os, "fork", no_fork)
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     use_cpus(monkeypatch, 2)
-    assert len(parse(sim, logs[:1])[0]) == 1
+    assert len(parse(sim, logs[:1])) == 1
     use_cpus(monkeypatch, 1)
-    assert len(parse(sim, logs)[0]) == 2
+    assert len(parse(sim, logs)) == 2
 
 
 def test_failed_fork_parses_here(monkeypatch, sim):
     logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
     use_cpus(monkeypatch, 1)
-    serial = [frame_rows(f) for f in parse(sim, logs)[0]]
+    serial = [columns(log) for log in parse(sim, logs)]
 
     def no_process():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_process)
     use_cpus(monkeypatch, 2)
-    assert [frame_rows(f) for f in parse(sim, logs)[0]] == serial
+    assert [columns(log) for log in parse(sim, logs)] == serial
 
 
 def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
     parent = os.getpid()
-    parse_columns = ingest._parse_columns
+    parse_path = ingest._parse_path
 
     def dies_in_child(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(1)
-        return parse_columns(*args, **kwargs)
+        return parse_path(*args, **kwargs)
 
-    monkeypatch.setattr(ingest, "_parse_columns", dies_in_child)
+    monkeypatch.setattr(ingest, "_parse_path", dies_in_child)
     use_cpus(monkeypatch, 2)
     second = sim / "log_L2.jsonl"
     with time_limit(20):
@@ -323,33 +328,82 @@ def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
     assert_no_children()
 
 
+def zone_columns(log, cfg):
+    """A log's trigger columns, zone by zone: (t, length) of each zone id."""
+    return {z.id: (log.t[log.zone == i].tolist(), log.length[log.zone == i].tolist())
+            for i, z in enumerate(cfg.zones)}
+
+
+def series_columns(series):
+    """(t, length) of each zone's ``TriggerSeries``."""
+    return {zone_id: (s.t.tolist(), s.length.tolist()) for zone_id, s in series.items()}
+
+
+def ned_of(path, registry):
+    """The log at ``path`` parsed whole and mapped to NED."""
+    with ingest.open_detection_log(path) as fh:
+        frames = ingest.parse_detection_log(fh)
+    return ingest.frames_to_ned(ingest.MergedStream.from_frames(frames), registry)
+
+
 @pytest.mark.parametrize("chunk_rows", [7, ingest.CHUNK_ROWS, 8192])
 def test_rows_are_the_zone_contained_ones(monkeypatch, sim, tmp_path, chunk_rows):
+    """Each log's triggers are those of its in-session zone rows, and its
+    dropped times those of its other zone rows, whatever the chunking."""
     logs = [with_bad_lines(sim / "log_L1.jsonl", tmp_path / "bad_L1.jsonl", BAD["first"]),
             shifted_copy(sim / "log_L2.jsonl", tmp_path / "late.jsonl", 1e4)]
     registry = load_registry(sim / "registry.json")
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-    streams, dropped = parse(sim, logs)
+    parsed = parse(sim, logs)
     s0, s1 = CFG.schedule.session
     want_dropped = []
-    for stream, path in zip(streams, logs):
-        with ingest.open_detection_log(path) as fh:
-            frames = ingest.parse_detection_log(fh)
-        ned = ingest.frames_to_ned(ingest.MergedStream.from_frames(frames), registry)
+    for log, path in zip(parsed, logs):
+        ned = ned_of(path, registry)
         inside = zone_hits(ned.boxes[:, ingest.X], ned.boxes[:, ingest.Y], CFG.zones).any(axis=1)
         row_t = np.repeat(ned.t, np.diff(ned.offsets))
         outside = (row_t < s0) | (row_t >= s1)
         want_dropped += row_t[inside & outside].tolist()
         keep = inside & ~outside
         off = ned.offsets
-        want = [ingest.Frame(f.frame_id, f.t, f.detections[keep[off[i]:off[i + 1]]])
-                for i, f in enumerate(ned.frames)]
-        assert stream.coordinate_frame == ingest.FRAME_NED
-        assert frame_rows(stream) == frame_rows(want)
-        assert 0 < len(stream.boxes) < len(ned.boxes)
+        kept = ingest.MergedStream.from_frames(
+            [ingest.Frame(f.frame_id, f.t, f.detections[keep[off[i]:off[i + 1]]])
+             for i, f in enumerate(ned.frames)], ingest.FRAME_NED)
+        assert zone_columns(log, CFG) == series_columns(extract_triggers(kept, CFG))
+        assert log.frame_t.tolist() == ned.t.tolist()
+        assert 0 < len(log.zone) < len(ned.boxes)
     assert want_dropped
-    assert dropped.tolist() == want_dropped == outside_session_times(logs[1:], CFG, registry)
+    assert [t for log in parsed for t in log.dropped.tolist()] == want_dropped
+    assert want_dropped == outside_session_times(logs[1:], CFG, registry)
+
+
+# The reference config plus a zone around NB_T1 with its binding: a row in
+# NB_T1 is in both.
+NB_T1 = CFG.zone_by_id("NB_T1")
+OVERLAP_CFG = replace(CFG, zones=CFG.zones + (replace(
+    NB_T1, id="NB_T1_WIDE", half_length=NB_T1.half_length + 1.0,
+    half_width=NB_T1.half_width + 1.0),))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 2048, 8192])
+def test_a_row_in_two_zones_gives_two_triggers(monkeypatch, sim, chunk_rows):
+    """Overlapping zones: each log's trigger columns and frame times are
+    those of ``extract_triggers`` on the whole log in NED, whatever the
+    chunking, and every trigger of NB_T1 is one of NB_T1_WIDE too."""
+    logs = [sim / "log_L1.jsonl", sim / "log_L2.jsonl"]
+    registry = load_registry(sim / "registry.json")
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    parsed = ingest.parse_logs(logs, registry, OVERLAP_CFG)
+    for log, path in zip(parsed, logs):
+        ned = ned_of(path, registry)
+        got = zone_columns(log, OVERLAP_CFG)
+        assert got == series_columns(extract_triggers(ned, OVERLAP_CFG))
+        assert log.frame_t.tolist() == ned.t.tolist()
+        assert log.dropped.tolist() == []
+        pairs = {zone_id: list(zip(*columns)) for zone_id, columns in got.items()}
+        assert pairs["NB_T1"] and set(pairs["NB_T1"]) <= set(pairs["NB_T1_WIDE"])
+        assert len(pairs["NB_T1_WIDE"]) > len(pairs["NB_T1"])
 
 
 def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_path):
@@ -412,38 +466,36 @@ def test_drops_only_contained_detections_outside_the_session(tmp_path):
         (500.0, [(*eb_r, 4.5), (*nb_t1, 7.0), (900.0, 900.0, 4.5)]),
         (501.0, []),
     ])
-    streams, dropped = ingest.parse_logs([log], registry, CFG)
-    assert dropped.tolist() == [300.0, 500.0, 500.0]
-    stream = ingest.merge_streams(streams)
-    assert stream.t.tolist() == [20.0, 300.0, 500.0, 501.0]
-    assert np.diff(stream.offsets).tolist() == [1, 0, 0, 0]
-    assert stream.boxes[:, ingest.L].tolist() == [4.5]
-    assert len(extract_triggers(stream, CFG)["NB_T1"]) == 1
+    [parsed] = ingest.parse_logs([log], registry, CFG)
+    assert parsed.dropped.tolist() == [300.0, 500.0, 500.0]
+    assert parsed.frame_t.tolist() == [20.0, 300.0, 500.0, 501.0]
+    assert (parsed.zone.tolist(), parsed.t.tolist(), parsed.length.tolist()) == (
+        [CFG.zones.index(CFG.zone_by_id("NB_T1"))], [20.0], [4.5])
 
 
 def test_nothing_is_dropped_inside_the_session(tmp_path):
     log, registry = ned_log(tmp_path, [(20.0, [(-19.0, 5.25, 4.5)]), (500.0, [])])
-    [stream], dropped = ingest.parse_logs([log], registry, CFG)
-    assert dropped.tolist() == []
-    assert stream.t.tolist() == [20.0, 500.0]
-    assert stream.boxes[:, ingest.L].tolist() == [4.5]
+    [parsed] = ingest.parse_logs([log], registry, CFG)
+    assert parsed.dropped.tolist() == []
+    assert parsed.frame_t.tolist() == [20.0, 500.0]
+    assert parsed.length.tolist() == [4.5]
 
 
 def test_counting_holds_no_second_copy_of_the_zone_rows(tmp_path):
-    """The traced peak of counting two parsed streams stays under 1.5
-    times the bytes of their zone rows: no merged copy of the boxes."""
+    """The traced peak of counting two parsed logs stays under 1.5 times
+    the bytes of their zone rows as 8-column float64 boxes: no merged
+    copy of the boxes."""
     boxes = [(z.center.north, z.center.east, 4.5) for z in CFG.zones[::3]]
     registry, logs = None, []
     for sensor, phase in (("L1", 0.0), ("L2", 0.05)):
         log, registry = ned_log(tmp_path, [(k * 0.1 + phase, boxes) for k in range(2500)],
                                 sensor, registry)
         logs.append(log)
-    streams, _ = ingest.parse_logs(logs, registry, CFG)
-    zone_rows = sum(s.boxes.nbytes for s in streams)
-    assert zone_rows == 2 * 2500 * len(boxes) * 8 * 8
+    parsed = ingest.parse_logs(logs, registry, CFG)
+    zone_rows = 2 * 2500 * len(boxes) * 8 * 8
     tracemalloc.start()
     try:
-        events, _ = count_session(streams, CFG)
+        events, _ = count_session(parsed, CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,7 +584,7 @@ def test_zone_rows_outside_the_session(monkeypatch, caplog, capsys, tmp_path, si
         assert run["parsed"][0] is MalformedLineError
     else:
         times = outside_session_times(logs, CFG, load_registry(registry))
-        assert times and run["parsed"][1] == times
+        assert times and [t for log in run["parsed"] for t in log["dropped"]] == times
     if code:
         assert run["files"] == {}
         return

@@ -34,7 +34,7 @@ from lidartmc.simgen import (
 from lidartmc.scenarios import random_script, scenario_by_name, scenario_suite
 from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, X, Y, write_detection_log
 import oracle
-from oracle import point_in_zone, simulate_frames
+from oracle import point_in_zone, sensor_logs, simulate_frames
 
 NB, EB = Approach.NB, Approach.EB
 T = Movement.THRU
@@ -43,7 +43,7 @@ T = Movement.THRU
 def run_counting(session, cfg):
     merged = merge_streams(list(session.frames_by_sensor.values()))
     ned = frames_to_ned(merged, session.registry)
-    events, meta = count_session([ned], cfg)
+    events, meta = count_session(sensor_logs([ned], cfg), cfg)
     sim_bin = session.ground_truth.bin_seconds
     est = estimate_tmc(
         events, sim_bin, session.ground_truth.session, cfg.class_table.n_classes

@@ -20,11 +20,12 @@ from lidartmc import cli
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
-# The stdlib modules that only a log parse uses, and with orjson and
-# logging (which only a skipped line loads), the modules outside the
-# package whose loading a command pays for.
+# The stdlib modules that only a log parse uses, and with orjson, logging
+# (which only a skipped line loads) and traceback (which only an internal
+# error loads, and logging), the modules outside the package whose loading
+# a command pays for.
 PARSE_ONLY = {"gzip", "signal"}
-WATCHED = {"orjson", "logging", *PARSE_ONLY}
+WATCHED = {"orjson", "logging", "traceback", *PARSE_ONLY}
 
 # Runs one command through cli.main in a fresh interpreter, then prints
 # its exit code, the package modules it loaded and which of WATCHED it
@@ -96,17 +97,19 @@ def runs(tmp_path_factory):
 # log it. No command loads ``_kernels``, which only the benchmark reads.
 IMPORT_RULES = {
     "estimate": ({"ingest", "counting", "stream", "tables", "orjson", *PARSE_ONLY},
-                 {"simgen", "report", "scenarios", "_kernels", "logging"}),
+                 {"simgen", "report", "scenarios", "_kernels", "logging", "traceback"}),
     "estimate, a bad line": ({"ingest", "counting", "tables", "orjson", "logging",
                               *PARSE_ONLY}, {"simgen", "report", "_kernels"}),
     "simulate": ({"stream", "tables", "simgen", "orjson"},
                  {"ingest", "report", "counting", "scenarios", "_kernels", "logging",
-                  *PARSE_ONLY}),
+                  "traceback", *PARSE_ONLY}),
     "simulate --scenario": ({"stream", "tables", "simgen", "scenarios"},
-                            {"ingest", "report", "counting", "_kernels", *PARSE_ONLY}),
-    "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson"}),
+                            {"ingest", "report", "counting", "_kernels", "traceback",
+                             *PARSE_ONLY}),
+    "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson",
+                             "traceback"}),
     "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen", "orjson",
-                         "intersection", "classify"}),
+                         "intersection", "classify", "traceback"}),
 }
 
 
@@ -137,6 +140,8 @@ class Stream:
 
 
 def patch_exit_path(monkeypatch, stdout_error=None):
+    # entrypoint sets the BLAS thread count in the environment: restore it.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
     calls = []
     monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
@@ -158,6 +163,34 @@ def test_failed_flush_leaves_the_exit_to_the_interpreter(monkeypatch):
         cli.entrypoint()
     assert exc.value.code == 3
     assert calls == ["disable", "main", "flush stdout"]
+
+
+# entrypoint with main replaced by one that loads numpy and prints the
+# number of threads of its process.
+COUNT_THREADS = """
+import os
+from lidartmc import cli
+
+def main():
+    import numpy  # noqa: F401
+    print(len(os.listdir("/proc/self/task")))
+    return 0
+
+cli.main = main
+cli.entrypoint()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="one usable CPU starts no BLAS threads")
+def test_entrypoint_starts_no_blas_threads():
+    env = pythonpath_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    proc = subprocess.run([sys.executable, "-c", COUNT_THREADS], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "1\n"
 
 
 def run_cli(*argv, stdout=subprocess.PIPE, buffered=True, program=("-m", "lidartmc.cli")):

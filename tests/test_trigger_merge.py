@@ -1,11 +1,13 @@
-"""``counting.count_session`` over per-sensor NED streams against the box
-merge it replaced (``oracle.count_merged``: ``merge_streams``, the
+"""``counting.count_session`` over the trigger columns of per-sensor NED
+streams (``oracle.sensor_logs``, what the parse cut gives) against the
+box merge it replaced (``oracle.count_merged``: ``merge_streams``, the
 triggers of the merged stream, then the events): the same trigger
 series, the same events and the same ``counting`` metadata on every
 bundled scenario and on drawn logs with a sensor split across two logs,
 jittered frames, equal frame times across sensors and a duplicated
 frame."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +18,12 @@ from hypothesis import strategies as st
 from lidartmc.counting import count_session, merge_triggers
 from lidartmc.errors import UserInputError
 from lidartmc.ingest import check_order, frames_to_ned
-from lidartmc.intersection import PhaseInterval, PhaseSchedule
+from lidartmc.intersection import PhaseInterval, PhaseSchedule, outside_session_error
 from lidartmc.reference import build_reference_config
 from lidartmc.scenarios import scenario_suite
 from lidartmc.simgen import simulate
 from lidartmc.stream import FRAME_NED, Frame, MergedStream
-from oracle import count_merged, merged_triggers
+from oracle import count_merged, merged_triggers, sensor_logs
 
 CFG = build_reference_config()
 # The reference zones with every binding permitted for the whole session,
@@ -35,12 +37,13 @@ LENGTHS = (0.8, 1.5, 4.5, 6.0, 9.0, 13.0)
 
 
 def assert_same_count(streams, cfg):
-    triggers, want_triggers = merge_triggers(streams, cfg), merged_triggers(streams, cfg)
+    logs = sensor_logs(streams, cfg)
+    triggers, want_triggers = merge_triggers(logs, cfg), merged_triggers(streams, cfg)
     assert triggers.keys() == want_triggers.keys()
     for zone_id, want in want_triggers.items():
         for name, column in vars(want).items():
             assert getattr(triggers[zone_id], name).tolist() == column.tolist(), (zone_id, name)
-    events, meta = count_session(streams, cfg)
+    events, meta = count_session(logs, cfg)
     want, want_meta = count_merged(streams, cfg)
     assert meta == want_meta
     for name, column in vars(want).items():
@@ -106,14 +109,16 @@ def logs(draw):
 @settings(max_examples=150, deadline=None)
 @given(streams=logs(), cfg=st.sampled_from([CFG, OPEN_CFG]))
 def test_drawn_logs_match_box_merge(streams, cfg):
-    check_order(streams, REORDER_WINDOW)
+    check_order(sensor_logs(streams, cfg), REORDER_WINDOW)
     assert_same_count(streams, cfg)
 
 
 def test_outside_session_raises_with_the_earliest_time():
     # The session is [0, 300). Each stream's earliest contained row
     # outside it is not its first, the second stream holds the earliest
-    # of all, and an earlier row in no zone does not count.
+    # of all, and an earlier row in no zone does not count. The earliest
+    # dropped time of the logs, which ``estimate --strict`` refuses, is the
+    # one that the box merge refuses.
     zone, session = CFG.zone_by_id("NB_T1"), CFG.schedule.session
     assert session == (0.0, 300.0)
     far = [900.0, 900.0, *box(zone, 4.5)[2:]]
@@ -125,8 +130,11 @@ def test_outside_session_raises_with_the_earliest_time():
                          Frame("L2", 20.0, np.array([box(zone, 4.5)]))])
     message = r"^t=-2\.25 outside schedule session \[0\.0, 300\.0\)$"
     for streams in ([first, second], [second, first]):
-        check_order(streams, REORDER_WINDOW)
-        with pytest.raises(UserInputError, match=message):
-            count_session(streams, CFG)
+        logs = sensor_logs(streams, CFG)
+        check_order(logs, REORDER_WINDOW)
+        dropped = np.concatenate([log.dropped for log in logs])
+        assert sorted(dropped.tolist()) == [-2.25, -1.5, 304.5, 305.0]
+        assert re.match(message, str(outside_session_error(float(dropped.min()), session)))
         with pytest.raises(UserInputError, match=message):
             count_merged(streams, CFG)
+        assert count_session(logs, CFG)[1]["triggers_per_zone"]["NB_T1"] == 1
