@@ -1,9 +1,11 @@
 """Length-based vehicle classification.
 
-Six classes partition (0, inf) meters of detected bounding-box length.
-Intervals are half-open [lower, upper) so every positive length maps to
-exactly one class. Each class also carries the FHWA class labels it
-covers (empty for pedestrians).
+Classes partition (0, inf) meters of detected bounding-box length into
+half-open bands [lower, upper), so every positive length maps to exactly
+one class. A table holds only the lower edge of each band: class ``i``
+runs from its own lower edge to the next one, and the last class is
+open-ended. The default is the paper's six classes; README "File
+formats" lists their labels and FHWA classes, which no code reads.
 """
 
 from __future__ import annotations
@@ -17,79 +19,31 @@ from .errors import UserInputError, json_number, json_string
 
 
 @dataclass(frozen=True)
-class VehicleClass:
-    """One length band: [lower, upper) meters."""
-
-    id: int
-    label: str
-    lower: float
-    upper: float
-    fhwa: frozenset[str]
-
-
-@dataclass(frozen=True)
 class ClassTable:
-    """An ordered set of classes partitioning (0, inf)."""
+    """The lower edges of the classes' length bands, in meters: class
+    ``i`` (from 1) is ``[lower[i-1], lower[i])``, and the last band is
+    open-ended."""
 
-    classes: tuple[VehicleClass, ...]
-
-    def __post_init__(self):
-        if not self.classes:
-            raise UserInputError("class table must not be empty")
-        prev_upper = 0.0
-        for i, c in enumerate(self.classes):
-            if c.id != i + 1:
-                raise UserInputError(f"class ids must be 1..n consecutive, got {c.id}")
-            if c.lower != prev_upper:
-                raise UserInputError(
-                    f"class {c.id} lower bound {c.lower} leaves a gap/overlap "
-                    f"after {prev_upper}"
-                )
-            if not c.upper > c.lower:
-                raise UserInputError(f"class {c.id} has empty interval")
-            prev_upper = c.upper
-        if not math.isinf(prev_upper):
-            raise UserInputError("last class must extend to infinity")
-        object.__setattr__(self, "_bounds", tuple(c.lower for c in self.classes))
+    lower: tuple[float, ...]
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.lower)
+
+    def band(self, class_id: int) -> tuple[float, float]:
+        """The ``[lower, upper)`` band of a class id."""
+        edges = (*self.lower, math.inf)
+        return edges[class_id - 1], edges[class_id]
 
     def class_ids(self, lengths: np.ndarray) -> np.ndarray:
         """Map bounding-box lengths to their class ids."""
         bad = lengths[~(np.isfinite(lengths) & (lengths > 0))]
         if len(bad):
             raise UserInputError(f"length must be positive and finite, got {float(bad[0])!r}")
-        return np.searchsorted(self._bounds, lengths, side="right")
-
-    def classify(self, length: float) -> VehicleClass:
-        """Map a bounding-box length to its vehicle class."""
-        return self.by_id(int(self.class_ids(np.array([float(length)]))[0]))
-
-    def by_id(self, class_id: int) -> VehicleClass:
-        return self.classes[class_id - 1]
+        return np.searchsorted(self.lower, lengths, side="right")
 
 
-_DEFAULT_CLASSES = (
-    VehicleClass(1, "Pedestrians", 0.0, 1.0, frozenset()),
-    VehicleClass(2, "Bicycles, scooters, motorbikes", 1.0, 2.2, frozenset({"1"})),
-    VehicleClass(
-        3, "Hatchbacks, sedans, small-medium SUVs", 2.2, 5.0,
-        frozenset({"2 (No Trailer)"}),
-    ),
-    VehicleClass(
-        4, "Large SUVs, vans, pickup trucks", 5.0, 7.0,
-        frozenset({"2 (Trailer)", "3"}),
-    ),
-    VehicleClass(5, "Trucks, buses", 7.0, 12.0, frozenset({"4", "5", "6", "7"})),
-    VehicleClass(
-        6, "Trailers, combination trucks", 12.0, math.inf,
-        frozenset({"8", "9", "10"}),
-    ),
-)
-
-DEFAULT_CLASS_TABLE = ClassTable(_DEFAULT_CLASSES)
+DEFAULT_CLASS_TABLE = ClassTable((0.0, 1.0, 2.2, 5.0, 7.0, 12.0))
 
 
 def parse_class_id(value) -> int:
@@ -102,26 +56,41 @@ def parse_class_id(value) -> int:
 
 
 def class_table_from_obj(obj) -> ClassTable:
-    """Build a class table from decoded JSON (``upper: null`` means inf)."""
+    """Build a class table from decoded JSON: a list of ``{"id", "lower",
+    "upper"}`` bands (``upper: null`` means inf). An optional ``label``
+    string and ``fhwa`` list of strings are checked and not kept."""
     if not isinstance(obj, list):
         raise UserInputError("class table must be a list of class objects")
-    classes = []
+    bands = []
     for entry in obj:
         try:
             upper = entry["upper"]
             fhwa = entry.get("fhwa", [])
             if not isinstance(fhwa, list):
                 raise TypeError(f"fhwa must be a list of strings, got {fhwa!r}")
-            classes.append(
-                VehicleClass(
-                    id=parse_class_id(entry["id"]),
-                    label=json_string(entry["label"], "label"),
-                    lower=json_number(entry["lower"]),
-                    upper=math.inf if upper is None else json_number(upper),
-                    fhwa=frozenset(json_string(v, "fhwa entry") for v in fhwa),
-                )
-            )
+            class_id = parse_class_id(entry["id"])
+            if "label" in entry:
+                json_string(entry["label"], "label")
+            lower = json_number(entry["lower"])
+            upper = math.inf if upper is None else json_number(upper)
+            for v in fhwa:
+                json_string(v, "fhwa entry")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UserInputError(f"bad class table entry {entry!r}: {exc}") from None
-    return ClassTable(tuple(classes))
-
+        bands.append((class_id, lower, upper))
+    if not bands:
+        raise UserInputError("class table must not be empty")
+    prev_upper = 0.0
+    for i, (class_id, lower, upper) in enumerate(bands):
+        if class_id != i + 1:
+            raise UserInputError(f"class ids must be 1..n consecutive, got {class_id}")
+        if lower != prev_upper:
+            raise UserInputError(
+                f"class {class_id} lower bound {lower} leaves a gap/overlap after {prev_upper}"
+            )
+        if not upper > lower:
+            raise UserInputError(f"class {class_id} has empty interval")
+        prev_upper = upper
+    if not math.isinf(prev_upper):
+        raise UserInputError("last class must extend to infinity")
+    return ClassTable(tuple(lower for _, lower, _ in bands))

@@ -3,8 +3,10 @@
 A trigger is one detection centroid inside a zone
 (:func:`~lidartmc.intersection.zone_hits`) at a time in the session when
 some binding of the zone is permissible. :func:`zone_triggers` is that
-rule; the parse cut runs it on each chunk, so each log reaches counting
-as trigger columns (:class:`LogTriggers`), not boxes. A zone's triggers
+rule; its phase gate indexes the tables that
+:class:`~lidartmc.intersection.IntersectionConfig` builds once, and the
+parse cut runs it on each chunk, so each log reaches counting as trigger
+columns (:class:`LogTriggers`), not boxes. A zone's triggers
 of all logs are merged in :func:`~lidartmc.stream.merge_order`, the
 order in which ``ingest.merge_streams`` merges frames, with each sensor
 as an integer code. Each zone's series is clustered into vehicles by one
@@ -136,15 +138,6 @@ class Events:
                 for a, m, t, c, length in zip(*(col.tolist() for col in columns))]
 
 
-def _binding_mask(binding_sets) -> np.ndarray:
-    """(sets, approaches * movements): the (approach, movement) pairs each set holds."""
-    out = np.zeros((len(binding_sets), len(APPROACHES) * len(MOVEMENTS)), dtype=bool)
-    for i, bindings in enumerate(binding_sets):
-        for a, m in bindings:
-            out[i, APPROACH_INDEX[a] * len(MOVEMENTS) + MOVEMENT_INDEX[m]] = True
-    return out
-
-
 def zone_triggers(north: np.ndarray, east: np.ndarray, t: np.ndarray,
                   cfg: IntersectionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The triggers of NED points ``(north, east)`` seen at frame times
@@ -154,22 +147,15 @@ def zone_triggers(north: np.ndarray, east: np.ndarray, t: np.ndarray,
     the point, its time is in the session and a binding of the zone is
     permissible then: a right binding always, another one when the
     interval holding the time permits it. A point in two zones is two
-    triggers."""
-    zones, schedule = cfg.zones, cfg.schedule
-    hits = zone_hits(north, east, zones)
+    triggers. The gate only indexes the config's prebuilt tables."""
+    hits = zone_hits(north, east, cfg.zones)
     inside = hits.any(axis=1)
-    outside = outside_session(t, schedule.session)
+    outside = outside_session(t, cfg.schedule.session)
     rows = np.flatnonzero(inside & ~outside)
     ts = t[rows]
-    starts, ends = np.array([(iv.start, iv.end) for iv in schedule.intervals]).T
-    idx = np.maximum(np.searchsorted(starts, ts, side="right") - 1, 0)
-    in_interval = (starts[idx] <= ts) & (ts < ends[idx])
-    used, idx = np.unique(idx, return_inverse=True)  # the intervals that hold a time
-    bound = _binding_mask([z.bindings for z in zones])
-    right = np.arange(bound.shape[1]) % len(MOVEMENTS) == MOVEMENT_INDEX[Movement.RIGHT]
-    permitted = _binding_mask([schedule.intervals[i].permitted for i in used.tolist()])
-    permits = permitted @ (bound & ~right).T
-    trig = hits[rows] & ((bound & right).any(axis=1) | (in_interval[:, None] & permits[idx]))
+    idx = np.searchsorted(cfg.starts, ts, side="right") - 1  # >= 0 in the session
+    gated = (ts < cfg.ends[idx])[:, None] & cfg.permits[idx]  # False in a gap between intervals
+    trig = hits[rows] & (cfg.right_zones | gated)
     row, zone = np.nonzero(trig)
     return rows[row], zone, t[inside & outside]
 

@@ -9,7 +9,11 @@ the first listed binding is the zone's primary label for counting.
 
 The phase schedule lists non-overlapping [start, end) intervals with the
 set of permitted (approach, movement) pairs. Right turns are permitted
-at all times regardless of schedule content (right on red). The
+at all times regardless of schedule content (right on red). A config
+turns its zones' bindings and its intervals' permitted pairs into
+binding masks (:func:`binding_mask`) once, when it is built, and keeps
+the interval edges and the interval x zone permission table that the
+phase gate of ``counting.zone_triggers`` indexes. The
 schedule's session, from its first start to its last end, is the one
 session of a run: ``simulate`` covers it, ``estimate`` counts on it.
 :func:`outside_session` is the one session rule, for the parse cut
@@ -19,7 +23,7 @@ session of a run: ``simulate`` covers it, ``estimate`` counts on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -54,6 +58,15 @@ APPROACH_INDEX = {a: i for i, a in enumerate(APPROACHES)}
 MOVEMENT_INDEX = {m: i for i, m in enumerate(MOVEMENTS)}
 
 Binding = tuple[Approach, Movement]
+
+
+def binding_mask(binding_sets) -> np.ndarray:
+    """(sets, approaches * movements): the (approach, movement) pairs each set holds."""
+    out = np.zeros((len(binding_sets), len(APPROACHES) * len(MOVEMENTS)), dtype=bool)
+    for i, bindings in enumerate(binding_sets):
+        for a, m in bindings:
+            out[i, APPROACH_INDEX[a] * len(MOVEMENTS) + MOVEMENT_INDEX[m]] = True
+    return out
 
 
 class ZoneKind(Enum):
@@ -210,14 +223,35 @@ class PhaseSchedule:
 
 @dataclass(frozen=True)
 class IntersectionConfig:
+    """A validated config. Construction also builds the tables the trigger
+    rule (``counting.zone_triggers``) reads: the schedule's interval
+    ``starts`` and ``ends``; ``permits``, whether interval i permits a
+    binding of zone j that is not a right turn; and ``right_zones``,
+    whether zone j has a right binding, which is always permitted."""
+
     ned_origin: GeodeticPoint
     zones: tuple[Zone, ...]
     schedule: PhaseSchedule
     params: CountingParams = CountingParams()
     class_table: ClassTable = DEFAULT_CLASS_TABLE
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    permits: np.ndarray = field(init=False, repr=False, compare=False)
+    right_zones: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_config_structure(self.zones)
+        intervals = self.schedule.intervals
+        bound = binding_mask([z.bindings for z in self.zones])
+        right = np.arange(bound.shape[1]) % len(MOVEMENTS) == MOVEMENT_INDEX[Movement.RIGHT]
+        tables = {
+            "starts": np.array([iv.start for iv in intervals]),
+            "ends": np.array([iv.end for iv in intervals]),
+            "permits": binding_mask([iv.permitted for iv in intervals]) @ (bound & ~right).T,
+            "right_zones": (bound & right).any(axis=1),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
 
     def zone_by_id(self, zone_id: str) -> Zone:
         for z in self.zones:

@@ -68,11 +68,11 @@ _CLASS_HEIGHTS = {1: 1.7, 2: 1.6, 3: 1.5, 4: 1.9, 5: 3.3, 6: 3.9}
 _FLIP_X = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
 
-def _draw_range(band) -> tuple[float, float]:
+def _draw_range(lower: float, upper: float) -> tuple[float, float]:
     """Where a length the script leaves out is drawn: inside its class
-    band, taken as 10 m long when it is open-ended."""
-    upper = band.upper if math.isfinite(band.upper) else band.lower + 10.0
-    return band.lower + 0.02, upper - 0.02
+    band ``[lower, upper)``, taken as 10 m long when it is open-ended."""
+    upper = upper if math.isfinite(upper) else lower + 10.0
+    return lower + 0.02, upper - 0.02
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,8 @@ def _check_script(
     that fails raises. Governing zones are looked up in two tables built
     once from ``cfg.countable_targets()``, and every scripted length is
     classed by one :meth:`~lidartmc.classify.ClassTable.class_ids` call;
-    a non-positive or non-finite one raises from
-    :meth:`~lidartmc.classify.ClassTable.classify`.
+    a non-positive or non-finite one raises from a second call on it
+    alone.
     """
     table = cfg.class_table
     session = cfg.schedule.session
@@ -170,7 +170,8 @@ def _check_script(
     targets = cfg.countable_targets()
     named = {(z.id, b): z for z, b in targets}  # the zone a zone_id names, by binding
     first = {b: z for z, b in reversed(targets)}  # the first countable zone of a binding
-    too_long = {c.id for c in table.classes if _draw_range(c)[1] >= MAX_DIMENSION_M}
+    too_long = {c for c in range(1, table.n_classes + 1)
+                if _draw_range(*table.band(c))[1] >= MAX_DIMENSION_M}
     lengths = np.array([math.nan if v.length is None else v.length for v in script],
                        dtype=np.float64)
     valid = np.isfinite(lengths) & (lengths > 0)
@@ -199,7 +200,7 @@ def _check_script(
                 raise UserInputError(f"class-{v.vehicle_class} lengths are drawn up to "
                                      f"the box limit {MAX_DIMENSION_M} m")
         elif cls != v.vehicle_class:
-            table.classify(v.length)  # raises for a non-positive or non-finite length
+            table.class_ids(np.array([v.length], dtype=np.float64))  # raises for a bad length
             raise UserInputError(
                 f"length {v.length} is not a class-{v.vehicle_class} length"
             )
@@ -231,7 +232,7 @@ def simulate(
 
     zones, lengths = _check_script(script, cfg)
     # The lengths the script leaves out, drawn in script order.
-    low, high = np.array([_draw_range(table.by_id(v.vehicle_class))
+    low, high = np.array([_draw_range(*table.band(v.vehicle_class))
                           for v in script if v.length is None]).reshape(-1, 2).T
     lengths[[v.length is None for v in script]] = rng.uniform(low, high)
     # One row per vehicle: the constants its path and boxes are built from.

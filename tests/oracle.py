@@ -122,6 +122,18 @@ def permissible(a: Approach, m: Movement, t: float, s: PhaseSchedule) -> bool:
     return False
 
 
+def classify(table, length: float) -> int:
+    """The id of the class whose ``[lower, upper)`` band holds a box
+    length, one band at a time."""
+    if not (math.isfinite(length) and length > 0):
+        raise UserInputError(f"length must be positive and finite, got {float(length)!r}")
+    for class_id in range(1, table.n_classes + 1):
+        lower, upper = table.band(class_id)
+        if lower <= length < upper:
+            return class_id
+    raise AssertionError(f"no class holds length {length!r}")
+
+
 BOX_FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading")
 
 
@@ -213,6 +225,22 @@ def zone_triggers(logs, cfg, registry) -> dict[str, list[tuple[float, float, str
     return out
 
 
+def point_triggers(north, east, t, cfg) -> tuple[list[tuple[int, int]], list[float]]:
+    """``counting.zone_triggers`` one point and one zone at a time: the
+    (row, zone index) of each trigger, and the time of each zone-contained
+    point outside the schedule's session."""
+    s0, s1 = cfg.schedule.session
+    triggers, dropped = [], []
+    for row, (n, e, ti) in enumerate(zip(north, east, t)):
+        zones = [j for j, z in enumerate(cfg.zones) if point_in_zone(NedPoint(n, e, 0.0), z)]
+        if zones and not s0 <= ti < s1:
+            dropped.append(ti)
+            continue
+        triggers += [(row, j) for j in zones if any(
+            permissible(a, m, ti, cfg.schedule) for a, m in cfg.zones[j].bindings)]
+    return triggers, dropped
+
+
 def outside_session_times(logs, cfg, registry) -> list[float]:
     """The frame time of each detection that lies in some zone at a time
     outside the schedule's session, log by log, one detection at a time.
@@ -259,7 +287,7 @@ def count_events(triggers, cfg, params: CountingParams) -> list[MovementEvent]:
     for group, targets in enumerate(groups):
         for z, (approach, movement) in targets:
             for first_t, max_len in cluster(triggers[z.id], params.min_headway_for(z), params):
-                cls = cfg.class_table.classify(max_len).id
+                cls = classify(cfg.class_table, max_len)
                 event = MovementEvent(approach, movement, first_t, cls, max_len)
                 tagged.append((first_t, group, z.id, event))
     tagged.sort(key=lambda kv: kv[:3])
@@ -398,14 +426,14 @@ def resolve_script(script, cfg, rng) -> list[tuple]:
         if not 0.0 < v.speed <= MAX_SPEED_MPS:
             raise UserInputError(f"speed {v.speed} outside (0, {MAX_SPEED_MPS}]")
         zone = governing_zone(v, cfg)
-        band = table.by_id(v.vehicle_class)
+        lower, upper = table.band(v.vehicle_class)
         if v.length is None:
-            upper = band.upper if math.isfinite(band.upper) else band.lower + 10.0
+            upper = upper if math.isfinite(upper) else lower + 10.0
             if upper - 0.02 >= MAX_DIMENSION_M:
                 raise UserInputError(f"class-{v.vehicle_class} lengths are drawn up to "
                                      f"the box limit {MAX_DIMENSION_M} m")
-            length = float(rng.uniform(band.lower + 0.02, upper - 0.02))
-        elif table.classify(v.length).id != v.vehicle_class:
+            length = float(rng.uniform(lower + 0.02, upper - 0.02))
+        elif classify(table, v.length) != v.vehicle_class:
             raise UserInputError(
                 f"length {v.length} is not a class-{v.vehicle_class} length")
         elif v.length >= MAX_DIMENSION_M:

@@ -76,16 +76,15 @@ def test_criterion_2_threshold_fixtures(reference_config):
 
 def test_criterion_3_classification_sweep():
     """Every length in (0, 60] maps to exactly one class; fixtures hold."""
-    prev = 0
-    for i in range(1, 6001):
-        length = i / 100.0
-        cls = DEFAULT_CLASS_TABLE.classify(length)
-        assert cls.lower <= length < cls.upper  # exactly one interval
-        assert cls.id >= prev
-        prev = cls.id
+    lengths = np.arange(1, 6001) / 100.0
+    ids = DEFAULT_CLASS_TABLE.class_ids(lengths)
+    for length, cls in zip(lengths.tolist(), ids.tolist()):
+        lower, upper = DEFAULT_CLASS_TABLE.band(cls)
+        assert lower <= length < upper  # exactly one interval
+    assert (np.diff(ids) >= 0).all()
     fixtures = {0.5: 1, 1.5: 2, 3.0: 3, 6.0: 4, 9.0: 5, 15.0: 6}
-    for length, expected in fixtures.items():
-        assert DEFAULT_CLASS_TABLE.classify(length).id == expected
+    assert DEFAULT_CLASS_TABLE.class_ids(np.array(list(fixtures))).tolist() == list(
+        fixtures.values())
     ok("criterion 3: classification sweep 0.01-60 m plus fixture lengths")
 
 

@@ -7,6 +7,12 @@ import pytest
 from conftest import DEFAULT_CLASS_TABLE_DOC
 from lidartmc.classify import DEFAULT_CLASS_TABLE, class_table_from_obj
 from lidartmc.errors import UserInputError
+from oracle import classify
+
+
+def class_id(table, length):
+    """The class id ``class_ids`` gives one length."""
+    return int(table.class_ids(np.array([length]))[0])
 
 
 @pytest.mark.parametrize(
@@ -14,7 +20,7 @@ from lidartmc.errors import UserInputError
     [(0.5, 1), (1.5, 2), (3.0, 3), (6.0, 4), (9.0, 5), (15.0, 6)],
 )
 def test_fixture_lengths(length, expected):
-    assert DEFAULT_CLASS_TABLE.classify(length).id == expected
+    assert class_id(DEFAULT_CLASS_TABLE, length) == expected
 
 
 @pytest.mark.parametrize(
@@ -30,19 +36,21 @@ def test_fixture_lengths(length, expected):
     ],
 )
 def test_boundaries_half_open(length, expected):
-    assert DEFAULT_CLASS_TABLE.classify(length).id == expected
+    assert class_id(DEFAULT_CLASS_TABLE, length) == expected
+    assert classify(DEFAULT_CLASS_TABLE, length) == expected
 
 
 def test_sweep_totality_and_monotonicity():
     # 0.01 m steps from 0.01 to 60 m: exactly one class, ids nondecreasing,
-    # and class_ids gives the same ids for the whole array.
+    # and class_ids gives the oracle's ids for the whole array.
     lengths = [i / 100.0 for i in range(1, 6001)]
     ids = []
     for length in lengths:
-        cls = DEFAULT_CLASS_TABLE.classify(length)
-        assert cls.lower <= length < cls.upper
-        assert cls.id >= (ids[-1] if ids else 0)
-        ids.append(cls.id)
+        cls = classify(DEFAULT_CLASS_TABLE, length)
+        lower, upper = DEFAULT_CLASS_TABLE.band(cls)
+        assert lower <= length < upper
+        assert cls >= (ids[-1] if ids else 0)
+        ids.append(cls)
     assert ids[-1] == 6
     assert DEFAULT_CLASS_TABLE.class_ids(np.array(lengths)).tolist() == ids
 
@@ -51,23 +59,19 @@ def test_nonpositive_length():
     for bad in (0.0, -1.0, math.nan, math.inf):
         message = f"^{re.escape(f'length must be positive and finite, got {bad!r}')}$"
         with pytest.raises(UserInputError, match=message):
-            DEFAULT_CLASS_TABLE.classify(bad)
+            classify(DEFAULT_CLASS_TABLE, bad)
         for lengths in ([bad], [3.0, bad, -5.0]):  # the first bad length is named
             with pytest.raises(UserInputError, match=message):
                 DEFAULT_CLASS_TABLE.class_ids(np.array(lengths))
 
 
-def test_fhwa_mapping():
-    table = DEFAULT_CLASS_TABLE
-    assert table.by_id(5).fhwa == {"4", "5", "6", "7"}
-    assert table.by_id(1).fhwa == frozenset()
-    assert table.by_id(4).fhwa == {"2 (Trailer)", "3"}
-    assert table.by_id(2).fhwa == {"1"}
-    assert table.by_id(6).fhwa == {"8", "9", "10"}
-
-
 def test_default_class_table_document():
     assert class_table_from_obj(DEFAULT_CLASS_TABLE_DOC) == DEFAULT_CLASS_TABLE
+
+
+def test_bands():
+    assert [DEFAULT_CLASS_TABLE.band(c) for c in range(1, 7)] == [
+        (0.0, 1.0), (1.0, 2.2), (2.2, 5.0), (5.0, 7.0), (7.0, 12.0), (12.0, math.inf)]
 
 
 def test_custom_table():
@@ -77,8 +81,7 @@ def test_custom_table():
             {"id": 2, "label": "large", "lower": 6.0, "upper": None, "fhwa": ["9"]},
         ]
     )
-    assert table.classify(5.9).id == 1
-    assert table.classify(6.0).id == 2
+    assert table.class_ids(np.array([5.9, 6.0])).tolist() == [1, 2]
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import DEFAULT_CLASS_TABLE_DOC, random_rotation, scenario_config_path
 from lidartmc import cli, ingest
+from lidartmc.classify import DEFAULT_CLASS_TABLE
 from lidartmc.errors import UserInputError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
 from lidartmc.ingest import frames_to_ned, parse_detection_log
@@ -835,6 +836,23 @@ def test_internal_error_returns_1(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_compare", boom)
     assert cli.main(["compare", "a.csv", "b.csv"]) == 1
+
+
+def test_class_table_of_bare_bands_counts_as_the_default(ideal_sim, tmp_path):
+    """A class table whose entries leave out ``label`` and ``fhwa`` loads
+    as the default table and gives the default run's outputs."""
+    doc = json.loads(Path(reference_config_path()).read_text())
+    doc["class_table"] = [{k: entry[k] for k in ("id", "lower", "upper")}
+                          for entry in DEFAULT_CLASS_TABLE_DOC]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert load_intersection_config(config).class_table == DEFAULT_CLASS_TABLE
+    argv = ["estimate", str(ideal_sim / "log_L1.jsonl"), str(ideal_sim / "log_L2.jsonl"),
+            "--registry", str(ideal_sim / "registry.json")]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "default")]) == 0
+    assert cli.main([*argv, "--config", str(config), "--out-dir", str(tmp_path / "bands")]) == 0
+    for name in ("tmc.csv", "events.csv"):
+        assert (tmp_path / "bands" / name).read_text() == (tmp_path / "default" / name).read_text()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from lidartmc.intersection import (
     Zone,
     ZoneKind,
 )
-from oracle import bin_events, count_events, events_csv, sensor_logs, trigger_series
+from oracle import (bin_events, count_events, events_csv, point_triggers, sensor_logs,
+                    trigger_series)
 from oracle import cluster as oracle_cluster
 
 NB, SB, EB, WB = Approach.NB, Approach.SB, Approach.EB, Approach.WB
@@ -400,6 +402,36 @@ def test_events_csv_schema():
 def test_events_csv_spells_floats_by_repr(t, length):
     events = [MovementEvent(NB, T, 12.5, 3, 4.5), MovementEvent(SB, L, t, 2, length)]
     assert events_to_csv(events) == events_csv(events)
+
+
+DAY_CYCLES = 864  # 100 s cycles: 24 h, 3,456 intervals
+
+
+@pytest.mark.parametrize("all_red", [0.0, 2.0])
+def test_zone_triggers_on_a_day_long_schedule(reference_config, all_red):
+    """The reference config's first cycle repeated to 24 h, each interval
+    cut ``all_red`` seconds short: at every zone's centre and outside all
+    zones, at times on and next to interval edges and session edges in
+    the first, a middle and the last cycle, the triggers are the
+    oracle's."""
+    cycle = reference_config.schedule.intervals[:4]
+    schedule = PhaseSchedule(tuple(
+        PhaseInterval(iv.start + 100.0 * k, iv.end + 100.0 * k - all_red, iv.permitted)
+        for k in range(DAY_CYCLES) for iv in cycle))
+    cfg = replace(reference_config, schedule=schedule)
+    assert len(cfg.schedule.intervals) == 3456 and cfg.schedule.session[1] == 86400.0 - all_red
+    edges = [e + 100.0 * k for k in (0, DAY_CYCLES // 2, DAY_CYCLES - 1)
+             for iv in cycle for e in (iv.start, iv.end - all_red)]
+    edges += [0.0, cfg.schedule.session[1]]
+    times = sorted({x for e in edges for x in (e - 0.25, np.nextafter(e, -math.inf), e, e + 0.25)})
+    times.append(math.nan)
+    points = [(z.center.north, z.center.east) for z in cfg.zones] + [(0.0, 0.0)]
+    north, east, t = (np.array(c) for c in zip(*((n, e, ti) for ti in times for n, e in points)))
+    rows, zone, dropped = counting.zone_triggers(north, east, t, cfg)
+    triggers, expected_dropped = point_triggers(north, east, t, cfg)
+    assert list(zip(rows.tolist(), zone.tolist())) == triggers
+    assert any(cfg.zones[j].right_only for _, j in triggers)
+    assert np.array_equal(dropped, expected_dropped, equal_nan=True) and len(dropped)
 
 
 # Gaps on and next to each threshold of the default params and of a

@@ -306,6 +306,6 @@ class TestConfig:
         path.write_text(json.dumps(obj))
         cfg = load_intersection_config(path)
         assert cfg.class_table.n_classes == 2
-        assert cfg.class_table.classify(7.0).id == 2
+        assert cfg.class_table.class_ids(np.array([7.0])).tolist() == [2]
         assert cfg.params.min_headway_right == 2.5
         assert cfg.params.dedup_window == 0.5
