@@ -150,7 +150,8 @@ def cmd_estimate(args) -> int:
     if not s0 <= window[0] <= window[1] <= s1:
         raise UserInputError(f"session window [{window[0]}, {window[1]}) must lie inside "
                              f"the schedule session [{s0}, {s1})")
-    n_bins(args.bin_seconds, window)  # an unbounded window fails before the parse
+    # A window or grid past the table bounds exits 2 before the parse.
+    n_bins(args.bin_seconds, window, cfg.class_table.n_classes)
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []

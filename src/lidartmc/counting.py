@@ -27,7 +27,7 @@ its longest box (closest to the true length under partial occlusion).
 Events are columns (:class:`Events`), so the rule, the binning and the
 CSV text each run once over all zones; the list form
 (:class:`MovementEvent`) is a conversion for the per-layer benchmark and
-the tests.
+the tests. :func:`estimate_tmc` fills a ``tables.zero_grid``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .intersection import (
     zone_hits,
 )
 from .stream import FRAME_NED, L, X, Y, MergedStream, merge_order
-from .tables import TmcTable, empty_table
+from .tables import TmcTable, zero_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +297,7 @@ def estimate_tmc(
     an event exactly on a boundary belongs to the later bin."""
     if not isinstance(events, Events):
         events = Events.from_list(events)
-    counts = np.array(empty_table(bin_seconds, session, classes).counts)
+    counts = zero_grid(bin_seconds, session, classes)
     t0, t1 = session
     outside = outside_session(events.t, session)
     if outside.any():

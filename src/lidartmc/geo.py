@@ -49,9 +49,9 @@ ORTHONORMALITY_TOL = 1e-9
 COLLINEARITY_RTOL = 1e-6
 
 GCP_CSV_HEADER = ("frame_id", "sx", "sy", "sz", "lat", "lon", "alt")
-# No surveyed GCP lies further from its sensor or from the ellipsoid; the
-# bound also keeps the pose solve clear of float overflow.
-MAX_GCP_COORDINATE_M = 1e7
+# No surveyed GCP or detected box lies further from its sensor, and no GCP
+# from the ellipsoid; the bound keeps the pose solve and NED clear of overflow.
+MAX_COORDINATE_M = 1e7
 
 
 def wrap_angle(theta: float) -> float:
@@ -280,7 +280,7 @@ def load_gcp_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     to its (n, 3) sensor points and the (n, 3) ECEF points of their
     geodetic side, in file order. A row whose geodetic side is not a valid
     :class:`GeodeticPoint`, or whose sensor coordinates or altitude are
-    not within :data:`MAX_GCP_COORDINATE_M` of zero, is a
+    not within :data:`MAX_COORDINATE_M` of zero, is a
     :class:`~lidartmc.errors.UserInputError`.
     """
     out: dict[str, tuple[list, list]] = {}
@@ -291,9 +291,9 @@ def load_gcp_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             try:
                 sensor = [float(v) for v in row[1:4]]
                 geodetic = GeodeticPoint(*(float(v) for v in row[4:]))
-                if not all(abs(v) <= MAX_GCP_COORDINATE_M for v in (*sensor, geodetic.alt)):
+                if not all(abs(v) <= MAX_COORDINATE_M for v in (*sensor, geodetic.alt)):
                     raise ValueError("sensor coordinates and alt must be finite and within "
-                                     f"{MAX_GCP_COORDINATE_M:g} m of zero")
+                                     f"{MAX_COORDINATE_M:g} m of zero")
             except ValueError as exc:
                 raise UserInputError(f"GCP file line {i}: {exc}") from None
             src, dst = out.setdefault(row[0].strip(), ([], []))

@@ -77,7 +77,7 @@ import orjson
 
 from .counting import LogTriggers, zone_triggers
 from .errors import MalformedLineError, UserInputError, json_number
-from .geo import FrameRegistry, wrap_angles
+from .geo import MAX_COORDINATE_M, FrameRegistry, wrap_angles
 from .intersection import IntersectionConfig
 from .stream import (
     BOX_COLUMNS, FRAME_NED, FRAME_SENSOR, MAX_DIMENSION_M, L, SCORE, X, Y, YAW, Z, Frame,
@@ -111,6 +111,8 @@ _NAN_BOX = (math.nan,) * SCORE
 # failed check; a score the log leaves out passes.
 _CHECKS = (
     (slice(X, SCORE), np.isfinite, "{name} must be finite, got {value!r}"),
+    (slice(X, L), lambda v: np.abs(v) <= MAX_COORDINATE_M,
+     f"{{name}} must be within {MAX_COORDINATE_M:g} m of zero, got {{value}}"),
     (slice(L, YAW), lambda v: (v > 0.0) & (v < MAX_DIMENSION_M),
      f"{{name}} must be in (0, {MAX_DIMENSION_M}), got {{value}}"),
     (slice(SCORE, None), lambda v: (v >= 0.0) & (v <= 1.0), "{name} {value} outside [0, 1]"),

@@ -4,8 +4,8 @@
 CSV schema that :mod:`lidartmc.tables` writes, and accepts sparse rows
 (missing = zero), so either side of a comparison can come from a file.
 :func:`compare` reports the per-group error of an estimate against
-ground truth. ``estimate`` and ``simulate`` only write tables, so they
-never load this module.
+ground truth. Grids it loads or pads come from ``tables.zero_grid``.
+``estimate`` and ``simulate`` only write tables, so they never load it.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 from .errors import UserInputError
 from .geo import csv_rows
 from .intersection import APPROACH_INDEX, APPROACHES, MOVEMENTS, Approach
-from .tables import (
-    DEFAULT_BIN_SECONDS, GT_CSV_HEADER, MAX_BINS, TmcTable, empty_table, n_bins,
-)
+from .tables import DEFAULT_BIN_SECONDS, GT_CSV_HEADER, TmcTable, zero_grid
 # Not used here: the per-layer benchmark imports the table renderer from
 # this module until it runs the CLI's own stages (ROADMAP item 2).
 from .tables import render_tmc_csv  # noqa: F401
@@ -73,8 +71,8 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     bin_seconds]; rows may appear in any order and missing rows are zero.
     The class axis holds six classes, or up to the highest class id in
     the file if that is more. A header-only file yields an empty zero-bin
-    table. The counts of the whole file must sum within int64, so no
-    cell or marginal can wrap.
+    table. Each row's bin must end after it starts. The counts of the
+    whole file must sum within int64, so no cell or marginal can wrap.
     """
     rows: list[tuple[float, Approach, int, list[int]]] = []
     total = 0
@@ -92,6 +90,9 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
                 raise UserInputError(f"line {i}: {exc}") from None
             if not math.isfinite(bin_start):
                 raise UserInputError(f"line {i}: bin_start must be finite, got {row[0]!r}")
+            if bin_start + bin_seconds == bin_start:
+                raise UserInputError(
+                    f"line {i}: a {bin_seconds} s bin at {bin_start} ends where it starts")
             if class_id < 1:
                 raise UserInputError(f"line {i}: class {class_id} must be at least 1")
             for v in counts:
@@ -102,18 +103,9 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
                 raise UserInputError(
                     f"line {i}: counts so far sum past the int64 limit {INT64_MAX}")
             rows.append((bin_start, approach, class_id, counts))
-    if not rows:
-        return empty_table(bin_seconds, (0.0, 0.0))
-    starts = sorted({r[0] for r in rows})
-    session = (starts[0], starts[-1] + bin_seconds)
-    bins = n_bins(bin_seconds, session)
-    classes = max(6, max(r[2] for r in rows))
-    if bins * classes > MAX_BINS * 6:
-        raise UserInputError(
-            f"a table of {bins} bins of {classes} classes is larger than "
-            f"{MAX_BINS} bins of 6 classes"
-        )
-    table = np.zeros((bins, len(APPROACHES), len(MOVEMENTS), classes), dtype=np.int64)
+    starts = [r[0] for r in rows]
+    session = (min(starts), max(starts) + bin_seconds) if rows else (0.0, 0.0)
+    table = zero_grid(bin_seconds, session, max([6, *(r[2] for r in rows)]))
     for bin_start, approach, class_id, counts in rows:
         b = (bin_start - session[0]) / bin_seconds
         if abs(b - round(b)) > 1e-6:
@@ -172,9 +164,10 @@ def _on_common_grid(a: TmcTable, b: TmcTable) -> tuple[TmcTable, TmcTable]:
     session = (start, start + bins * step)
 
     def pad(t: TmcTable) -> TmcTable:
+        counts = zero_grid(step, session, t.n_classes)
         lead = round((t.session[0] - start) / step)
-        width = [(lead, bins - lead - t.counts.shape[0])] + [(0, 0)] * 3
-        return TmcTable(step, session, np.pad(t.counts, width))
+        counts[lead:lead + t.counts.shape[0]] = t.counts
+        return TmcTable(step, session, counts)
 
     return pad(a), pad(b)
 

@@ -52,7 +52,7 @@ from .errors import UserInputError, json_number, json_string
 from .geo import FrameRegistry, RigidTransform, compose, load_json_document, wrap_angles
 from .intersection import Approach, IntersectionConfig, Movement, Zone, outside_session
 from .stream import BOX_COLUMNS, MAX_DIMENSION_M, H, L, SCORE, W, X, YAW, Z, MergedStream
-from .tables import DEFAULT_BIN_SECONDS, TmcTable, empty_table, n_bins
+from .tables import DEFAULT_BIN_SECONDS, TmcTable, n_bins, zero_grid
 
 MAX_SPEED_MPS = 20.0
 VISIBILITY_M = 40.0  # how far a sensor sees
@@ -228,7 +228,7 @@ def simulate(
     table = cfg.class_table
     session = cfg.schedule.session
     t0, t1 = session
-    n_bins(DEFAULT_BIN_SECONDS, session)  # an unbounded session exits 2 before any work
+    n_bins(DEFAULT_BIN_SECONDS, session, table.n_classes)  # too large: exit 2 first
 
     zones, lengths = _check_script(script, cfg)
     # The lengths the script leaves out, drawn in script order.
@@ -339,10 +339,9 @@ def tally_script(script: Sequence[ScriptedVehicle], session: tuple[float, float]
                  bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     """Ground truth straight from the script: one count per vehicle,
     binned by zone entry time. Deliberately shares no code with the
-    counting pipeline but the session rule, so it can serve as an
-    independent oracle."""
-    table = empty_table(bin_seconds, session, classes)
-    counts = np.array(table.counts)
+    counting pipeline but the session rule and the grid, so it can
+    serve as an independent oracle."""
+    counts = zero_grid(bin_seconds, session, classes)
     t0, t1 = session
     approach_index = {a: i for i, a in enumerate(Approach)}
     movement_index = {m: i for i, m in enumerate(Movement)}

@@ -10,6 +10,8 @@ Bins are left-closed right-open; ``bin_start`` is the absolute start
 time in seconds. Exports write the full grid including zero rows so a
 table round-trips exactly through :func:`~lidartmc.report.load_tmc_csv`.
 
+:func:`n_bins` is the one size rule of a table and :func:`zero_grid`
+the one allocator of its counts, which applies the rule first.
 ``estimate`` and ``simulate`` write tables and compare none, so they
 import this module and never ``report``.
 """
@@ -32,8 +34,8 @@ GT_CSV_HEADER = ("bin_start", "approach", "class", *(m.value.lower() for m in MO
 
 DEFAULT_BIN_SECONDS = 300.0
 # Bins of one table: 10**5 bins of 300 s is almost a year, and the int64
-# grid of six classes is then 77 MB. A loaded table holds at most as many
-# bins times classes.
+# grid of six classes is then 77 MB. A table of more classes holds at most
+# as many bin-class cells.
 MAX_BINS = 10**5
 
 
@@ -51,7 +53,7 @@ class TmcTable:
             raise ValueError(f"counts has wrong shape {c.shape}")
         if np.any(c < 0):
             raise ValueError("counts must be nonnegative")
-        expected_bins = n_bins(self.bin_seconds, self.session)
+        expected_bins = n_bins(self.bin_seconds, self.session, c.shape[3])
         if c.shape[0] != expected_bins:
             raise ValueError(
                 f"counts has {c.shape[0]} bins, session implies {expected_bins}"
@@ -76,7 +78,10 @@ class TmcTable:
         )
 
 
-def n_bins(bin_seconds: float, session: tuple[float, float]) -> int:
+def n_bins(bin_seconds: float, session: tuple[float, float], classes: int) -> int:
+    """The bins of a table of ``classes`` classes on ``session``: at least
+    one if the session is not empty, at most MAX_BINS, and at most
+    ``MAX_BINS * 6`` bin-class cells. Past a bound, a UserInputError."""
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
     span = session[1] - session[0]
@@ -86,17 +91,17 @@ def n_bins(bin_seconds: float, session: tuple[float, float]) -> int:
         raise UserInputError(
             f"session {list(session)} must span at most {MAX_BINS} bins of {bin_seconds} s"
         )
-    return max(int(math.ceil(span / bin_seconds - 1e-9)), 0)
+    bins = max(math.ceil(span / bin_seconds - 1e-9), int(span > 0))
+    if bins * classes > MAX_BINS * 6:
+        raise UserInputError(f"a table of {bins} bins of {classes} classes is larger than "
+                             f"{MAX_BINS} bins of 6 classes")
+    return bins
 
 
-def empty_table(
-    bin_seconds: float, session: tuple[float, float], classes: int = 6
-) -> TmcTable:
-    return TmcTable(
-        bin_seconds,
-        session,
-        np.zeros((n_bins(bin_seconds, session), len(APPROACHES), len(MOVEMENTS), classes), dtype=np.int64),
-    )
+def zero_grid(bin_seconds: float, session: tuple[float, float], classes: int) -> np.ndarray:
+    """The writeable zero counts of a table, allocated once :func:`n_bins` passes."""
+    bins = n_bins(bin_seconds, session, classes)
+    return np.zeros((bins, len(APPROACHES), len(MOVEMENTS), classes), dtype=np.int64)
 
 
 def save_tmc_csv(table: TmcTable, path) -> None:

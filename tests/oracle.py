@@ -24,6 +24,7 @@ from lidartmc.counting import (
 )
 from lidartmc.errors import UserInputError, json_number
 from lidartmc.geo import (
+    MAX_COORDINATE_M,
     WGS84_A,
     WGS84_E2,
     WGS84_F,
@@ -56,7 +57,7 @@ from lidartmc.simgen import (
     _CLASS_WIDTHS,
 )
 from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, SCORE, L, X, Y, Frame
-from lidartmc.tables import TmcTable, empty_table, render_tmc_csv
+from lidartmc.tables import TmcTable, render_tmc_csv, zero_grid
 
 
 WGS84_B = WGS84_A * (1.0 - WGS84_F)
@@ -143,8 +144,9 @@ def box_reason(dets: list) -> str | None:
 
     Detection by detection: one that is not an object or lacks a required
     key is the reason; else a value that ``float`` refuses, then the
-    first value that is not finite, the first of length, width and
-    height outside (0, MAX_DIMENSION_M), and a given score outside [0, 1].
+    first value that is not finite, the first of x, y and z further than
+    MAX_COORDINATE_M from zero, the first of length, width and height
+    outside (0, MAX_DIMENSION_M), and a given score outside [0, 1].
     When no detection fails, the reason is the first value, box by box,
     that is not a JSON number (a string or a boolean).
     """
@@ -163,6 +165,9 @@ def box_reason(dets: list) -> str | None:
         for name, v in zip(BOX_FIELD_NAMES, vals):
             if not math.isfinite(v):
                 return f"{name} must be finite, got {v!r}"
+        for name, v in zip(BOX_FIELD_NAMES[:3], vals[:3]):
+            if abs(v) > MAX_COORDINATE_M:
+                return f"{name} must be within {MAX_COORDINATE_M:g} m of zero, got {v}"
         for name, v in zip(BOX_FIELD_NAMES[3:6], vals[3:6]):
             if not 0.0 < v < MAX_DIMENSION_M:
                 return f"{name} must be in (0, {MAX_DIMENSION_M}), got {v}"
@@ -294,9 +299,14 @@ def count_events(triggers, cfg, params: CountingParams) -> list[MovementEvent]:
     return [kv[3] for kv in tagged]
 
 
+def empty_table(bin_seconds: float, session, classes: int = 6) -> TmcTable:
+    """The table of zero counts on a session."""
+    return TmcTable(bin_seconds, session, zero_grid(bin_seconds, session, classes))
+
+
 def bin_events(events, bin_seconds: float, session, classes: int = 6) -> TmcTable:
     """The count table of in-session events, one event at a time."""
-    counts = np.array(empty_table(bin_seconds, session, classes).counts)
+    counts = zero_grid(bin_seconds, session, classes)
     for ev in events:
         b = min(math.floor((ev.t - session[0]) / bin_seconds), len(counts) - 1)
         counts[b, APPROACH_INDEX[ev.approach], MOVEMENT_INDEX[ev.movement],

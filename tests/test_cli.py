@@ -1,9 +1,12 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from lidartmc.report import load_tmc_csv
 from lidartmc.scenarios import random_script, scenario_suite
 from lidartmc.simgen import load_script, script_to_obj
 from lidartmc.stream import MergedStream
-from lidartmc.tables import TmcTable, save_tmc_csv
+from lidartmc.tables import GT_CSV_HEADER, TmcTable, save_tmc_csv
 from oracle import point_in_zone
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
@@ -453,6 +456,25 @@ class TestEstimate:
         assert cli.main(self.estimate_args(sim_out, gz, tmp_path / "strict") + ["--strict"]) == 2
 
     @pytest.mark.filterwarnings("error")
+    def test_box_far_from_its_sensor_is_a_skipped_line(self, ideal_sim, caplog):
+        # Kept, a box at 1.7e308 m overflows the NED map: under warnings as
+        # errors that exits 1. L1 is parsed in this process, L2 in a child.
+        logs, deleted = [], []
+        for s in ("L1", "L2"):
+            lines = (ideal_sim / f"log_{s}.jsonl").read_bytes().splitlines(keepends=True)
+            doc = json.loads(lines[10])
+            doc["detections"][0].update(x=1.7e308, y=-1.7e308)
+            logs.append(b"".join(lines[:10]) + json.dumps(doc).encode() + b"\n"
+                        + b"".join(lines[11:]))
+            deleted.append(b"".join(lines[:10] + lines[11:]))
+        code, tmc, events, manifest = estimate_logs(logs, ideal_sim / "registry.json")
+        assert code == 0
+        assert manifest["warnings"]["skipped_lines"] == 2
+        assert caplog.messages == ["skipping detection log line 11: x must be within 1e+07 m "
+                                   "of zero, got 1.7e+308"] * 2
+        assert estimate_logs(deleted, ideal_sim / "registry.json")[1:3] == (tmc, events)
+
+    @pytest.mark.filterwarnings("error")
     def test_registry_with_huge_rotation_entries_exits_2(self, tmp_path, capsys):
         # Under warnings as errors, an overflow warning would exit 1.
         sim_out = simulate_ideal(tmp_path)
@@ -550,6 +572,18 @@ class TestEstimate:
         assert not (tmp_path / "est").exists()
 
 
+def seven_class_config(tmp_path) -> Path:
+    """The reference config with a seventh class of vehicles over 20 m."""
+    doc = json.loads(Path(reference_config_path()).read_text())
+    doc["class_table"] = [*DEFAULT_CLASS_TABLE_DOC[:-1],
+                          {**DEFAULT_CLASS_TABLE_DOC[-1], "upper": 20.0},
+                          {"id": 7, "label": "Long combinations", "lower": 20.0,
+                           "upper": None, "fhwa": []}]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
 class TestCompare:
     def test_identical_files_zero_error(self, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -613,13 +647,7 @@ class TestCompare:
     def seven_class_estimate(ideal_sim, tmp_path):
         """The estimate directory of the ``ideal`` logs counted with a
         seven-class table."""
-        doc = json.loads(Path(reference_config_path()).read_text())
-        doc["class_table"] = [*DEFAULT_CLASS_TABLE_DOC[:-1],
-                              {**DEFAULT_CLASS_TABLE_DOC[-1], "upper": 20.0},
-                              {"id": 7, "label": "Long combinations", "lower": 20.0,
-                               "upper": None, "fhwa": []}]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
+        config = seven_class_config(tmp_path)
         est = tmp_path / "est"
         assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
                          str(ideal_sim / "log_L2.jsonl"), "--config", str(config),
@@ -650,6 +678,27 @@ class TestCompare:
         assert cli.main(["compare", str(table), str(GT_FIXTURE),
                          "--out-dir", str(tmp_path / "cmp")]) == 2
         assert "classes is larger than" in capsys.readouterr().err
+
+    def test_common_grid_past_the_bound_exits_2_unallocated(self, tmp_path, capsys):
+        # Padded onto one session, the tables would be 100,000 bins of
+        # 100,000 classes: 1.16 TiB of int64. Loaded, the first is one bin
+        # of them, 12.8 MB, and the peak holds little beyond it.
+        one_bin, last_bin = tmp_path / "class_100000.csv", tmp_path / "bin_29999700.csv"
+        one_bin.write_text(",".join(GT_CSV_HEADER) + "\n0,NB,100000,1,0,0,0\n")
+        last_bin.write_text(",".join(GT_CSV_HEADER) + "\n29999700,NB,1,1,0,0,0\n")
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = cli.main(["compare", str(one_bin), str(last_bin),
+                             "--out-dir", str(tmp_path / "cmp")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a table of 100000 bins of 100000 classes is larger than "
+            "100000 bins of 6 classes\n")
+        assert peak < 100_000 * 16 * 8 + 2 * 2**20
 
     def test_bad_group_by_exit_1_or_2(self, tmp_path):
         code = cli.main(
@@ -952,6 +1001,48 @@ def test_window_tabulates_the_full_runs_bins(full_runs, data):
     assert manifest["counting"]["events"] == len(full_events.splitlines()) - 1
 
 
+@pytest.mark.parametrize("flags", [["--bin-seconds", "1e12"],
+                                   ["--session-start", "5.125", "--session-end", "5.1250000001"]])
+def test_non_empty_window_gets_one_bin(ideal_sim, tmp_path, flags):
+    """However narrow a window is against its bins, it gets one bin, which
+    counts each of its events."""
+    argv = ["estimate", *(str(ideal_sim / f"log_{s}.jsonl") for s in ("L1", "L2")),
+            "--registry", str(ideal_sim / "registry.json")]
+    assert cli.main(argv + flags + ["--out-dir", str(tmp_path / "narrow")]) == 0
+    bin_seconds = float(flags[1]) if flags[0] == "--bin-seconds" else 300.0
+    narrow = load_tmc_csv(tmp_path / "narrow" / "tmc.csv", bin_seconds)
+    assert narrow.counts.shape[0] == 1
+    events = (tmp_path / "narrow" / "events.csv").read_text().splitlines()[1:]
+    assert narrow.counts.sum() == len(events) > 0
+    if flags[0] == "--bin-seconds":
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+        default = load_tmc_csv(tmp_path / "default" / "tmc.csv")
+        assert narrow.counts[0].tolist() == default.counts.sum(axis=0).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_any_grid_exits_0_or_2_and_counts_every_event(full_runs, data):
+    """Bins from 0.1 s to 1e15 s and windows inside the session, some
+    narrower than 1e-9 bins and starting on an event: exit 0 or 2, never a
+    traceback, and on exit 0 the table counts each event once. Windows
+    span at most 3,000 bins, so each run stays small."""
+    logs, registry, _, _, full_events = full_runs["ideal", WINDOW_BINS[0]]
+    times = [float(e.split(",")[0]) for e in full_events.splitlines()[1:]]
+    bin_seconds = 10 ** data.draw(st.floats(-1.0, 15.0))
+    start = data.draw(st.one_of(st.floats(0.0, 300.0), st.sampled_from(times)))
+    width = data.draw(st.one_of(st.floats(0.0, 3000.0), st.floats(0.0, 1e-9))) * bin_seconds
+    window = ["--session-start", repr(start), "--session-end", repr(min(start + width, 300.0))]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code, tmc, events, _ = estimate_logs(logs, registry, "--bin-seconds",
+                                             repr(bin_seconds), *window)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        counts = [int(v) for row in tmc.splitlines()[1:] for v in row.split(",")[3:]]
+        assert sum(counts) == len(events.splitlines()) - 1
+
+
 MUTATIONS = st.tuples(
     st.sampled_from(["flip byte", "insert byte", "delete byte", "drop line",
                      "duplicate line", "swap lines", "cut line"]),
@@ -1135,6 +1226,35 @@ def test_unbounded_session_exits_2_before_the_parse(ideal_sim, tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err == (
         "error: session [0.0, inf] must span at most 100000 bins of 300.0 s\n")
+
+
+def test_oversized_table_exits_2_before_any_work(ideal_sim, tmp_path, capsys, monkeypatch):
+    """estimate and simulate size the table with the config's class count
+    before they parse or simulate."""
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parse_logs called")
+
+    monkeypatch.setattr(ingest, "parse_logs", no_parse)
+    config = seven_class_config(tmp_path)
+    estimate = ["estimate", str(ideal_sim / "log_L1.jsonl"), str(ideal_sim / "log_L2.jsonl"),
+                "--config", str(config), "--registry", str(ideal_sim / "registry.json"),
+                "--out-dir", str(tmp_path / "est")]
+    assert cli.main(estimate + ["--bin-seconds", "0.0035"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a table of 85715 bins of 7 classes is larger than 100000 bins of 6 classes\n")
+    # A schedule of 90,000 bins of 300 s: within the bin bound, past the cell bound.
+    doc = json.loads(config.read_text())
+    doc["schedule"][-1]["end"] = 90_000 * 300.0
+    config.write_text(json.dumps(doc))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT_DOC))
+    simulate = ["simulate", "--script", str(script), "--config", str(config), "--seed", "1",
+                "--out-dir", str(tmp_path / "sim")]
+    for argv in (estimate, simulate):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: a table of 90000 bins of 7 classes is larger than 100000 bins of 6 classes\n")
+    assert not (tmp_path / "est").exists() and not (tmp_path / "sim").exists()
 
 
 BAD_CONFIG_NODES = {
@@ -1492,6 +1612,10 @@ USER_ERRORS = {
     "non-positive script length": (
         SIMULATE, script_text(length=-1.0),
         "error: length must be positive and finite, got -1.0\n"),
+    "bin that ends where it starts": (
+        ["compare", "{doc}", "{doc}"],
+        "bin_start,approach,class,left,thru,right,uturn\n1e300,NB,1,1,0,0,0\n",
+        "error: line 2: a 300.0 s bin at 1e+300 ends where it starts\n"),
     "tables of different sessions": (
         ["compare", str(GT_FIXTURE), "{doc}"],
         "bin_start,approach,class,left,thru,right,uturn\n0.0,NB,3,1,2,3,4\n",

@@ -231,6 +231,24 @@ class TestBadLines:
         assert math.isnan(frames[0].detections[0, SCORE])
         assert [e.reason for e in errors] == ["score nan outside [0, 1]"]
 
+    def test_box_far_from_its_sensor_is_a_bad_line(self):
+        # Checked after finiteness and before the dimensions; 1e7 m is kept.
+        edge = math.nextafter(1e7, math.inf)
+        lines = [frame_line(0.0, bad_det(x=1e7, y=-1e7, z=1e7)),
+                 frame_line(1.0, GOOD_DET, bad_det(x=1.7e308, y=-1.7e308)),
+                 frame_line(2.0, bad_det(y=-edge, l=75.0)),
+                 frame_line(3.0, bad_det(x=10**20, z=math.inf)),
+                 frame_line(4.0, bad_det(z=edge))]
+        errors = []
+        frames = parse_detection_log(lines, error_sink=errors)
+        assert [f.t for f in frames] == [0.0]
+        assert [e.reason for e in errors] == [
+            "x must be within 1e+07 m of zero, got 1.7e+308",
+            f"y must be within 1e+07 m of zero, got {-edge}",
+            "z must be finite, got inf",
+            f"z must be within 1e+07 m of zero, got {edge}",
+        ]
+
     def test_huge_integer_is_a_bad_line(self):
         lines = [frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
                  frame_line(1.5, bad_det(score=10**400)), frame_line(2.0, GOOD_DET)]
@@ -625,9 +643,13 @@ class TestDecoder:
 
 
 # Boxes as BOXES draws them, and also with a key left out, several values
-# replaced at once, an odd score, or an infinite heading.
+# replaced at once, an odd score, an infinite heading, or coordinates at
+# and past the coordinate bound.
 ORACLE_BOXES = st.one_of(
     BOXES,
+    st.builds(lambda box, values: {**box, **values}, GOOD_BOXES,
+              st.dictionaries(st.sampled_from(BOX_COLUMNS[:3]), st.sampled_from(
+                  [1e7, -1e7, math.nextafter(1e7, math.inf), -1.7e308, 10**8]), max_size=3)),
     st.builds(lambda box, score: {**box, "score": score}, GOOD_BOXES,
               st.sampled_from([None, math.nan, math.inf, -0.0, 1.5, "0.5", True])),
     st.builds(lambda box, key: {k: v for k, v in box.items() if k != key}, GOOD_BOXES,

@@ -6,7 +6,8 @@ import pytest
 from lidartmc.errors import UserInputError
 from lidartmc.intersection import Approach, Movement
 from lidartmc.report import DIMS, aggregate, compare, load_tmc_csv, render_report
-from lidartmc.tables import TmcTable, empty_table, render_tmc_csv, save_tmc_csv
+from lidartmc.tables import MAX_BINS, TmcTable, n_bins, render_tmc_csv, save_tmc_csv, zero_grid
+from oracle import empty_table
 
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
@@ -78,6 +79,40 @@ class TestTableFixture:
         )
         with pytest.raises(UserInputError, match="^bin_start 17.0 is not on the 300.0s bin grid$"):
             load_tmc_csv(path)
+
+
+class TestGridRule:
+    """One size rule for every table: at least one bin for a non-empty
+    session, at most MAX_BINS bins and MAX_BINS * 6 bin-class cells."""
+
+    def test_a_non_empty_session_gets_at_least_one_bin(self):
+        assert n_bins(300.0, (5.0, 5.0), 6) == 0
+        assert n_bins(300.0, (5.125, 5.1250000001), 6) == 1
+        assert n_bins(1e12, (0.0, 300.0), 6) == 1
+        assert n_bins(300.0, (0.0, 600.0 + 1e-7), 6) == 2
+        assert n_bins(300.0, (0.0, 600.0 + 1e-6), 6) == 3
+
+    def test_the_cell_bound_counts_the_classes(self):
+        assert n_bins(0.0035, (0.0, 300.0), 6) == 85715
+        with pytest.raises(UserInputError, match=r"^a table of 85715 bins of 7 classes is "
+                                                 r"larger than 100000 bins of 6 classes$"):
+            n_bins(0.0035, (0.0, 300.0), 7)
+        assert n_bins(300.0, (0.0, 300.0), MAX_BINS * 6) == 1
+        with pytest.raises(UserInputError, match="of 600001 classes is larger"):
+            n_bins(300.0, (0.0, 300.0), MAX_BINS * 6 + 1)
+        with pytest.raises(UserInputError, match="must span at most 100000 bins"):
+            n_bins(300.0, (0.0, 300.0 * (MAX_BINS + 1)), 1)
+
+    def test_table_checks_the_rule_with_its_own_classes(self):
+        with pytest.raises(UserInputError, match="of 600001 classes is larger"):
+            TmcTable(300.0, (0.0, 300.0), np.broadcast_to(np.int64(0), (1, 4, 4, 600001)))
+
+    def test_zero_grid_is_writeable_and_sized_by_the_rule(self):
+        grid = zero_grid(300.0, (5.125, 5.1250000001), 7)
+        assert grid.shape == (1, 4, 4, 7) and grid.dtype == np.int64 and not grid.any()
+        grid[0, 0, 0, 6] = 1
+        with pytest.raises(UserInputError, match="85715 bins of 7 classes"):
+            zero_grid(0.0035, (0.0, 300.0), 7)
 
 
 class TestAggregate:
