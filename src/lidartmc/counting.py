@@ -6,28 +6,30 @@ some binding of the zone is permissible. :func:`zone_triggers` is that
 rule; its phase gate indexes the tables that
 :class:`~lidartmc.intersection.IntersectionConfig` builds once, and the
 parse cut runs it on each chunk, so each log reaches counting as trigger
-columns (:class:`LogTriggers`), not boxes. A zone's triggers
-of all logs are merged in :func:`~lidartmc.stream.merge_order`, the
-order in which ``ingest.merge_streams`` merges frames, with each sensor
-as an integer code. Each zone's series is clustered into vehicles by one
-pairwise rule: a trigger joins its predecessor's vehicle when the gap
-between the two is
+columns (:class:`LogTriggers`), not boxes. :func:`merge_triggers` joins
+them into one table (:class:`Triggers`), each sensor an integer code,
+grouped by zone and within a zone in :func:`~lidartmc.stream.merge_order`,
+the order in which ``ingest.merge_streams`` merges frames. Each zone's
+rows are clustered into vehicles by one pairwise rule: a trigger joins
+its predecessor's vehicle when the gap between the two is
 
 * below ``cluster_gap``: the same vehicle;
 * below the zone's minimum headway (2.0 s for right-turn zones, 1.2 s
   otherwise) and ``absorb`` is set: a re-trigger, absorbed uncounted, so
   slow, long vehicles are not counted once per re-trigger;
 * below ``dedup_window`` and the sensor changed: dual coverage of one
-  zone never double counts.
+  zone never double counts. At the default ``dedup_window`` (=
+  ``cluster_gap``) the first clause already joins every such pair.
 
 Every other trigger starts a vehicle (``absorb=False`` is the diagnostic,
 overcounting "raw re-trigger" mode). One event per vehicle, labelled with
 the zone's primary binding and timed at its first trigger; its length is
 its longest box (closest to the true length under partial occlusion).
 Events are columns (:class:`Events`), so the rule, the binning and the
-CSV text each run once over all zones; the list form
-(:class:`MovementEvent`) is a conversion for the per-layer benchmark and
-the tests. :func:`estimate_tmc` fills a ``tables.zero_grid``.
+CSV text each run once over all zones; the per-zone dict of
+:func:`extract_triggers` and the list form (:class:`MovementEvent`) are
+for the per-layer benchmark and the tests. :func:`estimate_tmc` fills a
+``tables.zero_grid``.
 """
 
 from __future__ import annotations
@@ -53,28 +55,8 @@ from .intersection import (
     outside_session_error,
     zone_hits,
 )
-from .stream import FRAME_NED, L, X, Y, MergedStream, merge_order
+from .stream import FRAME_NED, L, X, Y, MergedStream
 from .tables import TmcTable, zero_grid
-
-
-@dataclass(frozen=True, eq=False)
-class TriggerSeries:
-    """One zone's triggers in time order, as columns: frame time, box
-    length, and the code of the sensor that saw the box (its index in the
-    sorted frame ids)."""
-
-    t: np.ndarray
-    length: np.ndarray
-    sensor: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-def _join(items: Sequence, columns: Iterable[tuple[str, type]]) -> list[np.ndarray]:
-    """Each ``(name, dtype)`` column of ``items``, joined one item after another."""
-    return [np.concatenate([np.empty(0, dtype), *(getattr(item, name) for item in items)])
-            for name, dtype in columns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +85,36 @@ class MovementEvent:
     representative_length: float
 
 
+class _Columns:
+    """Rows as equal-length column arrays, one field a column."""
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, index):
+        """The rows at ``index`` (a slice, mask or index array)."""
+        return type(self)(*(column[index] for column in vars(self).values()))
+
+
 @dataclass(frozen=True, eq=False)
-class Events:
+class Triggers(_Columns):
+    """Triggers as columns: index into the config's zones, frame time, box
+    length, and the code of the sensor that saw the box (its index in the
+    sorted frame ids)."""
+
+    zone: np.ndarray
+    t: np.ndarray
+    length: np.ndarray
+    sensor: np.ndarray
+
+    def in_merge_order(self) -> Triggers:
+        """The rows grouped by zone and in :func:`~lidartmc.stream.merge_order`
+        within each zone: one stable sort by zone, then time, then sensor."""
+        return self.take(np.lexsort((self.sensor, self.t, self.zone)))
+
+
+@dataclass(frozen=True, eq=False)
+class Events(_Columns):
     """Counted vehicles as columns, ordered by time, then ingress before
     surrogate, then zone id: first trigger time, index into the config's
     zones (-1 when built from the list form), indices into ``APPROACHES``
@@ -116,12 +126,6 @@ class Events:
     movement: np.ndarray
     vehicle_class: np.ndarray
     length: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def take(self, index) -> Events:
-        return Events(*(column[index] for column in vars(self).values()))
 
     @classmethod
     def from_list(cls, events: Sequence[MovementEvent]) -> Events:
@@ -160,29 +164,26 @@ def zone_triggers(north: np.ndarray, east: np.ndarray, t: np.ndarray,
     return rows[row], zone, t[inside & outside]
 
 
-def merge_triggers(logs: Sequence[LogTriggers],
-                   cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
-    """Per-zone, time-ordered trigger series of per-sensor logs: one
-    zone's triggers of all logs, joined log after log, in
-    :func:`~lidartmc.stream.merge_order`, each sensor coded by its index
-    in the sorted frame ids: the series of the frames merged by
-    :func:`~lidartmc.ingest.merge_streams`, without merging boxes."""
+def _joined(tables: Iterable[Triggers]) -> Triggers:
+    """The rows of ``tables``, one table after another."""
+    empty = (np.empty(0, np.intp), np.empty(0), np.empty(0), np.empty(0, np.intp))
+    return Triggers(*map(np.concatenate, zip(empty, *(vars(t).values() for t in tables))))
+
+
+def merge_triggers(logs: Sequence[LogTriggers]) -> Triggers:
+    """The triggers of per-sensor logs as one table in merge order, each
+    sensor coded by its index in the sorted frame ids: the triggers of the
+    frames merged by :func:`~lidartmc.ingest.merge_streams`, without
+    merging boxes."""
     code = {fid: i for i, fid in enumerate(sorted({log.sensor for log in logs} - {None}))}
-    logs = [log for log in logs if len(log.zone)]  # a log with no kept line has no code
-    zone, t, length = _join(logs, (("zone", np.intp), ("t", float), ("length", float)))
-    sensor = np.repeat(np.array([code[log.sensor] for log in logs], dtype=np.intp),
-                       [len(log.zone) for log in logs])
-    order = merge_order(t, sensor)
-    out = {}
-    for zi, z in enumerate(cfg.zones):
-        r = order[zone[order] == zi]
-        out[z.id] = TriggerSeries(t[r], length[r], sensor[r])
-    return out
+    return _joined(  # a log with no kept line has no code
+        Triggers(log.zone, log.t, log.length, np.full(len(log.zone), code[log.sensor]))
+        for log in logs if len(log.zone)).in_merge_order()
 
 
-def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, TriggerSeries]:
-    """:func:`merge_triggers` of one NED stream, one :class:`LogTriggers` a
-    sensor, from one :func:`zone_triggers` over all its rows. A contained
+def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, Triggers]:
+    """Each zone id's rows of the triggers of one NED stream in merge
+    order, from one :func:`zone_triggers` over all its rows. A contained
     detection outside the schedule's session raises a
     :class:`~lidartmc.errors.UserInputError` naming the earliest time."""
     if stream.coordinate_frame != FRAME_NED:
@@ -192,22 +193,17 @@ def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str,
     rows, zone, outside = zone_triggers(stream.boxes[:, X], stream.boxes[:, Y], row_t, cfg)
     if len(outside):
         raise outside_session_error(float(outside.min()), cfg.schedule.session)
-    sensor, t, length = np.repeat(stream.sensor, sizes)[rows], row_t[rows], stream.boxes[rows, L]
-    return merge_triggers([LogTriggers(fid, stream.t[stream.sensor == c], zone[sensor == c],
-                                       t[sensor == c], length[sensor == c], outside)
-                           for c, fid in enumerate(stream.sensors)], cfg)
+    sensor = np.repeat(stream.sensor, sizes)[rows]
+    tr = Triggers(zone, row_t[rows], stream.boxes[rows, L], sensor).in_merge_order()
+    bounds = np.searchsorted(tr.zone, np.arange(len(cfg.zones) + 1)).tolist()
+    return {z.id: tr.take(slice(*bounds[i:i + 2])) for i, z in enumerate(cfg.zones)}
 
 
-def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
-            params: CountingParams) -> Events:
-    """The events of each zone's series by the rule of the module
-    docstring, over the series joined zone after zone."""
-    zones, series = cfg.zones, list(series.items())
-    index = {z.id: i for i, z in enumerate(zones)}
-    zone = np.repeat(np.array([index[zid] for zid, _ in series], dtype=np.intp),
-                     [len(s) for _, s in series])
-    t, length, sensor = _join([s for _, s in series],
-                              (("t", float), ("length", float), ("sensor", np.intp)))
+def _events(triggers: Triggers, cfg: IntersectionConfig, params: CountingParams) -> Events:
+    """The events of a table of triggers grouped by zone and time-ordered
+    within each zone, by the rule of the module docstring."""
+    zones = cfg.zones
+    zone, t, length, sensor = vars(triggers).values()
     headway = np.array([params.min_headway_for(z) for z in zones])
     gap = np.diff(t)
     join = (
@@ -229,21 +225,16 @@ def _events(series: Mapping[str, TriggerSeries], cfg: IntersectionConfig,
     return Events(t[first[order]], z, binding[z, 0], binding[z, 1], classes[order], longest[order])
 
 
-def cluster_triggers(
-    series: Mapping[str, TriggerSeries],
-    cfg: IntersectionConfig,
-    params: CountingParams | None = None,
-) -> list[MovementEvent]:
-    """One event per vehicle of each zone's series, labelled with the
-    zone's primary binding, in the order of :class:`Events`."""
-    return _events(series, cfg, params or cfg.params).to_list()
+def cluster_triggers(series: Mapping[str, Triggers], cfg: IntersectionConfig,
+                     params: CountingParams | None = None) -> list[MovementEvent]:
+    """One event per vehicle of each zone's rows (as :func:`extract_triggers`
+    gives them), labelled with the zone's primary binding, in the order of
+    :class:`Events`."""
+    return _events(_joined(series.values()), cfg, params or cfg.params).to_list()
 
 
-def count_rights_from_egress(
-    series: Mapping[str, TriggerSeries],
-    cfg: IntersectionConfig,
-    params: CountingParams | None = None,
-) -> list[MovementEvent]:
+def count_rights_from_egress(series: Mapping[str, Triggers], cfg: IntersectionConfig,
+                             params: CountingParams | None = None) -> list[MovementEvent]:
     """Count right turns from egress-side surrogate zones.
 
     Used where the ingress corner is outside sensor coverage. Each zone
@@ -263,24 +254,24 @@ def count_rights_from_egress(
 def count_session(logs: Sequence[LogTriggers],
                   cfg: IntersectionConfig) -> tuple[Events, dict]:
     """Full counting pass over the per-sensor trigger columns that
-    :func:`~lidartmc.ingest.parse_logs` gives: merged triggers
-    (:func:`merge_triggers`) -> ingress events + surrogate events, with
-    the thresholds of ``cfg.params``. Egress zones that are not right
-    surrogates are observational only: their triggers are counted in the
-    metadata, never as events. Returns the events and a metadata dict
-    recording trigger counts and any shared Left/UTurn zones (whose
-    events are labeled with the primary binding because ingress triggers
-    cannot tell the two apart).
+    :func:`~lidartmc.ingest.parse_logs` gives: the events of the merged
+    triggers (:func:`merge_triggers`) of the ingress and right-surrogate
+    zones, with the thresholds of ``cfg.params``. Other egress zones are
+    observational only: their triggers are counted in the metadata, never
+    as events. Returns the events and a metadata dict recording trigger
+    counts and any shared Left/UTurn zones (whose events are labeled with
+    the primary binding because ingress triggers cannot tell the two apart).
     """
-    triggers = merge_triggers(logs, cfg)
-    counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
-    events = _events(counted, cfg, cfg.params)
+    triggers = merge_triggers(logs)
+    ignored = np.array([z.kind is ZoneKind.EGRESS and not z.is_right_surrogate for z in cfg.zones],
+                       dtype=bool)
+    events = _events(triggers.take(~ignored[triggers.zone]), cfg, cfg.params)
+    per_zone = np.bincount(triggers.zone, minlength=len(cfg.zones)).tolist()
     shared = [z.id for z in cfg.ingress_zones
               if {m for _, m in z.bindings} >= {Movement.LEFT, Movement.UTURN}]
     meta = {
-        "triggers_per_zone": {zid: len(trigs) for zid, trigs in sorted(triggers.items())},
-        "ignored_egress_zones": sorted(z.id for z in cfg.zones
-                                       if z.kind is ZoneKind.EGRESS and not z.is_right_surrogate),
+        "triggers_per_zone": dict(sorted(zip((z.id for z in cfg.zones), per_zone))),
+        "ignored_egress_zones": sorted(z.id for z, i in zip(cfg.zones, ignored.tolist()) if i),
         "shared_left_uturn_zones": sorted(shared),
         "events": len(events),
     }

@@ -213,6 +213,11 @@ class FrameRegistry:
         return tuple(self._frames)
 
     def register(self, frame_id: str, transform: RigidTransform) -> None:
+        """Add or replace a sensor's pose, at most :data:`MAX_COORDINATE_M` from the NED origin."""
+        distance = math.dist(transform.translation, self._origin_ecef)  # never overflows
+        if not distance <= MAX_COORDINATE_M:
+            raise UserInputError(f"sensor frame {frame_id!r} lies {distance:g} m from the NED "
+                                 f"origin, more than {MAX_COORDINATE_M:g} m")
         self._frames[frame_id] = transform
 
     def transform_for(self, frame_id: str) -> RigidTransform:
@@ -378,9 +383,8 @@ def registry_to_json(registry: FrameRegistry) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def registry_from_json(text: str) -> FrameRegistry:
+def registry_from_obj(doc) -> FrameRegistry:
     try:
-        doc = json.loads(text)
         registry = FrameRegistry(GeodeticPoint.from_obj(doc["ned_origin"]))
         frames = doc["frames"]
         if not isinstance(frames, dict):
@@ -389,7 +393,7 @@ def registry_from_json(text: str) -> FrameRegistry:
             rot = np.array([json_number(v) for v in entry["rotation"]]).reshape(3, 3)
             trans = np.array([json_number(v) for v in entry["translation"]])
             registry.register(fid, RigidTransform(rot, trans))
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"bad frame registry document: {exc}") from None
     return registry
 
@@ -399,5 +403,4 @@ def save_registry(registry: FrameRegistry, path) -> None:
 
 
 def load_registry(path) -> FrameRegistry:
-    with open(path, encoding="utf-8") as fh:
-        return registry_from_json(fh.read())
+    return load_json_document(path, "registry", registry_from_obj)

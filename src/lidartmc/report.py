@@ -71,10 +71,11 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     bin_seconds]; rows may appear in any order and missing rows are zero.
     The class axis holds six classes, or up to the highest class id in
     the file if that is more. A header-only file yields an empty zero-bin
-    table. Each row's bin must end after it starts. The counts of the
-    whole file must sum within int64, so no cell or marginal can wrap.
+    table. Each row's bin must end after it starts, and float spacing may not
+    stretch the last one into two (12 s bins at 1e17 end 16 s on). The counts
+    of the whole file must sum within int64, so no cell or marginal can wrap.
     """
-    rows: list[tuple[float, Approach, int, list[int]]] = []
+    rows: list[tuple[float, Approach, int, list[int], int]] = []
     total = 0
     with open(path, newline="", encoding="utf-8") as fh:
         for i, row in csv_rows(fh, GT_CSV_HEADER, "count table"):
@@ -102,17 +103,20 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
             if total > INT64_MAX:
                 raise UserInputError(
                     f"line {i}: counts so far sum past the int64 limit {INT64_MAX}")
-            rows.append((bin_start, approach, class_id, counts))
+            rows.append((bin_start, approach, class_id, counts, i))
     starts = [r[0] for r in rows]
     session = (min(starts), max(starts) + bin_seconds) if rows else (0.0, 0.0)
     table = zero_grid(bin_seconds, session, max([6, *(r[2] for r in rows)]))
-    for bin_start, approach, class_id, counts in rows:
+    for bin_start, approach, class_id, counts, i in rows:
         b = (bin_start - session[0]) / bin_seconds
         if abs(b - round(b)) > 1e-6:
             raise UserInputError(
                 f"bin_start {bin_start} is not on the {bin_seconds}s bin grid"
             )
         b = int(round(b))
+        if bin_start + bin_seconds == session[1] and b + 1 < len(table):  # a stretched last bin
+            raise UserInputError(f"line {i}: a {bin_seconds} s bin at {bin_start} ends "
+                                 f"{session[1] - bin_start} s after it starts")
         table[b, APPROACH_INDEX[approach], :, class_id - 1] += counts
     return TmcTable(bin_seconds, session, table)
 

@@ -18,7 +18,7 @@ from lidartmc.counting import (
     Events,
     LogTriggers,
     MovementEvent,
-    TriggerSeries,
+    Triggers,
     _events,
     extract_triggers,
 )
@@ -346,9 +346,11 @@ def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
     return render_tmc_csv(table), events_csv(events), counting_meta(triggers, events, cfg)
 
 
-def merged_triggers(streams, cfg) -> dict[str, TriggerSeries]:
-    """The trigger series of NED streams merged by ``merge_streams``."""
-    return extract_triggers(merge_streams(streams), cfg)
+def merged_triggers(streams, cfg) -> Triggers:
+    """The triggers of NED streams merged by ``merge_streams``: each zone's
+    rows of ``extract_triggers``, zone after zone."""
+    per_zone = extract_triggers(merge_streams(streams), cfg).values()
+    return Triggers(*map(np.concatenate, zip(*(vars(rows).values() for rows in per_zone))))
 
 
 def count_merged(streams, cfg) -> tuple[Events, dict]:
@@ -357,9 +359,10 @@ def count_merged(streams, cfg) -> tuple[Events, dict]:
     (:func:`merged_triggers`), then the events of the ingress and
     right-surrogate zones."""
     triggers = merged_triggers(streams, cfg)
-    counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
-    events = _events(counted, cfg, cfg.params)
-    return events, counting_meta(triggers, events, cfg)
+    per_zone = {z.id: triggers.take(triggers.zone == i) for i, z in enumerate(cfg.zones)}
+    counted = [cfg.zones.index(z) for z in cfg.ingress_zones + cfg.right_surrogate_zones]
+    events = _events(triggers.take(np.isin(triggers.zone, counted)), cfg, cfg.params)
+    return events, counting_meta(per_zone, events, cfg)
 
 
 def sensor_logs(streams, cfg) -> list[LogTriggers]:
@@ -378,13 +381,21 @@ def sensor_logs(streams, cfg) -> list[LogTriggers]:
     return logs
 
 
-def trigger_series(triggers) -> TriggerSeries:
-    """Columns of (t, length, frame_id) triggers, each frame id coded by
-    its index in the sorted ids."""
-    t, length, sensor = zip(*triggers) if triggers else ((), (), ())
+def trigger_table(triggers, cfg) -> Triggers:
+    """One table of per-zone lists of (t, length, frame_id) triggers, zone
+    after zone in the config's order, each frame id coded by its index in
+    the sorted ids."""
+    rows = [(i, *trig) for i, z in enumerate(cfg.zones) for trig in triggers.get(z.id, ())]
+    zone, t, length, sensor = zip(*rows) if rows else ((), (), (), ())
     code = {fid: i for i, fid in enumerate(sorted(set(sensor)))}
-    return TriggerSeries(np.array(t, dtype=float), np.array(length, dtype=float),
-                         np.array([code[fid] for fid in sensor], dtype=np.intp))
+    return Triggers(np.array(zone, dtype=np.intp), np.array(t, dtype=float),
+                    np.array(length, dtype=float),
+                    np.array([code[fid] for fid in sensor], dtype=np.intp))
+
+
+def trigger_series(triggers, cfg, zone_id: str) -> Triggers:
+    """The table of one zone's (t, length, frame_id) triggers."""
+    return trigger_table({zone_id: triggers}, cfg)
 
 
 def frame_to_json_line(frame: Frame) -> str:

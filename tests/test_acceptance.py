@@ -64,11 +64,13 @@ def test_criterion_2_threshold_fixtures(reference_config):
     thru = reference_config.zone_by_id("NB_T1")
     right = reference_config.zone_by_id("EB_R")
     for gap, expected in ((0.5, 1), (1.1, 1), (1.2, 2), (1.5, 2)):
-        series = {thru.id: trigger_series([(0.0, 4.5, "L1"), (gap, 4.5, "L1")])}
+        series = {thru.id: trigger_series([(0.0, 4.5, "L1"), (gap, 4.5, "L1")],
+                                        reference_config, thru.id)}
         events = cluster_triggers(series, reference_config)
         assert len(events) == expected, f"thru gap {gap}"
     for gap, expected in ((1.8, 1), (2.0, 2), (2.5, 2)):
-        series = {right.id: trigger_series([(0.0, 4.5, "L1"), (gap, 4.5, "L1")])}
+        series = {right.id: trigger_series([(0.0, 4.5, "L1"), (gap, 4.5, "L1")],
+                                        reference_config, right.id)}
         events = cluster_triggers(series, reference_config)
         assert len(events) == expected, f"right gap {gap}"
     ok("criterion 2: headway threshold fixtures (1.2 s thru, 2.0 s right)")

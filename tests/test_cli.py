@@ -181,6 +181,20 @@ class TestGeoref:
         assert (registry.read_bytes() if registry.exists() else None) == before
 
 
+    def test_far_origin_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """Each sensor lies within MAX_COORDINATE_M of the NED origin: an
+        origin at the GCPs' antipode puts L1 about 1.27e7 m away."""
+        gcp = tmp_path / "gcps.csv"
+        write_gcp_file(gcp, np.random.default_rng(71))
+        registry = tmp_path / "registry.json"
+        assert cli.main(["georef", str(gcp), "--registry", str(registry),
+                         "--ned-origin=-34.05,62.6,350.0"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: sensor frame 'L1' lies 1\.27\d*e\+07 m from the NED "
+                            r"origin, more than 1e\+07 m\n", err), err
+        assert not registry.exists()
+
+
 class TestSimulate:
     def test_seed_required(self, tmp_path):
         code = cli.main(
@@ -486,6 +500,20 @@ class TestEstimate:
                          str(registry), "--out-dir", str(tmp_path / "est")])
         assert code == 2
         assert "rotation entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_registry_translation_past_the_bound_exits_2(self, ideal_sim, tmp_path, capsys):
+        # Loaded, L1 at 1e308 m from the origin silently counted nothing.
+        doc = json.loads((ideal_sim / "registry.json").read_text())
+        doc["frames"]["L1"]["translation"] = [1e308, 0, 0]
+        registry = tmp_path / "far.json"
+        registry.write_text(json.dumps(doc))
+        code = cli.main(["estimate", *(str(ideal_sim / f"log_{s}.jsonl") for s in ("L1", "L2")),
+                         "--registry", str(registry), "--out-dir", str(tmp_path / "est")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sensor frame 'L1' lies 1e+308 m from the NED origin, more than 1e+07 m\n")
+        assert not (tmp_path / "est").exists()
 
     def test_out_of_session_detections_dropped_and_counted(self, tmp_path, capsys):
         sim_out = simulate_ideal(tmp_path)
@@ -1475,7 +1503,8 @@ def test_invalid_json_exits_2(ideal_sim, tmp_path, capsys, kind):
         doc.write_text(text)
         assert cli.main([str(doc) if a == "{doc}" else a for a in argv]
                         + ["--out-dir", str(tmp_path / "out")]) == 2
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} is not valid JSON: ") and reason in err
         with pytest.raises(UserInputError, match=re.escape(reason)):
             LOADERS[kind](doc)
 
@@ -1498,7 +1527,7 @@ def test_deeply_nested_input_exits_0_or_2(ideal_sim, tmp_path, capsys, kind):
                     + ["--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
-    with pytest.raises(UserInputError, match="maximum recursion depth"):
+    with pytest.raises(UserInputError, match=f"^{kind} is nested too deeply: maximum recursion"):
         LOADERS[kind](doc)
 
 
@@ -1616,6 +1645,10 @@ USER_ERRORS = {
         ["compare", "{doc}", "{doc}"],
         "bin_start,approach,class,left,thru,right,uturn\n1e300,NB,1,1,0,0,0\n",
         "error: line 2: a 300.0 s bin at 1e+300 ends where it starts\n"),
+    "bin stretched by float spacing": (
+        ["compare", "{doc}", "{doc}", "--bin-seconds", "12"],
+        "bin_start,approach,class,left,thru,right,uturn\n1e17,NB,1,1,0,0,0\n",
+        "error: line 2: a 12.0 s bin at 1e+17 ends 16.0 s after it starts\n"),
     "tables of different sessions": (
         ["compare", str(GT_FIXTURE), "{doc}"],
         "bin_start,approach,class,left,thru,right,uturn\n0.0,NB,3,1,2,3,4\n",

@@ -30,7 +30,7 @@ from lidartmc.intersection import (
     ZoneKind,
 )
 from oracle import (bin_events, count_events, events_csv, point_triggers, sensor_logs,
-                    trigger_series)
+                    trigger_series, trigger_table)
 from oracle import cluster as oracle_cluster
 
 NB, SB, EB, WB = Approach.NB, Approach.SB, Approach.EB, Approach.WB
@@ -63,11 +63,13 @@ def trig(t, length=4.5, frame_id="L1"):
 
 
 def cluster(series, cfg, params=None):
-    return cluster_triggers({z: trigger_series(ts) for z, ts in series.items()}, cfg, params)
+    return cluster_triggers({z: trigger_series(ts, cfg, z) for z, ts in series.items()}, cfg,
+                            params)
 
 
 def egress(series, cfg):
-    return count_rights_from_egress({z: trigger_series(ts) for z, ts in series.items()}, cfg)
+    return count_rights_from_egress({z: trigger_series(ts, cfg, z) for z, ts in series.items()},
+                                    cfg)
 
 
 def ned_frame(t, *dets, frame_id="L1"):
@@ -226,11 +228,17 @@ class TestClusterThresholds:
             cluster(series, cfg)
 
     def test_cross_sensor_dedup(self):
+        # Each gap is past cluster_gap and, when absorbing, past the thru
+        # headway, but inside the dedup window: only the cross-sensor
+        # clause joins the pair, so two sensors give one vehicle and one
+        # sensor two.
         cfg = small_config()
-        series = {
-            "THRU": [trig(0.00, frame_id="L1"), trig(0.10, frame_id="L2")]
-        }
-        assert len(cluster(series, cfg)) == 1
+        for gap, absorb in ((1.3, True), (0.9, False)):
+            params = CountingParams(dedup_window=1.5, absorb=absorb)
+            assert params.cluster_gap < gap < params.dedup_window
+            for second, expected in (("L2", 1), ("L1", 2)):
+                series = {"THRU": [trig(0.0, frame_id="L1"), trig(gap, frame_id=second)]}
+                assert len(cluster(series, cfg, params)) == expected, (gap, second)
 
     def test_event_labeling_uses_primary_binding(self):
         cfg = small_config()
@@ -463,14 +471,14 @@ def test_array_clustering_equals_the_oracle(triggers, absorb, dedup_window, bin_
     order, and the list form bins and spells them as the columns do."""
     cfg = small_config()
     params = CountingParams(absorb=absorb, dedup_window=dedup_window)
-    series = {zone_id: trigger_series(ts) for zone_id, ts in triggers.items()}
+    series = {zone_id: trigger_series(ts, cfg, zone_id) for zone_id, ts in triggers.items()}
     for zone_id in ("THRU", "RIGHT"):
         got = cluster_triggers({zone_id: series[zone_id]}, cfg, params)
         min_headway = params.min_headway_for(cfg.zone_by_id(zone_id))
         assert [(e.t, e.representative_length) for e in got] == oracle_cluster(
             triggers[zone_id], min_headway, params)
-    counted = {z.id: series[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
-    events = counting._events(counted, cfg, params)
+    counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
+    events = counting._events(trigger_table(counted, cfg), cfg, params)
     expected = count_events(triggers, cfg, params)
     assert events.to_list() == expected
     assert [cfg.zones[i].primary_binding for i in events.zone.tolist()] == [

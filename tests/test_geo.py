@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import stat
@@ -8,6 +9,7 @@ import pytest
 from conftest import random_rotation
 from lidartmc.errors import UserInputError
 from lidartmc.geo import (
+    MAX_COORDINATE_M,
     WGS84_A,
     FrameRegistry,
     GeodeticPoint,
@@ -20,7 +22,7 @@ from lidartmc.geo import (
     load_gcp_csv,
     load_registry,
     ned_rotation,
-    registry_from_json,
+    registry_from_obj,
     save_registry,
     wrap_angle,
 )
@@ -284,6 +286,20 @@ class TestRegistry:
             assert np.array_equal(back.transform_for(fid).rotation, reg.transform_for(fid).rotation)
             assert np.array_equal(back.transform_for(fid).translation, reg.transform_for(fid).translation)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sensor_past_the_bound_from_the_origin_is_refused(self):
+        """The distance is measured without overflow, and a refused pose
+        leaves the registry as it was."""
+        reg = FrameRegistry(GeodeticPoint(34.05, -117.4, 350.0))
+        near = reg.origin_ecef() + [0.0, 0.0, 0.99 * MAX_COORDINATE_M]
+        reg.register("L1", RigidTransform(np.eye(3), near))
+        for far in ([1e308, 0.0, 0.0], [1.7e308] * 3,
+                    reg.origin_ecef() + [0.0, 0.0, 1.01 * MAX_COORDINATE_M]):
+            with pytest.raises(UserInputError, match=r"^sensor frame 'L2' lies \S+ m from the "
+                                                     r"NED origin, more than 1e\+07 m$"):
+                reg.register("L2", RigidTransform(np.eye(3), np.array(far)))
+        assert reg.frame_ids == ("L1",)
+
     def test_bad_registry_json(self, tmp_path):
         path = tmp_path / "registry.json"
         path.write_text('{"frames": {}}')
@@ -296,7 +312,7 @@ class TestRegistry:
     def test_bad_frames_are_schema_errors(self, frames):
         origin = '{"lat": 34.05, "lon": -117.4, "alt": 350.0}'
         with pytest.raises(UserInputError, match="^bad frame registry document: "):
-            registry_from_json(f'{{"ned_origin": {origin}, "frames": {frames}}}')
+            registry_from_obj(json.loads(f'{{"ned_origin": {origin}, "frames": {frames}}}'))
 
 
 class TestAtomicWrite:

@@ -335,7 +335,7 @@ def zone_columns(log, cfg):
 
 
 def series_columns(series):
-    """(t, length) of each zone's ``TriggerSeries``."""
+    """(t, length) of each zone's rows of ``extract_triggers``."""
     return {zone_id: (s.t.tolist(), s.length.tolist()) for zone_id, s in series.items()}
 
 

@@ -80,6 +80,29 @@ class TestTableFixture:
         with pytest.raises(UserInputError, match="^bin_start 17.0 is not on the 300.0s bin grid$"):
             load_tmc_csv(path)
 
+    def test_bin_stretched_by_float_spacing_rejected(self, tmp_path):
+        """Floats at 1e17 are 16 s apart, so a 12 s bin there would end 16 s
+        on and size a second, empty bin: refused, naming the line."""
+        path = tmp_path / "big.csv"
+        path.write_text("bin_start,approach,class,left,thru,right,uturn\n1e17,NB,1,1,0,0,0\n")
+        with pytest.raises(UserInputError,
+                           match=r"^line 2: a 12.0 s bin at 1e\+17 ends 16.0 s after it starts$"):
+            load_tmc_csv(path, 12.0)
+        assert load_tmc_csv(path, 16.0).counts.shape[0] == 1
+
+    @pytest.mark.parametrize("bin_seconds", [0.1, 1.0, 12.0, 300.0, 3600.0])
+    def test_epoch_time_tables_load_bin_for_bin(self, tmp_path, bin_seconds):
+        """Unix-epoch bin starts keep one bin a row, the last one with zero counts too."""
+        epoch = 1_700_000_000.0
+        path = tmp_path / "epoch.csv"
+        path.write_text("bin_start,approach,class,left,thru,right,uturn\n"
+                        f"{epoch + 2 * bin_seconds!r},SB,2,0,1,0,0\n{epoch!r},NB,1,1,0,0,0\n"
+                        f"{epoch + 5 * bin_seconds!r},NB,1,0,0,0,0\n")
+        table = load_tmc_csv(path, bin_seconds)
+        assert table.session == (epoch, epoch + 6 * bin_seconds)
+        assert table.counts.shape[0] == 6
+        assert table.counts.sum() == 2 and table.counts[2, A["SB"], M["Thru"], 1] == 1
+
 
 class TestGridRule:
     """One size rule for every table: at least one bin for a non-empty

@@ -170,6 +170,11 @@ class TestSimulateBasics:
 
 
 class TestScriptValidation:
+    def test_sensor_far_from_the_origin_rejected(self, reference_config):
+        sim = SimConfig(seed=1, sensors=(SensorSpec("L1", 2e7, 0.0),))
+        with pytest.raises(UserInputError, match="^sensor frame 'L1' lies 2e\\+07 m from the NED"):
+            simulate([], reference_config, sim)
+
     def test_speed_bounds(self, reference_config):
         with pytest.raises(UserInputError, match=r"^speed 25.0 outside \(0, 20.0\]$"):
             simulate(
