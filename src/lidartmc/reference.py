@@ -49,13 +49,15 @@ def build_reference_config() -> IntersectionConfig:
     return load_intersection_config(reference_config_path())
 
 
-def long_range_document(setback: float = 55.0) -> dict:
-    """The packaged document with the EB/WB thru ingress pushed
-    ``setback`` meters out, beyond the default sensors' 40 m detection
-    radius."""
+LONG_RANGE_SETBACK_M = 55.0  # past the default sensors' 40 m detection radius
+
+
+def long_range_document() -> dict:
+    """The packaged document with the EB/WB thru ingress centered
+    :data:`LONG_RANGE_SETBACK_M` meters out."""
     with open(reference_config_path(), encoding="utf-8") as fh:
         doc = json.load(fh)
-    east = {"EB_T": -setback, "WB_T": setback}
+    east = {"EB_T": -LONG_RANGE_SETBACK_M, "WB_T": LONG_RANGE_SETBACK_M}
     for zone in doc["zones"]:
         if zone["id"] in east:
             zone["center"][1] = east[zone["id"]]

@@ -1,22 +1,20 @@
-"""Bundled stress scenarios and the random script generator.
+"""Bundled stress scenarios: short hand-written scripts for the counting's
+headway thresholds and its known field error modes.
 
-``simulate --scenario`` and the tests take their scripts from here;
-``simulate --script`` reads its script from a file and never loads this
-module.
+``simulate --scenario`` takes its script from here; ``simulate
+--script`` reads its script from a file and never loads this module.
+Randomized traffic for the tests comes from the benchmark's
+phase-by-phase fill (``perfbench/workload.py``), not from here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import UserInputError
 from .intersection import Approach, IntersectionConfig, Movement, config_from_obj
 from .reference import build_reference_config, long_range_document
 from .simgen import ScriptedVehicle, SimConfig
-from .tables import DEFAULT_BIN_SECONDS
 
 
 @dataclass(frozen=True)
@@ -126,55 +124,3 @@ def scenario_by_name(name: str) -> Scenario:
         + ", ".join(sc.name for sc in scenario_suite())
     )
 
-
-def random_script(
-    cfg: IntersectionConfig,
-    rng: np.random.Generator,
-    n_vehicles: int,
-) -> list[ScriptedVehicle]:
-    """Random script over the schedule's session whose per-zone
-    exit-to-entry headways stay >= 2.0 s, whose vehicles cross only during
-    phases permitting their movement, and whose entries keep clear of the
-    boundaries of :data:`~lidartmc.tables.DEFAULT_BIN_SECONDS` bins. Under
-    those constraints the counting pipeline must reproduce the ground
-    truth exactly; the generator may return fewer vehicles if zones saturate.
-    """
-    targets = cfg.countable_targets()
-    t0, t1 = cfg.schedule.session
-    boundaries = np.arange(t0 + DEFAULT_BIN_SECONDS, t1, DEFAULT_BIN_SECONDS).tolist()
-    last_exit: dict[str, float] = {}
-    vehicles: list[ScriptedVehicle] = []
-    classes = cfg.class_table.n_classes
-    for _ in range(n_vehicles):
-        for _attempt in range(200):
-            zone, (approach, movement) = targets[int(rng.integers(len(targets)))]
-            speed = float(rng.uniform(3.0, 20.0))
-            residence = 2.0 * zone.half_length / speed
-            if movement is Movement.RIGHT:
-                windows = [(t0, t1)]
-            else:
-                windows = [
-                    (iv.start, iv.end)
-                    for iv in cfg.schedule.intervals
-                    if (approach, movement) in iv.permitted
-                ]
-                if not windows:
-                    continue
-            w0, w1 = windows[int(rng.integers(len(windows)))]
-            lo = max(w0 + 0.05, t0 + 0.5, last_exit.get(zone.id, -math.inf) + 2.1)
-            hi = min(w1, t1 - 0.5) - residence - 0.4
-            if hi <= lo:
-                continue
-            entry = float(rng.uniform(lo, hi))
-            # GT bins by entry; the first trigger may lag one frame, so
-            # keep the whole residence away from bin boundaries.
-            if any(b - 0.5 < entry <= b or entry < b < entry + residence + 0.5 for b in boundaries):
-                continue
-            vclass = int(rng.integers(1, classes + 1))
-            vehicles.append(
-                ScriptedVehicle(vclass, approach, movement, entry, speed, None, zone.id)
-            )
-            last_exit[zone.id] = entry + residence
-            break
-    vehicles.sort(key=lambda v: v.entry_time)
-    return vehicles

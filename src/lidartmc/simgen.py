@@ -32,9 +32,8 @@ A script is checked before any work (:func:`_check_script`), with
 binding lookups built once and one class lookup for all scripted
 lengths. Every box written passes the parse's checks: lengths lie below
 :data:`~lidartmc.stream.MAX_DIMENSION_M`, and the noise sigma is at
-most :data:`VISIBILITY_M`. The bundled scenarios and the random script
-generator live in :mod:`lidartmc.scenarios`, which ``simulate
---script`` never loads.
+most :data:`VISIBILITY_M`. The bundled scenarios live in
+:mod:`lidartmc.scenarios`, which ``simulate --script`` never loads.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lidartmc.intersection import load_intersection_config
+from lidartmc.intersection import config_from_obj, load_intersection_config
 from lidartmc.reference import build_reference_config, long_range_document, reference_config_path
-from lidartmc.simgen import ScriptedVehicle
+from lidartmc.simgen import ScriptedVehicle, script_from_obj
+
+WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
 
 # The default class table as a config's ``class_table`` document, for
 # tests that edit it (test_classify checks that it reads back as
@@ -75,3 +80,34 @@ def dense_script(cfg, rng, session_end=300.0):
                                             None, zone.id))
             entry += float(rng.uniform(1.0, 5.0))
     return sorted(vehicles, key=lambda v: v.entry_time)
+
+
+def load_workload():
+    """The benchmark's workload generator, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("workload", WORKLOAD)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+workload = load_workload()
+
+
+def reference_document() -> dict:
+    return json.loads(Path(reference_config_path()).read_text())
+
+
+def fill_script(rng, doc=None, n=None):
+    """The benchmark's phase-by-phase fill of every countable zone of the
+    config document ``doc`` (the reference one by default) over its
+    schedule's session, read back as a script. Its traffic is countable
+    exactly: per zone, exit-to-entry gaps of at least 2.1 s, crossings
+    inside a phase that permits them and clear of bin boundaries. With
+    ``n``, a random ``n`` of its vehicles are kept, which only widens the
+    gaps."""
+    doc = reference_document() if doc is None else doc
+    vehicles = workload.schedule_traffic(doc, config_from_obj(doc).schedule.session, rng)
+    if n is not None:
+        vehicles = [vehicles[i] for i in np.sort(rng.choice(len(vehicles), n, replace=False))]
+    return script_from_obj(workload.script_doc(vehicles))

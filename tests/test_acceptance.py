@@ -7,20 +7,21 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from conftest import random_rotation
+from conftest import fill_script, random_rotation, reference_document, workload
 from lidartmc import cli
 from lidartmc.classify import DEFAULT_CLASS_TABLE
 from lidartmc.counting import cluster_triggers, count_session, estimate_tmc
 from lidartmc.geo import GeodeticPoint, estimate_transform_from_gcps, lla_to_ecef
 from lidartmc.ingest import frames_to_ned, merge_streams
-from lidartmc.intersection import CountingParams
+from lidartmc.intersection import CountingParams, config_from_obj
 from lidartmc.report import aggregate, load_tmc_csv
-from lidartmc.scenarios import random_script, scenario_suite
+from lidartmc.scenarios import scenario_suite
 from lidartmc.simgen import SimConfig, simulate
 from oracle import ecef_to_lla, sensor_logs, trigger_series
 
@@ -41,22 +42,40 @@ def run_counting(session, cfg, extra_streams=()):
 
 
 def test_criterion_1_oracle_equivalence_ideal(reference_config):
-    """100 seeded random scripts reproduce ground truth cell for cell."""
+    """100 seeded phase-by-phase fills reproduce ground truth cell for cell."""
     start = time.perf_counter()
+    vehicles = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         sim = SimConfig(
             seed=2000 + seed, frame_rate_hz=float(rng.uniform(3.0, 5.0))
         )
-        n = int(rng.integers(5, 51))
-        script = random_script(reference_config, rng, n)
-        assert len(script) >= 5
+        script = fill_script(rng)
+        assert len(script) >= 500
+        vehicles += len(script)
         session = simulate(script, reference_config, sim)
         est = run_counting(session, reference_config)
         assert est == session.ground_truth, f"script seed {seed} mismatched"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle equivalence took {elapsed:.2f}s"
-    ok(f"criterion 1: oracle equivalence on 100 random scripts ({elapsed:.2f}s)")
+    ok(f"criterion 1: oracle equivalence on 100 filled sessions, "
+       f"{vehicles} vehicles ({elapsed:.2f}s)")
+
+
+def test_one_hour_oracle_equivalence():
+    """An hour of the reference cycle, every countable zone filled, counts
+    exactly: hundreds of vehicles per zone, twelve 300 s bins."""
+    doc = workload.extend_schedule(reference_document(), 36)
+    cfg = config_from_obj(doc)
+    script = fill_script(np.random.default_rng(7), doc)
+    per_zone = Counter(v.zone_id for v in script)
+    assert len(per_zone) == len(cfg.countable_targets())
+    assert min(per_zone.values()) >= 150
+    session = simulate(script, cfg, SimConfig(seed=7))
+    assert session.ground_truth.counts.shape[0] == 12
+    assert run_counting(session, cfg) == session.ground_truth
+    ok(f"criterion 1: oracle equivalence on a filled hour, {len(script)} vehicles, "
+       f"at least {min(per_zone.values())} per zone")
 
 
 def test_criterion_2_threshold_fixtures(reference_config):

@@ -15,16 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_CLASS_TABLE_DOC, random_rotation, scenario_config_path
+from conftest import (DEFAULT_CLASS_TABLE_DOC, fill_script, random_rotation, reference_document,
+                      scenario_config_path, workload)
 from lidartmc import cli, ingest
 from lidartmc.classify import DEFAULT_CLASS_TABLE
 from lidartmc.errors import UserInputError
 from lidartmc.geo import GeodeticPoint, NedPoint, lla_to_ecef, load_registry
 from lidartmc.ingest import frames_to_ned, parse_detection_log
-from lidartmc.intersection import CountingParams, config_from_obj, load_intersection_config
+from lidartmc.intersection import CountingParams, load_intersection_config
 from lidartmc.reference import reference_config_path
 from lidartmc.report import load_tmc_csv
-from lidartmc.scenarios import random_script, scenario_suite
+from lidartmc.scenarios import scenario_suite
 from lidartmc.simgen import load_script, script_to_obj
 from lidartmc.stream import MergedStream
 from lidartmc.tables import GT_CSV_HEADER, TmcTable, save_tmc_csv
@@ -231,9 +232,8 @@ class TestSimulate:
         assert manifest["arguments"]["frame_rate_hz"] == 5.0
         assert len((tmp_path / "log_L1.jsonl").read_text().splitlines()) == 192
 
-    def test_script_mode(self, tmp_path, reference_config):
-        rng = np.random.default_rng(65)
-        script = random_script(reference_config, rng, 8)
+    def test_script_mode(self, tmp_path):
+        script = fill_script(np.random.default_rng(65))
         spath = tmp_path / "script.json"
         spath.write_text(json.dumps(script_to_obj(script)))
         code = cli.main(
@@ -797,13 +797,10 @@ class TestEndToEnd:
     def test_long_schedule_round_trip(self, tmp_path):
         """simulate, estimate and compare all take their session from a
         schedule of twelve 100 s cycles (1,200 s, four 300 s bins)."""
-        doc = json.loads(Path(reference_config_path()).read_text())
-        doc["schedule"] = [{**iv, "start": iv["start"] + 100.0 * c, "end": iv["end"] + 100.0 * c}
-                           for c in range(12) for iv in doc["schedule"] if iv["end"] <= 100.0]
+        doc = workload.extend_schedule(reference_document(), 12)
         config, script = tmp_path / "config.json", tmp_path / "script.json"
         config.write_text(json.dumps(doc))
-        script.write_text(json.dumps(script_to_obj(
-            random_script(config_from_obj(doc), np.random.default_rng(12), 80))))
+        script.write_text(json.dumps(script_to_obj(fill_script(np.random.default_rng(12), doc))))
         sim, est = tmp_path / "sim", tmp_path / "est"
         assert cli.main(["simulate", "--script", str(script), "--config", str(config),
                          "--seed", "5", "--out-dir", str(sim)]) == 0
@@ -1408,8 +1405,8 @@ def test_mutated_registry_exits_0_or_2(ideal_sim, mutations):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(DOC_MUTATIONS, min_size=1, max_size=3))
-def test_mutated_script_exits_0_or_2(reference_config, mutations):
-    script = random_script(reference_config, np.random.default_rng(67), 4)
+def test_mutated_script_exits_0_or_2(mutations):
+    script = fill_script(np.random.default_rng(67), n=4)
     with tempfile.TemporaryDirectory() as tmp:
         code = mutated_doc_exit_code(script_to_obj(script), mutations, tmp, [
             "simulate", "--script", "{doc}", "--seed", "3"])

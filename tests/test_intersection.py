@@ -228,10 +228,10 @@ class TestConfig:
         assert cfg.schedule.session == (0.0, 300.0)
         # The long-range variant moves the EB/WB thru ingress out and
         # changes nothing else.
-        far = config_from_obj(long_range_document(60.0))
+        far = config_from_obj(long_range_document())
         assert [z.id for z in far.zones] == [z.id for z in cfg.zones]
         moved = {z.id: z.center for z, before in zip(far.zones, cfg.zones) if z != before}
-        assert moved == {"EB_T": NedPoint(-5.25, -60.0, 0.0), "WB_T": NedPoint(5.25, 60.0, 0.0)}
+        assert moved == {"EB_T": NedPoint(-5.25, -55.0, 0.0), "WB_T": NedPoint(5.25, 55.0, 0.0)}
         assert replace(far, zones=cfg.zones) == cfg
 
     def test_overlapping_schedule_rejected(self, tmp_path):

@@ -16,8 +16,9 @@ from lidartmc.ingest import frames_to_ned, merge_streams
 from lidartmc.intersection import Approach, Movement, config_from_obj
 from lidartmc.geo import NedPoint
 from lidartmc.reference import long_range_document
-from conftest import dense_script
+from conftest import dense_script, fill_script, reference_document, workload
 from lidartmc.simgen import (
+    MAX_SPEED_MPS,
     SENSOR_HEIGHT_M,
     VISIBILITY_M,
     ScriptedVehicle,
@@ -31,8 +32,9 @@ from lidartmc.simgen import (
     simulate,
     tally_script,
 )
-from lidartmc.scenarios import random_script, scenario_by_name, scenario_suite
+from lidartmc.scenarios import scenario_by_name, scenario_suite
 from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, X, Y, write_detection_log
+from lidartmc.tables import DEFAULT_BIN_SECONDS
 import oracle
 from oracle import point_in_zone, sensor_logs, simulate_frames
 
@@ -132,9 +134,8 @@ class TestSimulateBasics:
 
     def test_ground_truth_consistency_dual_path(self, reference_config):
         # Independent tally: count script rows per cell with a Counter.
-        rng = np.random.default_rng(71)
         sim = SimConfig(seed=8)
-        script = random_script(reference_config, rng, 30)
+        script = fill_script(np.random.default_rng(71))
         session = simulate(script, reference_config, sim)
         expected = Counter(
             (v.approach, v.movement, v.vehicle_class) for v in script
@@ -495,26 +496,42 @@ class TestAgainstPerVehicleOracle:
             assert_frames_identical(stream, want[fid])
 
 
-class TestRandomScript:
-    def test_constraints_hold(self, reference_config):
-        rng = np.random.default_rng(81)
-        script = random_script(reference_config, rng, 40)
-        assert 5 <= len(script) <= 40
+class TestFillScript:
+    """The tests' scripts, the benchmark's phase-by-phase fill, keep the
+    package's rules for traffic that counts exactly."""
+
+    def test_constraints_hold(self):
+        # Twelve cycles, so that bin edges fall inside the session too.
+        doc = workload.extend_schedule(reference_document(), 12)
+        cfg = config_from_obj(doc)
+        script = fill_script(np.random.default_rng(81), doc)
+        assert len(script) >= 2000
+        t0, t1 = cfg.schedule.session
+        edges = np.arange(t0, t1 + DEFAULT_BIN_SECONDS, DEFAULT_BIN_SECONDS).tolist()
         per_zone = {}
         for v in script:
-            assert 3.0 <= v.speed <= 20.0
-            per_zone.setdefault(v.zone_id, []).append(v)
+            assert 0.0 < v.speed <= MAX_SPEED_MPS
+            lower, upper = cfg.class_table.band(v.vehicle_class)
+            assert lower <= v.length < upper
+            zone = cfg.zone_by_id(v.zone_id)
+            per_zone.setdefault(zone.id, []).append(v)
+            enter, leave = v.entry_time, v.entry_time + 2 * zone.half_length / v.speed
+            assert all(b <= enter - 0.5 or b >= leave + 0.5 for b in edges)
+            if v.movement is not Movement.RIGHT:
+                assert any(iv.start <= enter and leave <= iv.end
+                           and (v.approach, v.movement) in iv.permitted
+                           for iv in cfg.schedule.intervals)
+        assert len(per_zone) == len(cfg.countable_targets())
         for zone_id, vs in per_zone.items():
-            zone = reference_config.zone_by_id(zone_id)
+            zone = cfg.zone_by_id(zone_id)
             vs.sort(key=lambda v: v.entry_time)
             for a, b in zip(vs, vs[1:]):
                 exit_a = a.entry_time + 2 * zone.half_length / a.speed
                 assert b.entry_time - exit_a >= 2.0
 
-    def test_script_json_round_trip(self, reference_config):
-        rng = np.random.default_rng(82)
-        script = random_script(reference_config, rng, 10)
-        assert script_from_obj(script_to_obj(script)) == tuple(script)
+    def test_script_json_round_trip(self):
+        script = fill_script(np.random.default_rng(82))
+        assert script_from_obj(script_to_obj(script)) == script
 
 
 # Floats that ``repr`` spells in exponent form, and so orjson differently.
@@ -565,11 +582,8 @@ def test_tally_script_respects_bins(reference_config):
     assert gt.counts[2].sum() == 1
 
 
-def test_load_script_file(tmp_path, reference_config):
-    rng = np.random.default_rng(83)
-    script = random_script(reference_config, rng, 8)
+def test_load_script_file(tmp_path):
+    script = fill_script(np.random.default_rng(83))
     path = tmp_path / "script.json"
-    import json
-
     path.write_text(json.dumps(script_to_obj(script)))
-    assert load_script(path) == tuple(script)
+    assert load_script(path) == script
