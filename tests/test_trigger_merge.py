@@ -78,7 +78,8 @@ def logs(draw):
     two of them, and, with three, another sensor's. Frames lie on a
     shared grid, the split sensor's each jittered by at most 3/8 s, one
     of them is duplicated, and the other sensor has frames at some of
-    the same times."""
+    the same times. A grid starting at 0 s can jitter frames before the
+    session."""
     split_sensor, other = draw(st.permutations(["L1", "L2"]))
     zones = draw(st.lists(st.sampled_from(CFG.zones), min_size=1, max_size=3))
     start = draw(st.integers(0, 280))
@@ -108,8 +109,17 @@ def logs(draw):
 @settings(max_examples=150, deadline=None)
 @given(streams=logs(), cfg=st.sampled_from([CFG, OPEN_CFG]))
 def test_drawn_logs_match_box_merge(streams, cfg):
-    check_order(sensor_logs(streams, cfg), REORDER_WINDOW)
-    assert_same_count(streams, cfg)
+    logs = sensor_logs(streams, cfg)
+    check_order(logs, REORDER_WINDOW)
+    dropped = np.concatenate([log.dropped for log in logs])
+    if len(dropped):
+        # A frame jittered before the session's start: the box merge
+        # refuses the earliest dropped time of the logs.
+        message = str(outside_session_error(float(dropped.min()), cfg.schedule.session))
+        with pytest.raises(UserInputError, match=f"^{re.escape(message)}$"):
+            count_merged(streams, cfg)
+    else:
+        assert_same_count(streams, cfg)
 
 
 def test_outside_session_raises_with_the_earliest_time():
