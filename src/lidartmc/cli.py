@@ -15,7 +15,8 @@ only select the window inside it whose events are tabulated.
 ``estimate`` keeps no box past its parse chunk: each chunk is cut to its
 trigger rows (``ingest.parse_logs``), the frame order of each log and
 the registry are checked, and each zone's trigger columns of all logs
-are merged and counted (``counting.count_session``).
+are merged and counted (``counting.count_session``). Of the skipped lines
+the parse collects, it prints each, or under ``--strict`` raises the first.
 
 Import rule: module level imports only what argument parsing and the
 exit-code mapping need (``errors``, and ``reference`` for the default
@@ -157,7 +158,14 @@ def cmd_estimate(args) -> int:
     errors: list = []
     # Each log comes back as its trigger columns and every frame time; its
     # zone rows outside the session come back as their times.
-    logs = parse_logs(args.logs, registry, cfg, strict=args.strict, error_sink=errors)
+    try:
+        logs = parse_logs(args.logs, registry, cfg, error_sink=errors)
+    finally:  # the skipped lines of the logs before one that fails precede its error
+        if not args.strict:
+            for err in errors:
+                print(f"skipping detection log {err}", file=sys.stderr)
+    if errors and args.strict:  # the lowest bad line of the first log with one
+        raise errors[0]
     check_order(logs, args.reorder_window)
     # A log of an unregistered sensor fails after the order check.
     for fid in sorted({log.sensor for log in logs} - {None}):

@@ -4,7 +4,7 @@ A ``UserInputError`` is a problem with a user-supplied file, flag or
 configuration: the CLI prints its message and exits 2, and whatever else
 escapes is an internal error (exit 1). The message says what is wrong,
 so only one kind is told apart by type: a ``MalformedLineError``, the
-detection-log line that non-strict parsing skips and counts. Both pickle
+detection-log line that the parse skips and counts. Both pickle
 to an equal error, so a forked parse can hand its error to the parent.
 
 ``json_number`` is the one reader of a number from a decoded JSON
@@ -21,7 +21,7 @@ class UserInputError(Exception):
 
 class MalformedLineError(UserInputError):
     """A detection-log line that could not be parsed or carried an
-    invalid field value; non-strict parsing skips it and records this."""
+    invalid field value; the parse skips it and records this."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -37,10 +37,13 @@ def json_number(value) -> float:
 
     ``json`` decodes a number to an int or a float. A string or a boolean
     (``bool`` is an ``int`` subclass) where a number belongs raises
-    ``TypeError`` instead of being coerced, and so does ``null``.
+    ``TypeError`` instead of being coerced, and so does ``null``; the
+    message names a list or an object, whose repr could nest too deep to
+    print. An integer past the float range raises ``OverflowError``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+        what = {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+        raise TypeError(f"expected a number, got {what}")
     return float(value)
 
 

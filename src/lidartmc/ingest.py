@@ -8,12 +8,17 @@ Wire format: JSON lines, one frame per line, plain or gzip-compressed:
                      "yaw": 0.12, "score": 0.87}, ...]}
 
 ``score`` is optional. Box dimensions are meters, ``yaw`` is radians and
-is wrapped into (-pi, pi] on parse. ``t``, the box fields and a present
-``score`` must be JSON numbers (a string or a boolean is not one, as in
-:func:`~lidartmc.errors.json_number`) and ``frame_id`` a string.
-Malformed lines are skipped and collected by default (field loggers are
-routinely dirty); ``strict=True`` raises the error of the lowest bad line
-instead.
+is wrapped into (-pi, pi] on parse. A malformed line is skipped whole and
+collected, never raised (field loggers are routinely dirty); the caller
+reports the skipped lines, or raises the first under ``--strict``. A bad
+line has the reason of its first failed check, in this order: it decodes
+to a JSON object; it has the keys ``t``, ``frame_id`` and ``detections``;
+``t`` is a finite JSON number (:func:`~lidartmc.errors.json_number`: a
+string or a boolean is not one); ``detections`` is a list; ``frame_id``
+is a string and the log's sensor, adopted from its first good line; then
+each detection in order is an object with the seven required keys, whose
+values are JSON numbers (a ``null`` score is an absent one) that pass
+the box checks :data:`_CHECKS` in their order.
 
 Each line is decoded by ``orjson.loads``. A line that orjson refuses (NaN
 or Infinity literals, a number past the float range, a lone surrogate
@@ -40,10 +45,11 @@ Python objects, and the Python objects of one chunk at a time.
 
 A chunk of JSON numbers takes one type check and one float64
 conversion; in another, only the boxes with some other value go through
-``float`` one at a time. The box rule is one ordered table,
+``json_number`` one at a time. The box checks are one ordered table,
 :data:`_CHECKS`: one array pass over a chunk tells which boxes fail and
-why, and a heading is wrapped only once it is finite. ``box_reason`` in
-``tests/oracle.py`` restates the rule one value at a time for the tests.
+why, and a heading is wrapped only once it is finite. ``line_reason`` in
+``tests/oracle.py`` restates the whole order one value at a time for the
+tests.
 
 :func:`parse_logs`, which ``estimate`` runs, cuts further: each chunk is
 mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
@@ -51,11 +57,8 @@ to its trigger rows (:func:`~lidartmc.counting.zone_triggers`) before
 the next chunk is read, so no box outlives its chunk. A log comes back
 as trigger columns (:class:`~lidartmc.counting.LogTriggers`) and the
 time of every frame. The logs are parsed concurrently, each after the
-first in a forked child, with the results, skipped lines, warnings and
-errors of parsing them one after the other.
-
-A parse does not log: its caller logs the skipped lines it returns, so
-only one loads ``logging``.
+first in a forked child, with the results, skipped lines and errors of
+parsing them one after the other.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ ORJSON_MAX_DEPTH = 4096
 # The exact types of a decoded JSON number; ``bool`` is not one of them.
 _NUMBER = frozenset((int, float))
 _SCORE_TYPES = _NUMBER | {type(None)}
-# Stands in for a box that is converted one value at a time.
+# Stands in for a box that is converted one value at a time, and for a
+# detection that is not a box.
 _NAN_BOX = (math.nan,) * SCORE
 # The box checks in order: the columns each tests, its test and the
 # reason of a value that fails it. A box's reason is that of its first
@@ -121,12 +125,11 @@ _CHECKS = (
 _CHECK_REASONS = [(c, reason) for cols, _, reason in _CHECKS for c in range(SCORE + 1)[cols]]
 
 
-def _detection_fault(d, line_no: int) -> MalformedLineError:
+def _detection_fault(d) -> str:
     """Why a detection is not a box: it is not an object, or it lacks a required key."""
     if not isinstance(d, dict):
-        return MalformedLineError(line_no, f"detection must be an object, got {d!r}")
-    missing = [c for c in BOX_COLUMNS[:SCORE] if c not in d]
-    return MalformedLineError(line_no, f"detection missing keys {missing}")
+        return f"detection must be an object, got {d!r}"
+    return f"detection missing keys {[c for c in BOX_COLUMNS[:SCORE] if c not in d]}"
 
 
 def _brackets(line: bytes | str) -> int:
@@ -140,8 +143,9 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
               faults: dict) -> tuple[np.ndarray, dict]:
     """The (n, 8) float64 block of a chunk's raw boxes, and the reason of
     each line with a bad box, by index into ``lines``: that of its first
-    box that ``float`` refuses or that fails :data:`_CHECKS`, else its
-    fault in ``faults``, else its first value that is not a JSON number.
+    bad box, which is its row's fault in ``faults`` (a NaN row stands for a
+    detection that is not a box, and a box gains one here for its first
+    value that is not a JSON number), else its first failed :data:`_CHECKS`.
     Boxes of JSON numbers are converted at once, the others one by one.
     """
     n = len(rows)
@@ -160,13 +164,13 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
         block[:, SCORE] = np.array(score, dtype=np.float64)  # None is NaN
     except OverflowError:  # an integer past the float range
         odd = range(n)
-    refused = {}
     for i in odd:
         try:
-            block[i] = (*map(float, rows[i]), math.nan if scores[i] is None else float(scores[i]))
-        except (TypeError, ValueError, OverflowError) as exc:
+            block[i] = (*map(json_number, rows[i]),
+                        math.nan if scores[i] is None else json_number(scores[i]))
+        except (TypeError, OverflowError) as exc:
             block[i] = math.nan
-            refused[i] = f"non-numeric detection field: {exc}"
+            faults[i] = f"non-numeric detection field: {exc}"
 
     ok = np.hstack([test(block[:, cols]) for cols, test, _ in _CHECKS])
     # A NaN score is an absent one only when the log said so.
@@ -179,23 +183,13 @@ def _to_block(rows: list[tuple], scores: list, lines: list[tuple],
                            np.searchsorted(ends, bad, side="right").tolist()):
         if i not in reasons:
             col, reason = _CHECK_REASONS[check]
-            reasons[i] = MalformedLineError(lines[i][0], refused.get(r) or reason.format(
+            reasons[i] = MalformedLineError(lines[i][0], faults.get(r) or reason.format(
                 name=_FIELD_NAMES[col], value=block[r, col].item()))
-    for i, fault in faults.items():
-        reasons.setdefault(i, fault)
-    for r, i in zip(odd, np.searchsorted(ends, odd, side="right").tolist()):
-        if i not in reasons:
-            try:
-                for v in rows[r] if scores[r] is None else (*rows[r], scores[r]):
-                    json_number(v)
-            except TypeError as exc:
-                reasons[i] = MalformedLineError(lines[i][0], f"non-numeric detection field: {exc}")
     return block, reasons
 
 
 def _chunks(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
-    strict: bool,
     errors: list[MalformedLineError],
 ) -> Iterator[tuple[str | None, np.ndarray, np.ndarray, np.ndarray]]:
     """Each chunk of a detection log as :func:`parse_detection_log` parses
@@ -205,36 +199,26 @@ def _chunks(
     if isinstance(source, (bytes, str)):
         raise TypeError("source must be a file object or an iterable of lines")
     expected = None
-    # (line_no, frame_id, t, first row, end row, error checked last) of the chunk
-    lines: list[tuple] = []
-    # Why a line's detection is not a box, by index into ``lines``
-    faults: dict[int, MalformedLineError] = {}
+    lines: list[tuple] = []  # (line_no, frame_id, t, first row, end row) of the chunk
+    faults: dict[int, str] = {}  # why a row of the chunk is not a box
     rows: list[tuple] = []  # required values of each box of the chunk
     scores: list = []  # score of each box of the chunk, None when absent
 
     def flush() -> tuple[str | None, np.ndarray, np.ndarray, np.ndarray]:
-        # The sensor check of a string frame_id precedes the box checks of
-        # a line, and the sensor is adopted from the first good line.
+        # The sensor is adopted from the first good line; the sensor check
+        # of a line precedes the checks of its boxes.
         nonlocal expected
         block, box_errors = _to_block(rows, scores, lines, faults)
         keep = np.zeros(len(lines), dtype=bool)
-        for i, (line_no, fid, t, a, b, late) in enumerate(lines):
-            err = box_errors.get(i)
-            if expected is not None and type(fid) is str and fid != expected:
-                err = MalformedLineError(
-                    line_no, f"frame_id {fid!r} does not match expected {expected!r}"
-                )
-            if err is None:
-                err = late
-            if err is not None:
-                errors.append(err)
+        for i, (line_no, fid, _, _, _) in enumerate(lines):
+            if expected is not None and fid != expected:
+                errors.append(MalformedLineError(
+                    line_no, f"frame_id {fid!r} does not match expected {expected!r}"))
+            elif i in box_errors:
+                errors.append(box_errors[i])
             else:
                 keep[i] = True
                 expected = fid
-        # Chunks run in line order, so the first chunk with a bad line
-        # holds the lowest one.
-        if errors and strict:
-            raise min(errors, key=lambda e: e.line_no)
         n = np.array([line[4] - line[3] for line in lines], dtype=np.intp)
         block = block[np.repeat(keep, n)]
         block[:, YAW] = wrap_angles(block[:, YAW])
@@ -260,31 +244,27 @@ def _chunks(
                         obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise MalformedLineError(line_no, "frame line must be a JSON object")
-                t = float(obj["t"])
-                fid = obj["frame_id"]
-                dets = obj["detections"]
+                t, fid, dets = obj["t"], obj["frame_id"], obj["detections"]
+                t = json_number(t)
                 if not math.isfinite(t):
                     raise MalformedLineError(line_no, f"non-finite timestamp {t!r}")
                 if not isinstance(dets, list):
                     raise MalformedLineError(line_no, "detections must be a list")
-                late = None
-                if type(obj["t"]) not in _NUMBER:
-                    late = MalformedLineError(line_no, f"non-numeric timestamp {obj['t']!r}")
-                # orjson reads an integer past 64 bits as a float: where a
-                # reason quotes a value that is not a number, it quotes
-                # json's, decoded again.
                 if type(fid) is not str:
-                    fid = json.loads(line)["frame_id"]
-                    late = late or MalformedLineError(
-                        line_no, f"frame_id must be a string, got {fid!r}")
+                    # orjson reads an integer past 64 bits as a float: the
+                    # reason quotes json's value, decoded again.
+                    raise MalformedLineError(line_no, "frame_id must be a string, got "
+                                             f"{json.loads(line)['frame_id']!r}")
                 try:
                     rows.extend(map(_BOX, dets))
                 except (KeyError, TypeError):
                     # The boxes before the first detection that is not one
-                    # stay (extend keeps them); its fault quotes json's value.
-                    dets = dets[:len(rows) - a]
-                    faults[len(lines)] = _detection_fault(
-                        json.loads(line)["detections"][len(dets)], line_no)
+                    # stay (extend keeps them), and a NaN row without a score
+                    # stands for it; its fault quotes json's value.
+                    faults[len(rows)] = _detection_fault(
+                        json.loads(line)["detections"][len(rows) - a])
+                    dets = dets[:len(rows) - a] + [{}]
+                    rows.append(_NAN_BOX)
                 scores.extend(map(dict.get, dets, repeat("score")))
             except MalformedLineError as err:
                 errors.append(err)
@@ -293,7 +273,7 @@ def _chunks(
                 del rows[a:]
                 errors.append(MalformedLineError(line_no, f"bad frame line: {exc}"))
                 continue
-            lines.append((line_no, fid, t, a, len(rows), late))
+            lines.append((line_no, fid, t, a, len(rows)))
             if len(rows) >= CHUNK_ROWS:
                 yield flush()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
@@ -309,11 +289,10 @@ def _frame_starts(t: np.ndarray) -> np.ndarray:
 
 def _parse_columns(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
-    strict: bool,
 ) -> tuple[MergedStream, list[MalformedLineError]]:
     """A detection log as :func:`parse_detection_log` parses it, and its skipped lines."""
     errors: list[MalformedLineError] = []
-    chunks = list(_chunks(source, strict, errors))
+    chunks = list(_chunks(source, errors))
     sensors, blocks, times, sizes = zip(*chunks)  # the last sensor is the log's
     boxes = np.concatenate(blocks)
     del chunks, blocks  # the chunk blocks are no longer needed once joined
@@ -324,41 +303,25 @@ def _parse_columns(
                         sensors[-1:] if len(first) else (), offsets), errors
 
 
-def _report_skipped(errors: list[MalformedLineError], error_sink: list | None) -> None:
-    """Add a log's skipped lines to ``error_sink`` and log each."""
-    if error_sink is not None:
-        error_sink.extend(errors)
-    if errors:  # only a skipped line loads logging
-        import logging
-
-        log = logging.getLogger(__name__)
-        for err in errors:
-            log.warning("skipping detection log %s", err)
-
-
 def parse_detection_log(
     source: IO[bytes] | IO[str] | Iterable[bytes | str],
     *,
-    strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
 ) -> list[Frame]:
     """Parse a JSON-lines detection log into frames.
 
     The first good line's ``frame_id`` is adopted as the log's sensor and
     enforced thereafter. Consecutive good lines sharing (frame_id, t) are
-    grouped into one frame. A line with one bad box is dropped whole. In
-    non-strict mode bad lines are appended to ``error_sink`` (if
-    provided) and logged, in line order; strict mode raises the error of
-    the lowest bad line. A compressed log that breaks off keeps the lines
-    before the break and counts one bad line. Every frame's detections
-    are rows of one block for the whole log.
-
-    A string or boolean where a number belongs and a non-string
-    ``frame_id`` are checked after every other check of their line, so
-    a line that another check refuses has that check's reason.
+    grouped into one frame. A line with one bad box is dropped whole. Bad
+    lines are skipped and appended to ``error_sink`` (if provided), in
+    line order, each with the reason of its first failed check (module
+    docstring). A compressed log that breaks off keeps the lines before
+    the break and counts one bad line. Every frame's detections are rows
+    of one block for the whole log.
     """
-    stream, errors = _parse_columns(source, strict)
-    _report_skipped(errors, error_sink)
+    stream, errors = _parse_columns(source)
+    if error_sink is not None:
+        error_sink.extend(errors)
     return list(stream.frames)
 
 
@@ -394,33 +357,32 @@ def _zone_cut(registry: FrameRegistry, cfg: IntersectionConfig) -> Callable:
     return cut
 
 
-def _parse_path(path, strict: bool, cut: Callable) -> tuple:
+def _parse_path(path, cut: Callable) -> tuple:
     """The :class:`~lidartmc.counting.LogTriggers` of the detection log at
     ``path``, each chunk cut by ``cut`` as it is read, and its skipped lines."""
     errors: list[MalformedLineError] = []
     with open_detection_log(path) as fh:
         cuts = [(sensor, t, *cut(block, sensor, np.repeat(t, n)))
-                for sensor, block, t, n in _chunks(fh, strict, errors)]
+                for sensor, block, t, n in _chunks(fh, errors)]
     sensors, times, *columns = zip(*cuts)  # the last sensor is the log's
     t = np.concatenate(times)
     return LogTriggers(sensors[-1], t[_frame_starts(t)], *map(np.concatenate, columns)), errors
 
 
-def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
+def _child_parse(path, cut: Callable, fd: int) -> None:
     """Body of a forked parse: writes one pickled header to ``fd``;
     never returns.
 
     The header is ``(error,)`` on failure and ``(None, log triggers,
     skipped lines)`` on success. The child runs no BLAS product (the
-    poses were composed before the fork), does not log (a parse does
-    not; the parent logs the skipped lines in log order) and ends with
-    ``os._exit``, so nothing of the parent's state is flushed or run.
+    poses were composed before the fork) and ends with ``os._exit``, so
+    nothing of the parent's state is flushed or run.
     """
     status = 1
     try:
         with open(fd, "wb") as pipe:
             try:
-                parsed = _parse_path(path, strict, cut)
+                parsed = _parse_path(path, cut)
             except Exception as exc:
                 try:
                     header = pickle.dumps((exc,))
@@ -434,7 +396,7 @@ def _child_parse(path, strict: bool, cut: Callable, fd: int) -> None:
         os._exit(status)
 
 
-def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | None:
+def _fork_parse(path, cut: Callable) -> tuple[int, IO[bytes]] | None:
     """Start parsing ``path`` in a forked child: its pid and the read end
     of its result pipe, or None when no process can be started."""
     r, w = os.pipe()
@@ -446,7 +408,7 @@ def _fork_parse(path, strict: bool, cut: Callable) -> tuple[int, IO[bytes]] | No
         return None
     if pid == 0:
         os.close(r)
-        _child_parse(path, strict, cut, w)
+        _child_parse(path, cut, w)
     os.close(w)
     return pid, open(r, "rb")
 
@@ -467,7 +429,6 @@ def parse_logs(
     registry: FrameRegistry,
     cfg: IntersectionConfig,
     *,
-    strict: bool = False,
     error_sink: list[MalformedLineError] | None = None,
 ) -> list[LogTriggers]:
     """The :class:`~lidartmc.counting.LogTriggers` of each detection log
@@ -487,10 +448,10 @@ def parse_logs(
     one process per usable CPU, is parsed by a forked child that sends
     back one pickled header of its result and skipped lines; the rest
     are parsed here after the first. Results are taken in argument
-    order, so the results, the skipped lines in ``error_sink`` and the
-    logged warnings are in log order, and the error raised is that of
-    the first log that fails. No child outlives the call: on an error
-    each is killed and reaped.
+    order, so the results and the skipped lines in ``error_sink`` are in
+    log order, and the error raised is that of the first log that fails,
+    after the skipped lines of the logs before it. No child outlives the
+    call: on an error each is killed and reaped.
     """
     paths = list(paths)
     cut = _zone_cut(registry, cfg)
@@ -501,7 +462,7 @@ def parse_logs(
     children: dict[int, tuple[int, IO[bytes]]] = {}
     try:
         for i in range(1, workers):
-            child = _fork_parse(paths[i], strict, cut)
+            child = _fork_parse(paths[i], cut)
             if child is None:  # the logs left are parsed here
                 break
             children[i] = child
@@ -514,8 +475,9 @@ def parse_logs(
                 pipe.close()
                 os.waitpid(pid, 0)
             else:
-                log, errors = _parse_path(path, strict, cut)
-            _report_skipped(errors, error_sink)
+                log, errors = _parse_path(path, cut)
+            if error_sink is not None:
+                error_sink.extend(errors)
             logs.append(log)
         return logs
     finally:

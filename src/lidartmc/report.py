@@ -74,6 +74,7 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     table. Each row's bin must end after it starts, and float spacing may not
     stretch the last one into two (12 s bins at 1e17 end 16 s on). The counts
     of the whole file must sum within int64, so no cell or marginal can wrap.
+    A second row of one (bin, approach, class) is refused, not added in.
     """
     rows: list[tuple[float, Approach, int, list[int], int]] = []
     total = 0
@@ -107,6 +108,7 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
     starts = [r[0] for r in rows]
     session = (min(starts), max(starts) + bin_seconds) if rows else (0.0, 0.0)
     table = zero_grid(bin_seconds, session, max([6, *(r[2] for r in rows)]))
+    first_rows: dict[tuple, int] = {}
     for bin_start, approach, class_id, counts, i in rows:
         b = (bin_start - session[0]) / bin_seconds
         if abs(b - round(b)) > 1e-6:
@@ -117,7 +119,11 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
         if bin_start + bin_seconds == session[1] and b + 1 < len(table):  # a stretched last bin
             raise UserInputError(f"line {i}: a {bin_seconds} s bin at {bin_start} ends "
                                  f"{session[1] - bin_start} s after it starts")
-        table[b, APPROACH_INDEX[approach], :, class_id - 1] += counts
+        first = first_rows.setdefault((b, approach, class_id), i)
+        if first != i:
+            raise UserInputError(f"line {i}: bin {bin_start}, approach {approach.value}, "
+                                 f"class {class_id} repeats line {first}")
+        table[b, APPROACH_INDEX[approach], :, class_id - 1] = counts
     return TmcTable(bin_seconds, session, table)
 
 

@@ -22,7 +22,7 @@ from lidartmc.counting import (
     _events,
     extract_triggers,
 )
-from lidartmc.errors import UserInputError, json_number
+from lidartmc.errors import UserInputError
 from lidartmc.geo import (
     MAX_COORDINATE_M,
     WGS84_A,
@@ -138,30 +138,69 @@ def classify(table, length: float) -> int:
 BOX_FIELD_NAMES = ("x", "y", "z", "length", "width", "height", "heading")
 
 
-def box_reason(dets: list) -> str | None:
-    """Why a log line's detections are not valid boxes, or None, one
-    detection and one value at a time.
+def number_fault(value) -> str | None:
+    """Why a decoded JSON value is not a number that a float holds, or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, (list, dict)):
+            return f"expected a number, got {'a list' if isinstance(value, list) else 'an object'}"
+        return f"expected a number, got {value!r}"
+    try:
+        float(value)
+    except OverflowError as exc:
+        return str(exc)
+    return None
 
-    Detection by detection: one that is not an object or lacks a required
-    key is the reason; else a value that ``float`` refuses, then the
-    first value that is not finite, the first of x, y and z further than
-    MAX_COORDINATE_M from zero, the first of length, width and height
-    outside (0, MAX_DIMENSION_M), and a given score outside [0, 1].
-    When no detection fails, the reason is the first value, box by box,
-    that is not a JSON number (a string or a boolean).
+
+def line_reason(line, sensor: str | None) -> str | None:
+    """Why a detection log line is skipped, or None, one check and one
+    value at a time, given the log's sensor so far (None before its first
+    good line).
+
+    The first failed check gives the reason, in this order: the line
+    decodes to a JSON object; it has the keys t, frame_id and detections;
+    t is a JSON number that a float holds, and finite; detections is a
+    list; frame_id is a string, and the sensor. Then detection by
+    detection: one that is not an object or lacks a required key; else
+    its first value, x to heading and then a given score, that is not a
+    number; else its first value that is not finite, the first of x, y
+    and z further than MAX_COORDINATE_M from zero, the first of length,
+    width and height outside (0, MAX_DIMENSION_M), and a given score
+    outside [0, 1].
     """
-    for d in dets:
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return f"bad frame line: {exc}"
+    if not isinstance(obj, dict):
+        return "frame line must be a JSON object"
+    for key in ("t", "frame_id", "detections"):
+        if key not in obj:
+            return f"bad frame line: {key!r}"
+    fault = number_fault(obj["t"])
+    if fault is not None:
+        return f"bad frame line: {fault}"
+    if not math.isfinite(obj["t"]):
+        return f"non-finite timestamp {obj['t']!r}"
+    if not isinstance(obj["detections"], list):
+        return "detections must be a list"
+    fid = obj["frame_id"]
+    if not isinstance(fid, str):
+        return f"frame_id must be a string, got {fid!r}"
+    if sensor is not None and fid != sensor:
+        return f"frame_id {fid!r} does not match expected {sensor!r}"
+    for d in obj["detections"]:
         if not isinstance(d, dict):
             return f"detection must be an object, got {d!r}"
         missing = [k for k in BOX_COLUMNS[:SCORE] if k not in d]
         if missing:
             return f"detection missing keys {missing}"
         score = d.get("score")
-        try:
-            vals = [float(d[k]) for k in BOX_COLUMNS[:SCORE]]
-            score = None if score is None else float(score)
-        except (TypeError, ValueError, OverflowError) as exc:
-            return f"non-numeric detection field: {exc}"
+        values = [d[k] for k in BOX_COLUMNS[:SCORE]] + ([] if score is None else [score])
+        for v in values:
+            fault = number_fault(v)
+            if fault is not None:
+                return f"non-numeric detection field: {fault}"
+        vals = [float(v) for v in values[:SCORE]]
         for name, v in zip(BOX_FIELD_NAMES, vals):
             if not math.isfinite(v):
                 return f"{name} must be finite, got {v!r}"
@@ -171,15 +210,8 @@ def box_reason(dets: list) -> str | None:
         for name, v in zip(BOX_FIELD_NAMES[3:6], vals[3:6]):
             if not 0.0 < v < MAX_DIMENSION_M:
                 return f"{name} must be in (0, {MAX_DIMENSION_M}), got {v}"
-        if score is not None and not 0.0 <= score <= 1.0:
-            return f"score {score} outside [0, 1]"
-    for d in dets:
-        score = d.get("score")
-        try:
-            for v in [d[k] for k in BOX_COLUMNS[:SCORE]] + ([] if score is None else [score]):
-                json_number(v)
-        except TypeError as exc:
-            return f"non-numeric detection field: {exc}"
+        if score is not None and not 0.0 <= float(score) <= 1.0:
+            return f"score {float(score)} outside [0, 1]"
     return None
 
 

@@ -470,7 +470,7 @@ class TestEstimate:
         assert cli.main(self.estimate_args(sim_out, gz, tmp_path / "strict") + ["--strict"]) == 2
 
     @pytest.mark.filterwarnings("error")
-    def test_box_far_from_its_sensor_is_a_skipped_line(self, ideal_sim, caplog):
+    def test_box_far_from_its_sensor_is_a_skipped_line(self, ideal_sim, capsys):
         # Kept, a box at 1.7e308 m overflows the NED map: under warnings as
         # errors that exits 1. L1 is parsed in this process, L2 in a child.
         logs, deleted = [], []
@@ -484,8 +484,9 @@ class TestEstimate:
         code, tmc, events, manifest = estimate_logs(logs, ideal_sim / "registry.json")
         assert code == 0
         assert manifest["warnings"]["skipped_lines"] == 2
-        assert caplog.messages == ["skipping detection log line 11: x must be within 1e+07 m "
-                                   "of zero, got 1.7e+308"] * 2
+        assert capsys.readouterr().err.splitlines() == [
+            "skipping detection log line 11: x must be within 1e+07 m of zero, got 1.7e+308"
+        ] * 2 + ["warning: skipped 2 malformed line(s)"]
         assert estimate_logs(deleted, ideal_sim / "registry.json")[1:3] == (tmc, events)
 
     @pytest.mark.filterwarnings("error")
@@ -1638,6 +1639,10 @@ USER_ERRORS = {
     "non-positive script length": (
         SIMULATE, script_text(length=-1.0),
         "error: length must be positive and finite, got -1.0\n"),
+    "repeated count-table row": (
+        ["compare", "{doc}", "{doc}"],
+        "bin_start,approach,class,left,thru,right,uturn\n0.0,NB,1,0,0,0,0\n0.0,NB,1,1,0,0,0\n",
+        "error: line 3: bin 0.0, approach NB, class 1 repeats line 2\n"),
     "bin that ends where it starts": (
         ["compare", "{doc}", "{doc}"],
         "bin_start,approach,class,left,thru,right,uturn\n1e300,NB,1,1,0,0,0\n",

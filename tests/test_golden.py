@@ -187,7 +187,7 @@ DIRTY_LINES = [
 ]
 
 DIRTY_DIGESTS = {
-    "stderr": "eb576ada926e3e29290ae281206b45009c585e9feecd7a99c97b6e1841ea0488",
+    "stderr": "dc1c80147453c0fe354b4e34d50005e05889010f7fd572757a6924199ea5a464",
     "tmc.csv": "5b7c08036a14ff33662db3993bd857eba188a8d818ebf93aacaaa9d1c189816d",
     "events.csv": "30f76c3c7c6cf402026cb23aca46552e26840b4d543894d86b66a14b7e1b7f29",
     "manifest.json": "8867fc5445afd56dd9496396eca3e85cf758bdae3175a438431140ac3b8f19b0",

@@ -42,7 +42,7 @@ from lidartmc.stream import (
     MergedStream,
     write_detection_log,
 )
-from oracle import box_reason, box_rows, frame_to_json_line, sensor_to_ned
+from oracle import box_rows, frame_to_json_line, line_reason, sensor_to_ned
 
 FIXTURE_LINE = json.dumps(
     {
@@ -64,6 +64,13 @@ def make_frame(frame_id, t, *xy):
     return Frame(frame_id, t, boxes(*((x, y, 0.5, 4.5, 1.9, 1.5, 0.0) for x, y in xy)))
 
 
+def first_error(source) -> MalformedLineError:
+    """The lowest skipped line of a log: the error ``estimate --strict`` exits 2 on."""
+    errors = []
+    parse_detection_log(source, error_sink=errors)
+    return errors[0]
+
+
 class TestParse:
     def test_empty_source(self):
         assert list(parse_detection_log(io.StringIO(""))) == []
@@ -83,13 +90,10 @@ class TestParse:
 
     def test_negative_dimension_is_invalid_field(self):
         line = FIXTURE_LINE.replace('"l": 4.6', '"l": -1')
-        with pytest.raises(MalformedLineError, match=r"length must be in \(0, 50.0\), got -1.0$"):
-            list(parse_detection_log(io.StringIO(line), strict=True))
+        assert first_error(io.StringIO(line)).reason == "length must be in (0, 50.0), got -1.0"
 
     def test_strict_raises_on_garbage(self):
-        with pytest.raises(MalformedLineError) as exc:
-            list(parse_detection_log(io.StringIO("{broken\n"), strict=True))
-        assert exc.value.line_no == 1
+        assert first_error(io.StringIO("{broken\n")).line_no == 1
 
     def test_skip_and_collect_by_default(self):
         source = io.StringIO("{broken\n" + FIXTURE_LINE + "\n")
@@ -121,8 +125,7 @@ class TestParse:
 
     def test_score_validation(self):
         line = FIXTURE_LINE.replace('"yaw": 0.12', '"yaw": 0.12, "score": 1.5')
-        with pytest.raises(MalformedLineError, match=r"score 1.5 outside \[0, 1\]$"):
-            list(parse_detection_log(io.StringIO(line), strict=True))
+        assert first_error(io.StringIO(line)).reason == "score 1.5 outside [0, 1]"
 
     def test_round_trip_fixed_point(self):
         frames = [
@@ -174,7 +177,7 @@ BAD_LINES = [
     ("missing key", frame_line(2.0, GOOD_DET, bad_det(y=None)),
      "detection missing keys ['y']"),
     ("non-numeric", frame_line(3.0, GOOD_DET, bad_det(w="n/a")),
-     "non-numeric detection field: could not convert string to float: 'n/a'"),
+     "non-numeric detection field: expected a number, got 'n/a'"),
     ("non-finite", frame_line(4.0, GOOD_DET, bad_det(z=math.nan)), "z must be finite, got nan"),
     ("dimension", frame_line(5.0, GOOD_DET, bad_det(l=75.0)),
      "length must be in (0, 50.0), got 75.0"),
@@ -203,10 +206,8 @@ class TestBadLines:
 
     def test_strict_raises_lowest_bad_line(self):
         lines = [frame_line(0.0, GOOD_DET)] + [line for _, line, _ in BAD_LINES[::-1]]
-        with pytest.raises(MalformedLineError) as exc:
-            parse_detection_log(lines, strict=True)
-        assert exc.value.line_no == 2
-        assert exc.value.reason == "frame_id 'L2' does not match expected 'L1'"
+        err = first_error(lines)
+        assert (err.line_no, err.reason) == (2, "frame_id 'L2' does not match expected 'L1'")
 
     def test_sensor_adopted_from_first_good_line(self):
         lines = [
@@ -287,8 +288,8 @@ class TestBadLines:
 # string: each line was kept before, read as the number or the sensor name
 # it spells. (line, reason)
 SPOOFED = {
-    "t string": (frame_line("12.5", GOOD_DET), "non-numeric timestamp '12.5'"),
-    "t true": (frame_line(True, GOOD_DET), "non-numeric timestamp True"),
+    "t string": (frame_line("12.5", GOOD_DET), "bad frame line: expected a number, got '12.5'"),
+    "t true": (frame_line(True, GOOD_DET), "bad frame line: expected a number, got True"),
     "x string": (frame_line(1.0, GOOD_DET, bad_det(x="3.1")),
                  "non-numeric detection field: expected a number, got '3.1'"),
     "l true": (frame_line(1.0, bad_det(l=True)),
@@ -309,9 +310,6 @@ class TestStrictNumbers:
         frames = parse_detection_log([line, frame_line(2.0, GOOD_DET)], error_sink=errors)
         assert [(f.frame_id, f.t) for f in frames] == [("L1", 2.0)]
         assert [(e.line_no, e.reason) for e in errors] == [(1, reason)]
-        with pytest.raises(MalformedLineError) as exc:
-            parse_detection_log([line], strict=True)
-        assert exc.value.reason == reason
 
     def test_integral_numbers_are_numbers(self):
         frames = parse_detection_log([frame_line(3, {**GOOD_DET, "x": -2, "l": 4, "score": 1})])
@@ -319,9 +317,9 @@ class TestStrictNumbers:
         assert frames[0].detections[0, [X, L, SCORE]].tolist() == [-2.0, 4.0, 1.0]
 
     def test_other_reasons_come_first(self):
-        # A string or boolean number and a non-string frame_id are checked
-        # after every other check of their line, and a non-string
-        # frame_id is never a sensor mismatch.
+        # Each line has the reason of its first failed check: t before
+        # frame_id before the boxes, and a box's values are numbers before
+        # they are checked. A non-string frame_id is never a sensor mismatch.
         lines = [
             frame_line(0.0, GOOD_DET),
             frame_line("12.5", bad_det(l=75.0)),
@@ -336,14 +334,13 @@ class TestStrictNumbers:
         frames = parse_detection_log(lines, error_sink=errors)
         assert [f.t for f in frames] == [0.0]
         assert [e.reason for e in errors] == [
-            "length must be in (0, 50.0), got 75.0",
-            "non-numeric detection field: could not convert string to float: 'n/a'",
-            "z must be finite, got nan",
-            "detection missing keys ['y']",
+            "bad frame line: expected a number, got '12.5'",
+            "non-numeric detection field: expected a number, got '3.1'",
+            "non-numeric detection field: expected a number, got True",
+            "non-numeric detection field: expected a number, got '0.5'",
             "frame_id must be a string, got 7",
-            "frame_id 'L2' does not match expected 'L1'",
-            "non-numeric detection field: float() argument must be a string or a real "
-            "number, not 'list'",
+            "bad frame line: expected a number, got '6.0'",
+            "bad frame line: expected a number, got True",
         ]
 
     def test_non_string_frame_id_is_not_adopted(self):
@@ -382,8 +379,6 @@ class TestNesting:
                                       frame_line(2.0, GOOD_DET)], error_sink=errors)
         assert [f.t for f in frames] == [0.0, 2.0]
         assert [e.line_no for e in errors] == [2]
-        with pytest.raises(MalformedLineError):
-            parse_detection_log([line], strict=True)
 
     def test_reason_of_a_line_past_both_decoders(self):
         errors = []
@@ -407,22 +402,19 @@ class TestNesting:
         assert proc.stdout.split() == ["0", "1"]
 
 
-def parse_outcome(lines, **kwargs):
-    """Frames and skipped lines of a parse, or the error it raised."""
+def parse_outcome(lines):
+    """Frames and skipped lines of a parse."""
     errors = []
-    try:
-        frames = parse_detection_log(lines, error_sink=errors, **kwargs)
-    except MalformedLineError as exc:
-        return "raised", exc.line_no, exc.reason
+    frames = parse_detection_log(lines, error_sink=errors)
     return frame_rows(frames), [(e.line_no, e.reason) for e in errors]
 
 
-def chunked_outcomes(monkeypatch, lines, chunks=(1, 2, 3, 7), **kwargs):
+def chunked_outcomes(monkeypatch, lines, chunks=(1, 2, 3, 7)):
     """``parse_outcome`` with each chunk size, and with one chunk."""
     got = {}
     for rows in (*chunks, 10**9):
         monkeypatch.setattr(ingest, "CHUNK_ROWS", rows)
-        got[rows] = parse_outcome(lines, **kwargs)
+        got[rows] = parse_outcome(lines)
     return got.pop(10**9), got
 
 
@@ -433,26 +425,23 @@ def every_bad_kind():
     return lines
 
 
-# The inputs of TestBadLines, each with the strict flag it is parsed with.
+# The inputs of TestBadLines.
 BAD_LINE_INPUTS = {
-    "every kind": (every_bad_kind(), False),
-    "every kind, strict": (every_bad_kind(), True),
-    "lowest first, strict": (
-        [frame_line(0.0, GOOD_DET)] + [line for _, line, _ in BAD_LINES[::-1]], True),
-    "sensor adopted": ([frame_line(0.0, bad_det(h=0.0), frame_id="L2"),
-                        frame_line(1.0, GOOD_DET),
-                        frame_line(2.0, GOOD_DET, frame_id="L2")], False),
-    "null and nan score": ([frame_line(0.0, {**GOOD_DET, "score": None}),
-                            frame_line(1.0, {**GOOD_DET, "score": math.nan})], False),
-    "huge integer": ([frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
-                      frame_line(1.5, bad_det(score=10**400)), frame_line(2.0, GOOD_DET)],
-                     False),
-    "invalid utf-8": ([frame_line(0.0, GOOD_DET).encode(),
-                       b"\xff" + frame_line(0.0, GOOD_DET).encode(),
-                       frame_line(0.0, GOOD_DET).encode()], False),
+    "every kind": every_bad_kind(),
+    "lowest first": [frame_line(0.0, GOOD_DET)] + [line for _, line, _ in BAD_LINES[::-1]],
+    "sensor adopted": [frame_line(0.0, bad_det(h=0.0), frame_id="L2"),
+                       frame_line(1.0, GOOD_DET),
+                       frame_line(2.0, GOOD_DET, frame_id="L2")],
+    "null and nan score": [frame_line(0.0, {**GOOD_DET, "score": None}),
+                           frame_line(1.0, {**GOOD_DET, "score": math.nan})],
+    "huge integer": [frame_line(10**400, GOOD_DET), frame_line(1.0, bad_det(x=10**400)),
+                     frame_line(1.5, bad_det(score=10**400)), frame_line(2.0, GOOD_DET)],
+    "invalid utf-8": [frame_line(0.0, GOOD_DET).encode(),
+                      b"\xff" + frame_line(0.0, GOOD_DET).encode(),
+                      frame_line(0.0, GOOD_DET).encode()],
     "spoofed numbers": ([frame_line(0.0, GOOD_DET, frame_id=7)]
                         + [frame_line(1.0 + i, GOOD_DET, GOOD_DET) for i in range(3)]
-                        + [line for line, _ in SPOOFED.values()], False),
+                        + [line for line, _ in SPOOFED.values()]),
 }
 
 
@@ -461,8 +450,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("name", BAD_LINE_INPUTS)
     def test_bad_line_inputs(self, monkeypatch, name):
-        lines, strict = BAD_LINE_INPUTS[name]
-        whole, chunked = chunked_outcomes(monkeypatch, lines, strict=strict)
+        whole, chunked = chunked_outcomes(monkeypatch, BAD_LINE_INPUTS[name])
         assert all(got == whole for got in chunked.values())
 
     def test_frame_straddling_a_chunk_boundary_stays_one_frame(self, monkeypatch):
@@ -484,8 +472,8 @@ class TestChunks:
         # line 7's bad JSON was read; line 6 must still win.
         lines = [frame_line(float(t), GOOD_DET) for t in range(5)]
         lines += [frame_line(5.0, bad_det(w=0.0)), "{broken", frame_line(6.0, GOOD_DET)]
-        whole, chunked = chunked_outcomes(monkeypatch, lines, strict=True)
-        assert whole == ("raised", 6, "width must be in (0, 50.0), got 0.0")
+        whole, chunked = chunked_outcomes(monkeypatch, lines)
+        assert whole[1][0] == (6, "width must be in (0, 50.0), got 0.0")
         assert all(got == whole for got in chunked.values())
 
     def test_gzip_truncated_mid_chunk(self, monkeypatch, tmp_path):
@@ -494,19 +482,15 @@ class TestChunks:
         path = tmp_path / "cut.jsonl.gz"
         path.write_bytes(data[: len(data) // 2])
 
-        wholes = []
-        for strict in (False, True):
-            got = {}
-            for rows in (1, 2, 3, 7, 10**9):
-                monkeypatch.setattr(ingest, "CHUNK_ROWS", rows)
-                with open_detection_log(path) as fh:
-                    got[rows] = parse_outcome(fh, strict=strict)
-            wholes.append(got.pop(10**9))
-            assert all(g == wholes[-1] for g in got.values())
-        (frames, errors), raised = wholes
+        got = {}
+        for rows in (1, 2, 3, 7, 10**9):
+            monkeypatch.setattr(ingest, "CHUNK_ROWS", rows)
+            with open_detection_log(path) as fh:
+                got[rows] = parse_outcome(fh)
+        frames, errors = got.pop(10**9)
+        assert all(g == (frames, errors) for g in got.values())
         assert 0 < len(frames) < 600
         assert len(errors) == 1 and errors[0][1].startswith("log ends in a broken block")
-        assert raised == ("raised", *errors[0])
 
     def test_sensor_adoption_carries_across_chunks(self, monkeypatch):
         lines = [frame_line(0.0, bad_det(h=0.0), frame_id="L2"),
@@ -549,11 +533,6 @@ class TestChunks:
         with pytest.MonkeyPatch.context() as mp:
             whole, chunked = chunked_outcomes(mp, lines, (chunk_rows,))
             assert chunked[chunk_rows] == whole
-            whole_strict, chunked = chunked_outcomes(mp, lines, (chunk_rows,), strict=True)
-            assert chunked[chunk_rows] == whole_strict
-        # Strict mode raises the first line that non-strict mode skips.
-        errors = whole[1]
-        assert whole_strict == (("raised", *errors[0]) if errors else whole)
 
 
 # Values that orjson and json.loads may read differently, or that one of
@@ -607,13 +586,10 @@ def log_lines(draw):
     return text
 
 
-def exact_outcome(lines, **kwargs):
+def exact_outcome(lines):
     """``parse_outcome`` with every float as its bit pattern."""
     errors = []
-    try:
-        frames = parse_detection_log(lines, error_sink=errors, **kwargs)
-    except MalformedLineError as exc:
-        return "raised", exc.line_no, exc.reason
+    frames = parse_detection_log(lines, error_sink=errors)
     return ([(f.frame_id, struct.pack("<d", f.t), f.detections.tobytes()) for f in frames],
             [(e.line_no, e.reason) for e in errors])
 
@@ -623,12 +599,12 @@ class TestDecoder:
     json.loads alone does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(log_lines(), max_size=12), st.booleans())
-    def test_same_outcome_as_json_loads_alone(self, lines, strict):
-        got = exact_outcome(lines, strict=strict)
+    @given(st.lists(log_lines(), max_size=12))
+    def test_same_outcome_as_json_loads_alone(self, lines):
+        got = exact_outcome(lines)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orjson, "loads", json.loads)
-            assert exact_outcome(lines, strict=strict) == got
+            assert exact_outcome(lines) == got
 
     def test_integer_past_64_bits_is_quoted_as_written(self):
         big = 2**64 + 1
@@ -662,28 +638,39 @@ ORACLE_BOXES = st.one_of(
 )
 
 
-class TestBoxRuleAgainstOracle:
-    """The array checks give each line the reason, and keep the rows, that
-    ``oracle.box_reason`` gives one value at a time, in any chunk size."""
+# Frames whose boxes ORACLE_BOXES draws and whose t and frame_id are
+# mostly good; the others are a string, boolean or huge-integer t, and a
+# non-string or foreign frame_id.
+ORACLE_FRAMES = st.fixed_dictionaries({
+    "t": st.one_of(*[st.floats(0.0, 1e9)] * 6,
+                   st.sampled_from(["12.5", True, False, 10**400, 2**64 + 1])),
+    "frame_id": st.one_of(*[st.just("L1")] * 6,
+                          st.sampled_from(["L2", 7, None, True, 2**64 + 1, ["L1"]])),
+    "detections": st.lists(ORACLE_BOXES, max_size=4),
+})
+
+
+class TestLineRuleAgainstOracle:
+    """The parse gives each line the reason, and keeps the rows, that
+    ``oracle.line_reason`` gives one check at a time, in any chunk size."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(ORACLE_BOXES, max_size=4), min_size=1, max_size=8))
-    def test_same_reasons_and_rows_as_the_oracle(self, dets_of_lines):
-        lines = [json.dumps({"t": float(i), "frame_id": "L1", "detections": dets})
-                 for i, dets in enumerate(dets_of_lines)]
-        want_errors, want_rows = [], []
+    @given(st.lists(ORACLE_FRAMES, min_size=1, max_size=8))
+    def test_same_reasons_and_rows_as_the_oracle(self, frames):
+        lines = [json.dumps(frame) for frame in frames]
+        sensor, want_errors, want_rows = None, [], []
         for line_no, line in enumerate(lines, start=1):
-            dets = json.loads(line)["detections"]
-            reason = box_reason(dets)
+            reason = line_reason(line, sensor)
             if reason is None:
-                want_rows += box_rows(dets)
+                sensor = json.loads(line)["frame_id"]
+                want_rows += box_rows(json.loads(line)["detections"])
             else:
                 want_errors.append((line_no, reason))
         want = np.array(want_rows, dtype=np.float64).reshape(-1, len(BOX_COLUMNS))
         for chunk_rows in (1, 7, ingest.CHUNK_ROWS):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-                got, errors = ingest._parse_columns(lines, False)
+                got, errors = ingest._parse_columns(lines)
             assert [(e.line_no, e.reason) for e in errors] == want_errors
             # Bit for bit, every NaN taken as one.
             assert (np.where(np.isnan(got.boxes), np.nan, got.boxes).tobytes()

@@ -4,9 +4,8 @@ and the frame times of the zone rows outside the session.
 
 Each input runs with one usable CPU (every log parsed in this process)
 and with two (the second log parsed in a forked child); the frames, the
-dropped times, the skipped lines, the logged warnings, the raised error
-and the CLI's exit code, stderr and outputs must be equal, and no child
-may be left.
+dropped times, the skipped lines, the raised error and the CLI's exit
+code, stderr and outputs must be equal, and no child may be left.
 """
 
 import contextlib
@@ -24,7 +23,6 @@ import pytest
 
 from lidartmc import cli, ingest
 from lidartmc.counting import count_session, extract_triggers
-from lidartmc.errors import MalformedLineError
 from lidartmc.geo import FrameRegistry, RigidTransform, load_registry
 from lidartmc.intersection import zone_hits
 from lidartmc.reference import build_reference_config
@@ -120,25 +118,23 @@ def shifted_copy(src, dst, shift):
     return dst
 
 
-def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict):
+def outcome(monkeypatch, capsys, tmp_path, cpus, logs, registry, strict):
     """Everything a parse and an estimate run show of ``logs``, and the
     number of processes they forked."""
     use_cpus(monkeypatch, cpus)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    caplog.clear()
     sink = []
     try:
         parsed = [columns(log) for log in ingest.parse_logs(
-            logs, load_registry(registry), CFG, strict=strict, error_sink=sink)]
+            logs, load_registry(registry), CFG, error_sink=sink)]
     except Exception as exc:
         parsed = (type(exc), str(exc), getattr(exc, "line_no", None))
     skipped = [(type(e), e.line_no, e.reason) for e in sink]
-    parse_warnings = list(caplog.messages)
     assert_no_children()
 
-    caplog.clear()
+    capsys.readouterr()
     out = tmp_path / "est"
     code = cli.main(["estimate", *map(str, logs), "--registry", str(registry),
                      "--out-dir", str(out)] + ["--strict"] * strict)
@@ -152,9 +148,8 @@ def outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry, strict)
         del manifest["wall_clock_utc"]
         files["manifest"] = manifest
     assert_no_children()
-    return {"parsed": parsed, "skipped": skipped, "parse_warnings": parse_warnings,
-            "code": code, "stdout": std.out, "stderr": std.err,
-            "cli_warnings": list(caplog.messages), "files": files}, len(forks)
+    return {"parsed": parsed, "skipped": skipped, "code": code, "stdout": std.out,
+            "stderr": std.err, "files": files}, len(forks)
 
 
 BAD = {
@@ -176,6 +171,8 @@ def case_logs(sim, tmp_path, name):
         "strict, bad lines in the second log only": ([l1, bad2], True),
         "missing first log": ([tmp_path / "missing.jsonl", l2], False),
         "missing second log": ([bad1, tmp_path / "missing.jsonl"], False),
+        "strict, bad lines in the first log, missing second log":
+            ([bad1, tmp_path / "missing.jsonl"], True),
         "directory as second log": ([bad1, tmp_path], False),
         "out-of-order second log": ([bad1, out_of_order(l2, tmp_path / "ooo.jsonl")], False),
         "empty second log": ([bad1, empty], False),
@@ -201,6 +198,7 @@ CASES = [
     "strict, bad lines in the second log only",
     "missing first log",
     "missing second log",
+    "strict, bad lines in the first log, missing second log",
     "directory as second log",
     "out-of-order second log",
     "empty second log",
@@ -216,11 +214,10 @@ CASES = [
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_forked_parse_equals_serial(monkeypatch, caplog, capsys, tmp_path, sim, name):
+def test_forked_parse_equals_serial(monkeypatch, capsys, tmp_path, sim, name):
     logs, strict = case_logs(sim, tmp_path, name)
     (serial, no_forks), (forked, forks) = (
-        outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, sim / "registry.json",
-                strict)
+        outcome(monkeypatch, capsys, tmp_path, cpus, logs, sim / "registry.json", strict)
         for cpus in (1, 2))
     assert forked == serial
     assert (no_forks, forks) == (0, 2)  # one for the parse, one for the estimate
@@ -238,16 +235,25 @@ def test_forked_parse_equals_serial(monkeypatch, caplog, capsys, tmp_path, sim, 
         else:
             assert serial["code"] == 0
             assert serial["files"]["manifest"]["warnings"]["outside_session_detections"] > 0
-    elif "missing" in name or "directory" in name or "order" in name:
+    elif "missing" in name:
+        # The first missing log's error, also under --strict after a log
+        # with bad lines: every log is parsed before --strict refuses one.
+        missing = next(p for p in logs if not p.exists())
+        assert serial["code"] == 2 and serial["stderr"].endswith(f"'{missing}'\n")
+        assert serial["parsed"][0] is FileNotFoundError
+    elif "directory" in name or "order" in name:
         assert serial["code"] == 2
     elif strict:
-        assert serial["code"] == 2 and serial["parsed"][0] is MalformedLineError
+        first = serial["skipped"][0][1]
+        assert serial["code"] == 2 and serial["stderr"] == f"error: line {first}: " + (
+            serial["skipped"][0][2] + "\n")
     else:
-        assert serial["code"] == 0 and serial["skipped"] and serial["cli_warnings"]
+        assert serial["code"] == 0 and serial["skipped"]
+        assert serial["stderr"].count("skipping detection log line") == len(serial["skipped"])
 
 
-# ``estimate`` in a fresh interpreter, where the skipped-line warnings
-# reach stderr through logging's default handler, with N usable CPUs.
+# ``estimate`` in a fresh interpreter with N usable CPUs, whose stderr
+# holds the printed skipped lines.
 FRESH_ESTIMATE = """\
 import os, sys
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
@@ -273,12 +279,11 @@ def test_strict_raises_the_first_failing_log(monkeypatch, sim, tmp_path):
     use_cpus(monkeypatch, 2)
     bad1 = with_bad_lines(sim / "log_L1.jsonl", tmp_path / "a.jsonl", {50: "{"})
     bad2 = with_bad_lines(sim / "log_L2.jsonl", tmp_path / "b.jsonl", {2: "{"})
-    with pytest.raises(MalformedLineError) as info:
-        parse(sim, [bad1, bad2], strict=True)
-    assert info.value.line_no == 51
-    with pytest.raises(MalformedLineError) as info:
-        parse(sim, [sim / "log_L1.jsonl", bad2, bad1], strict=True)
-    assert info.value.line_no == 3
+    # The first skipped line is the error that ``estimate --strict`` raises.
+    for logs, first in (([bad1, bad2], 51), ([sim / "log_L1.jsonl", bad2, bad1], 3)):
+        sink = []
+        parse(sim, logs, error_sink=sink)
+        assert sink[0].line_no == first
     assert_no_children()
 
 
@@ -406,7 +411,7 @@ def test_a_row_in_two_zones_gives_two_triggers(monkeypatch, sim, chunk_rows):
         assert len(pairs["NB_T1_WIDE"]) > len(pairs["NB_T1"])
 
 
-def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_path):
+def test_chunk_size_does_not_change_estimate(monkeypatch, capsys, tmp_path):
     """Dual coverage, bad lines and zone detections after the session: the
     outputs do not depend on where chunks end, down to one box a chunk."""
     sim = tmp_path / "sim"
@@ -419,8 +424,8 @@ def test_chunk_size_does_not_change_estimate(monkeypatch, caplog, capsys, tmp_pa
     runs = []
     for chunk_rows in (1, 7, ingest.CHUNK_ROWS):
         monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-        runs.append(outcome(monkeypatch, caplog, capsys, tmp_path, 2, logs,
-                            sim / "registry.json", False))
+        runs.append(outcome(monkeypatch, capsys, tmp_path, 2, logs, sim / "registry.json",
+                            False))
     assert runs[0] == runs[1] == runs[2]
     manifest = runs[0][0]["files"]["manifest"]
     assert manifest["warnings"]["skipped_lines"] == 4
@@ -562,8 +567,7 @@ SESSION_CASES = {
 
 
 @pytest.mark.parametrize("name,strict", SESSION_CASES)
-def test_zone_rows_outside_the_session(monkeypatch, caplog, capsys, tmp_path, sim, name,
-                                       strict):
+def test_zone_rows_outside_the_session(monkeypatch, capsys, tmp_path, sim, name, strict):
     """On one and two CPUs, in whole and in 7-box chunks: the dropped
     times are the scalar oracle's, ``--strict`` refuses the earliest one
     unless a bad line or an unregistered sensor fails first, and counting
@@ -574,14 +578,13 @@ def test_zone_rows_outside_the_session(monkeypatch, caplog, capsys, tmp_path, si
     default_chunk = ingest.CHUNK_ROWS
     for cpus, chunk_rows in ((1, default_chunk), (2, default_chunk), (1, 7), (2, 7)):
         monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-        runs.append(outcome(monkeypatch, caplog, capsys, tmp_path, cpus, logs, registry,
-                            strict)[0])
+        runs.append(outcome(monkeypatch, capsys, tmp_path, cpus, logs, registry, strict)[0])
     assert all(run == runs[0] for run in runs[1:])
     run = runs[0]
     code, stderr, warnings = SESSION_CASES[name, strict]
     assert (run["code"], run["stderr"]) == (code, stderr)
     if "bad line" in name:
-        assert run["parsed"][0] is MalformedLineError
+        assert [line_no for _, line_no, _ in run["skipped"]] == [91]
     else:
         times = outside_session_times(logs, CFG, load_registry(registry))
         assert times and [t for log in run["parsed"] for t in log["dropped"]] == times
@@ -591,7 +594,7 @@ def test_zone_rows_outside_the_session(monkeypatch, caplog, capsys, tmp_path, si
     # Counting sees only the in-session rows: all but the warnings is
     # what the logs without their copies give.
     monkeypatch.setattr(ingest, "CHUNK_ROWS", default_chunk)
-    clean = outcome(monkeypatch, caplog, capsys, tmp_path, 1,
+    clean = outcome(monkeypatch, capsys, tmp_path, 1,
                     [sim / "log_L1.jsonl", sim / "log_L2.jsonl"], registry, False)[0]["files"]
     for files in (run["files"], clean):
         del files["manifest"]["inputs"]

@@ -80,6 +80,21 @@ class TestTableFixture:
         with pytest.raises(UserInputError, match="^bin_start 17.0 is not on the 300.0s bin grid$"):
             load_tmc_csv(path)
 
+    def test_repeated_row_rejected(self, tmp_path):
+        """A second row of one cell, also one a hair off the same bin start,
+        is refused rather than added into the first: a table joined twice
+        by mistake would count double."""
+        path = tmp_path / "dup.csv"
+        for again in ("0.0,NB,1,1,0,0,0", "1e-9,NB,1,0,0,0,0"):
+            path.write_text("bin_start,approach,class,left,thru,right,uturn\n"
+                            f"0.0,NB,1,0,0,0,0\n300.0,NB,1,0,0,0,0\n{again}\n")
+            with pytest.raises(UserInputError, match=r"^line 4: bin .*, approach NB, class 1 "
+                                                     r"repeats line 2$"):
+                load_tmc_csv(path)
+        path.write_text("bin_start,approach,class,left,thru,right,uturn\n"
+                        "0.0,NB,1,0,0,0,0\n0.0,SB,1,1,0,0,0\n0.0,NB,2,1,0,0,0\n")
+        assert load_tmc_csv(path).counts.sum() == 2
+
     def test_bin_stretched_by_float_spacing_rejected(self, tmp_path):
         """Floats at 1e17 are 16 s apart, so a 12 s bin there would end 16 s
         on and size a second, empty bin: refused, naming the line."""

@@ -21,9 +21,8 @@ from lidartmc import cli
 GT_FIXTURE = Path(__file__).parent / "data" / "gt_drone_reference.csv"
 
 # The stdlib modules that only a log parse uses, and with orjson, logging
-# (which only a skipped line loads) and traceback (which only an internal
-# error loads, and logging), the modules outside the package whose loading
-# a command pays for.
+# (which no command loads) and traceback (which only an internal error
+# loads), the modules outside the package whose loading a command pays for.
 PARSE_ONLY = {"gzip", "signal"}
 WATCHED = {"orjson", "logging", "traceback", *PARSE_ONLY}
 
@@ -93,23 +92,24 @@ def runs(tmp_path_factory):
 # command: (modules it must load, modules it must not load). ``simulate``
 # (with ``--script`` unless named) writes its logs and script with
 # orjson, but parses, counts and compares nothing; only ``--scenario``
-# loads the bundled scenarios. Only a skipped line loads ``logging``, to
-# log it. No command loads ``_kernels``, which only the benchmark reads.
+# loads the bundled scenarios. A skipped line is printed, so no command
+# loads ``logging``. No command loads ``_kernels``, which only the
+# benchmark reads.
 IMPORT_RULES = {
     "estimate": ({"ingest", "counting", "stream", "tables", "orjson", *PARSE_ONLY},
                  {"simgen", "report", "scenarios", "_kernels", "logging", "traceback"}),
-    "estimate, a bad line": ({"ingest", "counting", "tables", "orjson", "logging",
-                              *PARSE_ONLY}, {"simgen", "report", "_kernels"}),
+    "estimate, a bad line": ({"ingest", "counting", "tables", "orjson", *PARSE_ONLY},
+                             {"simgen", "report", "_kernels", "logging", "traceback"}),
     "simulate": ({"stream", "tables", "simgen", "orjson"},
                  {"ingest", "report", "counting", "scenarios", "_kernels", "logging",
                   "traceback", *PARSE_ONLY}),
     "simulate --scenario": ({"stream", "tables", "simgen", "scenarios"},
-                            {"ingest", "report", "counting", "_kernels", "traceback",
-                             *PARSE_ONLY}),
+                            {"ingest", "report", "counting", "_kernels", "logging",
+                             "traceback", *PARSE_ONLY}),
     "compare": ({"report"}, {"counting", "_kernels", "ingest", "simgen", "orjson",
-                             "traceback"}),
+                             "logging", "traceback"}),
     "georef": ({"geo"}, {"counting", "_kernels", "ingest", "report", "simgen", "orjson",
-                         "intersection", "classify", "traceback"}),
+                         "intersection", "classify", "logging", "traceback"}),
 }
 
 
