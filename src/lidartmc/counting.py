@@ -10,26 +10,20 @@ columns (:class:`LogTriggers`), not boxes. :func:`merge_triggers` joins
 them into one table (:class:`Triggers`), each sensor an integer code,
 grouped by zone and within a zone in :func:`~lidartmc.stream.merge_order`,
 the order in which ``ingest.merge_streams`` merges frames. Each zone's
-rows are clustered into vehicles by one pairwise rule: a trigger joins
-its predecessor's vehicle when the gap between the two is
-
-* below ``cluster_gap``: the same vehicle;
-* below the zone's minimum headway (2.0 s for right-turn zones, 1.2 s
-  otherwise) and ``absorb`` is set: a re-trigger, absorbed uncounted, so
-  slow, long vehicles are not counted once per re-trigger;
-* below ``dedup_window`` and the sensor changed: dual coverage of one
-  zone never double counts. At the default ``dedup_window`` (=
-  ``cluster_gap``) the first clause already joins every such pair.
-
-Every other trigger starts a vehicle (``absorb=False`` is the diagnostic,
-overcounting "raw re-trigger" mode). One event per vehicle, labelled with
-the zone's primary binding and timed at its first trigger; its length is
-its longest box (closest to the true length under partial occlusion).
-Events are columns (:class:`Events`), so the rule, the binning and the
-CSV text each run once over all zones; the per-zone dict of
-:func:`extract_triggers` and the list form (:class:`MovementEvent`) are
-for the per-layer benchmark and the tests. :func:`estimate_tmc` fills a
-``tables.zero_grid``.
+rows are clustered into vehicles by one rule: a trigger joins its zone
+predecessor's vehicle when the gap between the two is below the zone's
+minimum headway (2.0 s for right-turn zones, 1.2 s otherwise); every
+other trigger starts a vehicle. The one clause has three readings: the
+same vehicle in the next frame; a slow, long vehicle that re-triggers,
+not counted again; and the other sensor's box of the same vehicle where
+two sensors cover the zone, never counted twice. One event per vehicle,
+labelled with the zone's primary binding and timed at its first trigger;
+its length is its longest box (closest to the true length under partial
+occlusion). Events are columns (:class:`Events`), so the rule, the
+binning and the CSV text each run once over all zones; the per-zone dict
+of :func:`extract_triggers` and the list form (:class:`MovementEvent`)
+are for the per-layer benchmark and the tests. :func:`estimate_tmc`
+fills a ``tables.zero_grid``.
 """
 
 from __future__ import annotations
@@ -203,14 +197,9 @@ def _events(triggers: Triggers, cfg: IntersectionConfig, params: CountingParams)
     """The events of a table of triggers grouped by zone and time-ordered
     within each zone, by the rule of the module docstring."""
     zones = cfg.zones
-    zone, t, length, sensor = vars(triggers).values()
+    zone, t, length = triggers.zone, triggers.t, triggers.length
     headway = np.array([params.min_headway_for(z) for z in zones])
-    gap = np.diff(t)
-    join = (
-        (gap < params.cluster_gap)
-        | (params.absorb & (gap < headway[zone[1:]]))
-        | ((sensor[1:] != sensor[:-1]) & (gap < params.dedup_window))
-    )
+    join = np.diff(t) < headway[zone[1:]]
     # A zone's first trigger and each trigger that does not join start a vehicle.
     first = np.flatnonzero(np.r_[len(t) > 0, ~join | (zone[1:] != zone[:-1])])
     longest = np.maximum.reduceat(length, first) if len(first) else length

@@ -35,7 +35,6 @@ from .geo import GeodeticPoint, NedPoint, load_json_document
 
 DEFAULT_MIN_HEADWAY_RIGHT_S = 2.0
 DEFAULT_MIN_HEADWAY_OTHER_S = 1.2
-DEFAULT_CLUSTER_GAP_S = 0.6
 
 
 class Approach(Enum):
@@ -154,34 +153,24 @@ def outside_session_error(t: float, session: tuple[float, float]) -> UserInputEr
 
 @dataclass(frozen=True)
 class CountingParams:
-    """Clustering thresholds; defaults derive from a 1.5 s minimum
-    observed headway between vehicles."""
+    """The clustering rule's one threshold per zone kind: a trigger joins
+    its zone predecessor's vehicle when the gap is below the zone's
+    minimum headway, ``min_headway_right`` for a right-turn zone and
+    ``min_headway_other`` for any other. The defaults derive from a 1.5 s
+    minimum observed headway between vehicles. Each is a finite JSON
+    number, with 0 < ``min_headway_other`` <= ``min_headway_right``."""
 
     min_headway_right: float = DEFAULT_MIN_HEADWAY_RIGHT_S
     min_headway_other: float = DEFAULT_MIN_HEADWAY_OTHER_S
-    cluster_gap: float = DEFAULT_CLUSTER_GAP_S
-    dedup_window: float | None = None  # None -> cluster_gap
-    absorb: bool = True
 
     def __post_init__(self):
-        if self.dedup_window is None:
-            object.__setattr__(self, "dedup_window", self.cluster_gap)
-        if not isinstance(self.absorb, bool):
-            raise UserInputError(f"absorb must be true or false, got {self.absorb!r}")
-        thresholds = tuple(json_number(v) for v in (
-            self.min_headway_right, self.min_headway_other, self.cluster_gap,
-            self.dedup_window))
+        thresholds = (json_number(self.min_headway_right), json_number(self.min_headway_other))
         if not all(math.isfinite(v) for v in thresholds):
             raise UserInputError(f"counting thresholds must be finite, got {thresholds}")
-        if min(self.min_headway_right, self.min_headway_other, self.cluster_gap) <= 0:
-            raise UserInputError("counting thresholds must be positive")
-        if self.dedup_window <= 0:
-            raise UserInputError("dedup_window must be positive")
-        if not self.cluster_gap < self.min_headway_other <= self.min_headway_right:
+        if not 0 < self.min_headway_other <= self.min_headway_right:
             raise UserInputError(
-                "need cluster_gap < min_headway_other <= min_headway_right, got "
-                f"{self.cluster_gap}, {self.min_headway_other}, {self.min_headway_right}"
-            )
+                "need 0 < min_headway_other <= min_headway_right, got "
+                f"{self.min_headway_other}, {self.min_headway_right}")
 
     def min_headway_for(self, zone: Zone) -> float:
         return self.min_headway_right if zone.right_only else self.min_headway_other

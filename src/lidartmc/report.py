@@ -113,8 +113,7 @@ def load_tmc_csv(path, bin_seconds: float = DEFAULT_BIN_SECONDS) -> TmcTable:
         b = (bin_start - session[0]) / bin_seconds
         if abs(b - round(b)) > 1e-6:
             raise UserInputError(
-                f"bin_start {bin_start} is not on the {bin_seconds}s bin grid"
-            )
+                f"line {i}: bin_start {bin_start} is not on the {bin_seconds}s bin grid")
         b = int(round(b))
         if bin_start + bin_seconds == session[1] and b + 1 < len(table):  # a stretched last bin
             raise UserInputError(f"line {i}: a {bin_seconds} s bin at {bin_start} ends "

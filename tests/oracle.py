@@ -294,22 +294,18 @@ def outside_session_times(logs, cfg, registry) -> list[float]:
     return out
 
 
-def cluster(triggers, min_headway: float, params: CountingParams) -> list[tuple[float, float]]:
-    """(first t, longest box) of each vehicle, one trigger at a time."""
+def cluster(triggers, min_headway: float) -> list[tuple[float, float]]:
+    """(first t, longest box) of each vehicle, one trigger at a time: a
+    trigger joins the last vehicle when it comes less than
+    ``min_headway`` after that vehicle's last trigger."""
     clusters = []
-    for t, length, fid in triggers:
-        if clusters:
-            first_t, max_len, last_t, last_fid = clusters[-1]
-            gap = t - last_t
-            if (
-                gap < params.cluster_gap
-                or (params.absorb and gap < min_headway)
-                or (fid != last_fid and gap < params.dedup_window)
-            ):
-                clusters[-1] = (first_t, max(max_len, length), t, fid)
-                continue
-        clusters.append((t, length, t, fid))
-    return [(first_t, max_len) for first_t, max_len, _, _ in clusters]
+    for t, length, _fid in triggers:
+        if clusters and t - clusters[-1][2] < min_headway:
+            first_t, max_len, _ = clusters[-1]
+            clusters[-1] = (first_t, max(max_len, length), t)
+        else:
+            clusters.append((t, length, t))
+    return [(first_t, max_len) for first_t, max_len, _ in clusters]
 
 
 def count_events(triggers, cfg, params: CountingParams) -> list[MovementEvent]:
@@ -323,7 +319,7 @@ def count_events(triggers, cfg, params: CountingParams) -> list[MovementEvent]:
     tagged = []
     for group, targets in enumerate(groups):
         for z, (approach, movement) in targets:
-            for first_t, max_len in cluster(triggers[z.id], params.min_headway_for(z), params):
+            for first_t, max_len in cluster(triggers[z.id], params.min_headway_for(z)):
                 cls = classify(cfg.class_table, max_len)
                 event = MovementEvent(approach, movement, first_t, cls, max_len)
                 tagged.append((first_t, group, z.id, event))

@@ -175,14 +175,15 @@ def test_criterion_6_dedup_idempotence():
 
 
 def test_criterion_7a_slow_heavy_overcount():
-    """Clustering off: strict overcount. Default params: exact."""
+    """Clustering off (a 1 us headway joins no re-trigger): strict
+    overcount. Default params: exact."""
     sc = next(s for s in scenario_suite() if s.name == "slow_heavy")
     session = simulate(sc.script, sc.cfg, sc.sim)
     gt = session.ground_truth
     exact = run_counting(session, sc.cfg)
     assert exact == gt
-    raw = run_counting(
-        session, replace(sc.cfg, params=CountingParams(cluster_gap=1e-6, absorb=False)))
+    raw_params = CountingParams(min_headway_right=1e-6, min_headway_other=1e-6)
+    raw = run_counting(session, replace(sc.cfg, params=raw_params))
     assert int(raw.counts.sum()) > int(gt.counts.sum())
     ratio = raw.counts.sum() / gt.counts.sum()
     ok(

@@ -566,25 +566,35 @@ class TestEstimate:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
-    @pytest.mark.parametrize("config_params,cluster_gap,dedup_window", [
-        ({"cluster_gap": 0.4}, 0.4, 0.4),
-        ({"cluster_gap": 0.4, "dedup_window": 0.5}, 0.4, 0.5),
-    ], ids=["gap", "gap and window"])
-    def test_dedup_window_follows_cluster_gap_unless_set(
-            self, ideal_sim, tmp_path, config_params, cluster_gap, dedup_window):
-        """The config's ``dedup_window`` follows its ``cluster_gap`` unless
-        the config sets it too; the manifest records the values used."""
+    @pytest.mark.parametrize("key,value", [("cluster_gap", 0.4), ("dedup_window", 0.5),
+                                           ("absorb", False)])
+    def test_removed_param_key_exits_2(self, ideal_sim, tmp_path, capsys, key, value):
+        """A params key other than the two headways, such as one of the
+        thresholds the rule once had, exits 2 naming the key instead of
+        being accepted and ignored."""
         doc = json.loads(Path(reference_config_path()).read_text())
-        doc["params"] = config_params
+        doc["params"] = {"min_headway_other": 1.0, key: value}
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
-        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"),
-                         str(ideal_sim / "log_L2.jsonl"), "--config", str(config),
+        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"), "--config", str(config),
+                         "--registry", str(ideal_sim / "registry.json"),
+                         "--out-dir", str(tmp_path / "est")]) == 2
+        err = capsys.readouterr().err
+        # Only the key: Python versions word the __init__ error differently.
+        assert err.startswith("error: bad counting params: ") and repr(key) in err
+        assert not (tmp_path / "est").exists()
+
+    def test_manifest_records_the_params_used(self, ideal_sim, tmp_path):
+        doc = json.loads(Path(reference_config_path()).read_text())
+        doc["params"] = {"min_headway_other": 1.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["estimate", str(ideal_sim / "log_L1.jsonl"), "--config", str(config),
                          "--registry", str(ideal_sim / "registry.json"),
                          "--out-dir", str(tmp_path / "est")]) == 0
-        params = json.loads((tmp_path / "est" / "manifest.json").read_text())[
-            "arguments"]["params"]
-        assert (params["cluster_gap"], params["dedup_window"]) == (cluster_gap, dedup_window)
+        manifest = json.loads((tmp_path / "est" / "manifest.json").read_text())
+        assert manifest["arguments"]["params"] == {"min_headway_right": 2.0,
+                                                   "min_headway_other": 1.0}
 
     def test_registry_origin_not_the_configs_exits_2(self, ideal_sim, tmp_path, capsys):
         """Detections are mapped into the registry's NED frame and the zones
@@ -1289,8 +1299,8 @@ BAD_CONFIG_NODES = {
     "yaw Infinity": (("zones", 0, "yaw"), math.inf),
     "class id 1.5": (("class_table",), [{**DEFAULT_CLASS_TABLE_DOC[0], "id": 1.5},
                                         *DEFAULT_CLASS_TABLE_DOC[1:]]),
-    "absorb string": (("params",), {"absorb": "x"}),
-    "dedup_window 0": (("params",), {"dedup_window": 0.0}),
+    "min_headway_other string": (("params",), {"min_headway_other": "x"}),
+    "min_headway_other 0": (("params",), {"min_headway_other": 0.0}),
     "empty phase interval": (("schedule", 0, "end"), 0.0),
 }
 
@@ -1450,7 +1460,7 @@ def node_at(doc, path):
 # Each loaded before, read as the number it spells (true is 1, false 0).
 SPOOFED_NUMBERS = {
     "zone center strings": ("config", ("zones", 0, "center"), ["1", "2"]),
-    "params cluster_gap true": ("config", ("params", "cluster_gap"), True),
+    "params min_headway_other true": ("config", ("params", "min_headway_other"), True),
     "schedule start false": ("config", ("schedule", 0, "start"), False),
     "class id true": ("config", ("class_table", 0, "id"), True),
     "class id string": ("config", ("class_table", 0, "id"), "1"),
@@ -1647,6 +1657,10 @@ USER_ERRORS = {
         ["compare", "{doc}", "{doc}"],
         "bin_start,approach,class,left,thru,right,uturn\n1e300,NB,1,1,0,0,0\n",
         "error: line 2: a 300.0 s bin at 1e+300 ends where it starts\n"),
+    "off-grid bin_start": (
+        ["compare", "{doc}", "{doc}"],
+        "bin_start,approach,class,left,thru,right,uturn\n0.0,NB,3,1,0,0,0\n17.0,NB,3,1,0,0,0\n",
+        "error: line 3: bin_start 17.0 is not on the 300.0s bin grid\n"),
     "bin stretched by float spacing": (
         ["compare", "{doc}", "{doc}", "--bin-seconds", "12"],
         "bin_start,approach,class,left,thru,right,uturn\n1e17,NB,1,1,0,0,0\n",

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -85,32 +85,22 @@ class TestCountingParams:
     def test_defaults(self):
         p = CountingParams()
         assert (p.min_headway_right, p.min_headway_other) == (2.0, 1.2)
-        assert p.cluster_gap == 0.6
-        assert p.dedup_window == 0.6
-        assert p.absorb
-
-    def test_dedup_defaults_to_cluster_gap(self):
-        p = CountingParams(cluster_gap=0.4)
-        assert p.dedup_window == 0.4
+        assert asdict(p) == {"min_headway_right": 2.0, "min_headway_other": 1.2}
 
     def test_ordering_invariant(self):
-        with pytest.raises(UserInputError):
-            CountingParams(cluster_gap=1.5)
-        with pytest.raises(UserInputError):
-            CountingParams(min_headway_other=2.5, min_headway_right=2.0)
-        with pytest.raises(UserInputError):
-            CountingParams(cluster_gap=-0.1)
+        assert CountingParams(min_headway_other=2.0).min_headway_other == 2.0
+        for other, right in ((2.5, 2.0), (0.0, 2.0), (-0.1, 2.0), (-1.0, -0.5)):
+            with pytest.raises(UserInputError, match="^need 0 < min_headway_other"):
+                CountingParams(min_headway_other=other, min_headway_right=right)
 
     def test_thresholds_must_be_finite(self):
-        for field in ("min_headway_right", "min_headway_other", "cluster_gap",
-                      "dedup_window"):
+        for field in ("min_headway_right", "min_headway_other"):
             for value in (math.nan, math.inf):
                 with pytest.raises(UserInputError):
                     CountingParams(**{field: value})
 
     def test_thresholds_must_be_numbers(self):
-        for field in ("min_headway_right", "min_headway_other", "cluster_gap",
-                      "dedup_window"):
+        for field in ("min_headway_right", "min_headway_other"):
             for value in (True, "1.0"):
                 with pytest.raises(TypeError):
                     CountingParams(**{field: value})
@@ -192,16 +182,16 @@ class TestClusterThresholds:
         assert events[0].t == 0.0  # first trigger of the cluster
 
     def test_absorbed_chain_stays_one_vehicle(self):
-        # Gaps of 0.9 s sit between cluster_gap and min_headway; each one
-        # extends the cluster, so a slow vehicle re-triggering for 3.6 s
-        # still counts once.
+        # Each 0.9 s gap is below the thru headway and extends the vehicle,
+        # so a slow vehicle re-triggering for 3.6 s still counts once.
         cfg = small_config()
         series = {"THRU": [trig(i * 0.9) for i in range(5)]}
         assert len(cluster(series, cfg)) == 1
 
     def test_absorb_off_counts_every_gap(self):
         cfg = small_config()
-        params = CountingParams(cluster_gap=1e-6, absorb=False)
+        # A tiny headway joins no re-trigger: the overcounting raw mode.
+        params = CountingParams(min_headway_right=1e-6, min_headway_other=1e-6)
         series = {"THRU": [trig(i * 0.9) for i in range(5)]}
         assert len(cluster(series, cfg, params)) == 5
 
@@ -228,17 +218,14 @@ class TestClusterThresholds:
             cluster(series, cfg)
 
     def test_cross_sensor_dedup(self):
-        # Each gap is past cluster_gap and, when absorbing, past the thru
-        # headway, but inside the dedup window: only the cross-sensor
-        # clause joins the pair, so two sensors give one vehicle and one
-        # sensor two.
+        # Two sensors' triggers within the thru headway (1.2 s) are one
+        # vehicle and beyond it two, as one sensor's are: the sensor does
+        # not enter the rule.
         cfg = small_config()
-        for gap, absorb in ((1.3, True), (0.9, False)):
-            params = CountingParams(dedup_window=1.5, absorb=absorb)
-            assert params.cluster_gap < gap < params.dedup_window
-            for second, expected in (("L2", 1), ("L1", 2)):
-                series = {"THRU": [trig(0.0, frame_id="L1"), trig(gap, frame_id=second)]}
-                assert len(cluster(series, cfg, params)) == expected, (gap, second)
+        for sensor in ("L1", "L2"):
+            for gap, expected in ((0.9, 1), (1.1999, 1), (1.2, 2), (1.3, 2)):
+                series = {"THRU": [trig(0.0, frame_id="L1"), trig(gap, frame_id=sensor)]}
+                assert len(cluster(series, cfg)) == expected, (gap, sensor)
 
     def test_event_labeling_uses_primary_binding(self):
         cfg = small_config()
@@ -442,8 +429,7 @@ def test_zone_triggers_on_a_day_long_schedule(reference_config, all_red):
     assert np.array_equal(dropped, expected_dropped, equal_nan=True) and len(dropped)
 
 
-# Gaps on and next to each threshold of the default params and of a
-# 1.5 s dedup window: cluster_gap 0.6, thru headway 1.2, right headway 2.0.
+# Gaps on and next to each headway of HEADWAYS: 0.6, 1.2, 1.5 and 2.0 s.
 GAPS = [0.0, 0.3, 0.5999, 0.6, 0.6001, 1.1999, 1.2, 1.2001, 1.4999, 1.5, 1.5001,
         1.9999, 2.0, 2.0001, 3.0]
 # Class boundaries and values between them.
@@ -463,20 +449,25 @@ def zone_triggers(draw):
     return out
 
 
+# (other, right) headway pairs on the GAPS grid: the defaults first, and
+# ``other == right`` among the rest.
+HEADWAYS = [(1.2, 2.0), (0.6, 1.5), (1.5, 1.5), (1.2, 1.2), (0.6, 2.0)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(zone_triggers(), st.booleans(), st.sampled_from([None, 1.5]),
-       st.sampled_from([0.1, 1.0, 7.0, 300.0]))
-def test_array_clustering_equals_the_oracle(triggers, absorb, dedup_window, bin_seconds):
+@given(zone_triggers(), st.sampled_from(HEADWAYS), st.sampled_from([0.1, 1.0, 7.0, 300.0]))
+def test_array_clustering_equals_the_oracle(triggers, headways, bin_seconds):
     """The columns give the oracle's clusters in the oracle's event
     order, and the list form bins and spells them as the columns do."""
     cfg = small_config()
-    params = CountingParams(absorb=absorb, dedup_window=dedup_window)
+    other, right = headways
+    params = CountingParams(min_headway_right=right, min_headway_other=other)
     series = {zone_id: trigger_series(ts, cfg, zone_id) for zone_id, ts in triggers.items()}
     for zone_id in ("THRU", "RIGHT"):
         got = cluster_triggers({zone_id: series[zone_id]}, cfg, params)
         min_headway = params.min_headway_for(cfg.zone_by_id(zone_id))
         assert [(e.t, e.representative_length) for e in got] == oracle_cluster(
-            triggers[zone_id], min_headway, params)
+            triggers[zone_id], min_headway)
     counted = {z.id: triggers[z.id] for z in cfg.ingress_zones + cfg.right_surrogate_zones}
     events = counting._events(trigger_table(counted, cfg), cfg, params)
     expected = count_events(triggers, cfg, params)

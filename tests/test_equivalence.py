@@ -44,12 +44,12 @@ def test_scenario_matches_oracle(tmp_path, scenario):
 
 
 def test_dense_random_script_matches_oracle(tmp_path):
-    # All-red gaps between the phases, and a dedup window wider than the
-    # thru headway, so that every rule has a case of its own.
+    # All-red gaps between the phases, and a thru headway of 1.5 s instead
+    # of 1.2 s, so that clustering runs at a threshold of the config's own.
     doc = json.loads(Path(reference_config_path()).read_text())
     for iv in doc["schedule"][:-1]:
         iv["end"] -= 2.0
-    doc["params"] = {"dedup_window": 1.5}
+    doc["params"] = {"min_headway_other": 1.5}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     cfg = config_from_obj(doc)

@@ -301,11 +301,11 @@ class TestConfig:
             {"id": 1, "label": "small", "lower": 0.0, "upper": 6.0, "fhwa": []},
             {"id": 2, "label": "large", "lower": 6.0, "upper": None, "fhwa": ["9"]},
         ]
-        obj["params"] = {"min_headway_right": 2.5, "cluster_gap": 0.5}
+        obj["params"] = {"min_headway_right": 2.5, "min_headway_other": 1.0}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(obj))
         cfg = load_intersection_config(path)
         assert cfg.class_table.n_classes == 2
         assert cfg.class_table.class_ids(np.array([7.0])).tolist() == [2]
         assert cfg.params.min_headway_right == 2.5
-        assert cfg.params.dedup_window == 0.5
+        assert cfg.params.min_headway_other == 1.0

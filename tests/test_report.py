@@ -77,7 +77,8 @@ class TestTableFixture:
             "bin_start,approach,class,left,thru,right,uturn\n"
             "0.0,NB,3,1,0,0,0\n17.0,NB,3,1,0,0,0\n"
         )
-        with pytest.raises(UserInputError, match="^bin_start 17.0 is not on the 300.0s bin grid$"):
+        with pytest.raises(UserInputError,
+                           match="^line 3: bin_start 17.0 is not on the 300.0s bin grid$"):
             load_tmc_csv(path)
 
     def test_repeated_row_rejected(self, tmp_path):
