@@ -14,8 +14,8 @@ only select the window inside it whose events are tabulated.
 
 ``estimate`` keeps no box past its parse chunk: each chunk is cut to its
 trigger rows (``ingest.parse_logs``), the frame order of each log and
-the registry are checked, and each zone's trigger columns of all logs
-are merged and counted (``counting.count_session``). Of the skipped lines
+the registry are checked, and the logs' trigger tables are merged and
+counted (``counting.count_session``). Of the skipped lines
 the parse collects, it prints each, or under ``--strict`` raises the first.
 
 Import rule: module level imports only what argument parsing and the
@@ -156,7 +156,7 @@ def cmd_estimate(args) -> int:
     if args.reorder_window < 0:
         raise UserInputError(f"--reorder-window must be >= 0, got {args.reorder_window}")
     errors: list = []
-    # Each log comes back as its trigger columns and every frame time; its
+    # Each log comes back as its trigger table and every frame time; its
     # zone rows outside the session come back as their times.
     try:
         logs = parse_logs(args.logs, registry, cfg, error_sink=errors)

@@ -3,13 +3,13 @@
 A trigger is one detection centroid inside a zone
 (:func:`~lidartmc.intersection.zone_hits`) at a time in the session when
 some binding of the zone is permissible. :func:`zone_triggers` is that
-rule; its phase gate indexes the tables that
-:class:`~lidartmc.intersection.IntersectionConfig` builds once, and the
-parse cut runs it on each chunk, so each log reaches counting as trigger
-columns (:class:`LogTriggers`), not boxes. :func:`merge_triggers` joins
-them into one table (:class:`Triggers`), each sensor an integer code,
-grouped by zone and within a zone in :func:`~lidartmc.stream.merge_order`,
-the order in which ``ingest.merge_streams`` merges frames. Each zone's
+rule (its phase gate indexes tables that the config builds once), and
+it gives trigger rows their one form, :class:`Triggers`. The parse cut
+runs it on each chunk, so each log reaches counting as one table
+(:class:`LogTriggers`), not boxes. :func:`merge_triggers` codes each
+log's sensor and joins the tables, grouped by zone and within a zone in
+:func:`~lidartmc.stream.merge_order`, the order in which
+``ingest.merge_streams`` merges frames. Each zone's
 rows are clustered into vehicles by one rule: a trigger joins its zone
 predecessor's vehicle when the gap between the two is below the zone's
 minimum headway (2.0 s for right-turn zones, 1.2 s otherwise); every
@@ -28,7 +28,7 @@ fills a ``tables.zero_grid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -51,21 +51,6 @@ from .intersection import (
 )
 from .stream import FRAME_NED, L, X, Y, MergedStream
 from .tables import TmcTable, zero_grid
-
-
-@dataclass(frozen=True, eq=False)
-class LogTriggers:
-    """One detection log as ``ingest.parse_logs`` cuts it: its sensor (None
-    if it keeps no line), the time of every frame, the zone, frame time
-    and box length of each trigger in row order (:func:`zone_triggers`),
-    and the frame times of its zone rows outside the session."""
-
-    sensor: str | None
-    frame_t: np.ndarray
-    zone: np.ndarray
-    t: np.ndarray
-    length: np.ndarray
-    dropped: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,6 +93,19 @@ class Triggers(_Columns):
 
 
 @dataclass(frozen=True, eq=False)
+class LogTriggers:
+    """One detection log as ``ingest.parse_logs`` cuts it: its sensor (None
+    if it keeps no line), the time of every frame, its triggers in row
+    order (:func:`zone_triggers`, sensor code 0), and the frame times of
+    its zone rows outside the session."""
+
+    sensor: str | None
+    frame_t: np.ndarray
+    triggers: Triggers
+    dropped: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Events(_Columns):
     """Counted vehicles as columns, ordered by time, then ingress before
     surrogate, then zone id: first trigger time, index into the config's
@@ -136,29 +134,29 @@ class Events(_Columns):
                 for a, m, t, c, length in zip(*(col.tolist() for col in columns))]
 
 
-def zone_triggers(north: np.ndarray, east: np.ndarray, t: np.ndarray,
-                  cfg: IntersectionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triggers of NED points ``(north, east)`` seen at frame times
-    ``t``: the row and zone index of each (point, zone) pair that
-    triggers, in row order, and the times of the zone-contained points
-    outside the schedule's session. A pair triggers when the zone contains
-    the point, its time is in the session and a binding of the zone is
-    permissible then: a right binding always, another one when the
-    interval holding the time permits it. A point in two zones is two
-    triggers. The gate only indexes the config's prebuilt tables."""
-    hits = zone_hits(north, east, cfg.zones)
+def zone_triggers(boxes: np.ndarray, t: np.ndarray, sensor,
+                  cfg: IntersectionConfig) -> tuple[Triggers, np.ndarray]:
+    """The triggers of NED ``boxes`` seen at frame times ``t`` by sensor
+    code ``sensor`` (one for all rows, or one a row), a row for each (box,
+    zone) pair that triggers, in box order; and the times of the
+    zone-contained boxes outside the schedule's session. A pair triggers
+    when the zone contains the box, its time is in the session and a
+    binding of the zone is permissible then: a right binding always,
+    another one when its interval permits it (the config's tables)."""
+    hits = zone_hits(boxes[:, X], boxes[:, Y], cfg.zones)
     inside = hits.any(axis=1)
     outside = outside_session(t, cfg.schedule.session)
     rows = np.flatnonzero(inside & ~outside)
     ts = t[rows]
     idx = np.searchsorted(cfg.starts, ts, side="right") - 1  # >= 0 in the session
     gated = (ts < cfg.ends[idx])[:, None] & cfg.permits[idx]  # False in a gap between intervals
-    trig = hits[rows] & (cfg.right_zones | gated)
-    row, zone = np.nonzero(trig)
-    return rows[row], zone, t[inside & outside]
+    row, zone = np.nonzero(hits[rows] & (cfg.right_zones | gated))
+    rows = rows[row]
+    triggers = Triggers(zone, t[rows], boxes[rows, L], np.broadcast_to(sensor, t.shape)[rows])
+    return triggers, t[inside & outside]
 
 
-def _joined(tables: Iterable[Triggers]) -> Triggers:
+def joined(tables: Iterable[Triggers]) -> Triggers:
     """The rows of ``tables``, one table after another."""
     empty = (np.empty(0, np.intp), np.empty(0), np.empty(0), np.empty(0, np.intp))
     return Triggers(*map(np.concatenate, zip(empty, *(vars(t).values() for t in tables))))
@@ -170,9 +168,9 @@ def merge_triggers(logs: Sequence[LogTriggers]) -> Triggers:
     frames merged by :func:`~lidartmc.ingest.merge_streams`, without
     merging boxes."""
     code = {fid: i for i, fid in enumerate(sorted({log.sensor for log in logs} - {None}))}
-    return _joined(  # a log with no kept line has no code
-        Triggers(log.zone, log.t, log.length, np.full(len(log.zone), code[log.sensor]))
-        for log in logs if len(log.zone)).in_merge_order()
+    return joined(  # a log with no kept line has no code
+        replace(log.triggers, sensor=np.full(len(log.triggers), code[log.sensor]))
+        for log in logs if len(log.triggers)).in_merge_order()
 
 
 def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str, Triggers]:
@@ -183,12 +181,11 @@ def extract_triggers(stream: MergedStream, cfg: IntersectionConfig) -> dict[str,
     if stream.coordinate_frame != FRAME_NED:
         raise ValueError("counting requires NED streams")
     sizes = np.diff(stream.offsets)
-    row_t = np.repeat(stream.t, sizes)
-    rows, zone, outside = zone_triggers(stream.boxes[:, X], stream.boxes[:, Y], row_t, cfg)
+    tr, outside = zone_triggers(stream.boxes, np.repeat(stream.t, sizes),
+                                np.repeat(stream.sensor, sizes), cfg)
     if len(outside):
         raise outside_session_error(float(outside.min()), cfg.schedule.session)
-    sensor = np.repeat(stream.sensor, sizes)[rows]
-    tr = Triggers(zone, row_t[rows], stream.boxes[rows, L], sensor).in_merge_order()
+    tr = tr.in_merge_order()
     bounds = np.searchsorted(tr.zone, np.arange(len(cfg.zones) + 1)).tolist()
     return {z.id: tr.take(slice(*bounds[i:i + 2])) for i, z in enumerate(cfg.zones)}
 
@@ -219,7 +216,7 @@ def cluster_triggers(series: Mapping[str, Triggers], cfg: IntersectionConfig,
     """One event per vehicle of each zone's rows (as :func:`extract_triggers`
     gives them), labelled with the zone's primary binding, in the order of
     :class:`Events`."""
-    return _events(_joined(series.values()), cfg, params or cfg.params).to_list()
+    return _events(joined(series.values()), cfg, params or cfg.params).to_list()
 
 
 def count_rights_from_egress(series: Mapping[str, Triggers], cfg: IntersectionConfig,
@@ -242,7 +239,7 @@ def count_rights_from_egress(series: Mapping[str, Triggers], cfg: IntersectionCo
 
 def count_session(logs: Sequence[LogTriggers],
                   cfg: IntersectionConfig) -> tuple[Events, dict]:
-    """Full counting pass over the per-sensor trigger columns that
+    """Full counting pass over the per-sensor trigger tables that
     :func:`~lidartmc.ingest.parse_logs` gives: the events of the merged
     triggers (:func:`merge_triggers`) of the ingress and right-surrogate
     zones, with the thresholds of ``cfg.params``. Other egress zones are

@@ -55,10 +55,10 @@ tests.
 mapped sensor -> NED with its log's one pose (:func:`ned_boxes`) and cut
 to its trigger rows (:func:`~lidartmc.counting.zone_triggers`) before
 the next chunk is read, so no box outlives its chunk. A log comes back
-as trigger columns (:class:`~lidartmc.counting.LogTriggers`) and the
-time of every frame. The logs are parsed concurrently, each after the
-first in a forked child, with the results, skipped lines and errors of
-parsing them one after the other.
+as the time of every frame and one trigger table, its chunks' tables
+joined (:class:`~lidartmc.counting.LogTriggers`). The logs are parsed
+concurrently, each after the first in a forked child, with the results,
+skipped lines and errors of parsing them one after the other.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 import orjson
 
-from .counting import LogTriggers, zone_triggers
+from .counting import LogTriggers, joined, zone_triggers
 from .errors import MalformedLineError, UserInputError, json_number
 from .geo import MAX_COORDINATE_M, FrameRegistry, wrap_angles
 from .intersection import IntersectionConfig
@@ -336,23 +336,21 @@ def open_detection_log(path) -> IO[bytes]:
 
 
 def _zone_cut(registry: FrameRegistry, cfg: IntersectionConfig) -> Callable:
-    """The chunk cut of :func:`parse_logs`: the zone, frame time and box
-    length of each trigger (:func:`~lidartmc.counting.zone_triggers`) of a
-    chunk's rows mapped to NED by its sensor's pose, and the frame times of
-    its zone rows outside the session. The poses are composed here, before
+    """The chunk cut of :func:`parse_logs`: the triggers
+    (:func:`~lidartmc.counting.zone_triggers`, sensor code 0) of a chunk's
+    rows mapped to NED by its sensor's pose, and the frame times of its
+    zone rows outside the session. The poses are composed here, before
     any fork: once, and with no BLAS product in a parse child, whatever
-    BLAS threads its parent has. A sensor the registry lacks gives no
-    triggers and drops no rows."""
+    BLAS threads its parent has. A sensor the registry lacks gives an
+    empty table and drops no rows."""
     poses = {fid: registry.ned_pose(fid) for fid in registry.frame_ids}
-    none = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0))
+    none = (joined(()), np.empty(0))
 
     def cut(block: np.ndarray, sensor: str | None, t: np.ndarray) -> tuple:
         pose = poses.get(sensor)
         if pose is None:
             return none
-        ned = ned_boxes(block, pose)
-        rows, zone, outside = zone_triggers(ned[:, X], ned[:, Y], t, cfg)
-        return zone, t[rows], ned[rows, L], outside
+        return zone_triggers(ned_boxes(block, pose), t, 0, cfg)
 
     return cut
 
@@ -364,9 +362,10 @@ def _parse_path(path, cut: Callable) -> tuple:
     with open_detection_log(path) as fh:
         cuts = [(sensor, t, *cut(block, sensor, np.repeat(t, n)))
                 for sensor, block, t, n in _chunks(fh, errors)]
-    sensors, times, *columns = zip(*cuts)  # the last sensor is the log's
+    sensors, times, tables, dropped = zip(*cuts)  # the last sensor is the log's
     t = np.concatenate(times)
-    return LogTriggers(sensors[-1], t[_frame_starts(t)], *map(np.concatenate, columns)), errors
+    return LogTriggers(sensors[-1], t[_frame_starts(t)], joined(tables),
+                       np.concatenate(dropped)), errors
 
 
 def _child_parse(path, cut: Callable, fd: int) -> None:
@@ -513,11 +512,12 @@ def merge_streams(
 
     Each input is a :class:`MergedStream` or a sequence of frames, as
     :func:`parse_detection_log` gives. Each may be locally jittered by up
-    to ``reorder_window`` seconds, as :func:`check_order` allows. The order is
-    :func:`~lidartmc.stream.merge_order`'s: by time, then frame_id, then
-    input stream, then position within the stream, so the merge is fully
+    to ``reorder_window`` seconds, as :func:`check_order` allows. The
+    merge sorts the inputs' whole frames, input after input, into
+    :func:`~lidartmc.stream.merge_order`: by time, then frame_id, then
+    input stream, then position within the stream, so it is fully
     deterministic. The inputs must share one coordinate frame, which the
-    result keeps. ``estimate`` merges trigger columns instead
+    result keeps. ``estimate`` merges trigger tables instead
     (:func:`~lidartmc.counting.count_session`); this box merge serves the
     per-layer benchmark and the tests.
     """
@@ -525,27 +525,13 @@ def merge_streams(
                for s in streams]
     for s in streams:
         _check_order(s.t, lambda i: s.sensors[s.sensor[i]], reorder_window)
-    if not streams:
-        return MergedStream.from_frames(())
-    coords = {s.coordinate_frame for s in streams}
+    coords = {s.coordinate_frame for s in streams} or {FRAME_SENSOR}
     if len(coords) > 1:
         raise ValueError(f"cannot merge streams in {sorted(coords)} coordinates")
-    sensors = tuple(sorted({fid for s in streams for fid in s.sensors}))
-    code = {fid: i for i, fid in enumerate(sensors)}
-    t = np.concatenate([s.t for s in streams])
-    sensor = np.concatenate(
-        [np.array([code[fid] for fid in s.sensors], dtype=np.intp)[s.sensor] for s in streams])
-    # The rows of all inputs, and where each input frame's rows start in them.
-    boxes = np.concatenate([s.boxes for s in streams])
-    base = np.cumsum([0] + [len(s.boxes) for s in streams])
-    starts = np.concatenate([s.offsets[:-1] + b for s, b in zip(streams, base)])
-    sizes = np.concatenate([np.diff(s.offsets) for s in streams])
-    order = merge_order(t, sensor)
-    sizes = sizes[order]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    rows = np.repeat(starts[order] - offsets[:-1], sizes) + np.arange(offsets[-1])
-    return MergedStream(boxes[rows], t[order], sensor[order], sensors, offsets,
-                        coords.pop())
+    frames = [f for s in streams for f in s.frames]
+    order = merge_order(np.array([f.t for f in frames]),
+                        np.array([f.frame_id for f in frames], dtype=object))
+    return MergedStream.from_frames([frames[i] for i in order.tolist()], coords.pop())
 
 
 def ned_boxes(boxes: np.ndarray, pose: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:

@@ -23,7 +23,7 @@ session of a run: ``simulate`` covers it, ``estimate`` counts on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -266,6 +266,8 @@ class IntersectionConfig:
 
 
 def validate_config_structure(zones: Sequence[Zone]) -> None:
+    if not zones:
+        raise UserInputError("zones must contain at least one zone")
     ids = [z.id for z in zones]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -331,8 +333,15 @@ def config_from_obj(doc) -> IntersectionConfig:
     schedule = PhaseSchedule(intervals)
     params = CountingParams()
     if "params" in doc:
+        obj, names = doc["params"], [f.name for f in fields(CountingParams)]
+        if not isinstance(obj, dict):
+            kind = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
+            raise UserInputError("bad counting params: expected an object, got "
+                                 + kind.get(type(obj), "a number"))
+        if unknown := [k for k in obj if k not in names]:
+            raise UserInputError(f"bad counting params: unknown keys {unknown} (known: {names})")
         try:
-            params = CountingParams(**doc["params"])
+            params = CountingParams(**obj)
         except (TypeError, OverflowError) as exc:
             raise UserInputError(f"bad counting params: {exc}") from None
     class_table = DEFAULT_CLASS_TABLE

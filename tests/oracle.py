@@ -56,7 +56,7 @@ from lidartmc.simgen import (
     _CLASS_HEIGHTS,
     _CLASS_WIDTHS,
 )
-from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, SCORE, L, X, Y, Frame
+from lidartmc.stream import BOX_COLUMNS, MAX_DIMENSION_M, SCORE, Frame
 from lidartmc.tables import TmcTable, render_tmc_csv, zero_grid
 
 
@@ -374,6 +374,12 @@ def estimate(logs, cfg, registry, bin_seconds: float = 300.0):
     return render_tmc_csv(table), events_csv(events), counting_meta(triggers, events, cfg)
 
 
+def merge_frames(streams) -> list[Frame]:
+    """``merge_streams`` one frame at a time: the frames of every input,
+    input after input, through Python's stable sort by (time, frame_id)."""
+    return sorted((f for s in streams for f in s), key=lambda f: (f.t, f.frame_id))
+
+
 def merged_triggers(streams, cfg) -> Triggers:
     """The triggers of NED streams merged by ``merge_streams``: each zone's
     rows of ``extract_triggers``, zone after zone."""
@@ -402,10 +408,9 @@ def sensor_logs(streams, cfg) -> list[LogTriggers]:
         row_t = np.repeat(stream.t, np.diff(stream.offsets))
         row_sensor = np.repeat(stream.sensor, np.diff(stream.offsets))
         for code, fid in enumerate(stream.sensors):
-            boxes, t = stream.boxes[row_sensor == code], row_t[row_sensor == code]
-            rows, zone, dropped = counting.zone_triggers(boxes[:, X], boxes[:, Y], t, cfg)
-            logs.append(LogTriggers(fid, stream.t[stream.sensor == code], zone, t[rows],
-                                    boxes[rows, L], dropped))
+            rows = row_sensor == code
+            triggers, dropped = counting.zone_triggers(stream.boxes[rows], row_t[rows], 0, cfg)
+            logs.append(LogTriggers(fid, stream.t[stream.sensor == code], triggers, dropped))
     return logs
 
 

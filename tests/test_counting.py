@@ -18,7 +18,8 @@ from lidartmc.counting import (
 )
 from lidartmc.errors import UserInputError
 from lidartmc.geo import GeodeticPoint, NedPoint
-from lidartmc.stream import FRAME_NED, Frame, MergedStream
+from lidartmc.stream import BOX_COLUMNS, FRAME_NED, Frame, MergedStream
+from lidartmc.stream import L as BOX_L, X as BOX_X, Y as BOX_Y
 from lidartmc.intersection import (
     Approach,
     CountingParams,
@@ -422,9 +423,14 @@ def test_zone_triggers_on_a_day_long_schedule(reference_config, all_red):
     times.append(math.nan)
     points = [(z.center.north, z.center.east) for z in cfg.zones] + [(0.0, 0.0)]
     north, east, t = (np.array(c) for c in zip(*((n, e, ti) for ti in times for n, e in points)))
-    rows, zone, dropped = counting.zone_triggers(north, east, t, cfg)
+    boxes = np.zeros((len(t), len(BOX_COLUMNS)))
+    boxes[:, BOX_X], boxes[:, BOX_Y], boxes[:, BOX_L] = north, east, np.arange(len(t)) + 0.5
+    # Each row's own sensor code is its index, so a trigger names its row.
+    found, dropped = counting.zone_triggers(boxes, t, np.arange(len(t)), cfg)
     triggers, expected_dropped = point_triggers(north, east, t, cfg)
-    assert list(zip(rows.tolist(), zone.tolist())) == triggers
+    assert list(zip(found.sensor.tolist(), found.zone.tolist())) == triggers
+    rows = found.sensor
+    assert found.t.tolist() == t[rows].tolist() and found.length.tolist() == (rows + 0.5).tolist()
     assert any(cfg.zones[j].right_only for _, j in triggers)
     assert np.array_equal(dropped, expected_dropped, equal_nan=True) and len(dropped)
 

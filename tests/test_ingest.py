@@ -1,5 +1,6 @@
 import gzip
 import io
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from lidartmc.stream import (
     MergedStream,
     write_detection_log,
 )
-from oracle import box_rows, frame_to_json_line, line_reason, sensor_to_ned
+from oracle import box_rows, frame_to_json_line, line_reason, merge_frames, sensor_to_ned
 
 FIXTURE_LINE = json.dumps(
     {
@@ -763,6 +764,27 @@ class TestMerge:
         out = [f.t for f in merged]
         assert out == sorted(out)
         assert len(out) == sum(len(s) for s in raw_streams)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_merge_is_a_stable_sort_of_frames(self, data):
+        """Against ``oracle.merge_frames``: sensors whose frames share times
+        on a coarse grid, and a sensor's log split at a frame into two
+        inputs (a rotated log), the inputs in any order, each a
+        ``MergedStream`` or a list of frames."""
+        rows = itertools.count()  # each box its own x, so frames are told apart
+        inputs = []
+        for fid in data.draw(st.lists(st.sampled_from(["L1", "L2", "L3"]), min_size=1,
+                                      max_size=3, unique=True)):
+            ticks = sorted(data.draw(st.lists(st.integers(0, 12), max_size=12)))
+            frames = [make_frame(fid, k * 0.25, *((float(next(rows)), 0.0)
+                                                 for _ in range(data.draw(st.integers(0, 2)))))
+                      for k in ticks]
+            cut = data.draw(st.integers(0, len(frames)))
+            inputs += [frames[:cut], frames[cut:]] if data.draw(st.booleans()) else [frames]
+        inputs = [MergedStream.from_frames(frames) if data.draw(st.booleans()) else frames
+                  for frames in data.draw(st.permutations(inputs))]
+        assert frame_rows(merge_streams(inputs)) == frame_rows(merge_frames(inputs))
 
     def test_merge_random_jitter_within_window(self):
         # Streams jittered by less than half the window stay valid and

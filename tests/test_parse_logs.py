@@ -45,8 +45,10 @@ def parse(sim, logs, **kwargs):
 
 
 def columns(log):
-    """Comparable form of a log's ``LogTriggers``."""
-    return {name: getattr(value, "tolist", lambda: value)() for name, value in vars(log).items()}
+    """Comparable form of a log's ``LogTriggers``, its triggers column by column."""
+    fields = [*vars(log).items(), *(("triggers." + k, v) for k, v in vars(log.triggers).items())]
+    return {name: getattr(value, "tolist", lambda: value)() for name, value in fields
+            if name != "triggers"}
 
 
 def use_cpus(monkeypatch, n):
@@ -334,8 +336,9 @@ def test_dead_child_is_an_internal_error(monkeypatch, capsys, sim, tmp_path):
 
 
 def zone_columns(log, cfg):
-    """A log's trigger columns, zone by zone: (t, length) of each zone id."""
-    return {z.id: (log.t[log.zone == i].tolist(), log.length[log.zone == i].tolist())
+    """A log's triggers, zone by zone: (t, length) of each zone id."""
+    tr = log.triggers
+    return {z.id: (tr.t[tr.zone == i].tolist(), tr.length[tr.zone == i].tolist())
             for i, z in enumerate(cfg.zones)}
 
 
@@ -376,7 +379,7 @@ def test_rows_are_the_zone_contained_ones(monkeypatch, sim, tmp_path, chunk_rows
              for i, f in enumerate(ned.frames)], ingest.FRAME_NED)
         assert zone_columns(log, CFG) == series_columns(extract_triggers(kept, CFG))
         assert log.frame_t.tolist() == ned.t.tolist()
-        assert 0 < len(log.zone) < len(ned.boxes)
+        assert 0 < len(log.triggers) < len(ned.boxes)
     assert want_dropped
     assert [t for log in parsed for t in log.dropped.tolist()] == want_dropped
     assert want_dropped == outside_session_times(logs[1:], CFG, registry)
@@ -474,8 +477,9 @@ def test_drops_only_contained_detections_outside_the_session(tmp_path):
     [parsed] = ingest.parse_logs([log], registry, CFG)
     assert parsed.dropped.tolist() == [300.0, 500.0, 500.0]
     assert parsed.frame_t.tolist() == [20.0, 300.0, 500.0, 501.0]
-    assert (parsed.zone.tolist(), parsed.t.tolist(), parsed.length.tolist()) == (
-        [CFG.zones.index(CFG.zone_by_id("NB_T1"))], [20.0], [4.5])
+    tr = parsed.triggers
+    assert (tr.zone.tolist(), tr.t.tolist(), tr.length.tolist(), tr.sensor.tolist()) == (
+        [CFG.zones.index(CFG.zone_by_id("NB_T1"))], [20.0], [4.5], [0])
 
 
 def test_nothing_is_dropped_inside_the_session(tmp_path):
@@ -483,7 +487,7 @@ def test_nothing_is_dropped_inside_the_session(tmp_path):
     [parsed] = ingest.parse_logs([log], registry, CFG)
     assert parsed.dropped.tolist() == []
     assert parsed.frame_t.tolist() == [20.0, 500.0]
-    assert parsed.length.tolist() == [4.5]
+    assert parsed.triggers.length.tolist() == [4.5]
 
 
 def test_counting_holds_no_second_copy_of_the_zone_rows(tmp_path):
